@@ -1,5 +1,10 @@
 """Diff a fresh benchmark JSON against the committed baseline.
 
+The benchmarks write what they measure to the git-ignored ``out/`` directory
+beside this file (``conftest.write_result``); the ``BENCH_<profile>.json``
+committed here are the baselines, which a run never touches.  With no paths
+given the gate diffs the two files of ``--profile``.
+
 The serving-throughput benchmarks emit deterministic *work counters* (UDF
 evaluations, solver calls, group-index builds, bulk vs per-row UDF API
 calls, warm/cold amortisation ratio, plan-cache hit rate) alongside noisy
@@ -55,9 +60,13 @@ never gates: latency is wall-clock and drifts with runner load.
 
 Usage::
 
+    python benchmarks/compare_bench.py --profile serving --tolerance 0.15
+
+which is short for::
+
     python benchmarks/compare_bench.py \
-        --baseline /tmp/BENCH_serving.baseline.json \
-        --fresh benchmarks/BENCH_serving.json \
+        --baseline benchmarks/BENCH_serving.json \
+        --fresh benchmarks/out/BENCH_serving.json \
         --tolerance 0.15 \
         --profile serving
 """
@@ -69,6 +78,10 @@ import json
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, Tuple
+
+#: Committed baselines live beside this script; fresh results in ``out/``.
+BASELINE_DIR = Path(__file__).resolve().parent
+OUT_DIR = BASELINE_DIR / "out"
 
 #: ``(json path, lower_is_better)`` for every gated counter, per profile.
 #: Wall-clock fields (seconds, queries_per_second) are deliberately absent:
@@ -322,14 +335,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline",
         type=Path,
-        required=True,
-        help="baseline JSON to gate against — a copy of the *committed* "
-        "BENCH_serving.json taken before running the benchmark (the "
-        "benchmark rewrites the file in place, so there is deliberately "
-        "no default: it would compare the fresh file to itself)",
+        help="baseline JSON to gate against (default: the committed "
+        "BENCH_<profile>.json beside this script)",
     )
     parser.add_argument(
-        "--fresh", type=Path, required=True, help="freshly generated JSON to gate"
+        "--fresh",
+        type=Path,
+        help="freshly generated JSON to gate (default: out/BENCH_<profile>.json, "
+        "where the benchmarks write)",
     )
     parser.add_argument(
         "--tolerance",
@@ -354,8 +367,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    baseline = json.loads(args.baseline.read_text())
-    fresh = json.loads(args.fresh.read_text())
+    filename = f"BENCH_{args.profile}.json"
+    baseline = json.loads((args.baseline or BASELINE_DIR / filename).read_text())
+    fresh = json.loads((args.fresh or OUT_DIR / filename).read_text())
 
     rows = list(compare(baseline, fresh, args.tolerance, args.profile))
     width = max(len(name) for name, *_ in rows)

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from compare_bench import OUT_DIR
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -44,6 +45,18 @@ def bench_config() -> ExperimentConfig:
         sample_fraction=0.05,
         seed=2015,
     )
+
+
+def write_result(filename: str, text: str) -> None:
+    """Write one fresh benchmark artefact to git-ignored ``benchmarks/out/``.
+
+    The ``BENCH_*.json`` committed beside this file are the baselines
+    ``compare_bench.py`` gates a fresh run against; a run never touches
+    them, and only a deliberate re-baseline copies a file over one.
+    """
+    OUT_DIR.mkdir(exist_ok=True)
+    (OUT_DIR / filename).write_text(text)
+    print(f"  wrote out/{filename}")
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -18,7 +18,7 @@ drift, i.e. an exact ±0 gate.  ``bounded.evictions`` is committed > 0
 stay under budget + one pinned shard's columns.  Peak RSS is recorded
 informationally; it is process-wide and monotonic, so it never gates.
 
-Emits ``BENCH_outofcore.json``.
+Emits ``out/BENCH_outofcore.json``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ import resource
 import shutil
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_result
 
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
@@ -44,7 +43,6 @@ from repro.db.storage import TableStore
 from repro.db.udf import UserDefinedFunction
 from repro.serving import QueryService, ServiceConfig
 
-OUTPUT_PATH = Path(__file__).resolve().parent / "BENCH_outofcore.json"
 
 BENCH_ROWS = 200_000
 BENCH_SHARDS = 8
@@ -236,8 +234,7 @@ def test_outofcore_workload(benchmark):
         "peak_rss_mb": round(peak_rss_mb, 1),
         "cpu_count": os.cpu_count(),
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {OUTPUT_PATH.name}")
+    write_result("BENCH_outofcore.json", json.dumps(payload, indent=2) + "\n")
 
     # The bounded-memory acceptance contract, asserted before committing:
     # bitwise parity at ±0, genuine eviction pressure, and a peak residency

@@ -19,7 +19,7 @@ Then two restart paths answer the *same previously-served query*:
 Wall-clock uses the suite's A/B discipline: ``WINDOWS`` interleaved,
 order-alternating (restore, cold) pairs, and the asserted speedup is the
 **median** of the per-window ratios — a single noisy window cannot flake
-the gate.  Emits ``BENCH_restart.json``; the zero-committed work counters
+the gate.  Emits ``out/BENCH_restart.json``; the zero-committed work counters
 (``restored.udf_evaluations``, ``restored.solver_calls``,
 ``restored.row_ids_mismatch``, ``restored.restore_errors``, ...) are gated
 at exactly ±0 by ``compare_bench.py --profile restart`` in CI.  The
@@ -36,10 +36,9 @@ import shutil
 import statistics
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_result
 
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
@@ -50,7 +49,6 @@ from repro.db.storage import CatalogStore
 from repro.db.udf import UserDefinedFunction
 from repro.serving import QueryService, ServiceConfig
 
-OUTPUT_PATH = Path(__file__).resolve().parent / "BENCH_restart.json"
 
 SCALE_ROWS = 1_000_000
 BENCH_SHARDS = 8
@@ -261,8 +259,7 @@ def test_restart_workload(benchmark):
         "speedup_windows": [round(value, 2) for value in speedups],
         "cpu_count": os.cpu_count(),
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {OUTPUT_PATH.name}")
+    write_result("BENCH_restart.json", json.dumps(payload, indent=2) + "\n")
 
     # The durable-restart claims, every window: the first post-restart
     # request is a restored warm hit with zero UDF evaluations and answers

@@ -42,10 +42,9 @@ import json
 import os
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_result
 
 from repro.core import IntelSample, QueryConstraints
 from repro.core.parallel import ParallelBatchExecutor
@@ -54,7 +53,6 @@ from repro.db import CostLedger, ShardedTable, Table, UserDefinedFunction
 from repro.db.shm import release_exports
 from repro.db.udf import RevealLabel
 
-OUTPUT_PATH = Path(__file__).resolve().parent / "BENCH_scale.json"
 
 #: Rows of the scale point (the ISSUE floor is 500k).
 SCALE_ROWS = 1_000_000
@@ -317,8 +315,7 @@ def test_scale_sharded_parallel(benchmark):
         ],
         "cpu_count": os.cpu_count(),
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {OUTPUT_PATH.name}")
+    write_result("BENCH_scale.json", json.dumps(payload, indent=2) + "\n")
 
     # Exact parity: sharding, threads and processes must not change the work.
     for key, value in parity.items():

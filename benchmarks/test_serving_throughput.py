@@ -10,8 +10,8 @@ Replays a repeated-query trace through two identically configured
 * **warm** — statistics/plan caching on and the memo shared, the serving
   subsystem's amortised path.
 
-Emits ``BENCH_serving.json`` next to this file (queries/sec plus the work
-breakdown) and asserts two claims:
+Emits ``out/BENCH_serving.json`` (queries/sec plus the work breakdown) and
+asserts two claims:
 
 * **amortisation** — the warm replay performs at least 5x fewer UDF
   evaluations + solver calls than the cold replay;
@@ -30,8 +30,8 @@ up at 10x the table size.
 Each replay row also carries informational ``latency_p50_ms`` /
 ``latency_p99_ms`` keys (from the service's always-on latency histograms);
 ``compare_bench.py`` prints them in its diff but never gates them.  The warm
-replay additionally writes ``BENCH_serving_metrics.prom`` (Prometheus
-snapshot of the enabled obs registry) and ``BENCH_serving_slowlog.jsonl``
+replay additionally writes ``out/BENCH_serving_metrics.prom`` (Prometheus
+snapshot of the enabled obs registry) and ``out/BENCH_serving_slowlog.jsonl``
 (slowest trace trees) for CI artifact upload.
 """
 
@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
-from conftest import run_once
+from conftest import run_once, write_result
 
 from repro.core.constraints import QueryConstraints
 from repro.core.executor import BatchExecutor
@@ -58,16 +57,11 @@ from repro.obs import (
     SlowQueryLog,
     disable_metrics,
     enable_metrics,
-    write_prometheus_snapshot,
+    prometheus_text,
 )
 from repro.serving import QueryService, ServiceConfig
 
 TRACE_LENGTH = 80
-OUTPUT_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
-COLDPATH_OUTPUT_PATH = Path(__file__).resolve().parent / "BENCH_coldpath.json"
-#: CI artifacts (uploaded by the bench-regression job, not committed).
-PROM_SNAPSHOT_PATH = Path(__file__).resolve().parent / "BENCH_serving_metrics.prom"
-SLOW_LOG_PATH = Path(__file__).resolve().parent / "BENCH_serving_slowlog.jsonl"
 DETERMINISM_DATASETS = ("lending_club", "census", "marketing")
 
 #: Cold-path queries/sec of the committed PR-2 baseline (tuple-at-a-time
@@ -170,8 +164,9 @@ def _serving_comparison(scale: float):
         warm = _replay(warm_service, udf, trace, reset_memo=False)
     finally:
         disable_metrics()
-    write_prometheus_snapshot(registry, str(PROM_SNAPSHOT_PATH))
-    SLOW_LOG_PATH.write_text(slow_log.to_json_lines())
+    # CI artifacts (uploaded by the bench-regression job, never gated).
+    write_result("BENCH_serving_metrics.prom", prometheus_text(registry))
+    write_result("BENCH_serving_slowlog.jsonl", slow_log.to_json_lines())
     warm["plan_cache"] = warm_service.metrics()["plan_cache"]
     return dataset, cold, warm
 
@@ -240,8 +235,7 @@ def test_serving_throughput(benchmark, bench_config):
         "cold_speedup_vs_pre_vectorisation": round(speedup, 2),
         "batch_executor_determinism": determinism,
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {OUTPUT_PATH.name}")
+    write_result("BENCH_serving.json", json.dumps(payload, indent=2) + "\n")
 
     # The amortisation claim: warm serving does >=5x less expensive work.
     assert ratio >= 5.0, f"warm replay only {ratio:.1f}x cheaper than cold"
@@ -296,8 +290,7 @@ def test_coldpath_scaling(benchmark):
         "cold": replay,
         "small_scale_reference_qps": PRE_VECTORISATION_COLD_QPS,
     }
-    COLDPATH_OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {COLDPATH_OUTPUT_PATH.name}")
+    write_result("BENCH_coldpath.json", json.dumps(payload, indent=2) + "\n")
 
     assert replay["udf_row_calls"] == 0, "cold path fell back to per-row UDF calls"
     assert replay["queries_per_second"] >= PRE_VECTORISATION_COLD_QPS, (

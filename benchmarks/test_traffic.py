@@ -34,10 +34,9 @@ import asyncio
 import json
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_result
 
 from repro.db import Catalog, Engine, ShardedTable, UserDefinedFunction
 from repro.db.predicate import UdfPredicate
@@ -45,7 +44,6 @@ from repro.db.query import SelectQuery
 from repro.resilience import DeadlineExceeded
 from repro.serving import Overloaded, QueryService, ServiceConfig
 
-OUTPUT_PATH = Path(__file__).resolve().parent / "BENCH_traffic.json"
 
 TRAFFIC_ROWS = 80_000
 TRAFFIC_SHARDS = 4
@@ -332,8 +330,7 @@ def test_traffic_async_frontend(benchmark):
         f"at {deadline['timeout_s']}s, accounting delta "
         f"{deadline['accounting_delta']}"
     )
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {OUTPUT_PATH.name}")
+    write_result("BENCH_traffic.json", json.dumps(payload, indent=2) + "\n")
 
     # The whole herd was answered: every client a warm plan hit, none shed.
     assert work["queries"] == TRAFFIC_CLIENTS + len(SIGNATURES)

@@ -20,7 +20,7 @@ order-alternating (refresh, cold) pairs — each window appends a *fresh*
 1% delta to the warm table while the cold side re-ingests the cumulative
 data — and the asserted speedup is the **median** of the per-window
 ratios, so a single noisy window cannot flake the gate.  Emits
-``BENCH_update.json`` (window-0 counters; seeds are fixed so they are
+``out/BENCH_update.json`` (window-0 counters; seeds are fixed so they are
 deterministic) with the wall-clock-independent work counters
 ``compare_bench.py --profile update`` gates in CI.  Asserts the tentpole
 claims per window: the refresh serves the post-append query at least
@@ -42,10 +42,9 @@ import math
 import os
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_result
 
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
@@ -56,7 +55,6 @@ from repro.db.sharding import ShardedTable
 from repro.db.udf import UserDefinedFunction
 from repro.serving import QueryService
 
-OUTPUT_PATH = Path(__file__).resolve().parent / "BENCH_update.json"
 
 SCALE_ROWS = 1_000_000
 BENCH_SHARDS = 8
@@ -311,8 +309,7 @@ def test_update_workload(benchmark):
         "speedup_windows": [round(value, 2) for value in speedups],
         "cpu_count": os.cpu_count(),
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {OUTPUT_PATH.name}")
+    write_result("BENCH_update.json", json.dumps(payload, indent=2) + "\n")
 
     for refresh in refresh_windows:
         # The serving layer took the refresh path, exactly once, with one

@@ -64,7 +64,10 @@ The whole query path is *array-native by default*:
 * :class:`~repro.core.BatchExecutor` is the default execution backend for
   :class:`IntelSample`, :class:`OptimalOracle`,
   :class:`AdaptiveIntelSample` and the serving layer — one NumPy pass and
-  one bulk UDF call per group.  The tuple-at-a-time
+  one bulk UDF call per group, over per-group candidate rows that are
+  prepared once per (group index, sample outcome) and memoised on the index
+  (the candidate frame, see :mod:`repro.core.executor`), so a plan-cache
+  hit only flips coins.  The tuple-at-a-time
   :class:`~repro.core.PlanExecutor` remains the paper-faithful reference:
   both backends share one coin discipline (see
   :mod:`repro.core.executor`), so for a fixed seed they return *identical*

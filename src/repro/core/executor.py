@@ -15,12 +15,43 @@ Three backends implement this contract:
 * :class:`PlanExecutor` — the paper-faithful tuple-at-a-time reference:
   python loops, one ledger charge per tuple, one UDF call per evaluated row;
 * :class:`BatchExecutor` — the vectorised default: one NumPy pass per group
-  and one bulk :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows` call;
+  over a prepared :class:`CandidateFrame` and one bulk
+  :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows` call;
 * :class:`~repro.core.parallel.ParallelBatchExecutor` — the sharded,
   thread-parallel scale-out backend.  It uses a *different* (counter-based,
   position-addressable) coin discipline so its results are invariant to
   shard layout and worker count; seeds are not comparable across the two
   disciplines, only within each.
+
+The prepared candidate frame
+----------------------------
+
+Step 3 is the only part of execution that does not depend on the request:
+"this group's rows minus its already-sampled rows" and "the sampled
+positives" are a pure function of the group index and the sample outcome,
+both of which a cached plan reuses unchanged from hit to hit.
+:func:`build_candidate_frame` computes them once — per group a
+sorted-membership exclusion (:func:`sampled_members` then
+:func:`drop_members`, two binary searches instead of a sort-based
+``np.isin``) — and :func:`candidate_frame`, the one entry point
+:class:`BatchExecutor` uses, memoises the result on the index
+(:meth:`GroupIndex.derived <repro.db.index.GroupIndex.derived>`) under the
+*identity* of the outcome.  What a plan hit then does per group is flip
+coins over a ready array; what it returns is one ``np.concatenate`` of
+per-group chunks, so no per-row python object is built on the way.
+
+Identity keys are sufficient because both inputs are replaced, never
+edited, when the data they describe changes: an append gives the table a
+new (extended) index object, whose memo starts empty, and a refreshed plan
+carries a new :class:`~repro.sampling.sampler.SampleOutcome`, which no
+older frame is filed under.  A stale frame is therefore unreachable, not
+merely invalidated.  The memo entry dies with whichever input dies first
+(the index owns it; a weak reference to the outcome removes it), the frame
+references neither, and nothing of it is attached to the outcome — so it is
+never pickled into warm state; a restored plan rebuilds its frame on the
+first hit.  With the caches off every query brings a fresh outcome and the
+frame is simply rebuilt per query by the same (cheap) function: there is
+no second code path.
 
 Shared coin discipline
 ----------------------
@@ -55,6 +86,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Tuple,
     Union,
     runtime_checkable,
 )
@@ -180,8 +212,75 @@ def _sampled_positives(
         for key, sample in sample_outcome.samples.items():
             if sample.sampled_row_ids:
                 sampled_ids[key] = np.asarray(sample.sampled_row_ids, dtype=np.intp)
-            returned.extend(int(r) for r in sample.positive_row_ids)
+            returned.extend(sample.positive_row_ids)
     return sampled_ids, returned
+
+
+def sampled_members(rows: np.ndarray, sampled: np.ndarray) -> np.ndarray:
+    """The ids of ``sampled`` that occur in ascending ``rows``, sorted.
+
+    ``rows`` is a group's row-id array (ascending, unique), so membership is
+    one binary search per sampled id — ``np.isin`` semantics without sorting
+    the group.
+    """
+    if not rows.size or not sampled.size:
+        return sampled[:0]
+    ordered = np.sort(sampled)
+    positions = np.searchsorted(rows, ordered)
+    member = rows[np.minimum(positions, rows.size - 1)] == ordered
+    return ordered[member]
+
+
+def drop_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Ascending ``rows`` without ``members`` (sorted, all present in ``rows``)."""
+    if not members.size:
+        return rows
+    keep = np.ones(rows.size, dtype=bool)
+    keep[np.searchsorted(rows, members)] = False
+    return rows[keep]
+
+
+@dataclass(frozen=True)
+class CandidateFrame:
+    """What execution needs from ``(index, sample outcome)``, per group.
+
+    ``candidates[code]`` are the rows of group ``index.values[code]`` still
+    open to the probabilistic pass (ascending; the index's own array when the
+    group has no sampled member); ``free_positives`` the sampled rows that
+    passed the predicate, in the outcome's group order.
+    """
+
+    candidates: Tuple[np.ndarray, ...]
+    free_positives: np.ndarray
+
+
+def build_candidate_frame(
+    index: GroupIndex, sample_outcome: Optional[SampleOutcome]
+) -> CandidateFrame:
+    """The frame from scratch — a pure function of its two arguments."""
+    sampled_ids, free_positives = _sampled_positives(sample_outcome)
+    candidates = []
+    for key, rows in index.items():
+        already = sampled_ids.get(key)
+        if already is not None:
+            rows = drop_members(rows, sampled_members(rows, already))
+            rows.setflags(write=False)  # shared by every hit, like the index's
+        candidates.append(rows)
+    return CandidateFrame(
+        candidates=tuple(candidates),
+        free_positives=np.asarray(free_positives, dtype=np.intp),
+    )
+
+
+def candidate_frame(
+    index: GroupIndex, sample_outcome: Optional[SampleOutcome]
+) -> CandidateFrame:
+    """The frame, built at most once while ``index`` and the outcome both live."""
+    if sample_outcome is None:
+        return build_candidate_frame(index, None)
+    return index.derived(
+        sample_outcome, lambda: build_candidate_frame(index, sample_outcome)
+    )
 
 
 class PlanExecutor:
@@ -330,11 +429,14 @@ class BatchExecutor:
             if active_span is not None
             else None
         )
-        sampled_ids, returned = _sampled_positives(sample_outcome)
+        frame = candidate_frame(index, sample_outcome)
+        # Per-group returned chunks, concatenated once at the end: no python
+        # object is built per returned row.
+        chunks: List[np.ndarray] = [frame.free_positives]
         group_counts: Dict[Hashable, GroupExecutionCounts] = {}
 
         rng = self.random_state.generator
-        for key, rows in index.items():
+        for key, candidates in zip(index, frame.candidates):
             # Cooperative cancellation before this group's charges (the
             # coin draws below consume no stream positions when skipped
             # mid-loop — the request is abandoned wholesale, not resumed).
@@ -344,15 +446,7 @@ class BatchExecutor:
             group_counts[key] = counts
             retrieve_probability = decision.retrieve_probability
             conditional_evaluate = decision.conditional_evaluate_probability
-            if retrieve_probability <= 0.0:
-                continue
-
-            already = sampled_ids.get(key)
-            if already is not None:
-                candidates = rows[~np.isin(rows, already)]
-            else:
-                candidates = rows
-            if candidates.size == 0:
+            if retrieve_probability <= 0.0 or candidates.size == 0:
                 continue
 
             # One retrieval coin per candidate tuple, drawn in a single block.
@@ -366,7 +460,7 @@ class BatchExecutor:
 
             if conditional_evaluate <= 0.0:
                 counts.returned += int(retrieved.size)
-                returned.extend(int(r) for r in retrieved)
+                chunks.append(retrieved)
                 continue
 
             if conditional_evaluate >= 1.0:
@@ -399,18 +493,17 @@ class BatchExecutor:
                 counts.evaluated_incorrect += negatives
                 counts.retrieved_incorrect += negatives
                 counts.returned += positives
-                keep_mask = keep_mask.copy()
-                keep_mask[np.flatnonzero(evaluate_mask)] = outcomes
+                keep_mask[evaluate_mask] = outcomes
 
             unevaluated = int(retrieved.size) - int(to_evaluate.size)
             counts.returned += unevaluated
-            returned.extend(int(r) for r in retrieved[keep_mask])
+            chunks.append(retrieved[keep_mask])
 
         if active_span is not None:
             active_span.add("retrievals", ledger.retrieved_count - ledger_before[0])
             active_span.add("udf_evals", ledger.evaluated_count - ledger_before[1])
         return ExecutionResult(
-            returned_row_ids=returned,
+            returned_row_ids=np.concatenate(chunks).tolist(),
             ledger=ledger,
             group_counts=group_counts,
         )

@@ -54,6 +54,8 @@ from repro.core.executor import (
     ExecutionResult,
     GroupExecutionCounts,
     _sampled_positives,
+    drop_members,
+    sampled_members,
 )
 from repro.core.plan import ExecutionPlan
 from repro.db.index import GroupIndex
@@ -124,9 +126,9 @@ class _GroupSegment:
 
     ``rows`` are the group's global row ids within the span (ascending);
     ``already`` the sorted already-sampled members among them (excluded from
-    the probabilistic pass *inside the worker* — membership removal between
-    two sorted arrays is a searchsorted scatter, cheaper than the central
-    ``np.isin`` and off the serial critical path).  ``position_offset`` is
+    the probabilistic pass *inside the worker* —
+    :func:`~repro.core.executor.drop_members`, off the serial critical
+    path).  ``position_offset`` is
     the index of this segment's first candidate within the group's full
     candidate list, which addresses the group's coin streams.
     """
@@ -183,19 +185,11 @@ def build_span_tasks(
         if retrieve_probability <= 0.0 or rows.size == 0:
             continue
         already = sampled_ids.get(key)
-        if already is not None and already.size:
-            # Sorted already-sampled ids restricted to actual group members
-            # (rows is ascending, so membership is a binary search) —
-            # BatchExecutor's np.isin semantics, but the O(n) removal itself
-            # happens later, inside the span workers.
-            candidates_sorted = np.sort(already)
-            positions = np.searchsorted(rows, candidates_sorted)
-            member = (positions < rows.size) & (
-                rows[np.minimum(positions, rows.size - 1)] == candidates_sorted
-            )
-            already_members = candidates_sorted[member]
-        else:
-            already_members = empty
+        # Sorted already-sampled ids restricted to actual group members; the
+        # O(n) removal itself happens later, inside the span workers.
+        already_members = (
+            sampled_members(rows, already) if already is not None else empty
+        )
         if rows.size - already_members.size <= 0:
             continue
         row_cuts = np.searchsorted(rows, bounds)
@@ -233,14 +227,7 @@ def span_coin_pass(
     total_retrieved = 0
 
     for task in tasks:
-        if task.already.size:
-            # Remove already-sampled members: both arrays are sorted and
-            # task.already ⊆ task.rows, so this is a searchsorted scatter.
-            keep = np.ones(task.rows.size, dtype=bool)
-            keep[np.searchsorted(task.rows, task.already)] = False
-            seg = task.rows[keep]
-        else:
-            seg = task.rows
+        seg = drop_members(task.rows, task.already)
         if task.retrieve_probability >= 1.0:
             retrieved = seg
             retrieved_positions = None  # all positions

@@ -16,13 +16,26 @@ object is shared between the engine, the pipeline and the serving layer via
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import weakref
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
 from repro.db.errors import ColumnNotFoundError
 from repro.db.table import Table
 from repro.obs import metrics as _metrics
+
+_T = TypeVar("_T")
 
 
 def _dict_factorise(cells: Sequence[Any]) -> Tuple[List[Any], np.ndarray]:
@@ -146,6 +159,7 @@ class GroupIndex:
         self._sizes: List[int] = [int(rows.size) for rows in self._row_id_arrays]
         self._empty: np.ndarray = np.empty(0, dtype=np.intp)
         self._empty.setflags(write=False)
+        self._derived: Dict[int, Tuple[weakref.ref, Any]] = {}
         if count_build:
             GroupIndex.builds_total += 1
             registry = _metrics.get_registry()
@@ -153,6 +167,22 @@ class GroupIndex:
                 registry.counter(
                     "repro_index_builds_total", column=self.column
                 ).inc()
+
+    @property
+    def table(self) -> Optional[Table]:
+        """The indexed table, held weakly (``None`` once it is gone).
+
+        The table owns its indexes (:meth:`Table.group_index`); a strong
+        reference back would make every dropped table a reference cycle, and
+        its column arrays, this index's row arrays and everything derived
+        from them would wait for a full collector pass instead of being
+        freed with the last reference to the table.
+        """
+        return self._table_ref()
+
+    @table.setter
+    def table(self, table: Table) -> None:
+        self._table_ref = weakref.ref(table)
 
     # -- lookup -----------------------------------------------------------------
     @property
@@ -236,6 +266,35 @@ class GroupIndex:
         """
         return (0, self.total_rows())
 
+    # -- derived-value memo ------------------------------------------------------
+    def derived(self, source: object, build: Callable[[], _T]) -> _T:
+        """``build()``, kept for as long as this index and ``source`` both live.
+
+        For values that are a pure function of this index and one other
+        immutable-by-convention object (the executor's candidate frame over a
+        sample outcome).  The memo is keyed on the *identity* of ``source``
+        and owned by this index: an extended index starts with an empty memo,
+        the entry is dropped when ``source`` is collected, and neither the
+        memo nor the weak reference keeps ``source`` (or this index) alive.
+        ``build`` may run more than once under concurrent first calls; the
+        results are interchangeable.
+        """
+        key = id(source)
+        entry = self._derived.get(key)
+        if entry is not None and entry[0]() is source:
+            return entry[1]
+        value = build()
+        owner = weakref.ref(self)
+
+        def forget(_reference: weakref.ref) -> None:
+            # Runs as ``source`` dies, before its id can name another object.
+            index = owner()
+            if index is not None:
+                index._derived.pop(key, None)
+
+        self._derived[key] = (weakref.ref(source, forget), value)
+        return value
+
     # -- incremental maintenance -------------------------------------------------
     def _extended_parts(
         self,
@@ -305,7 +364,7 @@ class GroupIndex:
         counted on :attr:`extensions_total`.
         """
         extended = GroupIndex.__new__(GroupIndex)
-        extended.table = self.table
+        extended._table_ref = self._table_ref
         extended.column = self.column
         extended._install(
             *self._extended_parts(delta_array, delta_cells_supplier),
@@ -350,7 +409,7 @@ class GroupIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"GroupIndex(table={self.table.name!r}, column={self.column!r}, "
+            f"GroupIndex(table={getattr(self.table, 'name', None)!r}, column={self.column!r}, "
             f"groups={self.num_groups})"
         )
 
@@ -454,7 +513,7 @@ class MergedGroupIndex(GroupIndex):
         extended index) replaces the stale per-shard entry.
         """
         extended = MergedGroupIndex.__new__(MergedGroupIndex)
-        extended.table = self.table
+        extended._table_ref = self._table_ref
         extended.column = self.column
         shard_indexes = list(self.shard_indexes)
         if tail_index is not None and shard_indexes:
@@ -494,7 +553,7 @@ class MergedGroupIndex(GroupIndex):
                 f"{self.total_rows()}"
             )
         clone = MergedGroupIndex.__new__(MergedGroupIndex)
-        clone.table = self.table
+        clone._table_ref = self._table_ref
         clone.column = self.column
         clone.shard_indexes = list(shard_indexes)
         clone._offsets = bounds
@@ -504,10 +563,12 @@ class MergedGroupIndex(GroupIndex):
         clone._row_id_arrays = self._row_id_arrays
         clone._sizes = self._sizes
         clone._empty = self._empty
+        clone._derived = {}
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MergedGroupIndex(table={self.table.name!r}, column={self.column!r}, "
+            f"MergedGroupIndex(table={getattr(self.table, 'name', None)!r}, "
+            f"column={self.column!r}, "
             f"groups={self.num_groups}, shards={self.num_shards})"
         )

@@ -223,6 +223,12 @@ class ResidencyManager:
         with self._lock:
             self._callbacks.append(callback)
 
+    def remove_pressure_callback(self, callback: Callable[[str], None]) -> None:
+        """Unregister ``callback`` (a no-op when it is not registered)."""
+        with self._lock:
+            if callback in self._callbacks:
+                self._callbacks.remove(callback)
+
     # -- residency bookkeeping (called by SegmentHandle) -----------------------
     def _register(self, handle: "SegmentHandle", map_seconds: float) -> None:
         """Charge a freshly mapped handle and enforce the budget."""

@@ -207,8 +207,10 @@ class UserDefinedFunction:
         self._memo_snapshot: Optional[tuple] = None
         # Memoised answer to "does self._func pickle?" for worker_spec().
         self._func_picklable: Optional[bool] = None
+        # Binds the name, not ``self``: a closure over the UDF would make it
+        # (and its memo cache) a reference cycle only the collector frees.
         self._obs_counters = _metrics.BoundCounterCache(
-            lambda registry, key: registry.counter(f"repro_udf_{key}_total", udf=self.name)
+            lambda registry, key: registry.counter(f"repro_udf_{key}_total", udf=name)
         )
 
     @classmethod

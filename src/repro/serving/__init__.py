@@ -28,7 +28,7 @@ See the "Serving repeated workloads" section of the top-level package
 docstring and ``examples/serving_workload.py`` for a full tour.
 """
 
-from repro.serving.batch_executor import BatchExecutor
+from repro.core.executor import BatchExecutor
 from repro.serving.cache import CacheStats, LRUCache
 from repro.serving.config import ServiceConfig, ServiceStats
 from repro.serving.plan_cache import CachedPlan, PlanCache

@@ -108,9 +108,11 @@ class LRUCache:
         self._lock = threading.RLock()
         self.stats = CacheStats()
         self._puts_since_purge = 0
+        # Binds the name, not ``self``: a closure over the cache would make it
+        # (and every entry it holds) a reference cycle only the collector frees.
         self._obs_counters = _metrics.BoundCounterCache(
             lambda registry, stat: registry.counter(
-                f"repro_cache_{stat}_total", cache=self.name
+                f"repro_cache_{stat}_total", cache=name
             )
         )
 

@@ -15,7 +15,7 @@ the expensive statistical work across them:
   (:func:`~repro.core.extensions.budget.solve_budgeted_recall`) when a
   cached plan would overrun what the client can still afford.
 * **batched execution** — warm plans execute on the vectorised
-  :class:`~repro.serving.batch_executor.BatchExecutor` by default.
+  :class:`~repro.core.executor.BatchExecutor` by default.
 
 Thread safety: cache structures are individually locked, and cold
 signatures are computed under a per-signature single-flight lock so N
@@ -256,10 +256,18 @@ class QueryService:
         self.sessions = sessions or SessionManager(
             default_budget=self.config.default_budget
         )
-        self.strategy_factory = strategy_factory or self._default_strategy_factory
+        self._strategy_factory = strategy_factory
         # A configured-but-unseeded instance whose settings fingerprint every
-        # plan signature this service produces.
-        self._strategy_prototype = self.strategy_factory(as_random_state(0))
+        # plan signature this service produces.  It lives as long as the
+        # service, so the default one is not wired to ``_make_executor``: a
+        # bound method kept here would make every service a reference cycle,
+        # and a closed, dropped service would pin its catalog's tables until
+        # a full collector pass.
+        self._strategy_prototype = (
+            IntelSample(random_state=as_random_state(0))
+            if strategy_factory is None
+            else strategy_factory(as_random_state(0))
+        )
         if self.executor_backend in ("thread", "process") and not isinstance(
             self._strategy_prototype, ExecutorAware
         ):
@@ -354,7 +362,10 @@ class QueryService:
             self._residency.add_pressure_callback(self._on_memory_pressure)
 
     # -- construction helpers -----------------------------------------------------
-    def _default_strategy_factory(self, random_state: RandomState) -> IntelSample:
+    def strategy_factory(self, random_state: RandomState) -> object:
+        """One request's strategy: the injected factory's, else the default."""
+        if self._strategy_factory is not None:
+            return self._strategy_factory(random_state)
         return IntelSample(
             random_state=random_state,
             executor_factory=self._make_executor,
@@ -1409,6 +1420,10 @@ class QueryService:
             # drop every mapping this service's tables hold.  The leak gate
             # (tests/leakcheck.py) asserts this leaves zero resident bytes.
             self._residency.evict_all()
+            # A closed service sheds nothing: stop the manager calling it
+            # (and referring to it — the callback would otherwise tie the
+            # service, its caches and its tables into a reference cycle).
+            self._residency.remove_pressure_callback(self._on_memory_pressure)
 
     def __enter__(self) -> "QueryService":
         return self

@@ -1,0 +1,238 @@
+"""The exclusion helpers, and who keeps a candidate frame alive.
+
+The frame memo lives on the :class:`~repro.db.index.GroupIndex` it was
+derived from, keyed on the identity of the sample outcome: it must be
+reachable exactly as long as *both* are, keep neither alive, hang off no
+module-level container and never ride along when an outcome is pickled.
+"""
+
+import gc
+import pickle
+import weakref
+
+import numpy as np
+
+from repro.core.executor import (
+    BatchExecutor,
+    candidate_frame,
+    drop_members,
+    sampled_members,
+)
+from repro.core.plan import ExecutionPlan, GroupDecision
+from repro.db.index import GroupIndex
+from repro.db.sharding import ShardedTable
+from repro.db.table import Table
+from repro.db.udf import CostLedger, UserDefinedFunction
+from repro.sampling.sampler import GroupSample, SampleOutcome
+
+from leakcheck import assert_no_leaked_resources
+
+
+def _ids(*values):
+    return np.asarray(values, dtype=np.intp)
+
+
+class TestExclusionHelpers:
+    def test_members_are_sorted_and_restricted_to_the_group(self):
+        rows = _ids(2, 5, 7, 11)
+        assert sampled_members(rows, _ids(11, 3, 2, 40, -1)).tolist() == [2, 11]
+
+    def test_nothing_sampled_or_empty_group(self):
+        assert sampled_members(_ids(1, 2), _ids()).size == 0
+        assert sampled_members(_ids(), _ids(1, 2)).size == 0
+
+    def test_drop_members_keeps_order_and_returns_rows_when_nothing_to_drop(self):
+        rows = _ids(2, 5, 7, 11)
+        assert drop_members(rows, _ids(5, 11)).tolist() == [2, 7]
+        assert drop_members(rows, _ids()) is rows
+
+    def test_duplicate_sampled_ids_drop_the_row_once(self):
+        rows = _ids(2, 5, 7)
+        members = sampled_members(rows, _ids(5, 5, 9))
+        assert drop_members(rows, members).tolist() == [2, 7]
+
+
+def _table():
+    keys = ["a", "b", "c", "a", "b", "a", "c", "a"]
+    labels = [True, False, True, True, True, False, False, True]
+    return Table.from_columns("lifetimes", {"A": keys, "f": labels}, hidden_columns=["f"])
+
+
+def _outcome():
+    return SampleOutcome(
+        samples={
+            "a": GroupSample("a", sampled_row_ids=[0, 5], positive_row_ids=[0], group_size=4),
+            "b": GroupSample("b", sampled_row_ids=[4], positive_row_ids=[4], group_size=2),
+        }
+    )
+
+
+def _run(table, index, outcome, seed=3):
+    plan = ExecutionPlan({key: GroupDecision(retrieve=1.0, evaluate=0.5) for key in index})
+    udf = UserDefinedFunction.from_label_column("lifetimes_udf", "f")
+    return BatchExecutor(random_state=seed).execute(
+        table, index, udf, plan, CostLedger(), sample_outcome=outcome
+    )
+
+
+class TestFrameLifetime:
+    def test_frame_is_built_once_per_index_and_outcome(self):
+        table = _table()
+        index = table.group_index("A")
+        outcome = _outcome()
+        first = _run(table, index, outcome)
+        frame = candidate_frame(index, outcome)
+        assert [rows.tolist() for rows in frame.candidates] == [[3, 7], [1], [2, 6]]
+        assert frame.free_positives.tolist() == [0, 4]
+        assert all(not rows.flags.writeable for rows in frame.candidates)
+        again = _run(table, index, outcome)
+        assert candidate_frame(index, outcome) is frame
+        assert again.returned_row_ids == first.returned_row_ids
+
+    def test_equal_but_distinct_outcome_gets_its_own_frame(self):
+        table = _table()
+        index = table.group_index("A")
+        one, other = _outcome(), _outcome()
+        assert one == other and one is not other
+        assert candidate_frame(index, one) is not candidate_frame(index, other)
+
+    def test_dropping_the_outcome_frees_the_frame(self):
+        table = _table()
+        index = table.group_index("A")
+        outcome = _outcome()
+        _run(table, index, outcome)
+        frame_ref = weakref.ref(candidate_frame(index, outcome))
+        assert frame_ref() is not None
+        del outcome  # e.g. the plan that carried it was evicted or refreshed
+        gc.collect()
+        assert frame_ref() is None
+        assert index._derived == {}
+
+    def test_dropping_the_table_frees_index_and_frame_but_not_the_outcome(self):
+        table = _table()
+        index = table.group_index("A")
+        outcome = _outcome()
+        _run(table, index, outcome)
+        frame_ref = weakref.ref(candidate_frame(index, outcome))
+        index_ref = weakref.ref(index)
+        del table, index
+        gc.collect()
+        assert index_ref() is None
+        assert frame_ref() is None
+        assert outcome.total_sampled == 3  # untouched, and holds no frame
+
+    def test_frame_keeps_neither_input_alive(self):
+        table = _table()
+        index = table.group_index("A")
+        outcome = _outcome()
+        frame = candidate_frame(index, outcome)
+        index_ref, outcome_ref = weakref.ref(index), weakref.ref(outcome)
+        del table, index, outcome
+        gc.collect()
+        assert index_ref() is None and outcome_ref() is None
+        assert frame.free_positives.tolist() == [0, 4]  # still usable on its own
+
+    def test_an_extended_index_starts_with_an_empty_memo(self):
+        for table in (
+            _table(),
+            ShardedTable.from_columns(
+                "lifetimes",
+                {"A": list("abcabaca"), "f": [True] * 8},
+                hidden_columns=["f"],
+                shard_rows=3,
+            ),
+        ):
+            before = table.group_index("A")
+            outcome = _outcome()
+            stale = candidate_frame(before, outcome)
+            table.append_columns({"A": ["a", "d"], "f": [True, False]})
+            after = table.group_index("A")
+            assert after is not before
+            assert after._derived == {}
+            fresh = candidate_frame(after, outcome)
+            assert fresh is not stale
+            assert [rows.tolist() for rows in fresh.candidates][0][-1] == 8
+            assert len(fresh.candidates) == len(stale.candidates) + 1
+
+    def test_no_module_level_container_holds_frames(self):
+        """A global memo would keep the frame (and the table) after both die."""
+        table = _table()
+        index = table.group_index("A")
+        outcome = _outcome()
+        _run(table, index, outcome)
+        frame_ref = weakref.ref(candidate_frame(index, outcome))
+        del table, index, outcome
+        gc.collect()
+        assert frame_ref() is None
+
+    def test_frame_is_not_pickled_with_the_outcome(self):
+        table = _table()
+        index = table.group_index("A")
+        outcome = _outcome()
+        _run(table, index, outcome)
+        assert vars(outcome).keys() == {"samples"}
+        blob = pickle.dumps(outcome, protocol=4)
+        assert b"CandidateFrame" not in blob
+        restored = pickle.loads(blob)
+        assert restored == outcome
+        # A restored outcome is a new object: its frame is rebuilt, not found.
+        assert candidate_frame(index, restored) is not candidate_frame(index, outcome)
+
+    def test_fresh_index_object_over_same_table_rebuilds(self):
+        table = _table()
+        outcome = _outcome()
+        shared = candidate_frame(table.group_index("A"), outcome)
+        private = candidate_frame(GroupIndex(table, "A"), outcome)
+        assert private is not shared
+        assert [r.tolist() for r in private.candidates] == [
+            r.tolist() for r in shared.candidates
+        ]
+
+    def test_concurrent_hits_and_dying_outcomes_share_one_memo(self):
+        """Pool threads hit one (index, outcome) while other outcomes come and go."""
+        import sys
+        import threading
+        import time
+
+        table = _table()
+        index = table.group_index("A")
+        outcome = _outcome()
+        expected = _run(table, index, outcome).returned_row_ids
+        stop_at = time.monotonic() + 0.6
+        errors = []
+
+        def hit():
+            try:
+                while time.monotonic() < stop_at:
+                    assert _run(table, index, outcome).returned_row_ids == expected
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def churn():
+            try:
+                while time.monotonic() < stop_at:
+                    candidate_frame(index, _outcome())  # dies at once
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hit) for _ in range(6)]
+            threads += [threading.Thread(target=churn) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        gc.collect()
+        assert list(index._derived) == [id(outcome)]  # only the live outcome's
+
+    def test_leak_gate_stays_at_zero(self):
+        table = _table()
+        _run(table, table.group_index("A"), _outcome())
+        del table
+        assert_no_leaked_resources()

@@ -170,3 +170,29 @@ class TestShutdownHygiene:
         service.close()
         assert manager.resident_bytes == 0
         assert manager.mapped_segments == 0
+
+    def test_closed_service_is_freed_without_the_collector(self, lazy_pair):
+        """close() unhooks the pressure callback: no manager -> service cycle.
+
+        A restart drops the old service, catalog and tables; were they a
+        reference cycle, every restart would leave a table's worth of arrays
+        waiting for a full collector pass.
+        """
+        import gc
+        import weakref
+
+        lazy, manager, _ = lazy_pair()
+        service, query = _service_over(
+            lazy, "dropped", ServiceConfig(memory_budget_bytes=4096)
+        )
+        service.submit(query, seed=3)
+        service.submit(query, seed=4)
+        gc.collect()
+        gc.disable()
+        try:
+            service.close()
+            refs = [weakref.ref(service), weakref.ref(lazy), weakref.ref(manager)]
+            del service, query, lazy, manager
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.core.constraints import QueryConstraints
-from repro.core.executor import PlanExecutor
+from repro.core.executor import BatchExecutor, PlanExecutor
 from repro.core.pipeline import IntelSample
 from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.datasets.registry import load_dataset
 from repro.db.index import GroupIndex
 from repro.db.udf import CostLedger
-from repro.serving.batch_executor import BatchExecutor
 from repro.stats.metrics import result_quality
 
 DATASETS = ("lending_club", "census", "marketing")

@@ -466,6 +466,71 @@ class TestGenerationRefresh:
         # are reachable by the refreshed plan)
         assert table.num_rows == 3060
 
+    def test_hit_after_refresh_serves_appended_rows_from_a_fresh_frame(self):
+        """Stale-frame guard: the memoised candidate frame dies with its inputs.
+
+        The hit before the append memoises a frame on the pre-append index;
+        the append extends the index (a new object) and the refresh re-solves
+        over a new sample outcome, so the next hit must build its frame again
+        — it returns appended rows, and it equals the tuple-at-a-time
+        reference run cold over a never-appended twin of the same data.
+        """
+        from repro.core.executor import PlanExecutor, candidate_frame
+        from repro.db.table import Table
+        from repro.db.udf import CostLedger
+
+        table, udf, catalog = self._fresh_setup()
+        service = QueryService(Engine(catalog))
+        query = SelectQuery(
+            "churny", UdfPredicate(udf), alpha=0.8, beta=0.8, rho=0.8,
+            correlated_column="grade",
+        )
+        service.submit(query, seed=0)
+        assert service.submit(query, seed=1).metadata["plan_cache"] == "hit"
+        (old_entry,) = [entry for _, entry in service.plan_cache._cache.items()]
+        old_index = table.group_index("grade")
+        old_frame = candidate_frame(old_index, old_entry.sample_outcome)
+        assert old_index._derived  # the hit memoised it
+
+        table.append_columns(self._delta(400))
+        assert service.submit(query, seed=2).metadata["plan_cache"] == "refresh"
+        hit = service.submit(query, seed=3)
+        assert hit.metadata["plan_cache"] == "hit"
+
+        (entry,) = [entry for _, entry in service.plan_cache._cache.items()]
+        index = table.group_index("grade")
+        assert index is not old_index
+        assert entry.sample_outcome is not old_entry.sample_outcome
+        frame = candidate_frame(index, entry.sample_outcome)
+        assert frame is not old_frame
+        assert (
+            sum(rows.size for rows in frame.candidates)
+            + entry.sample_outcome.total_sampled
+            == table.num_rows
+            == 3400
+        )
+        assert max(hit.row_ids) >= 3000  # appended rows are served
+
+        twin = Table.from_columns(
+            "churny",
+            {
+                name: table.column_values(name, allow_hidden=True)
+                for name in table.schema.column_names
+            },
+            hidden_columns=["is_good"],
+        )
+        udf.reset()
+        reference = PlanExecutor(random_state=3).execute(
+            twin,
+            twin.group_index("grade"),
+            udf,
+            entry.plan,
+            CostLedger(),
+            sample_outcome=entry.sample_outcome,
+        )
+        assert list(hit.row_ids) == reference.returned_row_ids
+        assert hit.ledger.retrieved_count == reference.ledger.retrieved_count
+
     def test_refresh_recounts_stats_cache(self):
         table, udf, catalog = self._fresh_setup()
         service = QueryService(Engine(catalog))
@@ -520,3 +585,56 @@ class TestGenerationRefresh:
         result = service.submit(query, seed=1)
         assert result.metadata["plan_cache"] == "miss"
         assert service.metrics()["plan_refreshes"] == 0
+
+
+class TestLifetime:
+    def test_dropped_service_frees_tables_memos_and_frames_without_the_collector(self):
+        """Nothing in a service, its caches, its UDFs or its tables' indexes is
+        a reference cycle: dropping them frees the column arrays, the UDF memo
+        and the memoised candidate frames at once, not at the next full
+        collector pass (which a long-lived process runs rarely)."""
+        import gc
+        import weakref
+
+        from repro.core.executor import candidate_frame
+        from repro.db.table import Table
+        from repro.db.udf import UserDefinedFunction
+
+        table = Table.from_columns(
+            "short_lived",
+            {"grade": ["a", "b", "c", "d"] * 200, "is_good": [True, False, True, True] * 200},
+            hidden_columns=["is_good"],
+        )
+        udf = UserDefinedFunction.from_label_column("short_lived_udf", "is_good")
+        catalog = Catalog()
+        catalog.register_table(table)
+        catalog.register_udf(udf)
+        service = QueryService(Engine(catalog))
+        query = SelectQuery(
+            "short_lived", UdfPredicate(udf), alpha=0.8, beta=0.8, rho=0.8,
+            correlated_column="grade",
+        )
+        service.submit(query, seed=0)
+        assert service.submit(query, seed=1).metadata["plan_cache"] == "hit"
+        (entry,) = [entry for _, entry in service.plan_cache._cache.items()]
+        index = table.group_index("grade")
+        refs = [
+            weakref.ref(obj)
+            for obj in (
+                service,
+                catalog,
+                table,
+                udf,
+                index,
+                entry.sample_outcome,
+                candidate_frame(index, entry.sample_outcome),
+            )
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            service.close()
+            del service, catalog, table, udf, query, entry, index
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

@@ -90,6 +90,52 @@ class TestWarmRestart:
         finally:
             service.close()
 
+    def test_populated_candidate_frames_stay_out_of_the_warm_blob(
+        self, tmp_path, dataset
+    ):
+        """Frames memoised by the hits before shutdown are not persisted.
+
+        They live on the group index, which persists as ``(values, codes)``
+        only; the restored plan is a ``restored`` hit that rebuilds its frame
+        and answers exactly as before the restart.
+        """
+        from repro.core.executor import candidate_frame
+        from repro.serving.persistence import WARM_STATE_FILE
+
+        service, udf = _fresh_service(dataset, str(tmp_path))
+        service.submit(_query(dataset, udf), seed=0)
+        warm = service.submit(_query(dataset, udf), seed=7)
+        assert warm.metadata["plan_cache"] == "hit"
+        index = dataset.table.group_index("grade")
+        assert index._derived, "the warm hit memoised no frame"
+        counts = service.save_warm_state()
+        assert counts["plans"] >= 1 and counts["group_indexes"] >= 1
+        service.close()
+
+        blob = CatalogStore(str(tmp_path)).table_store(dataset.table.name)
+        with open(os.path.join(blob.warm_dir, WARM_STATE_FILE), "rb") as handle:
+            assert b"CandidateFrame" not in handle.read()
+
+        service, udf, _ = _restarted_service(dataset, str(tmp_path))
+        try:
+            table = service.catalog.table(dataset.table.name)
+            restored_index = table.group_index("grade")
+            assert restored_index._derived == {}
+            restored = service.submit(_query(dataset, udf), seed=7)
+            assert restored.metadata["plan_cache"] == "restored"
+            assert list(restored.row_ids) == list(warm.row_ids)
+            assert service.stats().storage["restore_errors"] == 0
+            (entry,) = [entry for _, entry in service.plan_cache._cache.items()]
+            assert restored_index._derived  # rebuilt by the restored hit ...
+            frame = candidate_frame(restored_index, entry.sample_outcome)
+            again = service.submit(_query(dataset, udf), seed=7)
+            assert again.metadata["plan_cache"] == "hit"
+            # ... and found, not rebuilt, by the hit after it.
+            assert candidate_frame(restored_index, entry.sample_outcome) is frame
+            assert list(again.row_ids) == list(warm.row_ids)
+        finally:
+            service.close()
+
     def test_restored_flag_clears_after_first_hit(self, tmp_path, dataset):
         _serve_and_close(dataset, tmp_path, seed=7)
         service, udf, _ = _restarted_service(dataset, str(tmp_path))

@@ -335,3 +335,26 @@ class TestColdpathProfile:
         rows = list(compare_bench.compare(payload, payload, 0.15, profile="coldpath"))
         assert rows, "no gated counters found in the committed coldpath baseline"
         assert all(verdict == "ok" for *_rest, verdict in rows)
+
+
+class TestDefaultPaths:
+    """With no paths given the gate diffs committed-vs-``out/`` per profile."""
+
+    @pytest.mark.parametrize("profile", sorted(compare_bench.PROFILES))
+    def test_profile_alone_diffs_committed_against_out_dir(
+        self, profile, tmp_path, monkeypatch
+    ):
+        committed = compare_bench.BASELINE_DIR / f"BENCH_{profile}.json"
+        assert committed.exists(), f"no committed baseline for profile {profile}"
+        assert compare_bench.OUT_DIR == compare_bench.BASELINE_DIR / "out"
+        # A fresh run that reproduced the committed counters passes; the
+        # committed file is only ever read.
+        monkeypatch.setattr(compare_bench, "OUT_DIR", tmp_path)
+        (tmp_path / committed.name).write_text(committed.read_text())
+        before = committed.read_bytes()
+        assert compare_bench.main(["--profile", profile]) == 0
+        assert committed.read_bytes() == before
+
+    def test_out_dir_is_git_ignored(self):
+        ignored = (compare_bench.BASELINE_DIR.parent / ".gitignore").read_text().split()
+        assert "benchmarks/out/" in ignored
