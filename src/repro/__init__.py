@@ -52,6 +52,11 @@ thread-safe :class:`~repro.serving.QueryService`:
     warm = service.submit(query, seed=1)   # cache hit: execution only
     print(service.metrics()["plan_cache"]["hit_rate"])
 
+Paid-for UDF outcomes live in the UDF's own memo — one byte per row in an
+array indexed by row id (see :class:`~repro.db.UserDefinedFunction`) — so a
+warm query's "already paid for?" check is one gather, whatever the memo's
+size and however recently it was written.
+
 ``examples/serving_workload.py`` replays a 1000-query trace and prints the
 cache hit rates; ``benchmarks/test_serving_throughput.py`` measures the
 cold-versus-warm throughput gap.

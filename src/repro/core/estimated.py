@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -54,6 +54,14 @@ class EstimatedSolution:
     used_fallback: bool = False
 
 
+def _plan_vector(plan: ExecutionPlan, model: SelectivityModel) -> List[float]:
+    """``[R_1..R_k, E_1..E_k]`` in the model's group order (the solver's layout)."""
+    decisions = [plan.decision(group.key) for group in model]
+    return [decision.retrieve_probability for decision in decisions] + [
+        decision.evaluate_probability for decision in decisions
+    ]
+
+
 def _warm_start(
     model: SelectivityModel,
     constraints: QueryConstraints,
@@ -64,12 +72,7 @@ def _warm_start(
         greedy = solve_bigreedy(model, constraints, cost_model)
     except InfeasibleProblemError:
         return None
-    values: List[float] = []
-    for group in model:
-        values.append(greedy.plan.decision(group.key).retrieve_probability)
-    for group in model:
-        values.append(greedy.plan.decision(group.key).evaluate_probability)
-    return values
+    return _plan_vector(greedy.plan, model)
 
 
 def solve_estimated_selectivity(
@@ -210,28 +213,24 @@ def _solve_independent(
 
     problem.inequality_constraints.append((recall_constraint, recall_jacobian))
 
-    solver = solver or ConvexSolver()
-    warm_starts = []
-    greedy_warm = _warm_start(model, constraints, cost_model)
-    if greedy_warm is not None:
-        warm_starts.append(greedy_warm)
-    # The unknown-correlations LP over-estimates the deviation term
-    # (sum of deviations >= sqrt of sum of squares), so its solution is
-    # guaranteed feasible here; it doubles as a high-quality warm start and
-    # as the fallback plan should SLSQP fail to converge.
-    try:
-        linear_solution = _solve_unknown_correlations(model, constraints, cost_model)
-        linear_vector = [
-            linear_solution.plan.decision(group.key).retrieve_probability
-            for group in groups
-        ] + [
-            linear_solution.plan.decision(group.key).evaluate_probability
-            for group in groups
-        ]
-        warm_starts.append(linear_vector)
-    except InfeasibleProblemError:
-        linear_solution = None
-    solution = solver.solve(problem, warm_starts=warm_starts or None)
+    def warm_starts() -> Iterator[List[float]]:
+        """SLSQP starts in the order tried, each built only when reached."""
+        greedy_warm = _warm_start(model, constraints, cost_model)
+        if greedy_warm is not None:
+            yield greedy_warm
+        # The unknown-correlations LP over-estimates the deviation term
+        # (sum of deviations >= sqrt of sum of squares), so its solution is
+        # guaranteed feasible here: a high-quality second start, and (as the
+        # solver's cheapest feasible start) the plan should SLSQP never
+        # converge.  SLSQP almost always converges from the BiGreedy start,
+        # and then this LP is never built.
+        try:
+            linear = _solve_unknown_correlations(model, constraints, cost_model)
+        except InfeasibleProblemError:
+            return
+        yield _plan_vector(linear.plan, model)
+
+    solution = (solver or ConvexSolver()).solve(problem, warm_starts=warm_starts())
 
     decisions = {}
     for index, group in enumerate(groups):

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -238,6 +238,22 @@ def _remote_run_span(
             to_evaluate=to_evaluate,
             outcomes=outcomes,
         )
+
+
+def _submit_span(pool: ProcessPoolExecutor, *args) -> Future:
+    """Submit one span; a pool already broken is reported through the future.
+
+    A worker that dies while the parent is still fanning spans out (a warm
+    pool, a crash on the first span) breaks the pool mid-loop, and ``submit``
+    then raises instead of returning a future.  Harvest already classifies
+    ``BrokenProcessPool`` as a transient ``worker_crash``; hand it one.
+    """
+    try:
+        return pool.submit(_remote_run_span, *args)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
 
 
 def _remote_evaluate(
@@ -504,8 +520,8 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         results: Dict[int, _RemoteSpan] = {}
         pool = shared_process_pool(self.max_workers)
         futures = {
-            span_index: pool.submit(
-                _remote_run_span, root, span_index, tasks, spec, exports, fault_plan, 0
+            span_index: _submit_span(
+                pool, root, span_index, tasks, spec, exports, fault_plan, 0
             )
             for span_index, tasks in active
         }
@@ -519,8 +535,8 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
                 tasks_by_index = dict(active)
                 pool = shared_process_pool(self.max_workers)
                 retry_futures = {
-                    span_index: pool.submit(
-                        _remote_run_span,
+                    span_index: _submit_span(
+                        pool,
                         root,
                         span_index,
                         tasks_by_index[span_index],

@@ -17,7 +17,7 @@ import pickle
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -149,8 +149,36 @@ class UdfSpec:
     func: Optional[Callable[[Mapping[str, Any]], bool]]
 
 
+#: Memo slot states.  ``bool + _FALSE`` maps False/True onto the last two.
+_UNKNOWN, _FALSE, _TRUE = 0, 1, 2
+
+
+def _check_not_negative(row_id: int) -> None:
+    """Refuse the ids a gather (or the position-indexed memo) would wrap."""
+    if row_id < 0:
+        raise IndexError(f"row id {row_id} out of range: row ids are table positions")
+
+
+def _row_id_array(row_ids: Iterable[int]) -> np.ndarray:
+    ids = np.asarray(row_ids, dtype=np.intp)
+    if ids.size:
+        _check_not_negative(int(ids.min()))
+    return ids
+
+
 class UserDefinedFunction:
     """An expensive boolean UDF with call accounting.
+
+    The memo is one growable ``int8`` array indexed by row id, a tri-state
+    per row (unknown / false / true), so "known?" and "value?" are a single
+    gather.  Its one assumption is that row ids are table positions
+    (non-negative, dense, growing by append): it costs one byte per row up
+    to the highest id touched, and an id past its end is simply not memoised.
+    Writes take the state lock and are amortised O(1) per row (in place; the
+    array doubles when an id lands past its end).  Readers never block: they
+    capture the array reference once, and one that raced a write at worst
+    re-evaluates a row.  No write or lookup does work proportional to the
+    memo's size.
 
     Parameters
     ----------
@@ -180,7 +208,8 @@ class UserDefinedFunction:
         self._func = func
         self.evaluation_cost = evaluation_cost
         self.memoize = memoize
-        self._cache: Dict[int, bool] = {}
+        self._memo = np.zeros(0, dtype=np.int8)
+        self._memo_count = 0  # known slots in ``_memo``: the ``cache_size`` counter
         self.call_count = 0
         #: Row evaluations answered from the memo cache (no function call).
         self.cache_hits = 0
@@ -202,9 +231,6 @@ class UserDefinedFunction:
         # gates compare these counters at ±0.  The lock is taken per bulk
         # call, not per row, so the serial hot path is unaffected.
         self._state_lock = threading.Lock()
-        # Sorted snapshot of the memo cache (ids array + aligned values
-        # array) for vectorised bulk lookups; rebuilt lazily after writes.
-        self._memo_snapshot: Optional[tuple] = None
         # Memoised answer to "does self._func pickle?" for worker_spec().
         self._func_picklable: Optional[bool] = None
         # Binds the name, not ``self``: a closure over the UDF would make it
@@ -248,31 +274,29 @@ class UserDefinedFunction:
 
     def evaluate_row(self, table: Table, row_id: int) -> bool:
         """Evaluate the UDF on one row of ``table`` (charges one call)."""
+        state = self._memo_state(row_id) if self.memoize else _UNKNOWN
+        hit = state != _UNKNOWN
+        result = state == _TRUE
+        if not hit:
+            result = bool(self._func(table.row(row_id, include_hidden=True)))
         if self._oracle_depth:
-            if self.memoize and row_id in self._cache:
-                return self._cache[row_id]
-            return bool(self._func(table.row(row_id, include_hidden=True)))
-        registry = _metrics.get_registry()
-        if self.memoize and row_id in self._cache:
-            with self._state_lock:
-                self.row_calls += 1
-                self.cache_hits += 1
-            if registry.enabled:
-                self._obs_counters.get(registry, "row_calls").inc()
-                self._obs_counters.get(registry, "memo_hits").inc()
-            return self._cache[row_id]
-        row = table.row(row_id, include_hidden=True)
-        result = bool(self._func(row))
+            return result
         with self._state_lock:
             self.row_calls += 1
-            self.call_count += 1
-            self.cache_misses += 1
-            if self.memoize:
-                self._cache[row_id] = result
-                self._memo_snapshot = None
+            if hit:
+                self.cache_hits += 1
+            else:
+                self.call_count += 1
+                self.cache_misses += 1
+                if self.memoize:
+                    memo = self._memo_with_room(row_id + 1)
+                    self._memo_count += int(memo[row_id] == _UNKNOWN)
+                    memo[row_id] = _TRUE if result else _FALSE
+                    self._memo = memo
+        registry = _metrics.get_registry()
         if registry.enabled:
             self._obs_counters.get(registry, "row_calls").inc()
-            self._obs_counters.get(registry, "evaluations").inc()
+            self._obs_counters.get(registry, "memo_hits" if hit else "evaluations").inc()
         return result
 
     def evaluate_rows(self, table: Table, row_ids: Iterable[int]) -> np.ndarray:
@@ -291,7 +315,7 @@ class UserDefinedFunction:
         # otherwise): a ``sleep`` rule here models the paper's adversarially
         # slow predicate without touching the UDF under test.
         _faults.maybe_fire(_faults.active_plan(), "udf_eval")
-        id_array = np.asarray(row_ids, dtype=np.intp)
+        id_array = _row_id_array(row_ids)
         results, pending_positions, pending_array = self._bulk_split(
             id_array, oracle, registry
         )
@@ -339,7 +363,7 @@ class UserDefinedFunction:
         """
         oracle = bool(self._oracle_depth)
         registry = _metrics.get_registry()
-        id_array = np.asarray(row_ids, dtype=np.intp)
+        id_array = _row_id_array(row_ids)
         outcome_array = np.asarray(outcomes, dtype=bool)
         if outcome_array.shape != id_array.shape:
             raise ValueError(
@@ -350,10 +374,7 @@ class UserDefinedFunction:
             id_array, oracle, registry
         )
         if pending_array.size:
-            if pending_positions is not None:
-                fresh = outcome_array[pending_positions]
-            else:
-                fresh = outcome_array
+            fresh = outcome_array[pending_positions]
             self._bulk_absorb(
                 results, pending_positions, pending_array, fresh, oracle, registry
             )
@@ -383,14 +404,14 @@ class UserDefinedFunction:
 
     def _bulk_split(
         self, id_array: np.ndarray, oracle: bool, registry
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    ) -> Tuple[np.ndarray, Union[np.ndarray, slice], np.ndarray]:
         """Count one bulk call and split ``id_array`` against the memo cache.
 
         Returns ``(results, pending_positions, pending_array)``: ``results``
         has memo-answered positions filled in, ``pending_array`` holds the
         row ids still needing evaluation, and ``pending_positions`` their
-        positions in ``results`` (``None`` means everything is pending and
-        positions are implicit).  Shared by :meth:`evaluate_rows` and
+        positions in ``results`` (the full slice when nothing is memoised and
+        everything is pending).  Shared by :meth:`evaluate_rows` and
         :meth:`merge_remote_evaluations` so the two paths cannot drift.
         """
         if not oracle:
@@ -398,58 +419,27 @@ class UserDefinedFunction:
                 self.bulk_calls += 1
             if registry.enabled:
                 self._obs_counters.get(registry, "bulk_calls").inc()
-        if self.memoize and self._cache:
-            if self._use_memo_snapshot(id_array.size):
-                # Vectorised memo lookup against a sorted snapshot of the
-                # cache: one searchsorted + gather instead of a python dict
-                # walk per row (the walk dominated large bulk calls and,
-                # being GIL-bound, serialised the parallel executor's
-                # workers).
-                memo_ids, memo_values = self._memo_arrays()
-                if memo_ids.size:
-                    positions = np.searchsorted(memo_ids, id_array)
-                    clipped = np.minimum(positions, memo_ids.size - 1)
-                    hit_mask = memo_ids[clipped] == id_array
-                else:  # cache cleared between truthiness check and snapshot
-                    hit_mask = np.zeros(id_array.size, dtype=bool)
-                    memo_values = memo_ids
-                    clipped = hit_mask
-                results = np.empty(id_array.size, dtype=bool)
-                if hit_mask.any():
-                    results[hit_mask] = memo_values[clipped[hit_mask]]
-                pending_positions = np.flatnonzero(~hit_mask)
-                pending_array = id_array[pending_positions]
-            else:
-                # Stale snapshot + small query: an O(k) dict walk beats
-                # re-sorting the whole cache to look up a handful of ids.
-                cache = self._cache
-                pending_list = []
-                results = np.empty(id_array.size, dtype=bool)
-                for position, row_id in enumerate(id_array.tolist()):
-                    cached = cache.get(row_id)
-                    if cached is None:
-                        pending_list.append(position)
-                    else:
-                        results[position] = cached
-                pending_positions = np.asarray(pending_list, dtype=np.intp)
-                pending_array = id_array[pending_positions]
+        if self.memoize and self._memo.size:
+            states = self._memo_states(id_array)
+            results = states == _TRUE
+            pending_positions = np.flatnonzero(states == _UNKNOWN)
+            pending_array = id_array[pending_positions]
             if not oracle:
+                hits = int(id_array.size - pending_array.size)
                 with self._state_lock:
-                    self.cache_hits += int(id_array.size - pending_array.size)
+                    self.cache_hits += hits
                 if registry.enabled:
-                    self._obs_counters.get(registry, "memo_hits").inc(
-                        int(id_array.size - pending_array.size)
-                    )
+                    self._obs_counters.get(registry, "memo_hits").inc(hits)
         else:
             results = np.empty(len(id_array), dtype=bool)
-            pending_positions = None  # everything pending, positions implicit
+            pending_positions = slice(None)
             pending_array = id_array
         return results, pending_positions, pending_array
 
     def _bulk_absorb(
         self,
         results: np.ndarray,
-        pending_positions: Optional[np.ndarray],
+        pending_positions: Union[np.ndarray, slice],
         pending_array: np.ndarray,
         fresh: np.ndarray,
         oracle: bool,
@@ -462,58 +452,76 @@ class UserDefinedFunction:
         memo cache, regardless of whether the outcomes were computed locally
         or merged back from a worker process.
         """
-        if pending_positions is not None:
-            results[pending_positions] = fresh
-        else:
-            results[:] = fresh
+        results[pending_positions] = fresh
         if not oracle:
+            paid = int(pending_array.size)
             with self._state_lock:
-                self.call_count += int(pending_array.size)
-                self.cache_misses += int(pending_array.size)
+                self.call_count += paid
+                self.cache_misses += paid
                 if self.memoize:
-                    self._cache.update(
-                        zip(pending_array.tolist(), fresh.tolist())
-                    )
-                    self._memo_snapshot = None
+                    self._memo_write(pending_array, fresh)
             if registry.enabled:
-                self._obs_counters.get(registry, "evaluations").inc(
-                    int(pending_array.size)
-                )
+                self._obs_counters.get(registry, "evaluations").inc(paid)
 
-    def _use_memo_snapshot(self, query_size: int) -> bool:
-        """Whether a bulk lookup should go through the sorted snapshot.
+    def _memo_state(self, row_id: int) -> int:
+        """The memo's tri-state for one row id (lock-free)."""
+        _check_not_negative(row_id)
+        memo = self._memo
+        return int(memo[row_id]) if row_id < memo.size else _UNKNOWN
 
-        A fresh snapshot is free to reuse.  A stale one costs an
-        O(cache log cache) rebuild, which only pays off when the query is a
-        meaningful fraction of the cache — write-heavy workloads issuing
-        small lookups (the warm serving path) stay on the O(k) dict walk.
-        """
-        if self._memo_snapshot is not None:
-            return True
-        return query_size * 16 >= len(self._cache)
+    def _memo_states(self, ids: np.ndarray) -> np.ndarray:
+        """One gather of tri-states for non-negative ``ids``, lock-free: it
+        reads one captured reference, so a concurrent grow cannot tear it."""
+        memo = self._memo
+        if ids.size and int(ids.max()) >= memo.size:
+            inside = ids < memo.size
+            states = np.zeros(ids.size, dtype=np.int8)
+            states[inside] = memo[ids[inside]]
+            return states
+        return memo[ids]
 
-    def _memo_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """The memo cache as sorted ``(row_ids, values)`` arrays (cached).
+    def _memo_with_room(self, size: int) -> np.ndarray:
+        """The memo array, regrown to hold ``size`` slots (state lock held).
+        The caller writes into it and then assigns ``self._memo``, so readers
+        see the old array or the grown one with the write already in it."""
+        memo = self._memo
+        if size <= memo.size:
+            return memo
+        grown = np.zeros(max(size, 2 * memo.size), dtype=np.int8)
+        grown[: memo.size] = memo
+        return grown
 
-        Rebuilt lazily after cache writes; built and returned under the state
-        lock so a concurrent writer can neither mutate the dict mid-iteration
-        nor hand out a half-stale snapshot.  Callers treat the arrays as
-        read-only.
-        """
-        with self._state_lock:
-            snapshot = self._memo_snapshot
-            if snapshot is None:
-                count = len(self._cache)
-                ids = np.fromiter(self._cache.keys(), dtype=np.intp, count=count)
-                values = np.fromiter(self._cache.values(), dtype=bool, count=count)
-                order = np.argsort(ids, kind="stable")
-                snapshot = (ids[order], values[order])
-                self._memo_snapshot = snapshot
-            return snapshot
+    def _memo_write(self, ids: np.ndarray, values: np.ndarray) -> None:
+        """Record ``values`` for non-empty ``ids`` (state lock held)."""
+        memo = self._memo_with_room(int(ids.max()) + 1)
+        # A batch may repeat an id; ``cache_size`` counts each new slot once
+        # (distinct = size - adjacent equal pairs, over this batch's new ids).
+        new_ids = np.sort(ids[memo[ids] == _UNKNOWN])
+        self._memo_count += int(new_ids.size - np.count_nonzero(new_ids[1:] == new_ids[:-1]))
+        memo[ids] = values.astype(np.int8) + _FALSE
+        self._memo = memo
+
+    def memo_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The memo as ``(ascending row ids, boolean values)`` — the warm-state
+        blob's format.  Scans the whole array: for checkpoints and tests."""
+        memo = self._memo
+        ids = np.flatnonzero(memo)
+        return ids, memo[ids] == _TRUE
+
+    def absorb_memo(self, row_ids: Iterable[int], values: Iterable[bool]) -> None:
+        """Install paid-for values without advancing any counter (warm-state
+        restore only: the process that wrote the blob was charged for them)."""
+        id_array = _row_id_array(row_ids)
+        value_array = np.asarray(values, dtype=bool)
+        if value_array.shape != id_array.shape:
+            raise ValueError(f"{value_array.shape} values for {id_array.shape} row ids")
+        if self.memoize and id_array.size:
+            with self._state_lock:
+                self._memo_write(id_array, value_array)
 
     def is_memoized(self, row_id: int) -> bool:
         """Whether the UDF value for ``row_id`` is already cached."""
-        return self.memoize and row_id in self._cache
+        return self._memo_state(row_id) != _UNKNOWN and self.memoize
 
     def memoized_mask(self, row_ids: Iterable[int]) -> np.ndarray:
         """Boolean mask of rows whose UDF value is already memoised.
@@ -521,21 +529,10 @@ class UserDefinedFunction:
         Used by serving-accounting executors to charge only un-memoised rows
         without a per-row ``is_memoized`` call.
         """
-        ids = np.asarray(row_ids, dtype=np.intp)
-        if not self.memoize or not self._cache:
+        ids = _row_id_array(row_ids)
+        if not self.memoize:
             return np.zeros(ids.size, dtype=bool)
-        if not self._use_memo_snapshot(ids.size):
-            cache = self._cache
-            return np.fromiter(
-                (row_id in cache for row_id in ids.tolist()),
-                dtype=bool,
-                count=ids.size,
-            )
-        memo_ids, _ = self._memo_arrays()
-        if not memo_ids.size:
-            return np.zeros(ids.size, dtype=bool)
-        positions = np.minimum(np.searchsorted(memo_ids, ids), memo_ids.size - 1)
-        return np.asarray(memo_ids[positions] == ids, dtype=bool)
+        return self._memo_states(ids) != _UNKNOWN
 
     def counter_snapshot(self) -> Dict[str, int]:
         """Memoisation counters as a plain dict (for result metadata)."""
@@ -543,7 +540,7 @@ class UserDefinedFunction:
             "calls": self.call_count,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_size": len(self._cache),
+            "cache_size": self._memo_count,
             "row_calls": self.row_calls,
             "bulk_calls": self.bulk_calls,
         }
@@ -577,8 +574,8 @@ class UserDefinedFunction:
     def reset(self) -> None:
         """Clear the memo cache and every counter."""
         with self._state_lock:
-            self._cache.clear()
-            self._memo_snapshot = None
+            self._memo = np.zeros(0, dtype=np.int8)
+            self._memo_count = 0
             self.call_count = 0
             self.cache_hits = 0
             self.cache_misses = 0

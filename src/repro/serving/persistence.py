@@ -166,9 +166,9 @@ def _capture_udf_memos(service) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     for udf in service.catalog.udfs:
         if not udf.memoize:
             continue
-        ids, values = udf._memo_arrays()
+        ids, values = udf.memo_arrays()
         if ids.size:
-            memos[udf.name] = (np.asarray(ids), np.asarray(values))
+            memos[udf.name] = (ids, values)
     return memos
 
 
@@ -257,11 +257,7 @@ def _restore_udf_memos(service, memos: Dict[str, Tuple[np.ndarray, np.ndarray]])
         udf = service.catalog.udf(name)
         if not udf.memoize:
             continue
-        with udf._state_lock:
-            udf._cache.update(
-                zip(np.asarray(ids).tolist(), np.asarray(values).tolist())
-            )
-            udf._memo_snapshot = None
+        udf.absorb_memo(ids, values)
         restored += 1
     return restored
 

@@ -18,7 +18,7 @@ solver finds the global optimum.  This module wraps :func:`scipy.optimize.minimi
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -117,9 +117,14 @@ class ConvexSolver:
     def solve(
         self,
         problem: ConvexProblem,
-        warm_starts: Optional[Sequence[Sequence[float]]] = None,
+        warm_starts: Optional[Iterable[Sequence[float]]] = None,
     ) -> ConvexSolution:
         """Solve ``problem``, trying several starting points.
+
+        ``warm_starts`` come first, in order, then three fixed starts.  They
+        are consumed lazily — a generator's next start is built only if no
+        earlier one converged, so an expensive start can sit behind a cheap
+        one and usually cost nothing.
 
         Returns the best feasible candidate found.  Raises
         :class:`InfeasibleProblemError` when every attempt fails the
@@ -127,14 +132,15 @@ class ConvexSolver:
         """
         n = problem.num_variables
         bounds = problem.bounds or [(0.0, 1.0)] * n
-        starts: List[np.ndarray] = []
-        if warm_starts:
-            starts.extend(np.clip(np.asarray(s, dtype=float), 0.0, 1.0) for s in warm_starts)
         highs = np.asarray([b[1] for b in bounds], dtype=float)
         lows = np.asarray([b[0] for b in bounds], dtype=float)
-        starts.append(highs.copy())                  # all retrieve + evaluate
-        starts.append((lows + highs) / 2.0)          # mid point
-        starts.append(lows + 0.9 * (highs - lows))   # near the top
+
+        def starts() -> Iterator[np.ndarray]:
+            for warm in warm_starts or ():
+                yield np.clip(np.asarray(warm, dtype=float), 0.0, 1.0)
+            yield highs.copy()                  # all retrieve + evaluate
+            yield (lows + highs) / 2.0          # mid point
+            yield lows + 0.9 * (highs - lows)   # near the top
 
         objective_vector = np.asarray(problem.objective, dtype=float)
 
@@ -170,7 +176,9 @@ class ConvexSolver:
             )
 
         best: Optional[ConvexSolution] = None
-        for start in starts:
+        tried: List[np.ndarray] = []
+        for start in starts():
+            tried.append(start)
             result = minimize(
                 objective,
                 start,
@@ -203,8 +211,9 @@ class ConvexSolver:
 
         # Final fall-back: check whether the starting points themselves are
         # feasible (e.g. the all-evaluate plan); use the cheapest feasible one.
+        # No solve converged, so every start was produced and is in ``tried``.
         feasible_starts = [
-            s for s in starts if problem.is_feasible(s, self.feasibility_tolerance)
+            s for s in tried if problem.is_feasible(s, self.feasibility_tolerance)
         ]
         if feasible_starts:
             cheapest = min(feasible_starts, key=problem.cost)

@@ -84,6 +84,10 @@ def _execute(table, executor_cls, udf, workers, seed=7, free_memoized=False,
     return result, ledger
 
 
+def _memo(udf):
+    return [part.tolist() for part in udf.memo_arrays()]
+
+
 def _assert_parity(serial, serial_ledger, serial_udf, remote, remote_ledger, remote_udf):
     assert np.array_equal(
         np.asarray(serial.returned_row_ids), np.asarray(remote.returned_row_ids)
@@ -91,7 +95,7 @@ def _assert_parity(serial, serial_ledger, serial_udf, remote, remote_ledger, rem
     assert remote_ledger.retrieved_count == serial_ledger.retrieved_count
     assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
     assert remote_udf.counter_snapshot() == serial_udf.counter_snapshot()
-    assert remote_udf._cache == serial_udf._cache
+    assert _memo(remote_udf) == _memo(serial_udf)
     for key, counts in serial.group_counts.items():
         other = remote.group_counts[key]
         assert (
@@ -192,7 +196,7 @@ class TestEvaluateRowsFan:
         assert np.array_equal(np.asarray(expected), np.asarray(got))
         # One bulk call, like serial — the thread path pays one per chunk.
         assert udf_remote.counter_snapshot() == udf_serial.counter_snapshot()
-        assert udf_remote._cache == udf_serial._cache
+        assert _memo(udf_remote) == _memo(udf_serial)
 
     def test_partial_memoization_charges_only_pending(self):
         table = _sharded(n=3000, shards=4, name="pmtab")

@@ -153,6 +153,43 @@ class TestUserDefinedFunction:
         with pytest.raises(ValueError):
             UserDefinedFunction("g", lambda row: True, evaluation_cost=-1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda udf, table: udf.evaluate_rows(table, [1, -1]),
+            lambda udf, table: udf.merge_remote_evaluations([1, -1], [True, False]),
+            lambda udf, table: udf.memoized_mask([1, -1]),
+            lambda udf, table: udf.is_memoized(-1),
+            lambda udf, table: udf.evaluate_row(table, -1),
+            lambda udf, table: udf.absorb_memo([1, -1], [True, False]),
+        ],
+        ids=["evaluate_rows", "merge_remote", "memoized_mask", "is_memoized",
+             "evaluate_row", "absorb_memo"],
+    )
+    def test_negative_row_id_raises_before_any_side_effect(self, toy_table, call):
+        # A bulk gather would wrap -1 to the last row and, in a
+        # position-indexed memo, alias its slot; Table.row already refuses.
+        udf = UserDefinedFunction.from_label_column("f_check", "f")
+        udf.evaluate_rows(toy_table, [0, 2])
+        counters = udf.counter_snapshot()
+        memo = [part.tolist() for part in udf.memo_arrays()]
+        with pytest.raises(IndexError):
+            call(udf, toy_table)
+        assert udf.counter_snapshot() == counters
+        assert [part.tolist() for part in udf.memo_arrays()] == memo
+
+    def test_ids_past_the_memo_capacity_are_not_memoised(self, toy_table):
+        udf = UserDefinedFunction.from_label_column("f_check", "f")
+        udf.evaluate_rows(toy_table, [0, 1])
+        beyond = toy_table.num_rows + 1000
+        assert not udf.is_memoized(beyond)
+        assert udf.memoized_mask([1, beyond, 0]).tolist() == [True, False, True]
+        # Remote outcomes for rows a grown table now has land past the old end.
+        udf.merge_remote_evaluations([beyond, 1], [True, False])
+        assert udf.is_memoized(beyond)
+        assert udf.counter_snapshot()["cache_size"] == 3
+        assert udf.memo_arrays()[0].tolist() == [0, 1, beyond]
+
 
 class TestRegistry:
     def test_register_and_get(self):

@@ -102,7 +102,9 @@ class TestMergeRemoteEvaluations:
         got = merged.merge_remote_evaluations(ids, outcomes)
         assert np.array_equal(np.asarray(expected), np.asarray(got))
         assert merged.counter_snapshot() == serial.counter_snapshot()
-        assert merged._cache == serial._cache
+        assert [part.tolist() for part in merged.memo_arrays()] == [
+            part.tolist() for part in serial.memo_arrays()
+        ]
 
     def test_memoized_rows_keep_cached_values_and_count_hits(self):
         table = self._table()

@@ -107,7 +107,9 @@ class TestProcessPoolDirectAttach:
         assert remote_ledger.retrieved_count == serial_ledger.retrieved_count
         assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
         assert remote_udf.counter_snapshot() == serial_udf.counter_snapshot()
-        assert remote_udf._cache == serial_udf._cache
+        assert [part.tolist() for part in remote_udf.memo_arrays()] == [
+            part.tolist() for part in serial_udf.memo_arrays()
+        ]
         # The proof of direct attach: the run exported nothing through shm.
         assert exported_segment_count() == 0
         assert manager.resident_bytes <= 3000

@@ -67,7 +67,7 @@ def _run_query(table, tag, manager=None, evict_every=0):
         "retrieved": ledger.retrieved_count,
         "evaluated": ledger.evaluated_count,
         "counters": udf.counter_snapshot(),
-        "memo": sorted(udf._cache.items()),
+        "memo": [part.tolist() for part in udf.memo_arrays()],
     }
 
 

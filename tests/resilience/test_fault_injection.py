@@ -89,6 +89,10 @@ def _serial_baseline(table, udf, seed=7):
     return _run(table, executor, udf)
 
 
+def _memo(udf):
+    return [part.tolist() for part in udf.memo_arrays()]
+
+
 def _assert_parity(serial, serial_ledger, serial_udf, remote, remote_ledger, remote_udf):
     assert np.array_equal(
         np.asarray(serial.returned_row_ids), np.asarray(remote.returned_row_ids)
@@ -96,7 +100,7 @@ def _assert_parity(serial, serial_ledger, serial_udf, remote, remote_ledger, rem
     assert remote_ledger.retrieved_count == serial_ledger.retrieved_count
     assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
     assert remote_udf.counter_snapshot() == serial_udf.counter_snapshot()
-    assert remote_udf._cache == serial_udf._cache
+    assert _memo(remote_udf) == _memo(serial_udf)
     for key, counts in serial.group_counts.items():
         other = remote.group_counts[key]
         assert (
@@ -193,6 +197,48 @@ class TestWorkerFaults:
         assert snap["failures_total"] == 1  # one faulting round
         assert snap["successes_total"] == 1  # the clean retry resets the streak
         assert snap["consecutive_failures"] == 0
+
+    def test_pool_breaking_mid_fan_out_is_a_crashed_span_not_an_error(
+        self, monkeypatch
+    ):
+        """A worker dying while spans are still being submitted breaks the pool
+        under the submit loop (seen with a warm pool and an immediate crash):
+        the unsubmitted spans must be retried like any crashed span."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.core import procpool
+
+        class BreaksAfterFirstSubmit:
+            def __init__(self, pool):
+                self.pool, self.submitted = pool, 0
+
+            def submit(self, *args):
+                self.submitted += 1
+                if self.submitted > 1:
+                    raise BrokenProcessPool("a worker died during the fan-out")
+                return self.pool.submit(*args)
+
+        real_pool = procpool.shared_process_pool
+        handed_out = []
+
+        def pool_that_breaks_once(max_workers):
+            pool = real_pool(max_workers)
+            handed_out.append(pool)
+            return BreaksAfterFirstSubmit(pool) if len(handed_out) == 1 else pool
+
+        monkeypatch.setattr(procpool, "shared_process_pool", pool_that_breaks_once)
+        table = _sharded(name="midfantab")
+        udf_serial, udf_remote = _label_udf("mf_a"), _label_udf("mf_b")
+        serial, serial_ledger = _serial_baseline(table, udf_serial)
+        breaker = CircuitBreaker(failure_threshold=100)
+        executor = ProcessPoolBatchExecutor(
+            random_state=7, max_workers=WORKERS, breaker=breaker
+        )
+        remote, remote_ledger = _run(table, executor, udf_remote)
+        _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
+        snap = breaker.snapshot()
+        assert snap["retried_spans"] >= 1
+        assert snap["failures_total"] == 1 and snap["successes_total"] == 1
 
     def test_persistent_crash_recomputes_locally_with_exact_charges(self):
         """Every attempt crashes: give up on the pool, stay bitwise-serial."""

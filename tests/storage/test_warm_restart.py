@@ -90,6 +90,48 @@ class TestWarmRestart:
         finally:
             service.close()
 
+    def test_memo_section_in_the_dict_era_format_restores_with_zero_udf_work(
+        self, tmp_path, dataset
+    ):
+        """A blob written before the array memo still restores warm.
+
+        Until PR 14 the memo section was built from a ``{row_id: bool}`` dict
+        (``fromiter`` + stable ``argsort``).  Rebuild it exactly that way,
+        check the array memo captures the same thing, and restart from it.
+        """
+        import numpy as np
+
+        from repro.serving.persistence import WARM_STATE_FILE, _read_blob, _write_blob
+
+        warm = _serve_and_close(dataset, tmp_path, seed=7)
+        store = CatalogStore(str(tmp_path)).table_store(dataset.table.name)
+        path = os.path.join(store.warm_dir, WARM_STATE_FILE)
+        payload = _read_blob(path)
+        ids, values = payload["udf_memos"]["served"]
+        legacy = dict(zip(ids.tolist()[::-1], values.tolist()[::-1]))
+        legacy_ids = np.fromiter(legacy.keys(), dtype=np.intp, count=len(legacy))
+        legacy_values = np.fromiter(legacy.values(), dtype=bool, count=len(legacy))
+        order = np.argsort(legacy_ids, kind="stable")
+        section = (legacy_ids[order], legacy_values[order])
+        for ours, theirs in zip((ids, values), section):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        payload["udf_memos"]["served"] = section
+        _write_blob(path, payload)
+
+        service, udf, _ = _restarted_service(dataset, str(tmp_path))
+        try:
+            assert udf.counter_snapshot() == {
+                "calls": 0, "cache_hits": 0, "cache_misses": 0,
+                "cache_size": len(legacy), "row_calls": 0, "bulk_calls": 0,
+            }
+            restored = service.submit(_query(dataset, udf), seed=7)
+            assert restored.metadata["plan_cache"] == "restored"
+            assert restored.metadata["udf_cache"]["calls"] == 0
+            assert list(restored.row_ids) == list(warm.row_ids)
+            assert service.stats().storage["restore_errors"] == 0
+        finally:
+            service.close()
+
     def test_populated_candidate_frames_stay_out_of_the_warm_blob(
         self, tmp_path, dataset
     ):
