@@ -92,6 +92,12 @@ The whole query path is *array-native by default*:
   ``GroupSampler`` charge the ledger in bulk and evaluate through one
   ``UserDefinedFunction.evaluate_rows`` call (per-row UDF API calls on the
   cold path are pinned to zero by the benchmark gate).
+* Planning is an array program as well: Convex Program 4.1 reaches SLSQP as
+  one vector-valued constraint oracle (the Chebyshev-margined rows with
+  their loop-invariant terms hoisted, above a coupling block built once —
+  see :mod:`repro.solvers.convex`) and BiGreedy's warm start bisects its
+  shadow-price breakpoints instead of walking them, bit for bit the plans
+  the per-constraint closures and the linear sweep produced.
 
 Interpreting the benchmark numbers (``benchmarks/BENCH_serving.json`` and
 ``BENCH_coldpath.json``): *cold* rows model first-sight traffic — no

@@ -36,9 +36,12 @@ and raises :class:`InfeasibleProblemError` exactly when the margined LP has
 no solution (callers then fall back to the exhaustive plan).
 
 Complexity: ``O(|A| log |A|)`` when phase 1 alone satisfies precision (the
-common case, and the regime of Theorem 3.8); the repair sweep is
-``O(|A|^3 log |A|)`` in the worst case, over group counts that are small by
-construction (one group per bucket of the correlated column).
+common case, and the regime of Theorem 3.8).  The repair sorts its
+``O(|A|^2)`` breakpoints once and then *bisects* them for the first closing
+price — the precision of the precision-maximising optimum never falls as the
+price rises — so it solves ``O(log |A|)`` knapsacks, not one per breakpoint:
+``O(|A|^2 log |A|)`` overall, over group counts that are small by construction
+(one group per bucket of the correlated column).
 """
 
 from __future__ import annotations
@@ -275,6 +278,11 @@ def _joint_precision_repair(
     sweep from certifying one (the caller then falls back to the scipy LP,
     preserving exactness).  Raises :class:`InfeasibleProblemError` when even
     ``ceiling`` cannot reach ``required``.
+
+    The first closing price is found by bisection: the priced problem is a
+    parametric LP, so the precision of its precision-maximising optimum never
+    falls as the shadow price rises, and "closes the deficit" is false up to
+    some breakpoint and true from it on.
     """
     if ceiling < required - 1e-7:
         raise InfeasibleProblemError(
@@ -284,27 +292,33 @@ def _joint_precision_repair(
     prices = [0.0] + _precision_price_breakpoints(
         entries, alpha, retrieval_cost, evaluation_cost
     )
-    for price in prices:
+    high = high_precision = None  # at the lowest closing price met so far
+    below, above = 0, len(prices)  # every price before `below` falls short
+    while below < above:
         # Breakpoint sweeps scale with group count; a deadlined request
-        # bails between iterations rather than finishing a doomed solve.
+        # bails between evaluations rather than finishing a doomed solve.
         check_deadline("solve")
-        high, high_precision, _ = _cheapest_recall_allocation(
-            entries, price, target, alpha, retrieval_cost, evaluation_cost, True
+        middle = (below + above) // 2
+        allocation, precision, _ = _cheapest_recall_allocation(
+            entries, prices[middle], target, alpha, retrieval_cost, evaluation_cost, True
         )
-        if high_precision < required - _PRECISION_SLACK:
-            continue
-        low, low_precision, _ = _cheapest_recall_allocation(
-            entries, price, target, alpha, retrieval_cost, evaluation_cost, False
-        )
-        if low_precision > required + 1e-6:
-            # The optimal face should straddle the deficit at the first
-            # closing price; if rounding broke the bracket, let scipy decide.
-            return None
-        if high_precision - low_precision <= _EPS:
-            return high
-        theta = (required - low_precision) / (high_precision - low_precision)
-        return _blend(low, high, min(1.0, max(0.0, theta)))
-    return None
+        if precision < required - _PRECISION_SLACK:
+            below = middle + 1
+        else:
+            above, high, high_precision = middle, allocation, precision
+    if high is None:
+        return None
+    low, low_precision, _ = _cheapest_recall_allocation(
+        entries, prices[above], target, alpha, retrieval_cost, evaluation_cost, False
+    )
+    if low_precision > required + 1e-6:
+        # The optimal face should straddle the deficit at the first
+        # closing price; if rounding broke the bracket, let scipy decide.
+        return None
+    if high_precision - low_precision <= _EPS:
+        return high
+    theta = (required - low_precision) / (high_precision - low_precision)
+    return _blend(low, high, min(1.0, max(0.0, theta)))
 
 
 def solve_bigreedy(

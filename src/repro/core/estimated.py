@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.bigreedy import solve_bigreedy
 from repro.core.constraints import CostModel, QueryConstraints
-from repro.core.groups import SelectivityModel
+from repro.core.groups import GroupStatistics, SelectivityModel
 from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.resilience.deadline import check_deadline
-from repro.solvers.convex import ConvexProblem, ConvexSolver
+from repro.solvers.convex import ConvexProblem, ConvexSolver, LinearBlock
 from repro.solvers.linear import (
     InfeasibleProblemError,
     LinearProgram,
@@ -60,6 +60,20 @@ def _plan_vector(plan: ExecutionPlan, model: SelectivityModel) -> List[float]:
     return [decision.retrieve_probability for decision in decisions] + [
         decision.evaluate_probability for decision in decisions
     ]
+
+
+def _plan_from_vector(
+    groups: Sequence[GroupStatistics], values: np.ndarray, browsing: bool
+) -> ExecutionPlan:
+    """The plan a solver's ``[R_1..R_k, E_1..E_k, ...]`` vector stands for."""
+    k = len(groups)
+    values = values.tolist()
+    decisions = {}
+    for group, retrieve, evaluate in zip(groups, values[:k], values[k : 2 * k]):
+        retrieve = min(1.0, max(0.0, retrieve))
+        evaluate = retrieve if browsing else min(retrieve, max(0.0, evaluate))
+        decisions[group.key] = GroupDecision(retrieve=retrieve, evaluate=evaluate)
+    return ExecutionPlan(decisions)
 
 
 def _warm_start(
@@ -97,21 +111,15 @@ def solve_estimated_selectivity(
 # ---------------------------------------------------------------------------
 # Independent groups: second-order-cone constraints, solved with SLSQP.
 # ---------------------------------------------------------------------------
-def _solve_independent(
-    model: SelectivityModel,
+def _independent_program(
+    groups: Sequence[GroupStatistics],
     constraints: QueryConstraints,
     cost_model: CostModel,
-    solver: Optional[ConvexSolver],
-) -> EstimatedSolution:
-    groups = model.groups
+) -> ConvexProblem:
+    """Convex Program 3.11 / 4.1 over ``x = [R_1..R_k, E_1..E_k]``."""
     k = len(groups)
-    if k == 0:
-        return EstimatedSolution(ExecutionPlan({}), 0.0, independent=True)
-
-    alpha = constraints.alpha
-    beta = constraints.beta
+    alpha, beta = constraints.alpha, constraints.beta
     e_rho = chebyshev_deviation_factor(constraints.rho)
-    browsing = alpha >= _ALPHA_CERTAIN
 
     remaining = np.asarray([group.remaining for group in groups], dtype=float)
     selectivity = np.asarray([group.selectivity for group in groups], dtype=float)
@@ -126,92 +134,96 @@ def _solve_independent(
     # dataset sizes.  The reported cost is recomputed from the plan, so the
     # scaling does not leak out.
     scale = 1.0 / max(1.0, float(np.sum(remaining)))
-    objective = list(remaining * cost_model.retrieval_cost * scale) + list(
-        remaining * cost_model.evaluation_cost * scale
+    objective = np.concatenate(
+        [
+            remaining * cost_model.retrieval_cost * scale,
+            remaining * cost_model.evaluation_cost * scale,
+        ]
     )
-    problem = ConvexProblem(objective=objective)
+    # Coupling rows R_a - E_a >= 0; in the browsing scenario each is followed
+    # by its negation, which makes it an equality.
+    coupling = np.eye(k, 2 * k) - np.eye(k, 2 * k, k)
+    if alpha >= _ALPHA_CERTAIN:
+        coupling = np.repeat(coupling, 2, axis=0)
+        coupling[1::2] *= -1.0
 
-    # Coupling constraints R_a >= E_a (equality in the browsing scenario).
-    for index in range(k):
-        row = [0.0] * (2 * k)
-        row[index] = 1.0
-        row[k + index] = -1.0
-        problem.linear_inequalities.append((list(row), 0.0))
-        if browsing:
-            problem.linear_inequalities.append(([-value for value in row], 0.0))
+    # The Chebyshev-margined rows — precision (absent when alpha is 0 or
+    # certain), then recall — are one vector-valued oracle with an analytic
+    # jacobian: SLSQP makes one ``values`` and one ``jacobian`` call per
+    # iteration, where numerical differentiation would re-evaluate every row
+    # 2k+1 times per jacobian.  Whatever does not depend on ``x`` is computed
+    # here, once — grouped exactly as the expressions in the callbacks would
+    # group it, so hoisting moves no bit.  The callbacks write into ``out``
+    # and ``normals``; recall's dE half is never written and stays zero.
+    has_precision = 0.0 < alpha < _ALPHA_CERTAIN
+    total = np.add.reduce
+    found = total(sampled_positives)
+    found_precision = found * (1.0 - alpha)
+    precision_gain = (1.0 - alpha) * remaining * selectivity
+    false_positive_weight = alpha * remaining * (1.0 - selectivity)
+    precision_grad = precision_gain - false_positive_weight
+    e_rho_alpha = e_rho * alpha
+    recall_gain = remaining * selectivity
+    recall_floor = beta * float(found + total(recall_gain))
+    weighted_variance = remaining**2 * variance
+    # (e_rho * remaining**2) * variance, as recall's gradient always grouped
+    # it: not e_rho * weighted_variance, which rounds differently.
+    recall_spread = e_rho * remaining**2 * variance
+    quarter_remaining = 0.25 * remaining
+    out = np.empty(2 if has_precision else 1)
+    normals = np.zeros((out.size, 2 * k))
 
-    def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x[:k], x[k:]
+    def variance_of(deviation: np.ndarray) -> float:
+        return float(total(weighted_variance * deviation**2 + quarter_remaining))
 
-    # Constraint gradients are supplied analytically: with only numerical
-    # differentiation SLSQP re-evaluates each nonlinear constraint 2k+1
-    # times per jacobian, which dominated the cold query path.
-    if 0.0 < alpha < _ALPHA_CERTAIN:
-        precision_expect_grad_r = (
-            (1.0 - alpha) * remaining * selectivity
-            - alpha * remaining * (1.0 - selectivity)
+    def margin(expectation: float, deviation: np.ndarray) -> float:
+        std = math.sqrt(max(variance_of(deviation), 0.0))
+        return (float(expectation) - e_rho * std) * scale
+
+    def values(x: np.ndarray) -> np.ndarray:
+        retrieve, evaluate = x[:k], x[k:]
+        if has_precision:
+            out[0] = margin(
+                found_precision
+                + total(precision_gain * retrieve)
+                - total(false_positive_weight * (retrieve - evaluate)),
+                retrieve - alpha * evaluate,
+            )
+        out[-1] = margin(
+            found + total(recall_gain * retrieve) - recall_floor, retrieve - beta
         )
-        precision_expect_grad_e = alpha * remaining * (1.0 - selectivity)
+        return out
 
-        def precision_constraint(x: np.ndarray) -> float:
-            retrieve, evaluate = split(x)
-            expectation = float(
-                np.sum(sampled_positives) * (1.0 - alpha)
-                + np.sum((1.0 - alpha) * remaining * selectivity * retrieve)
-                - np.sum(alpha * remaining * (1.0 - selectivity) * (retrieve - evaluate))
-            )
-            var = float(
-                np.sum(
-                    remaining**2 * variance * (retrieve - alpha * evaluate) ** 2
-                    + 0.25 * remaining
-                )
-            )
-            return (expectation - e_rho * math.sqrt(max(var, 0.0))) * scale
-
-        def precision_jacobian(x: np.ndarray) -> np.ndarray:
-            retrieve, evaluate = split(x)
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        retrieve, evaluate = x[:k], x[k:]
+        if has_precision:
             deviation = retrieve - alpha * evaluate
-            var = float(
-                np.sum(remaining**2 * variance * deviation**2 + 0.25 * remaining)
-            )
-            std = math.sqrt(max(var, 1e-18))
-            var_grad_r = remaining**2 * variance * deviation / std
-            grad_r = precision_expect_grad_r - e_rho * var_grad_r
-            grad_e = precision_expect_grad_e + e_rho * alpha * var_grad_r
-            return np.concatenate([grad_r, grad_e]) * scale
-
-        problem.inequality_constraints.append(
-            (precision_constraint, precision_jacobian)
-        )
-
-    expected_total_correct = float(
-        np.sum(sampled_positives) + np.sum(remaining * selectivity)
-    )
-    recall_expect_grad_r = remaining * selectivity
-
-    def recall_constraint(x: np.ndarray) -> float:
-        retrieve, _ = split(x)
-        expectation = float(
-            np.sum(sampled_positives)
-            + np.sum(remaining * selectivity * retrieve)
-            - beta * expected_total_correct
-        )
-        var = float(
-            np.sum(remaining**2 * variance * (retrieve - beta) ** 2 + 0.25 * remaining)
-        )
-        return (expectation - e_rho * math.sqrt(max(var, 0.0))) * scale
-
-    def recall_jacobian(x: np.ndarray) -> np.ndarray:
-        retrieve, _ = split(x)
+            std = math.sqrt(max(variance_of(deviation), 1e-18))
+            spread = weighted_variance * deviation / std
+            normals[0, :k] = (precision_grad - e_rho * spread) * scale
+            normals[0, k:] = (false_positive_weight + e_rho_alpha * spread) * scale
         deviation = retrieve - beta
-        var = float(
-            np.sum(remaining**2 * variance * deviation**2 + 0.25 * remaining)
-        )
-        std = math.sqrt(max(var, 1e-18))
-        grad_r = recall_expect_grad_r - e_rho * remaining**2 * variance * deviation / std
-        return np.concatenate([grad_r, np.zeros_like(grad_r)]) * scale
+        std = math.sqrt(max(variance_of(deviation), 1e-18))
+        normals[-1, :k] = (recall_gain - recall_spread * deviation / std) * scale
+        return normals
 
-    problem.inequality_constraints.append((recall_constraint, recall_jacobian))
+    return ConvexProblem(
+        objective,
+        constraints=(values, jacobian),
+        linear_inequalities=LinearBlock(coupling, np.zeros(len(coupling))),
+    )
+
+
+def _solve_independent(
+    model: SelectivityModel,
+    constraints: QueryConstraints,
+    cost_model: CostModel,
+    solver: Optional[ConvexSolver],
+) -> EstimatedSolution:
+    groups = model.groups
+    if not groups:
+        return EstimatedSolution(ExecutionPlan({}), 0.0, independent=True)
+    problem = _independent_program(groups, constraints, cost_model)
 
     def warm_starts() -> Iterator[List[float]]:
         """SLSQP starts in the order tried, each built only when reached."""
@@ -232,14 +244,9 @@ def _solve_independent(
 
     solution = (solver or ConvexSolver()).solve(problem, warm_starts=warm_starts())
 
-    decisions = {}
-    for index, group in enumerate(groups):
-        retrieve = min(1.0, max(0.0, float(solution.values[index])))
-        evaluate = min(retrieve, max(0.0, float(solution.values[k + index])))
-        if browsing:
-            evaluate = retrieve
-        decisions[group.key] = GroupDecision(retrieve=retrieve, evaluate=evaluate)
-    plan = ExecutionPlan(decisions)
+    plan = _plan_from_vector(
+        groups, solution.values, browsing=constraints.alpha >= _ALPHA_CERTAIN
+    )
     return EstimatedSolution(
         plan=plan,
         expected_cost=plan.expected_cost(model, cost_model, include_sampling=False),
@@ -338,14 +345,7 @@ def _solve_unknown_correlations(
             program.add_ge([-value for value in row], 0.0)
 
     solution = solve_linear_program(program)
-    decisions = {}
-    for index, group in enumerate(groups):
-        retrieve = min(1.0, max(0.0, float(solution.values[index])))
-        evaluate = min(retrieve, max(0.0, float(solution.values[k + index])))
-        if browsing:
-            evaluate = retrieve
-        decisions[group.key] = GroupDecision(retrieve=retrieve, evaluate=evaluate)
-    plan = ExecutionPlan(decisions)
+    plan = _plan_from_vector(groups, solution.values, browsing)
     return EstimatedSolution(
         plan=plan,
         expected_cost=plan.expected_cost(model, cost_model, include_sampling=False),

@@ -83,6 +83,10 @@ class GroupDecision:
         return cls(retrieve=1.0, evaluate=1.0)
 
 
+#: What a plan decides for a group it does not mention (immutable, so shared).
+_DISCARD = GroupDecision.discard()
+
+
 class ExecutionPlan:
     """A mapping from group key to :class:`GroupDecision`."""
 
@@ -119,7 +123,7 @@ class ExecutionPlan:
     # -- access -----------------------------------------------------------------------
     def decision(self, key: Hashable) -> GroupDecision:
         """Decision for one group (discard when the plan does not mention it)."""
-        return self._decisions.get(key, GroupDecision.discard())
+        return self._decisions.get(key, _DISCARD)
 
     @property
     def decisions(self) -> Dict[Hashable, GroupDecision]:
@@ -148,21 +152,25 @@ class ExecutionPlan:
         return self._decisions == other._decisions
 
     # -- expectations --------------------------------------------------------------------
-    def expected_retrievals(self, model: SelectivityModel, remaining_only: bool = True) -> float:
-        """Expected number of retrieved tuples under ``model``."""
-        total = 0.0
+    def _expected_counts(
+        self, model: SelectivityModel, remaining_only: bool
+    ) -> Tuple[float, float]:
+        """Expected ``(retrievals, evaluations)``, from one pass over ``model``."""
+        retrievals = evaluations = 0.0
         for group in model:
             size = group.remaining if remaining_only else group.size
-            total += size * self.decision(group.key).retrieve_probability
-        return total
+            decision = self.decision(group.key)
+            retrievals += size * decision.retrieve_probability
+            evaluations += size * decision.evaluate_probability
+        return retrievals, evaluations
+
+    def expected_retrievals(self, model: SelectivityModel, remaining_only: bool = True) -> float:
+        """Expected number of retrieved tuples under ``model``."""
+        return self._expected_counts(model, remaining_only)[0]
 
     def expected_evaluations(self, model: SelectivityModel, remaining_only: bool = True) -> float:
         """Expected number of UDF evaluations under ``model``."""
-        total = 0.0
-        for group in model:
-            size = group.remaining if remaining_only else group.size
-            total += size * self.decision(group.key).evaluate_probability
-        return total
+        return self._expected_counts(model, remaining_only)[1]
 
     def expected_cost(
         self,
@@ -177,10 +185,7 @@ class ExecutionPlan:
         (one retrieval plus one evaluation each) is added, matching the
         objective of Convex Program 4.1.
         """
-        cost = cost_model.plan_cost(
-            self.expected_retrievals(model, remaining_only),
-            self.expected_evaluations(model, remaining_only),
-        )
+        cost = cost_model.plan_cost(*self._expected_counts(model, remaining_only))
         if include_sampling:
             sampled = sum(group.sampled for group in model)
             cost += sampled * (cost_model.retrieval_cost + cost_model.evaluation_cost)

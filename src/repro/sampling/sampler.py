@@ -110,9 +110,15 @@ class SampleOutcome:
         return rows
 
     def merge(self, other: "SampleOutcome") -> "SampleOutcome":
-        """Combine two outcomes (used by adaptive sampling rounds)."""
+        """Combine two outcomes (used by adaptive sampling rounds).
+
+        Groups keep first-seen order — this outcome's, then ``other``'s new
+        ones — never set order: that follows string hashing, which differs
+        between processes, and the order of the merged groups is the order of
+        the sampled positives in a query's ``row_ids``.
+        """
         merged: Dict[Hashable, GroupSample] = {}
-        for key in set(self.samples) | set(other.samples):
+        for key in dict.fromkeys([*self.samples, *other.samples]):
             left = self.samples.get(key)
             right = other.samples.get(key)
             if left is None:

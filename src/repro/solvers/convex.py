@@ -6,61 +6,86 @@ cost subject to constraints of the form::
     linear(x)  -  e_rho * sqrt(convex quadratic(x))  >=  0
 
 The left-hand side is concave, so the feasible set is convex and any local
-solver finds the global optimum.  This module wraps :func:`scipy.optimize.minimize`
-(SLSQP) with:
+solver finds the global optimum.  A :class:`ConvexProblem` states its
+constraints as arrays, not as lists of Python objects: the nonlinear rows are
+**one** vector-valued ``(fun, jac)`` pair and the linear rows are one
+``(matrix, offsets)`` block.  :meth:`ConvexProblem.oracle` stacks the two into
+the single constraint :func:`scipy.optimize.minimize` (SLSQP) is given — one
+values callback and one jacobian callback per iteration, both returning
+preallocated arrays, the jacobian's linear rows written once.  Around that
+solve this module adds:
 
-* multiple deterministic starting points (all-evaluate, all-retrieve,
-  mid-point, plus caller-provided warm starts such as the BiGreedy solution),
+* multiple deterministic starting points (all-evaluate, mid-point, near the
+  top, after caller-provided warm starts such as the BiGreedy solution),
 * explicit feasibility checking of every candidate, and
 * a typed error when no feasible point is found.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from repro.solvers.linear import InfeasibleProblemError
 
-ConstraintFn = Callable[[np.ndarray], float]
-ConstraintJac = Callable[[np.ndarray], np.ndarray]
-#: A constraint is a bare callable (numerically differentiated by SLSQP) or
-#: a ``(fun, jac)`` pair with an analytic gradient — the analytic form turns
-#: every jacobian evaluation from ``2k+1`` function calls into one.
-Constraint = Union[ConstraintFn, Tuple[ConstraintFn, ConstraintJac]]
+#: ``fun(x)`` returns the nonlinear constraint values ``g(x)`` as a vector,
+#: ``jac(x)`` their jacobian, one row per value.  Either may return the same
+#: buffer on every call: the caller copies what it keeps.
+ConstraintFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _constraint_fn(constraint: Constraint) -> ConstraintFn:
-    return constraint[0] if isinstance(constraint, tuple) else constraint
+@dataclass
+class LinearBlock:
+    """Linear rows ``matrix @ x >= offsets``."""
+
+    matrix: np.ndarray
+    offsets: np.ndarray
+
+    def append(self, inequality: Tuple[Sequence[float], float]) -> None:
+        """Add one ``(row, bound)`` meaning ``row @ x >= bound``."""
+        row, bound = inequality
+        self.matrix = np.vstack([self.matrix, np.asarray(row, dtype=float)])
+        self.offsets = np.append(self.offsets, float(bound))
 
 
 @dataclass
 class ConvexProblem:
-    """``minimize objective @ x`` subject to ``g_i(x) >= 0`` and box bounds.
+    """``minimize objective @ x`` subject to ``g(x) >= 0`` and box bounds.
 
     Attributes
     ----------
     objective:
         Linear cost vector.
-    inequality_constraints:
-        Callables ``g_i`` that must satisfy ``g_i(x) >= 0`` at a feasible
-        point, optionally as ``(g_i, grad_g_i)`` pairs carrying an analytic
-        jacobian.  Each must be concave for the solution to be globally
-        optimal, which is the case for all programs in the paper.
+    constraints:
+        The nonlinear rows as one ``(fun, jac)`` pair: ``fun(x)`` is a vector
+        that must be ``>= 0`` at a feasible point and ``jac(x)`` its analytic
+        jacobian.  Every component must be concave for the solution to be
+        globally optimal, which is the case for all programs in the paper.
+        Defaults to no rows.
     linear_inequalities:
-        ``(row, bound)`` pairs meaning ``row @ x >= bound`` (used for the
-        ``R_a >= E_a`` coupling constraints).
+        The linear rows (used for the ``R_a >= E_a`` coupling constraints);
+        starts empty unless given.
     bounds:
-        Per-variable ``(low, high)``; defaults to ``[0, 1]``.
+        Per-variable ``(low, high)``; defaults to ``[0, 1]``.  Held as one
+        ``(n, 2)`` array.
     """
 
     objective: Sequence[float]
-    inequality_constraints: List[Constraint] = field(default_factory=list)
-    linear_inequalities: List[Tuple[Sequence[float], float]] = field(default_factory=list)
-    bounds: Optional[List[Tuple[float, float]]] = None
+    constraints: Optional[Tuple[ConstraintFn, ConstraintFn]] = None
+    linear_inequalities: Optional[LinearBlock] = None
+    bounds: Optional[Sequence[Tuple[float, float]]] = None
+
+    def __post_init__(self) -> None:
+        self.objective = np.asarray(self.objective, dtype=float)
+        n = self.num_variables
+        if self.constraints is None:
+            self.constraints = (lambda x: np.empty(0), lambda x: np.empty((0, n)))
+        if self.linear_inequalities is None:
+            self.linear_inequalities = LinearBlock(np.empty((0, n)), np.empty(0))
+        self.bounds = np.asarray(self.bounds or [(0.0, 1.0)] * n, dtype=float).reshape(n, 2)
 
     @property
     def num_variables(self) -> int:
@@ -69,22 +94,60 @@ class ConvexProblem:
 
     def cost(self, x: np.ndarray) -> float:
         """Objective value at ``x``."""
-        return float(np.dot(np.asarray(self.objective, dtype=float), x))
+        return float(np.dot(self.objective, x))
+
+    def oracle(self) -> Tuple[ConstraintFn, ConstraintFn]:
+        """Every constraint row as one ``(values, jacobian)`` pair for SLSQP.
+
+        Rows are the nonlinear ones, then the linear block.  Both callbacks
+        write into arrays allocated here; the jacobian's linear rows never
+        change, so they are filled once.
+        """
+        fun, jac = self.constraints
+        matrix, offsets = self.linear_inequalities.matrix, self.linear_inequalities.offsets
+        head = np.size(fun(self.bounds[:, 0]))
+        out = np.empty(head + offsets.size)
+        normals = np.empty((out.size, self.num_variables))
+        normals[head:] = matrix
+
+        def values(x: np.ndarray) -> np.ndarray:
+            out[:head] = fun(x)
+            np.subtract(matrix @ x, offsets, out=out[head:])
+            return out
+
+        def jacobian(x: np.ndarray) -> np.ndarray:
+            normals[:head] = jac(x)
+            return normals
+
+        return values, jacobian
 
     def violation(self, x: np.ndarray, tolerance: float = 1e-7) -> float:
-        """Maximum constraint violation at ``x`` (0 when feasible)."""
-        worst = 0.0
-        for constraint in self.inequality_constraints:
-            worst = max(worst, -float(_constraint_fn(constraint)(x)))
-        for row, bound in self.linear_inequalities:
-            worst = max(worst, bound - float(np.dot(row, x)))
-        bounds = self.bounds or [(0.0, 1.0)] * self.num_variables
-        for value, (low, high) in zip(x, bounds):
-            worst = max(worst, low - value, value - high)
+        """Maximum constraint violation at ``x`` (0 when feasible).
+
+        A quirk kept on purpose, because feasibility verdicts hang off it:
+        the worst shortfall comes back *as is* up to ``tolerance`` and
+        ``worst - tolerance`` above it, so the result jumps down by
+        ``tolerance`` just past that point.  NaN rows are ignored.
+        """
+        x = np.asarray(x, dtype=float)
+        block = self.linear_inequalities
+        shortfalls = np.concatenate(
+            [
+                -np.ravel(self.constraints[0](x)),
+                block.offsets - block.matrix @ x,
+                self.bounds[:, 0] - x,
+                x - self.bounds[:, 1],
+            ]
+        )
+        worst = float(np.fmax.reduce(shortfalls, initial=0.0))
         return max(0.0, worst - tolerance if worst > tolerance else worst)
 
     def is_feasible(self, x: np.ndarray, tolerance: float = 1e-6) -> bool:
-        """Whether ``x`` satisfies every constraint within ``tolerance``."""
+        """Whether ``x`` satisfies every constraint within ``tolerance``.
+
+        ``tolerance`` bounds :meth:`violation`'s result, which is computed at
+        that method's own default (``1e-7``) — the two do not share one.
+        """
         return self.violation(x) <= tolerance
 
 
@@ -130,67 +193,34 @@ class ConvexSolver:
         :class:`InfeasibleProblemError` when every attempt fails the
         feasibility check.
         """
-        n = problem.num_variables
-        bounds = problem.bounds or [(0.0, 1.0)] * n
-        highs = np.asarray([b[1] for b in bounds], dtype=float)
-        lows = np.asarray([b[0] for b in bounds], dtype=float)
+        lows, highs = problem.bounds.T
+        bounds = Bounds(lows, highs)
 
         def starts() -> Iterator[np.ndarray]:
             for warm in warm_starts or ():
-                yield np.clip(np.asarray(warm, dtype=float), 0.0, 1.0)
+                yield np.clip(np.asarray(warm, dtype=float), lows, highs)
             yield highs.copy()                  # all retrieve + evaluate
             yield (lows + highs) / 2.0          # mid point
             yield lows + 0.9 * (highs - lows)   # near the top
 
-        objective_vector = np.asarray(problem.objective, dtype=float)
-
-        def objective(x: np.ndarray) -> float:
-            return float(np.dot(objective_vector, x))
-
-        def objective_grad(x: np.ndarray) -> np.ndarray:
-            return objective_vector
-
-        scipy_constraints = []
-        for constraint in problem.inequality_constraints:
-            if isinstance(constraint, tuple):
-                fun, jac = constraint
-                scipy_constraints.append({"type": "ineq", "fun": fun, "jac": jac})
-            else:
-                scipy_constraints.append({"type": "ineq", "fun": constraint})
-        if problem.linear_inequalities:
-            # One vector-valued constraint for every linear row: SLSQP calls
-            # a single callback with an exact jacobian instead of one python
-            # closure (numerically differentiated) per coupling row.
-            matrix = np.asarray(
-                [row for row, _ in problem.linear_inequalities], dtype=float
-            )
-            offsets = np.asarray(
-                [bound for _, bound in problem.linear_inequalities], dtype=float
-            )
-            scipy_constraints.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda x, m=matrix, b=offsets: m @ x - b),
-                    "jac": (lambda x, m=matrix: m),
-                }
-            )
+        values, jacobian = problem.oracle()
+        constraint = {"type": "ineq", "fun": values, "jac": jacobian}
 
         best: Optional[ConvexSolution] = None
         tried: List[np.ndarray] = []
         for start in starts():
             tried.append(start)
             result = minimize(
-                objective,
+                problem.cost,
                 start,
-                jac=objective_grad,
+                jac=lambda x: problem.objective,
                 bounds=bounds,
-                constraints=scipy_constraints,
+                constraints=constraint,
                 method="SLSQP",
                 options={"maxiter": self.max_iterations, "ftol": self.tolerance},
             )
             candidate = np.clip(np.asarray(result.x, dtype=float), lows, highs)
-            feasible = problem.is_feasible(candidate, self.feasibility_tolerance)
-            if not feasible:
+            if not problem.is_feasible(candidate, self.feasibility_tolerance):
                 continue
             cost = problem.cost(candidate)
             if best is None or cost < best.objective_value:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
-
 
 def beta_mean(positives: int, negatives: int) -> float:
     """Posterior mean selectivity after ``positives``/``negatives`` outcomes."""
@@ -88,21 +86,32 @@ class BetaPosterior:
         """Standard deviation of the posterior."""
         return self.variance**0.5
 
+    def _distribution(self):
+        """The posterior as a frozen scipy distribution.
+
+        ``scipy.stats`` is imported here, not at module level: it is half of
+        what ``import repro`` costs, every process and every spawned pool
+        worker would pay it, and only the three cold methods below use it.
+        """
+        from scipy import stats
+
+        return stats.beta(self.alpha, self.beta)
+
     def credible_interval(self, level: float = 0.95) -> tuple[float, float]:
         """Equal-tailed credible interval for the selectivity."""
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {level}")
         lower_q = (1.0 - level) / 2.0
-        dist = _scipy_stats.beta(self.alpha, self.beta)
+        dist = self._distribution()
         return float(dist.ppf(lower_q)), float(dist.ppf(1.0 - lower_q))
 
     def pdf(self, x: float) -> float:
         """Posterior density at ``x``."""
-        return float(_scipy_stats.beta(self.alpha, self.beta).pdf(x))
+        return float(self._distribution().pdf(x))
 
     def cdf(self, x: float) -> float:
         """Posterior cumulative distribution at ``x``."""
-        return float(_scipy_stats.beta(self.alpha, self.beta).cdf(x))
+        return float(self._distribution().cdf(x))
 
     def updated(self, positives: int, negatives: int) -> "BetaPosterior":
         """Return a new posterior after observing more evaluations."""

@@ -8,7 +8,7 @@ from repro.sampling.adaptive import (
     choose_num_adaptively,
     default_num_schedule,
 )
-from repro.sampling.sampler import GroupSampler, SampleOutcome
+from repro.sampling.sampler import GroupSample, GroupSampler, SampleOutcome
 from repro.sampling.schemes import ConstantScheme
 
 
@@ -56,6 +56,22 @@ class TestGroupSampler:
         assert overlap == set()
         merged = first.merge(second)
         assert merged.samples[3].sample_size == 5
+
+    def test_merge_keeps_first_seen_group_order(self):
+        # Not set order: that follows string hashing, which changes from
+        # process to process and would reorder the answer's sampled rows.
+        def outcome(keys):
+            return SampleOutcome(
+                samples={
+                    key: GroupSample(key, [row], [row], group_size=9)
+                    for row, key in enumerate(keys)
+                }
+            )
+
+        merged = outcome(["zeta", "alpha", "mid"]).merge(outcome(["omega", "alpha", "beta"]))
+        assert list(merged.samples) == ["zeta", "alpha", "mid", "omega", "beta"]
+        assert merged.samples["alpha"].sampled_row_ids == [1, 1]
+        assert merged.positive_row_ids() == [0, 1, 1, 2, 0, 2]
 
     def test_outcome_totals(self, toy_table, toy_index, toy_udf):
         outcome = GroupSampler(random_state=1).sample(

@@ -101,3 +101,27 @@ class TestBetaPosterior:
     def test_invalid_counts_raise(self):
         with pytest.raises(ValueError):
             BetaPosterior(positives=-1, negatives=0)
+
+
+def test_importing_the_worker_module_does_not_import_scipy_stats():
+    # Every process — and every spawned or respawned pool worker — imports
+    # ``repro.core.procpool``; ``scipy.stats`` is a third of that and only
+    # the three cold ``BetaPosterior`` methods above need it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import sys, repro.core.procpool\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported at start-up'\n"
+        "from repro.stats.beta import BetaPosterior\n"
+        "assert 0.0 < BetaPosterior(3, 1).cdf(0.5) < 1.0\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
