@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 from conftest import run_once, write_result
 
 from repro.core.constraints import QueryConstraints
@@ -191,9 +192,11 @@ def _batch_determinism(scale: float):
             )
 
         first, second = run(), run()
-        assert first.row_ids == second.row_ids, (
-            f"BatchExecutor not seed-deterministic on {name}"
-        )
+        # Order-sensitive, as tests/conftest.py::assert_same_rows (whose
+        # fixture this separate conftest tree cannot see).
+        assert first.row_ids.dtype == np.intp and np.array_equal(
+            first.row_ids, second.row_ids
+        ), f"BatchExecutor not seed-deterministic on {name}"
         results[name] = {
             "rows": dataset.num_rows,
             "returned": len(first.row_ids),

@@ -72,7 +72,9 @@ The whole query path is *array-native by default*:
   one bulk UDF call per group, over per-group candidate rows that are
   prepared once per (group index, sample outcome) and memoised on the index
   (the candidate frame, see :mod:`repro.core.executor`), so a plan-cache
-  hit only flips coins.  The tuple-at-a-time
+  hit only flips coins and hands back their concatenation: every backend's
+  answer (``QueryResult.row_ids``) is one read-only ``intp`` array,
+  ``.tolist()`` away from python ints.  The tuple-at-a-time
   :class:`~repro.core.PlanExecutor` remains the paper-faithful reference:
   both backends share one coin discipline (see
   :mod:`repro.core.executor`), so for a fixed seed they return *identical*

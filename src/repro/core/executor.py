@@ -38,7 +38,8 @@ sorted-membership exclusion (:func:`sampled_members` then
 (:meth:`GroupIndex.derived <repro.db.index.GroupIndex.derived>`) under the
 *identity* of the outcome.  What a plan hit then does per group is flip
 coins over a ready array; what it returns is one ``np.concatenate`` of
-per-group chunks, so no per-row python object is built on the way.
+per-group chunks — the array the caller receives — so no per-row python
+object is built anywhere between the coins and the caller.
 
 Identity keys are sufficient because both inputs are replaced, never
 edited, when the data they describe changes: an append gives the table a
@@ -87,15 +88,15 @@ from typing import (
     Optional,
     Protocol,
     Tuple,
-    Union,
     runtime_checkable,
 )
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.plan import ExecutionPlan
 from repro.db.index import GroupIndex
-from repro.db.table import Table
+from repro.db.table import Table, as_row_ids
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -129,23 +130,24 @@ class GroupExecutionCounts:
 class ExecutionResult:
     """Outcome of executing a plan.
 
-    ``returned_row_ids`` is a python list from the serial backends and a
-    numpy ``intp`` array from the parallel backend (which never materialises
-    per-row python ints on its critical path); both iterate, index, ``len()``
-    and set-convert identically.
+    ``returned_row_ids`` is a read-only 1-d ``intp`` array from every
+    backend (whatever the constructor is given is normalised by
+    :func:`~repro.db.table.as_row_ids`): elements are NumPy integers, the
+    array may be shared with other results and must not be written to;
+    ``returned_row_ids.tolist()`` gives python ints.
     """
 
-    returned_row_ids: Union[List[int], np.ndarray]
+    returned_row_ids: npt.NDArray[np.intp]
     ledger: CostLedger
     group_counts: Dict[Hashable, GroupExecutionCounts] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.returned_row_ids = as_row_ids(self.returned_row_ids)
+
     @cached_property
     def returned_set(self) -> FrozenSet[int]:
-        """Returned row ids as a read-only set (built once, then cached)."""
-        ids = self.returned_row_ids
-        if isinstance(ids, np.ndarray):
-            return frozenset(ids.tolist())  # C-level python-int conversion
-        return frozenset(ids)
+        """Returned row ids as a read-only set of python ints (built once)."""
+        return frozenset(self.returned_row_ids.tolist())
 
     @property
     def total_cost(self) -> float:
@@ -503,7 +505,7 @@ class BatchExecutor:
             active_span.add("retrievals", ledger.retrieved_count - ledger_before[0])
             active_span.add("udf_evals", ledger.evaluated_count - ledger_before[1])
         return ExecutionResult(
-            returned_row_ids=np.concatenate(chunks).tolist(),
+            returned_row_ids=np.concatenate(chunks),
             ledger=ledger,
             group_counts=group_counts,
         )

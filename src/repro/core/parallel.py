@@ -332,10 +332,9 @@ def merge_span_outcomes(
 
     Merges in (group, span) order: spans are ascending row ranges, so
     concatenating a group's per-span parts in span order reproduces the
-    serial group-major, row-ascending output order exactly.  The result
-    stays a single numpy array — materialising hundreds of thousands of
-    python ints would put an O(returned) GIL-bound loop back on the serial
-    critical path.  ``group_counts`` is mutated in place.
+    serial group-major, row-ascending output order exactly.  The result is
+    the one ``intp`` array :class:`ExecutionResult` carries to the caller
+    from every backend.  ``group_counts`` is mutated in place.
     """
     merged: Dict[int, List[np.ndarray]] = {}
     group_keys = index.values  # the property copies; read it once

@@ -164,8 +164,9 @@ def spec_evaluate(
     needed column blocks, then either takes the vectorised label fast path or
     builds python row dicts and calls ``spec.func`` — the exact evaluation
     the parent's ``UserDefinedFunction`` would have performed for
-    un-memoised rows.  Row dict values are python scalars (``ndarray.item``),
-    matching ``Table.row`` fidelity.
+    un-memoised rows.  Row dict values are python scalars (one
+    ``ndarray.tolist`` per needed column slice), matching ``Table.row``
+    fidelity.
     """
     result = np.empty(row_ids.size, dtype=bool)
     if not row_ids.size:
@@ -180,23 +181,12 @@ def spec_evaluate(
             labels = attach_array(export.columns[spec.label_column])
             result[mask] = labels[local] == spec.positive_value
         else:
-            arrays = {
-                name: attach_array(block) for name, block in export.columns.items()
-            }
-            names = list(arrays)
-            values = np.fromiter(
-                (
-                    bool(
-                        spec.func(
-                            {name: arrays[name].item(int(row)) for name in names}
-                        )
-                    )
-                    for row in local
-                ),
+            cells = [attach_array(block)[local].tolist() for block in export.columns.values()]
+            result[mask] = np.fromiter(
+                (bool(spec.func(dict(zip(export.columns, row)))) for row in zip(*cells)),
                 dtype=bool,
                 count=int(local.size),
             )
-            result[mask] = values
     return result
 
 

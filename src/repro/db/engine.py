@@ -16,11 +16,12 @@ from functools import cached_property
 from typing import Any, Dict, FrozenSet, List, Optional, Protocol, Set, Union
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.db.catalog import Catalog
 from repro.db.errors import DuplicateObjectError, UnsupportedQueryError
 from repro.db.query import SelectQuery
-from repro.db.table import Table
+from repro.db.table import Table, as_row_ids
 from repro.resilience.deadline import check_deadline
 from repro.db.udf import CostLedger
 from repro.obs import metrics as _metrics
@@ -93,10 +94,13 @@ class QueryResult:
     Attributes
     ----------
     row_ids:
-        Row ids returned by the (possibly approximate) evaluation — a python
-        list, or a numpy array when produced by the parallel executor (same
-        iteration/len/set semantics; the array form avoids materialising one
-        python int per returned row on large results).
+        Row ids returned by the (possibly approximate) evaluation: always a
+        read-only 1-d ``intp`` array, whichever strategy or executor produced
+        it (the constructor normalises lists and other iterables through
+        :func:`~repro.db.table.as_row_ids`).  Elements are NumPy integers;
+        the array may be shared with other results (a coalesced follower
+        holds its leader's), so it cannot be written to.
+        ``row_ids.tolist()`` gives python ints, :attr:`row_id_set` a set.
     ledger:
         The cost ledger charged during evaluation (sampling included).
     quality:
@@ -107,17 +111,18 @@ class QueryResult:
         Free-form strategy diagnostics (chosen column, sample sizes, ...).
     """
 
-    row_ids: Union[List[int], np.ndarray]
+    row_ids: npt.NDArray[np.intp]
     ledger: CostLedger
     quality: Optional[ResultQuality] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.row_ids = as_row_ids(self.row_ids)
+
     @cached_property
     def row_id_set(self) -> FrozenSet[int]:
-        """The returned row ids as a read-only set (built once, then cached)."""
-        if isinstance(self.row_ids, np.ndarray):
-            return frozenset(self.row_ids.tolist())  # C-level int conversion
-        return frozenset(self.row_ids)
+        """The returned row ids as a read-only set of python ints (built once)."""
+        return frozenset(self.row_ids.tolist())
 
     @property
     def total_cost(self) -> float:
@@ -237,7 +242,7 @@ class Engine:
         else:
             matched = candidates
         return QueryResult(
-            row_ids=matched.tolist(),
+            row_ids=matched,
             ledger=ledger,
             metadata={
                 "strategy": "exact",
@@ -292,11 +297,14 @@ class Engine:
         every UDF value and can therefore measure the precision and recall an
         algorithm actually achieved.
         """
-        truth = self.ground_truth(query)
-        return result_quality(result.row_ids, truth)
+        return result_quality(result.row_ids, self._truth_mask(query))
 
     def ground_truth(self, query: SelectQuery) -> Set[int]:
-        """The exact answer set, computed outside the cost model.
+        """The exact answer set, computed outside the cost model."""
+        return set(np.flatnonzero(self._truth_mask(query)).tolist())
+
+    def _truth_mask(self, query: SelectQuery) -> np.ndarray:
+        """The exact answer as a boolean mask over the table's rows.
 
         Runs every UDF in oracle mode so that peeking at the truth leaves no
         trace — no memo-cache writes, no counter advances.  Otherwise a
@@ -305,14 +313,14 @@ class Engine:
         """
         table = self.catalog.table(query.table)
         candidates = self._apply_cheap_predicates(table, query)
-        free_ledger = CostLedger(retrieval_cost=0.0, evaluation_cost=0.0)
-        if not candidates.size:
-            return set()
-        with ExitStack() as stack:
-            for predicate in query.udf_predicates:
-                stack.enter_context(predicate.udf.oracle_mode())
-            mask = query.predicate.evaluate_rows(table, candidates, free_ledger)
-            return set(candidates[mask].tolist())
+        truth = np.zeros(table.num_rows, dtype=bool)
+        if candidates.size:
+            free_ledger = CostLedger(retrieval_cost=0.0, evaluation_cost=0.0)
+            with ExitStack() as stack:
+                for predicate in query.udf_predicates:
+                    stack.enter_context(predicate.udf.oracle_mode())
+                truth[candidates] = query.predicate.evaluate_rows(table, candidates, free_ledger)
+        return truth
 
     # -- helpers --------------------------------------------------------------------
     def _udf_counters(self, query: SelectQuery) -> Dict[str, Dict[str, int]]:

@@ -25,6 +25,7 @@ from typing import (
 )
 
 import numpy as np
+import numpy.typing as npt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (index imports table)
     from repro.db.index import GroupIndex
@@ -57,6 +58,22 @@ def coerce_cells_to_array(values: Sequence[Any]) -> np.ndarray:
     except ValueError:
         array = np.empty(len(values), dtype=object)
         array[:] = values
+    return array
+
+
+def as_row_ids(ids: Iterable[int]) -> npt.NDArray[np.intp]:
+    """``ids`` as the one answer type: a read-only 1-d ``intp`` array.
+
+    Where :class:`~repro.db.engine.QueryResult` and
+    :class:`~repro.core.executor.ExecutionResult` normalise what producers
+    hand them.  An ``intp`` array is not copied: it is handed over, and is
+    read-only from then on through the producer's own handle as well — which
+    is what lets several results share one answer safely.
+    """
+    array = np.asarray(ids, dtype=np.intp)
+    if array.ndim != 1:
+        raise ValueError(f"row ids must be one-dimensional, got shape {array.shape}")
+    array.setflags(write=False)
     return array
 
 

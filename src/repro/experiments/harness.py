@@ -217,7 +217,7 @@ def run_strategy(
         )
         ledger = config.new_ledger()
         result = strategy.answer(dataset.table, udf, constraints, ledger)
-        quality = result_quality(result.row_ids, truth)
+        quality = result_quality(result.row_id_set, truth)
         stats.evaluations.append(ledger.evaluated_count)
         stats.retrievals.append(ledger.retrieved_count)
         stats.costs.append(ledger.total_cost)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable
 
+import numpy as np
+
 
 def precision(returned: AbstractSet, correct: AbstractSet) -> float:
     """Fraction of returned items that are correct.
@@ -17,9 +19,7 @@ def precision(returned: AbstractSet, correct: AbstractSet) -> float:
     An empty result is assigned precision 1.0 (nothing wrong was returned);
     this matches how the paper treats the degenerate all-discard plan.
     """
-    if not returned:
-        return 1.0
-    return len(returned & correct) / len(returned)
+    return precision_from_counts(len(returned & correct), len(returned))
 
 
 def recall(returned: AbstractSet, correct: AbstractSet) -> float:
@@ -27,18 +27,12 @@ def recall(returned: AbstractSet, correct: AbstractSet) -> float:
 
     If there are no correct items at all, recall is trivially 1.0.
     """
-    if not correct:
-        return 1.0
-    return len(returned & correct) / len(correct)
+    return recall_from_counts(len(returned & correct), len(correct))
 
 
 def f1_score(returned: AbstractSet, correct: AbstractSet) -> float:
     """Harmonic mean of precision and recall."""
-    p = precision(returned, correct)
-    r = recall(returned, correct)
-    if p + r == 0.0:
-        return 0.0
-    return 2.0 * p * r / (p + r)
+    return result_quality(returned, correct).f1
 
 
 def precision_from_counts(true_positives: int, returned_total: int) -> float:
@@ -106,14 +100,30 @@ class ResultQuality:
 
 
 def result_quality(returned: Iterable, correct: Iterable) -> ResultQuality:
-    """Compute a :class:`ResultQuality` from two collections of identifiers."""
-    returned_set = set(returned)
-    correct_set = set(correct)
-    intersection = returned_set & correct_set
+    """Compute a :class:`ResultQuality` from two collections of identifiers.
+
+    ``correct`` may instead be a boolean truth mask over the table's rows
+    (``mask[row_id]`` is whether the row belongs to the exact answer): then
+    ``returned`` is read as row ids and scattered into a second mask, so the
+    whole comparison is a handful of array passes with no per-row python
+    object.  Set semantics are kept — a repeated id counts once — and every
+    field equals what the set path returns for the same answer.
+    """
+    if isinstance(correct, np.ndarray) and correct.dtype == np.bool_:
+        ids = np.asarray(returned, dtype=np.intp)
+        if ids.size and int(ids.min()) < 0:
+            raise IndexError(f"negative row id {int(ids.min())}")  # would wrap around
+        seen = np.zeros(correct.size, dtype=bool)
+        seen[ids] = True
+        counts = np.count_nonzero(seen), np.count_nonzero(correct), np.count_nonzero(seen & correct)
+    else:
+        returned_set, correct_set = set(returned), set(correct)
+        counts = len(returned_set), len(correct_set), len(returned_set & correct_set)
+    returned_count, correct_count, true_positives = map(int, counts)
     return ResultQuality(
-        precision=precision(returned_set, correct_set),
-        recall=recall(returned_set, correct_set),
-        returned_count=len(returned_set),
-        correct_count=len(correct_set),
-        true_positive_count=len(intersection),
+        precision=precision_from_counts(true_positives, returned_count),
+        recall=recall_from_counts(true_positives, correct_count),
+        returned_count=returned_count,
+        correct_count=correct_count,
+        true_positive_count=true_positives,
     )

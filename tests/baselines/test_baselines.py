@@ -48,12 +48,12 @@ class TestNaive:
         average = sum(recalls) / len(recalls)
         assert abs(average - constraints.beta) < 0.05
 
-    def test_beta_zero_returns_nothing(self, small_lending_club):
+    def test_beta_zero_returns_nothing(self, small_lending_club, assert_same_rows):
         result = NaiveBaseline(random_state=2).answer(
             small_lending_club.table, small_lending_club.make_udf("naive_zero"),
             QueryConstraints(alpha=0.8, beta=0.0, rho=0.8), CostLedger(),
         )
-        assert result.row_ids == []
+        assert_same_rows(result.row_ids, [])
 
     def test_metadata(self, small_lending_club, constraints):
         result = NaiveBaseline(random_state=3).answer(

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # Make the package importable even without an installed distribution (the
@@ -17,8 +19,55 @@ from repro.core.constraints import CostModel, QueryConstraints  # noqa: E402
 from repro.core.groups import SelectivityModel  # noqa: E402
 from repro.datasets.lending_club import load_lending_club  # noqa: E402
 from repro.datasets.toy import toy_credit_table, toy_credit_udf  # noqa: E402
+from repro.db.catalog import Catalog  # noqa: E402
+from repro.db.engine import Engine  # noqa: E402
 from repro.db.index import GroupIndex  # noqa: E402
-from repro.db.udf import CostLedger  # noqa: E402
+from repro.db.predicate import UdfPredicate  # noqa: E402
+from repro.db.query import SelectQuery  # noqa: E402
+from repro.db.sharding import ShardedTable  # noqa: E402
+from repro.db.udf import CostLedger, UserDefinedFunction  # noqa: E402
+from repro.serving import QueryService, ServiceConfig  # noqa: E402
+
+
+def assert_same_rows(actual, expected):
+    """``actual`` is the one answer type and holds ``expected``'s ids, in order.
+
+    ``actual`` must be what results carry — a 1-d ``intp`` array; ``expected``
+    is another answer or a plain sequence of ids.  Order-sensitive: the
+    executors promise the same rows in the same (group-major, row-ascending)
+    order, not merely the same set.
+    """
+    assert isinstance(actual, np.ndarray), type(actual)
+    assert actual.dtype == np.intp and actual.ndim == 1, (actual.dtype, actual.shape)
+    expected = np.asarray(expected, dtype=np.intp)
+    assert np.array_equal(actual, expected), (actual, expected)
+
+
+@pytest.fixture(name="assert_same_rows", scope="session")
+def assert_same_rows_fixture():
+    """:func:`assert_same_rows`, for test modules (``conftest`` is not importable
+    by name from every directory — sub-directory conftests shadow it)."""
+    return assert_same_rows
+
+
+def blocks_allocated_by(action):
+    """``(blocks, result)``: pymalloc blocks live after ``action()`` that were
+    not before, with its result still held.  Repeats exactly for a warmed-up
+    action, which is what lets allocation gates run in tier-1."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        result = action()
+        return sys.getallocatedblocks() - before, result
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(name="blocks_allocated_by", scope="session")
+def blocks_allocated_by_fixture():
+    """:func:`blocks_allocated_by`, for test modules."""
+    return blocks_allocated_by
 
 
 @pytest.fixture
@@ -91,3 +140,67 @@ def small_lending_club():
 def tiny_lending_club():
     """A tiny (2%) Lending-Club-like dataset for the slowest paths."""
     return load_lending_club(random_state=321, scale=0.02)
+
+
+def warm_service(rows, name):
+    """A warmed service shaped like the benchmark's ``warm_hits`` workload.
+
+    ``rows`` rows in 4 shards, eight skewed groups of mixed selectivity (no
+    pure group, so solved plans both retrieve and evaluate and an answer is
+    roughly half the table), a label-column UDF, paper accounting, and four
+    signatures submitted until plans, memo and first-touch allocations are
+    all in place.  Returns ``(service, queries)``; the caller closes it.
+    """
+    fractions = (0.26, 0.20, 0.16, 0.12, 0.10, 0.08, 0.05, 0.03)
+    selectivities = (0.62, 0.35, 0.78, 0.22, 0.55, 0.88, 0.12, 0.45)
+    sizes = [int(round(fraction * rows)) for fraction in fractions]
+    sizes[0] += rows - sum(sizes)
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    labels = np.zeros(rows, dtype=bool)
+    start = 0
+    for size, selectivity in zip(sizes, selectivities):
+        labels[start : start + int(round(size * selectivity))] = True
+        start += size
+    order = np.random.default_rng(2015).permutation(rows)
+    table = ShardedTable.from_columns(
+        name,
+        {
+            "grade": [f"g{code}" for code in codes[order].tolist()],
+            "is_good": labels[order].tolist(),
+        },
+        hidden_columns=["is_good"],
+        num_shards=4,
+    )
+    udf = UserDefinedFunction.from_label_column(f"{name}_label", "is_good")
+    catalog = Catalog()
+    catalog.register_table(table)
+    catalog.register_udf(udf)
+    service = QueryService(Engine(catalog), config=ServiceConfig(free_memoized=False))
+    queries = [
+        SelectQuery(
+            table=name,
+            predicate=UdfPredicate(udf),
+            alpha=alpha,
+            beta=beta,
+            rho=0.8,
+            correlated_column="grade",
+        )
+        for alpha, beta in ((0.80, 0.80), (0.90, 0.70), (0.70, 0.90), (0.85, 0.75))
+    ]
+    for position, query in enumerate(queries * 5):
+        service.submit(query, seed=2**53 + position)
+    return service, queries
+
+
+@pytest.fixture(scope="session")
+def warm_hits_service():
+    """The 20k-row :func:`warm_service`, shared: ``(service, queries)``."""
+    service, queries = warm_service(20_000, "warmhits")
+    yield service, queries
+    service.close()
+
+
+@pytest.fixture(name="warm_service", scope="session")
+def warm_service_fixture():
+    """:func:`warm_service` itself, for tests that need another size."""
+    return warm_service

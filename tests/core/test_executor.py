@@ -22,12 +22,14 @@ class TestDeterministicPlans:
         assert ledger.retrieved_count == toy_table.num_rows
         assert ledger.evaluated_count == toy_table.num_rows
 
-    def test_discard_everything_returns_nothing(self, toy_table, toy_index, toy_udf):
+    def test_discard_everything_returns_nothing(
+        self, toy_table, toy_index, toy_udf, assert_same_rows
+    ):
         plan = ExecutionPlan.discard_everything(toy_index.values)
         result = PlanExecutor(random_state=0).execute(
             toy_table, toy_index, toy_udf, plan, CostLedger()
         )
-        assert result.returned_row_ids == []
+        assert_same_rows(result.returned_row_ids, [])
         assert result.total_cost == 0.0
 
     def test_return_without_evaluation_keeps_incorrect_tuples(
@@ -101,7 +103,7 @@ class TestProbabilisticPlans:
         fraction = ledger.evaluated_count / table.num_rows
         assert 0.2 < fraction < 0.4
 
-    def test_deterministic_given_seed(self, toy_table, toy_index, toy_udf):
+    def test_deterministic_given_seed(self, toy_table, toy_index, toy_udf, assert_same_rows):
         plan = ExecutionPlan(
             {key: GroupDecision(retrieve=0.5, evaluate=0.25) for key in toy_index.values}
         )
@@ -111,7 +113,7 @@ class TestProbabilisticPlans:
         b = PlanExecutor(random_state=3).execute(
             toy_table, toy_index, toy_udf, plan, CostLedger()
         )
-        assert a.returned_row_ids == b.returned_row_ids
+        assert_same_rows(a.returned_row_ids, b.returned_row_ids)
 
 
 class TestSampledTupleHandling:

@@ -76,7 +76,7 @@ def _run(table, index, outcome, seed=3):
 
 
 class TestFrameLifetime:
-    def test_frame_is_built_once_per_index_and_outcome(self):
+    def test_frame_is_built_once_per_index_and_outcome(self, assert_same_rows):
         table = _table()
         index = table.group_index("A")
         outcome = _outcome()
@@ -87,7 +87,7 @@ class TestFrameLifetime:
         assert all(not rows.flags.writeable for rows in frame.candidates)
         again = _run(table, index, outcome)
         assert candidate_frame(index, outcome) is frame
-        assert again.returned_row_ids == first.returned_row_ids
+        assert_same_rows(again.returned_row_ids, first.returned_row_ids)
 
     def test_equal_but_distinct_outcome_gets_its_own_frame(self):
         table = _table()
@@ -188,7 +188,7 @@ class TestFrameLifetime:
             r.tolist() for r in shared.candidates
         ]
 
-    def test_concurrent_hits_and_dying_outcomes_share_one_memo(self):
+    def test_concurrent_hits_and_dying_outcomes_share_one_memo(self, assert_same_rows):
         """Pool threads hit one (index, outcome) while other outcomes come and go."""
         import sys
         import threading
@@ -204,7 +204,7 @@ class TestFrameLifetime:
         def hit():
             try:
                 while time.monotonic() < stop_at:
-                    assert _run(table, index, outcome).returned_row_ids == expected
+                    assert_same_rows(_run(table, index, outcome).returned_row_ids, expected)
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 

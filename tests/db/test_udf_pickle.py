@@ -78,6 +78,54 @@ class TestWorkerSpec:
             udf.worker_spec()
 
 
+class TestWorkerRows:
+    """The row dicts a worker hands a python callable are ``Table.row``'s."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_rows_equal_table_rows_in_content_and_python_type(self, shards):
+        from repro.db.sharding import ShardedTable
+
+        rows = 41
+        rng = np.random.default_rng(4)
+        columns = {
+            "name": [f"n{int(v)}" for v in rng.integers(0, 9, rows)],  # str
+            "flag": [bool(v) for v in rng.random(rows) < 0.5],  # bool
+            "score": [float(v) for v in rng.normal(0.0, 3.0, rows)],  # float
+            "count": [int(v) for v in rng.integers(-5, 500, rows)],  # int
+        }
+        table = Table.from_columns("wrows", columns, hidden_columns=["flag"])
+        if shards > 1:
+            table = ShardedTable.from_table(table, num_shards=shards)
+        seen = []
+
+        def record(row):
+            seen.append(row)
+            return row["flag"]
+
+        spec = UdfSpec(name="rec", label_column=None, positive_value=True, func=record)
+        exports = export_table_spans(table, table.schema.column_names)
+        try:
+            # Unsorted, spanning every export, with both ends of the table.
+            ids = np.asarray([rows - 1, 0, 17, 5, 30, 29, 2, 16], dtype=np.intp)
+            outcomes = spec_evaluate(spec, exports, ids)
+        finally:
+            release_exports(table)
+        assert outcomes.tolist() == [columns["flag"][i] for i in ids.tolist()]
+        assert len(seen) == ids.size
+        # Rows are visited span by span; match them up by content.
+        expected = {
+            row_id: table.row(row_id, include_hidden=True) for row_id in ids.tolist()
+        }
+        by_key = {(row["name"], row["score"], row["count"]): row for row in seen}
+        for row_id, reference in expected.items():
+            got = by_key[(reference["name"], reference["score"], reference["count"])]
+            assert got == reference
+            assert list(got) == list(reference)  # same column order
+            for column, value in reference.items():
+                assert type(got[column]) is type(value), (column, type(got[column]))
+        assert {type(v) for v in seen[0].values()} == {str, bool, float, int}
+
+
 class TestMergeRemoteEvaluations:
     def _table(self, n=120):
         rng = np.random.default_rng(2)

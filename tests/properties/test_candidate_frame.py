@@ -116,7 +116,7 @@ def _execute(executor_class, table, index, plan, seed, outcome):
 @pytest.mark.parametrize("kind", ["table", "sharded", "lazy"])
 @settings(max_examples=40, deadline=None)
 @given(case=frame_cases())
-def test_memoised_frame_equals_fresh_frame_equals_reference(kind, case):
+def test_memoised_frame_equals_fresh_frame_equals_reference(kind, case, assert_same_rows):
     columns, decisions, samples, seed = case
     with tempfile.TemporaryDirectory() as directory:
         table, manager = _open_table(kind, columns, directory)
@@ -139,10 +139,10 @@ def test_memoised_frame_equals_fresh_frame_equals_reference(kind, case):
             )
             assert candidate_frame(unseen_index, unseen_outcome) is not frame
 
-            assert first == reference
-            assert memoised == reference
-            assert fresh == reference
-            assert all(type(row) is int for row in memoised[0])
+            for run in (first, memoised, fresh):
+                assert_same_rows(run[0], reference[0])
+                assert run[1:] == reference[1:]
+                assert not run[0].flags.writeable
 
             # The frame against the formulation it replaced.
             rebuilt = build_candidate_frame(index, outcome)

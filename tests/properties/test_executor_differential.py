@@ -53,8 +53,8 @@ def _run_both(dataset, plan, seed, outcome=None):
     return serial, serial_ledger, batch, batch_ledger
 
 
-def _assert_identical(serial, serial_ledger, batch, batch_ledger):
-    assert batch.returned_row_ids == serial.returned_row_ids
+def _assert_identical(assert_same_rows, serial, serial_ledger, batch, batch_ledger):
+    assert_same_rows(batch.returned_row_ids, serial.returned_row_ids)
     assert batch_ledger.retrieved_count == serial_ledger.retrieved_count
     assert batch_ledger.evaluated_count == serial_ledger.evaluated_count
     assert batch.group_counts.keys() == serial.group_counts.keys()
@@ -70,7 +70,7 @@ class TestExecutorSeedForSeed:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_random_plans_match(self, dataset_name, data):
+    def test_random_plans_match(self, dataset_name, data, assert_same_rows):
         dataset = _dataset(dataset_name)
         index = dataset.table.group_index(dataset.correlated_column)
         decisions = {}
@@ -87,10 +87,10 @@ class TestExecutorSeedForSeed:
             decisions[key] = GroupDecision(retrieve=retrieve, evaluate=evaluate)
         plan = ExecutionPlan(decisions)
         seed = data.draw(st.integers(0, 2**20), label="seed")
-        _assert_identical(*_run_both(dataset, plan, seed))
+        _assert_identical(assert_same_rows, *_run_both(dataset, plan, seed))
 
     @pytest.mark.parametrize("dataset_name", DATASETS)
-    def test_with_sampled_tuples(self, dataset_name):
+    def test_with_sampled_tuples(self, dataset_name, assert_same_rows):
         dataset = _dataset(dataset_name)
         index = dataset.table.group_index(dataset.correlated_column)
         sampler_udf = dataset.make_udf("sampler")
@@ -105,10 +105,12 @@ class TestExecutorSeedForSeed:
             {key: GroupDecision(retrieve=0.6, evaluate=0.3) for key in index.values}
         )
         for seed in range(5):
-            _assert_identical(*_run_both(dataset, plan, seed, outcome=outcome))
+            _assert_identical(
+                assert_same_rows, *_run_both(dataset, plan, seed, outcome=outcome)
+            )
 
     @pytest.mark.parametrize("dataset_name", DATASETS)
-    def test_full_pipeline_matches_across_backends(self, dataset_name):
+    def test_full_pipeline_matches_across_backends(self, dataset_name, assert_same_rows):
         """IntelSample returns identical results on either backend."""
         dataset = _dataset(dataset_name)
         constraints = QueryConstraints(alpha=0.8, beta=0.8, rho=0.8)
@@ -124,7 +126,7 @@ class TestExecutorSeedForSeed:
 
         batch = run(None)  # the default is BatchExecutor
         serial = run(lambda rng: PlanExecutor(random_state=rng))
-        assert batch.row_ids == serial.row_ids
+        assert_same_rows(batch.row_ids, serial.row_ids)
         assert batch.ledger.evaluated_count == serial.ledger.evaluated_count
         assert batch.ledger.retrieved_count == serial.ledger.retrieved_count
 

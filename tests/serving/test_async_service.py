@@ -97,6 +97,39 @@ class TestCoalescing:
         assert metrics["coalesced"] == 3
         assert "coalesced" in service.latency_snapshot()
 
+    def test_follower_cannot_edit_the_leaders_answer(self, assert_same_rows):
+        """The share is zero-copy and safe: neither side can write through it."""
+        gate = threading.Event()
+        udf = _gated_udf(gate)
+        catalog, _ = _setup(udf=udf, name="stab")
+        service = QueryService(Engine(catalog))
+        query = _query(udf, table="stab")
+
+        async def scenario():
+            leader = asyncio.create_task(service.submit_async(query, seed=5))
+            while not service._async_flights:
+                await asyncio.sleep(0.005)
+            follower = asyncio.create_task(service.submit_async(query, seed=5))
+            await asyncio.sleep(0.05)  # let the follower reach the flight await
+            gate.set()
+            return await asyncio.gather(leader, follower)
+
+        leader_result, follower_result = asyncio.run(scenario())
+        assert follower_result.metadata.get("coalesced") is True
+        assert leader_result.row_ids.size > 0
+        assert_same_rows(follower_result.row_ids, leader_result.row_ids)
+        before = leader_result.row_ids.tolist()
+        for result in (leader_result, follower_result):
+            assert not result.row_ids.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                result.row_ids[0] = -1
+            with pytest.raises(ValueError, match="read-only"):
+                result.row_ids.sort()
+        # Sharing memory is allowed (and is what happens); a leak through it is not.
+        assert np.shares_memory(leader_result.row_ids, follower_result.row_ids)
+        assert leader_result.row_ids.tolist() == before
+        assert follower_result.row_ids.tolist() == before
+
     def test_different_seed_follower_resubmits_warm(self):
         gate = threading.Event()
         udf = _gated_udf(gate)

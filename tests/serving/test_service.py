@@ -185,7 +185,7 @@ class TestPlanCaching:
 
 
 class TestConcurrency:
-    def test_concurrent_replay_matches_serial(self, serving_setup):
+    def test_concurrent_replay_matches_serial(self, serving_setup, assert_same_rows):
         """N threads over a warm shared service reproduce the serial replay."""
         dataset, catalog, udf = serving_setup
         service = QueryService(Engine(catalog))
@@ -204,7 +204,9 @@ class TestConcurrency:
             concurrent = list(
                 pool.map(lambda item: service.submit(item[0], seed=item[1]).row_ids, trace)
             )
-        assert concurrent == serial
+        assert len(concurrent) == len(serial)
+        for replayed, expected in zip(concurrent, serial):
+            assert_same_rows(replayed, expected)
 
     def test_single_flight_plans_once(self, serving_setup):
         dataset, catalog, udf = serving_setup
@@ -466,7 +468,7 @@ class TestGenerationRefresh:
         # are reachable by the refreshed plan)
         assert table.num_rows == 3060
 
-    def test_hit_after_refresh_serves_appended_rows_from_a_fresh_frame(self):
+    def test_hit_after_refresh_serves_appended_rows_from_a_fresh_frame(self, assert_same_rows):
         """Stale-frame guard: the memoised candidate frame dies with its inputs.
 
         The hit before the append memoises a frame on the pre-append index;
@@ -528,7 +530,7 @@ class TestGenerationRefresh:
             CostLedger(),
             sample_outcome=entry.sample_outcome,
         )
-        assert list(hit.row_ids) == reference.returned_row_ids
+        assert_same_rows(hit.row_ids, reference.returned_row_ids)
         assert hit.ledger.retrieved_count == reference.ledger.retrieved_count
 
     def test_refresh_recounts_stats_cache(self):
