@@ -88,10 +88,10 @@ def _measure(service, trace, seeds) -> float:
 
 def _counter_delta(service, udf, trace, seeds):
     before = udf.counter_snapshot()
-    solver_before = service.metrics()["solver_calls"]
+    solver_before = service.stats().serving["solver_calls"]
     _replay(service, trace, seeds)
     delta = udf.counter_delta(before)
-    delta["solver_calls"] = service.metrics()["solver_calls"] - solver_before
+    delta["solver_calls"] = service.stats().serving["solver_calls"] - solver_before
     return delta
 
 

@@ -109,7 +109,7 @@ def _serve(table, tag, budget_bytes=None):
         "udf_evaluations": int(udf.counter_snapshot()["calls"]),
         "charged_evaluations": int(result.ledger.evaluated_count),
         "charged_retrieves": int(result.ledger.retrieved_count),
-        "solver_calls": int(service.metrics()["solver_calls"]),
+        "solver_calls": int(service.stats().serving["solver_calls"]),
     }
     residency = service.stats().storage.get("residency")
     service.close()

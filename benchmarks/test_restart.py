@@ -151,10 +151,10 @@ def _restore_window(storage_dir, warm_row_ids):
     window = {
         "seconds": round(seconds, 4),
         "plan_cache": result.metadata["plan_cache"],
-        "plan_restored": int(service.metrics()["plan_restored"]),
+        "plan_restored": int(service.stats().serving["plan_restored"]),
         "udf_evaluations": int(udf.counter_snapshot()["calls"]),
         "charged_evaluations": int(result.ledger.evaluated_count),
-        "solver_calls": int(service.metrics()["solver_calls"]),
+        "solver_calls": int(service.stats().serving["solver_calls"]),
         "row_ids_mismatch": int(
             not np.array_equal(
                 np.asarray(result.row_ids, dtype=np.intp), warm_row_ids
@@ -188,7 +188,7 @@ def _cold_window(columns):
         "seconds": round(seconds, 4),
         "udf_evaluations": int(udf.counter_snapshot()["calls"]),
         "charged_evaluations": int(result.ledger.evaluated_count),
-        "solver_calls": int(service.metrics()["solver_calls"]),
+        "solver_calls": int(service.stats().serving["solver_calls"]),
     }
     service.close()
     return window

@@ -120,10 +120,10 @@ def _replay(service: QueryService, udf, trace, reset_memo: bool):
         bulk_calls += delta["bulk_calls"]
         row_calls += delta["row_calls"]
     elapsed = time.perf_counter() - started
-    solver_calls = service.metrics()["solver_calls"]
+    solver_calls = service.stats().serving["solver_calls"]
     # Always-on service histograms: informational latency percentiles ride
     # along in the payload but are never gated (wall-clock is runner-noisy).
-    latency = service.latency_snapshot().get("all") or {}
+    latency = service.stats().latency_ms.get("all") or {}
     return {
         "seconds": round(elapsed, 4),
         "queries_per_second": round(len(trace) / elapsed, 2),
@@ -168,7 +168,7 @@ def _serving_comparison(scale: float):
     # CI artifacts (uploaded by the bench-regression job, never gated).
     write_result("BENCH_serving_metrics.prom", prometheus_text(registry))
     write_result("BENCH_serving_slowlog.jsonl", slow_log.to_json_lines())
-    warm["plan_cache"] = warm_service.metrics()["plan_cache"]
+    warm["plan_cache"] = warm_service.stats().plan_cache
     return dataset, cold, warm
 
 

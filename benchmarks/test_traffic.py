@@ -155,8 +155,8 @@ def _load_phase():
 
     evaluations = sum(int(r.ledger.evaluated_count) for r in results)
     retrievals = sum(int(r.ledger.retrieved_count) for r in results)
-    metrics = service.metrics()
-    latency = service.latency_snapshot().get("all", {})
+    metrics = service.stats().serving
+    latency = service.stats().latency_ms.get("all", {})
     return {
         "work": {
             "queries": int(metrics["queries"]),
@@ -217,7 +217,7 @@ def _shed_phase():
     raised = sum(1 for item in burst if isinstance(item, Overloaded))
     completed = sum(1 for item in burst if not isinstance(item, BaseException))
     silent = len(burst) - raised - completed  # anything neither answered nor typed
-    counted = int(service.metrics()["shed"])
+    counted = int(service.stats().serving["shed"])
     return {
         "fired": SHED_BURST,
         "limit": SHED_LIMIT,
@@ -274,7 +274,7 @@ def _deadline_phase():
     burst = asyncio.run(parked())
     raised = sum(1 for item in burst if isinstance(item, DeadlineExceeded))
     unexpected = len(burst) - raised  # hung, answered, or wrongly-typed
-    counted = int(service.metrics()["deadline_exceeded"])
+    counted = int(service.stats().serving["deadline_exceeded"])
     return {
         "fired": DEADLINE_BURST,
         "timeout_s": DEADLINE_TIMEOUT_S,

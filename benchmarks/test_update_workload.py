@@ -141,13 +141,13 @@ def _refresh_window(service, table, udf, query, delta_columns, seed):
     rows_before_delta = table.num_rows
     builds_before = GroupIndex.builds_total
     extensions_before = GroupIndex.extensions_total
-    metrics_before = service.metrics()
+    metrics_before = service.stats().serving
     udf_before = udf.counter_snapshot()
     started = time.perf_counter()
     table.append_columns(delta_columns)
     result = service.submit(query, seed=seed)
     seconds = time.perf_counter() - started
-    metrics = service.metrics()
+    metrics = service.stats().serving
     return {
         "seconds": round(seconds, 4),
         "udf_evaluations": int(udf.counter_delta(udf_before)["calls"]),
@@ -189,7 +189,7 @@ def _cold_window(cumulative_columns, seed):
         "seconds": round(seconds, 4),
         "udf_evaluations": int(cold_udf.counter_snapshot()["calls"]),
         "charged_evaluations": int(cold_result.ledger.evaluated_count),
-        "solver_calls": int(cold_service.metrics()["solver_calls"]),
+        "solver_calls": int(cold_service.stats().serving["solver_calls"]),
     }
 
 

@@ -270,7 +270,7 @@ def demonstrate_restart(
     )
     cold_seconds = time.perf_counter() - started
     cold_evals = cold_udf.counter_snapshot()["calls"]
-    cold_solves = cold_service.metrics()["solver_calls"]
+    cold_solves = cold_service.stats().serving["solver_calls"]
     cold_service.close()
 
     print(f"\ndurable restart (--persist {persist_dir})")
@@ -359,15 +359,15 @@ def demonstrate_bounded_memory(dataset, table, args, backend) -> None:
 
 def print_metrics_report(service, sink) -> None:
     """Print the registry snapshot, latency percentiles and slowest trace."""
-    snapshot = service.metrics_snapshot()
-    counters = snapshot["registry"].get("counters", {})
+    snapshot = service.stats()
+    counters = snapshot.registry.get("counters", {})
     print("\nobservability (--metrics)")
     print("  registry counters (top 12 by value):")
     ranked = sorted(counters.items(), key=lambda item: -item[1])[:12]
     for name, value in ranked:
         print(f"    {name:<58s} {value:>12,.0f}")
     print("  per-path latency (ms):")
-    for path, stats in sorted(snapshot["latency_ms"].items()):
+    for path, stats in sorted(snapshot.latency_ms.items()):
         if not stats["count"]:
             continue
         print(
@@ -497,9 +497,10 @@ def main() -> None:
             churn_percent=args.churn, rng=RandomState(99),
         )
 
-    metrics = service.metrics()
-    plans = metrics["plan_cache"]
-    stats = metrics["stats_cache"]
+    snapshot = service.stats()
+    metrics = snapshot.serving
+    plans = snapshot.plan_cache
+    stats = snapshot.stats_cache
     print("\ncache effectiveness")
     print(f"  pipeline runs (solver invocations) : {metrics['pipeline_runs']}")
     print(f"  plan cache hit rate                : {plans['hit_rate']:.1%}")

@@ -50,7 +50,7 @@ thread-safe :class:`~repro.serving.QueryService`:
                         alpha=0.8, beta=0.8, rho=0.8)
     cold = service.submit(query, seed=0)   # plans, samples, solves
     warm = service.submit(query, seed=1)   # cache hit: execution only
-    print(service.metrics()["plan_cache"]["hit_rate"])
+    print(service.stats().plan_cache["hit_rate"])
 
 Paid-for UDF outcomes live in the UDF's own memo — one byte per row in an
 array indexed by row id (see :class:`~repro.db.UserDefinedFunction`) — so a
@@ -74,9 +74,14 @@ The whole query path is *array-native by default*:
   (the candidate frame, see :mod:`repro.core.executor`), so a plan-cache
   hit only flips coins and hands back their concatenation: every backend's
   answer (``QueryResult.row_ids``) is one read-only ``intp`` array,
-  ``.tolist()`` away from python ints.  The tuple-at-a-time
+  ``.tolist()`` away from python ints.  Execution is one kernel with two
+  coin sources and three placements (see :mod:`repro.core.executor`): the
+  same frame, the same charge rule (``evaluation_charge``) and the same
+  fold (``fold_group``) serve this sequential-coin loop and the
+  counter-coin span executors below, which place spans inline, on pool
+  threads or in worker processes.  The tuple-at-a-time
   :class:`~repro.core.PlanExecutor` remains the paper-faithful reference:
-  both backends share one coin discipline (see
+  both sequential backends share one coin discipline (see
   :mod:`repro.core.executor`), so for a fixed seed they return *identical*
   row ids and ledger counts; differential property tests in
   ``tests/properties`` enforce this.  Pass
@@ -152,7 +157,9 @@ the engine scales *out* instead:
   builds, bulk label reads) dominate, i.e. large tables (≳100k rows/query)
   on multi-core hosts: those kernels release the GIL, so thread workers
   genuinely overlap.  Per-row *python-callable* UDFs hold the GIL, so the
-  thread pool sits near (or below) 1x there — that regime belongs to the
+  thread executor never moves them onto pool threads (it decides from
+  ``udf.vectorised_on(table)``; the spans then run inline, at serial
+  speed) — that regime belongs to the
   ``"process"`` backend below.  On small tables or single cores the python
   orchestration dominates and ``BatchExecutor`` (or ``max_workers=1``, the
   documented serial fallback) is the right default — which is why
@@ -195,15 +202,23 @@ Serving under load
   leader's in-flight execution: followers share the leader's bitwise result
   (``metadata["coalesced"]``) and charge zero extra UDF work.
 * **One config, one stats surface** — :class:`~repro.serving.ServiceConfig`
-  is the single constructor knob (the pre-1.3 loose kwargs still work for
-  one release behind ``DeprecationWarning`` shims), executors are named
+  is the single constructor knob, executors are named
   ``"serial"`` / ``"thread"`` / ``"process"`` / ``"reference"``, and
   :meth:`QueryService.stats` returns one typed
   :class:`~repro.serving.ServiceStats` snapshot (schema in
   ``repro.serving.config.SERVICE_STATS_SCHEMA``, the stats-side sibling of
-  :func:`~repro.db.metadata_schema`); ``metrics()`` /
-  ``metrics_snapshot()`` / ``latency_snapshot()`` remain as exact-shape
-  aliases.
+  :func:`~repro.db.metadata_schema`).  Migrating from before 1.3: the
+  shims that release promised "for one release" were removed in 1.7 — the
+  loose ``QueryService`` keywords ``plan_cache_size``,
+  ``stats_cache_size``, ``ttl``, ``executor``, ``default_budget``,
+  ``free_memoized`` and ``max_workers`` (now a ``TypeError``; pass
+  ``config=ServiceConfig(...)``), the legacy executor names ``"batch"`` /
+  ``"parallel"`` / old ``"serial"`` (spell them ``"serial"`` /
+  ``"thread"`` / ``"reference"``; ``repro.serving.config.LEGACY_EXECUTORS``
+  is gone with them), and the stats aliases ``metrics()`` /
+  ``metrics_snapshot()`` / ``latency_snapshot()`` (read
+  ``stats().serving`` / ``.plan_cache`` / ``.stats_cache`` /
+  ``.latency_ms`` / ``.registry``).
 
 ``benchmarks/BENCH_traffic.json`` replays 1200 concurrent zipfian clients
 through ``submit_async`` and commits the deterministic work counters and
@@ -244,7 +259,7 @@ absorbing an append is proportional to the delta, not the table:
   the cached sample outcome absorbs only the delta-driven sampling
   shortfall, and one solver call re-optimises the plan.  The refresh
   executes with serving accounting (memoised rows are free), so its ledger
-  reads delta-proportional; ``metrics()["plan_refreshes"]`` and the
+  reads delta-proportional; ``stats().serving["plan_refreshes"]`` and the
   ``refreshes`` counters on the statistics caches make the behaviour
   observable.  Appends are single-writer: quiesce queries against a table
   while appending (e.g. between batches, as
@@ -269,7 +284,7 @@ computes:
   traffic, group-index builds and extensions, cache hits/misses/refreshes,
   solver calls, executor runs, table appends, engine fallbacks and every
   serving counter mirror into one registry, exported via
-  :func:`repro.obs.prometheus_text` or ``QueryService.metrics_snapshot()``.
+  :func:`repro.obs.prometheus_text` or ``QueryService.stats().registry``.
   The work counters the benchmarks gate are *bitwise identical* with
   metrics on or off — the registry observes, it never participates.
 * **Tracing** — per-query :class:`~repro.obs.Trace` trees.  Install a sink
@@ -285,7 +300,7 @@ computes:
 * **Latency** — ``QueryService`` always records per-path latency
   histograms (cheap fixed buckets; ``hit``/``miss``/``refresh``/``exact``/
   ``error``) with exact p50/p95/p99 over the recorded samples, surfaced by
-  ``QueryService.latency_snapshot()`` and — as informational
+  ``QueryService.stats().latency_ms`` and — as informational
   ``latency_p50_ms``/``latency_p99_ms`` keys, never gated — in
   ``benchmarks/BENCH_serving.json``.  ``examples/serving_workload.py
   --metrics`` prints the registry snapshot and the slowest trace tree after
@@ -512,7 +527,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "__version__",

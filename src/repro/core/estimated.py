@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.bigreedy import solve_bigreedy
 from repro.core.constraints import CostModel, QueryConstraints
 from repro.core.groups import GroupStatistics, SelectivityModel
-from repro.core.plan import ExecutionPlan, GroupDecision
+from repro.core.plan import ExecutionPlan, _plan_from_vector
 from repro.resilience.deadline import check_deadline
 from repro.solvers.convex import ConvexProblem, ConvexSolver, LinearBlock
 from repro.solvers.linear import (
@@ -60,20 +60,6 @@ def _plan_vector(plan: ExecutionPlan, model: SelectivityModel) -> List[float]:
     return [decision.retrieve_probability for decision in decisions] + [
         decision.evaluate_probability for decision in decisions
     ]
-
-
-def _plan_from_vector(
-    groups: Sequence[GroupStatistics], values: np.ndarray, browsing: bool
-) -> ExecutionPlan:
-    """The plan a solver's ``[R_1..R_k, E_1..E_k, ...]`` vector stands for."""
-    k = len(groups)
-    values = values.tolist()
-    decisions = {}
-    for group, retrieve, evaluate in zip(groups, values[:k], values[k : 2 * k]):
-        retrieve = min(1.0, max(0.0, retrieve))
-        evaluate = retrieve if browsing else min(retrieve, max(0.0, evaluate))
-        decisions[group.key] = GroupDecision(retrieve=retrieve, evaluate=evaluate)
-    return ExecutionPlan(decisions)
 
 
 def _warm_start(

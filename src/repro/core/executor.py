@@ -10,18 +10,41 @@ group and
 3. skips tuples that were already evaluated during sampling — their positive
    members are added to the output for free, exactly as Section 4.2 allows.
 
-Three backends implement this contract:
+One kernel, two coin sources, three placements
+----------------------------------------------
 
-* :class:`PlanExecutor` — the paper-faithful tuple-at-a-time reference:
-  python loops, one ledger charge per tuple, one UDF call per evaluated row;
-* :class:`BatchExecutor` — the vectorised default: one NumPy pass per group
-  over a prepared :class:`CandidateFrame` and one bulk
-  :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows` call;
-* :class:`~repro.core.parallel.ParallelBatchExecutor` — the sharded,
-  thread-parallel scale-out backend.  It uses a *different* (counter-based,
-  position-addressable) coin discipline so its results are invariant to
-  shard layout and worker count; seeds are not comparable across the two
-  disciplines, only within each.
+Every vectorised backend runs the same kernel — candidates from the one
+:func:`candidate_frame`, coins, one :func:`evaluation_charge` before any UDF
+work, one bulk :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows`, one
+:func:`fold_group` — so a change to exclusion, charging or folding is made
+once, here, and proven by every backend's parity suite.  What differs is
+where the coins come from and where the work runs:
+
+* **Sequential coins** — :class:`BatchExecutor`, the default: one NumPy pass
+  per group on the calling thread, coins drawn in order from the seeded
+  generator (the discipline below).  :class:`PlanExecutor` is its
+  paper-faithful tuple-at-a-time reference — python loops, one ledger
+  charge per tuple, one UDF call per evaluated row — kept apart on purpose
+  (it shares only :func:`_sampled_positives`), because the differential
+  tests compare the two.
+* **Counter coins** — :class:`~repro.core.parallel.ParallelBatchExecutor`:
+  position-addressable SplitMix64 streams, so results are invariant to
+  shard layout and worker count, over spans placed *inline*, on the shared
+  *thread pool*, or (:class:`~repro.core.procpool.ProcessPoolBatchExecutor`)
+  in *worker processes*.  Seeds are not comparable across the two coin
+  sources, only within each.
+
+Two coin sources remain by measurement, not by oversight.  "Serial is one
+span on zero workers" does not hold: on one cached plan of the benchmark's
+``warm_hits`` shape (20k rows, 4 shards, 8 groups; median of 500 runs)
+``BatchExecutor.execute`` takes 0.25 ms and
+``ParallelBatchExecutor(max_workers=1).execute`` 1.1–1.4 ms (0.5–0.6 ms
+unsharded; 1.7–2.5 and 1.0–1.2 ms before the span path shared the frame),
+most of the gap inside the counter coins themselves, and the two streams
+return different rows for one seed — which would re-baseline every
+committed answers digest and work counter.  Each path is the better one on
+a benchmark workload (``warm_hits`` serial, ``udf_process`` process), and
+the choice is the configured backend, not an option of this module.
 
 The prepared candidate frame
 ----------------------------
@@ -33,8 +56,9 @@ both of which a cached plan reuses unchanged from hit to hit.
 :func:`build_candidate_frame` computes them once — per group a
 sorted-membership exclusion (:func:`sampled_members` then
 :func:`drop_members`, two binary searches instead of a sort-based
-``np.isin``) — and :func:`candidate_frame`, the one entry point
-:class:`BatchExecutor` uses, memoises the result on the index
+``np.isin``) — and :func:`candidate_frame`, the one entry point every
+backend uses (the span executors cut its per-group arrays at the span
+bounds), memoises the result on the index
 (:meth:`GroupIndex.derived <repro.db.index.GroupIndex.derived>`) under the
 *identity* of the outcome.  What a plan hit then does per group is flip
 coins over a ready array; what it returns is one ``np.concatenate`` of
@@ -57,7 +81,8 @@ no second code path.
 Shared coin discipline
 ----------------------
 
-Both backends consume the random stream identically, so for a fixed seed
+Both sequential backends (:class:`BatchExecutor`, :class:`PlanExecutor`)
+consume the random stream identically, so for a fixed seed
 they produce *exactly* the same returned row ids and ledger counts — the
 differential property tests in ``tests/properties`` pin this.  Per group, in
 :attr:`GroupIndex.values` order:
@@ -285,6 +310,55 @@ def candidate_frame(
     )
 
 
+#: The UDF results of a group in which nothing was evaluated.
+NO_OUTCOMES = np.empty(0, dtype=bool)
+NO_OUTCOMES.setflags(write=False)
+
+
+def evaluation_charge(
+    udf: UserDefinedFunction, to_evaluate: np.ndarray, free_memoized: bool
+) -> int:
+    """How many of ``to_evaluate``'s UDF evaluations the ledger is charged for.
+
+    All of them under the paper's accounting; under serving accounting
+    (``free_memoized``) only the rows whose value the UDF has not memoised —
+    a production system never pays twice for the same expensive predicate.
+    The one charge rule of every backend.
+    """
+    if not free_memoized:
+        return int(to_evaluate.size)
+    return int(to_evaluate.size) - int(udf.memoized_mask(to_evaluate).sum())
+
+
+def fold_group(
+    counts: GroupExecutionCounts,
+    retrieved: np.ndarray,
+    evaluate_mask: np.ndarray,
+    outcomes: np.ndarray,
+) -> np.ndarray:
+    """Book one group's (or group segment's) UDF outcomes; return its output rows.
+
+    ``outcomes`` are the UDF results for ``retrieved[evaluate_mask]``, in
+    order.  Every retrieved-but-unevaluated row is kept; evaluated rows are
+    kept only when the UDF passed — in the group's row order either way,
+    matching the serial reference.  ``counts`` is advanced in place.
+    """
+    evaluated = int(outcomes.size)
+    counts.returned += int(retrieved.size) - evaluated
+    if not evaluated:
+        return retrieved
+    positives = int(outcomes.sum())
+    negatives = evaluated - positives
+    counts.evaluated_correct += positives
+    counts.retrieved_correct += positives
+    counts.evaluated_incorrect += negatives
+    counts.retrieved_incorrect += negatives
+    counts.returned += positives
+    keep_mask = ~evaluate_mask
+    keep_mask[evaluate_mask] = outcomes
+    return retrieved[keep_mask]
+
+
 class PlanExecutor:
     """Tuple-at-a-time reference executor (paper-faithful accounting).
 
@@ -471,35 +545,16 @@ class BatchExecutor:
                 evaluate_mask = rng.random(retrieved.size) < conditional_evaluate
             to_evaluate = retrieved[evaluate_mask]
 
-            # Keep every retrieved-but-unevaluated row; evaluated rows are
-            # kept only when the UDF passes.  ``keep_mask`` preserves the
-            # group's row order in the output, matching the serial backend.
-            keep_mask = ~evaluate_mask
+            outcomes = NO_OUTCOMES
             if to_evaluate.size:
                 # Charge before evaluating (the serial backend's order), so a
                 # hard budget stops the batch before any UDF work happens and
                 # no un-paid-for values land in the memo cache.
-                if self.free_memoized:
-                    charge = int(to_evaluate.size) - int(
-                        udf.memoized_mask(to_evaluate).sum()
-                    )
-                else:
-                    charge = int(to_evaluate.size)
+                charge = evaluation_charge(udf, to_evaluate, self.free_memoized)
                 if charge:
                     ledger.charge_evaluation(charge)
                 outcomes = udf.evaluate_rows(table, to_evaluate)
-                positives = int(outcomes.sum())
-                negatives = int(to_evaluate.size) - positives
-                counts.evaluated_correct += positives
-                counts.retrieved_correct += positives
-                counts.evaluated_incorrect += negatives
-                counts.retrieved_incorrect += negatives
-                counts.returned += positives
-                keep_mask[evaluate_mask] = outcomes
-
-            unevaluated = int(retrieved.size) - int(to_evaluate.size)
-            counts.returned += unevaluated
-            chunks.append(retrieved[keep_mask])
+            chunks.append(fold_group(counts, retrieved, evaluate_mask, outcomes))
 
         if active_span is not None:
             active_span.add("retrievals", ledger.retrieved_count - ledger_before[0])

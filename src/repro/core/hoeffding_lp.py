@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.core.constraints import CostModel, QueryConstraints
 from repro.core.groups import SelectivityModel
-from repro.core.plan import ExecutionPlan, GroupDecision
+from repro.core.plan import ExecutionPlan, _plan_from_vector
 from repro.solvers.linear import (
     InfeasibleProblemError,
     LinearProgram,
@@ -166,12 +166,7 @@ def solve_perfect_selectivity_lp(
             program.add_ge([-value for value in row], 0.0)
 
     solution = solve_linear_program(program)
-    decisions = {}
-    for index, group in enumerate(groups):
-        retrieve = min(1.0, max(0.0, float(solution.values[index])))
-        evaluate = min(retrieve, max(0.0, float(solution.values[k + index])))
-        decisions[group.key] = GroupDecision(retrieve=retrieve, evaluate=evaluate)
-    plan = ExecutionPlan(decisions)
+    plan = _plan_from_vector(groups, solution.values, browsing=False)
     return LpSolution(
         plan=plan,
         expected_cost=plan.expected_cost(model, cost_model, include_sampling=False),

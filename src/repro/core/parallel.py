@@ -1,13 +1,34 @@
-"""Parallel plan execution across table shards.
+"""Span execution: the counter-coin kernel and where its spans run.
 
 :class:`ParallelBatchExecutor` is the scale-out sibling of
-:class:`~repro.core.executor.BatchExecutor`: it fans plan execution (and bulk
-UDF evaluation for sampling/labelling) across the contiguous row spans of a
-:class:`~repro.db.sharding.ShardedTable` on a shared thread pool.  Threads
-are the right tool here because the heavy per-span work — block random
-generation, ufunc comparisons, sorts inside index builds, bulk label reads —
-runs in NumPy kernels that release the GIL; the python orchestration around
-them is O(groups), not O(rows).
+:class:`~repro.core.executor.BatchExecutor`.  It owns the one span skeleton
+— root key → :func:`~repro.core.executor.candidate_frame` →
+:func:`build_span_tasks` → *run the spans that have work* →
+:func:`merge_span_outcomes` — over the contiguous row spans of a
+:class:`~repro.db.sharding.ShardedTable`, and so does its subclass
+:class:`~repro.core.procpool.ProcessPoolBatchExecutor`: "where the spans
+run" is the only part a placement supplies.
+
+* **Candidates** come from the same memoised
+  :class:`~repro.core.executor.CandidateFrame` the serial executor uses:
+  already-sampled rows are excluded once per (index, sample outcome), not
+  per request and not inside a worker.  A span task is a slice of a frame
+  array, and the slice start *is* the coin position of its first row.
+* **Charging and folding** are :func:`~repro.core.executor.evaluation_charge`
+  (under this executor's ledger lock, :meth:`ParallelBatchExecutor._charge_span`)
+  and :func:`~repro.core.executor.fold_group` — the serial executor's own.
+* **Placement** is chosen from the input, not by an option.  Spans run
+  inline on the calling thread unless there is more than one worker, more
+  than one span with work *and* the UDF is vectorised on this table
+  (:meth:`~repro.db.udf.UserDefinedFunction.vectorised_on`): then the heavy
+  per-span work — block coin generation, ufunc comparisons, bulk label
+  reads — runs in NumPy kernels that release the GIL, the python
+  orchestration around them is O(groups), not O(rows), and the shared
+  thread pool genuinely overlaps spans.  A python-callable UDF evaluated
+  row by row holds the GIL, so it never leaves the calling thread (pool
+  threads ran it at 0.09x of serial); its multi-core placement is the
+  process pool.  The same rule gates the bulk-evaluation fan used while
+  sampling and labelling.
 
 Position-addressable coin discipline
 ------------------------------------
@@ -36,7 +57,8 @@ either way), but seeds are not comparable across disciplines.
 Ledger charging is span-granular (one retrieval block + one evaluation block
 per span, charged under a lock before that span's UDF work), so a hard budget
 stops whole spans, never mid-span.  ``max_workers=1`` — or a table with a
-single span — degrades to a deterministic serial loop with no pool involved.
+single span, or a python-callable UDF — degrades to a deterministic serial
+loop over the spans with no pool involved.
 """
 
 from __future__ import annotations
@@ -51,11 +73,13 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.executor import (
+    NO_OUTCOMES,
+    CandidateFrame,
     ExecutionResult,
     GroupExecutionCounts,
-    _sampled_positives,
-    drop_members,
-    sampled_members,
+    candidate_frame,
+    evaluation_charge,
+    fold_group,
 )
 from repro.core.plan import ExecutionPlan
 from repro.db.index import GroupIndex
@@ -120,17 +144,35 @@ def _table_spans(table: Table) -> Tuple[int, ...]:
     return (0, table.num_rows)
 
 
+def _span_masks(table: Table, ids: np.ndarray) -> Optional[List[np.ndarray]]:
+    """Masks splitting ``ids`` by the table's spans, or ``None`` for "don't fan".
+
+    The one partition of a bulk evaluation, for the thread and the process
+    fan alike: ``None`` when the table has a single span, when ``ids`` is
+    below :data:`_MIN_PARALLEL_EVAL_ROWS`, or when every id falls in one
+    span — the call is then one serial ``evaluate_rows``.
+    """
+    spans = _table_spans(table)
+    if len(spans) <= 2 or ids.size < _MIN_PARALLEL_EVAL_ROWS:
+        return None
+    masks = []
+    for start, stop in zip(spans, spans[1:]):
+        mask = (ids >= start) & (ids < stop)
+        if mask.any():
+            masks.append(mask)
+    return masks if len(masks) > 1 else None
+
+
 @dataclass
 class _GroupSegment:
-    """One group's row slice falling inside one span.
+    """One group's candidate slice falling inside one span.
 
-    ``rows`` are the group's global row ids within the span (ascending);
-    ``already`` the sorted already-sampled members among them (excluded from
-    the probabilistic pass *inside the worker* —
-    :func:`~repro.core.executor.drop_members`, off the serial critical
-    path).  ``position_offset`` is
-    the index of this segment's first candidate within the group's full
-    candidate list, which addresses the group's coin streams.
+    ``rows`` are the group's candidate row ids within the span (ascending;
+    a slice of the shared :class:`~repro.core.executor.CandidateFrame`, so
+    already-sampled rows are gone before a task exists).
+    ``position_offset`` is the index of this segment's first candidate
+    within the group's full candidate list, which addresses the group's
+    coin streams.
     """
 
     key: Hashable
@@ -138,7 +180,6 @@ class _GroupSegment:
     retrieve_probability: float
     conditional_evaluate: float
     rows: np.ndarray
-    already: np.ndarray
     position_offset: int
 
 
@@ -158,55 +199,79 @@ class _SpanOutcome:
     evaluated_charge: int = 0
 
 
+@dataclass(frozen=True)
+class _Execution:
+    """What every span of one ``execute`` call shares.
+
+    ``root`` keys the call's coin streams; ``ledger`` is charged (under the
+    executor's lock) and ``udf`` evaluated on ``table`` by whichever
+    placement settles a span.
+    """
+
+    root: int
+    table: Table
+    udf: UserDefinedFunction
+    ledger: CostLedger
+
+
+#: The spans of one execution that have work: ``(span index, tasks)``, ascending.
+ActiveSpans = List[Tuple[int, List[_GroupSegment]]]
+
+#: "Where the spans run": settles every active span (coins, charges, UDF
+#: work, fold) and returns their outcomes in span order.
+SpanRunner = Callable[[ActiveSpans, _Execution], List[_SpanOutcome]]
+
+
+def _record_span_work(shard_span: _trace.Span, outcome: _SpanOutcome) -> None:
+    """Put a settled span's work on its ``shard:<i>`` trace span.
+
+    The counters are the exact amounts charged to the ledger for the span —
+    recorded via :meth:`Span.add`, never by diffing the ledger, which
+    sibling shards mutate concurrently.
+    """
+    shard_span.add("retrievals", outcome.retrieved)
+    shard_span.add("udf_evals", outcome.evaluated_charge)
+    shard_span.annotate("groups", len(outcome.counts))
+
+
 def build_span_tasks(
     index: GroupIndex,
     plan: ExecutionPlan,
-    sampled_ids: Dict[Hashable, np.ndarray],
+    frame: CandidateFrame,
 ) -> Tuple[List[List[_GroupSegment]], Dict[Hashable, GroupExecutionCounts]]:
     """Partition every group's candidate rows into per-span worker tasks.
 
     Returns ``(span_tasks, group_counts)``: one task list per index span
     (``span_boundaries()`` order) and a zero-initialised counts dict covering
-    every group.  Pure function of the plan and inputs — shared by the
-    thread- and process-pool executors so their work decomposition cannot
-    drift.
+    every group.  Pure function of the plan and inputs: ``frame.candidates``
+    is cut at the span bounds, and the cut position *is* the coin position
+    of the segment's first row — so the work decomposition of the thread
+    and process placements cannot drift.
     """
     group_counts: Dict[Hashable, GroupExecutionCounts] = {}
     bounds = np.asarray(index.span_boundaries(), dtype=np.intp)
     num_spans = len(bounds) - 1
     span_tasks: List[List[_GroupSegment]] = [[] for _ in range(num_spans)]
-    empty = np.empty(0, dtype=np.intp)
 
-    for code, (key, rows) in enumerate(index.items()):
+    for code, (key, candidates) in enumerate(zip(index, frame.candidates)):
         decision = plan.decision(key)
         group_counts[key] = GroupExecutionCounts()
         retrieve_probability = decision.retrieve_probability
         conditional_evaluate = decision.conditional_evaluate_probability
-        if retrieve_probability <= 0.0 or rows.size == 0:
+        if retrieve_probability <= 0.0 or candidates.size == 0:
             continue
-        already = sampled_ids.get(key)
-        # Sorted already-sampled ids restricted to actual group members; the
-        # O(n) removal itself happens later, inside the span workers.
-        already_members = (
-            sampled_members(rows, already) if already is not None else empty
-        )
-        if rows.size - already_members.size <= 0:
-            continue
-        row_cuts = np.searchsorted(rows, bounds)
-        already_cuts = np.searchsorted(already_members, bounds)
+        cuts = np.searchsorted(candidates, bounds)
         for span in range(num_spans):
-            lo, hi = int(row_cuts[span]), int(row_cuts[span + 1])
-            alo, ahi = int(already_cuts[span]), int(already_cuts[span + 1])
-            if hi - lo - (ahi - alo) > 0:
+            lo, hi = int(cuts[span]), int(cuts[span + 1])
+            if hi > lo:
                 span_tasks[span].append(
                     _GroupSegment(
                         key=key,
                         code=code,
                         retrieve_probability=retrieve_probability,
                         conditional_evaluate=conditional_evaluate,
-                        rows=rows[lo:hi],
-                        already=already_members[alo:ahi],
-                        position_offset=lo - alo,
+                        rows=candidates[lo:hi],
+                        position_offset=lo,
                     )
                 )
     return span_tasks, group_counts
@@ -227,7 +292,7 @@ def span_coin_pass(
     total_retrieved = 0
 
     for task in tasks:
-        seg = drop_members(task.rows, task.already)
+        seg = task.rows
         if task.retrieve_probability >= 1.0:
             retrieved = seg
             retrieved_positions = None  # all positions
@@ -294,31 +359,17 @@ def fold_span_outcomes(
     for task, retrieved, evaluate_mask in zip(
         tasks, retrieved_per_task, evaluate_per_task
     ):
-        task_counts = counts.setdefault(task.code, GroupExecutionCounts())
+        # A span holds at most one segment of a group (build_span_tasks).
+        counts[task.code] = task_counts = GroupExecutionCounts()
         if retrieved.size == 0:
             continue
         evaluated = int(evaluate_mask.sum())
-        keep_mask = ~evaluate_mask
-        if evaluated:
-            group_outcomes = outcomes[offset : offset + evaluated]
-            offset += evaluated
-            positives = int(group_outcomes.sum())
-            negatives = evaluated - positives
-            task_counts.evaluated_correct += positives
-            task_counts.retrieved_correct += positives
-            task_counts.evaluated_incorrect += negatives
-            task_counts.retrieved_incorrect += negatives
-            task_counts.returned += positives
-            keep_mask = keep_mask.copy()
-            keep_mask[np.flatnonzero(evaluate_mask)] = group_outcomes
-        unevaluated = int(retrieved.size) - evaluated
-        task_counts.returned += unevaluated
-        kept = retrieved[keep_mask]
+        kept = fold_group(
+            task_counts, retrieved, evaluate_mask, outcomes[offset : offset + evaluated]
+        )
+        offset += evaluated
         if kept.size:
-            previous = returned.get(task.code)
-            returned[task.code] = (
-                kept if previous is None else np.concatenate([previous, kept])
-            )
+            returned[task.code] = kept
     return returned, counts
 
 
@@ -326,7 +377,7 @@ def merge_span_outcomes(
     index: GroupIndex,
     outcomes: Sequence[_SpanOutcome],
     group_counts: Dict[Hashable, GroupExecutionCounts],
-    free_positives: Sequence[int],
+    free_positives: np.ndarray,
 ) -> np.ndarray:
     """Merge per-span outcomes into the serial group-major returned array.
 
@@ -349,7 +400,7 @@ def merge_span_outcomes(
             counts.evaluated_correct += delta.evaluated_correct
             counts.evaluated_incorrect += delta.evaluated_incorrect
             counts.returned += delta.returned
-    parts: List[np.ndarray] = [np.asarray(free_positives, dtype=np.intp)]
+    parts: List[np.ndarray] = [free_positives]
     for code in sorted(merged):
         parts.extend(merged[code])
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -386,6 +437,18 @@ class ParallelBatchExecutor:
         self.free_memoized = free_memoized
         self._ledger_lock = threading.Lock()
 
+    def _fans_out(self, table: Table, udf: UserDefinedFunction) -> bool:
+        """Whether span work may leave the calling thread for the thread pool.
+
+        Only with more than one worker *and* a UDF whose bulk evaluation on
+        this table is a GIL-releasing column gather
+        (:meth:`~repro.db.udf.UserDefinedFunction.vectorised_on`): a python
+        callable evaluated row by row holds the GIL, so pool threads would
+        only add hand-offs to a serial computation.  Chosen from the input —
+        answers cannot depend on it (counter-addressed coins).
+        """
+        return self.max_workers > 1 and udf.vectorised_on(table)
+
     # -- bulk UDF evaluation fan-out ------------------------------------------
     def bulk_evaluator(
         self, udf: UserDefinedFunction
@@ -409,19 +472,8 @@ class ParallelBatchExecutor:
         """Evaluate ``udf`` on ``row_ids``, partitioned by the table's shards."""
         check_deadline("bulk-evaluate")
         ids = np.asarray(row_ids, dtype=np.intp)
-        spans = _table_spans(table)
-        if (
-            self.max_workers == 1
-            or len(spans) <= 2  # a single span
-            or ids.size < _MIN_PARALLEL_EVAL_ROWS
-        ):
-            return udf.evaluate_rows(table, ids)
-        masks = []
-        for start, stop in zip(spans, spans[1:]):
-            mask = (ids >= start) & (ids < stop)
-            if mask.any():
-                masks.append(mask)
-        if len(masks) <= 1:
+        masks = _span_masks(table, ids) if self._fans_out(table, udf) else None
+        if masks is None:
             return udf.evaluate_rows(table, ids)
         outcomes = np.empty(ids.size, dtype=bool)
         pool = shared_pool(self.max_workers)
@@ -443,10 +495,32 @@ class ParallelBatchExecutor:
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
         """Run ``plan`` over every group of ``index``, fanned across spans."""
-        _metrics.counter("repro_executor_runs_total", backend="parallel").inc()
-        root = int(self.random_state.integers(0, 2**63))
-        sampled_ids, free_positives = _sampled_positives(sample_outcome)
-        span_tasks, group_counts = build_span_tasks(index, plan, sampled_ids)
+        return self._execute_spans(
+            "parallel", self._run_spans, table, index, udf, plan, ledger, sample_outcome
+        )
+
+    def _execute_spans(
+        self,
+        backend: str,
+        run_spans: SpanRunner,
+        table: Table,
+        index: GroupIndex,
+        udf: UserDefinedFunction,
+        plan: ExecutionPlan,
+        ledger: CostLedger,
+        sample_outcome: Optional[SampleOutcome],
+    ) -> ExecutionResult:
+        """The one span skeleton; ``run_spans`` is "where the spans run".
+
+        Root key → shared candidate frame → span tasks → ``run_spans`` over
+        the spans that have work → merge.  ``run_spans`` returns one
+        :class:`_SpanOutcome` per active span, in span order, with every
+        charge already made.
+        """
+        _metrics.counter("repro_executor_runs_total", backend=backend).inc()
+        run = _Execution(int(self.random_state.integers(0, 2**63)), table, udf, ledger)
+        frame = candidate_frame(index, sample_outcome)
+        span_tasks, group_counts = build_span_tasks(index, plan, frame)
 
         # Span indices (not list positions after filtering) name the shard
         # trace spans, so ``shard:<i>`` is deterministic for a given layout
@@ -457,127 +531,102 @@ class ParallelBatchExecutor:
             for span_index, tasks in enumerate(span_tasks)
             if tasks
         ]
-        if self.max_workers == 1 or len(active) <= 1:
-            outcomes = [
-                self._run_span_traced(span_index, root, table, udf, ledger, tasks)
-                for span_index, tasks in active
-            ]
-        else:
-            pool = shared_pool(self.max_workers)
-            # Each worker runs in a copy of the submitting context, so the
-            # per-shard trace spans it opens parent under this query's
-            # current span even though the pool threads are long-lived and
-            # shared across queries.  (A Context cannot be entered twice
-            # concurrently, hence one copy per task.)
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run,
-                    self._run_span_traced,
-                    span_index,
-                    root,
-                    table,
-                    udf,
-                    ledger,
-                    tasks,
-                )
-                for span_index, tasks in active
-            ]
-            # Drain every span before propagating a failure: siblings share
-            # the ledger, so raising while they still run would hand the
-            # caller (and session settlement) a moving cost total.  A hard
-            # budget trips each remaining span at its own charge step, so no
-            # un-paid-for UDF work happens in the meantime.
-            outcomes = []
-            first_error: Optional[BaseException] = None
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                raise first_error
-
-        returned = merge_span_outcomes(index, outcomes, group_counts, free_positives)
-
+        returned = merge_span_outcomes(
+            index, run_spans(active, run), group_counts, frame.free_positives
+        )
         return ExecutionResult(
             returned_row_ids=returned,
             ledger=ledger,
             group_counts=group_counts,
         )
 
-    def _run_span_traced(
-        self,
-        span_index: int,
-        root: int,
-        table: Table,
-        udf: UserDefinedFunction,
-        ledger: CostLedger,
-        tasks: List[_GroupSegment],
-    ) -> _SpanOutcome:
-        """Run one span inside a ``shard:<i>`` trace span.
+    def _run_spans(self, active: ActiveSpans, run: _Execution) -> List[_SpanOutcome]:
+        """Run the active spans inline, or on the shared thread pool."""
+        if len(active) <= 1 or not self._fans_out(run.table, run.udf):
+            return [self._run_span(run, span_index, tasks) for span_index, tasks in active]
+        pool = shared_pool(self.max_workers)
+        # Each worker runs in a copy of the submitting context, so the
+        # per-shard trace spans it opens parent under this query's
+        # current span even though the pool threads are long-lived and
+        # shared across queries.  (A Context cannot be entered twice
+        # concurrently, hence one copy per task.)
+        futures = [
+            pool.submit(
+                contextvars.copy_context().run, self._run_span, run, span_index, tasks
+            )
+            for span_index, tasks in active
+        ]
+        # Drain every span before propagating a failure: siblings share
+        # the ledger, so raising while they still run would hand the
+        # caller (and session settlement) a moving cost total.  A hard
+        # budget trips each remaining span at its own charge step, so no
+        # un-paid-for UDF work happens in the meantime.
+        outcomes = []
+        first_error: Optional[BaseException] = None
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error
+        return outcomes
 
-        The shard span's work counters are the exact amounts the worker
-        charged to the ledger — recorded via :meth:`Span.add`, never by
-        diffing the ledger, which sibling shards mutate concurrently.  With
-        no active trace this adds one ``ContextVar`` read over
-        :meth:`_run_span`.
+    def _charge_span(
+        self, run: _Execution, retrieved: int, to_evaluate: np.ndarray
+    ) -> int:
+        """Charge one span's retrievals and evaluations; return the latter.
+
+        The whole span is charged before any of its UDF work (the serial
+        backends' charge-before-evaluate order, at span granularity): a
+        hard budget stops the span before any un-paid-for value could land
+        in the memo cache.  The lock makes concurrent span charges exact.
         """
-        with _trace.span(f"shard:{span_index}") as shard_span:
-            outcome = self._run_span(root, table, udf, ledger, tasks)
-            shard_span.add("retrievals", outcome.retrieved)
-            shard_span.add("udf_evals", outcome.evaluated_charge)
-            shard_span.annotate("groups", len(tasks))
-        return outcome
-
-    def _run_span(
-        self,
-        root: int,
-        table: Table,
-        udf: UserDefinedFunction,
-        ledger: CostLedger,
-        tasks: List[_GroupSegment],
-    ) -> _SpanOutcome:
-        """Execute one span's group segments: coins, charge, one bulk UDF call."""
-        # Span boundary = cancellation point.  Pool workers run in a copy of
-        # the submitting context, so the request's deadline contextvar is
-        # visible here; an expired request stops before this span charges.
-        check_deadline("execute-span")
-        retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(
-            root, tasks
-        )
-        to_evaluate = concat_to_evaluate(retrieved_per_task, evaluate_per_task)
-
-        # Charge the whole span before any of its UDF work (the serial
-        # backends' charge-before-evaluate order, at span granularity): a
-        # hard budget stops the span before any un-paid-for value could land
-        # in the memo cache.  The lock makes concurrent span charges exact.
         evaluated_charge = 0
         with self._ledger_lock:
-            if total_retrieved:
-                ledger.charge_retrieval(total_retrieved)
+            if retrieved:
+                run.ledger.charge_retrieval(retrieved)
             if to_evaluate.size:
-                if self.free_memoized:
-                    evaluated_charge = int(to_evaluate.size) - int(
-                        udf.memoized_mask(to_evaluate).sum()
-                    )
-                else:
-                    evaluated_charge = int(to_evaluate.size)
+                evaluated_charge = evaluation_charge(
+                    run.udf, to_evaluate, self.free_memoized
+                )
                 if evaluated_charge:
-                    ledger.charge_evaluation(evaluated_charge)
+                    run.ledger.charge_evaluation(evaluated_charge)
+        return evaluated_charge
 
-        outcomes = (
-            udf.evaluate_rows(table, to_evaluate)
-            if to_evaluate.size
-            else np.empty(0, dtype=bool)
-        )
+    def _run_span(
+        self, run: _Execution, span_index: int, tasks: List[_GroupSegment]
+    ) -> _SpanOutcome:
+        """Execute one span's group segments: coins, charge, one bulk UDF call.
 
-        returned, counts = fold_span_outcomes(
-            tasks, retrieved_per_task, evaluate_per_task, outcomes
-        )
-        return _SpanOutcome(
-            returned=returned,
-            counts=counts,
-            retrieved=total_retrieved,
-            evaluated_charge=evaluated_charge,
-        )
+        Runs inside a ``shard:<i>`` trace span (with no active trace that is
+        one ``ContextVar`` read).
+        """
+        with _trace.span(f"shard:{span_index}") as shard_span:
+            # Span boundary = cancellation point.  Pool workers run in a copy
+            # of the submitting context, so the request's deadline contextvar
+            # is visible here; an expired request stops before this span
+            # charges.
+            check_deadline("execute-span")
+            retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(
+                run.root, tasks
+            )
+            to_evaluate = concat_to_evaluate(retrieved_per_task, evaluate_per_task)
+            evaluated_charge = self._charge_span(run, total_retrieved, to_evaluate)
+            outcomes = (
+                run.udf.evaluate_rows(run.table, to_evaluate)
+                if to_evaluate.size
+                else NO_OUTCOMES
+            )
+            returned, counts = fold_span_outcomes(
+                tasks, retrieved_per_task, evaluate_per_task, outcomes
+            )
+            outcome = _SpanOutcome(
+                returned=returned,
+                counts=counts,
+                retrieved=total_retrieved,
+                evaluated_charge=evaluated_charge,
+            )
+            _record_span_work(shard_span, outcome)
+        return outcome

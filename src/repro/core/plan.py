@@ -15,10 +15,12 @@ unevaluated tuple is returned unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.constraints import CostModel
-from repro.core.groups import SelectivityModel
+from repro.core.groups import GroupStatistics, SelectivityModel
 
 _PROBABILITY_TOLERANCE = 1e-9
 
@@ -246,3 +248,17 @@ class ExecutionPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExecutionPlan(groups={len(self._decisions)})"
+
+
+def _plan_from_vector(
+    groups: Sequence[GroupStatistics], values: np.ndarray, browsing: bool
+) -> ExecutionPlan:
+    """The plan a solver's ``[R_1..R_k, E_1..E_k, ...]`` vector stands for."""
+    k = len(groups)
+    values = values.tolist()
+    decisions = {}
+    for group, retrieve, evaluate in zip(groups, values[:k], values[k : 2 * k]):
+        retrieve = min(1.0, max(0.0, retrieve))
+        evaluate = retrieve if browsing else min(retrieve, max(0.0, evaluate))
+        decisions[group.key] = GroupDecision(retrieve=retrieve, evaluate=evaluate)
+    return ExecutionPlan(decisions)

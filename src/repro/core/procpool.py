@@ -1,26 +1,33 @@
 """Process-pool plan execution over shared-memory shards.
 
-:class:`ProcessPoolBatchExecutor` is the multi-core sibling of
-:class:`~repro.core.parallel.ParallelBatchExecutor`.  Threads only help while
-the per-span work stays inside GIL-releasing NumPy kernels; the moment the
-UDF is a python callable evaluated row by row — the paper's whole premise is
-that this is the expensive part — a thread pool serialises on the GIL and
-runs *slower* than serial.  This executor fans the same span tasks across a
-spawn-based process pool instead:
+:class:`ProcessPoolBatchExecutor` is the third placement of the span kernel
+(:mod:`repro.core.parallel`: inline, thread pool, worker processes).
+Threads only help while the per-span work stays inside GIL-releasing NumPy
+kernels; when the UDF is a python callable evaluated row by row — the
+paper's whole premise is that this is the expensive part — the thread
+placement keeps every span on the calling thread, and this executor is the
+multi-core one.  It inherits the whole skeleton (root key, shared candidate
+frame, span tasks, merge) and supplies only "where the spans run": its own
+:meth:`~ProcessPoolBatchExecutor.execute` is the prepare-or-fall-back guard
+in front of it, and :meth:`~ProcessPoolBatchExecutor._run_process_spans`
+fans the same span tasks across a spawn-based process pool:
 
 * **Zero-copy inputs** — sealed shard columns are exported once into
   :mod:`multiprocessing.shared_memory` segments (:mod:`repro.db.shm`);
   workers attach numpy views on first touch and reuse them for every later
   task, so per-task pickle traffic is row ids, not column data.
 * **Stateless workers** — a worker receives the execution root key, its
-  span's :class:`~repro.core.parallel._GroupSegment` tasks and a picklable
+  span's :class:`~repro.core.parallel._GroupSegment` tasks (slices of the
+  parent's candidate frame — already-sampled rows never cross the process
+  boundary) and a picklable
   :class:`~repro.db.udf.UdfSpec`; it flips the counter-based coins, evaluates
   the UDF locally (every pending row fresh — it has no memo cache), and
   ships back outcomes plus the folded per-group counts.
 * **Parent-side accounting** — the parent replays, span by span in span
-  order, exactly what serial execution would have charged: ledger retrieval
-  and evaluation charges under the ledger lock (``free_memoized`` consults
-  the parent's memo), then
+  order, exactly what serial execution would have charged: the inherited
+  :meth:`~repro.core.parallel.ParallelBatchExecutor._charge_span` (retrieval
+  and evaluation under the ledger lock; ``free_memoized`` consults the
+  parent's memo), then
   :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations` to
   absorb outcomes into the memo cache with serial-identical counter
   advances.  A hard budget trips at the same span boundary as serial, and
@@ -46,13 +53,17 @@ span-index order, so a retried or locally recomputed span double-charges
 nothing and budget boundaries stay bitwise-serial.  Each faulting round is
 reported to the service's :class:`~repro.resilience.breaker.CircuitBreaker`
 (when one is wired in), which eventually degrades the whole service to the
-thread executor.  Harvest waits are bounded by the request's
+thread executor.  Every wait on a worker goes through one
+:meth:`~ProcessPoolBatchExecutor._await`, bounded by the request's
 :class:`~repro.resilience.deadline.Deadline`, so a *hung* worker surfaces
 as a typed ``DeadlineExceeded`` — the pool is discarded and the table's
 shared-memory exports are released (no leaked segments), never a wedged
-request.  The failure paths themselves are exercised deterministically via
-:mod:`repro.resilience.faults`; the active :class:`FaultPlan` ships inside
-worker task payloads so worker-side sites fire in the right process.
+request — while an exception the worker itself raised (a UDF's own
+``TimeoutError`` included) reaches the caller as it would from the serial
+and thread backends.  The failure paths themselves are exercised
+deterministically via :mod:`repro.resilience.faults`; the active
+:class:`FaultPlan` ships inside worker task payloads so worker-side sites
+fire in the right process.
 """
 
 from __future__ import annotations
@@ -63,21 +74,22 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.executor import ExecutionResult, GroupExecutionCounts, _sampled_positives
+from repro.core.executor import ExecutionResult
 from repro.core.parallel import (
-    _MIN_PARALLEL_EVAL_ROWS,
+    ActiveSpans,
     ParallelBatchExecutor,
+    _Execution,
     _GroupSegment,
+    _record_span_work,
+    _span_masks,
     _SpanOutcome,
-    _table_spans,
-    build_span_tasks,
     concat_to_evaluate,
     fold_span_outcomes,
-    merge_span_outcomes,
     span_coin_pass,
 )
 from repro.core.plan import ExecutionPlan
@@ -327,7 +339,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             self._fallback("unpicklable_udf")
             return None
         if spec.func is None:
-            if not table.schema.has_column(spec.label_column):
+            if not udf.vectorised_on(table):
                 # The serial path would use the callable fallback for this
                 # table; workers only hold the spec, so stay in-process.
                 self._fallback("label_column_missing")
@@ -363,6 +375,36 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             return None
         return spec, exports
 
+    def _await(
+        self, future: Future, siblings: Iterable[Future], table: Table, where: str
+    ) -> Any:
+        """``future.result()``, bounded by the request's deadline if one is armed.
+
+        The one place that tells "the wait timed out" from "the call
+        raised": ``concurrent.futures.TimeoutError`` *is* the builtin
+        ``TimeoutError`` since Python 3.11, so a UDF that raises it inside a
+        worker lands in the same ``except``.  A future that is done did not
+        hang — its own exception (or result) goes to the caller like any
+        other, pool and exports untouched.  A *hung* worker cannot be
+        interrupted: abandon the whole pool (cancel ``siblings``, discard,
+        release this table's exports — no leaked segments) and surface the
+        typed ``DeadlineExceeded`` within deadline + scheduling grace.
+        """
+        deadline = current_deadline()
+        timeout = None if deadline is None else max(deadline.remaining(), 0.0)
+        try:
+            return future.result(timeout=timeout)
+        except FuturesTimeout:
+            if deadline is None or future.done():
+                return future.result()  # it raised (or just finished): not a hang
+            for pending in siblings:
+                pending.cancel()
+            _discard_process_pool(self.max_workers)
+            release_exports(table)
+            self._note_failure("worker_hang")
+            self._fallback("worker_hang")
+            raise DeadlineExceeded(deadline.timeout_s, where)
+
     def evaluate_rows(
         self, table: Table, udf: UserDefinedFunction, row_ids: Sequence[int]
     ) -> np.ndarray:
@@ -375,24 +417,11 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         path, which pays one per span chunk).
         """
         ids = np.asarray(row_ids, dtype=np.intp)
-        spans = _table_spans(table)
-        if (
-            self.max_workers == 1
-            or len(spans) <= 2  # a single span
-            or ids.size < _MIN_PARALLEL_EVAL_ROWS
-        ):
-            return udf.evaluate_rows(table, ids)
-        prepared = self._prepare_remote(table, udf)
-        if prepared is None:
+        masks = None if self.max_workers == 1 else _span_masks(table, ids)
+        prepared = None if masks is None else self._prepare_remote(table, udf)
+        if masks is None or prepared is None:
             return super().evaluate_rows(table, udf, ids)
         spec, exports = prepared
-        masks = []
-        for start, stop in zip(spans, spans[1:]):
-            mask = (ids >= start) & (ids < stop)
-            if mask.any():
-                masks.append(mask)
-        if len(masks) <= 1:
-            return udf.evaluate_rows(table, ids)
         pool = shared_process_pool(self.max_workers)
         fault_plan = _faults.active_plan()
         futures = [
@@ -400,33 +429,19 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             for mask in masks
         ]
         outcomes = np.empty(ids.size, dtype=bool)
-        deadline = current_deadline()
         try:
             for mask, future in zip(masks, futures):
-                if deadline is None:
-                    outcomes[mask] = future.result()
-                else:
-                    remaining = deadline.remaining()
-                    if remaining <= 0.0:
-                        raise FuturesTimeout()
-                    outcomes[mask] = future.result(timeout=remaining)
-        except FuturesTimeout:
-            # A hung worker cannot be interrupted; abandon the whole pool
-            # (and its exports — no leaked segments) and surface the typed
-            # deadline error within deadline + scheduling grace.
-            for pending in futures:
-                pending.cancel()
-            _discard_process_pool(self.max_workers)
-            release_exports(table)
-            self._note_failure("worker_hang")
-            self._fallback("worker_hang")
-            raise DeadlineExceeded(deadline.timeout_s, "process-pool evaluate")
+                outcomes[mask] = self._await(
+                    future, futures, table, "process-pool evaluate"
+                )
         except BrokenProcessPool:
             _discard_process_pool(self.max_workers)
             release_exports(table)
             self._note_failure("worker_crash")
             self._fallback("broken_pool")
             return super().evaluate_rows(table, udf, ids)
+        except TimeoutError:
+            raise  # the UDF's own: a timed-out wait raises DeadlineExceeded
         except (_faults.InjectedFault, OSError):
             self._note_failure("shm_attach")
             self._fallback("shm_attach")
@@ -435,7 +450,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
 
     def _harvest_spans(
         self,
-        futures: Dict[int, "object"],
+        futures: Dict[int, Future],
         results: Dict[int, _RemoteSpan],
         table: Table,
     ) -> Dict[int, str]:
@@ -445,40 +460,33 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         (worker crash, shm attach error, wrong-shaped result).  Fatal errors
         re-raise only after every future has settled — nothing mutates the
         ledger or memo until folding, so an abort leaves parent state
-        untouched.  With an active deadline every wait is bounded by the
-        remaining time: a *hung* worker abandons the pool (discard, cancel,
-        release this table's exports — no leaked segments) and raises the
-        typed ``DeadlineExceeded`` instead of wedging the request.
+        untouched.  Every wait goes through :meth:`_await`: with an active
+        deadline a *hung* worker raises the typed ``DeadlineExceeded``
+        at once instead of wedging the request.
         """
-        deadline = current_deadline()
         failed: Dict[int, str] = {}
-        fatal: Optional[BaseException] = None
+        fatal: List[BaseException] = []
         broken = False
         for span_index, future in futures.items():
             try:
-                if deadline is None:
-                    span = future.result()
-                else:
-                    remaining = deadline.remaining()
-                    if remaining <= 0.0:
-                        raise FuturesTimeout()
-                    span = future.result(timeout=remaining)
-            except FuturesTimeout:
-                for pending in futures.values():
-                    pending.cancel()
-                _discard_process_pool(self.max_workers)
-                release_exports(table)
-                self._note_failure("worker_hang")
-                self._fallback("worker_hang")
-                raise DeadlineExceeded(deadline.timeout_s, "process-pool harvest")
+                span = self._await(
+                    future, futures.values(), table, "process-pool harvest"
+                )
+            except DeadlineExceeded:
+                raise
             except BrokenProcessPool:
                 broken = True
                 failed[span_index] = "worker_crash"
-            except (_faults.InjectedFault, OSError):
-                failed[span_index] = "shm_attach"
+            except (_faults.InjectedFault, OSError) as exc:
+                # ``TimeoutError`` is an ``OSError``, but here it can only be
+                # the UDF's own (a timed-out wait left ``_await`` as
+                # ``DeadlineExceeded``): fatal like any error of the call.
+                if isinstance(exc, TimeoutError):
+                    fatal.append(exc)
+                else:
+                    failed[span_index] = "shm_attach"
             except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if fatal is None:
-                    fatal = exc
+                fatal.append(exc)
             else:
                 if span.outcomes.shape != span.to_evaluate.shape:
                     failed[span_index] = "garbage"
@@ -486,17 +494,16 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
                     results[span_index] = span
         if broken:
             _discard_process_pool(self.max_workers)
-        if fatal is not None:
-            raise fatal
+        if fatal:
+            raise fatal[0]
         return failed
 
     def _run_remote_spans(
         self,
-        active: List[Tuple[int, List[_GroupSegment]]],
-        root: int,
+        active: ActiveSpans,
+        run: _Execution,
         spec: UdfSpec,
         exports: Tuple[SpanExport, ...],
-        table: Table,
     ) -> Tuple[Dict[int, _RemoteSpan], Set[int]]:
         """Fan spans to the pool; retry transient failures exactly once.
 
@@ -508,50 +515,37 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         """
         fault_plan = _faults.active_plan()
         results: Dict[int, _RemoteSpan] = {}
-        pool = shared_process_pool(self.max_workers)
-        futures = {
-            span_index: _submit_span(
-                pool, root, span_index, tasks, spec, exports, fault_plan, 0
-            )
-            for span_index, tasks in active
-        }
-        failed = self._harvest_spans(futures, results, table)
-        if failed:
-            self._note_failure(sorted(failed.values())[0])
-            if self.retry_spans:
-                # Retry against a (re)spawned pool.  Exports stay linked
-                # until a give-up: unlinking here would strand the fresh
-                # workers' attaches.
-                tasks_by_index = dict(active)
-                pool = shared_process_pool(self.max_workers)
-                retry_futures = {
-                    span_index: _submit_span(
-                        pool,
-                        root,
-                        span_index,
-                        tasks_by_index[span_index],
-                        spec,
-                        exports,
-                        fault_plan,
-                        1,
-                    )
-                    for span_index in sorted(failed)
-                }
+        pending = dict(active)
+        failed: Dict[int, str] = {}
+        for attempt in range(2 if self.retry_spans else 1):
+            if attempt:
                 _metrics.counter(
                     "repro_executor_retried_spans_total", backend="process"
-                ).inc(len(retry_futures))
+                ).inc(len(pending))
                 if self.breaker is not None:
-                    self.breaker.record_retry(len(retry_futures))
-                failed = self._harvest_spans(retry_futures, results, table)
-                if failed:
-                    self._note_failure(sorted(failed.values())[0])
+                    self.breaker.record_retry(len(pending))
+            # A retry runs against a (re)spawned pool.  Exports stay linked
+            # until a give-up: unlinking here would strand the fresh
+            # workers' attaches.
+            pool = shared_process_pool(self.max_workers)
+            futures = {
+                span_index: _submit_span(
+                    pool, run.root, span_index, tasks, spec, exports, fault_plan, attempt
+                )
+                for span_index, tasks in pending.items()
+            }
+            failed = self._harvest_spans(futures, results, run.table)
+            if not failed:
+                break
+            self._note_failure(sorted(failed.values())[0])
+            pending = {span_index: pending[span_index] for span_index in sorted(failed)}
         if failed:
             # Give up on the pool for these spans: they recompute in-process
             # at fold time, and the suspect exports must not outlive the
             # failure (the leak-check invariant: zero segments after
             # teardown, even on degraded paths).
             self._fallback(sorted(failed.values())[0])
-            release_exports(table)
+            release_exports(run.table)
         elif results:
             self._note_success()
         return results, set(failed)
@@ -566,78 +560,56 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
         """Run ``plan`` with span workers in processes (see module doc)."""
-        if self.max_workers == 1:
-            self._cancel_probe()
-            return super().execute(table, index, udf, plan, ledger, sample_outcome)
-        prepared = self._prepare_remote(table, udf)
+        prepared = None if self.max_workers == 1 else self._prepare_remote(table, udf)
         if prepared is None:
             self._cancel_probe()
             return super().execute(table, index, udf, plan, ledger, sample_outcome)
-        spec, exports = prepared
+        return self._execute_spans(
+            "process",
+            partial(self._run_process_spans, *prepared),
+            table,
+            index,
+            udf,
+            plan,
+            ledger,
+            sample_outcome,
+        )
 
-        _metrics.counter("repro_executor_runs_total", backend="process").inc()
-        root = int(self.random_state.integers(0, 2**63))
-        sampled_ids, free_positives = _sampled_positives(sample_outcome)
-        span_tasks, group_counts = build_span_tasks(index, plan, sampled_ids)
-        active = [
-            (span_index, tasks)
-            for span_index, tasks in enumerate(span_tasks)
-            if tasks
-        ]
+    def _run_process_spans(
+        self,
+        spec: UdfSpec,
+        exports: Tuple[SpanExport, ...],
+        active: ActiveSpans,
+        run: _Execution,
+    ) -> List[_SpanOutcome]:
+        """Run the active spans in worker processes; settle them in the parent.
 
+        Settles in span-index order (the submit order), replaying serial
+        charging: retrieval then evaluation per span, under the ledger
+        lock, *before* that span's outcomes are absorbed — so a hard
+        budget raises at exactly the span boundary the serial loop would,
+        with no later span absorbed.  A span the pool failed twice is
+        recomputed in-process *here, at its serial position* (it charges
+        internally), so the charge order — and any budget trip point —
+        stays bitwise-serial whether or not faults occurred.
+        """
         if len(active) <= 1:
             self._cancel_probe()
-            outcomes = [
-                self._run_span_traced(span_index, root, table, udf, ledger, tasks)
-                for span_index, tasks in active
-            ]
-            returned = merge_span_outcomes(index, outcomes, group_counts, free_positives)
-            return ExecutionResult(
-                returned_row_ids=returned, ledger=ledger, group_counts=group_counts
-            )
-
-        remote, failed = self._run_remote_spans(active, root, spec, exports, table)
-
-        # Fold in span-index order (the submit order), replaying serial
-        # charging: retrieval then evaluation per span, under the ledger
-        # lock, *before* that span's outcomes are absorbed — so a hard
-        # budget raises at exactly the span boundary the serial loop would,
-        # with no later span absorbed.  A span the pool failed twice is
-        # recomputed in-process *here, at its serial position* (it charges
-        # internally), so the charge order — and any budget trip point —
-        # stays bitwise-serial whether or not faults occurred.
+            return self._run_spans(active, run)
+        remote, failed = self._run_remote_spans(active, run, spec, exports)
         outcomes = []
         for span_index, tasks in active:
             check_deadline("process-fold")
             if span_index in failed:
-                outcomes.append(
-                    self._run_span_traced(span_index, root, table, udf, ledger, tasks)
-                )
+                outcomes.append(self._run_span(run, span_index, tasks))
                 continue
             span = remote[span_index]
-            with _trace.span(f"shard:{span.span_index}") as shard_span:
-                evaluated_charge = 0
-                with self._ledger_lock:
-                    if span.outcome.retrieved:
-                        ledger.charge_retrieval(span.outcome.retrieved)
-                    if span.to_evaluate.size:
-                        if self.free_memoized:
-                            evaluated_charge = int(span.to_evaluate.size) - int(
-                                udf.memoized_mask(span.to_evaluate).sum()
-                            )
-                        else:
-                            evaluated_charge = int(span.to_evaluate.size)
-                        if evaluated_charge:
-                            ledger.charge_evaluation(evaluated_charge)
+            with _trace.span(f"shard:{span_index}") as shard_span:
+                span.outcome.evaluated_charge = self._charge_span(
+                    run, span.outcome.retrieved, span.to_evaluate
+                )
                 if span.to_evaluate.size:
-                    udf.merge_remote_evaluations(span.to_evaluate, span.outcomes)
-                span.outcome.evaluated_charge = evaluated_charge
-                shard_span.add("retrievals", span.outcome.retrieved)
-                shard_span.add("udf_evals", evaluated_charge)
-                shard_span.annotate("groups", len(span.outcome.counts))
+                    run.udf.merge_remote_evaluations(span.to_evaluate, span.outcomes)
+                _record_span_work(shard_span, span.outcome)
             outcomes.append(span.outcome)
-
-        returned = merge_span_outcomes(index, outcomes, group_counts, free_positives)
-        return ExecutionResult(
-            returned_row_ids=returned, ledger=ledger, group_counts=group_counts
-        )
+        return outcomes

@@ -272,6 +272,18 @@ class UserDefinedFunction:
         finally:
             self._oracle_depth -= 1
 
+    def vectorised_on(self, table: Table) -> bool:
+        """Whether bulk evaluation on ``table`` is one column gather, not a row loop.
+
+        True for a label-column UDF whose column is in this table's schema.
+        A gather runs in NumPy kernels that release the GIL, a python
+        callable per row holds it — which is what the executors ask before
+        moving evaluation onto pool threads.
+        """
+        return self.label_column is not None and table.schema.has_column(
+            self.label_column
+        )
+
     def evaluate_row(self, table: Table, row_id: int) -> bool:
         """Evaluate the UDF on one row of ``table`` (charges one call)."""
         state = self._memo_state(row_id) if self.memoize else _UNKNOWN
@@ -320,7 +332,7 @@ class UserDefinedFunction:
             id_array, oracle, registry
         )
         if pending_array.size:
-            if self.label_column is not None and table.schema.has_column(self.label_column):
+            if self.vectorised_on(table):
                 # gather_column (not column_array[...]): residency-managed
                 # tables serve the gather shard-at-a-time with the segment
                 # pinned, instead of materialising the whole label column.

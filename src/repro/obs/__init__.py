@@ -14,7 +14,7 @@ Three layers, all opt-in-cheap:
   :class:`SlowQueryLog` (threshold-triggered trace retention).
 
 The serving layer wires these together:
-``QueryService.metrics_snapshot()`` and ``QueryService.set_trace_sink(...)``
+``QueryService.stats()`` and ``QueryService.set_trace_sink(...)``
 are the public surface most users need.
 """
 

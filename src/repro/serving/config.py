@@ -2,8 +2,7 @@
 
 :class:`ServiceConfig` is the one place :class:`~repro.serving.service.QueryService`
 is configured — it replaces the ~10 loose keyword arguments that accreted on
-the constructor across releases (those still work for one release, with
-:class:`DeprecationWarning` shims).  :class:`ServiceStats` is the matching
+the constructor across releases (removed in 1.7).  :class:`ServiceStats` is the matching
 read side: one typed snapshot unifying the serving counters, cache
 statistics, session accounting, latency summaries, async front-end state and
 the optional :mod:`repro.obs` registry dump.
@@ -20,8 +19,11 @@ from typing import Dict, Mapping, Optional
 #:     The vectorised single-threaded :class:`~repro.core.executor.BatchExecutor`
 #:     (the default — "serial" describes its concurrency, not its speed).
 #: ``thread``
-#:     Sharded thread-pool :class:`~repro.core.parallel.ParallelBatchExecutor`;
-#:     scales while per-span work stays in GIL-releasing NumPy kernels.
+#:     Sharded :class:`~repro.core.parallel.ParallelBatchExecutor`: spans of
+#:     a label-column UDF (a GIL-releasing column gather) run on the shared
+#:     thread pool; a python-callable UDF never leaves the calling thread —
+#:     threads would only serialise on the GIL — so there it is the serial
+#:     speed with the counter coin stream.
 #: ``process``
 #:     :class:`~repro.core.procpool.ProcessPoolBatchExecutor` over
 #:     shared-memory shards; the only backend that scales python-callable
@@ -30,17 +32,6 @@ from typing import Dict, Mapping, Optional
 #:     The paper-faithful tuple-at-a-time :class:`~repro.core.executor.PlanExecutor`,
 #:     kept for differential testing.
 EXECUTORS = ("serial", "thread", "process", "reference")
-
-#: Pre-1.3 names accepted (with a warning) through the deprecated
-#: ``QueryService`` keyword path.  Note the trap this renaming removes:
-#: legacy ``"serial"`` meant the tuple-at-a-time reference executor, while
-#: canonical ``"serial"`` is the vectorised default — so the legacy spelling
-#: maps to ``"reference"``.
-LEGACY_EXECUTORS = {
-    "batch": "serial",
-    "parallel": "thread",
-    "serial": "reference",
-}
 
 
 @dataclass(frozen=True)
@@ -51,8 +42,7 @@ class ServiceConfig:
     ----------
     executor:
         One of :data:`EXECUTORS` — backend for warm-plan execution and the
-        pipeline's execution step.  Legacy names (``"batch"``/``"parallel"``)
-        are only accepted through the deprecated keyword shims, never here.
+        pipeline's execution step.
     max_workers:
         Worker bound for the ``thread``/``process`` backends (``None`` =
         machine cores); ignored by the others.
@@ -139,14 +129,8 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTORS:
-            hint = ""
-            if self.executor in LEGACY_EXECUTORS:
-                hint = (
-                    f" ({self.executor!r} is a pre-1.3 name; use "
-                    f"{LEGACY_EXECUTORS[self.executor]!r})"
-                )
             raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}{hint}"
+                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")
@@ -187,9 +171,9 @@ class ServiceConfig:
 class ServiceStats:
     """One typed observability surface for a :class:`QueryService`.
 
-    Returned by :meth:`QueryService.stats`; the legacy ``metrics()`` /
-    ``latency_snapshot()`` / ``metrics_snapshot()`` methods remain as thin
-    aliases over the same data.  See :data:`SERVICE_STATS_SCHEMA` for the
+    Returned by :meth:`QueryService.stats`, the only stats method (the
+    ``metrics()`` / ``latency_snapshot()`` / ``metrics_snapshot()`` aliases
+    were removed in 1.7).  See :data:`SERVICE_STATS_SCHEMA` for the
     field contract (documented alongside
     :meth:`repro.db.engine.Engine.metadata_schema`, the result-metadata
     contract).

@@ -57,9 +57,9 @@ import concurrent.futures
 import itertools
 import threading
 import time
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass, replace as _dc_replace
+from functools import partial
 from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 
 from repro.core.column_selection import top_up_labeled_sample
@@ -94,7 +94,7 @@ from repro.resilience.deadline import (
     deadline_scope,
 )
 from repro.serving import persistence as _persistence
-from repro.serving.config import LEGACY_EXECUTORS, ServiceConfig, ServiceStats
+from repro.serving.config import ServiceConfig, ServiceStats
 from repro.serving.plan_cache import PLAN_CACHE_VERSION, CachedPlan, PlanCache
 from repro.serving.session import (
     ClientSession,
@@ -109,22 +109,6 @@ from repro.stats.random import (
     SeedLike,
     as_random_state,
     stable_hash_seed,
-)
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None`` on
-#: the deprecated :class:`QueryService` keyword shims.
-_UNSET = object()
-
-#: The deprecated constructor kwargs and the :class:`ServiceConfig` field
-#: each folds into.
-_LEGACY_KWARGS = (
-    "plan_cache_size",
-    "stats_cache_size",
-    "ttl",
-    "executor",
-    "default_budget",
-    "free_memoized",
-    "max_workers",
 )
 
 
@@ -170,13 +154,7 @@ class QueryService:
         executor backend (``"serial"``/``"thread"``/``"process"``/
         ``"reference"``), cache bounds and TTL, session budgets, serving
         accounting, and the async front-end's admission limits.  Omitted =
-        all defaults.  The pre-1.3 loose keyword arguments
-        (``plan_cache_size``, ``executor=...`` and friends) still work for
-        one release — each folds into a ``ServiceConfig`` with a
-        :class:`DeprecationWarning`, and legacy executor names are mapped
-        (``"batch"`` → ``"serial"``, ``"parallel"`` → ``"thread"``, old
-        ``"serial"`` → ``"reference"``).  Passing both ``config`` and a
-        legacy kwarg is an error.
+        all defaults.
     strategy_factory:
         Maps a per-request :class:`RandomState` to a strategy instance; the
         default builds an :class:`IntelSample` wired to this service's
@@ -198,49 +176,7 @@ class QueryService:
         *,
         config: Optional[ServiceConfig] = None,
         sessions: Optional[SessionManager] = None,
-        plan_cache_size: object = _UNSET,
-        stats_cache_size: object = _UNSET,
-        ttl: object = _UNSET,
-        executor: object = _UNSET,
-        default_budget: object = _UNSET,
-        free_memoized: object = _UNSET,
-        max_workers: object = _UNSET,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("plan_cache_size", plan_cache_size),
-                ("stats_cache_size", stats_cache_size),
-                ("ttl", ttl),
-                ("executor", executor),
-                ("default_budget", default_budget),
-                ("free_memoized", free_memoized),
-                ("max_workers", max_workers),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "pass configuration either as config=ServiceConfig(...) or "
-                    f"through the deprecated keyword arguments {sorted(legacy)}, "
-                    "not both"
-                )
-            remap = ""
-            if "executor" in legacy and legacy["executor"] in LEGACY_EXECUTORS:
-                canonical = LEGACY_EXECUTORS[legacy["executor"]]
-                remap = (
-                    f"; executor {legacy['executor']!r} is now spelled "
-                    f"{canonical!r}"
-                )
-                legacy["executor"] = canonical
-            warnings.warn(
-                f"QueryService keyword arguments {sorted(legacy)} are "
-                f"deprecated; pass config=ServiceConfig(...){remap}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = _dc_replace(ServiceConfig(), **legacy)
         self.config = config if config is not None else ServiceConfig()
         self.engine = catalog if isinstance(catalog, Engine) else Engine(catalog)
         self.catalog = self.engine.catalog
@@ -259,7 +195,7 @@ class QueryService:
         self._strategy_factory = strategy_factory
         # A configured-but-unseeded instance whose settings fingerprint every
         # plan signature this service produces.  It lives as long as the
-        # service, so the default one is not wired to ``_make_executor``: a
+        # service, so the default one is not wired to ``_executor``: a
         # bound method kept here would make every service a reference cycle,
         # and a closed, dropped service would pin its catalog's tables until
         # a full collector pass.
@@ -301,7 +237,7 @@ class QueryService:
             "pressure_cache_clears": 0,
         }
         # Per-path latency histograms (always on — plain instruments, not
-        # routed through the opt-in registry, so ``metrics_snapshot()`` can
+        # routed through the opt-in registry, so ``stats()`` can
         # report p50/p95/p99 without anyone calling ``enable_metrics``).
         self._latency_lock = threading.Lock()
         self._latency: Dict[str, Histogram] = {}
@@ -368,7 +304,7 @@ class QueryService:
             return self._strategy_factory(random_state)
         return IntelSample(
             random_state=random_state,
-            executor_factory=self._make_executor,
+            executor_factory=partial(self._executor, free_memoized=False),
         )
 
     def _discover_residency(self):
@@ -408,61 +344,40 @@ class QueryService:
             _DEGRADED.set(reason)
             self._count("degraded")
 
-    def _process_executor(
+    def _executor(
         self, random_state: RandomState, free_memoized: bool
     ) -> ExecutorBackend:
-        """A process-backed executor — unless the circuit breaker says no.
+        """One request's executor for the configured backend.
 
-        An open breaker (repeated pool faults) degrades the request to the
-        in-process thread executor: bitwise-identical results, just not
-        multi-core.  A half-open breaker admits this request as a probe —
-        the executor reports the probe's outcome back through the shared
+        ``free_memoized`` is the accounting: the cold pipeline keeps the
+        paper's charging semantics (``False``); serving accounting
+        (``config.free_memoized``) applies on warm paths.  The ``process``
+        backend runs in worker processes unless the circuit breaker says
+        no: an open breaker (repeated pool faults) degrades the request to
+        the in-process thread executor — bitwise-identical results, just
+        not multi-core.  A half-open breaker admits this request as a probe
+        — the executor reports the probe's outcome back through the shared
         breaker.
         """
-        if not self.breaker.allow():
+        if self.executor_backend == "serial":
+            return BatchExecutor(random_state=random_state, free_memoized=free_memoized)
+        if self.executor_backend == "reference":
+            return PlanExecutor(random_state=random_state)
+        if self.executor_backend == "process":
+            if self.breaker.allow():
+                return ProcessPoolBatchExecutor(
+                    random_state=random_state,
+                    max_workers=self.max_workers,
+                    free_memoized=free_memoized,
+                    breaker=self.breaker,
+                    retry_spans=self.config.retry_spans,
+                )
             self._note_degraded("breaker_open")
-            return ParallelBatchExecutor(
-                random_state=random_state,
-                max_workers=self.max_workers,
-                free_memoized=free_memoized,
-            )
-        return ProcessPoolBatchExecutor(
+        return ParallelBatchExecutor(
             random_state=random_state,
             max_workers=self.max_workers,
             free_memoized=free_memoized,
-            breaker=self.breaker,
-            retry_spans=self.config.retry_spans,
         )
-
-    def _make_executor(self, random_state: RandomState) -> ExecutorBackend:
-        if self.executor_backend == "serial":
-            # The cold pipeline keeps the paper's charging semantics
-            # (free_memoized=False); serving accounting applies on warm paths.
-            return BatchExecutor(random_state=random_state)
-        if self.executor_backend == "thread":
-            return ParallelBatchExecutor(
-                random_state=random_state, max_workers=self.max_workers
-            )
-        if self.executor_backend == "process":
-            return self._process_executor(random_state, free_memoized=False)
-        return PlanExecutor(random_state=random_state)
-
-    def _warm_executor(self, random_state: RandomState) -> ExecutorBackend:
-        if self.executor_backend == "serial":
-            return BatchExecutor(
-                random_state=random_state, free_memoized=self.free_memoized
-            )
-        if self.executor_backend == "thread":
-            return ParallelBatchExecutor(
-                random_state=random_state,
-                max_workers=self.max_workers,
-                free_memoized=self.free_memoized,
-            )
-        if self.executor_backend == "process":
-            return self._process_executor(
-                random_state, free_memoized=self.free_memoized
-            )
-        return PlanExecutor(random_state=random_state)
 
     def _cost_model(self) -> CostModel:
         return CostModel(
@@ -489,7 +404,7 @@ class QueryService:
         (plan-cache classification of approximate queries), ``coalesced``
         (async followers served from a leader's result) and ``error``.  Values are
         seconds; quantiles come out via :meth:`Histogram.quantile` /
-        :meth:`metrics_snapshot`.
+        :meth:`stats` (``latency_ms``).
         """
         found = self._latency.get(path)
         if found is None:
@@ -593,7 +508,7 @@ class QueryService:
         :class:`~repro.serving.session.ServiceClosed`.
 
         Every request is timed into the per-path latency histograms (see
-        :meth:`metrics_snapshot`); while a trace sink is installed
+        :meth:`stats`); while a trace sink is installed
         (:meth:`set_trace_sink`) the request also produces a
         :class:`~repro.obs.trace.Trace` span tree, finished and handed to
         the sink whether the request succeeds or raises.
@@ -1153,7 +1068,9 @@ class QueryService:
             # the execution step never re-charges evaluations the UDF already
             # memoised — the ledger then reads delta-proportional, which the
             # update benchmark gates.
-            strategy.executor_factory = self._warm_executor
+            strategy.executor_factory = partial(
+                self._executor, free_memoized=self.free_memoized
+            )
 
         cached_labeled = None
         cached_outcomes: Dict[str, object] = {}
@@ -1308,7 +1225,7 @@ class QueryService:
                 session.degraded += 1
 
         with _span("execute"):
-            executor = self._warm_executor(as_random_state(seed))
+            executor = self._executor(as_random_state(seed), self.free_memoized)
             execution = executor.execute(
                 entry.working_table,
                 index,
@@ -1439,9 +1356,7 @@ class QueryService:
         front-end's admission state and — when the global metrics registry
         is enabled — its full snapshot.  Field contract:
         :data:`repro.serving.config.SERVICE_STATS_SCHEMA` (the stats-side
-        sibling of :meth:`repro.db.engine.Engine.metadata_schema`).  The
-        older :meth:`metrics`, :meth:`latency_snapshot` and
-        :meth:`metrics_snapshot` remain as thin aliases over the same data.
+        sibling of :meth:`repro.db.engine.Engine.metadata_schema`).
         """
         with self._metrics_lock:
             counters = dict(self._metrics)
@@ -1464,7 +1379,7 @@ class QueryService:
             plan_cache=self.plan_cache.snapshot(),
             stats_cache=self.stats_cache.snapshot(),
             sessions=self.sessions.snapshot(),
-            latency_ms=self.latency_snapshot(),
+            latency_ms=self._latency_snapshot(),
             frontend={
                 "pending": pending,
                 "max_pending": self.config.max_pending,
@@ -1478,22 +1393,7 @@ class QueryService:
             storage=storage,
         )
 
-    def metrics(self) -> Dict[str, object]:
-        """Serving metrics plus cache hit/miss statistics.
-
-        Alias view kept for compatibility; :meth:`stats` is the unified
-        (and typed) surface.
-        """
-        with self._metrics_lock:
-            counters = dict(self._metrics)
-        counters["retried_spans"] = self.breaker.retries_total
-        return {
-            **counters,
-            "plan_cache": self.plan_cache.snapshot(),
-            "stats_cache": self.stats_cache.snapshot(),
-        }
-
-    def latency_snapshot(self) -> Dict[str, Dict[str, Optional[float]]]:
+    def _latency_snapshot(self) -> Dict[str, Dict[str, Optional[float]]]:
         """Per-path latency summaries in **milliseconds**.
 
         Each path maps to ``{count, mean_ms, p50_ms, p95_ms, p99_ms,
@@ -1516,20 +1416,6 @@ class QueryService:
                 "max_ms": scale(snap["max"]),
             }
         return summary
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Compatibility alias bundling :meth:`metrics`, latency and registry.
-
-        Kept with its historical three-key shape (``serving`` /
-        ``latency_ms`` / ``registry``); new code should prefer
-        :meth:`stats`, which adds session and front-end state and returns a
-        typed :class:`~repro.serving.config.ServiceStats`.
-        """
-        return {
-            "serving": self.metrics(),
-            "latency_ms": self.latency_snapshot(),
-            "registry": _metrics.get_registry().snapshot(),
-        }
 
     def set_trace_sink(self, sink: Optional[Callable[[Trace], None]]) -> None:
         """Install (or with ``None`` remove) the per-query trace sink.

@@ -71,6 +71,32 @@ def blocks_allocated_by_fixture():
 
 
 @pytest.fixture
+def record_pool_submits(monkeypatch):
+    """``record(module, factory_name) -> list``: from then on every ``submit``
+    to a pool that ``module.<factory_name>(workers)`` hands out is appended to
+    the list (its positional arguments) before going to the real pool."""
+
+    def record(module, factory_name):
+        submitted = []
+        real_factory = getattr(module, factory_name)
+
+        class Recording:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def submit(self, *args):
+                submitted.append(args)
+                return self.pool.submit(*args)
+
+        monkeypatch.setattr(
+            module, factory_name, lambda workers: Recording(real_factory(workers))
+        )
+        return submitted
+
+    return record
+
+
+@pytest.fixture
 def toy_table():
     """The paper's Table 1 example relation."""
     return toy_credit_table()

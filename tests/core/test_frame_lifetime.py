@@ -4,6 +4,9 @@ The frame memo lives on the :class:`~repro.db.index.GroupIndex` it was
 derived from, keyed on the identity of the sample outcome: it must be
 reachable exactly as long as *both* are, keep neither alive, hang off no
 module-level container and never ride along when an outcome is pickled.
+Every backend — serial, thread, process — takes its candidates from that
+one frame: built once however many warm executions follow, shared across
+backends, and never shipped to a worker as sampled-id arrays.
 """
 
 import gc
@@ -12,17 +15,22 @@ import weakref
 
 import numpy as np
 
+from repro.core import executor as executor_module
+from repro.core import procpool as procpool_module
 from repro.core.executor import (
     BatchExecutor,
     candidate_frame,
     drop_members,
     sampled_members,
 )
+from repro.core.parallel import ParallelBatchExecutor
 from repro.core.plan import ExecutionPlan, GroupDecision
+from repro.core.procpool import ProcessPoolBatchExecutor
 from repro.db.index import GroupIndex
 from repro.db.sharding import ShardedTable
+from repro.db.shm import release_exports
 from repro.db.table import Table
-from repro.db.udf import CostLedger, UserDefinedFunction
+from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
 from repro.sampling.sampler import GroupSample, SampleOutcome
 
 from leakcheck import assert_no_leaked_resources
@@ -235,4 +243,134 @@ class TestFrameLifetime:
         table = _table()
         _run(table, table.group_index("A"), _outcome())
         del table
+        assert_no_leaked_resources()
+
+
+def _sharded(name):
+    rng = np.random.default_rng(4)
+    keys = [("a", "b", "c")[code] for code in rng.integers(0, 3, 240)]
+    labels = (rng.random(240) < 0.5).tolist()
+    return ShardedTable.from_columns(
+        name, {"A": keys, "f": labels}, hidden_columns=["f"], num_shards=4
+    )
+
+
+def _sharded_outcome(index):
+    """A few members of every group, spread over the spans."""
+    return SampleOutcome(
+        samples={
+            key: GroupSample(
+                key,
+                sampled_row_ids=rows[::9].tolist(),
+                positive_row_ids=rows[::18].tolist(),
+                group_size=int(rows.size),
+            )
+            for key, rows in index.items()
+        }
+    )
+
+
+def _span_backends():
+    return {
+        "thread": lambda seed: ParallelBatchExecutor(seed, max_workers=3),
+        "process": lambda seed: ProcessPoolBatchExecutor(seed, max_workers=2),
+    }
+
+
+class TestOneFrameBehindEveryBackend:
+    """The span executors share the serial executor's memoised frame."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        real = executor_module.build_candidate_frame
+
+        def counting(index, sample_outcome):
+            builds.append((id(index), id(sample_outcome)))
+            return real(index, sample_outcome)
+
+        monkeypatch.setattr(executor_module, "build_candidate_frame", counting)
+        return builds
+
+    @staticmethod
+    def _execute(make, seed, table, index, outcome, python_udf=False):
+        plan = ExecutionPlan({key: GroupDecision(retrieve=0.8, evaluate=0.4) for key in index})
+        if python_udf:
+            udf = UserDefinedFunction("frames_py", RevealLabel("f", True))
+        else:
+            udf = UserDefinedFunction.from_label_column("frames_label", "f")
+        return make(seed).execute(table, index, udf, plan, CostLedger(), sample_outcome=outcome)
+
+    def test_warm_executions_build_the_frame_once_per_backend(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        for name, make in _span_backends().items():
+            table = _sharded(f"warm_{name}")
+            index = table.group_index("A")
+            outcome = _sharded_outcome(index)
+            try:
+                for seed in range(6):
+                    self._execute(make, seed, table, index, outcome)
+                assert builds == [(id(index), id(outcome))], name
+                builds.clear()
+            finally:
+                release_exports(table)
+        assert_no_leaked_resources()
+
+    def test_serial_thread_and_process_share_one_frame_object(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        table = _sharded("shared_frame")
+        index = table.group_index("A")
+        outcome = _sharded_outcome(index)
+        sampled = {row for sample in outcome.samples.values() for row in sample.sampled_row_ids}
+        free = [row for sample in outcome.samples.values() for row in sample.positive_row_ids]
+        try:
+            frame = None
+            backends = {"serial": lambda seed: BatchExecutor(seed), **_span_backends()}
+            for name, make in backends.items():
+                result = self._execute(make, 5, table, index, outcome)
+                rows = result.returned_row_ids.tolist()
+                assert rows[: len(free)] == free, name
+                assert not sampled & set(rows[len(free) :]), name  # exclusion applied
+                frame = frame or candidate_frame(index, outcome)
+                assert candidate_frame(index, outcome) is frame, name
+            assert builds == [(id(index), id(outcome))]  # one build served all three
+        finally:
+            release_exports(table)
+        assert_no_leaked_resources()
+
+    def test_pickled_span_tasks_carry_no_sampled_ids(self, record_pool_submits):
+        """What crosses the process boundary is frame slices, nothing to exclude."""
+        submitted = record_pool_submits(procpool_module, "shared_process_pool")
+        table = _sharded("shipped_tasks")
+        index = table.group_index("A")
+        outcome = _sharded_outcome(index)
+        sampled = {row for sample in outcome.samples.values() for row in sample.sampled_row_ids}
+        try:
+            self._execute(_span_backends()["process"], 2, table, index, outcome, python_udf=True)
+        finally:
+            release_exports(table)
+        assert len(submitted) == 4  # one payload per span
+        for _entry, _root, _span_index, tasks, *_rest in pickle.loads(pickle.dumps(submitted)):
+            for task in tasks:
+                arrays = {
+                    name for name, value in vars(task).items() if isinstance(value, np.ndarray)
+                }
+                assert arrays == {"rows"}  # no ``already``, no per-request exclusion list
+                assert not sampled & set(task.rows.tolist())
+        assert_no_leaked_resources()
+
+    def test_frame_dies_with_the_outcome_after_a_process_run(self):
+        table = _sharded("dying_frame")
+        index = table.group_index("A")
+        outcome = _sharded_outcome(index)
+        try:
+            self._execute(_span_backends()["process"], 1, table, index, outcome)
+            frame_ref = weakref.ref(candidate_frame(index, outcome))
+            assert frame_ref() is not None
+            del outcome
+            gc.collect()
+            assert frame_ref() is None  # no worker payload, future or pool kept it
+            assert index._derived == {}
+        finally:
+            release_exports(table)
         assert_no_leaked_resources()

@@ -1,5 +1,7 @@
 """Tests for ParallelBatchExecutor: invariance, fan-out, accounting."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,59 @@ class TestBulkEvaluationFanOut:
         outcomes = executor.evaluate_rows(plain, udf, np.arange(100))
         assert outcomes.size == 100
         assert udf.bulk_calls == 1
+
+
+class TestThreadPlacement:
+    """Spans leave the calling thread only for a UDF that releases the GIL."""
+
+    @staticmethod
+    def _recording_udf(name, seen):
+        def reveal(row):
+            seen.add(threading.get_ident())
+            return bool(row["f"])
+
+        return UserDefinedFunction(name, reveal)
+
+    def test_python_callable_udf_never_leaves_the_calling_thread(self, assert_same_rows):
+        sharded = ShardedTable.from_table(_table(), num_shards=4)
+        seen = set()
+        fanned, fanned_ledger = _execute(
+            sharded, workers=4, udf=self._recording_udf("rec_fan", seen)
+        )
+        assert seen == {threading.get_ident()}
+        inline, inline_ledger = _execute(
+            sharded, workers=1, udf=self._recording_udf("rec_inline", set())
+        )
+        assert_same_rows(fanned.returned_row_ids, inline.returned_row_ids)
+        assert fanned_ledger.evaluated_count == inline_ledger.evaluated_count
+        assert fanned_ledger.retrieved_count == inline_ledger.retrieved_count
+        assert fanned.group_counts == inline.group_counts
+
+    def test_python_callable_bulk_evaluation_never_fans(self, monkeypatch):
+        import repro.core.parallel as parallel_module
+
+        monkeypatch.setattr(parallel_module, "_MIN_PARALLEL_EVAL_ROWS", 1)
+        sharded = ShardedTable.from_table(_table(), num_shards=4)
+        seen = set()
+        udf = self._recording_udf("rec_bulk", seen)
+        outcomes = ParallelBatchExecutor(max_workers=4).evaluate_rows(
+            sharded, udf, np.arange(sharded.num_rows)
+        )
+        assert outcomes.size == sharded.num_rows
+        assert seen == {threading.get_ident()}
+        assert udf.bulk_calls == 1  # one serial call, not one per span
+
+    def test_label_udf_still_submits_to_the_shared_pool(self, record_pool_submits):
+        import repro.core.parallel as parallel_module
+
+        submitted = record_pool_submits(parallel_module, "shared_pool")
+        sharded = ShardedTable.from_table(_table(), num_shards=4)
+        fanned, _ = _execute(sharded, workers=4)
+        assert len(submitted) == 4  # one per span with work
+        submitted.clear()
+        inline, _ = _execute(sharded, workers=1)
+        assert submitted == []
+        assert np.array_equal(fanned.returned_row_ids, inline.returned_row_ids)
 
 
 class TestAccounting:

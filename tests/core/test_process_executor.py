@@ -198,6 +198,28 @@ class TestEvaluateRowsFan:
         assert udf_remote.counter_snapshot() == udf_serial.counter_snapshot()
         assert _memo(udf_remote) == _memo(udf_serial)
 
+    def test_fan_threshold_is_read_where_the_thread_executor_reads_it(
+        self, monkeypatch, record_pool_submits
+    ):
+        """One ``_span_masks``: patching ``parallel._MIN_PARALLEL_EVAL_ROWS``
+        moves the process fan too (procpool used to import it by value)."""
+        import repro.core.parallel as parallel_module
+        import repro.core.procpool as procpool_module
+
+        table = _sharded(n=600, shards=4, name="thrtab")
+        ids = np.arange(0, 600, dtype=np.intp)
+        submitted = record_pool_submits(procpool_module, "shared_process_pool")
+        executor = ProcessPoolBatchExecutor(random_state=0, max_workers=WORKERS)
+        udf_serial, udf_remote = _label_udf("thr_a"), _label_udf("thr_b")
+        expected = udf_serial.evaluate_rows(table, ids)
+        executor.evaluate_rows(table, _label_udf("thr_small"), ids)
+        assert submitted == []  # 600 ids < 2048: one serial call
+        monkeypatch.setattr(parallel_module, "_MIN_PARALLEL_EVAL_ROWS", 1)
+        got = executor.evaluate_rows(table, udf_remote, ids)
+        assert len(submitted) == 4
+        assert np.array_equal(np.asarray(expected), np.asarray(got))
+        assert udf_remote.counter_snapshot() == udf_serial.counter_snapshot()
+
     def test_partial_memoization_charges_only_pending(self):
         table = _sharded(n=3000, shards=4, name="pmtab")
         warm = np.arange(0, 1500, dtype=np.intp)

@@ -5,7 +5,10 @@ process.  ``SampleOutcome.merge`` used to walk ``set(left) | set(right)``, so
 the merged outcome's group order — and with it the order of the sampled
 positives at the head of ``row_ids`` — followed the hash seed: same rows,
 different order, different bytes.  Each query below runs in two processes
-with different hash seeds and must print the same ``row_ids`` list.
+with different hash seeds and must print the same ``row_ids`` list — on the
+serial executor over a plain table, and on the thread executor over a
+sharded one (span tasks, per-group coin streams keyed by group *code* and a
+merge by code: nothing there may follow a hash either).
 """
 
 import json
@@ -20,7 +23,7 @@ SCRIPT = """
 import json
 import numpy as np
 from repro import Catalog, Engine, QueryService, SelectQuery, ServiceConfig, UdfPredicate
-from repro.db import Table, UserDefinedFunction
+from repro.db import ShardedTable, Table, UserDefinedFunction
 
 rng = np.random.default_rng(5)
 rows = 4000
@@ -35,11 +38,15 @@ table = Table.from_columns(
     },
     hidden_columns=["is_good"],
 )
+if EXECUTOR == "thread":
+    table = ShardedTable.from_table(table, num_shards=4)
 udf = UserDefinedFunction.from_label_column("label", "is_good")
 catalog = Catalog()
 catalog.register_table(table)
 catalog.register_udf(udf)
-service = QueryService(Engine(catalog), config=ServiceConfig())
+service = QueryService(
+    Engine(catalog), config=ServiceConfig(executor=EXECUTOR, max_workers=3)
+)
 query = SelectQuery(
     table="loans", predicate=UdfPredicate(udf), alpha=0.8, beta=0.8, rho=0.8,
     correlated_column=None,  # automatic selection: labelled sample merged with group samples
@@ -54,19 +61,28 @@ print(json.dumps({
 """
 
 
-def _answers(hash_seed: str) -> dict:
+def _answers(hash_seed: str, executor: str) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    script = f"EXECUTOR = {executor!r}\n" + SCRIPT
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_row_ids_are_identical_across_hash_seeds():
-    first, second = _answers("1"), _answers("2")
+def _assert_hash_seed_independent(executor: str) -> None:
+    first, second = _answers("1", executor), _answers("2", executor)
     assert first["cold"][0] == "miss" and first["warm"][0] == "hit"
     assert len(first["cold"][1]) > 100 and len(first["warm"][1]) > 100
     assert first["cold"] == second["cold"]  # a cold, automatic-column query
     assert first["warm"] == second["warm"]  # a warm hit on its plan
+
+
+def test_row_ids_are_identical_across_hash_seeds():
+    _assert_hash_seed_independent("serial")
+
+
+def test_row_ids_are_identical_across_hash_seeds_on_a_sharded_thread_executor():
+    _assert_hash_seed_independent("thread")

@@ -1,6 +1,6 @@
 """Differential tests: vectorised defaults versus the reference paths.
 
-Two promises this suite pins down:
+Three promises this suite pins down:
 
 * the promoted default :class:`~repro.core.executor.BatchExecutor` is
   *seed-for-seed identical* to the paper-faithful tuple-at-a-time
@@ -10,7 +10,12 @@ Two promises this suite pins down:
   registry datasets;
 * the factorised :class:`~repro.db.index.GroupIndex` produces exactly the
   grouping of the dict-based reference :meth:`Table.group_row_ids` (keys,
-  key order, row ids, row order), including its per-row codes.
+  key order, row ids, row order), including its per-row codes;
+* the span path (:class:`~repro.core.parallel.ParallelBatchExecutor` inline
+  and on pool threads, :class:`~repro.core.procpool.ProcessPoolBatchExecutor`
+  in worker processes) returns exactly what the counter coin discipline
+  *defines*, as restated tuple by tuple in ``counter_coin_oracle.py`` — so
+  the span path is compared with something other than itself.
 
 These guarantees are what make it safe to run the whole library — pipeline,
 oracle, adaptive strategy, serving layer — on the vectorised backend while
@@ -23,13 +28,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.constraints import QueryConstraints
 from repro.core.executor import BatchExecutor, PlanExecutor
+from repro.core.parallel import ParallelBatchExecutor
 from repro.core.pipeline import IntelSample
 from repro.core.plan import ExecutionPlan, GroupDecision
+from repro.core.procpool import ProcessPoolBatchExecutor
 from repro.datasets.registry import load_dataset
 from repro.db.index import GroupIndex
-from repro.db.udf import CostLedger
-from repro.sampling.sampler import GroupSampler
+from repro.db.sharding import ShardedTable
+from repro.db.shm import release_exports
+from repro.db.table import Table
+from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
+from repro.sampling.sampler import GroupSample, GroupSampler, SampleOutcome
 from repro.sampling.schemes import ConstantScheme
+
+from counter_coin_oracle import oracle_execute
+from leakcheck import assert_no_leaked_resources
 
 DATASETS = ("lending_club", "census", "marketing")
 
@@ -129,6 +142,141 @@ class TestExecutorSeedForSeed:
         assert_same_rows(batch.row_ids, serial.row_ids)
         assert batch.ledger.evaluated_count == serial.ledger.evaluated_count
         assert batch.ledger.retrieved_count == serial.ledger.retrieved_count
+
+
+SPAN_KEYS = ("a", "b", "c", "d")
+#: Counters that do not depend on how evaluations are batched.
+BATCHING_FREE_COUNTERS = ("calls", "cache_hits", "cache_misses", "cache_size")
+
+
+@st.composite
+def span_cases(draw):
+    """A table, a plan, a sample outcome, pre-paid rows and a seed.
+
+    Plans cover ``R_a`` and ``E_a / R_a`` at 0, strictly inside (0, 1) and at
+    1; outcomes file ids under a group that are members, members of another
+    group, outside the table, or repeated, and name positives freely.
+    """
+    rows = draw(st.integers(min_value=1, max_value=60))
+    keys = draw(st.lists(st.sampled_from(SPAN_KEYS), min_size=rows, max_size=rows))
+    labels = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    decisions, samples = {}, {}
+    for key in SPAN_KEYS:
+        retrieve = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+        share = draw(st.sampled_from([0.0, 0.4, 1.0]))
+        decisions[key] = GroupDecision(retrieve=retrieve, evaluate=retrieve * share)
+        if draw(st.booleans()):
+            sampled = draw(
+                st.lists(st.integers(min_value=-2, max_value=rows + 3), max_size=12)
+            )
+            samples[key] = GroupSample(
+                group_key=key,
+                sampled_row_ids=sampled,
+                positive_row_ids=[row for row in sampled if draw(st.booleans())],
+                group_size=keys.count(key),
+            )
+    outcome = SampleOutcome(samples=samples) if draw(st.booleans()) else None
+    prepaid = draw(st.lists(st.integers(min_value=0, max_value=rows - 1), max_size=20))
+    seed = draw(st.integers(min_value=0, max_value=2**20))
+    return {"A": keys, "f": labels}, decisions, outcome, prepaid, seed
+
+
+def _span_table(columns, shards):
+    table = Table.from_columns("spans", columns, hidden_columns=["f"])
+    return table if shards == 1 else ShardedTable.from_table(table, num_shards=shards)
+
+
+def _assert_equals_oracle(
+    assert_same_rows, executor, table, make_udf, plan, outcome, prepaid, seed, free_memoized
+):
+    """``executor`` (seeded with ``seed``) against the tuple-at-a-time oracle."""
+    index = table.group_index("A")
+    udf, oracle_udf = make_udf("span"), make_udf("oracle")
+    for each in (udf, oracle_udf):
+        each.evaluate_rows(table, prepaid)  # so free_memoized has something to skip
+    ledger, oracle_ledger = CostLedger(), CostLedger()
+    result = executor.execute(table, index, udf, plan, ledger, sample_outcome=outcome)
+    expected_rows, expected_counts = oracle_execute(
+        table, index, oracle_udf, plan, oracle_ledger, seed, outcome, free_memoized
+    )
+    assert_same_rows(result.returned_row_ids, np.asarray(expected_rows, dtype=np.intp))
+    assert ledger.retrieved_count == oracle_ledger.retrieved_count
+    assert ledger.evaluated_count == oracle_ledger.evaluated_count
+    assert result.group_counts == expected_counts
+    counters, oracle_counters = udf.counter_snapshot(), oracle_udf.counter_snapshot()
+    for counter in BATCHING_FREE_COUNTERS:  # both started from the same pre-paid state
+        assert counters[counter] == oracle_counters[counter], counter
+    assert [part.tolist() for part in udf.memo_arrays()] == [
+        part.tolist() for part in oracle_udf.memo_arrays()
+    ]
+
+
+class TestSpanPathAgainstCounterCoinOracle:
+    @pytest.mark.parametrize("free_memoized", [False, True], ids=["paper", "serving"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 5])
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=span_cases())
+    def test_thread_executor_equals_the_oracle(
+        self, shards, workers, free_memoized, case, assert_same_rows
+    ):
+        columns, decisions, outcome, prepaid, seed = case
+        _assert_equals_oracle(
+            assert_same_rows,
+            ParallelBatchExecutor(seed, max_workers=workers, free_memoized=free_memoized),
+            _span_table(columns, shards),
+            lambda tag: UserDefinedFunction.from_label_column(f"{tag}_label", "f"),
+            ExecutionPlan(decisions),
+            outcome,
+            prepaid,
+            seed,
+            free_memoized,
+        )
+
+    @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
+    @pytest.mark.parametrize("case_seed", [1, 2, 3])
+    def test_process_executor_equals_the_oracle(self, case_seed, python_udf, assert_same_rows):
+        """A fixed handful of cases in real worker processes (spawn cost)."""
+        rng = np.random.default_rng(case_seed)
+        rows = 240
+        keys = [SPAN_KEYS[code] for code in rng.integers(0, len(SPAN_KEYS), rows)]
+        columns = {"A": keys, "f": (rng.random(rows) < 0.5).tolist()}
+        regimes = [(0.0, 0.0), (1.0, 1.0), (0.6, 0.0), (0.7, 0.5)]
+        decisions = {
+            key: GroupDecision(retrieve=r, evaluate=r * share)
+            for key, (r, share) in zip(SPAN_KEYS, np.roll(regimes, case_seed, axis=0).tolist())
+        }
+        samples = {}
+        for key in SPAN_KEYS[:3]:
+            sampled = rng.integers(-2, rows + 3, 15).tolist() + [7, 7]
+            samples[key] = GroupSample(
+                key, sampled, [row for row in sampled if rng.random() < 0.5], keys.count(key)
+            )
+        free_memoized = bool(case_seed % 2)
+        table = _span_table(columns, shards=4)
+        if python_udf:
+            make_udf = lambda tag: UserDefinedFunction(f"{tag}_py", RevealLabel("f", True))  # noqa: E731
+        else:
+            make_udf = lambda tag: UserDefinedFunction.from_label_column(f"{tag}_lbl", "f")  # noqa: E731
+        try:
+            _assert_equals_oracle(
+                assert_same_rows,
+                ProcessPoolBatchExecutor(case_seed, max_workers=2, free_memoized=free_memoized),
+                table,
+                make_udf,
+                ExecutionPlan(decisions),
+                SampleOutcome(samples=samples),
+                rng.integers(0, rows, 40).tolist(),
+                case_seed,
+                free_memoized,
+            )
+        finally:
+            release_exports(table)
+        assert_no_leaked_resources()
 
 
 class TestGroupIndexDifferential:

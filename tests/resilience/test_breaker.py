@@ -191,7 +191,7 @@ class TestServiceDegradation:
         assert stats.resilience["state"] == OPEN
         assert stats.resilience["service_closed"] is False
         assert stats.serving["retried_spans"] == 0
-        assert service.metrics()["degraded"] == 1
+        assert service.stats().serving["degraded"] == 1
 
     def test_healthy_breaker_marks_nothing(self):
         catalog, udf = _setup(name="hbtab")

@@ -174,8 +174,8 @@ class TestServiceDeadlines:
         with pytest.raises(DeadlineExceeded):
             service.submit(_query(udf, table="svtab"), seed=1)
         assert time.perf_counter() - started < 5.0  # deadline + grace, not a hang
-        assert service.metrics()["deadline_exceeded"] == 1
-        assert "error" in service.latency_snapshot()
+        assert service.stats().serving["deadline_exceeded"] == 1
+        assert "error" in service.stats().latency_ms
 
     def test_per_submit_timeout_overrides(self):
         udf = _slow_udf("ov_slow")
@@ -183,7 +183,7 @@ class TestServiceDeadlines:
         service = QueryService(Engine(catalog))  # no default deadline
         with pytest.raises(DeadlineExceeded):
             service.submit(_query(udf, table="ovtab"), seed=1, timeout_s=0.05)
-        assert service.metrics()["deadline_exceeded"] == 1
+        assert service.stats().serving["deadline_exceeded"] == 1
 
     def test_flight_wait_respects_deadline(self):
         """A request parked behind a flight leader raises, never hangs."""
@@ -221,7 +221,7 @@ class TestServiceDeadlines:
         leader_thread.join(timeout=30)
         assert leader_results, "leader should finish once the gate opens"
         assert len(errors) == 1 and isinstance(errors[0], DeadlineExceeded)
-        metrics = service.metrics()
+        metrics = service.stats().serving
         assert metrics["flight_waits"] >= 1
         assert metrics["deadline_exceeded"] == 1
 
@@ -246,7 +246,7 @@ class TestServiceDeadlines:
         leader_err, follower_err = asyncio.run(scenario())
         assert isinstance(leader_err, DeadlineExceeded)
         assert isinstance(follower_err, DeadlineExceeded)
-        assert service.metrics()["deadline_exceeded"] >= 2
+        assert service.stats().serving["deadline_exceeded"] >= 2
 
     def test_async_follower_own_deadline_while_parked(self):
         """A follower whose own deadline fires mid-wait raises promptly."""
@@ -272,4 +272,4 @@ class TestServiceDeadlines:
 
         waited = asyncio.run(scenario())
         assert waited < 5.0
-        assert service.metrics()["deadline_exceeded"] >= 1
+        assert service.stats().serving["deadline_exceeded"] >= 1

@@ -324,6 +324,77 @@ class TestWorkerFaults:
         assert breaker.snapshot()["last_failure_reason"] == "worker_hang"
 
 
+class UpstreamTimesOut:
+    """A picklable UDF whose labelling service times out on one row."""
+
+    def __init__(self, bad_marker):
+        self.bad_marker = bad_marker
+
+    def __call__(self, row):
+        if row["A"] == self.bad_marker:
+            raise TimeoutError("upstream labelling service timed out")
+        return bool(row["f"])
+
+
+class TestWorkerRaisedTimeoutFault:
+    """A worker that *raised* ``TimeoutError`` did not hang.
+
+    ``concurrent.futures.TimeoutError is TimeoutError`` since Python 3.11,
+    so the parent's "the wait timed out" handler also sees an exception the
+    UDF raised inside a worker.  It must take the fatal path — the caller
+    gets the UDF's own error, as from the serial and thread backends — and
+    must not be treated as a hang: the healthy pool stays cached, the
+    exports stay linked, the breaker hears nothing, and with a deadline
+    armed it is not misreported as ``DeadlineExceeded``.
+    """
+
+    @staticmethod
+    def _poisoned(name, n=600):
+        plain = _table(n=n, name=name)
+        keys = list(plain.column_array("A"))
+        keys[n // 2] = "poison"  # one row, inside the second of four spans
+        table = Table.from_columns(
+            name,
+            {"A": keys, "f": list(plain.column_array("f", allow_hidden=True))},
+            hidden_columns=["f"],
+        )
+        return ShardedTable.from_table(table, num_shards=4)
+
+    @pytest.mark.parametrize("armed", [False, True], ids=["no_deadline", "deadline_armed"])
+    @pytest.mark.parametrize("entry", ["execute", "evaluate_rows"])
+    def test_udf_timeout_error_reaches_the_caller(self, entry, armed):
+        from repro.core import procpool
+        from repro.db.shm import release_exports
+
+        table = self._poisoned(f"tmo_{entry}_{int(armed)}", n=600 if entry == "execute" else 3000)
+        udf = UserDefinedFunction(f"tmo_udf_{entry}_{int(armed)}", UpstreamTimesOut("poison"))
+        breaker = CircuitBreaker(failure_threshold=100)
+        executor = ProcessPoolBatchExecutor(
+            random_state=0, max_workers=WORKERS, breaker=breaker
+        )
+        pool_before = procpool.shared_process_pool(WORKERS)
+        ledger = CostLedger()
+        with deadline_scope(Deadline.after(60.0) if armed else None):
+            with pytest.raises(TimeoutError, match="upstream labelling service"):
+                if entry == "execute":
+                    index = table.group_index("A")
+                    everything = ExecutionPlan(
+                        {key: GroupDecision(retrieve=1.0, evaluate=1.0) for key in index}
+                    )
+                    executor.execute(table, index, udf, everything, ledger)
+                else:
+                    executor.evaluate_rows(table, udf, np.arange(table.num_rows))
+        assert procpool.shared_process_pool(WORKERS) is pool_before  # not discarded
+        assert exported_segment_count() > 0  # not released as if a worker hung
+        snap = breaker.snapshot()
+        assert snap["failures_total"] == 0 and snap["last_failure_reason"] is None
+        # Fatal before any fold: nothing charged, nothing absorbed.
+        assert ledger.retrieved_count == 0 and ledger.evaluated_count == 0
+        assert udf.counter_snapshot()["cache_misses"] == 0
+        release_exports(table)
+        assert exported_segment_count() == 0
+
+
 class TestSharedMemoryFaults:
     def test_export_fault_falls_back_in_process(self):
         """The very first segment export fails: serve in-process, bitwise."""
@@ -399,7 +470,7 @@ class TestServiceUnderFaults:
             with pytest.raises(DeadlineExceeded):
                 service.submit(self._query(udf, "slowtab"), seed=1, timeout_s=0.15)
         assert time.perf_counter() - started < 4.0
-        assert service.metrics()["deadline_exceeded"] == 1
+        assert service.stats().serving["deadline_exceeded"] == 1
 
     def test_udf_sleep_below_deadline_is_bitwise_invisible(self):
         """Slowness that stays inside the deadline changes nothing."""

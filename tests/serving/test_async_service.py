@@ -90,12 +90,12 @@ class TestCoalescing:
             assert np.array_equal(reference, np.asarray(result.row_ids))
             assert result.metadata.get("coalesced") is True
             assert result.ledger is results[0].ledger  # work done exactly once
-        metrics = service.metrics()
+        metrics = service.stats().serving
         # One cold pipeline, one submitted query: followers charged nothing.
         assert metrics["queries"] == 1
         assert metrics["pipeline_runs"] == 1
         assert metrics["coalesced"] == 3
-        assert "coalesced" in service.latency_snapshot()
+        assert "coalesced" in service.stats().latency_ms
 
     def test_follower_cannot_edit_the_leaders_answer(self, assert_same_rows):
         """The share is zero-copy and safe: neither side can write through it."""
@@ -150,7 +150,7 @@ class TestCoalescing:
         assert leader_result.metadata["plan_cache"] == "miss"
         assert "coalesced" not in follower_result.metadata
         assert follower_result.metadata["plan_cache"] == "hit"
-        metrics = service.metrics()
+        metrics = service.stats().serving
         assert metrics["queries"] == 2
         assert metrics["pipeline_runs"] == 1
         assert metrics["coalesced"] == 0
@@ -168,7 +168,7 @@ class TestCoalescing:
             )
 
         first, second = asyncio.run(scenario())
-        assert service.metrics()["coalesced"] == 0
+        assert service.stats().serving["coalesced"] == 0
         assert np.array_equal(np.asarray(first.row_ids), np.asarray(second.row_ids))
 
 
@@ -206,7 +206,7 @@ class TestLoadShedding:
                 assert exc.query_class == "approximate"
                 assert exc.limit == 1
                 assert exc.pending >= 1
-            metrics = service.metrics()
+            metrics = service.stats().serving
             # Accounting delta is exactly zero: every raise is counted once.
             assert metrics["shed"] == 5
             counters = registry.snapshot()["counters"]
@@ -227,36 +227,16 @@ class TestLoadShedding:
 
 
 class TestConfigShims:
-    def test_legacy_kwargs_warn_and_map(self):
+    def test_loose_keywords_are_gone(self):
+        """The pre-1.3 constructor keywords were removed in 1.7: config= only."""
         catalog, _ = _setup(name="ftab")
-        with pytest.warns(DeprecationWarning, match="now spelled 'thread'"):
-            service = QueryService(Engine(catalog), executor="parallel", max_workers=3)
-        assert service.executor_backend == "thread"
-        assert service.config.max_workers == 3
-
-        with pytest.warns(DeprecationWarning):
-            service = QueryService(Engine(catalog), executor="batch")
-        assert service.executor_backend == "serial"
-
-        with pytest.warns(DeprecationWarning):
-            service = QueryService(Engine(catalog), executor="serial")
-        assert service.executor_backend == "reference"
-
-        with pytest.warns(DeprecationWarning):
-            service = QueryService(Engine(catalog), plan_cache_size=0, ttl=5.0)
-        assert service.config.plan_cache_size == 0
-        assert service.config.ttl == 5.0
-
-    def test_config_plus_legacy_kwarg_is_an_error(self):
-        catalog, _ = _setup(name="gtab")
-        with pytest.raises(ValueError, match="not both"):
-            QueryService(Engine(catalog), config=ServiceConfig(), executor="batch")
+        with pytest.raises(TypeError, match="executor"):
+            QueryService(Engine(catalog), executor="thread")
 
     def test_service_config_rejects_legacy_names(self):
-        with pytest.raises(ValueError, match="pre-1.3 name"):
-            ServiceConfig(executor="parallel")
-        with pytest.raises(ValueError, match="must be one of"):
-            ServiceConfig(executor="bogus")
+        for name in ("parallel", "batch", "bogus"):
+            with pytest.raises(ValueError, match="must be one of"):
+                ServiceConfig(executor=name)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -280,20 +260,20 @@ class TestStatsSurface:
         assert stats.frontend["max_pending"] == service.config.max_pending
         assert "all" in stats.latency_ms
 
-    def test_legacy_aliases_report_the_same_data(self):
+    def test_stats_is_the_only_stats_method(self):
+        """The metrics()/latency_snapshot()/metrics_snapshot() aliases are gone;
+        everything they reported is a field of stats()."""
         catalog, udf = _setup(name="itab")
         service = QueryService(Engine(catalog))
         service.submit(_query(udf, table="itab"), seed=0)
+        for alias in ("metrics", "latency_snapshot", "metrics_snapshot"):
+            assert not hasattr(service, alias)
         stats = service.stats()
-        metrics = service.metrics()
-        snapshot = service.metrics_snapshot()
-        # metrics() = counters + the two cache snapshots, exactly as before.
-        for key, value in stats.serving.items():
-            assert metrics[key] == value
-        assert metrics["plan_cache"] == stats.plan_cache
-        assert metrics["stats_cache"] == stats.stats_cache
-        assert set(snapshot) == {"serving", "latency_ms", "registry"}
-        assert snapshot["latency_ms"].keys() == stats.latency_ms.keys()
+        assert stats.serving["queries"] == 1 and "retried_spans" in stats.serving
+        assert stats.plan_cache == service.plan_cache.snapshot()
+        assert stats.stats_cache == service.stats_cache.snapshot()
+        assert stats.latency_ms["all"]["count"] == 1
+        assert stats.registry == {}  # the opt-in registry is off here
 
 
 class TestExecutorAwareValidation:

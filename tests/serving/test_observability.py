@@ -26,6 +26,7 @@ from repro.db.table import Table
 from repro.db.udf import UserDefinedFunction
 from repro.obs import CollectingTraceSink, disable_metrics, enable_metrics
 from repro.serving import QueryService, ServiceConfig
+from repro.serving.config import SERVICE_STATS_SCHEMA
 from repro.solvers.linear import InfeasibleProblemError
 
 SHARD_SPAN = re.compile(r"^shard:\d+$")
@@ -232,14 +233,14 @@ class TestFlightWaits:
             worker = threading.Thread(target=service.submit, kwargs={"query": query, "seed": 0})
             worker.start()
             deadline = time.monotonic() + 5.0
-            while service.metrics()["flight_waits"] < 1:
+            while service.stats().serving["flight_waits"] < 1:
                 assert time.monotonic() < deadline, "flight wait never observed"
                 time.sleep(0.005)
         finally:
             lock.release()
         worker.join()
         service._release_flight(signature, lock)
-        assert service.metrics()["flight_waits"] == 1
+        assert service.stats().serving["flight_waits"] == 1
         assert any(
             s.name == "flight-wait" for trace in sink.traces for s in trace.spans
         )
@@ -293,7 +294,7 @@ class TestServiceSnapshots:
         query = _query(udf)
         service.submit(query, seed=0)
         service.submit(query, seed=1)
-        latency = service.latency_snapshot()
+        latency = service.stats().latency_ms
         assert latency["all"]["count"] == 2
         assert latency["miss"]["count"] == 1
         assert latency["hit"]["count"] == 1
@@ -306,11 +307,11 @@ class TestServiceSnapshots:
         service = QueryService(Engine(catalog))
         enable_metrics()
         service.submit(_query(udf), seed=0)
-        snap = service.metrics_snapshot()
-        assert set(snap) == {"serving", "latency_ms", "registry"}
-        assert snap["serving"]["queries"] == 1
-        assert snap["registry"]["counters"]["repro_serving_queries_total"] == 1.0
-        assert snap["registry"]["counters"]["repro_cache_misses_total{cache=\"plans\"}"] == 1.0
+        snap = service.stats()
+        assert set(snap.to_dict()) == set(SERVICE_STATS_SCHEMA)
+        assert snap.serving["queries"] == 1
+        assert snap.registry["counters"]["repro_serving_queries_total"] == 1.0
+        assert snap.registry["counters"]["repro_cache_misses_total{cache=\"plans\"}"] == 1.0
 
     def test_registry_mirrors_match_source_counters(self):
         table, udf, catalog = _setup()
@@ -319,13 +320,13 @@ class TestServiceSnapshots:
         query = _query(udf)
         service.submit(query, seed=0)
         service.submit(query, seed=1)
-        counters = service.metrics_snapshot()["registry"]["counters"]
-        serving = service.metrics()
+        counters = service.stats().registry["counters"]
+        serving = service.stats().serving
         assert counters["repro_serving_queries_total"] == serving["queries"]
         assert counters["repro_serving_plan_hits_total"] == serving["plan_hits"]
         assert (
             counters['repro_cache_hits_total{cache="plans"}']
-            == serving["plan_cache"]["hits"]
+            == service.stats().plan_cache["hits"]
         )
         udf_snapshot = udf.counter_snapshot()
         assert (
@@ -363,7 +364,7 @@ class TestServiceSnapshots:
         service.set_trace_sink(explode)
         result = service.submit(_query(udf), seed=0)
         assert len(result.row_ids) >= 0  # query succeeded
-        assert service.metrics()["trace_sink_errors"] == 1
+        assert service.stats().serving["trace_sink_errors"] == 1
         service.set_trace_sink(None)
         service.submit(_query(udf), seed=1)
-        assert service.metrics()["trace_sink_errors"] == 1
+        assert service.stats().serving["trace_sink_errors"] == 1

@@ -51,7 +51,7 @@ class TestPlanCaching:
         assert cold.metadata["plan_cache"] == "miss"
         warm = service.submit(query, seed=1)
         assert warm.metadata["plan_cache"] == "hit"
-        metrics = service.metrics()
+        metrics = service.stats().serving
         assert metrics["pipeline_runs"] == 1
         assert metrics["plan_hits"] == 1
         # Warm execution pays only for rows never evaluated before; the bulk
@@ -142,7 +142,7 @@ class TestPlanCaching:
         query = _query(dataset, udf)
         service.submit(query, seed=0)
         service.submit(query, seed=1)
-        assert service.metrics()["pipeline_runs"] == 2
+        assert service.stats().serving["pipeline_runs"] == 2
 
     def test_exact_queries_bypass_caches(self, serving_setup):
         dataset, catalog, udf = serving_setup
@@ -156,7 +156,7 @@ class TestPlanCaching:
         )
         result = service.submit(exact, seed=0)
         assert set(result.row_ids) == dataset.ground_truth_row_ids()
-        assert service.metrics()["exact_queries"] == 1
+        assert service.stats().serving["exact_queries"] == 1
 
     def test_audit_does_not_prepay_future_queries(self, serving_setup):
         dataset, catalog, udf = serving_setup
@@ -221,7 +221,7 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(pool.map(request, range(6)))
         assert all(len(result.row_ids) > 0 for result in results)
-        assert service.metrics()["pipeline_runs"] == 1
+        assert service.stats().serving["pipeline_runs"] == 1
 
     def test_distinct_cold_signatures_progress_independently(self, serving_setup):
         """One signature's stuck flight must not block unrelated signatures.
@@ -326,7 +326,7 @@ class TestAdmission:
         assert result.metadata["plan_cache"] == "hit"
         assert result.metadata["degraded_to_budget"] is True
         assert result.ledger.total_cost <= 100.0 + 1e-9
-        assert service.metrics()["degraded_plans"] == 1
+        assert service.stats().serving["degraded_plans"] == 1
 
     def test_concurrent_requests_cannot_jointly_overspend(self, serving_setup):
         dataset, catalog, udf = serving_setup
@@ -458,7 +458,7 @@ class TestGenerationRefresh:
         assert refreshed.ledger.evaluated_count < cold.ledger.evaluated_count / 2
         assert refreshed.quality.precision > 0.5
 
-        metrics = service.metrics()
+        metrics = service.stats().serving
         assert metrics["plan_refreshes"] == 1
         assert metrics["pipeline_runs"] == 1  # only the cold run ran the pipeline
         # the refreshed entry is live again: the next submit is a plain hit
@@ -543,7 +543,7 @@ class TestGenerationRefresh:
         table.append_columns(self._delta(30))
         refreshed = service.submit(query, seed=1)
         assert refreshed.metadata["plan_cache"] == "refresh"
-        stats = service.metrics()["stats_cache"]
+        stats = service.stats().stats_cache
         assert (
             stats["labeled_samples"]["refreshes"]
             + stats["sample_outcomes"]["refreshes"]
@@ -586,7 +586,7 @@ class TestGenerationRefresh:
         catalog.register_table(replacement, replace=True)
         result = service.submit(query, seed=1)
         assert result.metadata["plan_cache"] == "miss"
-        assert service.metrics()["plan_refreshes"] == 0
+        assert service.stats().serving["plan_refreshes"] == 0
 
 
 class TestLifetime:

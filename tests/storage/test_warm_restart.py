@@ -82,7 +82,7 @@ class TestWarmRestart:
             assert restored.metadata["plan_cache"] == "restored"
             assert restored.metadata["udf_cache"]["calls"] == 0
             assert list(restored.row_ids) == list(warm.row_ids)
-            assert service.metrics()["plan_restored"] == 1
+            assert service.stats().serving["plan_restored"] == 1
             storage = service.stats().storage
             assert storage["restored_plans"] >= 1
             assert storage["restored_udf_memos"] == 1
@@ -187,7 +187,7 @@ class TestWarmRestart:
             ] == "restored"
             again = service.submit(_query(dataset, udf), seed=7)
             assert again.metadata["plan_cache"] == "hit"
-            assert service.metrics()["plan_restored"] == 1
+            assert service.stats().serving["plan_restored"] == 1
         finally:
             service.close()
 
