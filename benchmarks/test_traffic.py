@@ -197,18 +197,21 @@ def _shed_phase():
 
     async def overload():
         leader = asyncio.create_task(service.submit_async(query, seed=1))
-        while not service._async_flights:
-            await asyncio.sleep(0.005)
-        burst_tasks = [
-            asyncio.create_task(service.submit_async(query, seed=1))
-            for _ in range(SHED_BURST)
-        ]
-        # One yield lets every burst task run its (synchronous) admission
-        # segment in creation order: over-limit tasks finish shed, in-limit
-        # ones park on the leader's flight.  Only then release the leader —
-        # gathering first would deadlock on the coalesced followers.
-        await asyncio.sleep(0)
-        gate.set()
+        try:
+            while not service._flights:
+                await asyncio.sleep(0.005)
+            burst_tasks = [
+                asyncio.create_task(service.submit_async(query, seed=1))
+                for _ in range(SHED_BURST)
+            ]
+            # One yield lets every burst task run its (synchronous) admission
+            # segment in creation order: over-limit tasks finish shed,
+            # in-limit ones park on the leader's flight.  Only then release
+            # the leader — gathering first would deadlock on the coalesced
+            # followers.
+            await asyncio.sleep(0)
+        finally:
+            gate.set()
         burst = await asyncio.gather(*burst_tasks, return_exceptions=True)
         await leader
         return burst
@@ -256,18 +259,20 @@ def _deadline_phase():
 
     async def parked():
         leader = asyncio.create_task(service.submit_async(query, seed=1))
-        while not service._async_flights:
-            await asyncio.sleep(0.005)
-        burst_tasks = [
-            asyncio.create_task(
-                service.submit_async(query, seed=1, timeout_s=DEADLINE_TIMEOUT_S)
-            )
-            for _ in range(DEADLINE_BURST)
-        ]
-        # The followers' deadlines all fire while the leader stays gated;
-        # gather settles them before the leader is released.
-        burst = await asyncio.gather(*burst_tasks, return_exceptions=True)
-        gate.set()
+        try:
+            while not service._flights:
+                await asyncio.sleep(0.005)
+            burst_tasks = [
+                asyncio.create_task(
+                    service.submit_async(query, seed=1, timeout_s=DEADLINE_TIMEOUT_S)
+                )
+                for _ in range(DEADLINE_BURST)
+            ]
+            # The followers' deadlines all fire while the leader stays gated;
+            # gather settles them before the leader is released.
+            burst = await asyncio.gather(*burst_tasks, return_exceptions=True)
+        finally:
+            gate.set()
         await leader
         return burst
 

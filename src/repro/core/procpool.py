@@ -53,7 +53,13 @@ span-index order, so a retried or locally recomputed span double-charges
 nothing and budget boundaries stay bitwise-serial.  Each faulting round is
 reported to the service's :class:`~repro.resilience.breaker.CircuitBreaker`
 (when one is wired in), which eventually degrades the whole service to the
-thread executor.  Every wait on a worker goes through one
+thread executor.  The breaker is asked exactly where the pool is about to be
+used — :meth:`~ProcessPoolBatchExecutor.execute` and
+:meth:`~ProcessPoolBatchExecutor.evaluate_rows`, never the constructor — so
+building an executor (the pipeline builds a throwaway one just to read its
+``bulk_evaluator``) can neither take nor leak a half-open probe slot; a
+refused call runs the inherited in-process path and says so through
+``on_degraded``.  Every wait on a worker goes through one
 :meth:`~ProcessPoolBatchExecutor._await`, bounded by the request's
 :class:`~repro.resilience.deadline.Deadline`, so a *hung* worker surfaces
 as a typed ``DeadlineExceeded`` — the pool is discarded and the table's
@@ -75,7 +81,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -287,6 +293,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         free_memoized: bool = False,
         breaker: Optional[CircuitBreaker] = None,
         retry_spans: bool = True,
+        on_degraded: Optional[Callable[[str], None]] = None,
     ):
         super().__init__(
             random_state=random_state,
@@ -299,6 +306,9 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         #: Retry transiently failed spans once against a respawned pool
         #: before recomputing them in-process.
         self.retry_spans = retry_spans
+        #: Told ``"breaker_open"`` each time the breaker refuses this
+        #: executor the pool (the service marks the request degraded).
+        self.on_degraded = on_degraded
 
     def _fallback(self, reason: str) -> None:
         _metrics.counter(
@@ -312,6 +322,20 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
     def _note_success(self) -> None:
         if self.breaker is not None:
             self.breaker.record_success()
+
+    def _admitted(self) -> bool:
+        """May this call use the pool?  Asked where the pool is about to be used.
+
+        A half-open breaker answers yes by handing out a probe slot, so a
+        ``True`` obliges the caller to report back — success, failure, or
+        :meth:`_cancel_probe` — and a ``False`` obliges it to nothing: the
+        slot in flight belongs to another executor.
+        """
+        if self.breaker is None or self.breaker.allow():
+            return True
+        if self.on_degraded is not None:
+            self.on_degraded("breaker_open")
+        return False
 
     def _cancel_probe(self) -> None:
         """Release a half-open probe slot this run consumed but never used.
@@ -414,13 +438,34 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         everything through one :meth:`merge_remote_evaluations`, so the memo
         cache and every UDF counter advance exactly as one serial
         ``udf.evaluate_rows`` call would (one bulk call — unlike the thread
-        path, which pays one per span chunk).
+        path, which pays one per span chunk).  The labelling fan reports
+        pool faults but never vouches for the pool — only a clean
+        :meth:`execute` closes a half-open breaker — so a probe slot taken
+        here is always handed back.
         """
         ids = np.asarray(row_ids, dtype=np.intp)
         masks = None if self.max_workers == 1 else _span_masks(table, ids)
-        prepared = None if masks is None else self._prepare_remote(table, udf)
-        if masks is None or prepared is None:
+        if masks is None or not self._admitted():
             return super().evaluate_rows(table, udf, ids)
+        try:
+            outcomes = self._evaluate_remote(table, udf, ids, masks)
+        finally:
+            self._cancel_probe()
+        if outcomes is None:
+            return super().evaluate_rows(table, udf, ids)
+        return udf.merge_remote_evaluations(ids, outcomes)
+
+    def _evaluate_remote(
+        self,
+        table: Table,
+        udf: UserDefinedFunction,
+        ids: np.ndarray,
+        masks: List[np.ndarray],
+    ) -> Optional[np.ndarray]:
+        """The workers' outcomes for ``ids``, or ``None`` to fall back in-process."""
+        prepared = self._prepare_remote(table, udf)
+        if prepared is None:
+            return None
         spec, exports = prepared
         pool = shared_process_pool(self.max_workers)
         fault_plan = _faults.active_plan()
@@ -439,14 +484,14 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             release_exports(table)
             self._note_failure("worker_crash")
             self._fallback("broken_pool")
-            return super().evaluate_rows(table, udf, ids)
+            return None
         except TimeoutError:
             raise  # the UDF's own: a timed-out wait raises DeadlineExceeded
         except (_faults.InjectedFault, OSError):
             self._note_failure("shm_attach")
             self._fallback("shm_attach")
-            return super().evaluate_rows(table, udf, ids)
-        return udf.merge_remote_evaluations(ids, outcomes)
+            return None
+        return outcomes
 
     def _harvest_spans(
         self,
@@ -560,20 +605,29 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
         """Run ``plan`` with span workers in processes (see module doc)."""
-        prepared = None if self.max_workers == 1 else self._prepare_remote(table, udf)
+        if self.max_workers == 1 or not self._admitted():
+            return super().execute(table, index, udf, plan, ledger, sample_outcome)
+        prepared = self._prepare_remote(table, udf)
         if prepared is None:
             self._cancel_probe()
             return super().execute(table, index, udf, plan, ledger, sample_outcome)
-        return self._execute_spans(
-            "process",
-            partial(self._run_process_spans, *prepared),
-            table,
-            index,
-            udf,
-            plan,
-            ledger,
-            sample_outcome,
-        )
+        try:
+            return self._execute_spans(
+                "process",
+                partial(self._run_process_spans, *prepared),
+                table,
+                index,
+                udf,
+                plan,
+                ledger,
+                sample_outcome,
+            )
+        except BaseException:
+            # An error that is no verdict on the pool (the UDF's own, a
+            # budget trip) must not keep a half-open probe slot; once the
+            # breaker has heard a verdict this is a no-op.
+            self._cancel_probe()
+            raise
 
     def _run_process_spans(
         self,

@@ -367,10 +367,11 @@ class SegmentHandle:
     """One durable column segment, mapped on first touch and LRU-evictable.
 
     Created by the lazy ``TableStore.open`` path after *header-only*
-    validation (magic + header CRC + manifest identity); the payload's full
-    per-block CRC pass runs at map time, once per map, inside
-    :func:`~repro.db.storage.segments.read_segment`.  ``pin_count`` and
-    ``ever_mapped`` are guarded by the owning manager's lock.
+    validation (magic + header CRC + manifest identity) from what
+    :func:`~repro.db.storage.segments.validate_segment_header` returned;
+    the payload's full per-block CRC pass runs at map time, once per map,
+    inside :func:`~repro.db.storage.segments.read_segment`.  ``pin_count``
+    and ``ever_mapped`` are guarded by the owning manager's lock.
     """
 
     def __init__(
@@ -380,22 +381,19 @@ class SegmentHandle:
         manager: ResidencyManager,
         *,
         column: str,
-        kind: str,
-        dtype: Optional[str],
-        rows: int,
+        header: Mapping[str, Any],
         payload_offset: int,
-        payload_bytes: int,
         breaker: Optional[CircuitBreaker] = None,
     ):
         self.path = str(path)
         self.entry = dict(entry)
         self.manager = manager
         self.column = column
-        self.kind = kind
-        self.dtype = dtype
-        self.rows = int(rows)
+        self.kind: str = header["kind"]
+        self.dtype: Optional[str] = header.get("dtype")
+        self.rows = int(header["rows"])
         self.payload_offset = int(payload_offset)
-        self.payload_bytes = int(payload_bytes)
+        self.payload_bytes = int(header["payload_bytes"])
         self.breaker = breaker
         self.pin_count = 0
         self.ever_mapped = False

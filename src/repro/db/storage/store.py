@@ -49,7 +49,7 @@ from repro.db.schema import Schema
 from repro.db.sharding import ShardedTable
 from repro.db.storage import journal as _journal
 from repro.db.storage.manifest import read_manifest, write_manifest
-from repro.db.storage.segments import read_segment, write_segment
+from repro.db.storage.segments import read_segment, validate_segment_header, write_segment
 from repro.db.table import Table
 from repro.obs import metrics as _metrics
 
@@ -289,10 +289,7 @@ class TableStore:
                         f"no manifest at {self.manifest_path}; nothing to open"
                     )
                 return self._rebuild(rebuild, report, "missing manifest")
-            if residency is not None:
-                table = self._load_table_lazy(body, report, residency)
-            else:
-                table = self._load_table(body, report, mmap=mmap)
+            table = self._load_table(body, report, mmap, residency)
             self._replay_journal(table, report)
             report.generation = table.data_generation
             # Everything validated against the committed manifest: orphan
@@ -322,150 +319,102 @@ class TableStore:
         self.save(table)
         return table, report
 
-    @staticmethod
-    def _schema_from_body(body: Dict[str, Any]) -> Schema:
-        return Schema(
-            [
-                Column(name=name, column_type=ColumnType(ctype), hidden=bool(hidden))
-                for name, ctype, hidden in body["schema"]
-            ]
-        )
-
     def _load_table(
-        self, body: Dict[str, Any], report: RecoveryReport, mmap: bool
-    ) -> Table:
-        schema = self._schema_from_body(body)
-        name = body["table"]
-        generation = int(body["data_generation"])
-        segments: Mapping[str, Mapping[str, Any]] = body["segments"]
-        shard_arrays: List[Dict[str, Any]] = []
-        for key in sorted(segments, key=int):
-            arrays: Dict[str, Any] = {}
-            for column, entry in segments[key].items():
-                path = os.path.join(self.segments_dir, entry["file"])
-                arrays[column] = read_segment(path, expected=entry, mmap=mmap)
-                report.segments_loaded += 1
-                _count("segments_loaded")
-            shard_arrays.append(arrays)
-        if body["layout"] == "monolithic":
-            if len(shard_arrays) != 1:
-                raise CorruptSegmentError(
-                    self.manifest_path,
-                    f"monolithic layout with {len(shard_arrays)} shard entries",
-                )
-            table: Table = Table.from_arrays(
-                name, schema, shard_arrays[0], data_generation=generation
-            )
-        else:
-            shards = [
-                Table.from_arrays(f"{name}#shard{position}", schema, arrays)
-                for position, arrays in enumerate(shard_arrays)
-            ]
-            table = ShardedTable(
-                name,
-                schema,
-                shards,
-                max_workers=body.get("max_workers"),
-                tail_shard_rows=body.get("tail_shard_rows"),
-            )
-            table._data_generation = generation
-            offsets = [int(offset) for offset in body["offsets"]]
-            if list(table.shard_offsets) != offsets:
-                raise CorruptSegmentError(
-                    self.manifest_path,
-                    f"segment rows give offsets {list(table.shard_offsets)}, "
-                    f"manifest committed {offsets}",
-                )
-        if table.num_rows != int(body["num_rows"]):
-            raise CorruptSegmentError(
-                self.manifest_path,
-                f"segments hold {table.num_rows} rows, manifest committed "
-                f"{body['num_rows']}",
-            )
-        return table
-
-    def _load_table_lazy(
         self,
         body: Dict[str, Any],
         report: RecoveryReport,
-        residency: "ResidencyManager",
+        mmap: bool,
+        residency: Optional["ResidencyManager"],
     ) -> Table:
-        """Build residency-managed stubs over header-validated segments.
+        """Rebuild the table a committed manifest describes, cross-checked.
 
-        O(headers), not O(payload): each segment's magic, header CRC and
-        manifest identity are checked now; the payload's per-block CRC pass
-        runs at first-touch map time inside the segment handle.  One map
-        circuit breaker is shared by the whole table, so repeated map
-        failures on any shard degrade the table as a unit.
+        One walk over the manifest's shards and one set of cross-checks
+        serve both kinds of open; ``residency is None`` selects only *how
+        one segment loads* and *which table class holds it*:
+
+        * eager — :func:`read_segment` validates and maps every payload now
+          into plain :class:`Table` / :class:`ShardedTable` objects;
+        * lazy — O(headers), not O(payload): each segment's magic, header
+          CRC and manifest identity are checked now and it becomes a
+          :class:`~repro.db.residency.SegmentHandle` whose per-block CRC
+          pass runs at first-touch map time, inside residency-managed
+          stubs.  One map circuit breaker is shared by the whole table, so
+          repeated map failures on any shard degrade the table as a unit.
         """
-        from repro.db.residency import (
-            LazySegmentTable,
-            LazyShardedTable,
-            SegmentHandle,
-        )
-        from repro.db.storage.segments import validate_segment_header
-        from repro.resilience.breaker import CircuitBreaker
+        if residency is not None:
+            from repro.db.residency import (
+                LazySegmentTable,
+                LazyShardedTable,
+                SegmentHandle,
+            )
+            from repro.resilience.breaker import CircuitBreaker
 
-        schema = self._schema_from_body(body)
+            breaker = CircuitBreaker(failure_threshold=3, recovery_time_s=60.0)
+
         name = body["table"]
+        schema = Schema(
+            [
+                Column(name=column, column_type=ColumnType(ctype), hidden=bool(hidden))
+                for column, ctype, hidden in body["schema"]
+            ]
+        )
         generation = int(body["data_generation"])
         segments: Mapping[str, Mapping[str, Any]] = body["segments"]
-        breaker = CircuitBreaker(failure_threshold=3, recovery_time_s=60.0)
-        shard_handles: List[Dict[str, SegmentHandle]] = []
-        shard_rows: List[int] = []
-        for key in sorted(segments, key=int):
-            handles: Dict[str, SegmentHandle] = {}
-            rows = 0
+        monolithic = body["layout"] == "monolithic"
+        shards: List[Table] = []
+        for position, key in enumerate(sorted(segments, key=int)):
+            columns: Dict[str, Any] = {}
             for column, entry in segments[key].items():
                 path = os.path.join(self.segments_dir, entry["file"])
-                header, payload_offset = validate_segment_header(
-                    path, expected=entry
+                if residency is None:
+                    columns[column] = read_segment(path, expected=entry, mmap=mmap)
+                    report.segments_loaded += 1
+                    _count("segments_loaded")
+                else:
+                    header, payload_offset = validate_segment_header(
+                        path, expected=entry
+                    )
+                    columns[column] = SegmentHandle(
+                        path,
+                        entry,
+                        residency,
+                        column=column,
+                        header=header,
+                        payload_offset=payload_offset,
+                        breaker=breaker,
+                    )
+                    report.segments_deferred += 1
+                    _count("headers_validated")
+            # A sharded table carries the generation itself; its shards are
+            # anonymous parts at generation 0.
+            shard_name = name if monolithic else f"{name}#shard{position}"
+            shard_generation = generation if monolithic else 0
+            if residency is None:
+                shards.append(
+                    Table.from_arrays(
+                        shard_name, schema, columns, data_generation=shard_generation
+                    )
                 )
-                handles[column] = SegmentHandle(
-                    path,
-                    entry,
-                    residency,
-                    column=column,
-                    kind=header["kind"],
-                    dtype=header.get("dtype"),
-                    rows=int(header["rows"]),
-                    payload_offset=payload_offset,
-                    payload_bytes=int(header["payload_bytes"]),
-                    breaker=breaker,
+            else:
+                shards.append(
+                    LazySegmentTable.from_segments(
+                        shard_name,
+                        schema,
+                        columns,
+                        num_rows=max((h.rows for h in columns.values()), default=0),
+                        data_generation=shard_generation,
+                        map_breaker=breaker,
+                    )
                 )
-                rows = int(header["rows"])
-                report.segments_deferred += 1
-                _count("headers_validated")
-            shard_handles.append(handles)
-            shard_rows.append(rows)
-        if body["layout"] == "monolithic":
-            if len(shard_handles) != 1:
+        if monolithic:
+            if len(shards) != 1:
                 raise CorruptSegmentError(
                     self.manifest_path,
-                    f"monolithic layout with {len(shard_handles)} shard entries",
+                    f"monolithic layout with {len(shards)} shard entries",
                 )
-            table: Table = LazySegmentTable.from_segments(
-                name,
-                schema,
-                shard_handles[0],
-                num_rows=shard_rows[0],
-                data_generation=generation,
-                map_breaker=breaker,
-            )
+            table = shards[0]
         else:
-            shards = [
-                LazySegmentTable.from_segments(
-                    f"{name}#shard{position}",
-                    schema,
-                    handles,
-                    num_rows=rows,
-                    map_breaker=breaker,
-                )
-                for position, (handles, rows) in enumerate(
-                    zip(shard_handles, shard_rows)
-                )
-            ]
-            table = LazyShardedTable(
+            table = (ShardedTable if residency is None else LazyShardedTable)(
                 name,
                 schema,
                 shards,

@@ -13,8 +13,8 @@ span.  The parallel executor copies its submitting context into pool
 workers (``contextvars.copy_context().run``), so per-shard spans created on
 worker threads land under the submitting query's ``execute`` span and a
 1M-row sharded query still yields one coherent tree.  Because the binding
-is per-context, concurrent queries through the same service — even through
-the striped single-flight registry — never see each other's spans.
+is per-context, concurrent queries through the same service — even ones
+waiting on one another's flight — never see each other's spans.
 
 Work-counter exactness comes from two disciplines:
 

@@ -5,9 +5,9 @@ that fails, a worker hung past the request deadline — are retried once at
 span granularity by :class:`~repro.core.procpool.ProcessPoolBatchExecutor`.
 When faults keep coming the right move is to stop paying the pool tax
 altogether: the breaker **opens** after ``failure_threshold`` consecutive
-failures, and while open the service builds thread/serial executors instead
-(bitwise-identical answers, just not multi-core), counting each degraded
-query.  After ``recovery_time_s`` the breaker **half-opens** and lets up to
+failures, and while open the process executor runs its inherited in-process
+thread path instead (bitwise-identical answers, just not multi-core), the
+service counting each degraded query.  After ``recovery_time_s`` the breaker **half-opens** and lets up to
 ``probe_quota`` concurrent probe queries try the pool again: one success
 closes it, one failure re-opens it.
 
@@ -36,11 +36,13 @@ class CircuitBreaker:
     """Consecutive-failure breaker with timed half-open probing.
 
     Thread safe; one instance guards one resource (the service's process
-    pool).  ``allow()`` is the admission question ("may this query use the
-    pool?"); the executor reports back through ``record_success`` /
-    ``record_failure``, or ``cancel_probe`` when it never actually exercised
-    the pool (fell back before any remote work) so half-open probe slots are
-    not leaked.
+    pool).  ``allow()`` is the admission question ("may this call use the
+    pool?"), asked by the executor right where it is about to use it —
+    never at construction, since an executor that is built but not run
+    would keep the slot; the same executor reports back through
+    ``record_success`` / ``record_failure``, or ``cancel_probe`` when it
+    never actually exercised the pool (fell back before any remote work) so
+    half-open probe slots are not leaked.
     """
 
     def __init__(

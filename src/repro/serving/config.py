@@ -67,10 +67,6 @@ class ServiceConfig:
     class_limits:
         Per-class overrides of ``max_pending``, keyed by query class
         (``"exact"`` / ``"strategy"`` / ``"approximate"``).
-    coalesce:
-        Merge concurrent same-signature cold misses on the async front-end:
-        followers await the leader's planning/sampling pass instead of
-        re-running it (and followers with the same seed share its result).
     default_timeout_s:
         Deadline applied to every request that does not carry its own
         ``timeout_s``/``deadline`` (``None`` = no default deadline).  An
@@ -80,12 +76,12 @@ class ServiceConfig:
     retry_spans:
         Let the process executor retry a transiently failed span once
         against a respawned pool before recomputing it in-process.
-    breaker_threshold / breaker_recovery_s / breaker_probes:
+    breaker_threshold / breaker_recovery_s:
         Circuit breaker over process-pool health: after ``breaker_threshold``
         consecutive faulting requests the service degrades process-backed
         execution to the in-process thread path; after
-        ``breaker_recovery_s`` seconds it half-opens and lets up to
-        ``breaker_probes`` probe requests try the pool again.
+        ``breaker_recovery_s`` seconds it half-opens and lets one probe
+        request at a time try the pool again.
     storage_dir:
         Root directory of a durable :class:`~repro.db.storage.CatalogStore`.
         When set, the service restores persisted warm state (plan-cache
@@ -118,12 +114,10 @@ class ServiceConfig:
     max_concurrency: int = 8
     max_pending: int = 64
     class_limits: Mapping[str, int] = field(default_factory=dict)
-    coalesce: bool = True
     default_timeout_s: Optional[float] = None
     retry_spans: bool = True
     breaker_threshold: int = 3
     breaker_recovery_s: float = 30.0
-    breaker_probes: int = 1
     storage_dir: Optional[str] = None
     memory_budget_bytes: Optional[int] = None
 
@@ -156,10 +150,6 @@ class ServiceConfig:
         if self.breaker_recovery_s <= 0:
             raise ValueError(
                 f"breaker_recovery_s must be positive, got {self.breaker_recovery_s}"
-            )
-        if self.breaker_probes < 1:
-            raise ValueError(
-                f"breaker_probes must be positive, got {self.breaker_probes}"
             )
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
             raise ValueError(
@@ -210,7 +200,8 @@ SERVICE_STATS_SCHEMA: Dict[str, str] = {
     "serving": (
         "monotonic request counters: queries, exact_queries, plan_hits/"
         "misses/refreshes, pipeline_runs, solver_calls, degraded_plans, "
-        "rejected, flight_waits, fallbacks, trace_sink_errors, shed "
+        "rejected, flight_waits (times a synchronous request parked behind a "
+        "signature's flight leader), fallbacks, trace_sink_errors, shed "
         "(async admission rejections), coalesced (requests answered from a "
         "coalesced leader's result without executing), deadline_exceeded "
         "(requests cancelled by their deadline), degraded (requests served "
@@ -231,7 +222,8 @@ SERVICE_STATS_SCHEMA: Dict[str, str] = {
     ),
     "frontend": (
         "async front-end state: pending per query class, class_limits, "
-        "max_pending, max_concurrency, coalesce flag, open_flights"
+        "max_pending, max_concurrency, open_flights (signatures being planned "
+        "right now, by either front-end: the size of the one flight table)"
     ),
     "registry": "repro.obs MetricsRegistry.snapshot() (empty while disabled)",
     "resilience": (

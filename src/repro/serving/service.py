@@ -17,12 +17,22 @@ the expensive statistical work across them:
 * **batched execution** — warm plans execute on the vectorised
   :class:`~repro.core.executor.BatchExecutor` by default.
 
-Thread safety: cache structures are individually locked, and cold
-signatures are computed under a per-signature single-flight lock so N
-concurrent identical requests plan once; the single-flight registry is
-striped 16 ways by signature hash, so distinct cold signatures never share
-a guard.  Each request carries its own seed and ledger, so a warm service
-is deterministic per request regardless of thread interleaving.
+Thread safety: cache structures are individually locked, and N concurrent
+requests for one cold (or stale) signature plan once through **one flight
+table** — ``signature -> _Flight`` under one lock, shared by both
+front-ends.  The first request to find a signature not live opens its
+flight and leads: it re-checks the cache, solves, stores the plan and lands
+the flight.  Everyone else waits for the landing — a synchronous caller in
+deadline-checked 50 ms chunks, an asyncio follower on the event loop without
+holding a pool thread — then re-reads the cache and runs *its own* warm
+execution with no lock held (or leads the next flight if the leader
+failed).  A flight is landed exactly once, by whoever opened it:
+:meth:`QueryService.submit` lands the flights it opens empty,
+:meth:`QueryService.submit_async` lands the ones it opens with the leader's
+finished result, which is what bitwise-compatible followers share.  The
+table's lock guards dictionary bookkeeping only, so distinct signatures never
+wait on each other.  Each request carries its own seed and ledger, so a warm
+service is deterministic per request regardless of thread interleaving.
 
 Sharded catalogs are served transparently: a
 :class:`~repro.db.sharding.ShardedTable` satisfies the full table contract,
@@ -46,8 +56,9 @@ catalog table bumps its ``data_generation``, which marks warm plan entries
 *refreshable* rather than dead — the next request for such a signature
 tops up the cached statistics with delta-only UDF work (sticky correlated
 column, reservoir-topped labelled sample, shortfall-only sampling) and
-re-solves once, instead of re-planning cold.  See ``_refresh_and_execute``
-and the package docstring's "Update workloads" section.
+re-solves once, instead of re-planning cold.  Cold miss and refresh are one
+code path, :meth:`QueryService._solve_and_execute`, differing only in where
+the statistics handed to the pipeline come from.
 """
 
 from __future__ import annotations
@@ -114,26 +125,36 @@ from repro.stats.random import (
 
 @dataclass
 class _Flight:
-    """A coalesced cold miss on the async front-end.
+    """One open single-flight: a signature being planned, and who waits on it.
 
-    The first arrival for a cold signature becomes the leader and runs the
-    full request; followers await ``future``.  Followers whose request is
-    bitwise-compatible with the leader's (same seed and audit flag, both
-    anonymous) share the leader's result; the rest re-submit once the plan
-    is warm.
+    The first request to find a signature not live opens its flight and
+    leads; later arrivals wait on ``future``.  Whoever opened a flight lands
+    it, exactly once (:meth:`QueryService._finish_flight`).  A flight
+    :meth:`~QueryService.submit` opened lands empty — the plan is in the
+    cache, every waiter executes it itself.  A flight
+    :meth:`~QueryService.submit_async` opened lands with its leader's
+    finished result, and ``seed``/``audit``/``client_id`` say which
+    followers that result is bitwise theirs to share (same seed and audit
+    flag, both anonymous); the rest re-submit once the plan is warm.
+
+    ``running`` says a thread is actually planning: true from the start for
+    a flight ``submit`` opened, and for an async-opened one only once its
+    leading ``submit`` has left the front-end pool's queue.  Nobody parks a
+    thread behind a flight that is not running — the thread might be the
+    very pool thread its leader is queued for.
     """
 
     signature: Hashable
     seed: object
     audit: bool
     client_id: Optional[str]
-    future: "concurrent.futures.Future[QueryResult]"
+    future: "concurrent.futures.Future[Optional[QueryResult]]"
+    running: bool = True
 
 
-#: Number of independent single-flight guard stripes.  Cold signatures hash
-#: onto a stripe, so registry bookkeeping for one signature never contends
-#: with bookkeeping for unrelated signatures on other stripes.
-_FLIGHT_STRIPES = 16
+#: The flight :meth:`QueryService.submit_async` opened for the ``submit`` it
+#: dispatched on this thread, which therefore leads it instead of joining.
+_LED_FLIGHT: ContextVar[Optional[_Flight]] = ContextVar("repro_led_flight", default=None)
 
 #: Why the current request was served degraded (``"breaker_open"`` when the
 #: circuit breaker forced in-process execution), or ``None``.  Request-scoped:
@@ -244,22 +265,14 @@ class QueryService:
         # Per-query tracing is active only while a sink is installed.
         self._trace_sink: Optional[Callable[[Trace], None]] = None
         self._query_ids = itertools.count(1)
-        # Striped single-flight registries: signature -> [lock, refcount],
-        # sharded by hash(signature) so concurrent *distinct* cold signatures
-        # never serialise on one global guard (the guards only protect the
-        # registry dicts; each signature's flight lock is its own object).
-        self._flight_locks: Tuple[Dict[Hashable, list], ...] = tuple(
-            {} for _ in range(_FLIGHT_STRIPES)
-        )
-        self._flight_guards: Tuple[threading.Lock, ...] = tuple(
-            threading.Lock() for _ in range(_FLIGHT_STRIPES)
-        )
-        # Async front-end: admission counters, the coalescing flight table
-        # and the lazily created bounded worker pool.
+        # The one single-flight table (see ``_Flight``), shared by both
+        # front-ends; its lock guards the dict, never a request's work.
+        self._flights: Dict[Hashable, _Flight] = {}
+        self._flights_lock = threading.Lock()
+        # Async front-end: admission counters and the lazily created
+        # bounded worker pool.
         self._frontend_lock = threading.Lock()
         self._frontend_pending: Dict[str, int] = {}
-        self._async_flights: Dict[Hashable, _Flight] = {}
-        self._async_flights_lock = threading.Lock()
         self._frontend_executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         # Resilience: one breaker guards process-pool health for the whole
         # service; requests carry deadlines; close() drains in-flight work
@@ -267,7 +280,6 @@ class QueryService:
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
             recovery_time_s=self.config.breaker_recovery_s,
-            probe_quota=self.config.breaker_probes,
         )
         self._closed = False
         self._inflight = 0
@@ -351,28 +363,29 @@ class QueryService:
 
         ``free_memoized`` is the accounting: the cold pipeline keeps the
         paper's charging semantics (``False``); serving accounting
-        (``config.free_memoized``) applies on warm paths.  The ``process``
-        backend runs in worker processes unless the circuit breaker says
-        no: an open breaker (repeated pool faults) degrades the request to
-        the in-process thread executor — bitwise-identical results, just
-        not multi-core.  A half-open breaker admits this request as a probe
-        — the executor reports the probe's outcome back through the shared
-        breaker.
+        (``config.free_memoized``) applies on warm paths.  Construction is
+        configuration only — it touches no breaker state, so the pipeline
+        may build a throwaway executor just to read its ``bulk_evaluator``.
+        The ``process`` executor asks the service's breaker itself, where it
+        is about to use the pool: refused (repeated pool faults), it runs
+        the in-process thread path — bitwise-identical results, just not
+        multi-core — and reports ``"breaker_open"`` to
+        :meth:`_note_degraded`; admitted as a half-open probe, it reports
+        the probe's outcome back through the shared breaker.
         """
         if self.executor_backend == "serial":
             return BatchExecutor(random_state=random_state, free_memoized=free_memoized)
         if self.executor_backend == "reference":
             return PlanExecutor(random_state=random_state)
         if self.executor_backend == "process":
-            if self.breaker.allow():
-                return ProcessPoolBatchExecutor(
-                    random_state=random_state,
-                    max_workers=self.max_workers,
-                    free_memoized=free_memoized,
-                    breaker=self.breaker,
-                    retry_spans=self.config.retry_spans,
-                )
-            self._note_degraded("breaker_open")
+            return ProcessPoolBatchExecutor(
+                random_state=random_state,
+                max_workers=self.max_workers,
+                free_memoized=free_memoized,
+                breaker=self.breaker,
+                retry_spans=self.config.retry_spans,
+                on_degraded=self._note_degraded,
+            )
         return ParallelBatchExecutor(
             random_state=random_state,
             max_workers=self.max_workers,
@@ -419,42 +432,19 @@ class QueryService:
                     self._latency[path] = found
         return found
 
-    @staticmethod
-    def _latency_path(query: SelectQuery, result: QueryResult) -> str:
-        if query.is_exact:
-            return "exact"
-        if query.strategy is not None:
-            return "strategy"
-        classified = result.metadata.get("plan_cache")
-        if classified in ("hit", "miss", "refresh", "restored"):
-            return classified
-        return "strategy"
+    def _record_latency(self, path: str, started: float) -> None:
+        """Time one finished request into ``all`` and its own path."""
+        elapsed = time.perf_counter() - started
+        self.latency_histogram("all").observe(elapsed)
+        self.latency_histogram(path).observe(elapsed)
 
-    @staticmethod
-    def _flight_stripe(signature: Hashable) -> int:
-        """Which guard stripe a signature's flight bookkeeping lives on."""
-        return hash(signature) % _FLIGHT_STRIPES
-
-    def _flight_lock(self, signature: Hashable) -> threading.Lock:
-        """Join the single-flight for ``signature`` (refcounted)."""
-        stripe = self._flight_stripe(signature)
-        with self._flight_guards[stripe]:
-            entry = self._flight_locks[stripe].get(signature)
-            if entry is None:
-                entry = [threading.Lock(), 0]
-                self._flight_locks[stripe][signature] = entry
-            entry[1] += 1
-            return entry[0]
-
-    def _release_flight(self, signature: Hashable, lock: threading.Lock) -> None:
-        """Leave the single-flight; the last participant drops the registry entry."""
-        stripe = self._flight_stripe(signature)
-        with self._flight_guards[stripe]:
-            entry = self._flight_locks[stripe].get(signature)
-            if entry is not None and entry[0] is lock:
-                entry[1] -= 1
-                if entry[1] <= 0:
-                    del self._flight_locks[stripe][signature]
+    @classmethod
+    def _latency_path(cls, query: SelectQuery, result: QueryResult) -> str:
+        """A served request's path: its query class, split by ``plan_cache``."""
+        query_class = cls._query_class(query)
+        if query_class != "approximate":
+            return query_class
+        return result.metadata.get("plan_cache", "strategy")
 
     # -- submission ----------------------------------------------------------------
     def _resolve_deadline(
@@ -529,9 +519,7 @@ class QueryService:
         except BaseException as exc:
             if isinstance(exc, DeadlineExceeded):
                 self._count("deadline_exceeded")
-            elapsed = time.perf_counter() - started
-            self.latency_histogram("all").observe(elapsed)
-            self.latency_histogram("error").observe(elapsed)
+            self._record_latency("error", started)
             raise
         finally:
             reason = _DEGRADED.get()
@@ -551,9 +539,7 @@ class QueryService:
             self._exit_request()
         if reason is not None:
             result.metadata["degraded"] = reason
-        elapsed = time.perf_counter() - started
-        self.latency_histogram("all").observe(elapsed)
-        self.latency_histogram(self._latency_path(query, result)).observe(elapsed)
+        self._record_latency(self._latency_path(query, result), started)
         return result
 
     # -- async front-end -------------------------------------------------------------
@@ -585,7 +571,11 @@ class QueryService:
           row ids, zero extra UDF work, metadata ``coalesced: True``,
           counted on the ``coalesced`` metric.  Other followers (different
           seed, budgeted, or auditing) re-submit once the plan is warm,
-          paying only warm-path execution.
+          paying only warm-path execution — as does every follower of a
+          flight a synchronous :meth:`submit` opened, which lands empty.
+          Flights are opened here, on the event-loop thread, so a burst
+          coalesces before the pool hop and a follower never holds a pool
+          thread while it waits.
 
         ``timeout_s`` bounds the whole wait, including time parked behind a
         flight leader: a follower whose deadline passes while the leader is
@@ -595,37 +585,39 @@ class QueryService:
         """
         if self._closed:
             raise ServiceClosed()
+
+        def run(led: Optional[_Flight]) -> QueryResult:
+            # Leadership is set inside the callable because the pool hop does
+            # not copy context.  ``seed`` stays an argument of ``submit``: the
+            # benchmark tracer attributes pool-thread spans to operations
+            # through it.
+            token = _LED_FLIGHT.set(led)
+            try:
+                return self.submit(query, client_id, seed, audit, timeout_s=timeout_s)
+            finally:
+                _LED_FLIGHT.reset(token)
+
         query_class = self._query_class(query)
         self._admit_frontend(query_class)
         try:
-            loop = asyncio.get_running_loop()
-            pool = self._frontend_pool()
+            dispatch = partial(
+                asyncio.get_running_loop().run_in_executor, self._frontend_pool(), run
+            )
             signature = self._coalesce_signature(query)
-            flight: Optional[_Flight] = None
-            leader = False
-            if signature is not None:
-                flight, leader = self._join_flight(signature, seed, audit, client_id)
-            if flight is None:
-                return await loop.run_in_executor(
-                    pool,
-                    lambda: self.submit(
-                        query, client_id, seed, audit, timeout_s=timeout_s
-                    ),
-                )
+            if signature is None:
+                return await dispatch(None)
+            flight, leader = self._join_flight(
+                signature, seed, audit, client_id, running=False
+            )
             if leader:
                 try:
-                    result = await loop.run_in_executor(
-                        pool,
-                        lambda: self.submit(
-                            query, client_id, seed, audit, timeout_s=timeout_s
-                        ),
-                    )
+                    result = await dispatch(flight)
                 except BaseException as exc:
-                    self._finish_flight(flight, None, exc)
+                    self._finish_flight(flight, error=exc)
                     raise
-                self._finish_flight(flight, result, None)
+                self._finish_flight(flight, result)
                 return result
-            # Follower: wait for the leader's pass — but never past this
+            # Follower: wait for the flight to land — but never past this
             # request's own deadline.  A failed leader is normally not
             # propagated (the follower runs its own request, attributing any
             # repeat failure to itself); the exception is a leader killed by
@@ -634,22 +626,19 @@ class QueryService:
             started = time.perf_counter()
             deadline = self._resolve_deadline(timeout_s, None)
             shared: Optional[QueryResult] = None
-            shared_error: Optional[BaseException] = None
+            shared_error: Optional[Exception] = None
             try:
-                if deadline is None:
-                    shared = await asyncio.wrap_future(flight.future)
-                else:
-                    # Shielded: a follower timing out must not cancel the
-                    # *shared* flight future out from under the leader (whose
-                    # set_result would then raise) and the other followers.
-                    shared = await asyncio.wait_for(
-                        asyncio.shield(asyncio.wrap_future(flight.future)),
-                        timeout=max(deadline.remaining(), 0.0),
-                    )
+                # Shielded: a follower timing out (or cancelled) must not
+                # cancel the *shared* flight future out from under its
+                # leader and the other waiters.
+                shared = await asyncio.wait_for(
+                    asyncio.shield(asyncio.wrap_future(flight.future)),
+                    timeout=None if deadline is None else max(deadline.remaining(), 0.0),
+                )
             except asyncio.TimeoutError:
                 self._count("deadline_exceeded")
                 raise DeadlineExceeded(deadline.timeout_s, "flight-follower") from None
-            except BaseException as exc:  # noqa: BLE001 - classified below
+            except Exception as exc:  # noqa: BLE001 - classified below
                 shared_error = exc
             compatible = (
                 client_id is None
@@ -657,28 +646,19 @@ class QueryService:
                 and audit == flight.audit
                 and seed == flight.seed
             )
-            if (
-                shared_error is not None
-                and compatible
-                and isinstance(shared_error, DeadlineExceeded)
-            ):
+            if compatible and isinstance(shared_error, DeadlineExceeded):
                 self._count("deadline_exceeded")
                 raise shared_error
-            if shared is not None and compatible:
+            if compatible and shared is not None:
                 self._count("coalesced")
-                elapsed = time.perf_counter() - started
-                self.latency_histogram("all").observe(elapsed)
-                self.latency_histogram("coalesced").observe(elapsed)
+                self._record_latency("coalesced", started)
                 return QueryResult(
                     row_ids=shared.row_ids,
                     ledger=shared.ledger,
                     quality=shared.quality,
                     metadata={**shared.metadata, "coalesced": True},
                 )
-            return await loop.run_in_executor(
-                pool,
-                lambda: self.submit(query, client_id, seed, audit, timeout_s=timeout_s),
-            )
+            return await dispatch(None)
         finally:
             self._release_frontend(query_class)
 
@@ -740,12 +720,7 @@ class QueryService:
         and merging them would serialise the very traffic the plan cache
         exists to parallelise.
         """
-        if (
-            not self.config.coalesce
-            or query.is_exact
-            or query.strategy is not None
-            or not self.plan_cache.enabled
-        ):
+        if self._query_class(query) != "approximate" or not self.plan_cache.enabled:
             return None
         signature = plan_signature(query, self._cost_model(), self._strategy_prototype)
         _, state = self._lookup_entry(signature, query, record=False)
@@ -754,39 +729,64 @@ class QueryService:
     def _join_flight(
         self,
         signature: Hashable,
-        seed: SeedLike,
-        audit: bool,
-        client_id: Optional[str],
+        seed: SeedLike = None,
+        audit: bool = False,
+        client_id: Optional[str] = None,
+        running: bool = True,
     ) -> Tuple[_Flight, bool]:
-        """Join (or open, becoming leader of) the flight for a signature."""
-        with self._async_flights_lock:
-            found = self._async_flights.get(signature)
+        """Join the open flight for a signature, or open one and lead it.
+
+        The leader's ``seed``/``audit``/``client_id`` matter only for a
+        flight that lands with a result to share, i.e. one
+        :meth:`submit_async` opens — with ``running=False``, because its
+        leading ``submit`` is still queued for the front-end pool.
+        """
+        with self._flights_lock:
+            found = self._flights.get(signature)
             if found is not None:
                 return found, False
             flight = _Flight(
-                signature, seed, audit, client_id, concurrent.futures.Future()
+                signature, seed, audit, client_id, concurrent.futures.Future(), running
             )
-            self._async_flights[signature] = flight
+            self._flights[signature] = flight
             return flight, True
 
     def _finish_flight(
         self,
         flight: _Flight,
-        result: Optional[QueryResult],
-        error: Optional[BaseException],
+        result: Optional[QueryResult] = None,
+        error: Optional[BaseException] = None,
     ) -> None:
-        """Close a flight: unregister it, then wake the followers."""
-        with self._async_flights_lock:
-            if self._async_flights.get(flight.signature) is flight:
-                del self._async_flights[flight.signature]
-        if flight.future.cancelled():
-            # Belt and braces: nothing to deliver into a cancelled future,
-            # and set_result/set_exception would raise InvalidStateError.
-            return
-        if error is not None:
+        """Land a flight: unregister it, then wake everyone waiting on it.
+
+        Called exactly once per flight, by whoever opened it.  Only an
+        ``Exception`` is worth sharing; a leader that was cancelled or
+        interrupted lands its flight empty, like a flight ``submit`` opened,
+        and every waiter runs its own request.
+        """
+        with self._flights_lock:
+            del self._flights[flight.signature]
+        if isinstance(error, Exception):
             flight.future.set_exception(error)
         else:
             flight.future.set_result(result)
+
+    @staticmethod
+    def _await_flight(flight: _Flight) -> None:
+        """Park until a flight lands, but never past the active deadline.
+
+        A request parked behind a signature's flight leader must raise the
+        typed ``DeadlineExceeded`` when its time runs out — not hang until
+        the leader finishes.  The wait is chunked (50 ms) so injected test
+        clocks are honoured too, not only real elapsed time.
+        """
+        deadline = current_deadline()
+        while not flight.future.done():
+            wait = None
+            if deadline is not None:
+                deadline.check("flight-wait")
+                wait = min(max(deadline.remaining(), 0.0), 0.05)
+            concurrent.futures.wait([flight.future], timeout=wait)
 
     def _submit(
         self,
@@ -868,61 +868,54 @@ class QueryService:
 
         if not self.plan_cache.enabled:
             self._count("plan_misses")
-            return self._plan_and_execute(query, ledger, seed, signature)
+            return self._solve_and_execute(query, ledger, seed, signature, None)
 
         # Single-flight: concurrent cold (and refresh) requests for one
-        # signature plan once.  The non-blocking first acquire separates
-        # flight leaders from waiters, so contention on a cold signature is
-        # countable (``flight_waits``) and visible as a span in traces.
-        lock = self._flight_lock(signature)
+        # signature plan once.  ``leads`` is "this thread solves": it was
+        # dispatched as the leader of the flight ``submit_async`` opened
+        # (which lands it), or it opens a flight here and lands it below.
+        # Waiting is countable (``flight_waits``) and a span in traces.
+        led = _LED_FLIGHT.get()
+        leads = led is not None and led.signature == signature
+        if leads:
+            led.running = True
+        opened: Optional[_Flight] = None
         try:
-            if not lock.acquire(blocking=False):
-                self._count("flight_waits")
-                with _span("flight-wait"):
-                    self._acquire_with_deadline(lock)
-            try:
-                # Re-check without recounting: the pre-lock lookup already
-                # recorded this request's cache outcome; a waiter whose plan
-                # was computed by the flight leader records its hit here.
+            while True:
+                if not leads:
+                    flight, leads = self._join_flight(signature)
+                    if leads:
+                        opened = flight
+                    elif flight.running:
+                        self._count("flight_waits")
+                        with _span("flight-wait"):
+                            self._await_flight(flight)
+                    else:
+                        # Its leader is still queued for the front-end pool,
+                        # perhaps behind this very thread: plan unshared.
+                        leads = True
+                # Re-check without recounting: the first lookup already
+                # recorded this request's cache outcome; a request whose
+                # plan a flight leader computed records its hit below.
                 entry, state = self._lookup_entry(signature, query, record=False)
                 if state == "live":
-                    self.plan_cache.note_hit()
-                    self._count("plan_hits")
-                    return self._execute_cached(
-                        query, entry, ledger, seed, session, signature
+                    break
+                if leads:
+                    self._count(
+                        "plan_refreshes" if state == "refresh" else "plan_misses"
                     )
-                if state == "refresh":
-                    self._count("plan_refreshes")
-                    return self._refresh_and_execute(
-                        query, entry, ledger, seed, signature
+                    return self._solve_and_execute(
+                        query, ledger, seed, signature, entry
                     )
-                self._count("plan_misses")
-                return self._plan_and_execute(query, ledger, seed, signature)
-            finally:
-                lock.release()
+                # The leader failed (or the data moved on again): the next
+                # round joins, or opens, the next flight.
         finally:
-            # The last participant drops the registry entry, keeping the lock
-            # dict bounded by in-flight signatures, not historical ones.
-            self._release_flight(signature, lock)
-
-    @staticmethod
-    def _acquire_with_deadline(lock: threading.Lock) -> None:
-        """Block on a flight lock, but never past the active deadline.
-
-        A request parked behind a cold signature's flight leader must raise
-        the typed ``DeadlineExceeded`` when its time runs out — not hang
-        until the leader finishes.  The wait is chunked (50 ms) so injected
-        test clocks are honoured too, not only real elapsed time.
-        """
-        deadline = current_deadline()
-        if deadline is None:
-            lock.acquire()
-            return
-        while True:
-            deadline.check("flight-wait")
-            wait = min(max(deadline.remaining(), 0.0), 0.05)
-            if lock.acquire(timeout=wait):
-                return
+            if opened is not None:
+                self._finish_flight(opened)
+        # Warm from here on, with no flight held: N waiters execute at once.
+        self.plan_cache.note_hit()
+        self._count("plan_hits")
+        return self._execute_cached(query, entry, ledger, seed, session, signature)
 
     def _lookup_entry(
         self, signature: Tuple, query: SelectQuery, record: bool = True
@@ -971,56 +964,7 @@ class QueryService:
                 self.plan_cache.note_miss()
         return (entry if state != "miss" else None), state
 
-    # -- cold path ------------------------------------------------------------------
-    def _plan_and_execute(
-        self,
-        query: SelectQuery,
-        ledger: CostLedger,
-        seed: SeedLike,
-        signature: Tuple,
-    ) -> QueryResult:
-        """Full pipeline run, seeded with cached statistics where available."""
-        table = self.catalog.table(query.table)
-        udf = self._query_udf(query)
-        constraints = QueryConstraints(alpha=query.alpha, beta=query.beta, rho=query.rho)
-        strategy = self.strategy_factory(as_random_state(seed))
-
-        cached_labeled = None
-        cached_outcomes: Dict[str, object] = {}
-        if self.stats_cache.enabled:
-            cached_labeled = self.stats_cache.get_labeled(table, query.predicate)
-            candidate_columns = tuple(
-                column.name for column in table.schema.categorical_columns()
-            )
-            cached_outcomes = self.stats_cache.outcomes_for(
-                table, query.predicate, candidate_columns
-            )
-
-        self._count("pipeline_runs")
-        self._count("solver_calls")
-        result = strategy.answer(
-            table,
-            udf,
-            constraints,
-            ledger,
-            correlated_column=query.correlated_column,
-            cached_labeled=cached_labeled,
-            cached_outcomes=cached_outcomes or None,
-        )
-
-        report = result.metadata.get("report")
-        if report is not None:
-            if report.used_fallback:
-                self._count("fallbacks")
-            self._store(signature, table, query, report)
-        result.metadata["plan_cache"] = "miss"
-        result.metadata["stats_cache"] = {
-            "labeled_hit": cached_labeled is not None,
-            "outcome_hits": sorted(cached_outcomes),
-        }
-        return result
-
-    # -- refresh path (data changed under a warm entry) -----------------------------
+    # -- the one solve path (cold miss, or refresh of a stale entry) -----------------
     def _reservoir_seed(self, query: SelectQuery) -> int:
         """Deterministic coin-stream seed for the labelled-sample reservoir.
 
@@ -1033,19 +977,24 @@ class QueryService:
             statistics_key(self.catalog.table(query.table).name, query.predicate)
         )
 
-    def _refresh_and_execute(
+    def _solve_and_execute(
         self,
         query: SelectQuery,
-        entry: CachedPlan,
         ledger: CostLedger,
         seed: SeedLike,
         signature: Tuple,
+        entry: Optional[CachedPlan],
     ) -> QueryResult:
-        """Update a stale-generation entry through the delta path, then run.
+        """One pipeline run, seeded with whatever statistics are already paid for.
 
+        ``entry is None`` is the cold miss: the full pipeline, handed the
+        statistics cache's labelled sample and per-column outcomes for this
+        ``(table, predicate)`` where it has them.
+
+        A stale-generation ``entry`` makes the same run a **refresh**.
         Instead of re-planning cold (full labelling + sampling, the 13x
-        penalty the cold benchmarks measure), the refresh reuses everything
-        the previous generation paid for:
+        penalty the cold benchmarks measure) it reuses everything the
+        previous generation paid for — the only differences are data:
 
         * the **correlated column is sticky** — column selection is skipped
           entirely (small deltas do not change which column correlates);
@@ -1054,70 +1003,79 @@ class QueryService:
         * the cached per-column sample outcome counts toward the sampling
           allocation, so only the delta-driven shortfall is drawn fresh
           (group sizes self-heal through the outcome merge);
-        * one solver call re-optimises the plan against the merged evidence.
+        * serving accounting applies to the execution step, and the run is
+          not a ``pipeline_runs`` — one solver call re-optimises the plan
+          against the merged evidence.
 
-        The refreshed statistics and plan replace the stale entries under
-        their existing keys at the table's new generation.
+        Either way the statistics and plan the run produced replace what
+        was cached under their keys, at the table's current generation.
         """
         table = self.catalog.table(query.table)
         udf = self._query_udf(query)
         constraints = QueryConstraints(alpha=query.alpha, beta=query.beta, rho=query.rho)
         strategy = self.strategy_factory(as_random_state(seed))
-        if isinstance(strategy, ExecutorAware):
-            # A refresh is warm-path traffic: serving accounting applies, so
-            # the execution step never re-charges evaluations the UDF already
-            # memoised — the ledger then reads delta-proportional, which the
-            # update benchmark gates.
-            strategy.executor_factory = partial(
-                self._executor, free_memoized=self.free_memoized
-            )
-
         cached_labeled = None
         cached_outcomes: Dict[str, object] = {}
-        if self.stats_cache.enabled:
-            # The delta top-up is the refresh path's own UDF spend (the rest
-            # happens inside the pipeline's spans), so it gets a ledger-diffed
-            # span of its own.
-            with _span("refresh", ledger=ledger):
-                stale = self.stats_cache.stale_labeled(table, query.predicate)
-                if stale is not None:
-                    labeled, covered_rows = stale
-                    if covered_rows < table.num_rows:
-                        cached_labeled = top_up_labeled_sample(
-                            table,
-                            udf,
-                            ledger,
-                            labeled,
-                            previous_rows=covered_rows,
-                            fraction=getattr(
-                                self._strategy_prototype,
-                                "column_sample_fraction",
-                                0.01,
-                            ),
-                            stream_seed=self._reservoir_seed(query),
-                            # Fan the delta labelling across shards when the
-                            # backend is parallel — same hook the cold
-                            # pipeline's labelling uses (row selection is
-                            # counter-based, so the fan never changes the
-                            # sample).
-                            bulk_evaluator=_probe_bulk_evaluator(
-                                strategy.executor_factory
-                                if isinstance(strategy, ExecutorAware)
-                                else None,
-                                udf,
-                            ),
-                        )
-                    else:
-                        cached_labeled = labeled
-                stale_outcome = self.stats_cache.stale_outcome(
-                    table, query.predicate, entry.column
+        if entry is None:
+            column, label = query.correlated_column, "miss"
+            if self.stats_cache.enabled:
+                cached_labeled = self.stats_cache.get_labeled(table, query.predicate)
+                cached_outcomes = self.stats_cache.outcomes_for(
+                    table,
+                    query.predicate,
+                    tuple(c.name for c in table.schema.categorical_columns()),
                 )
-                if stale_outcome is not None:
-                    cached_outcomes[entry.column] = stale_outcome[0]
-        if not cached_outcomes and entry.sample_outcome is not None:
-            # The stats cache may have evicted (or be disabled); the plan
-            # entry itself still carries the paid-for outcome.
-            cached_outcomes[entry.column] = entry.sample_outcome
+            self._count("pipeline_runs")
+        else:
+            column, label = entry.column, "refresh"
+            executor_factory = None
+            if isinstance(strategy, ExecutorAware):
+                # A refresh is warm-path traffic: serving accounting applies, so
+                # the execution step never re-charges evaluations the UDF already
+                # memoised — the ledger then reads delta-proportional, which the
+                # update benchmark gates.
+                executor_factory = strategy.executor_factory = partial(
+                    self._executor, free_memoized=self.free_memoized
+                )
+            if self.stats_cache.enabled:
+                # The delta top-up is the refresh path's own UDF spend (the rest
+                # happens inside the pipeline's spans), so it gets a ledger-diffed
+                # span of its own.
+                with _span("refresh", ledger=ledger):
+                    stale = self.stats_cache.stale_labeled(table, query.predicate)
+                    if stale is not None:
+                        cached_labeled, covered_rows = stale
+                        if covered_rows < table.num_rows:
+                            cached_labeled = top_up_labeled_sample(
+                                table,
+                                udf,
+                                ledger,
+                                cached_labeled,
+                                previous_rows=covered_rows,
+                                fraction=getattr(
+                                    self._strategy_prototype,
+                                    "column_sample_fraction",
+                                    0.01,
+                                ),
+                                stream_seed=self._reservoir_seed(query),
+                                # Fan the delta labelling across shards when the
+                                # backend is parallel — same hook the cold
+                                # pipeline's labelling uses (row selection is
+                                # counter-based, so the fan never changes the
+                                # sample).
+                                bulk_evaluator=_probe_bulk_evaluator(
+                                    executor_factory, udf
+                                ),
+                            )
+                    stale_outcome = self.stats_cache.stale_outcome(
+                        table, query.predicate, column
+                    )
+                    if stale_outcome is not None:
+                        cached_outcomes[column] = stale_outcome[0]
+            if not cached_outcomes and entry.sample_outcome is not None:
+                # The stats cache may have evicted (or be disabled); the plan
+                # entry itself still carries the paid-for outcome.
+                cached_outcomes[column] = entry.sample_outcome
 
         self._count("solver_calls")
         result = strategy.answer(
@@ -1125,7 +1083,7 @@ class QueryService:
             udf,
             constraints,
             ledger,
-            correlated_column=entry.column,
+            correlated_column=column,
             cached_labeled=cached_labeled,
             cached_outcomes=cached_outcomes or None,
         )
@@ -1135,7 +1093,7 @@ class QueryService:
             if report.used_fallback:
                 self._count("fallbacks")
             self._store(signature, table, query, report)
-        result.metadata["plan_cache"] = "refresh"
+        result.metadata["plan_cache"] = label
         result.metadata["stats_cache"] = {
             "labeled_hit": cached_labeled is not None,
             "outcome_hits": sorted(cached_outcomes),
@@ -1363,8 +1321,8 @@ class QueryService:
         counters["retried_spans"] = self.breaker.retries_total
         with self._frontend_lock:
             pending = dict(self._frontend_pending)
-        with self._async_flights_lock:
-            open_flights = len(self._async_flights)
+        with self._flights_lock:
+            open_flights = len(self._flights)
         resilience = self.breaker.snapshot()
         resilience["service_closed"] = self._closed
         storage: Dict[str, object] = {}
@@ -1385,7 +1343,6 @@ class QueryService:
                 "max_pending": self.config.max_pending,
                 "class_limits": dict(self.config.class_limits),
                 "max_concurrency": self.config.max_concurrency,
-                "coalesce": self.config.coalesce,
                 "open_flights": open_flights,
             },
             registry=_metrics.get_registry().snapshot(),

@@ -7,10 +7,10 @@ zero torn ``.tmp`` files — even for the tests that inject map/evict
 faults on purpose.
 """
 
-import numpy as np
 import pytest
 
 from leakcheck import assert_no_leaked_resources
+from residency_tables import build_columns, table_cells
 from repro.db.residency import ResidencyManager, reset_residency_counters
 from repro.db.sharding import ShardedTable
 from repro.db.storage import TableStore, reset_storage_counters
@@ -23,23 +23,6 @@ def _no_leaked_resources(tmp_path):
     reset_residency_counters()
     yield
     assert_no_leaked_resources(str(tmp_path))
-
-
-def build_columns(rows=240, seed=5):
-    rng = np.random.default_rng(seed)
-    return {
-        "A": [f"g{int(v)}" for v in rng.integers(0, 6, rows)],
-        "amount": [float(v) for v in np.round(rng.normal(50, 12, rows), 3)],
-        "count": [int(v) for v in rng.integers(0, 1000, rows)],
-        "f": [bool(v) for v in rng.random(rows) < 0.4],
-    }
-
-
-def numeric_columns(rows=240, seed=5):
-    """Fixed-width columns only — every segment is ``numpy``-kind."""
-    columns = build_columns(rows=rows, seed=seed)
-    del columns["A"]
-    return columns
 
 
 @pytest.fixture
@@ -70,14 +53,6 @@ def make_lazy(tmp_path):
         return loaded, manager, store
 
     return _make
-
-
-def table_cells(table):
-    """Every visible+hidden column's python values (the bitwise pin)."""
-    return {
-        name: table.column_values(name, allow_hidden=True)
-        for name in table.schema.column_names
-    }
 
 
 @pytest.fixture

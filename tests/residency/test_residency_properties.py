@@ -22,7 +22,7 @@ from repro.db.sharding import ShardedTable
 from repro.db.storage import TableStore
 from repro.db.udf import CostLedger, UserDefinedFunction
 
-from conftest import build_columns, table_cells
+from residency_tables import build_columns, table_cells
 
 _ROWS = 320
 

@@ -22,7 +22,7 @@ from repro.db.storage import TableStore
 from repro.db.udf import UserDefinedFunction
 from repro.serving import Overloaded, QueryService, ServiceConfig
 
-from conftest import build_columns, numeric_columns
+from residency_tables import build_columns, numeric_columns
 
 
 def _service_over(table, tag, config=None):

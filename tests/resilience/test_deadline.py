@@ -201,23 +201,25 @@ class TestServiceDeadlines:
 
         leader_thread = threading.Thread(target=leader)
         leader_thread.start()
-        # Wait for the leader to hold the single-flight lock (it is inside
-        # the gated UDF by the time flight bookkeeping appears).
-        deadline = time.time() + 10
-        while not any(service._flight_locks) and time.time() < deadline:
-            time.sleep(0.005)
+        try:
+            # Wait for the leader's flight to be open (it is inside the gated
+            # UDF by the time the flight table shows it).
+            deadline = time.time() + 10
+            while not service._flights and time.time() < deadline:
+                time.sleep(0.005)
 
-        def follower():
-            try:
-                service.submit(query, seed=6, timeout_s=0.2)
-            except BaseException as exc:  # noqa: BLE001 - asserted below
-                errors.append(exc)
+            def follower():
+                try:
+                    service.submit(query, seed=6, timeout_s=0.2)
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
 
-        follower_thread = threading.Thread(target=follower)
-        follower_thread.start()
-        follower_thread.join(timeout=10)
-        assert not follower_thread.is_alive(), "follower hung past its deadline"
-        gate.set()
+            follower_thread = threading.Thread(target=follower)
+            follower_thread.start()
+            follower_thread.join(timeout=10)
+            assert not follower_thread.is_alive(), "follower hung past its deadline"
+        finally:
+            gate.set()
         leader_thread.join(timeout=30)
         assert leader_results, "leader should finish once the gate opens"
         assert len(errors) == 1 and isinstance(errors[0], DeadlineExceeded)
@@ -236,7 +238,7 @@ class TestServiceDeadlines:
             leader = asyncio.create_task(
                 service.submit_async(query, seed=5, timeout_s=0.1)
             )
-            while not service._async_flights:
+            while not service._flights:
                 await asyncio.sleep(0.005)
             follower = asyncio.create_task(
                 service.submit_async(query, seed=5, timeout_s=30.0)
@@ -258,15 +260,17 @@ class TestServiceDeadlines:
 
         async def scenario():
             leader = asyncio.create_task(service.submit_async(query, seed=5))
-            while not service._async_flights:
-                await asyncio.sleep(0.005)
-            started = time.perf_counter()
             try:
-                await service.submit_async(query, seed=5, timeout_s=0.1)
-                raise AssertionError("follower should have timed out")
-            except DeadlineExceeded:
-                waited = time.perf_counter() - started
-            gate.set()
+                while not service._flights:
+                    await asyncio.sleep(0.005)
+                started = time.perf_counter()
+                try:
+                    await service.submit_async(query, seed=5, timeout_s=0.1)
+                    raise AssertionError("follower should have timed out")
+                except DeadlineExceeded:
+                    waited = time.perf_counter() - started
+            finally:
+                gate.set()
             await leader
             return waited
 

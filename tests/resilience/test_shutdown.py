@@ -102,25 +102,26 @@ class TestClose:
 
         leader_thread = threading.Thread(target=leader)
         leader_thread.start()
-        deadline = time.time() + 10
-        while service._inflight == 0 and time.time() < deadline:
-            time.sleep(0.005)
-        assert service._inflight == 1
+        try:
+            deadline = time.time() + 10
+            while service._inflight == 0 and time.time() < deadline:
+                time.sleep(0.005)
+            assert service._inflight == 1
 
-        closed = threading.Event()
+            closed = threading.Event()
 
-        def closer():
-            service.close()
-            closed.set()
+            def closer():
+                service.close()
+                closed.set()
 
-        closer_thread = threading.Thread(target=closer)
-        closer_thread.start()
-        time.sleep(0.05)
-        assert not closed.is_set()  # still draining the in-flight request
-        with pytest.raises(ServiceClosed):
-            service.submit(_query(udf, "cl4"), seed=2)
-
-        gate.set()
+            closer_thread = threading.Thread(target=closer)
+            closer_thread.start()
+            time.sleep(0.05)
+            assert not closed.is_set()  # still draining the in-flight request
+            with pytest.raises(ServiceClosed):
+                service.submit(_query(udf, "cl4"), seed=2)
+        finally:
+            gate.set()
         leader_thread.join(timeout=30)
         closer_thread.join(timeout=30)
         assert closed.is_set()
@@ -135,13 +136,15 @@ class TestClose:
             target=lambda: self._swallow(service, _query(udf, "cl5"))
         )
         thread.start()
-        deadline = time.time() + 10
-        while service._inflight == 0 and time.time() < deadline:
-            time.sleep(0.005)
-        started = time.perf_counter()
-        service.close(timeout=0.2)  # request still gated: returns anyway
-        assert time.perf_counter() - started < 5.0
-        gate.set()
+        try:
+            deadline = time.time() + 10
+            while service._inflight == 0 and time.time() < deadline:
+                time.sleep(0.005)
+            started = time.perf_counter()
+            service.close(timeout=0.2)  # request still gated: returns anyway
+            assert time.perf_counter() - started < 5.0
+        finally:
+            gate.set()
         thread.join(timeout=30)
 
     @staticmethod

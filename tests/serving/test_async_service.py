@@ -74,14 +74,16 @@ class TestCoalescing:
 
         async def scenario():
             leader = asyncio.create_task(service.submit_async(query, seed=5))
-            while not service._async_flights:
-                await asyncio.sleep(0.005)
-            followers = [
-                asyncio.create_task(service.submit_async(query, seed=5))
-                for _ in range(3)
-            ]
-            await asyncio.sleep(0.05)  # let followers reach the flight await
-            gate.set()
+            try:
+                while not service._flights:
+                    await asyncio.sleep(0.005)
+                followers = [
+                    asyncio.create_task(service.submit_async(query, seed=5))
+                    for _ in range(3)
+                ]
+                await asyncio.sleep(0.05)  # let followers reach the flight await
+            finally:
+                gate.set()
             return await asyncio.gather(leader, *followers)
 
         results = asyncio.run(scenario())
@@ -107,11 +109,13 @@ class TestCoalescing:
 
         async def scenario():
             leader = asyncio.create_task(service.submit_async(query, seed=5))
-            while not service._async_flights:
-                await asyncio.sleep(0.005)
-            follower = asyncio.create_task(service.submit_async(query, seed=5))
-            await asyncio.sleep(0.05)  # let the follower reach the flight await
-            gate.set()
+            try:
+                while not service._flights:
+                    await asyncio.sleep(0.005)
+                follower = asyncio.create_task(service.submit_async(query, seed=5))
+                await asyncio.sleep(0.05)  # let the follower reach the flight await
+            finally:
+                gate.set()
             return await asyncio.gather(leader, follower)
 
         leader_result, follower_result = asyncio.run(scenario())
@@ -139,11 +143,13 @@ class TestCoalescing:
 
         async def scenario():
             leader = asyncio.create_task(service.submit_async(query, seed=5))
-            while not service._async_flights:
-                await asyncio.sleep(0.005)
-            follower = asyncio.create_task(service.submit_async(query, seed=6))
-            await asyncio.sleep(0.05)
-            gate.set()
+            try:
+                while not service._flights:
+                    await asyncio.sleep(0.005)
+                follower = asyncio.create_task(service.submit_async(query, seed=6))
+                await asyncio.sleep(0.05)
+            finally:
+                gate.set()
             return await asyncio.gather(leader, follower)
 
         leader_result, follower_result = asyncio.run(scenario())
@@ -189,13 +195,15 @@ class TestLoadShedding:
 
             async def scenario():
                 leader = asyncio.create_task(service.submit_async(query, seed=5))
-                while not service._async_flights:
-                    await asyncio.sleep(0.005)
-                shed = await asyncio.gather(
-                    *[service.submit_async(query, seed=5) for _ in range(5)],
-                    return_exceptions=True,
-                )
-                gate.set()
+                try:
+                    while not service._flights:
+                        await asyncio.sleep(0.005)
+                    shed = await asyncio.gather(
+                        *[service.submit_async(query, seed=5) for _ in range(5)],
+                        return_exceptions=True,
+                    )
+                finally:
+                    gate.set()
                 return await leader, shed
 
             leader_result, shed = asyncio.run(scenario())

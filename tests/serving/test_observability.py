@@ -213,34 +213,44 @@ class TestConcurrentTraceIsolation:
 
 class TestFlightWaits:
     def test_blocked_flight_is_counted_and_spanned(self):
-        from repro.core.constraints import CostModel
-        from repro.serving.signature import plan_signature
+        """A request parked behind a signature's flight leader is observable."""
+        gate = threading.Event()
 
-        table, udf, catalog = _setup()
+        def gated(row):
+            gate.wait(timeout=30)
+            return bool(row["is_good"])
+
+        table, _, catalog = _setup(rows=400)
+        udf = UserDefinedFunction("gated_traced_udf", gated)
+        catalog.register_udf(udf)
         service = QueryService(Engine(catalog))
         sink = CollectingTraceSink()
         service.set_trace_sink(sink)
         query = _query(udf)
-        cost_model = CostModel(
-            retrieval_cost=service.engine.retrieval_cost,
-            evaluation_cost=service.engine.evaluation_cost,
-        )
-        signature = plan_signature(query, cost_model, service._strategy_prototype)
 
-        lock = service._flight_lock(signature)
-        lock.acquire()
+        threads = [
+            threading.Thread(target=service.submit, kwargs={"query": query, "seed": seed})
+            for seed in (0, 1)
+        ]
         try:
-            worker = threading.Thread(target=service.submit, kwargs={"query": query, "seed": 0})
-            worker.start()
+            # The leader opens the flight and parks inside the gated UDF;
+            # only then does the waiter arrive.
+            threads[0].start()
             deadline = time.monotonic() + 5.0
+            while not service._flights:
+                assert time.monotonic() < deadline, "leader never opened its flight"
+                time.sleep(0.005)
+            threads[1].start()
             while service.stats().serving["flight_waits"] < 1:
                 assert time.monotonic() < deadline, "flight wait never observed"
                 time.sleep(0.005)
         finally:
-            lock.release()
-        worker.join()
-        service._release_flight(signature, lock)
+            gate.set()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
         assert service.stats().serving["flight_waits"] == 1
+        assert service.stats().serving["pipeline_runs"] == 1
         assert any(
             s.name == "flight-wait" for trace in sink.traces for s in trace.spans
         )

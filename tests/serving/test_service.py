@@ -3,6 +3,7 @@
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.datasets.registry import load_dataset
@@ -11,6 +12,8 @@ from repro.db.engine import Engine
 from repro.db.errors import BudgetExhaustedError, UnsupportedQueryError
 from repro.db.predicate import ColumnPredicate, UdfPredicate
 from repro.db.query import SelectQuery
+from repro.db.table import Table
+from repro.db.udf import UserDefinedFunction
 from repro.serving import AdmissionError, QueryService, ServiceConfig
 from repro.stats.metrics import result_quality
 
@@ -223,61 +226,60 @@ class TestConcurrency:
         assert all(len(result.row_ids) > 0 for result in results)
         assert service.stats().serving["pipeline_runs"] == 1
 
-    def test_distinct_cold_signatures_progress_independently(self, serving_setup):
-        """One signature's stuck flight must not block unrelated signatures.
+    def test_distinct_cold_signatures_progress_independently(self):
+        """One signature's open flight must not block unrelated signatures.
 
-        The single-flight registry is striped by signature hash; holding one
-        stripe's guard (simulating a slow/stuck flight's bookkeeping) must
-        leave signatures on other stripes fully serviceable.  Under the old
-        single global ``_flight_guard`` this test deadlocks.
+        Two cold queries with distinct signatures have to be *inside
+        planning at the same time*: their shared UDF parks each query's
+        first evaluation at a two-party barrier.  If opening, leading or
+        landing one signature's flight made another signature wait, the
+        second party would never arrive and the barrier would time out.
         """
-        dataset, catalog, udf = serving_setup
+        rng = np.random.default_rng(9)
+        table = Table.from_columns(
+            "flights",
+            {
+                "A": [f"a{int(v)}" for v in rng.integers(0, 4, 300)],
+                "f": [bool(v) for v in rng.random(300) < 0.4],
+            },
+            hidden_columns=["f"],
+        )
+        rendezvous = threading.Barrier(2, timeout=10.0)
+        arrived = threading.local()
+
+        def func(row):
+            if not getattr(arrived, "done", False):
+                arrived.done = True
+                rendezvous.wait()  # BrokenBarrierError if the other never plans
+            return bool(row["f"])
+
+        udf = UserDefinedFunction("rendezvous", func)
+        catalog = Catalog()
+        catalog.register_table(table)
+        catalog.register_udf(udf)
         service = QueryService(Engine(catalog))
-        from repro.core.constraints import CostModel
-        from repro.serving.signature import plan_signature
-
-        cost_model = CostModel(
-            retrieval_cost=service.engine.retrieval_cost,
-            evaluation_cost=service.engine.evaluation_cost,
-        )
-        # Two queries whose signatures land on different stripes (alpha is
-        # scanned until the stripes differ; with 16 stripes this terminates
-        # almost immediately).
-        blocked_query = _query(dataset, udf, alpha=0.8)
-        blocked_stripe = service._flight_stripe(
-            plan_signature(blocked_query, cost_model, service._strategy_prototype)
-        )
-        free_query = None
-        for alpha in (0.81, 0.82, 0.83, 0.84, 0.85, 0.86, 0.87, 0.88):
-            candidate = _query(dataset, udf, alpha=alpha)
-            stripe = service._flight_stripe(
-                plan_signature(candidate, cost_model, service._strategy_prototype)
+        queries = [
+            SelectQuery(
+                table="flights",
+                predicate=UdfPredicate(udf),
+                alpha=alpha,
+                beta=0.7,
+                rho=0.8,
+                correlated_column="A",
             )
-            if stripe != blocked_stripe:
-                free_query = candidate
-                break
-        assert free_query is not None, "no signature found on another stripe"
+            for alpha in (0.7, 0.75)
+        ]
 
-        service._flight_guards[blocked_stripe].acquire()
-        try:
-            done = threading.Event()
-            outcome = {}
-
-            def request():
-                outcome["result"] = service.submit(free_query, seed=1)
-                done.set()
-
-            worker = threading.Thread(target=request, daemon=True)
-            worker.start()
-            assert done.wait(timeout=10.0), (
-                "cold signature on a free stripe blocked behind another "
-                "stripe's guard"
-            )
-            assert len(outcome["result"].row_ids) > 0
-        finally:
-            service._flight_guards[blocked_stripe].release()
-        # and the blocked stripe works normally once released
-        assert len(service.submit(blocked_query, seed=2).row_ids) > 0
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                pool.submit(service.submit, query, seed=seed)
+                for seed, query in enumerate(queries)
+            ]
+            results = [future.result(timeout=30) for future in futures]
+        assert all(result.metadata["plan_cache"] == "miss" for result in results)
+        metrics = service.stats().serving
+        assert metrics["pipeline_runs"] == 2
+        assert metrics["flight_waits"] == 0
 
     def test_concurrent_distinct_clients(self, serving_setup):
         dataset, catalog, udf = serving_setup
