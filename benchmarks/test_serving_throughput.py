@@ -31,7 +31,8 @@ Each replay row also carries informational ``latency_p50_ms`` /
 ``latency_p99_ms`` keys (from the service's always-on latency histograms);
 ``compare_bench.py`` prints them in its diff but never gates them.  The warm
 replay additionally writes ``out/BENCH_serving_metrics.prom`` (Prometheus
-snapshot of the enabled obs registry) and ``out/BENCH_serving_slowlog.jsonl``
+snapshot of the enabled obs registry plus the service's ``stats()`` through a
+``repro_service`` collector) and ``out/BENCH_serving_slowlog.jsonl``
 (slowest trace trees) for CI artifact upload.
 """
 
@@ -165,7 +166,10 @@ def _serving_comparison(scale: float):
         warm = _replay(warm_service, udf, trace, reset_memo=False)
     finally:
         disable_metrics()
-    # CI artifacts (uploaded by the bench-regression job, never gated).
+    # CI artifacts (uploaded by the bench-regression job, never gated).  The
+    # registry holds only its own instruments; the service's counters, cache
+    # statistics, UDF counts and latency quantiles are read by pull.
+    registry.register_collector("repro_service", lambda: warm_service.stats().flat())
     write_result("BENCH_serving_metrics.prom", prometheus_text(registry))
     write_result("BENCH_serving_slowlog.jsonl", slow_log.to_json_lines())
     warm["plan_cache"] = warm_service.stats().plan_cache

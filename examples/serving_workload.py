@@ -68,8 +68,9 @@ see evictions; ``--scale 20`` grows the table to ~1M rows for an
 out-of-core-sized demonstration.
 
 ``--metrics`` switches on the global :mod:`repro.obs` registry and installs
-a trace sink for the replay, then prints the registry snapshot (labelled
-counters, per-path latency percentiles) and the slowest query's span tree —
+a trace sink for the replay, then prints the ``stats()`` counter sections,
+the instruments the registry itself owns, per-path latency percentiles and
+the slowest query's span tree —
 works in every mode, including ``--churn`` (refresh spans) and
 ``--shards/--workers`` (per-shard spans).
 """
@@ -358,14 +359,22 @@ def demonstrate_bounded_memory(dataset, table, args, backend) -> None:
 
 
 def print_metrics_report(service, sink) -> None:
-    """Print the registry snapshot, latency percentiles and slowest trace."""
+    """Print the stats() sections, registry instruments, latency and slowest trace."""
     snapshot = service.stats()
-    counters = snapshot.registry.get("counters", {})
     print("\nobservability (--metrics)")
-    print("  registry counters (top 12 by value):")
-    ranked = sorted(counters.items(), key=lambda item: -item[1])[:12]
-    for name, value in ranked:
-        print(f"    {name:<58s} {value:>12,.0f}")
+    print("  stats() counters (each read from the object that owns it):")
+    sections = {
+        "serving": snapshot.serving,
+        "plan_cache": snapshot.plan_cache,
+        **{f"udfs.{name}": counts for name, counts in snapshot.udfs.items()},
+    }
+    for section, counts in sections.items():
+        shown = ", ".join(f"{key}={value:g}" for key, value in counts.items() if value)
+        print(f"    {section:<20s} {shown}")
+    print("  registry-owned instruments (events no object counts):")
+    for kind in ("counters", "gauges"):
+        for name, value in snapshot.registry.get(kind, {}).items():
+            print(f"    {name:<58s} {value:>12,.0f}")
     print("  per-path latency (ms):")
     for path, stats in sorted(snapshot.latency_ms.items()):
         if not stats["count"]:

@@ -89,7 +89,17 @@ gone with them), and the stats aliases ``metrics()`` / ``metrics_snapshot()``
 because nothing ever set them: ``ServiceConfig.coalesce`` (coalescing is
 always on; ``stats().frontend["coalesce"]`` went with it) and
 ``ServiceConfig.breaker_probes`` (one half-open probe at a time, the
-:class:`~repro.resilience.CircuitBreaker` default).
+:class:`~repro.resilience.CircuitBreaker` default).  Removed in 1.9, with
+the mirror writes they served (every counter now has one home, see
+:mod:`repro.obs`): ``LRUCache(name=)``, ``repro.db.residency.residency_counters``
+/ ``reset_residency_counters`` (read ``ResidencyManager.snapshot()``, which
+gained ``tables_materialised`` / ``tables_degraded``),
+``repro.obs.metrics.BoundCounterCache``, ``MetricsRegistry.enabled`` /
+``NullRegistry.enabled``, and the registry counters
+``repro_{serving,cache,udf,storage,residency,index,engine}_*_total`` (read
+``QueryService.stats()`` — or export it with
+``registry.register_collector("repro_service", lambda: service.stats().flat())``
+— and the ``repro_storage`` / ``repro_index`` / ``repro_residency`` collectors).
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -168,7 +178,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "__version__",

@@ -564,6 +564,8 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         failed: Dict[int, str] = {}
         for attempt in range(2 if self.retry_spans else 1):
             if attempt:
+                # The one event written twice: the breaker is optional, so
+                # without one the registry instrument is its only home.
                 _metrics.counter(
                     "repro_executor_retried_spans_total", backend="process"
                 ).inc(len(pending))

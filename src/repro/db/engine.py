@@ -24,7 +24,6 @@ from repro.db.query import SelectQuery
 from repro.db.table import Table, as_row_ids
 from repro.resilience.deadline import check_deadline
 from repro.db.udf import CostLedger
-from repro.obs import metrics as _metrics
 from repro.solvers.linear import InfeasibleProblemError
 from repro.stats.metrics import ResultQuality, result_quality
 
@@ -281,9 +280,6 @@ class Engine:
                 # so the engine absorbs the error rather than failing the
                 # query; the metadata records why the plan was abandoned.
                 self.fallback_total += 1
-                registry = _metrics.get_registry()
-                if registry.enabled:
-                    registry.counter("repro_engine_fallback_total").inc()
                 result = self.execute_exact(query)
                 result.metadata["fallback_reason"] = f"infeasible constraints: {error}"
         if audit:

@@ -162,11 +162,6 @@ class GroupIndex:
         self._derived: Dict[int, Tuple[weakref.ref, Any]] = {}
         if count_build:
             GroupIndex.builds_total += 1
-            registry = _metrics.get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "repro_index_builds_total", column=self.column
-                ).inc()
 
     @property
     def table(self) -> Optional[Table]:
@@ -371,9 +366,6 @@ class GroupIndex:
             count_build=False,
         )
         GroupIndex.extensions_total += 1
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter("repro_index_extensions_total", column=self.column).inc()
         return extended
 
     def label_counts(
@@ -412,6 +404,12 @@ class GroupIndex:
             f"GroupIndex(table={getattr(self.table, 'name', None)!r}, column={self.column!r}, "
             f"groups={self.num_groups})"
         )
+
+
+_metrics.PROCESS_COLLECTORS["repro_index"] = lambda: {
+    "builds_total": GroupIndex.builds_total,
+    "extensions_total": GroupIndex.extensions_total,
+}
 
 
 class MergedGroupIndex(GroupIndex):
@@ -527,9 +525,6 @@ class MergedGroupIndex(GroupIndex):
             count_build=False,
         )
         GroupIndex.extensions_total += 1
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter("repro_index_extensions_total", column=self.column).inc()
         return extended
 
     def resharded(

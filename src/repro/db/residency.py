@@ -32,8 +32,9 @@ Fault sites (:mod:`repro.resilience.faults`): ``segment_map`` fires before
 each first-touch map (one retry, then a typed
 :class:`~repro.db.errors.SegmentMapError`), ``segment_evict`` fires inside
 eviction (the logical drop still completes, so an injected evict fault can
-never leak a mapping).  Counters, a resident-bytes gauge and a map-latency
-histogram are mirrored into :mod:`repro.obs` when the registry is enabled.
+never leak a mapping).  Every count lives on the manager
+(:meth:`ResidencyManager.snapshot`); :mod:`repro.obs` holds only the
+map-latency distribution and reads the process-wide totals by pull.
 """
 
 from __future__ import annotations
@@ -66,47 +67,13 @@ from repro.resilience.breaker import CLOSED, CircuitBreaker
 #: Pressure levels reported to watermark callbacks, in escalation order.
 PRESSURE_LEVELS = ("ok", "high", "critical")
 
-#: Name of the map-latency histogram mirrored into :mod:`repro.obs`.
+#: The :mod:`repro.obs` histogram of segment map latencies (seconds): the
+#: manager keeps their sum, the distribution has no other home.
 MAP_LATENCY_HISTOGRAM = "repro_residency_map_latency_seconds"
-
-# Module-level counters, mirroring repro.db.storage.store: always-on plain
-# ints (asserted exactly by tests and benchmarks), mirrored to the opt-in
-# registry when it is enabled.
-_COUNTERS: Dict[str, int] = {
-    "segments_mapped": 0,
-    "evictions": 0,
-    "refaults": 0,
-    "map_faults": 0,
-    "evict_faults": 0,
-    "tables_materialised": 0,
-    "tables_degraded": 0,
-}
-_COUNTER_LOCK = threading.Lock()
 
 #: Every live manager, weakly held: the test-suite leak gate sums resident
 #: and pinned state across managers and asserts zero once owners are gone.
 _MANAGERS: "weakref.WeakSet[ResidencyManager]" = weakref.WeakSet()
-
-
-def _count(name: str, amount: int = 1) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[name] += amount
-    registry = _metrics.get_registry()
-    if registry.enabled:
-        registry.counter(f"repro_residency_{name}_total").inc(amount)
-
-
-def residency_counters() -> Dict[str, int]:
-    """A snapshot of the module-wide residency counters."""
-    with _COUNTER_LOCK:
-        return dict(_COUNTERS)
-
-
-def reset_residency_counters() -> None:
-    """Zero the module-wide counters (benchmark/test isolation)."""
-    with _COUNTER_LOCK:
-        for key in _COUNTERS:
-            _COUNTERS[key] = 0
 
 
 def resident_bytes_total() -> int:
@@ -117,6 +84,12 @@ def resident_bytes_total() -> int:
 def pinned_segments_total() -> int:
     """Pinned segments summed over every live manager (leak gate)."""
     return sum(manager.pinned_segments for manager in list(_MANAGERS))
+
+
+_metrics.PROCESS_COLLECTORS["repro_residency"] = lambda: {
+    "resident_bytes": resident_bytes_total(),
+    "pinned_segments": pinned_segments_total(),
+}
 
 
 class ResidencyManager:
@@ -155,6 +128,8 @@ class ResidencyManager:
         self._map_faults = 0
         self._evict_faults = 0
         self._map_seconds = 0.0
+        self._tables_materialised = 0
+        self._tables_degraded = 0
         self._level = "ok"
         self._callbacks: List[Callable[[str], None]] = []
         _MANAGERS.add(self)
@@ -207,6 +182,8 @@ class ResidencyManager:
                 "map_faults": self._map_faults,
                 "evict_faults": self._evict_faults,
                 "map_seconds_total": self._map_seconds,
+                "tables_materialised": self._tables_materialised,
+                "tables_degraded": self._tables_degraded,
             }
 
     # -- configuration ---------------------------------------------------------
@@ -245,14 +222,6 @@ class ResidencyManager:
             self._map_seconds += map_seconds
             if refault:
                 self._refaults += 1
-                _count("refaults")
-            _count("segments_mapped")
-            self._set_gauge()
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.histogram(
-                MAP_LATENCY_HISTOGRAM, buckets=_metrics.DEFAULT_LATENCY_BUCKETS
-            ).observe(map_seconds)
         self._enforce()
 
     def _touch(self, handle: "SegmentHandle") -> None:
@@ -273,7 +242,11 @@ class ResidencyManager:
     def _record_map_fault(self) -> None:
         with self._lock:
             self._map_faults += 1
-        _count("map_faults")
+
+    def _record_materialised(self, degraded: bool) -> None:
+        with self._lock:
+            self._tables_materialised += 1
+            self._tables_degraded += int(degraded)
 
     # -- eviction --------------------------------------------------------------
     def _enforce(self) -> None:
@@ -298,13 +271,10 @@ class ResidencyManager:
             # logical drop still completes below and results are
             # untouched (the mapping was clean and read-only).
             self._evict_faults += 1
-            _count("evict_faults")
         self._lru.pop(handle, None)
         self._resident_bytes -= handle.nbytes
         handle._array = None
         self._evictions += 1
-        _count("evictions")
-        self._set_gauge()
 
     def evict_all(self) -> int:
         """Drop every unpinned mapping (service ``close()``); returns count."""
@@ -328,7 +298,6 @@ class ResidencyManager:
             if handle in self._lru:
                 self._lru.pop(handle)
                 self._resident_bytes -= handle.nbytes
-                self._set_gauge()
             handle._array = None
         self._notify()
 
@@ -354,13 +323,6 @@ class ResidencyManager:
                 callback(level)
             except Exception:  # pragma: no cover - callbacks must not break serving
                 pass
-
-    def _set_gauge(self) -> None:
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.gauge("repro_residency_resident_bytes").set(
-                self._resident_bytes
-            )
 
 
 class SegmentHandle:
@@ -436,6 +398,7 @@ class SegmentHandle:
                 last_error = exc
                 self.manager._record_map_fault()
                 continue
+            _metrics.histogram(MAP_LATENCY_HISTOGRAM).observe(elapsed)
             return self._install(array, elapsed)
         if self.breaker is not None:
             self.breaker.record_failure("segment_map")
@@ -587,12 +550,11 @@ class LazySegmentTable(Table):
                     )
                 array.setflags(write=False)
                 self._arrays[column] = array
+            manager = self.residency_manager
             for handle in self._handles.values():
                 handle.manager.discard(handle)
             self._handles = {}
-        _count("tables_materialised")
-        if reason == "map_breaker_open":
-            _count("tables_degraded")
+        manager._record_materialised(degraded=reason == "map_breaker_open")
 
     # -- Table overrides -------------------------------------------------------
     def column_array(self, column: str, allow_hidden: bool = False) -> np.ndarray:

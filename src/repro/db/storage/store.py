@@ -55,8 +55,8 @@ from repro.obs import metrics as _metrics
 
 #: Process-wide storage event counters (always on — they count I/O-path
 #: events, never query work, so they cannot perturb the bitwise parity
-#: gates).  Mirrored into the opt-in registry as
-#: ``repro_storage_<name>_total`` while metrics are enabled.
+#: gates).  An installed :mod:`repro.obs` registry reads them by pull, as
+#: the ``repro_storage`` collector.
 _COUNTERS: Dict[str, int] = {
     "segments_written": 0,
     "segments_loaded": 0,
@@ -76,15 +76,15 @@ _COUNTERS_LOCK = threading.Lock()
 def _count(name: str, amount: int = 1) -> None:
     with _COUNTERS_LOCK:
         _COUNTERS[name] += amount
-    registry = _metrics.get_registry()
-    if registry.enabled:
-        registry.counter(f"repro_storage_{name}_total").inc(amount)
 
 
 def storage_counters() -> Dict[str, int]:
     """A snapshot of the process-wide storage counters."""
     with _COUNTERS_LOCK:
         return dict(_COUNTERS)
+
+
+_metrics.PROCESS_COLLECTORS["repro_storage"] = storage_counters
 
 
 def reset_storage_counters() -> None:

@@ -327,16 +327,12 @@ class Table:
         self._num_rows += delta_rows
         self._extend_caches(delta, previous_rows)
         self._data_generation += 1
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter("repro_table_appends_total", table=self.name).inc()
-            registry.counter(
-                "repro_table_rows_appended_total", table=self.name
-            ).inc(delta_rows)
-            registry.gauge("repro_table_rows", table=self.name).set(self._num_rows)
-            registry.gauge(
-                "repro_table_data_generation", table=self.name
-            ).set(self._data_generation)
+        _metrics.counter("repro_table_appends_total", table=self.name).inc()
+        _metrics.counter("repro_table_rows_appended_total", table=self.name).inc(delta_rows)
+        _metrics.gauge("repro_table_rows", table=self.name).set(self._num_rows)
+        _metrics.gauge("repro_table_data_generation", table=self.name).set(
+            self._data_generation
+        )
         return delta_rows
 
     def append_rows(self, rows: Sequence[Mapping[str, Any]]) -> int:

@@ -28,7 +28,6 @@ from repro.db.errors import (
     UnpicklableUdfError,
 )
 from repro.db.table import Table
-from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
 
 
@@ -233,11 +232,6 @@ class UserDefinedFunction:
         self._state_lock = threading.Lock()
         # Memoised answer to "does self._func pickle?" for worker_spec().
         self._func_picklable: Optional[bool] = None
-        # Binds the name, not ``self``: a closure over the UDF would make it
-        # (and its memo cache) a reference cycle only the collector frees.
-        self._obs_counters = _metrics.BoundCounterCache(
-            lambda registry, key: registry.counter(f"repro_udf_{key}_total", udf=name)
-        )
 
     @classmethod
     def from_label_column(
@@ -305,10 +299,6 @@ class UserDefinedFunction:
                     self._memo_count += int(memo[row_id] == _UNKNOWN)
                     memo[row_id] = _TRUE if result else _FALSE
                     self._memo = memo
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            self._obs_counters.get(registry, "row_calls").inc()
-            self._obs_counters.get(registry, "memo_hits" if hit else "evaluations").inc()
         return result
 
     def evaluate_rows(self, table: Table, row_ids: Iterable[int]) -> np.ndarray:
@@ -322,15 +312,12 @@ class UserDefinedFunction:
         once per actual function evaluation.
         """
         oracle = bool(self._oracle_depth)
-        registry = _metrics.get_registry()
         # Fault-injection site ``udf_eval`` (tests only; a ``None`` check
         # otherwise): a ``sleep`` rule here models the paper's adversarially
         # slow predicate without touching the UDF under test.
         _faults.maybe_fire(_faults.active_plan(), "udf_eval")
         id_array = _row_id_array(row_ids)
-        results, pending_positions, pending_array = self._bulk_split(
-            id_array, oracle, registry
-        )
+        results, pending_positions, pending_array = self._bulk_split(id_array, oracle)
         if pending_array.size:
             if self.vectorised_on(table):
                 # gather_column (not column_array[...]): residency-managed
@@ -352,9 +339,7 @@ class UserDefinedFunction:
                     dtype=bool,
                     count=int(pending_array.size),
                 )
-            self._bulk_absorb(
-                results, pending_positions, pending_array, fresh, oracle, registry
-            )
+            self._bulk_absorb(results, pending_positions, pending_array, fresh, oracle)
         return results
 
     def merge_remote_evaluations(
@@ -374,7 +359,6 @@ class UserDefinedFunction:
         and to the CI parity gates.
         """
         oracle = bool(self._oracle_depth)
-        registry = _metrics.get_registry()
         id_array = _row_id_array(row_ids)
         outcome_array = np.asarray(outcomes, dtype=bool)
         if outcome_array.shape != id_array.shape:
@@ -382,14 +366,10 @@ class UserDefinedFunction:
                 f"outcomes shape {outcome_array.shape} does not match "
                 f"row_ids shape {id_array.shape}"
             )
-        results, pending_positions, pending_array = self._bulk_split(
-            id_array, oracle, registry
-        )
+        results, pending_positions, pending_array = self._bulk_split(id_array, oracle)
         if pending_array.size:
             fresh = outcome_array[pending_positions]
-            self._bulk_absorb(
-                results, pending_positions, pending_array, fresh, oracle, registry
-            )
+            self._bulk_absorb(results, pending_positions, pending_array, fresh, oracle)
         return results
 
     def worker_spec(self) -> UdfSpec:
@@ -415,7 +395,7 @@ class UserDefinedFunction:
         return UdfSpec(self.name, None, self.positive_value, self._func)
 
     def _bulk_split(
-        self, id_array: np.ndarray, oracle: bool, registry
+        self, id_array: np.ndarray, oracle: bool
     ) -> Tuple[np.ndarray, Union[np.ndarray, slice], np.ndarray]:
         """Count one bulk call and split ``id_array`` against the memo cache.
 
@@ -429,8 +409,6 @@ class UserDefinedFunction:
         if not oracle:
             with self._state_lock:
                 self.bulk_calls += 1
-            if registry.enabled:
-                self._obs_counters.get(registry, "bulk_calls").inc()
         if self.memoize and self._memo.size:
             states = self._memo_states(id_array)
             results = states == _TRUE
@@ -440,8 +418,6 @@ class UserDefinedFunction:
                 hits = int(id_array.size - pending_array.size)
                 with self._state_lock:
                     self.cache_hits += hits
-                if registry.enabled:
-                    self._obs_counters.get(registry, "memo_hits").inc(hits)
         else:
             results = np.empty(len(id_array), dtype=bool)
             pending_positions = slice(None)
@@ -455,7 +431,6 @@ class UserDefinedFunction:
         pending_array: np.ndarray,
         fresh: np.ndarray,
         oracle: bool,
-        registry,
     ) -> None:
         """Scatter fresh outcomes into ``results`` and absorb the paid work.
 
@@ -472,8 +447,6 @@ class UserDefinedFunction:
                 self.cache_misses += paid
                 if self.memoize:
                     self._memo_write(pending_array, fresh)
-            if registry.enabled:
-                self._obs_counters.get(registry, "evaluations").inc(paid)
 
     def _memo_state(self, row_id: int) -> int:
         """The memo's tri-state for one row id (lock-free)."""
@@ -577,10 +550,6 @@ class UserDefinedFunction:
             self.call_count += 1
             self.cache_misses += 1
             self.row_calls += 1
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            self._obs_counters.get(registry, "row_calls").inc()
-            self._obs_counters.get(registry, "evaluations").inc()
         return bool(self._func(row))
 
     def reset(self) -> None:

@@ -1,5 +1,10 @@
 """``repro.obs`` — metrics, tracing and exporters for the query stack.
 
+One rule says which store holds a number: an object's own snapshot is the
+home of what it counts; ``QueryService.stats()`` pulls everything one service
+owns; the registry holds only what no object owns (the names in
+:data:`repro.obs.metrics.REGISTRY_OWNED`), plus collectors that read by pull.
+
 Three layers, all opt-in-cheap:
 
 * :mod:`repro.obs.metrics` — a process-global, lock-striped

@@ -1,14 +1,16 @@
 """Labelled metrics registry: counters, gauges and latency histograms.
 
-The rest of the library accumulates *work counters* in many places — UDF
-call/memoisation counters, :attr:`~repro.db.index.GroupIndex.builds_total`,
-per-cache :class:`~repro.serving.cache.CacheStats`, the serving layer's
-metric dict — each read through its own accessor.  :class:`MetricsRegistry`
-absorbs them behind one surface: instrumented code increments named,
-labelled instruments (``registry.counter("udf_evaluations_total",
-udf="credit_check").inc(n)``) and one :meth:`MetricsRegistry.snapshot` (or
-the Prometheus exporter in :mod:`repro.obs.export`) reads everything at
-once.
+Every counter has one home, written once per event:
+
+* an object's own snapshot is the home of what it counts
+  (``udf.counter_snapshot()``, ``LRUCache.snapshot()``,
+  ``ResidencyManager.snapshot()``, ``CircuitBreaker.snapshot()``, ...);
+* :meth:`repro.serving.QueryService.stats` pulls everything one service owns;
+* the registry holds only what no object owns — the instruments named in
+  :data:`REGISTRY_OWNED` — plus *collectors*, which read a home by pull at
+  snapshot time (:data:`PROCESS_COLLECTORS` for the process-wide stores;
+  ``register_collector("repro_service", lambda: service.stats().flat())``
+  for one service).
 
 Cost discipline
 ---------------
@@ -47,6 +49,29 @@ LabelSet = Tuple[Tuple[str, str], ...]
 #: Number of stripe locks guarding instrument creation in a live registry.
 _STRIPES = 16
 
+#: Every instrument name the library itself writes — events with no owning
+#: object to count them (``tests/obs/test_single_home.py`` holds the registry
+#: to this list).
+REGISTRY_OWNED: Tuple[str, ...] = (
+    "repro_executor_runs_total",  # {backend}
+    "repro_executor_fallbacks_total",  # {backend, reason}
+    "repro_executor_direct_attach_total",  # {backend}
+    "repro_executor_retried_spans_total",  # {backend}; also on an attached breaker
+    "repro_solver_calls_total",  # {strategy}
+    "repro_breaker_transitions_total",  # {to}
+    "repro_table_appends_total",  # {table}
+    "repro_table_rows_appended_total",  # {table}
+    "repro_table_rows",  # {table}, gauge
+    "repro_table_data_generation",  # {table}, gauge
+    "repro_residency_map_latency_seconds",  # histogram
+)
+
+#: Pull sources for the process-wide stores (storage event counters,
+#: ``GroupIndex`` class totals, residency totals), filled at import by the
+#: module that owns each store and attached to every registry
+#: :func:`set_registry` installs.  A never-installed registry has none.
+PROCESS_COLLECTORS: Dict[str, Callable[[], Mapping[str, Any]]] = {}
+
 #: Default latency buckets (seconds): ~100 µs to 10 s, roughly geometric.
 #: The serving path spans ~0.5 ms (warm hit) to seconds (cold 1M-row plans),
 #: so quantile interpolation stays within a small relative error across it.
@@ -61,11 +86,16 @@ def _label_set(labels: Mapping[str, Any]) -> LabelSet:
     return tuple(sorted((key, str(value)) for key, value in labels.items()))
 
 
+#: The exposition format's label-value escapes: label values are
+#: caller-supplied (table names are arbitrary strings).
+_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+
 def label_suffix(labels: LabelSet) -> str:
     """Render a label set as the ``{k="v",...}`` suffix used in snapshots."""
     if not labels:
         return ""
-    inner = ",".join(f'{key}="{value}"' for key, value in labels)
+    inner = ",".join(f'{key}="{value.translate(_LABEL_ESCAPES)}"' for key, value in labels)
     return "{" + inner + "}"
 
 
@@ -147,7 +177,8 @@ class Histogram:
         buckets: Optional[Sequence[float]] = None,
         labels: LabelSet = (),
     ):
-        bounds = tuple(float(b) for b in (buckets or DEFAULT_LATENCY_BUCKETS))
+        chosen = DEFAULT_LATENCY_BUCKETS if buckets is None else buckets
+        bounds = tuple(float(b) for b in chosen)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError(f"buckets must be non-empty and ascending, got {bounds}")
         self.name = name
@@ -276,8 +307,6 @@ NULL_INSTRUMENT = _NullInstrument()
 class NullRegistry:
     """The near-zero-cost default: every instrument is a shared no-op."""
 
-    enabled = False
-
     def counter(self, name: str, **labels: Any) -> Any:
         return NULL_INSTRUMENT
 
@@ -297,43 +326,10 @@ class NullRegistry:
     def snapshot(self) -> Dict[str, Any]:
         return {}
 
+    instrument_snapshot = snapshot
+
 
 NULL_REGISTRY = NullRegistry()
-
-
-class BoundCounterCache:
-    """Per-call-site cache of counter handles, keyed by a short site key.
-
-    ``registry.counter(...)`` canonicalises labels and hashes the full
-    identity on every call; at a handful of increments per served query
-    that lookup is the dominant instrumentation cost.  A site holds one of
-    these, built with a ``factory(registry, key) -> Counter``, and calls
-    :meth:`get` with the current registry — handles are reused until the
-    registry object itself is swapped (enable/disable/replace), at which
-    point the cache rebuilds against the new one.
-
-    Thread-safe without locking: the ``(registry, handles)`` pair is
-    swapped atomically, so a stale reader only ever sees a consistent
-    pair, and a racing duplicate ``factory`` call lands on the same
-    registry-deduplicated instrument.
-    """
-
-    __slots__ = ("_factory", "_bound")
-
-    def __init__(self, factory: Callable[[Any, str], Counter]):
-        self._factory = factory
-        self._bound: Tuple[Any, Dict[str, Counter]] = (None, {})
-
-    def get(self, registry: Any, key: str) -> Counter:
-        bound = self._bound
-        if bound[0] is not registry:
-            bound = (registry, {})
-            self._bound = bound
-        handles = bound[1]
-        handle = handles.get(key)
-        if handle is None:
-            handle = handles[key] = self._factory(registry, key)
-        return handle
 
 
 class MetricsRegistry:
@@ -347,12 +343,10 @@ class MetricsRegistry:
 
     ``register_collector`` attaches a pull-style source: a callable
     returning a flat ``{metric: value}`` mapping evaluated at snapshot
-    time.  Collectors absorb pre-existing counter surfaces (cache
-    snapshots, class-level totals) without putting mirror writes on their
-    hot paths.
+    time.  Collectors are how the registry reads a counter whose home is
+    elsewhere (a service's ``stats()``, the process-wide stores in
+    :data:`PROCESS_COLLECTORS`) without a second write on its hot path.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, LabelSet], Any] = {}
@@ -418,13 +412,11 @@ class MetricsRegistry:
         """Every live instrument (counters, gauges, histograms)."""
         return list(self._instruments.values())
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Everything the registry knows, as one nested plain dict.
-
-        ``counters``/``gauges`` map ``name{labels}`` to values,
-        ``histograms`` to per-histogram summary dicts, and ``collected``
-        holds each collector's mapping (evaluated now).
-        """
+    def instrument_snapshot(self) -> Dict[str, Any]:
+        """What the registry itself owns: ``counters``/``gauges`` map
+        ``name{labels}`` to values, ``histograms`` to per-histogram summary
+        dicts.  Evaluates no collector, so a collector may call it (through
+        ``QueryService.stats()``) without recursing."""
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         histograms: Dict[str, Dict[str, Any]] = {}
@@ -438,15 +430,17 @@ class MetricsRegistry:
                 gauges[flat] = instrument.value
             else:
                 histograms[flat] = instrument.snapshot()
+        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Everything the registry knows, as one nested plain dict:
+        :meth:`instrument_snapshot` plus ``collected``, each collector's
+        mapping (evaluated now)."""
         with self._collectors_lock:
             collectors = dict(self._collectors)
-        collected = {name: dict(collect()) for name, collect in collectors.items()}
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "collected": collected,
-        }
+        snap = self.instrument_snapshot()
+        snap["collected"] = {name: dict(collect()) for name, collect in collectors.items()}
+        return snap
 
 
 #: The process-global registry instrumentation sites write to.  Swapped as a
@@ -461,8 +455,11 @@ def get_registry() -> Union[MetricsRegistry, NullRegistry]:
 
 
 def set_registry(registry: Union[MetricsRegistry, NullRegistry]) -> None:
-    """Install ``registry`` as the process-global registry."""
+    """Install ``registry`` as the process-global registry (and attach the
+    :data:`PROCESS_COLLECTORS` to it)."""
     global _registry
+    for name, collect in PROCESS_COLLECTORS.items():
+        registry.register_collector(name, collect)
     _registry = registry
 
 

@@ -301,10 +301,6 @@ class _NullSection:
 _NULL_SECTION = _NullSection()
 
 
-def _null_section() -> _NullSection:
-    return _NULL_SECTION
-
-
 def current_span() -> Optional[Span]:
     """The context's current span, or ``None`` when tracing is inactive."""
     return _CURRENT_SPAN.get()

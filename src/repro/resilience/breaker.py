@@ -83,9 +83,7 @@ class CircuitBreaker:
         if self._state == to:
             return
         self._state = to
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter("repro_breaker_transitions_total", to=to).inc()
+        _metrics.counter("repro_breaker_transitions_total", to=to).inc()
         if to == OPEN:
             self._opened_count += 1
             self._opened_at = self._clock()

@@ -16,8 +16,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.obs import metrics as _metrics
-
 
 @dataclass
 class CacheStats:
@@ -82,11 +80,6 @@ class LRUCache:
     clock:
         Injectable time source (seconds); defaults to ``time.monotonic`` and
         is overridden in tests to exercise expiry deterministically.
-    name:
-        Optional metrics name.  A named cache mirrors every stats advance to
-        the global :mod:`repro.obs` registry as
-        ``repro_cache_<stat>_total{cache=<name>}`` counters (no-ops while
-        metrics are disabled); an unnamed cache never touches the registry.
     """
 
     def __init__(
@@ -94,7 +87,6 @@ class LRUCache:
         max_size: Optional[int] = 128,
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
-        name: Optional[str] = None,
     ):
         if max_size is not None and max_size < 0:
             raise ValueError(f"max_size must be non-negative, got {max_size}")
@@ -102,32 +94,11 @@ class LRUCache:
             raise ValueError(f"ttl must be positive, got {ttl}")
         self.max_size = max_size
         self.ttl = ttl
-        self.name = name
         self._clock = clock
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
         self._puts_since_purge = 0
-        # Binds the name, not ``self``: a closure over the cache would make it
-        # (and every entry it holds) a reference cycle only the collector frees.
-        self._obs_counters = _metrics.BoundCounterCache(
-            lambda registry, stat: registry.counter(
-                f"repro_cache_{stat}_total", cache=name
-            )
-        )
-
-    def _mirror(self, stat: str, amount: int = 1) -> None:
-        """Mirror a stats advance to the global metrics registry (if named).
-
-        Safe to call with :attr:`_lock` held: registry instruments use their
-        own leaf locks and never call back into the cache, so there is no
-        ordering cycle.  Unnamed caches (and a disabled registry) return
-        after one attribute check."""
-        if self.name is None or not amount:
-            return
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            self._obs_counters.get(registry, stat).inc(amount)
 
     #: Puts between opportunistic expiry sweeps.  Lookup-time expiry only
     #: reclaims keys that are touched again, so never-retouched entries
@@ -156,28 +127,23 @@ class LRUCache:
             if entry is None:
                 if record:
                     self.stats.misses += 1
-                    self._mirror("misses")
                 return default
             if self.ttl is not None and now - entry.stored_at > self.ttl:
                 del self._entries[key]
                 self.stats.expirations += 1
-                self._mirror("expirations")
                 if record:
                     self.stats.misses += 1
-                    self._mirror("misses")
                 return default
             entry.last_used_at = now
             self._entries.move_to_end(key)
             if record:
                 self.stats.hits += 1
-                self._mirror("hits")
             return entry.value
 
     def note_hit(self) -> None:
         """Count a hit that was observed through an unrecorded lookup."""
         with self._lock:
             self.stats.hits += 1
-        self._mirror("hits")
 
     def note_miss(self) -> None:
         """Count a miss for an unrecorded lookup — e.g. an entry that was
@@ -185,7 +151,6 @@ class LRUCache:
         re-registered table) and will not be used."""
         with self._lock:
             self.stats.misses += 1
-        self._mirror("misses")
 
     def note_refresh(self) -> None:
         """Count a stale entry handed to the delta-refresh path.
@@ -194,7 +159,6 @@ class LRUCache:
         one appended table never lose an increment."""
         with self._lock:
             self.stats.refreshes += 1
-        self._mirror("refreshes")
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting the LRU entry if needed.
@@ -216,9 +180,7 @@ class LRUCache:
                 if self.max_size is not None and len(self._entries) > self.max_size:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
-                    self._mirror("evictions")
             self.stats.puts += 1
-            self._mirror("puts")
             if self.ttl is not None:
                 self._puts_since_purge += 1
                 if self._puts_since_purge >= self.PURGE_EVERY_PUTS:
@@ -251,8 +213,6 @@ class LRUCache:
             del self._entries[key]
         self.stats.expirations += len(expired)
         self.stats.purged += len(expired)
-        self._mirror("expirations", len(expired))
-        self._mirror("purged", len(expired))
         return len(expired)
 
     def keys(self) -> List[Hashable]:

@@ -10,8 +10,9 @@ the optional :mod:`repro.obs` registry dump.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Union
 
 #: Canonical executor backend names.
 #:
@@ -178,6 +179,7 @@ class ServiceStats:
     registry: Dict[str, object]
     resilience: Dict[str, object] = field(default_factory=dict)
     storage: Dict[str, object] = field(default_factory=dict)
+    udfs: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         """The whole snapshot as one plain dict (for JSON reports)."""
@@ -191,7 +193,33 @@ class ServiceStats:
             "registry": dict(self.registry),
             "resilience": dict(self.resilience),
             "storage": dict(self.storage),
+            "udfs": dict(self.udfs),
         }
+
+    def flat(self) -> Dict[str, Union[int, float]]:
+        """Every finite numeric leaf, keyed ``<section>_<path>_<leaf>``.
+
+        The shape a registry collector wants:
+        ``registry.register_collector("repro_service", lambda:
+        service.stats().flat())`` exports one service's counters, cache
+        statistics, latency quantiles, sessions, breaker, storage and UDF
+        counts as ``repro_service_*`` Prometheus lines, for as long as the
+        caller keeps the registry.  ``registry`` is left out — the registry
+        exports its own instruments.
+        """
+        leaves: Dict[str, Union[int, float]] = {}
+
+        def walk(path: str, node: object) -> None:
+            if isinstance(node, Mapping):
+                for key, value in node.items():
+                    walk(f"{path}_{key}", value)
+            elif isinstance(node, (int, float)) and math.isfinite(node):
+                leaves[path] = node
+
+        for section, payload in self.to_dict().items():
+            if section != "registry":
+                walk(section, payload)
+        return leaves
 
 
 #: Contract for :class:`ServiceStats` fields — the stats-side sibling of
@@ -225,7 +253,13 @@ SERVICE_STATS_SCHEMA: Dict[str, str] = {
         "max_pending, max_concurrency, open_flights (signatures being planned "
         "right now, by either front-end: the size of the one flight table)"
     ),
-    "registry": "repro.obs MetricsRegistry.snapshot() (empty while disabled)",
+    "registry": (
+        "what the installed repro.obs registry itself owns — "
+        "MetricsRegistry.instrument_snapshot(): the counters, gauges and "
+        "histograms named in repro.obs.metrics.REGISTRY_OWNED (empty under the "
+        "null registry); collectors are not evaluated here, so a collector may "
+        "call stats()"
+    ),
     "resilience": (
         "CircuitBreaker.snapshot(): state (closed/open/half_open), "
         "consecutive_failures, failures_total, successes_total, "
@@ -247,6 +281,12 @@ SERVICE_STATS_SCHEMA: Dict[str, str] = {
         "ResidencyManager.snapshot(): budget_bytes, resident_bytes, "
         "peak_resident_bytes, mapped_segments, pinned_segments, "
         "pressure_level (ok/high/critical), maps, evictions, refaults, "
-        "map_faults, evict_faults, map_seconds_total"
+        "map_faults, evict_faults, map_seconds_total, tables_materialised, "
+        "tables_degraded"
+    ),
+    "udfs": (
+        "UserDefinedFunction.counter_snapshot() of every UDF registered in the "
+        "service's catalog, by name: calls, cache_hits, cache_misses, "
+        "cache_size, row_calls, bulk_calls"
     ),
 }

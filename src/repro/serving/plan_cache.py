@@ -102,7 +102,7 @@ class PlanCache:
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self._cache = LRUCache(max_size=max_size, ttl=ttl, clock=clock, name="plans")
+        self._cache = LRUCache(max_size=max_size, ttl=ttl, clock=clock)
 
     @property
     def enabled(self) -> bool:

@@ -398,16 +398,9 @@ class QueryService:
             evaluation_cost=self.engine.evaluation_cost,
         )
 
-    _obs_counters = _metrics.BoundCounterCache(
-        lambda registry, metric: registry.counter(f"repro_serving_{metric}_total")
-    )
-
     def _count(self, metric: str, amount: int = 1) -> None:
         with self._metrics_lock:
             self._metrics[metric] += amount
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            self._obs_counters.get(registry, metric).inc(amount)
 
     def latency_histogram(self, path: str) -> Histogram:
         """The (always-on) latency histogram for a request path.
@@ -1311,8 +1304,8 @@ class QueryService:
 
         Bundles the serving counters, both cache snapshots, per-client
         session accounting, per-path latency summaries, the async
-        front-end's admission state and — when the global metrics registry
-        is enabled — its full snapshot.  Field contract:
+        front-end's admission state, the catalog's UDF counters and the
+        instruments the installed metrics registry owns.  Field contract:
         :data:`repro.serving.config.SERVICE_STATS_SCHEMA` (the stats-side
         sibling of :meth:`repro.db.engine.Engine.metadata_schema`).
         """
@@ -1345,9 +1338,10 @@ class QueryService:
                 "max_concurrency": self.config.max_concurrency,
                 "open_flights": open_flights,
             },
-            registry=_metrics.get_registry().snapshot(),
+            registry=_metrics.get_registry().instrument_snapshot(),
             resilience=resilience,
             storage=storage,
+            udfs={udf.name: udf.counter_snapshot() for udf in self.catalog.udfs},
         )
 
     def _latency_snapshot(self) -> Dict[str, Dict[str, Optional[float]]]:

@@ -32,7 +32,6 @@ from repro.core.column_selection import LabeledSample
 from repro.db.index import GroupIndex
 from repro.db.predicate import Predicate
 from repro.db.table import Table
-from repro.obs import metrics as _metrics
 from repro.sampling.sampler import SampleOutcome
 from repro.serving.cache import CacheStats, LRUCache
 from repro.serving.signature import model_key, statistics_key
@@ -47,20 +46,11 @@ class StatisticsCache:
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self.labeled_samples = LRUCache(
-            max_size=max_size, ttl=ttl, clock=clock, name="labeled_samples"
-        )
-        self.sample_outcomes = LRUCache(
-            max_size=max_size, ttl=ttl, clock=clock, name="sample_outcomes"
-        )
+        self.labeled_samples = LRUCache(max_size=max_size, ttl=ttl, clock=clock)
+        self.sample_outcomes = LRUCache(max_size=max_size, ttl=ttl, clock=clock)
         # Group indexes live on the tables themselves (Table.group_index);
         # this only counts how often serving found one already built.
         self.index_stats = CacheStats()
-        self._obs_counters = _metrics.BoundCounterCache(
-            lambda registry, stat: registry.counter(
-                f"repro_cache_{stat}_total", cache="indexes"
-            )
-        )
 
     @property
     def enabled(self) -> bool:
@@ -203,17 +193,11 @@ class StatisticsCache:
         index lives on the table instance itself, so a re-registered table
         (or a derived virtual-column table) brings its own fresh cache.
         """
-        registry = _metrics.get_registry()
         if table.has_group_index(column):
             self.index_stats.hits += 1
-            if registry.enabled:
-                self._obs_counters.get(registry, "hits").inc()
         else:
             self.index_stats.misses += 1
             self.index_stats.puts += 1
-            if registry.enabled:
-                self._obs_counters.get(registry, "misses").inc()
-                self._obs_counters.get(registry, "puts").inc()
         return table.group_index(column)
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:

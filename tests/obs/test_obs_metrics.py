@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 
 import pytest
@@ -117,10 +118,14 @@ class TestHistogram:
             Histogram("h", buckets=(2.0, 1.0))
         with pytest.raises(ValueError):
             Histogram("h", buckets=(1.0, 1.0))  # duplicated bound
-        # empty/omitted buckets fall back to the default latency bounds
+        # omitted buckets fall back to the default latency bounds; an empty
+        # sequence is a caller error, not "absent"
         from repro.obs import DEFAULT_LATENCY_BUCKETS
 
-        assert Histogram("h", buckets=()).buckets == DEFAULT_LATENCY_BUCKETS
+        assert Histogram("h").buckets == DEFAULT_LATENCY_BUCKETS
+        assert Histogram("h", buckets=None).buckets == DEFAULT_LATENCY_BUCKETS
+        with pytest.raises(ValueError, match="non-empty"):
+            Histogram("h", buckets=())
         h = Histogram("h", buckets=(1.0,))
         with pytest.raises(ValueError):
             h.quantile(0.0)
@@ -180,7 +185,6 @@ class TestRegistry:
 class TestGlobalRegistry:
     def test_disabled_by_default(self):
         assert get_registry() is NULL_REGISTRY
-        assert get_registry().enabled is False
         # no-op instruments: incrementing must not create state anywhere
         global_counter("ghost_total", a="b").inc(100)
         assert get_registry().snapshot() == {}
@@ -188,7 +192,6 @@ class TestGlobalRegistry:
     def test_enable_disable_roundtrip(self):
         live = enable_metrics()
         assert get_registry() is live
-        assert live.enabled is True
         global_counter("real_total").inc()
         assert live.snapshot()["counters"] == {"real_total": 1.0}
         disable_metrics()
@@ -226,6 +229,30 @@ class TestExporters:
         text = prometheus_text(registry)
         assert "plans_hits 4" in text
         assert "note" not in text  # non-numeric collector values are skipped
+
+    def test_prometheus_text_escapes_label_values(self):
+        # Label values are caller-supplied (table names are arbitrary
+        # strings): one sample must stay one well-formed line.
+        name = 'orders "2024"\nx\\y'
+        registry = MetricsRegistry()
+        registry.counter("repro_table_appends_total", table=name).inc()
+        lines = [
+            line
+            for line in prometheus_text(registry).splitlines()
+            if not line.startswith("#")
+        ]
+        sample = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? \S+$")
+        assert all(sample.match(line) for line in lines)
+        (line,) = lines
+        escaped = re.fullmatch(
+            r'repro_table_appends_total\{table="(.*)"\} 1', line
+        ).group(1)
+        unescaped = re.sub(
+            r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), escaped
+        )
+        assert unescaped == name
+        # snapshot keys use the same rendering as the text
+        assert list(registry.snapshot()["counters"]) == [line.rsplit(" ", 1)[0]]
 
     def test_metrics_json_is_stable_json(self):
         registry = MetricsRegistry()

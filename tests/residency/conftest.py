@@ -11,7 +11,7 @@ import pytest
 
 from leakcheck import assert_no_leaked_resources
 from residency_tables import build_columns, table_cells
-from repro.db.residency import ResidencyManager, reset_residency_counters
+from repro.db.residency import ResidencyManager
 from repro.db.sharding import ShardedTable
 from repro.db.storage import TableStore, reset_storage_counters
 from repro.db.table import Table
@@ -20,7 +20,6 @@ from repro.db.table import Table
 @pytest.fixture(autouse=True)
 def _no_leaked_resources(tmp_path):
     reset_storage_counters()
-    reset_residency_counters()
     yield
     assert_no_leaked_resources(str(tmp_path))
 

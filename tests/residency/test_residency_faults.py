@@ -18,7 +18,6 @@ from repro.db.engine import Engine
 from repro.db.errors import SegmentMapError
 from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
-from repro.db.residency import residency_counters
 from repro.db.udf import UserDefinedFunction
 from repro.resilience import FaultPlan, FaultRule, fault_scope
 from repro.serving import QueryService
@@ -46,7 +45,6 @@ class TestMapFaults:
         with fault_scope(_map_fault_plan(addresses={(0,), (3,)})):
             assert cells(lazy) == cells(eager)
         assert manager.snapshot()["map_faults"] == 2
-        assert residency_counters()["map_faults"] == 2
 
     def test_persistent_map_fault_raises_typed_with_zero_mappings(
         self, table, make_lazy
@@ -93,13 +91,13 @@ class TestMapBreakerDegrade:
             for _attempt in range(2):
                 with pytest.raises(SegmentMapError):
                     lazy.column_array("amount")
-            before = residency_counters()
+            before = manager.snapshot()
             assert lazy.column_array("amount") is not None
         # Degraded: rebuilt in memory (reads bypass the map site), lazy no
         # more, nothing resident — and still bitwise-identical.
         assert not lazy.is_lazy
         assert manager.resident_bytes == 0
-        counters = residency_counters()
+        counters = manager.snapshot()
         assert counters["tables_materialised"] == before["tables_materialised"] + 1
         assert counters["tables_degraded"] == before["tables_degraded"] + 1
         assert cells(lazy) == cells(eager)
@@ -157,7 +155,6 @@ class TestEvictFaults:
         snapshot = manager.snapshot()
         assert snapshot["evictions"] > 0
         assert snapshot["evict_faults"] == snapshot["evictions"]
-        assert residency_counters()["evict_faults"] > 0
         # The logical drop always completed: residency fits the budget.
         assert manager.resident_bytes <= 2000
 

@@ -180,7 +180,7 @@ class TestCoalescing:
 
 class TestLoadShedding:
     def test_overloaded_is_typed_counted_and_never_silent(self):
-        registry = enable_metrics(MetricsRegistry())
+        enable_metrics(MetricsRegistry())
         try:
             gate = threading.Event()
             udf = _gated_udf(gate)
@@ -217,8 +217,6 @@ class TestLoadShedding:
             metrics = service.stats().serving
             # Accounting delta is exactly zero: every raise is counted once.
             assert metrics["shed"] == 5
-            counters = registry.snapshot()["counters"]
-            assert counters.get("repro_serving_shed_total") == 5.0
             # Shed requests never executed: one query, one pipeline run.
             assert metrics["queries"] == 1
         finally:
