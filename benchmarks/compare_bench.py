@@ -39,8 +39,9 @@ Seven profiles select which counters are gated:
   corruption counter (``udf_evaluations``, ``solver_calls``,
   ``row_ids_mismatch``, ``restore_errors``, ``rebuilds``,
   ``checksum_failures``) committed as zero and therefore gated at
-  *exactly* zero.  The restart speedup and persist time are wall-clock
-  and stay informational;
+  *exactly* zero — as is ``recheckpoint.unchanged_segments_written``: an
+  unchanged re-checkpoint writes no segment.  The restart speedup and
+  persist time are wall-clock and stay informational;
 * ``outofcore`` — the bounded-memory point of ``BENCH_outofcore.json``:
   a durable table ~4x the residency budget served lazily.  Every
   ``parity.*`` counter (row-id mismatches and absolute work-counter
@@ -192,7 +193,10 @@ TRAFFIC_COUNTERS: Tuple[Tuple[str, bool], ...] = (
 #: all committed as 0, so any non-zero fresh value is an unbounded
 #: relative drift and the ±tolerance gate degenerates to exact ±0.  The
 #: cold side's counters pin what a from-scratch rebuild costs — if they
-#: collapse, the speedup claim is measuring the wrong thing.
+#: collapse, the speedup claim is measuring the wrong thing.  The
+#: ``recheckpoint.*`` pair holds the checkpoint's write set: closing a
+#: reopened, untouched service writes no segment (committed as 0, so ±0),
+#: and a 1% append costs the columns of the shards it touched.
 RESTART_COUNTERS: Tuple[Tuple[str, bool], ...] = (
     ("rows", False),
     ("shards", False),
@@ -208,6 +212,8 @@ RESTART_COUNTERS: Tuple[Tuple[str, bool], ...] = (
     ("restored.segments_loaded", True),
     ("cold.udf_evaluations", True),
     ("cold.solver_calls", True),
+    ("recheckpoint.unchanged_segments_written", True),
+    ("recheckpoint.after_append_segments_written", True),
 )
 
 #: The outofcore profile gates the bounded-memory serving contract: the

@@ -22,7 +22,11 @@ order-alternating (restore, cold) pairs, and the asserted speedup is the
 the gate.  Emits ``out/BENCH_restart.json``; the zero-committed work counters
 (``restored.udf_evaluations``, ``restored.solver_calls``,
 ``restored.row_ids_mismatch``, ``restored.restore_errors``, ...) are gated
-at exactly ±0 by ``compare_bench.py --profile restart`` in CI.  The
+at exactly ±0 by ``compare_bench.py --profile restart`` in CI — among them
+``recheckpoint.unchanged_segments_written``: closing a reopened service
+that appended nothing checkpoints without writing one segment
+(``recheckpoint.after_append_segments_written`` pins what a 1% append
+then costs: the columns of the shards it touched, not of the table).  The
 speedup itself (default floor ``REPRO_BENCH_MIN_RESTART_SPEEDUP`` = 10x,
 ``<= 0`` disarms) is wall-clock and never part of the JSON gate.
 """
@@ -45,7 +49,7 @@ from repro.db.engine import Engine
 from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
 from repro.db.sharding import ShardedTable
-from repro.db.storage import CatalogStore
+from repro.db.storage import CatalogStore, storage_counters
 from repro.db.udf import UserDefinedFunction
 from repro.serving import QueryService, ServiceConfig
 
@@ -171,6 +175,37 @@ def _restore_window(storage_dir, warm_row_ids):
     return window
 
 
+def _close_after_reopen(storage_dir, delta=None):
+    """Reopen, optionally append ``delta`` durably, close: segments written."""
+    catalog, _ = CatalogStore(storage_dir).open()
+    catalog.register_udf(_expensive_udf("restart_served"))
+    service = QueryService(
+        Engine(catalog), config=ServiceConfig(storage_dir=storage_dir)
+    )
+    if delta is not None:
+        CatalogStore(storage_dir).table_store(TABLE_NAME).append(
+            catalog.table(TABLE_NAME), delta
+        )
+    before = storage_counters()["segments_written"]
+    service.close()  # checkpoint + warm state
+    return storage_counters()["segments_written"] - before
+
+
+def _recheckpoint_counts(columns, storage_dir):
+    """What a checkpoint writes once the table is durable: what changed.
+
+    Run after the measured windows — the append moves the durable
+    generation on, which would turn their restored hits into refreshes.
+    """
+    delta = {
+        name: values[: SCALE_ROWS // 100] for name, values in columns.items()
+    }
+    return {
+        "unchanged_segments_written": _close_after_reopen(storage_dir),
+        "after_append_segments_written": _close_after_reopen(storage_dir, delta),
+    }
+
+
 def _cold_window(columns):
     """One timed cold rebuild: re-ingest + full cold pipeline."""
     started = time.perf_counter()
@@ -208,17 +243,18 @@ def _restart_comparison():
             cold_windows.append(_cold_window(columns))
             if not restore_first:
                 restore_windows.append(_restore_window(storage_dir, warm_row_ids))
+        recheckpoint = _recheckpoint_counts(columns, storage_dir)
     finally:
         shutil.rmtree(storage_dir, ignore_errors=True)
     speedups = [
         cold["seconds"] / max(restore["seconds"], 1e-9)
         for restore, cold in zip(restore_windows, cold_windows)
     ]
-    return persist_seconds, restore_windows, cold_windows, speedups
+    return persist_seconds, restore_windows, cold_windows, speedups, recheckpoint
 
 
 def test_restart_workload(benchmark):
-    persist_seconds, restore_windows, cold_windows, speedups = run_once(
+    persist_seconds, restore_windows, cold_windows, speedups, recheckpoint = run_once(
         benchmark, _restart_comparison
     )
     restored, cold = restore_windows[0], cold_windows[0]
@@ -241,6 +277,11 @@ def test_restart_workload(benchmark):
         f"{cold['solver_calls']} solver calls"
     )
     print(
+        f"  re-checkpoint    : {recheckpoint['unchanged_segments_written']} segments "
+        f"unchanged, {recheckpoint['after_append_segments_written']} after a 1% append "
+        f"(of {restored['segments_loaded']} and more)"
+    )
+    print(
         "  restart speedup  : "
         + ", ".join(f"{value:.1f}x" for value in speedups)
         + f" -> median {speedup:.1f}x"
@@ -255,6 +296,7 @@ def test_restart_workload(benchmark):
         # the committed values are deterministic.
         "restored": restored,
         "cold": cold,
+        "recheckpoint": recheckpoint,
         "restart_speedup": round(speedup, 2),
         "speedup_windows": [round(value, 2) for value in speedups],
         "cpu_count": os.cpu_count(),
@@ -274,6 +316,14 @@ def test_restart_workload(benchmark):
         assert window["restore_errors"] == 0
         assert window["rebuilds"] == 0
         assert window["checksum_failures"] == 0
+    # A checkpoint writes what changed.  Nothing did before the untouched
+    # close; the 1% append overflowed the (full) tail, which was sealed into
+    # two fresh shards — their three columns each are written, the seven
+    # sealed shards' files are referenced.
+    assert recheckpoint == {
+        "unchanged_segments_written": 0,
+        "after_append_segments_written": 2 * 3,
+    }
     # Work counters are deterministic: the windows must agree exactly.
     stable = [
         {k: w[k] for k in w if k != "seconds"} for w in restore_windows

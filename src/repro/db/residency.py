@@ -470,7 +470,11 @@ class LazySegmentTable(Table):
     *not* cached in ``_arrays`` — the handle owns residency, so eviction
     works.  Appends (journal replay, live ingest) first materialise the
     table in memory, as do repeated map failures once the per-table map
-    breaker opens (graceful degradation: memory for liveness).
+    breaker opens (graceful degradation: memory for liveness).  A
+    checkpoint maps nothing: while the table is lazy its segment files are
+    referenced by the new manifest as they are (``TableStore.save``), which
+    is also what keeps them on disk under its handles; once materialised it
+    is written from memory like any other table.
     """
 
     @classmethod
@@ -554,6 +558,10 @@ class LazySegmentTable(Table):
             for handle in self._handles.values():
                 handle.manager.discard(handle)
             self._handles = {}
+            # The table no longer stands for its files (it may be here
+            # because they would not map): the next checkpoint writes it
+            # from memory instead of referencing them.
+            self._durable = None
         manager._record_materialised(degraded=reason == "map_breaker_open")
 
     # -- Table overrides -------------------------------------------------------

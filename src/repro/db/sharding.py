@@ -100,6 +100,15 @@ class ShardedTable(Table):
     ``tail_shard_rows`` it is *sealed* — re-chunked into fixed-size shards
     with a fresh, small tail — so the layout stays balanced under sustained
     churn without ever rewriting sealed shards.
+
+    The promise holds on disk as well as in memory.  What a shard has on
+    disk is recorded on the shard object
+    (:meth:`~repro.db.table.Table.mark_durable`; this table holds no data
+    and no record of its own), so a checkpoint
+    (:meth:`~repro.db.storage.TableStore.save`) references the files of
+    every shard that is still the same object at the same generation and
+    writes only the tail an append extended and the fresh shard objects a
+    seal produced.
     """
 
     def __init__(

@@ -5,7 +5,9 @@ Durability & recovery
 Sealed and tail shards persist as memmapped, per-block-CRC32-checksummed
 column segment files (:mod:`repro.db.storage.segments`), committed under a
 versioned, checksummed JSON manifest (:mod:`repro.db.storage.manifest`)
-that is the *single* commit point of a checkpoint.  Between checkpoints,
+that is the *single* commit point of a checkpoint.  A checkpoint writes
+what changed: a shard already durable in the directory and not appended to
+since keeps its files, which the new manifest references.  Between checkpoints,
 appends go through a fsynced write-ahead journal
 (:mod:`repro.db.storage.journal`) whose records replay idempotently on
 open.  Every write is atomic (temp file → fsync → rename), so a crash at
@@ -22,7 +24,7 @@ counted in :func:`storage_counters` and surfaced through
 Typical use::
 
     store = TableStore("/data/lending_club")
-    store.save(table)                       # checkpoint
+    store.save(table)                       # checkpoint (writes what changed)
     store.append(table, delta_columns)      # durable churn (WAL first)
     table, report = store.open(rebuild=build_from_source)
 """

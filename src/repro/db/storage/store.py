@@ -8,8 +8,17 @@
     <dir>/warm/*.blob        serving-layer warm state (repro.serving.persistence)
     <dir>/quarantine/        corrupt artifacts moved aside, never deleted
 
-:meth:`TableStore.save` is a full checkpoint — every segment is written
-crash-safely, the manifest commits the generation, the journal resets.
+:meth:`TableStore.save` is the checkpoint, and it writes what changed:
+segments of shards that are already durable in this directory and have not
+been appended to since are referenced by the new manifest as they are
+(after an O(header) re-validation), everything else — the mutable tail,
+freshly sealed shards, all of a table the directory has not seen — is
+written crash-safely under generation-qualified names; then the manifest
+commits the generation, the journal resets, and the files the manifest no
+longer names are removed.  What a shard has on disk is recorded on the
+shard itself (:meth:`~repro.db.table.Table.mark_durable`) by the open that
+loaded it, eagerly or lazily, and by the checkpoint that wrote it; an
+append makes the record stale by itself.
 :meth:`TableStore.append` is the durable churn path — journal first
 (fsynced), then apply in memory.  :meth:`TableStore.open` is recovery —
 sweep torn temp files, validate the manifest and every segment checksum,
@@ -59,6 +68,7 @@ from repro.obs import metrics as _metrics
 #: the ``repro_storage`` collector.
 _COUNTERS: Dict[str, int] = {
     "segments_written": 0,
+    "segments_retained": 0,
     "segments_loaded": 0,
     "headers_validated": 0,
     "checksum_failures": 0,
@@ -170,14 +180,35 @@ class TableStore:
 
     # -- checkpoint ------------------------------------------------------------
     def save(self, table: Table) -> None:
-        """Full checkpoint: segments first, manifest commit, journal reset.
+        """Checkpoint: write what changed, commit the manifest, reset the journal.
 
-        Ordering is the crash-safety argument: every segment write is
-        individually atomic, the manifest only ever references segments
-        that are already durable, and the journal resets only after the
-        manifest committed — a crash at *any* point leaves the previous
-        manifest describing the previous (fully intact) generation, plus a
-        journal whose generations the new open skips or replays exactly.
+        A ``(shard, column)`` already durable in this store's segments
+        directory, on a shard that has not changed since
+        (:meth:`~repro.db.table.Table.durable_segments` — recorded by the
+        open that loaded the shard or the checkpoint that last wrote it,
+        stale by itself once the shard is appended to), keeps its file: the
+        existing manifest entry goes into the new manifest after an
+        O(header) re-validation, and a lazily opened shard is not mapped
+        for it.  Everything else is written from memory — the mutable
+        tail, the shards a tail seal created, a column whose file is gone
+        or fails that validation (never referenced blind), and every
+        column of a table this directory has not seen, which is what a
+        first checkpoint into a fresh directory is.
+
+        Ordering is the crash-safety argument.  A retained file is never
+        touched, and a new file is one atomic write under a name made of
+        the table's generation and the file's slot — a name the previous
+        manifest can only hold if the table is still at that manifest's
+        generation, where the rows under the name, and so the bytes the
+        rename puts there, are the same.  So nothing the previous manifest
+        names changes before the commit; the manifest — the single commit
+        point — only ever references segments that are already durable;
+        the journal resets only after the manifest committed, and only
+        then are the files the new manifest does not name removed
+        (retained files of older generations are named, so they stay).  A
+        crash at *any* point leaves the previous manifest describing the
+        previous (fully intact) generation, plus a journal whose
+        generations the new open skips or replays exactly.
         """
         os.makedirs(self.segments_dir, exist_ok=True)
         sharded = isinstance(table, ShardedTable)
@@ -185,20 +216,29 @@ class TableStore:
         column_names = table.schema.column_names
         segments: Dict[str, Dict[str, Any]] = {}
         generation = table.data_generation
+        record_key = self._record_key
         for position, shard in enumerate(shards):
+            durable = shard.durable_segments(record_key)
             entries: Dict[str, Any] = {}
             for column_index, column in enumerate(column_names):
-                array = shard.column_array(column, allow_hidden=True)
-                path = os.path.join(
-                    self.segments_dir,
+                slot = f"-{position:04d}-c{column_index:03d}.seg"
+                entry = durable.get(column)
+                if entry is not None and self._still_durable(entry, slot):
+                    _count("segments_retained")
+                else:
                     # Generation-qualified names: a checkpoint never writes
-                    # over the previous generation's files, so a crash
+                    # over an earlier generation's files, so a crash
                     # before the manifest commit leaves the old manifest
                     # pointing at old segments that are still bit-perfect.
-                    f"seg-g{generation:08d}-{position:04d}-c{column_index:03d}.seg",
-                )
-                entries[column] = write_segment(path, column, array)
-                _count("segments_written")
+                    entry = write_segment(
+                        os.path.join(
+                            self.segments_dir, f"seg-g{generation:08d}{slot}"
+                        ),
+                        column,
+                        shard.column_array(column, allow_hidden=True),
+                    )
+                    _count("segments_written")
+                entries[column] = entry
             segments[str(position)] = entries
         body: Dict[str, Any] = {
             "table": table.name,
@@ -217,15 +257,45 @@ class TableStore:
             body["max_workers"] = table.max_workers
         write_manifest(self.manifest_path, body)
         _count("manifest_commits")
+        for shard, entries in zip(shards, segments.values()):
+            shard.mark_durable(record_key, entries)
         _journal.truncate(self.journal_path)
         self._drop_unreferenced_segments(segments)
+
+    @property
+    def _record_key(self) -> str:
+        """The segments directory as shards record it (see ``mark_durable``)."""
+        return os.path.abspath(self.segments_dir)
+
+    def _still_durable(self, entry: Mapping[str, Any], slot: str) -> bool:
+        """Whether a recorded segment may go into the next manifest as it is.
+
+        Its header must still validate against the recorded entry (the file
+        exists, is whole, and holds that many rows of that type), and it
+        must be named for the ``(shard, column)`` slot it fills — a new
+        file's name is its generation and slot, so it can then never be the
+        name of a retained file.  The payload is not read: a bit flip under
+        an intact header surfaces at the next open or map, exactly as it
+        does for a file no checkpoint has revisited.
+        """
+        if not entry["file"].endswith(slot):
+            return False
+        try:
+            validate_segment_header(
+                os.path.join(self.segments_dir, entry["file"]), expected=entry
+            )
+        except CorruptSegmentError:
+            return False
+        return True
 
     def _drop_unreferenced_segments(self, segments: Mapping[str, Mapping[str, Any]]) -> None:
         """Remove segment files the committed manifest does not name.
 
         Safe only *after* a manifest commit (or a fully validated open):
-        the previous generation's segments, and orphans from a checkpoint
+        the segments a checkpoint replaced, and orphans from a checkpoint
         that tore before its manifest commit, would otherwise leak forever.
+        Files of older generations that a checkpoint retained are named by
+        the manifest like any other, so they stay.
         """
         referenced = {
             entry["file"]
@@ -340,6 +410,10 @@ class TableStore:
           pass runs at first-touch map time, inside residency-managed
           stubs.  One map circuit breaker is shared by the whole table, so
           repeated map failures on any shard degrade the table as a unit.
+
+        Either way each shard is marked durable in this directory with its
+        manifest entries, which is what lets the next :meth:`save`
+        reference its files instead of rewriting (or, lazily, mapping) them.
         """
         if residency is not None:
             from repro.db.residency import (
@@ -361,6 +435,7 @@ class TableStore:
         generation = int(body["data_generation"])
         segments: Mapping[str, Mapping[str, Any]] = body["segments"]
         monolithic = body["layout"] == "monolithic"
+        record_key = self._record_key
         shards: List[Table] = []
         for position, key in enumerate(sorted(segments, key=int)):
             columns: Dict[str, Any] = {}
@@ -406,6 +481,9 @@ class TableStore:
                         map_breaker=breaker,
                     )
                 )
+            # Journal replay (next, in open()) appends to the tail, which
+            # makes the tail's mark stale by itself.
+            shards[-1].mark_durable(record_key, segments[key])
         if monolithic:
             if len(shards) != 1:
                 raise CorruptSegmentError(

@@ -22,6 +22,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -119,6 +120,15 @@ class Table:
     :attr:`data_generation` and delta-maintains every cached derived
     structure (column arrays, group indexes).
     """
+
+    #: What this table's columns have on disk, per segments directory:
+    #: ``{directory: (data_generation when recorded, {column: manifest
+    #: entry})}``.  Written by :mod:`repro.db.storage` (a load, or a
+    #: checkpoint's manifest commit) and read back by the next checkpoint,
+    #: which references those files instead of rewriting them.  Rows are
+    #: append-only, so a record is true exactly while the generation it was
+    #: taken at is current: every append makes it stale by itself.
+    _durable: Optional[Dict[str, Tuple[int, Dict[str, Mapping[str, Any]]]]] = None
 
     def __init__(
         self,
@@ -272,6 +282,30 @@ class Table:
         *refreshable* — not cold — miss.
         """
         return ("monolithic", self._num_rows, self._data_generation)
+
+    # -- durability record --------------------------------------------------------
+    def durable_segments(self, directory: str) -> Mapping[str, Mapping[str, Any]]:
+        """``{column: manifest entry}`` of what ``directory`` holds of the
+        current rows — empty when it holds nothing, or the rows moved on."""
+        generation, entries = (self._durable or {}).get(directory, (None, {}))
+        return entries if generation == self._data_generation else {}
+
+    def mark_durable(
+        self, directory: str, entries: Mapping[str, Mapping[str, Any]]
+    ) -> None:
+        """Record that ``entries`` under ``directory`` hold the current rows.
+
+        Records other directories took at an older generation are dropped
+        here, so the mapping never outgrows the directories in use.
+        """
+        generation = self._data_generation
+        durable = {
+            other: record
+            for other, record in (self._durable or {}).items()
+            if record[0] == generation
+        }
+        durable[directory] = (generation, dict(entries))
+        self._durable = durable
 
     # -- incremental ingest -------------------------------------------------------
     def append_columns(self, columns: Mapping[str, Sequence[Any]]) -> int:

@@ -90,8 +90,13 @@ class ServiceConfig:
         matching tables on construction — a restarted service answers its
         first repeated query as a warm hit with zero UDF evaluations — and
         :meth:`QueryService.save_warm_state` / :meth:`QueryService.close`
-        write the warm state back.  ``None`` (the default) keeps the service
-        fully in-memory.
+        checkpoint the tables and write the warm state back.  A checkpoint
+        writes what changed since the last one into this directory (the
+        appended-to tail, freshly sealed shards) and references every
+        segment file that is already durable there, so closing an untouched
+        service writes no segment at all; the warm blobs are rewritten
+        whole each time.  ``None`` (the default) keeps the service fully
+        in-memory.
     memory_budget_bytes:
         Residency budget for durable table segments, in bytes.  When set
         (with ``storage_dir``), tables open *lazily*: segments map on first
@@ -270,7 +275,8 @@ SERVICE_STATS_SCHEMA: Dict[str, str] = {
     "storage": (
         "durability counters (empty dict when storage_dir is unset): the "
         "process-wide repro.db.storage counters — segments_written/"
-        "segments_loaded (segment files persisted/validated+mapped), "
+        "segments_retained (segment files a checkpoint wrote/referenced "
+        "as already durable), segments_loaded (validated+mapped), "
         "checksum_failures, quarantines, journal_replays/"
         "journal_records_replayed/journal_truncations, manifest_commits, "
         "rebuilds (rebuild-from-source recoveries), temp_files_cleaned — "

@@ -31,7 +31,8 @@ import pickle
 import struct
 import zlib
 from dataclasses import replace as _dc_replace
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -50,11 +51,27 @@ WARM_STATE_FILE = "state.blob"
 
 _CRC = struct.Struct("<I")
 
+_T = TypeVar("_T")
 
-def _write_blob(path: str, payload: object) -> None:
-    """Atomically write a CRC-wrapped pickle blob."""
-    data = pickle.dumps(payload, protocol=4)
+
+def _write_blob(
+    path: str, payload: _T, probed: Optional[Callable[[], _T]] = None
+) -> _T:
+    """Atomically write a CRC-wrapped pickle blob; returns what was written.
+
+    ``payload`` is pickled once.  Only when that raises is ``probed()``
+    asked for the payload again, with the records that cannot be pickled
+    left out — the common, fully picklable state never pays for a probe.
+    """
+    try:
+        data = pickle.dumps(payload, protocol=4)
+    except Exception:
+        if probed is None:
+            raise
+        payload = probed()
+        data = pickle.dumps(payload, protocol=4)
     atomic_write_bytes(path, WARM_MAGIC + _CRC.pack(zlib.crc32(data)) + data)
+    return payload
 
 
 def _read_blob(path: str) -> Optional[object]:
@@ -85,14 +102,15 @@ def _picklable(value: object) -> bool:
 
 
 # -- capture -----------------------------------------------------------------------
-def _capture_plans(service, table: Table) -> List[Dict[str, Any]]:
+def _capture_plans(service, table: Table, probe: bool) -> List[Dict[str, Any]]:
     """Cached plans over ``table``, with table references stripped.
 
     Virtual-column plans are skipped: their working table is a derived copy
     whose bucketing depends on the training sample, so they cannot be
-    rebound to the reopened base table.  Entries that fail a pickle probe
-    (e.g. a plan closed over an unpicklable strategy) are skipped too —
-    persistence must never make :meth:`save_warm_state` fail.
+    rebound to the reopened base table.  Under ``probe`` (the blob did not
+    pickle whole — see :func:`_write_blob`), entries that fail a pickle
+    probe (e.g. a plan closed over an unpicklable strategy) are skipped too
+    — persistence must never make :meth:`save_warm_state` fail.
     """
     captured: List[Dict[str, Any]] = []
     for signature, entry in service.plan_cache._cache.items():
@@ -101,13 +119,13 @@ def _capture_plans(service, table: Table) -> List[Dict[str, Any]]:
         if entry.used_virtual_column:
             continue
         stripped = _dc_replace(entry, working_table=None, base_table=None, restored=True)
-        if not _picklable((signature, stripped)):
+        if probe and not _picklable((signature, stripped)):
             continue
         captured.append({"signature": signature, "entry": stripped})
     return captured
 
 
-def _capture_stats(service, table: Table) -> List[Dict[str, Any]]:
+def _capture_stats(service, table: Table, probe: bool) -> List[Dict[str, Any]]:
     """Statistics-cache entries for ``table`` (labelled samples + outcomes).
 
     The cache keys on ``(id(table), tail)``; only the tail is persisted —
@@ -122,7 +140,7 @@ def _capture_stats(service, table: Table) -> List[Dict[str, Any]]:
             stored_table, signature, rows, payload = value
             if stored_table is not table:
                 continue
-            if not _picklable(payload):
+            if probe and not _picklable(payload):
                 continue
             captured.append(
                 {
@@ -140,7 +158,7 @@ def _index_parts(index: GroupIndex) -> Dict[str, Any]:
     return {"values": list(index._values), "codes": np.asarray(index._codes)}
 
 
-def _capture_indexes(table: Table) -> List[Dict[str, Any]]:
+def _capture_indexes(table: Table, probe: bool) -> List[Dict[str, Any]]:
     """The factorised parts of every group index built on ``table``."""
     captured: List[Dict[str, Any]] = []
     for (allow_hidden, column), index in table._group_indexes.items():
@@ -154,7 +172,7 @@ def _capture_indexes(table: Table) -> List[Dict[str, Any]]:
             record["shards"] = [
                 _index_parts(shard_index) for shard_index in index.shard_indexes
             ]
-        if not _picklable(record):
+        if probe and not _picklable(record):
             continue
         captured.append(record)
     return captured
@@ -172,6 +190,20 @@ def _capture_udf_memos(service) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     return memos
 
 
+def _table_state(
+    service, table: Table, memos: Dict[str, Any], probe: bool
+) -> Dict[str, Any]:
+    """One table's warm blob payload (``probe``: leave out what cannot pickle)."""
+    return {
+        "table": table.name,
+        "signature": table.shard_signature(),
+        "plans": _capture_plans(service, table, probe),
+        "stats": _capture_stats(service, table, probe),
+        "indexes": _capture_indexes(table, probe),
+        "udf_memos": memos,
+    }
+
+
 def save_warm_state(service, store: CatalogStore) -> Dict[str, int]:
     """Checkpoint the catalog, then persist the service's warm state.
 
@@ -185,26 +217,17 @@ def save_warm_state(service, store: CatalogStore) -> Dict[str, int]:
     memos = _capture_udf_memos(service)
     counts["udf_memos"] = len(memos)
     for name in service.catalog.table_names():
-        table = service.catalog.table(name)
-        plans = _capture_plans(service, table)
-        stats = _capture_stats(service, table)
-        indexes = _capture_indexes(table)
+        state = partial(_table_state, service, service.catalog.table(name), memos)
         table_store = store.table_store(name)
         os.makedirs(table_store.warm_dir, exist_ok=True)
-        _write_blob(
+        written = _write_blob(
             os.path.join(table_store.warm_dir, WARM_STATE_FILE),
-            {
-                "table": name,
-                "signature": table.shard_signature(),
-                "plans": plans,
-                "stats": stats,
-                "indexes": indexes,
-                "udf_memos": memos,
-            },
+            state(probe=False),
+            probed=partial(state, probe=True),
         )
-        counts["plans"] += len(plans)
-        counts["stats_entries"] += len(stats)
-        counts["group_indexes"] += len(indexes)
+        counts["plans"] += len(written["plans"])
+        counts["stats_entries"] += len(written["stats"])
+        counts["group_indexes"] += len(written["indexes"])
     return counts
 
 

@@ -123,6 +123,42 @@ class TestGroupIndex:
         assert index.num_groups == 2
 
 
+class TestStableCodeOrder:
+    """``_install`` sorts codes over the narrowest unsigned dtype that holds
+    them; the permutation must be the ``intp`` stable argsort's, on both
+    sides of every dtype boundary."""
+
+    @pytest.mark.parametrize("groups", [1, 2, 255, 256, 257, 65_535, 65_536, 65_537])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_order_equals_the_intp_argsort(self, groups, seed):
+        from repro.db.index import _stable_code_order
+
+        rng = np.random.default_rng(seed)
+        # Every code at least once (so the largest one is really there),
+        # plus enough repeats that stability is observable.
+        codes = np.concatenate(
+            [np.arange(groups), rng.integers(0, groups, size=groups // 2 + 50)]
+        ).astype(np.intp)
+        rng.shuffle(codes)
+        expected = np.argsort(codes, kind="stable")
+        order = _stable_code_order(codes, groups)
+        assert order.dtype == expected.dtype
+        assert np.array_equal(order, expected)
+        assert codes.dtype == np.intp  # the index keeps its codes as they were
+
+    @pytest.mark.parametrize("groups", [1, 255, 256, 65_535, 65_536])
+    def test_installed_row_ids_are_ascending_per_group(self, groups):
+        rng = np.random.default_rng(groups)
+        codes = np.concatenate(
+            [np.arange(groups), rng.integers(0, groups, size=200)]
+        ).astype(np.intp)
+        rng.shuffle(codes)
+        index = GroupIndex.__new__(GroupIndex)
+        index._install(list(range(groups)), codes, count_build=False)
+        for code in (0, groups // 2, groups - 1):
+            assert np.array_equal(index.row_ids(code), np.flatnonzero(codes == code))
+
+
 class TestColumnPredicate:
     def test_equality(self, toy_table):
         predicate = ColumnPredicate("A", "==", 1)

@@ -90,12 +90,15 @@ class TestFaultTornWrites:
         assert set(os.listdir(store.segments_dir)) == expected
 
     def test_fault_torn_first_segment_write_leaves_store_untouched(
-        self, tmp_path, table, cells
+        self, tmp_path, table, cells, make_columns
     ):
         store = TableStore(str(tmp_path / "tbl"))
         store.save(table)
         durable = cells(table)
-        # Tear the very first segment write of a re-checkpoint: only a
+        # A re-checkpoint writes only what changed, so change something:
+        # an in-memory append (an unchanged table writes no segment at all).
+        table.append_columns(make_columns(rows=9, seed=35))
+        # Tear the very first segment write of the re-checkpoint: only a
         # ``.tmp`` file exists; every committed artifact is intact.
         with fault_scope(_error_plan("segment_write", hits=(0,))):
             with pytest.raises(InjectedFault):
