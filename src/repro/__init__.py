@@ -100,6 +100,22 @@ gained ``tables_materialised`` / ``tables_degraded``),
 ``QueryService.stats()`` — or export it with
 ``registry.register_collector("repro_service", lambda: service.stats().flat())``
 — and the ``repro_storage`` / ``repro_index`` / ``repro_residency`` collectors).
+Removed in 1.10, with the per-row containers they were (paid-for evidence is
+one read-only ``(row_ids, flags)`` array pair in draw order,
+:class:`repro.sampling.sampler.Evidence`): ``GroupSample`` and
+``SampleOutcome.samples`` (per-group counts are
+``index.label_counts(outcome.row_ids, outcome.flags)``, per-group rows
+``outcome.by_group(index)``, group sizes the index's), ``SampleOutcome
+.sampled_row_ids()`` / ``.positive_row_ids()`` / ``.posterior(key)`` (read
+``.row_ids`` / ``.positives`` / ``SelectivityModel.from_sample_outcome``),
+``SampleOutcome.merge_shards(key_order=)`` (group order is the index's),
+``LabeledSample.outcomes`` and ``.as_arrays()`` (read ``.row_ids`` and
+``.flags``; build one with ``LabeledSample(row_ids, flags)``), and
+``sampled_members`` / ``drop_members`` in ``repro.core.executor``
+(``drop_members`` lives in ``repro.sampling.sampler``; a group's slice of
+``outcome.by_group(index)`` already is what ``sampled_members`` computed).
+Warm blobs written before 1.10 (``RPWRM01``)
+are quarantined on open and the table starts cold.
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -178,7 +194,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -16,8 +16,8 @@ Two strategies, both bootstrapped from a small uniformly-drawn labelled sample
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.ml.bucketer import ScoreBucketer
 from repro.ml.features import FeatureEncoder
 from repro.ml.logistic import LogisticRegression
-from repro.sampling.sampler import GroupSample, SampleOutcome
+from repro.sampling.sampler import Evidence, SampleOutcome, member_mask
 from repro.solvers.linear import InfeasibleProblemError
 from repro.stats.beta import BetaPosterior
 from repro.stats.random import (
@@ -42,69 +42,20 @@ from repro.stats.random import (
 )
 
 
-@dataclass
-class LabeledSample:
+class LabeledSample(Evidence):
     """A uniformly drawn set of rows whose UDF value has been paid for."""
 
-    outcomes: Dict[int, bool] = field(default_factory=dict)
-
-    @property
-    def row_ids(self) -> List[int]:
-        """Row ids of the labelled rows."""
-        return list(self.outcomes.keys())
-
-    @property
-    def size(self) -> int:
-        """Number of labelled rows."""
-        return len(self.outcomes)
-
-    @property
-    def positives(self) -> List[int]:
-        """Labelled rows that satisfied the predicate."""
-        return [row_id for row_id, outcome in self.outcomes.items() if outcome]
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The labelled rows as parallel ``(row_ids, outcomes)`` arrays."""
-        ids = np.fromiter(self.outcomes.keys(), dtype=np.intp, count=len(self.outcomes))
-        flags = np.fromiter(
-            self.outcomes.values(), dtype=bool, count=len(self.outcomes)
-        )
-        return ids, flags
-
     def to_sample_outcome(self, index: GroupIndex) -> SampleOutcome:
-        """Re-express the labelled rows as a per-group :class:`SampleOutcome`.
+        """Re-express the labelled rows as a :class:`SampleOutcome` over ``index``.
 
         This lets the pipeline reuse the labelled rows both as selectivity
         evidence and as already-paid-for output for whichever correlated
-        column ends up being chosen.  Group membership comes from the index's
-        per-row codes — one vectorised gather instead of a membership dict
-        over the whole table.
+        column ends up being chosen.  The rows stay in draw order; labelled
+        rows outside the indexed table (e.g. a sample drawn on the full table
+        re-expressed against a sub-table's index) are dropped.
         """
-        by_group: Dict = {
-            key: GroupSample(group_key=key, group_size=len(row_ids))
-            for key, row_ids in index.items()
-        }
-        if not self.outcomes:
-            return SampleOutcome(samples=by_group)
-        labeled_ids, flags = self.as_arrays()
-        # Labelled rows outside the indexed table (e.g. a sample drawn on the
-        # full table re-expressed against a sub-table's index) are skipped,
-        # matching the historical membership-dict behaviour.
-        in_range = (labeled_ids >= 0) & (labeled_ids < index.total_rows())
-        if not in_range.all():
-            labeled_ids, flags = labeled_ids[in_range], flags[in_range]
-            if not labeled_ids.size:
-                return SampleOutcome(samples=by_group)
-        codes = index.codes_for_rows(labeled_ids)
-        keys = index.values
-        for row_id, code, outcome in zip(
-            labeled_ids.tolist(), codes.tolist(), flags.tolist()
-        ):
-            sample = by_group[keys[code]]
-            sample.sampled_row_ids.append(row_id)
-            if outcome:
-                sample.positive_row_ids.append(row_id)
-        return SampleOutcome(samples=by_group)
+        inside = self.inside(index)
+        return SampleOutcome(self.row_ids[inside], self.flags[inside])
 
 
 def draw_labeled_sample(
@@ -134,10 +85,7 @@ def draw_labeled_sample(
     ledger.charge_retrieval(int(chosen.size))
     ledger.charge_evaluation(int(chosen.size))
     evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-    outcomes = evaluate(table, chosen)
-    sample = LabeledSample()
-    sample.outcomes.update(zip(chosen.tolist(), outcomes.tolist()))
-    return sample
+    return LabeledSample(chosen, evaluate(table, chosen))
 
 
 #: Phase tags separating the admission and eviction coin streams of the
@@ -177,9 +125,10 @@ def top_up_labeled_sample(
     the column-selection heuristics it feeds, and pinned deterministic by
     tests either way.
 
-    Returns a new :class:`LabeledSample`; ``labeled`` is left untouched.
-    Evicted old rows keep their memoised UDF values, so readmitting them
-    later costs nothing.
+    Returns a new :class:`LabeledSample` — the surviving old rows in their
+    draw order, then the admitted delta rows ascending — or ``labeled``
+    itself (it is immutable) when nothing was appended.  Evicted old rows
+    keep their memoised UDF values, so readmitting them later costs nothing.
     """
     total_rows = table.num_rows
     if not 0.0 < fraction <= 1.0:
@@ -190,52 +139,65 @@ def top_up_labeled_sample(
         )
     delta_rows = total_rows - previous_rows
     if delta_rows == 0:
-        return LabeledSample(outcomes=dict(labeled.outcomes))
+        return labeled
 
-    # Reservoir state: the member list in ascending row-id order.  The order
-    # is part of the deterministic state (eviction indexes into it), and
-    # ascending order is the one ordering a later top-up can *reconstruct*
-    # from the stored sample — admitted rows always exceed every existing
-    # member, so pop-and-append keeps the list sorted, which is what makes
-    # chunked appends bitwise identical to one big append.
-    reservoir: List[int] = sorted(labeled.outcomes.keys())
+    # Per delta row, the reservoir target once it has been seen (``rint`` is
+    # python's ``round``: half to even) and whether its admission coin lets
+    # it replace a member of a full reservoir.  The target never decreases.
+    seen = np.arange(previous_rows + 1, total_rows + 1)
+    target = np.minimum(
+        seen, np.maximum(minimum_size, np.rint(fraction * seen).astype(np.intp))
+    )
     admit_coins = counter_uniforms(
         stream_key(stream_seed, _RESERVOIR_ADMIT), previous_rows, delta_rows
     )
     evict_coins = counter_uniforms(
         stream_key(stream_seed, _RESERVOIR_EVICT), previous_rows, delta_rows
     )
-    for position, row_id in enumerate(range(previous_rows, total_rows)):
-        seen = row_id + 1
-        target = min(seen, max(minimum_size, int(round(fraction * seen))))
-        if len(reservoir) < target:
-            reservoir.append(row_id)
-            continue
-        if admit_coins[position] * seen < target:
-            evicted = int(evict_coins[position] * len(reservoir))
-            reservoir.pop(min(evicted, len(reservoir) - 1))
-            reservoir.append(row_id)
-    members = set(reservoir)
+    admitted = np.flatnonzero(admit_coins * seen < target)
+
+    # Reservoir state: the members in ascending row-id order.  The order is
+    # part of the deterministic state (eviction indexes into it), and
+    # ascending order is the one ordering a later top-up can *reconstruct*
+    # from the stored sample — admitted rows always exceed every existing
+    # member, so delete-and-append keeps the array sorted, which is what
+    # makes chunked appends bitwise identical to one big append.  Only the
+    # delta rows that change the reservoir are visited: the next one is the
+    # first whose target exceeds the current length (it is appended) or
+    # whose admission coin passed (it replaces the member its eviction coin
+    # names), whichever comes first.
+    length = labeled.size
+    reservoir = np.empty(max(length, int(target[-1])), dtype=np.intp)
+    reservoir[:length] = np.sort(labeled.row_ids)
+    position = 0
+    while True:
+        grows_at = max(position, int(np.searchsorted(target, length, side="right")))
+        following = int(np.searchsorted(admitted, position))
+        admitted_at = int(admitted[following]) if following < admitted.size else delta_rows
+        position = min(grows_at, admitted_at)
+        if position >= delta_rows:
+            break
+        if position == grows_at:
+            length += 1
+        else:
+            evicted = min(int(evict_coins[position] * length), length - 1)
+            reservoir[evicted : length - 1] = reservoir[evicted + 1 : length]
+        reservoir[length - 1] = previous_rows + position
+        position += 1
+    members = reservoir[:length]
 
     # Charge and evaluate only the *surviving newly admitted* rows (their
     # labels were never paid for); survivors of the old sample carry their
     # existing labels over for free.
-    fresh = np.asarray(
-        sorted(row_id for row_id in members if row_id not in labeled.outcomes),
-        dtype=np.intp,
-    )
-    outcomes: Dict[int, bool] = {
-        row_id: outcome
-        for row_id, outcome in labeled.outcomes.items()
-        if row_id in members
-    }
+    fresh = members[np.searchsorted(members, previous_rows) :]
+    survived = member_mask(members, labeled.row_ids)
+    flags = labeled.flags[survived]
     if fresh.size:
         ledger.charge_retrieval(int(fresh.size))
         ledger.charge_evaluation(int(fresh.size))
         evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-        flags = evaluate(table, fresh)
-        outcomes.update(zip(fresh.tolist(), flags.tolist()))
-    return LabeledSample(outcomes=outcomes)
+        flags = np.concatenate([flags, evaluate(table, fresh)])
+    return LabeledSample(np.concatenate([labeled.row_ids[survived], fresh]), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +278,6 @@ def estimate_column_cost(
     (Beta-posterior means) and fed to the Section 3.2 optimizer as if exact;
     an infeasible optimization falls back to the evaluate-everything cost so
     that uninformative columns are never preferred.
-    """
-    labeled_ids, labeled_flags = labeled.as_arrays()
-    return _estimate_column_cost_from_arrays(
-        table, column, labeled_ids, labeled_flags, constraints, cost_model
-    )
-
-
-def _estimate_column_cost_from_arrays(
-    table: Table,
-    column: str,
-    labeled_ids: np.ndarray,
-    labeled_flags: np.ndarray,
-    constraints: QueryConstraints,
-    cost_model: CostModel,
-) -> float:
-    """Cost estimate sharing one factorised labelled sample across columns.
 
     The labelled rows are factorised against the column's shared
     :class:`GroupIndex` with two ``bincount`` calls, so evaluating a new
@@ -339,7 +285,7 @@ def _estimate_column_cost_from_arrays(
     column search O(columns) instead of O(columns × rows).
     """
     index = table.group_index(column)
-    totals, positives = index.label_counts(labeled_ids, labeled_flags)
+    totals, positives = index.label_counts(labeled.row_ids, labeled.flags)
     sizes = index.group_sizes()
     selectivities = {
         key: BetaPosterior(
@@ -375,14 +321,8 @@ def select_correlated_column(
             "no candidate correlated columns found; consider building a virtual "
             "column with build_virtual_column()"
         )
-    # One factorised labelled sample shared by every candidate column: the
-    # (row_ids, outcomes) arrays are built once, each column then groups them
-    # with two bincounts over its cached index.
-    labeled_ids, labeled_flags = labeled.as_arrays()
     costs = {
-        column: _estimate_column_cost_from_arrays(
-            table, column, labeled_ids, labeled_flags, constraints, cost_model
-        )
+        column: estimate_column_cost(table, column, labeled, constraints, cost_model)
         for column in candidates
     }
     best = min(costs, key=costs.get)
@@ -426,12 +366,10 @@ def build_virtual_column(
         max_categorical_cardinality=max_categorical_cardinality,
         exclude_columns=tuple(exclude_columns) + ("record_id",),
     )
-    labeled_ids = labeled.row_ids
-    features = encoder.fit_transform(table, labeled_ids)
-    labels = [1 if labeled.outcomes[row_id] else 0 for row_id in labeled_ids]
+    features = encoder.fit_transform(table, labeled.row_ids)
 
     model = LogisticRegression(random_state=random_state)
-    model.fit(features, labels)
+    model.fit(features, labeled.flags)
 
     all_features = encoder.transform(table)
     scores = model.predict_proba(all_features)

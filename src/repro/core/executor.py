@@ -25,8 +25,9 @@ where the coins come from and where the work runs:
   generator (the discipline below).  :class:`PlanExecutor` is its
   paper-faithful tuple-at-a-time reference — python loops, one ledger
   charge per tuple, one UDF call per evaluated row — kept apart on purpose
-  (it shares only :func:`_sampled_positives`), because the differential
-  tests compare the two.
+  (it shares only the free positives' order, and excludes sampled rows
+  through a whole-table mask of its own), because the differential tests
+  compare the two.
 * **Counter coins** — :class:`~repro.core.parallel.ParallelBatchExecutor`:
   position-addressable SplitMix64 streams, so results are invariant to
   shard layout and worker count, over spans placed *inline*, on the shared
@@ -54,14 +55,15 @@ Step 3 is the only part of execution that does not depend on the request:
 positives" are a pure function of the group index and the sample outcome,
 both of which a cached plan reuses unchanged from hit to hit.
 :func:`build_candidate_frame` computes them once — per group a
-sorted-membership exclusion (:func:`sampled_members` then
-:func:`drop_members`, two binary searches instead of a sort-based
-``np.isin``) — and :func:`candidate_frame`, the one entry point every
-backend uses (the span executors cut its per-group arrays at the span
-bounds), memoises the result on the index
-(:meth:`GroupIndex.derived <repro.db.index.GroupIndex.derived>`) under the
-*identity* of the outcome.  What a plan hit then does per group is flip
-coins over a ready array; what it returns is one ``np.concatenate`` of
+sorted-membership exclusion (:func:`~repro.sampling.sampler.drop_members`
+over the group's slice of :meth:`Evidence.by_group
+<repro.sampling.sampler.Evidence.by_group>`, the same call the stratified
+sampler excludes paid-for rows with) — and
+:func:`candidate_frame`, the one entry point every backend uses (the span
+executors cut its per-group arrays at the span bounds), memoises the result
+on the index (:meth:`GroupIndex.derived <repro.db.index.GroupIndex.derived>`)
+under the *identity* of the outcome.  What a plan hit then does per group is
+flip coins over a ready array; what it returns is one ``np.concatenate`` of
 per-group chunks — the array the caller receives — so no per-row python
 object is built anywhere between the coins and the caller.
 
@@ -126,7 +128,7 @@ from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience.deadline import check_deadline
-from repro.sampling.sampler import SampleOutcome
+from repro.sampling.sampler import SampleOutcome, drop_members
 from repro.stats.random import RandomState, SeedLike, as_random_state
 
 
@@ -229,44 +231,6 @@ class ExecutorAware(Protocol):
     executor_factory: Optional[Callable[[RandomState], "ExecutorBackend"]]
 
 
-def _sampled_positives(
-    sample_outcome: Optional[SampleOutcome],
-) -> tuple[Dict[Hashable, np.ndarray], List[int]]:
-    """Per-group already-sampled row-id arrays plus the free positive output."""
-    sampled_ids: Dict[Hashable, np.ndarray] = {}
-    returned: List[int] = []
-    if sample_outcome is not None:
-        for key, sample in sample_outcome.samples.items():
-            if sample.sampled_row_ids:
-                sampled_ids[key] = np.asarray(sample.sampled_row_ids, dtype=np.intp)
-            returned.extend(sample.positive_row_ids)
-    return sampled_ids, returned
-
-
-def sampled_members(rows: np.ndarray, sampled: np.ndarray) -> np.ndarray:
-    """The ids of ``sampled`` that occur in ascending ``rows``, sorted.
-
-    ``rows`` is a group's row-id array (ascending, unique), so membership is
-    one binary search per sampled id — ``np.isin`` semantics without sorting
-    the group.
-    """
-    if not rows.size or not sampled.size:
-        return sampled[:0]
-    ordered = np.sort(sampled)
-    positions = np.searchsorted(rows, ordered)
-    member = rows[np.minimum(positions, rows.size - 1)] == ordered
-    return ordered[member]
-
-
-def drop_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Ascending ``rows`` without ``members`` (sorted, all present in ``rows``)."""
-    if not members.size:
-        return rows
-    keep = np.ones(rows.size, dtype=bool)
-    keep[np.searchsorted(rows, members)] = False
-    return rows[keep]
-
-
 @dataclass(frozen=True)
 class CandidateFrame:
     """What execution needs from ``(index, sample outcome)``, per group.
@@ -274,7 +238,8 @@ class CandidateFrame:
     ``candidates[code]`` are the rows of group ``index.values[code]`` still
     open to the probabilistic pass (ascending; the index's own array when the
     group has no sampled member); ``free_positives`` the sampled rows that
-    passed the predicate, in the outcome's group order.
+    passed the predicate, in the index's group order and, within a group, the
+    outcome's draw order.
     """
 
     candidates: Tuple[np.ndarray, ...]
@@ -285,17 +250,15 @@ def build_candidate_frame(
     index: GroupIndex, sample_outcome: Optional[SampleOutcome]
 ) -> CandidateFrame:
     """The frame from scratch — a pure function of its two arguments."""
-    sampled_ids, free_positives = _sampled_positives(sample_outcome)
+    outcome = sample_outcome if sample_outcome is not None else SampleOutcome()
+    sampled, flags, bounds = outcome.by_group(index)
     candidates = []
-    for key, rows in index.items():
-        already = sampled_ids.get(key)
-        if already is not None:
-            rows = drop_members(rows, sampled_members(rows, already))
-            rows.setflags(write=False)  # shared by every hit, like the index's
+    for code, (_, rows) in enumerate(index.items()):
+        rows = drop_members(rows, sampled[bounds[code] : bounds[code + 1]])
+        rows.setflags(write=False)  # shared by every hit, like the index's
         candidates.append(rows)
     return CandidateFrame(
-        candidates=tuple(candidates),
-        free_positives=np.asarray(free_positives, dtype=np.intp),
+        candidates=tuple(candidates), free_positives=as_row_ids(sampled[flags])
     )
 
 
@@ -398,7 +361,11 @@ class PlanExecutor:
             if active_span is not None
             else None
         )
-        sampled_ids, returned = _sampled_positives(sample_outcome)
+        outcome = sample_outcome if sample_outcome is not None else SampleOutcome()
+        sampled, flags, _ = outcome.by_group(index)
+        already_sampled = np.zeros(index.total_rows(), dtype=bool)
+        already_sampled[sampled] = True
+        returned: List[int] = []
         group_counts: Dict[Hashable, GroupExecutionCounts] = {}
 
         for key, row_ids in index.items():
@@ -412,15 +379,12 @@ class PlanExecutor:
             conditional_evaluate = decision.conditional_evaluate_probability
             if retrieve_probability <= 0.0:
                 continue
-            already = sampled_ids.get(key)
-            already_set = set(already.tolist()) if already is not None else ()
-
             # Phase 1 — one retrieval coin per candidate tuple, in row order
             # (no coins when retrieval is certain; see the coin discipline).
             retrieved: List[int] = []
             for row_id in row_ids:
                 row_id = int(row_id)
-                if row_id in already_set:
+                if already_sampled[row_id]:
                     continue
                 if (
                     retrieve_probability >= 1.0
@@ -458,7 +422,9 @@ class PlanExecutor:
             active_span.add("retrievals", ledger.retrieved_count - ledger_before[0])
             active_span.add("udf_evals", ledger.evaluated_count - ledger_before[1])
         return ExecutionResult(
-            returned_row_ids=returned,
+            returned_row_ids=np.concatenate(
+                [sampled[flags], np.asarray(returned, dtype=np.intp)]
+            ),
             ledger=ledger,
             group_counts=group_counts,
         )

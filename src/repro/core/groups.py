@@ -177,26 +177,21 @@ class SelectivityModel:
         prior (mean 0.5, large variance), which keeps the optimizer cautious
         about them.
         """
+        totals, positives = index.label_counts(outcome.row_ids, outcome.flags)
         groups = []
-        for key in index.values:
-            sample = outcome.samples.get(key)
-            size = index.group_size(key)
-            if sample is None:
-                posterior = BetaPosterior.uninformed()
-                sampled = 0
-                positives = 0
-            else:
-                posterior = sample.posterior
-                sampled = sample.sample_size
-                positives = sample.positives
+        for code, key in enumerate(index.values):
+            posterior = BetaPosterior(
+                positives=int(positives[code]),
+                negatives=int(totals[code] - positives[code]),
+            )
             groups.append(
                 GroupStatistics(
                     key=key,
-                    size=size,
+                    size=index.group_size(key),
                     selectivity=posterior.mean,
                     variance=posterior.variance,
-                    sampled=sampled,
-                    sampled_positives=positives,
+                    sampled=int(totals[code]),
+                    sampled_positives=int(positives[code]),
                 )
             )
         return cls(groups)
@@ -210,7 +205,7 @@ class SelectivityModel:
         One ``bincount`` over the index's per-row group codes replaces the
         per-group membership tests of the dict-based construction.
         """
-        positives = np.fromiter(set(positive_row_ids), dtype=np.intp)
+        positives = np.unique(np.fromiter(positive_row_ids, dtype=np.intp))
         sizes = index.size_array()
         if positives.size:
             correct = np.bincount(

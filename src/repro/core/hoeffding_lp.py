@@ -18,11 +18,7 @@ from typing import Optional
 from repro.core.constraints import CostModel, QueryConstraints
 from repro.core.groups import SelectivityModel
 from repro.core.plan import ExecutionPlan, _plan_from_vector
-from repro.solvers.linear import (
-    InfeasibleProblemError,
-    LinearProgram,
-    solve_linear_program,
-)
+from repro.solvers.linear import LinearProgram, solve_linear_program
 from repro.stats.hoeffding import hoeffding_precision_margin, hoeffding_recall_margin
 
 _ALPHA_CERTAIN = 1.0 - 1e-12

@@ -248,20 +248,9 @@ class IntelSample:
             # cost is paid, so they count as evidence and as sunk samples.
             prior = cached_outcome
             if labeled.size:
-                covered = {
-                    row_id
-                    for sample in cached_outcome.samples.values()
-                    for row_id in sample.sampled_row_ids
-                }
-                extra = LabeledSample(
-                    outcomes={
-                        row_id: outcome
-                        for row_id, outcome in labeled.outcomes.items()
-                        if row_id not in covered
-                    }
+                prior = cached_outcome.merge(
+                    labeled.excluding(cached_outcome).to_sample_outcome(index)
                 )
-                if extra.size:
-                    prior = cached_outcome.merge(extra.to_sample_outcome(index))
         else:
             prior = labeled.to_sample_outcome(index) if labeled.size else None
 
@@ -277,16 +266,9 @@ class IntelSample:
             if cached_outcome is not None:
                 # Cached samples count toward the allocation: only the
                 # shortfall is drawn (and paid for) fresh.
+                paid, _ = index.label_counts(prior.row_ids)
                 allocation = {
-                    key: max(
-                        0,
-                        int(requested)
-                        - (
-                            prior.samples[key].sample_size
-                            if key in prior.samples
-                            else 0
-                        ),
-                    )
+                    key: max(0, int(requested) - int(paid[index.code_of(key)]))
                     for key, requested in allocation.items()
                 }
             sampler = GroupSampler(random_state=self.random_state.child())

@@ -77,7 +77,7 @@ def solve_with_shard_outcomes(
     draws.  ``index`` is the whole-table (merged) index the plan executes
     over.
     """
-    merged = SampleOutcome.merge_shards(shard_outcomes, key_order=index.values)
+    merged = SampleOutcome.merge_shards(shard_outcomes)
     return solve_with_samples(
         index,
         merged,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Sequence
 
 import numpy as np
 

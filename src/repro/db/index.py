@@ -107,6 +107,14 @@ def _stable_code_order(codes: np.ndarray, num_groups: int) -> np.ndarray:
     return np.argsort(codes, kind="stable")
 
 
+def group_order(codes: np.ndarray, num_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``: the stable permutation that sorts ``codes``, and
+    where each group starts in it — group ``c`` is ``order[bounds[c]:bounds[c + 1]]``,
+    its members in their original order."""
+    order = _stable_code_order(codes, num_groups)
+    return order, np.searchsorted(codes[order], np.arange(num_groups + 1))
+
+
 class GroupIndex:
     """Value → row-id index over one categorical column of a table.
 
@@ -162,8 +170,7 @@ class GroupIndex:
         if row_id_arrays is None:
             # One read-only row-id array per group, each ascending in row order
             # (stable sort over row position), sliced out of a single argsort.
-            order = _stable_code_order(codes, len(values))
-            boundaries = np.searchsorted(codes[order], np.arange(len(values) + 1))
+            order, boundaries = group_order(codes, len(values))
             row_id_arrays = []
             for code in range(len(values)):
                 rows = np.ascontiguousarray(
@@ -341,10 +348,7 @@ class GroupIndex:
         row_id_arrays = list(self._row_id_arrays)
         row_id_arrays.extend(self._empty for _ in range(len(values) - len(row_id_arrays)))
         if delta_codes.size:
-            order = np.argsort(delta_codes, kind="stable")
-            boundaries = np.searchsorted(
-                delta_codes[order], np.arange(len(values) + 1)
-            )
+            order, boundaries = group_order(delta_codes, len(values))
             for code in range(len(values)):
                 lo, hi = int(boundaries[code]), int(boundaries[code + 1])
                 if hi <= lo:

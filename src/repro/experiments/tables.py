@@ -29,10 +29,14 @@ PAPER_TABLE2 = {
 
 #: The group statistics the paper reports in Table 3.
 PAPER_TABLE3 = {
-    "lending_club": {"num_groups": 7, "size_dev": 5233, "selectivity_dev": 0.13, "correlation": 0.84},
+    "lending_club": {
+        "num_groups": 7, "size_dev": 5233, "selectivity_dev": 0.13, "correlation": 0.84,
+    },
     "prosper": {"num_groups": 8, "size_dev": 1521, "selectivity_dev": 0.20, "correlation": 0.20},
     "census": {"num_groups": 7, "size_dev": 8183, "selectivity_dev": 0.15, "correlation": 0.36},
-    "marketing": {"num_groups": 10, "size_dev": 5070, "selectivity_dev": 0.20, "correlation": -0.65},
+    "marketing": {
+        "num_groups": 10, "size_dev": 5070, "selectivity_dev": 0.20, "correlation": -0.65,
+    },
 }
 
 

@@ -7,9 +7,9 @@ When faults keep coming the right move is to stop paying the pool tax
 altogether: the breaker **opens** after ``failure_threshold`` consecutive
 failures, and while open the process executor runs its inherited in-process
 thread path instead (bitwise-identical answers, just not multi-core), the
-service counting each degraded query.  After ``recovery_time_s`` the breaker **half-opens** and lets up to
-``probe_quota`` concurrent probe queries try the pool again: one success
-closes it, one failure re-opens it.
+service counting each degraded query.  After ``recovery_time_s`` the breaker
+**half-opens** and lets up to ``probe_quota`` concurrent probe queries try
+the pool again: one success closes it, one failure re-opens it.
 
 The clock is injectable so tests drive the open → half-open transition
 deterministically, and every state transition is observable — in

@@ -12,7 +12,7 @@ tuples per group.  This package provides
 """
 
 from repro.sampling.adaptive import AdaptiveSamplingResult, choose_num_adaptively
-from repro.sampling.sampler import GroupSample, GroupSampler, SampleOutcome
+from repro.sampling.sampler import Evidence, GroupSampler, SampleOutcome
 from repro.sampling.schemes import (
     ConstantScheme,
     FixedFractionScheme,
@@ -26,7 +26,7 @@ __all__ = [
     "TwoThirdPowerScheme",
     "FixedFractionScheme",
     "GroupSampler",
-    "GroupSample",
+    "Evidence",
     "SampleOutcome",
     "AdaptiveSamplingResult",
     "choose_num_adaptively",

@@ -2,168 +2,183 @@
 
 The sampler draws the allocated number of tuples from each group, retrieves
 and evaluates them (charging ``o_r + o_e`` each to the ledger), and records
-per-group outcomes.  Two facts from Section 4.2 matter downstream:
+which rows it paid for and which passed (``F_a``, ``F_a^+``) as one
+:class:`Evidence` array pair.  Two facts from Section 4.2 matter downstream:
 
 * sampled tuples that evaluated to true can be returned as part of the query
   result without re-evaluation, and
 * sampled tuples are *sunk cost*: the optimizer's decision variables apply to
   the remaining ``t_a - F_a`` tuples only.
+
+Both read "a group's rows minus the rows already paid for", and both — this
+sampler topping up an earlier outcome, and the executor's candidate frame —
+compute it with the one :func:`drop_members` over :meth:`Evidence.by_group`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
-from repro.db.index import GroupIndex
-from repro.db.table import Table
+from repro.db.index import GroupIndex, group_order
+from repro.db.table import Table, as_row_ids
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.resilience.deadline import check_deadline
-from repro.stats.beta import BetaPosterior
 from repro.stats.random import RandomState, SeedLike, as_random_state
 
 
-@dataclass
-class GroupSample:
-    """Sampling outcome for one group.
+def member_mask(ordered: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Which of ``ids`` occur in ascending ``ordered`` — one binary search each."""
+    if not ordered.size:
+        return np.zeros(ids.size, dtype=bool)
+    positions = np.searchsorted(ordered, ids)
+    return ordered[np.minimum(positions, ordered.size - 1)] == ids
 
-    Attributes
-    ----------
-    group_key:
-        The group's ``A`` value.
-    sampled_row_ids:
-        Row ids that were sampled (retrieved + evaluated).
-    positive_row_ids:
-        The subset of sampled rows that satisfied the predicate.
-    group_size:
-        Total number of tuples in the group (``t_a``).
+
+def drop_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Ascending ``rows`` without ``members`` — one binary search per member.
+
+    Every member must occur in ``rows`` (any order, repeats allowed): a
+    group's rows and its slice of :meth:`Evidence.by_group`.
+    """
+    if not members.size:
+        return rows
+    keep = np.ones(rows.size, dtype=bool)
+    keep[np.searchsorted(rows, members)] = False
+    return rows[keep]
+
+
+@dataclass(frozen=True, eq=False)
+class Evidence:
+    """Rows whose UDF value has been paid for, and what it was.
+
+    One immutable array pair, the same from the draw to the warm blob:
+    ``row_ids`` (``intp``, in **draw order** — the order rows were paid for,
+    not sorted) and ``flags`` (``bool``, ``flags[i]`` is the UDF's answer for
+    ``row_ids[i]``).  Both are read-only under
+    :func:`~repro.db.table.as_row_ids`'s rule: an array handed in is given
+    away.  Nothing per group is stored — group sizes, counts and order are
+    read from whichever :class:`~repro.db.index.GroupIndex` the evidence is
+    used against (:meth:`GroupIndex.label_counts
+    <repro.db.index.GroupIndex.label_counts>`, :meth:`by_group`), so
+    combining evidence is concatenation and a group's rows keep their draw
+    order under every index.
+
+    The two subclasses name the sampling design and add nothing else:
+    :class:`~repro.core.column_selection.LabeledSample` is a uniform draw,
+    :class:`SampleOutcome` a stratified one.
     """
 
-    group_key: Hashable
-    sampled_row_ids: List[int] = field(default_factory=list)
-    positive_row_ids: List[int] = field(default_factory=list)
-    group_size: int = 0
+    row_ids: npt.NDArray[np.intp] = ()  # type: ignore[assignment]
+    flags: npt.NDArray[np.bool_] = ()  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        ids = as_row_ids(self.row_ids)
+        flags = np.asarray(self.flags, dtype=bool)
+        if flags.shape != ids.shape:
+            raise ValueError(
+                f"{ids.size} row ids need as many flags, got shape {flags.shape}"
+            )
+        flags.setflags(write=False)
+        object.__setattr__(self, "row_ids", ids)
+        object.__setattr__(self, "flags", flags)
+
+    def __getstate__(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Pickled small: ids in the narrowest unsigned dtype that holds them
+        (widened back to ``intp`` on load), flags as bits."""
+        ids = self.row_ids
+        if ids.size and int(ids.min()) >= 0:
+            ids = ids.astype(np.min_scalar_type(int(ids.max())))
+        return ids, np.packbits(self.flags)
+
+    def __setstate__(self, state: Tuple[np.ndarray, np.ndarray]) -> None:
+        ids, bits = state
+        self.__init__(ids, np.unpackbits(bits, count=ids.size))  # type: ignore[misc]
+
+    def __eq__(self, other: object) -> bool:
+        """Same design, same rows in the same order, same answers."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.row_ids, other.row_ids) and np.array_equal(
+            self.flags, other.flags
+        )
 
     @property
-    def sample_size(self) -> int:
-        """``F_a`` — number of evaluated tuples."""
-        return len(self.sampled_row_ids)
+    def size(self) -> int:
+        """Number of evaluated rows (``F``)."""
+        return int(self.row_ids.size)
 
     @property
-    def positives(self) -> int:
-        """``F_a^+`` — sampled tuples satisfying the predicate."""
-        return len(self.positive_row_ids)
+    def positives(self) -> npt.NDArray[np.intp]:
+        """The rows that satisfied the predicate (free query output), in draw order."""
+        return self.row_ids[self.flags]
 
-    @property
-    def negatives(self) -> int:
-        """``F_a^-`` — sampled tuples failing the predicate."""
-        return self.sample_size - self.positives
+    def excluding(self, other: "Evidence") -> "Evidence":
+        """This evidence without the rows ``other`` already holds."""
+        keep = ~member_mask(np.sort(other.row_ids), self.row_ids)
+        return type(self)(self.row_ids[keep], self.flags[keep])
 
-    @property
-    def posterior(self) -> BetaPosterior:
-        """The Beta posterior over this group's selectivity."""
-        return BetaPosterior(positives=self.positives, negatives=self.negatives)
+    def inside(self, index: GroupIndex) -> npt.NDArray[np.bool_]:
+        """Which rows lie inside ``index``'s table — the mask
+        :meth:`GroupIndex.label_counts <repro.db.index.GroupIndex.label_counts>`
+        counts under, so every reader of one evidence sees the same rows."""
+        return (self.row_ids >= 0) & (self.row_ids < index.total_rows())
 
-    @property
-    def remaining_size(self) -> int:
-        """Number of not-yet-evaluated tuples (``t_a - F_a``)."""
-        return self.group_size - self.sample_size
+    def by_group(self, index: GroupIndex) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row_ids, flags, bounds)`` regrouped in ``index``'s group order.
+
+        One stable sort over the rows' group codes: group ``code``'s evidence
+        is the slice ``bounds[code]:bounds[code + 1]``, rows within a group
+        keep their draw order, and groups follow the index's
+        first-appearance order — never a container's.  That order is the
+        order of the free positives at the head of every answer.  Rows
+        outside ``index``'s table (evidence drawn over a larger table, ids a
+        caller made up) belong to no group and are left out, so each slice
+        is a subset of its group's rows.
+        """
+        inside = self.inside(index)
+        row_ids, flags = self.row_ids[inside], self.flags[inside]
+        order, bounds = group_order(index.codes_for_rows(row_ids), index.num_groups)
+        return row_ids[order], flags[order], bounds
 
 
-@dataclass
-class SampleOutcome:
-    """Sampling outcome across all groups."""
-
-    samples: Dict[Hashable, GroupSample]
+class SampleOutcome(Evidence):
+    """Stratified evidence: what :class:`GroupSampler` drew, group after group."""
 
     @property
     def total_sampled(self) -> int:
         """Total number of evaluated tuples across groups."""
-        return sum(sample.sample_size for sample in self.samples.values())
+        return self.size
 
     @property
     def total_positives(self) -> int:
         """Total number of sampled tuples satisfying the predicate."""
-        return sum(sample.positives for sample in self.samples.values())
-
-    def posterior(self, group_key: Hashable) -> BetaPosterior:
-        """Posterior for one group (uninformed when the group was never sampled)."""
-        sample = self.samples.get(group_key)
-        if sample is None:
-            return BetaPosterior.uninformed()
-        return sample.posterior
-
-    def positive_row_ids(self) -> List[int]:
-        """All sampled rows that satisfied the predicate (free query output)."""
-        rows: List[int] = []
-        for sample in self.samples.values():
-            rows.extend(sample.positive_row_ids)
-        return rows
-
-    def sampled_row_ids(self) -> List[int]:
-        """All sampled rows."""
-        rows: List[int] = []
-        for sample in self.samples.values():
-            rows.extend(sample.sampled_row_ids)
-        return rows
+        return int(self.flags.sum())
 
     def merge(self, other: "SampleOutcome") -> "SampleOutcome":
-        """Combine two outcomes (used by adaptive sampling rounds).
-
-        Groups keep first-seen order — this outcome's, then ``other``'s new
-        ones — never set order: that follows string hashing, which differs
-        between processes, and the order of the merged groups is the order of
-        the sampled positives in a query's ``row_ids``.
-        """
-        merged: Dict[Hashable, GroupSample] = {}
-        for key in dict.fromkeys([*self.samples, *other.samples]):
-            left = self.samples.get(key)
-            right = other.samples.get(key)
-            if left is None:
-                merged[key] = right
-                continue
-            if right is None:
-                merged[key] = left
-                continue
-            merged[key] = GroupSample(
-                group_key=key,
-                sampled_row_ids=left.sampled_row_ids + right.sampled_row_ids,
-                positive_row_ids=left.positive_row_ids + right.positive_row_ids,
-                group_size=max(left.group_size, right.group_size),
-            )
-        return SampleOutcome(samples=merged)
+        """This outcome's rows, then ``other``'s — :meth:`merge_shards` of the two."""
+        return self.merge_shards((self, other))
 
     @classmethod
-    def merge_shards(
-        cls, outcomes: Sequence["SampleOutcome"], key_order: Optional[Sequence[Hashable]] = None
-    ) -> "SampleOutcome":
-        """Exact merge of per-shard outcomes into the whole-table outcome.
+    def merge_shards(cls, outcomes: Sequence["SampleOutcome"]) -> "SampleOutcome":
+        """The outcomes' rows concatenated, in the order given.
 
-        Unlike :meth:`merge` (adaptive rounds over *one* table, where group
-        sizes coincide and the max is taken), shard outcomes describe
-        disjoint row ranges of one logical table: group sizes **add**, and
-        sampled/positive row-id lists (already in global row-id space)
-        concatenate in shard order.  Every statistic is a count, so the merge
-        is exact — the property tests pin it equal to sampling the unsharded
-        table with the same draws.  ``key_order`` optionally fixes the group
-        order of the result (e.g. a merged index's first-appearance order).
+        No group order is stored, so none can depend on string hashing:
+        every reader regroups against its index (:meth:`Evidence.by_group`),
+        where groups come in the index's order and each group's rows in this
+        order — the first outcome's first.  For per-shard outcomes (disjoint
+        row ranges in global row-id space) that is exactly sampling the
+        unsharded table with the same draws; the property tests pin it.
         """
-        merged: Dict[Hashable, GroupSample] = {}
-        if key_order is not None:
-            for key in key_order:
-                merged[key] = GroupSample(group_key=key)
-        for outcome in outcomes:
-            for key, sample in outcome.samples.items():
-                into = merged.get(key)
-                if into is None:
-                    into = GroupSample(group_key=key)
-                    merged[key] = into
-                into.sampled_row_ids.extend(sample.sampled_row_ids)
-                into.positive_row_ids.extend(sample.positive_row_ids)
-                into.group_size += sample.group_size
-        return cls(samples=merged)
+        if not outcomes:
+            return cls()
+        return cls(
+            np.concatenate([outcome.row_ids for outcome in outcomes]),
+            np.concatenate([outcome.flags for outcome in outcomes]),
+        )
 
 
 class GroupSampler:
@@ -200,53 +215,31 @@ class GroupSampler:
         identical whether or not the evaluation is fanned.
         """
         check_deadline("sampling")
-        samples: Dict[Hashable, GroupSample] = {}
-        chosen_per_group: List[np.ndarray] = []
-        for group_key, row_ids in index.items():
-            requested = int(allocation.get(group_key, 0))
-            if already_sampled is not None and group_key in already_sampled.samples:
-                previously = already_sampled.samples[group_key].sampled_row_ids
-                available = (
-                    row_ids[~np.isin(row_ids, previously)] if previously else row_ids
-                )
-            else:
-                available = row_ids
-            count = max(0, min(requested, int(len(available))))
-            samples[group_key] = GroupSample(
-                group_key=group_key, group_size=int(len(row_ids))
-            )
+        paid_ids = bounds = None
+        if already_sampled is not None:
+            paid_ids, _, bounds = already_sampled.by_group(index)
+        chosen_per_group = []
+        for code, (group_key, row_ids) in enumerate(index.items()):
+            available = row_ids
+            if paid_ids is not None:
+                available = drop_members(row_ids, paid_ids[bounds[code] : bounds[code + 1]])
+            count = min(int(allocation.get(group_key, 0)), int(available.size))
             if count > 0:
-                chosen_positions = np.atleast_1d(
-                    self.random_state.choice(len(available), size=count, replace=False)
+                positions = self.random_state.choice(
+                    int(available.size), size=count, replace=False
                 )
-                chosen = np.asarray(available, dtype=np.intp)[chosen_positions]
-            else:
-                chosen = np.empty(0, dtype=np.intp)
-            chosen_per_group.append(chosen)
+                chosen_per_group.append(available[np.atleast_1d(positions)])
 
-        all_chosen = (
-            np.concatenate(chosen_per_group) if chosen_per_group else np.empty(0, dtype=np.intp)
-        )
-        if all_chosen.size:
-            # Bulk charge before the bulk evaluation (same totals as the
-            # historical per-row loop; a hard budget now stops the whole
-            # batch before any UDF work instead of mid-stratum).  The
-            # deadline check sits in the same place for the same reason: an
-            # expired request must not pay for the batch it will not use.
-            check_deadline("sampling-charge")
-            ledger.charge_retrieval(int(all_chosen.size))
-            ledger.charge_evaluation(int(all_chosen.size))
-            evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-            outcomes = evaluate(table, all_chosen)
-        else:
-            outcomes = np.empty(0, dtype=bool)
-
-        offset = 0
-        for sample, chosen in zip(samples.values(), chosen_per_group):
-            if not chosen.size:
-                continue
-            group_outcomes = outcomes[offset : offset + chosen.size]
-            offset += chosen.size
-            sample.sampled_row_ids.extend(chosen.tolist())
-            sample.positive_row_ids.extend(chosen[group_outcomes].tolist())
-        return SampleOutcome(samples=samples)
+        if not chosen_per_group:
+            return SampleOutcome()
+        all_chosen = np.concatenate(chosen_per_group)
+        # Bulk charge before the bulk evaluation (same totals as the
+        # historical per-row loop; a hard budget now stops the whole
+        # batch before any UDF work instead of mid-stratum).  The
+        # deadline check sits in the same place for the same reason: an
+        # expired request must not pay for the batch it will not use.
+        check_deadline("sampling-charge")
+        ledger.charge_retrieval(int(all_chosen.size))
+        ledger.charge_evaluation(int(all_chosen.size))
+        evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
+        return SampleOutcome(all_chosen, evaluate(table, all_chosen))

@@ -9,7 +9,9 @@ it persists the state a long-running service accretes:
   after a restart replays the solved plan instead of re-running column
   selection, sampling and the convex solve,
 * **statistics reservoirs** — labelled samples and merged sample outcomes
-  from the :class:`~repro.serving.stats_cache.StatisticsCache`,
+  from the :class:`~repro.serving.stats_cache.StatisticsCache`: each one
+  :class:`~repro.sampling.sampler.Evidence` array pair, pickled with its
+  row ids narrowed to the smallest unsigned dtype that holds them,
 * **group-index codes** — the factorised ``(values, codes)`` parts of every
   built :class:`~repro.db.index.GroupIndex` (per shard and merged), restored
   without counting index builds,
@@ -21,7 +23,9 @@ Everything is stamped with the owning table's
 match — warm state is an optimisation, never an alternative source of
 truth, so a blob that is stale, torn or checksum-failing is quarantined and
 skipped (counted, surfaced in ``stats().storage``), and the service simply
-starts cold for that table.
+starts cold for that table.  So is a blob of another format version
+(:data:`WARM_MAGIC`): ``RPWRM01`` blobs pickled evidence as per-group python
+lists, and nothing of them is read.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from repro.db.storage.store import CatalogStore, RecoveryReport, _count
 from repro.db.table import Table
 
 #: Warm-state blob magic (8 bytes, versioned).
-WARM_MAGIC = b"RPWRM01\x00"
+WARM_MAGIC = b"RPWRM02\x00"
 
 #: Basename of the per-table warm-state blob under ``<table>/warm/``.
 WARM_STATE_FILE = "state.blob"

@@ -44,8 +44,9 @@ class CachedPlan:
         The selectivity model the plan was solved against (used for
         budget-degraded re-solves and expected-cost admission checks).
     sample_outcome:
-        Sampled rows whose UDF value is already paid for; their positives are
-        returned for free and they are excluded from the probabilistic pass.
+        Sampled rows whose UDF value is already paid for, as one
+        ``(row_ids, flags)`` array pair; their positives are returned for
+        free and they are excluded from the probabilistic pass.
     working_table:
         The table the plan executes over — the base table, or the augmented
         copy carrying a virtual correlated column.

@@ -995,7 +995,7 @@ class QueryService:
           UDF evaluations only for newly admitted delta rows;
         * the cached per-column sample outcome counts toward the sampling
           allocation, so only the delta-driven shortfall is drawn fresh
-          (group sizes self-heal through the outcome merge);
+          (group sizes are read from the grown index, never stored);
         * serving accounting applies to the execution step, and the run is
           not a ``pipeline_runs`` — one solver call re-optimises the plan
           against the merged evidence.

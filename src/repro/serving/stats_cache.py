@@ -11,10 +11,15 @@ same table and UDF can share them.  :class:`StatisticsCache` memoises
   selectivity model derived from it) per ``(table, column, predicate)``,
 
 each behind its own TTL/size-bounded :class:`~repro.serving.cache.LRUCache`
-with hit/miss accounting.  Entries remember the table's shard signature and
-row count at store time, so after an append the ``stale_*`` getters can
-hand the (still exact, merely incomplete) evidence to the delta-refresh
-path instead of treating the grown table as cold.  Group indexes are no
+with hit/miss accounting.  Both payloads are immutable
+:class:`~repro.sampling.sampler.Evidence` — a read-only ``(row_ids, flags)``
+array pair that stores nothing per group — so the cache hands out the stored
+object itself, and an entry that outlives an append needs no repair: group
+sizes and counts are read from the grown table's index when it is used.
+Entries remember the table's shard signature and row count at store time, so
+after an append the ``stale_*`` getters can hand the (still exact, merely
+incomplete) evidence to the delta-refresh path instead of treating the grown
+table as cold.  Group indexes are no
 longer cached here: since
 the db layer grew a per-column index cache
 (:meth:`~repro.db.table.Table.group_index`), the serving layer shares the

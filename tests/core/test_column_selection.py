@@ -52,7 +52,16 @@ class TestLabeledSample:
 
     def test_positives_subset_of_rows(self, labeled_sample):
         sample, _ = labeled_sample
-        assert set(sample.positives) <= set(sample.row_ids)
+        assert set(sample.positives.tolist()) <= set(sample.row_ids.tolist())
+        assert sample.positives.tolist() == [
+            row for row, flag in zip(sample.row_ids.tolist(), sample.flags.tolist()) if flag
+        ]
+
+    def test_rejects_ragged_or_non_flat_pairs(self):
+        with pytest.raises(ValueError):
+            LabeledSample([1, 2, 3], [True, False])
+        with pytest.raises(ValueError):
+            LabeledSample([[1, 2]], [[True, False]])
 
     def test_to_sample_outcome_partitions_by_group(self, small_lending_club, labeled_sample):
         sample, _ = labeled_sample
@@ -208,16 +217,18 @@ class TestReservoirTopUp:
             fraction=0.1,
             stream_seed=17,
         )
-        admitted = [r for r in topped.outcomes if r not in base.outcomes]
+        base_labels = dict(zip(base.row_ids.tolist(), base.flags.tolist()))
+        topped_labels = dict(zip(topped.row_ids.tolist(), topped.flags.tolist()))
+        admitted = [r for r in topped_labels if r not in base_labels]
         assert all(row_id >= 400 for row_id in admitted)
         assert ledger.evaluated_count == len(admitted)
         assert ledger.retrieved_count == len(admitted)
         assert ledger.evaluated_count <= 40
         assert topped.size == max(50, round(0.1 * 440))
         # survivors keep their already-paid labels verbatim
-        for row_id, outcome in topped.outcomes.items():
-            if row_id in base.outcomes:
-                assert outcome == base.outcomes[row_id]
+        for row_id, outcome in topped_labels.items():
+            if row_id in base_labels:
+                assert outcome == base_labels[row_id]
 
     def test_chunked_appends_bitwise_equal_one_big_append(self):
         from repro.db.table import Table
@@ -247,7 +258,8 @@ class TestReservoirTopUp:
                 prefix(now), self._udf(f"c_{now}"), CostLedger(), chunked,
                 previous_rows=previous, fraction=0.08, stream_seed=23,
             )
-        assert one_shot.outcomes == chunked.outcomes
+        assert one_shot.row_ids.tolist() == chunked.row_ids.tolist()
+        assert one_shot.flags.tolist() == chunked.flags.tolist()
 
     def test_no_delta_returns_copy(self):
         table = self._table(100)
@@ -258,9 +270,16 @@ class TestReservoirTopUp:
         same = top_up_labeled_sample(
             table, self._udf("n1"), ledger, base, previous_rows=100
         )
-        assert same.outcomes == base.outcomes
-        assert same is not base
+        # Evidence is immutable, so "nothing appended" hands the same object
+        # back instead of a copy — nobody can edit it under the cache.
+        assert same is base
         assert ledger.evaluated_count == 0
+        for array in (same.row_ids, same.flags):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(AttributeError):
+            same.flags = same.flags[:1]
 
     def test_rejects_bad_previous_rows(self):
         table = self._table(10)
@@ -284,4 +303,4 @@ class TestReservoirTopUp:
             previous_rows=1000, fraction=0.1, stream_seed=4,
         )
         assert topped.size == 150  # 10% of 1500
-        assert any(row_id >= 1000 for row_id in topped.outcomes)
+        assert (topped.row_ids >= 1000).any()

@@ -128,7 +128,7 @@ class TestSampledTupleHandling:
         )
         # Every positive found during sampling is in the output even though the
         # plan discards everything, and execution charges nothing extra.
-        assert result.returned_set == set(outcome.positive_row_ids())
+        assert result.returned_set == set(outcome.positives.tolist())
         assert ledger.total_cost == 0.0
 
     def test_sampled_rows_not_reprocessed(self, toy_table, toy_index, toy_udf):

@@ -17,12 +17,7 @@ import numpy as np
 
 from repro.core import executor as executor_module
 from repro.core import procpool as procpool_module
-from repro.core.executor import (
-    BatchExecutor,
-    candidate_frame,
-    drop_members,
-    sampled_members,
-)
+from repro.core.executor import BatchExecutor, candidate_frame
 from repro.core.parallel import ParallelBatchExecutor
 from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.core.procpool import ProcessPoolBatchExecutor
@@ -31,7 +26,7 @@ from repro.db.sharding import ShardedTable
 from repro.db.shm import release_exports
 from repro.db.table import Table
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
-from repro.sampling.sampler import GroupSample, SampleOutcome
+from repro.sampling.sampler import SampleOutcome, drop_members
 
 from leakcheck import assert_no_leaked_resources
 
@@ -41,23 +36,31 @@ def _ids(*values):
 
 
 class TestExclusionHelpers:
-    def test_members_are_sorted_and_restricted_to_the_group(self):
-        rows = _ids(2, 5, 7, 11)
-        assert sampled_members(rows, _ids(11, 3, 2, 40, -1)).tolist() == [2, 11]
+    def test_group_slices_are_restricted_to_the_group_and_the_table(self):
+        # a: rows 0 3 5 7, b: 1 4, c: 2 6 — ids outside the table go nowhere.
+        index = _table().group_index("A")
+        ids, flags, bounds = SampleOutcome(
+            [7, 40, 2, 0, -1, 4, 8], [True, True, False, False, True, True, True]
+        ).by_group(index)
+        slices = [ids[bounds[code] : bounds[code + 1]].tolist() for code in range(3)]
+        assert slices == [[7, 0], [4], [2]]  # draw order within a group
+        assert flags.tolist() == [True, False, True, False]
 
-    def test_nothing_sampled_or_empty_group(self):
-        assert sampled_members(_ids(1, 2), _ids()).size == 0
-        assert sampled_members(_ids(), _ids(1, 2)).size == 0
+    def test_nothing_sampled_or_empty_table(self):
+        index = _table().group_index("A")
+        ids, _flags, bounds = SampleOutcome().by_group(index)
+        assert ids.size == 0 and bounds.tolist() == [0, 0, 0, 0]
+        frame = candidate_frame(index, SampleOutcome([40, -1], [True, True]))
+        assert frame.free_positives.size == 0
+        assert [rows.tolist() for rows in frame.candidates] == [[0, 3, 5, 7], [1, 4], [2, 6]]
 
     def test_drop_members_keeps_order_and_returns_rows_when_nothing_to_drop(self):
         rows = _ids(2, 5, 7, 11)
-        assert drop_members(rows, _ids(5, 11)).tolist() == [2, 7]
+        assert drop_members(rows, _ids(11, 5)).tolist() == [2, 7]  # any order
         assert drop_members(rows, _ids()) is rows
 
     def test_duplicate_sampled_ids_drop_the_row_once(self):
-        rows = _ids(2, 5, 7)
-        members = sampled_members(rows, _ids(5, 5, 9))
-        assert drop_members(rows, members).tolist() == [2, 7]
+        assert drop_members(_ids(2, 5, 7), _ids(5, 5)).tolist() == [2, 7]
 
 
 def _table():
@@ -67,12 +70,7 @@ def _table():
 
 
 def _outcome():
-    return SampleOutcome(
-        samples={
-            "a": GroupSample("a", sampled_row_ids=[0, 5], positive_row_ids=[0], group_size=4),
-            "b": GroupSample("b", sampled_row_ids=[4], positive_row_ids=[4], group_size=2),
-        }
-    )
+    return SampleOutcome([0, 5, 4], [True, False, True])  # a: 0+ 5-, b: 4+
 
 
 def _run(table, index, outcome, seed=3):
@@ -178,7 +176,7 @@ class TestFrameLifetime:
         index = table.group_index("A")
         outcome = _outcome()
         _run(table, index, outcome)
-        assert vars(outcome).keys() == {"samples"}
+        assert vars(outcome).keys() == {"row_ids", "flags"}
         blob = pickle.dumps(outcome, protocol=4)
         assert b"CandidateFrame" not in blob
         restored = pickle.loads(blob)
@@ -257,17 +255,9 @@ def _sharded(name):
 
 def _sharded_outcome(index):
     """A few members of every group, spread over the spans."""
-    return SampleOutcome(
-        samples={
-            key: GroupSample(
-                key,
-                sampled_row_ids=rows[::9].tolist(),
-                positive_row_ids=rows[::18].tolist(),
-                group_size=int(rows.size),
-            )
-            for key, rows in index.items()
-        }
-    )
+    sampled = np.concatenate([rows[::9] for _key, rows in index.items()])
+    positive = np.concatenate([rows[::18] for _key, rows in index.items()])
+    return SampleOutcome(sampled, np.isin(sampled, positive))
 
 
 def _span_backends():
@@ -321,8 +311,8 @@ class TestOneFrameBehindEveryBackend:
         table = _sharded("shared_frame")
         index = table.group_index("A")
         outcome = _sharded_outcome(index)
-        sampled = {row for sample in outcome.samples.values() for row in sample.sampled_row_ids}
-        free = [row for sample in outcome.samples.values() for row in sample.positive_row_ids]
+        sampled = set(outcome.row_ids.tolist())
+        free = outcome.positives.tolist()  # drawn group by group: already in index order
         try:
             frame = None
             backends = {"serial": lambda seed: BatchExecutor(seed), **_span_backends()}
@@ -344,7 +334,7 @@ class TestOneFrameBehindEveryBackend:
         table = _sharded("shipped_tasks")
         index = table.group_index("A")
         outcome = _sharded_outcome(index)
-        sampled = {row for sample in outcome.samples.values() for row in sample.sampled_row_ids}
+        sampled = set(outcome.row_ids.tolist())
         try:
             self._execute(_span_backends()["process"], 2, table, index, outcome, python_udf=True)
         finally:

@@ -8,7 +8,16 @@ dozen blocks (per-group chunks, the result objects, metadata) however many
 rows it holds, where one python int per returned row allocated one block per
 row (8 224–12 971 blocks for answers of 8 325–13 134 rows before the change,
 12–59 after).
+
+The same count guards the refresh path: what a refresh after an append
+builds and keeps is per group (index arrays, model, plan) plus a few evidence
+arrays, not one python object per paid-for row.
 """
+
+import numpy as np
+import pytest
+
+from repro.serving.signature import plan_signature
 
 #: Far above what a hit allocates (tens), far below one block per row (8k+).
 MAX_BLOCKS_PER_HIT = 500
@@ -34,3 +43,64 @@ def test_the_gate_sees_a_per_row_loop(warm_hits_service, blocks_allocated_by):
         lambda: service.submit(queries[0], seed=60).row_ids.tolist()
     )
     assert grown > len(ids) // 2 > MAX_BLOCKS_PER_HIT
+
+
+# -- the refresh path ----------------------------------------------------------------
+#: What survives a refresh is per group (the grown index's row arrays, the
+#: model, the plan) plus a handful of evidence arrays: 333–343 blocks at eight
+#: groups and ~3 500 evidence rows, where one python int per evidence row is
+#: thousands.  (It counts what is still alive afterwards, so it sees evidence
+#: re-materialised as python objects, not a temporary that was freed again.)
+MAX_BLOCKS_PER_REFRESH = 1_000
+
+
+@pytest.fixture(scope="module")
+def churned_service(warm_service):
+    """A 60k-row warmed service that has already refreshed once after an append."""
+    service, queries = warm_service(60_000, "refreshgate")
+    table = service.catalog.table("refreshgate")
+    rng = np.random.default_rng(77)
+
+    def append_1000():
+        table.append_columns(
+            {
+                "grade": [f"g{code}" for code in rng.integers(0, 8, 1_000)],
+                "is_good": (rng.random(1_000) < 0.5).tolist(),
+            }
+        )
+
+    def evidence(query):
+        signature = plan_signature(query, service._cost_model(), service._strategy_prototype)
+        return dict(service.plan_cache._cache.items())[signature].sample_outcome
+
+    append_1000()
+    for query in queries:  # first-touch state of the refresh path
+        assert service.submit(query, seed=70).metadata["plan_cache"] == "refresh"
+    yield service, queries, append_1000, evidence
+    service.close()
+
+
+def test_a_refresh_allocates_per_group_not_per_evidence_row(churned_service, blocks_allocated_by):
+    service, queries, append_1000, evidence = churned_service
+    append_1000()
+    for position, query in enumerate(queries[:2]):
+        before = evidence(query)  # held, so freeing it cannot hide what the refresh built
+        grown, result = blocks_allocated_by(lambda: service.submit(query, seed=80 + position))
+        assert result.metadata["plan_cache"] == "refresh"
+        after = evidence(query)
+        assert after is not before and after.size >= before.size > 3_000
+        assert grown < MAX_BLOCKS_PER_REFRESH, (grown, after.size)
+
+
+def test_the_refresh_gate_sees_a_per_row_evidence_container(churned_service, blocks_allocated_by):
+    """Mutation check: evidence as python ints is what the gate would catch."""
+    service, queries, append_1000, evidence = churned_service
+    append_1000()
+
+    def refresh_then_materialise():
+        result = service.submit(queries[2], seed=90)
+        return result, evidence(queries[2]).row_ids.tolist()
+
+    grown, (result, ids) = blocks_allocated_by(refresh_then_materialise)
+    assert result.metadata["plan_cache"] == "refresh"
+    assert grown > len(ids) // 2 > MAX_BLOCKS_PER_REFRESH

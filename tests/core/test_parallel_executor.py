@@ -109,8 +109,8 @@ class TestInvariance:
         sampler = GroupSampler(random_state=3)
         allocation = {value: 5 for value in index.values}
         outcome = sampler.sample(plain, index, udf, allocation, CostLedger())
-        sampled = set(outcome.sampled_row_ids())
-        positives = set(outcome.positive_row_ids())
+        sampled = set(outcome.row_ids.tolist())
+        positives = set(outcome.positives.tolist())
 
         reference, _ = _execute(plain, workers=1, sample_outcome=outcome)
         sharded = ShardedTable.from_table(plain, num_shards=4)

@@ -9,6 +9,13 @@ with different hash seeds and must print the same ``row_ids`` list — on the
 serial executor over a plain table, and on the thread executor over a
 sharded one (span tasks, per-group coin streams keyed by group *code* and a
 merge by code: nothing there may follow a hash either).
+
+The same script then walks the stateful path in miniature — append (a new
+string-keyed group arrives in the delta) → refresh query → ``save_warm_state``
+→ reopen from the store → restored query — and prints the evidence the
+restored plan carries next to the answers: the top-up, the re-expression
+against the grown index, the merge and the warm blob may not follow a hash
+either.
 """
 
 import json
@@ -21,9 +28,11 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 SCRIPT = """
 import json
+import tempfile
 import numpy as np
 from repro import Catalog, Engine, QueryService, SelectQuery, ServiceConfig, UdfPredicate
 from repro.db import ShardedTable, Table, UserDefinedFunction
+from repro.db.storage import CatalogStore
 
 rng = np.random.default_rng(5)
 rows = 4000
@@ -40,24 +49,48 @@ table = Table.from_columns(
 )
 if EXECUTOR == "thread":
     table = ShardedTable.from_table(table, num_shards=4)
-udf = UserDefinedFunction.from_label_column("label", "is_good")
-catalog = Catalog()
-catalog.register_table(table)
-catalog.register_udf(udf)
-service = QueryService(
-    Engine(catalog), config=ServiceConfig(executor=EXECUTOR, max_workers=3)
-)
-query = SelectQuery(
-    table="loans", predicate=UdfPredicate(udf), alpha=0.8, beta=0.8, rho=0.8,
-    correlated_column=None,  # automatic selection: labelled sample merged with group samples
-)
-cold = service.submit(query, seed=11)
-warm = service.submit(query, seed=12)
-service.close()
-print(json.dumps({
-    "cold": [cold.metadata["plan_cache"], [int(row) for row in cold.row_ids]],
-    "warm": [warm.metadata["plan_cache"], [int(row) for row in warm.row_ids]],
-}))
+
+
+def serve(catalog, directory):
+    udf = UserDefinedFunction.from_label_column("label", "is_good")
+    catalog.register_udf(udf)
+    config = ServiceConfig(executor=EXECUTOR, max_workers=3, storage_dir=directory)
+    query = SelectQuery(
+        table="loans", predicate=UdfPredicate(udf), alpha=0.8, beta=0.8, rho=0.8,
+        correlated_column=None,  # automatic selection: labelled sample merged with group samples
+    )
+    return QueryService(Engine(catalog), config=config), query
+
+
+def answer(result):
+    return [result.metadata["plan_cache"], [int(row) for row in result.row_ids]]
+
+
+with tempfile.TemporaryDirectory() as directory:
+    catalog = Catalog()
+    catalog.register_table(table)
+    service, query = serve(catalog, directory)
+    out = {"cold": answer(service.submit(query, seed=11))}
+    out["warm"] = answer(service.submit(query, seed=12))
+    delta_grade = rng.integers(0, 8, 400)  # grade-7 first appears here
+    table.append_columns({
+        "grade": [f"grade-{code}" for code in delta_grade],
+        "region": [f"region-{code}" for code in rng.integers(0, 5, 400)],
+        "is_good": (rng.random(400) < 0.5).tolist(),
+    })
+    out["refresh"] = answer(service.submit(query, seed=13))
+    service.save_warm_state()
+    service.close()
+    del service, catalog, table
+
+    catalog, _reports = CatalogStore(directory).open()
+    service, query = serve(catalog, directory)
+    out["restored"] = answer(service.submit(query, seed=14))
+    (plan,) = [entry for _signature, entry in service.plan_cache._cache.items()]
+    out["evidence"] = [plan.sample_outcome.row_ids.tolist(), plan.sample_outcome.flags.tolist()]
+    out["restore_errors"] = service.stats().storage["restore_errors"]
+    service.close()
+print(json.dumps(out))
 """
 
 
@@ -73,11 +106,17 @@ def _answers(hash_seed: str, executor: str) -> dict:
 
 
 def _assert_hash_seed_independent(executor: str) -> None:
-    first, second = _answers("1", executor), _answers("2", executor)
-    assert first["cold"][0] == "miss" and first["warm"][0] == "hit"
-    assert len(first["cold"][1]) > 100 and len(first["warm"][1]) > 100
+    first, second = _answers("0", executor), _answers("1", executor)
+    paths = {step: first[step][0] for step in ("cold", "warm", "refresh", "restored")}
+    assert paths == {"cold": "miss", "warm": "hit", "refresh": "refresh", "restored": "restored"}
+    assert first["restore_errors"] == 0
+    assert all(len(first[step][1]) > 100 for step in paths)
+    assert max(first["evidence"][0]) >= 4000  # the refresh sampled the delta
     assert first["cold"] == second["cold"]  # a cold, automatic-column query
     assert first["warm"] == second["warm"]  # a warm hit on its plan
+    assert first["refresh"] == second["refresh"]  # top-up, re-expression, merge, re-solve
+    assert first["restored"] == second["restored"]  # through the warm blob and back
+    assert first["evidence"] == second["evidence"]
 
 
 def test_row_ids_are_identical_across_hash_seeds():

@@ -6,15 +6,15 @@ docstring *defines* what must come out, independently of all that:
 
 * the execution draws one root key from its seeded random state;
 * the candidates of group ``a`` (code = its position in ``index.values``)
-  are its rows, ascending, minus the ids the sample outcome files under
-  ``a``;
+  are its rows, ascending, minus the rows the sample outcome holds;
 * candidate ``p`` is retrieved iff the phase-0 coin at position ``p`` of
   stream ``(root, code)`` is ``< R_a``, and a retrieved candidate is
   evaluated iff the phase-1 coin at the same ``p`` is ``< E_a / R_a``
   (coins lie in ``[0, 1)``, so 0 and 1 need no special case);
 * an evaluated tuple is returned iff the UDF passes, an unevaluated
-  retrieved one unconditionally; the sampled positives come first, then
-  the groups in index order, rows ascending.
+  retrieved one unconditionally; the sampled positives come first (groups
+  in index order, draw order within a group), then the groups in index
+  order, rows ascending.
 
 This file is that definition and nothing else: python loops, one coin at a
 time through the public :func:`counter_uniforms`, per-row UDF calls, a
@@ -51,19 +51,28 @@ def oracle_execute(
     root = int(as_random_state(seed).integers(0, 2**63))
     column = list(table.column_array(index.column, allow_hidden=True))
     returned: List[int] = []
-    sampled: Dict[Hashable, set] = {}
+    sampled: set = set()
     if sample_outcome is not None:
-        for key, sample in sample_outcome.samples.items():
-            sampled[key] = set(sample.sampled_row_ids)
-            returned.extend(sample.positive_row_ids)
+        # Paid-for rows: excluded everywhere, their positives returned first —
+        # group by group in the index's order, draw order within a group.
+        # An id outside the table belongs to no group: it is nobody's answer.
+        paid = [
+            (row, passed)
+            for row, passed in zip(
+                sample_outcome.row_ids.tolist(), sample_outcome.flags.tolist()
+            )
+            if 0 <= row < len(column)
+        ]
+        sampled = {row for row, _passed in paid}
+        for key in index.values:
+            returned.extend(row for row, passed in paid if passed and column[row] == key)
 
     group_counts: Dict[Hashable, GroupExecutionCounts] = {}
     for code, key in enumerate(index.values):
         counts = group_counts[key] = GroupExecutionCounts()
         decision = plan.decision(key)
-        excluded = sampled.get(key, ())
         candidates = [
-            row for row, value in enumerate(column) if value == key and row not in excluded
+            row for row, value in enumerate(column) if value == key and row not in sampled
         ]
         for position, row in enumerate(candidates):
             if not _coin(root, code, 0, position) < decision.retrieve_probability:

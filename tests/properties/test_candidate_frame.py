@@ -39,7 +39,7 @@ from repro.db.sharding import ShardedTable
 from repro.db.storage import TableStore
 from repro.db.table import Table
 from repro.db.udf import CostLedger, UserDefinedFunction
-from repro.sampling.sampler import GroupSample, SampleOutcome
+from repro.sampling.sampler import SampleOutcome
 
 from leakcheck import assert_no_leaked_resources
 
@@ -57,27 +57,18 @@ def frame_cases(draw):
     keys = draw(st.lists(st.sampled_from(KEYS), min_size=rows, max_size=rows))
     labels = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
     decisions = {}
-    samples = {}
     for key in KEYS + (ABSENT_KEY,):
         retrieve = draw(st.sampled_from(PROBABILITIES))
         share = draw(st.sampled_from(EVALUATE_SHARES))
         decisions[key] = GroupDecision(retrieve=retrieve, evaluate=retrieve * share)
-        if draw(st.booleans()):
-            continue  # a group the outcome does not mention
-        # Any row of the table (member of this group or not) and a few ids
-        # past either end; empty lists are groups with nothing sampled.
-        sampled = draw(
-            st.lists(
-                st.integers(min_value=-2, max_value=rows + 3), unique=True, max_size=10
-            )
-        )
-        positives = [row for row in sampled if draw(st.booleans())]
-        samples[key] = GroupSample(
-            group_key=key,
-            sampled_row_ids=sampled,
-            positive_row_ids=positives,
-            group_size=keys.count(key),
-        )
+    # Any rows of the table, in any (draw) order, and a few ids past either
+    # end — evidence files nothing under a group, the index says where each
+    # row belongs (out-of-table ids: nowhere); the empty list is an outcome
+    # with nothing sampled.
+    sampled = draw(
+        st.lists(st.integers(min_value=-2, max_value=rows + 3), unique=True, max_size=20)
+    )
+    samples = (sampled, [draw(st.booleans()) for _row in sampled])
     seed = draw(st.integers(min_value=0, max_value=2**20))
     return {"A": keys, "f": labels}, decisions, samples, seed
 
@@ -123,7 +114,7 @@ def test_memoised_frame_equals_fresh_frame_equals_reference(kind, case, assert_s
         try:
             index = table.group_index("A")
             plan = ExecutionPlan(decisions)
-            outcome = SampleOutcome(samples=samples)
+            outcome = SampleOutcome(*samples)
 
             reference = _execute(PlanExecutor, table, index, plan, seed, outcome)
             first = _execute(BatchExecutor, table, index, plan, seed, outcome)
@@ -146,14 +137,21 @@ def test_memoised_frame_equals_fresh_frame_equals_reference(kind, case, assert_s
 
             # The frame against the formulation it replaced.
             rebuilt = build_candidate_frame(index, outcome)
+            sampled = np.asarray(samples[0], dtype=np.intp)
             for (key, rows), kept, again in zip(
                 index.items(), frame.candidates, rebuilt.candidates
             ):
-                sampled = samples[key].sampled_row_ids if key in samples else []
-                expected = rows[~np.isin(rows, np.asarray(sampled, dtype=np.intp))]
+                expected = rows[~np.isin(rows, sampled)]
                 assert kept.tolist() == expected.tolist()
                 assert again.tolist() == expected.tolist()
-            assert frame.free_positives.tolist() == outcome.positive_row_ids()
+            # Free positives: the index's group order, draw order within a
+            # group; an id outside the table is nobody's answer.
+            assert frame.free_positives.tolist() == [
+                row
+                for key in index.values
+                for row, passed in zip(*samples)
+                if passed and 0 <= row < table.num_rows and columns["A"][row] == key
+            ]
         finally:
             if manager is not None:
                 manager.evict_all()

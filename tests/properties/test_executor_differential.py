@@ -38,7 +38,7 @@ from repro.db.sharding import ShardedTable
 from repro.db.shm import release_exports
 from repro.db.table import Table
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
-from repro.sampling.sampler import GroupSample, GroupSampler, SampleOutcome
+from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import ConstantScheme
 
 from counter_coin_oracle import oracle_execute
@@ -154,28 +154,20 @@ def span_cases(draw):
     """A table, a plan, a sample outcome, pre-paid rows and a seed.
 
     Plans cover ``R_a`` and ``E_a / R_a`` at 0, strictly inside (0, 1) and at
-    1; outcomes file ids under a group that are members, members of another
-    group, outside the table, or repeated, and name positives freely.
+    1; outcomes hold any rows of the table and ids outside it, in any order,
+    repeats included, and flag them freely.
     """
     rows = draw(st.integers(min_value=1, max_value=60))
     keys = draw(st.lists(st.sampled_from(SPAN_KEYS), min_size=rows, max_size=rows))
     labels = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    decisions, samples = {}, {}
+    decisions = {}
     for key in SPAN_KEYS:
         retrieve = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
         share = draw(st.sampled_from([0.0, 0.4, 1.0]))
         decisions[key] = GroupDecision(retrieve=retrieve, evaluate=retrieve * share)
-        if draw(st.booleans()):
-            sampled = draw(
-                st.lists(st.integers(min_value=-2, max_value=rows + 3), max_size=12)
-            )
-            samples[key] = GroupSample(
-                group_key=key,
-                sampled_row_ids=sampled,
-                positive_row_ids=[row for row in sampled if draw(st.booleans())],
-                group_size=keys.count(key),
-            )
-    outcome = SampleOutcome(samples=samples) if draw(st.booleans()) else None
+    sampled = draw(st.lists(st.integers(min_value=-2, max_value=rows + 3), max_size=30))
+    flags = [draw(st.booleans()) for _row in sampled]
+    outcome = SampleOutcome(sampled, flags) if draw(st.booleans()) else None
     prepaid = draw(st.lists(st.integers(min_value=0, max_value=rows - 1), max_size=20))
     seed = draw(st.integers(min_value=0, max_value=2**20))
     return {"A": keys, "f": labels}, decisions, outcome, prepaid, seed
@@ -250,12 +242,8 @@ class TestSpanPathAgainstCounterCoinOracle:
             key: GroupDecision(retrieve=r, evaluate=r * share)
             for key, (r, share) in zip(SPAN_KEYS, np.roll(regimes, case_seed, axis=0).tolist())
         }
-        samples = {}
-        for key in SPAN_KEYS[:3]:
-            sampled = rng.integers(-2, rows + 3, 15).tolist() + [7, 7]
-            samples[key] = GroupSample(
-                key, sampled, [row for row in sampled if rng.random() < 0.5], keys.count(key)
-            )
+        sampled = rng.integers(-2, rows + 3, 45).tolist() + [7, 7]
+        outcome = SampleOutcome(sampled, rng.random(len(sampled)) < 0.5)
         free_memoized = bool(case_seed % 2)
         table = _span_table(columns, shards=4)
         if python_udf:
@@ -269,7 +257,7 @@ class TestSpanPathAgainstCounterCoinOracle:
                 table,
                 make_udf,
                 ExecutionPlan(decisions),
-                SampleOutcome(samples=samples),
+                outcome,
                 rng.integers(0, rows, 40).tolist(),
                 case_seed,
                 free_memoized,

@@ -123,9 +123,8 @@ def test_delta_merged_outcome_and_model_equal_rebuild(data):
     base_index = table.group_index("A")
 
     # evidence gathered at the base generation (every third row labelled)
-    labeled = LabeledSample(
-        outcomes={row_id: labels[row_id] for row_id in range(0, cuts[0], 3)}
-    )
+    ids = list(range(0, cuts[0], 3))
+    labeled = LabeledSample(ids, [labels[row_id] for row_id in ids])
     outcome = labeled.to_sample_outcome(base_index)
 
     # appends arrive; the cached outcome is delta-merged per batch, treating
@@ -136,22 +135,18 @@ def test_delta_merged_outcome_and_model_equal_rebuild(data):
             "delta", _piece(values, labels, start, stop), hidden_columns=["f"]
         ).group_index("A")
         delta_outcome = LabeledSample().to_sample_outcome(delta_index)
-        outcome = SampleOutcome.merge_shards(
-            [outcome, delta_outcome],
-            key_order=table.group_index("A").values,
-        )
+        outcome = SampleOutcome.merge_shards([outcome, delta_outcome])
 
     fresh = Table.from_columns(
         "scratch", {"A": values, "f": labels}, hidden_columns=["f"]
     )
     fresh_index = fresh.group_index("A")
     whole = labeled.to_sample_outcome(fresh_index)
-    assert set(outcome.samples) == set(whole.samples)
-    for key, sample in whole.samples.items():
-        merged = outcome.samples[key]
-        assert merged.group_size == sample.group_size
-        assert sorted(merged.sampled_row_ids) == sorted(sample.sampled_row_ids)
-        assert sorted(merged.positive_row_ids) == sorted(sample.positive_row_ids)
+    assert outcome == whole
+    for got_part, whole_part in zip(
+        outcome.by_group(table.group_index("A")), whole.by_group(fresh_index)
+    ):
+        assert got_part.tolist() == whole_part.tolist()
 
     got_model = SelectivityModel.from_sample_outcome(table.group_index("A"), outcome)
     ref_model = SelectivityModel.from_sample_outcome(fresh_index, whole)

@@ -81,25 +81,22 @@ def test_merged_index_equals_unsharded(data):
     assert np.array_equal(ref_positives, got_positives)
 
 
-def _per_shard_outcomes(plain, sharded, labeled):
-    """One SampleOutcome per shard, in global row-id space."""
+def _per_shard_outcomes(sharded, labeled):
+    """One ``(shard-local, global row-id space)`` SampleOutcome pair per shard."""
     outcomes = []
     for shard, (start, stop) in zip(sharded.shards, sharded.shard_spans()):
-        local_index = shard.group_index("A")
-        shard_labeled = LabeledSample(
-            outcomes={
-                row_id - start: outcome
-                for row_id, outcome in labeled.outcomes.items()
-                if start <= row_id < stop
-            }
-        )
-        local = shard_labeled.to_sample_outcome(local_index)
-        # shift local row ids back into global space
-        for sample in local.samples.values():
-            sample.sampled_row_ids = [r + start for r in sample.sampled_row_ids]
-            sample.positive_row_ids = [r + start for r in sample.positive_row_ids]
-        outcomes.append(local)
+        inside = (labeled.row_ids >= start) & (labeled.row_ids < stop)
+        local = LabeledSample(
+            labeled.row_ids[inside] - start, labeled.flags[inside]
+        ).to_sample_outcome(shard.group_index("A"))
+        outcomes.append((local, SampleOutcome(local.row_ids + start, local.flags)))
     return outcomes
+
+
+def _assert_same_evidence_per_group(index, got, expected):
+    """Same rows and answers group by group, in the same (draw) order."""
+    for got_part, expected_part in zip(got.by_group(index), expected.by_group(index)):
+        assert got_part.tolist() == expected_part.tolist()
 
 
 @settings(max_examples=120, deadline=None)
@@ -110,30 +107,18 @@ def test_shard_merged_outcome_and_model_equal_unsharded(data):
     reference_index = plain.group_index("A")
 
     # label every third row — the shared evidence both paths must agree on
-    labeled = LabeledSample(
-        outcomes={row_id: labels[row_id] for row_id in range(0, len(values), 3)}
-    )
+    ids = list(range(0, len(values), 3))
+    labeled = LabeledSample(ids, [labels[row_id] for row_id in ids])
     whole = labeled.to_sample_outcome(reference_index)
-    merged = SampleOutcome.merge_shards(
-        _per_shard_outcomes(plain, sharded, labeled),
-        key_order=reference_index.values,
-    )
-
-    assert set(merged.samples) == set(whole.samples)
-    for key, sample in whole.samples.items():
-        other = merged.samples[key]
-        assert other.group_size == sample.group_size
-        assert sorted(other.sampled_row_ids) == sorted(sample.sampled_row_ids)
-        assert sorted(other.positive_row_ids) == sorted(sample.positive_row_ids)
+    per_shard = _per_shard_outcomes(sharded, labeled)
+    merged = SampleOutcome.merge_shards([shifted for _local, shifted in per_shard])
+    assert merged == whole  # ascending labelled ids: shard order is draw order
+    _assert_same_evidence_per_group(reference_index, merged, whole)
 
     reference_model = SelectivityModel.from_sample_outcome(reference_index, whole)
     shard_models = [
-        SelectivityModel.from_sample_outcome(
-            shard.group_index("A"), outcome_shifted
-        )
-        for shard, outcome_shifted in zip(
-            sharded.shards, _per_shard_outcomes(plain, sharded, labeled)
-        )
+        SelectivityModel.from_sample_outcome(shard.group_index("A"), local)
+        for shard, (local, _shifted) in zip(sharded.shards, per_shard)
         if shard.num_rows
     ]
     merged_model = SelectivityModel.merge_shards(shard_models)

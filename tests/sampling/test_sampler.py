@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.core.executor import candidate_frame
+from repro.core.groups import SelectivityModel
 from repro.db.index import GroupIndex
+from repro.db.table import Table
 from repro.db.udf import CostLedger
 from repro.sampling.adaptive import (
     choose_num_adaptively,
     default_num_schedule,
 )
-from repro.sampling.sampler import GroupSample, GroupSampler, SampleOutcome
+from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import ConstantScheme
 
 
@@ -18,9 +21,8 @@ class TestGroupSampler:
         outcome = GroupSampler(random_state=0).sample(
             toy_table, toy_index, toy_udf, {1: 2, 2: 1, 3: 3}, ledger
         )
-        assert outcome.samples[1].sample_size == 2
-        assert outcome.samples[2].sample_size == 1
-        assert outcome.samples[3].sample_size == 3
+        totals, _ = toy_index.label_counts(outcome.row_ids, outcome.flags)
+        assert dict(zip(toy_index.values, totals)) == {1: 2, 2: 1, 3: 3}
 
     def test_costs_charged_per_sampled_tuple(self, toy_table, toy_index, toy_udf):
         ledger = CostLedger(retrieval_cost=1.0, evaluation_cost=3.0)
@@ -35,14 +37,15 @@ class TestGroupSampler:
         outcome = GroupSampler(random_state=0).sample(
             toy_table, toy_index, toy_udf, {1: 100}, CostLedger()
         )
-        assert outcome.samples[1].sample_size == 4
+        assert outcome.total_sampled == 4
 
     def test_group_one_is_all_positive(self, toy_table, toy_index, toy_udf):
         outcome = GroupSampler(random_state=0).sample(
             toy_table, toy_index, toy_udf, {1: 4}, CostLedger()
         )
-        assert outcome.samples[1].positives == 4
-        assert outcome.samples[1].posterior.mean > 0.8
+        assert outcome.total_positives == 4
+        model = SelectivityModel.from_sample_outcome(toy_index, outcome)
+        assert model.group(1).selectivity > 0.8
 
     def test_already_sampled_rows_skipped(self, toy_table, toy_index, toy_udf):
         sampler = GroupSampler(random_state=0)
@@ -50,43 +53,79 @@ class TestGroupSampler:
         second = sampler.sample(
             toy_table, toy_index, toy_udf, {3: 5}, CostLedger(), already_sampled=first
         )
-        overlap = set(first.samples[3].sampled_row_ids) & set(
-            second.samples[3].sampled_row_ids
-        )
-        assert overlap == set()
+        assert set(first.row_ids.tolist()) & set(second.row_ids.tolist()) == set()
         merged = first.merge(second)
-        assert merged.samples[3].sample_size == 5
+        assert merged.total_sampled == 5 == toy_index.group_size(3)
+        assert merged.row_ids.tolist() == first.row_ids.tolist() + second.row_ids.tolist()
+
+    def test_already_sampled_ids_outside_the_table_are_ignored(self, toy_table, toy_index, toy_udf):
+        # Every reader of one outcome sees the same rows: what `label_counts`
+        # does not count, the sampler neither excludes nor trips over.
+        rows = toy_index.total_rows()
+        stray = SampleOutcome([-1, rows, rows + 7], [True, False, True])
+        with_stray = GroupSampler(random_state=5).sample(
+            toy_table, toy_index, toy_udf, {1: 2, 3: 5}, CostLedger(), already_sampled=stray
+        )
+        without = GroupSampler(random_state=5).sample(
+            toy_table, toy_index, toy_udf, {1: 2, 3: 5}, CostLedger()
+        )
+        assert with_stray == without
+        assert toy_index.label_counts(stray.row_ids, stray.flags)[0].sum() == 0
 
     def test_merge_keeps_first_seen_group_order(self):
-        # Not set order: that follows string hashing, which changes from
-        # process to process and would reorder the answer's sampled rows.
-        def outcome(keys):
-            return SampleOutcome(
-                samples={
-                    key: GroupSample(key, [row], [row], group_size=9)
-                    for row, key in enumerate(keys)
-                }
-            )
+        # The order rule is "the index's order": an outcome stores no group
+        # order of its own, so a merge is a concatenation in draw order and
+        # every reader regroups against its index — first-appearance order
+        # of the column, never set order (that follows string hashing, which
+        # changes from process to process and would reorder the answer's
+        # sampled rows).
+        table = Table.from_columns(
+            "order", {"key": ["zeta", "alpha", "mid", "omega", "alpha", "beta"]}
+        )
+        index = GroupIndex(table, "key")
+        merged = SampleOutcome([0, 1, 2], [True] * 3).merge(
+            SampleOutcome([3, 4, 5], [True] * 3)
+        )
+        assert merged.row_ids.tolist() == [0, 1, 2, 3, 4, 5]
+        assert index.values == ["zeta", "alpha", "mid", "omega", "beta"]
+        row_ids, flags, bounds = merged.by_group(index)
+        assert row_ids.tolist() == [0, 1, 4, 2, 3, 5]  # alpha: left's row, then right's
+        assert bounds.tolist() == [0, 1, 3, 4, 5, 6]
+        assert candidate_frame(index, merged).free_positives.tolist() == [0, 1, 4, 2, 3, 5]
 
-        merged = outcome(["zeta", "alpha", "mid"]).merge(outcome(["omega", "alpha", "beta"]))
-        assert list(merged.samples) == ["zeta", "alpha", "mid", "omega", "beta"]
-        assert merged.samples["alpha"].sampled_row_ids == [1, 1]
-        assert merged.positive_row_ids() == [0, 1, 1, 2, 0, 2]
+    def test_rejects_ragged_or_non_flat_pairs(self):
+        with pytest.raises(ValueError):
+            SampleOutcome([1, 2, 3], [True, False])
+        with pytest.raises(ValueError):
+            SampleOutcome([[1, 2]], [[True, False]])
+        with pytest.raises(ValueError):
+            SampleOutcome([1, 2], [[True], [False]])
+
+    def test_evidence_is_read_only(self, toy_table, toy_index, toy_udf):
+        outcome = GroupSampler(random_state=1).sample(
+            toy_table, toy_index, toy_udf, {1: 2, 3: 2}, CostLedger()
+        )
+        for array in (outcome.row_ids, outcome.flags):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(AttributeError):
+            outcome.row_ids = outcome.row_ids[:1]
 
     def test_outcome_totals(self, toy_table, toy_index, toy_udf):
         outcome = GroupSampler(random_state=1).sample(
             toy_table, toy_index, toy_udf, {1: 2, 2: 3, 3: 4}, CostLedger()
         )
         assert outcome.total_sampled == 9
-        assert outcome.total_positives == len(outcome.positive_row_ids())
-        assert len(outcome.sampled_row_ids()) == 9
+        assert outcome.total_positives == len(outcome.positives)
+        assert len(outcome.row_ids) == 9
 
     def test_posterior_for_unsampled_group_is_uninformed(self, toy_table, toy_index, toy_udf):
         outcome = GroupSampler(random_state=1).sample(
             toy_table, toy_index, toy_udf, {1: 2}, CostLedger()
         )
-        assert outcome.posterior(3).sample_size == 0
-        assert outcome.posterior("unknown").mean == pytest.approx(0.5)
+        model = SelectivityModel.from_sample_outcome(toy_index, outcome)
+        assert model.group(3).sampled == 0
+        assert model.group(3).selectivity == pytest.approx(0.5)
 
     def test_deterministic_given_seed(self, toy_table, toy_index, toy_udf):
         a = GroupSampler(random_state=7).sample(
@@ -95,7 +134,7 @@ class TestGroupSampler:
         b = GroupSampler(random_state=7).sample(
             toy_table, toy_index, toy_udf, {3: 2}, CostLedger()
         )
-        assert a.samples[3].sampled_row_ids == b.samples[3].sampled_row_ids
+        assert a.row_ids.tolist() == b.row_ids.tolist()
 
 
 class TestAdaptiveNumSearch:

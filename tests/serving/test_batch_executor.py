@@ -65,7 +65,7 @@ class TestDeterministicPlans:
         result = BatchExecutor(random_state=0).execute(
             toy_table, toy_index, toy_udf, plan, CostLedger(), sample_outcome=outcome
         )
-        assert sorted(result.returned_row_ids) == sorted(outcome.positive_row_ids())
+        assert sorted(result.returned_row_ids) == sorted(outcome.positives)
         assert result.ledger.retrieved_count == 0
 
 
