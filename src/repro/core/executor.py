@@ -14,11 +14,12 @@ One kernel, two coin sources, three placements
 ----------------------------------------------
 
 Every vectorised backend runs the same kernel — candidates from the one
-:func:`candidate_frame`, coins, one :func:`evaluation_charge` before any UDF
-work, one bulk :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows`, one
+:func:`~repro.sampling.sampler.candidate_frame`, coins, one
+:func:`evaluation_charge` before any UDF work, one bulk
+:meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows`, one
 :func:`fold_group` — so a change to exclusion, charging or folding is made
-once, here, and proven by every backend's parity suite.  What differs is
-where the coins come from and where the work runs:
+once and proven by every backend's parity suite.  What differs is where the
+coins come from and where the work runs:
 
 * **Sequential coins** — :class:`BatchExecutor`, the default: one NumPy pass
   per group on the calling thread, coins drawn in order from the seeded
@@ -54,31 +55,40 @@ Step 3 is the only part of execution that does not depend on the request:
 "this group's rows minus its already-sampled rows" and "the sampled
 positives" are a pure function of the group index and the sample outcome,
 both of which a cached plan reuses unchanged from hit to hit.
-:func:`build_candidate_frame` computes them once — per group a
-sorted-membership exclusion (:func:`~repro.sampling.sampler.drop_members`
-over the group's slice of :meth:`Evidence.by_group
-<repro.sampling.sampler.Evidence.by_group>`, the same call the stratified
-sampler excludes paid-for rows with) — and
-:func:`candidate_frame`, the one entry point every backend uses (the span
-executors cut its per-group arrays at the span bounds), memoises the result
-on the index (:meth:`GroupIndex.derived <repro.db.index.GroupIndex.derived>`)
-under the *identity* of the outcome.  What a plan hit then does per group is
+:func:`~repro.sampling.sampler.build_candidate_frame` computes them once —
+per group a sorted-membership exclusion
+(:func:`~repro.sampling.sampler.drop_members` over the group's slice of
+:meth:`Evidence.by_group <repro.sampling.sampler.Evidence.by_group>`) — and
+:func:`~repro.sampling.sampler.candidate_frame`, the one entry point every
+backend uses (the span executors cut its per-group arrays at the span
+bounds), memoises the result on the index (:meth:`GroupIndex.derived
+<repro.db.index.GroupIndex.derived>`) under the *identity* of the outcome.
+The frame lives in :mod:`repro.sampling.sampler`, not here, because the
+stratified sampler reads the same arrays when it tops an outcome up and
+cannot import this module; the names are re-exported below for the
+backends and tests that use them.  What a plan hit then does per group is
 flip coins over a ready array; what it returns is one ``np.concatenate`` of
 per-group chunks — the array the caller receives — so no per-row python
 object is built anywhere between the coins and the caller.
 
 Identity keys are sufficient because both inputs are replaced, never
 edited, when the data they describe changes: an append gives the table a
-new (extended) index object, whose memo starts empty, and a refreshed plan
-carries a new :class:`~repro.sampling.sampler.SampleOutcome`, which no
-older frame is filed under.  A stale frame is therefore unreachable, not
-merely invalidated.  The memo entry dies with whichever input dies first
-(the index owns it; a weak reference to the outcome removes it), the frame
-references neither, and nothing of it is attached to the outcome — so it is
-never pickled into warm state; a restored plan rebuilds its frame on the
-first hit.  With the caches off every query brings a fresh outcome and the
-frame is simply rebuilt per query by the same (cheap) function: there is
-no second code path.
+new (extended) index object, whose memo starts empty, and evidence that
+gained a row is a new :class:`~repro.sampling.sampler.SampleOutcome`, which
+no older frame is filed under.  A stale frame is therefore unreachable, not
+merely invalidated.  The converse holds too, and the update path relies on
+it: evidence that gained *nothing* stays the same object
+(:meth:`SampleOutcome.merge <repro.sampling.sampler.SampleOutcome.merge>`
+returns a sole non-empty operand as is — safe because evidence is
+immutable), so a refresh that drew no row executes over the frame its
+sampler, or the other signature's refresh, already built: one exclusion
+pass per changed evidence, not one per reader.  The memo entry dies with
+whichever input dies first (the index owns it; a weak reference to the
+outcome removes it), the frame references neither, and nothing of it is
+attached to the outcome — so it is never pickled into warm state; a
+restored plan rebuilds its frame on the first hit.  With the caches off
+every query brings a fresh outcome and the frame is simply rebuilt per
+query by the same (cheap) function: there is no second code path.
 
 Shared coin discipline
 ----------------------
@@ -114,7 +124,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Tuple,
     runtime_checkable,
 )
 
@@ -128,7 +137,11 @@ from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience.deadline import check_deadline
-from repro.sampling.sampler import SampleOutcome, drop_members
+from repro.sampling.sampler import SampleOutcome, candidate_frame
+
+# Re-exported: the frame is built in ``sampling.sampler`` (which cannot import
+# this module) and named from here by the span executors and the tests.
+from repro.sampling.sampler import CandidateFrame, build_candidate_frame  # noqa: F401
 from repro.stats.random import RandomState, SeedLike, as_random_state
 
 
@@ -229,48 +242,6 @@ class ExecutorAware(Protocol):
     """
 
     executor_factory: Optional[Callable[[RandomState], "ExecutorBackend"]]
-
-
-@dataclass(frozen=True)
-class CandidateFrame:
-    """What execution needs from ``(index, sample outcome)``, per group.
-
-    ``candidates[code]`` are the rows of group ``index.values[code]`` still
-    open to the probabilistic pass (ascending; the index's own array when the
-    group has no sampled member); ``free_positives`` the sampled rows that
-    passed the predicate, in the index's group order and, within a group, the
-    outcome's draw order.
-    """
-
-    candidates: Tuple[np.ndarray, ...]
-    free_positives: np.ndarray
-
-
-def build_candidate_frame(
-    index: GroupIndex, sample_outcome: Optional[SampleOutcome]
-) -> CandidateFrame:
-    """The frame from scratch — a pure function of its two arguments."""
-    outcome = sample_outcome if sample_outcome is not None else SampleOutcome()
-    sampled, flags, bounds = outcome.by_group(index)
-    candidates = []
-    for code, (_, rows) in enumerate(index.items()):
-        rows = drop_members(rows, sampled[bounds[code] : bounds[code + 1]])
-        rows.setflags(write=False)  # shared by every hit, like the index's
-        candidates.append(rows)
-    return CandidateFrame(
-        candidates=tuple(candidates), free_positives=as_row_ids(sampled[flags])
-    )
-
-
-def candidate_frame(
-    index: GroupIndex, sample_outcome: Optional[SampleOutcome]
-) -> CandidateFrame:
-    """The frame, built at most once while ``index`` and the outcome both live."""
-    if sample_outcome is None:
-        return build_candidate_frame(index, None)
-    return index.derived(
-        sample_outcome, lambda: build_candidate_frame(index, sample_outcome)
-    )
 
 
 #: The UDF results of a group in which nothing was evaluated.
@@ -506,10 +477,12 @@ class BatchExecutor:
                 continue
 
             if conditional_evaluate >= 1.0:
+                # Everything retrieved is evaluated: no gather, no copy.
                 evaluate_mask = np.ones(retrieved.size, dtype=bool)
+                to_evaluate = retrieved
             else:
                 evaluate_mask = rng.random(retrieved.size) < conditional_evaluate
-            to_evaluate = retrieved[evaluate_mask]
+                to_evaluate = retrieved[evaluate_mask]
 
             outcomes = NO_OUTCOMES
             if to_evaluate.size:

@@ -78,6 +78,15 @@ def as_row_ids(ids: Iterable[int]) -> npt.NDArray[np.intp]:
     return array
 
 
+def narrowed_ids(ids: np.ndarray) -> np.ndarray:
+    """``ids`` in the narrowest unsigned dtype that holds them — how the warm
+    blob stores row ids and group codes (as they are when empty or when any
+    is negative).  Readers widen whatever dtype they find back to ``intp``."""
+    if ids.size and int(ids.min()) >= 0:
+        return ids.astype(np.min_scalar_type(int(ids.max())))
+    return ids
+
+
 def infer_schema_for_columns(
     columns: Mapping[str, Sequence[Any]],
     column_types: Optional[Mapping[str, ColumnType | str]] = None,

@@ -10,9 +10,23 @@ which rows it paid for and which passed (``F_a``, ``F_a^+``) as one
 * sampled tuples are *sunk cost*: the optimizer's decision variables apply to
   the remaining ``t_a - F_a`` tuples only.
 
-Both read "a group's rows minus the rows already paid for", and both — this
-sampler topping up an earlier outcome, and the executor's candidate frame —
-compute it with the one :func:`drop_members` over :meth:`Evidence.by_group`.
+Both read "a group's rows minus the rows already paid for", and it is
+computed in one place: :func:`build_candidate_frame` (:func:`drop_members`
+over :meth:`Evidence.by_group`, once per group), memoised by
+:func:`candidate_frame` on the index under the evidence's identity.  This
+module owns the frame because both readers can reach it here — the sampler
+topping up an earlier outcome asks for ``candidate_frame(index, prior)`` (and
+only when some group's requested count is positive: a top-up that draws
+nothing excludes nothing), and ``core.executor``, which imports this module,
+flips its coins over the same arrays.
+
+The identity rule that keeps the memo warm: :meth:`SampleOutcome.merge`
+returns its operand *as is* when the other side is empty.  Evidence is
+immutable (read-only arrays in a frozen dataclass), so sharing one object
+between the statistics cache, several plans and a frame filed under it is
+safe — nobody can edit it under anybody else — and a refresh whose evidence
+did not move keeps the outcome it started with, and with it the frame.
+Evidence that did move is a new object, which no older frame is filed under.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.db.index import GroupIndex, group_order
-from repro.db.table import Table, as_row_ids
+from repro.db.table import Table, as_row_ids, narrowed_ids
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.resilience.deadline import check_deadline
 from repro.stats.random import RandomState, SeedLike, as_random_state
@@ -42,12 +56,15 @@ def drop_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Ascending ``rows`` without ``members`` — one binary search per member.
 
     Every member must occur in ``rows`` (any order, repeats allowed): a
-    group's rows and its slice of :meth:`Evidence.by_group`.
+    group's rows and its slice of :meth:`Evidence.by_group`.  The members
+    are sorted before the probe: neighbouring searches then walk the same
+    cache lines of ``rows`` (0.038 → 0.010 ms at 39k rows × 600 members,
+    the sort itself 0.003), which is most of what the exclusion costs.
     """
     if not members.size:
         return rows
     keep = np.ones(rows.size, dtype=bool)
-    keep[np.searchsorted(rows, members)] = False
+    keep[np.searchsorted(rows, np.sort(members))] = False
     return rows[keep]
 
 
@@ -89,10 +106,7 @@ class Evidence:
     def __getstate__(self) -> Tuple[np.ndarray, np.ndarray]:
         """Pickled small: ids in the narrowest unsigned dtype that holds them
         (widened back to ``intp`` on load), flags as bits."""
-        ids = self.row_ids
-        if ids.size and int(ids.min()) >= 0:
-            ids = ids.astype(np.min_scalar_type(int(ids.max())))
-        return ids, np.packbits(self.flags)
+        return narrowed_ids(self.row_ids), np.packbits(self.flags)
 
     def __setstate__(self, state: Tuple[np.ndarray, np.ndarray]) -> None:
         ids, bits = state
@@ -172,13 +186,66 @@ class SampleOutcome(Evidence):
         order — the first outcome's first.  For per-shard outcomes (disjoint
         row ranges in global row-id space) that is exactly sampling the
         unsharded table with the same draws; the property tests pin it.
+
+        Empty operands add nothing and are skipped, and when a single
+        operand of this class is all that is left it is returned *as is*:
+        evidence is immutable, so handing the same object on is as good as a
+        copy — and everything memoised under its identity
+        (:func:`candidate_frame`) stays valid through a merge that added no
+        row, which is what a refresh that draws nothing performs.
         """
-        if not outcomes:
+        live = [outcome for outcome in outcomes if outcome.size]
+        if not live:
             return cls()
+        if len(live) == 1 and type(live[0]) is cls:
+            return live[0]
         return cls(
-            np.concatenate([outcome.row_ids for outcome in outcomes]),
-            np.concatenate([outcome.flags for outcome in outcomes]),
+            np.concatenate([outcome.row_ids for outcome in live]),
+            np.concatenate([outcome.flags for outcome in live]),
         )
+
+
+@dataclass(frozen=True)
+class CandidateFrame:
+    """A group index's rows split by one body of evidence, per group.
+
+    ``candidates[code]`` are the rows of group ``index.values[code]`` that
+    are *not* paid for — the rows a top-up may still draw and the rows
+    execution flips coins over (ascending; the index's own array when the
+    group has no sampled member); ``free_positives`` the sampled rows that
+    passed the predicate, in the index's group order and, within a group, the
+    evidence's draw order.
+    """
+
+    candidates: Tuple[np.ndarray, ...]
+    free_positives: np.ndarray
+
+
+def build_candidate_frame(
+    index: GroupIndex, sample_outcome: Optional[SampleOutcome]
+) -> CandidateFrame:
+    """The frame from scratch — a pure function of its two arguments."""
+    outcome = sample_outcome if sample_outcome is not None else SampleOutcome()
+    sampled, flags, bounds = outcome.by_group(index)
+    candidates = []
+    for code, (_, rows) in enumerate(index.items()):
+        rows = drop_members(rows, sampled[bounds[code] : bounds[code + 1]])
+        rows.setflags(write=False)  # shared by every hit, like the index's
+        candidates.append(rows)
+    return CandidateFrame(
+        candidates=tuple(candidates), free_positives=as_row_ids(sampled[flags])
+    )
+
+
+def candidate_frame(
+    index: GroupIndex, sample_outcome: Optional[SampleOutcome]
+) -> CandidateFrame:
+    """The frame, built at most once while ``index`` and the outcome both live."""
+    if sample_outcome is None:
+        return build_candidate_frame(index, None)
+    return index.derived(
+        sample_outcome, lambda: build_candidate_frame(index, sample_outcome)
+    )
 
 
 class GroupSampler:
@@ -215,15 +282,13 @@ class GroupSampler:
         identical whether or not the evaluation is fanned.
         """
         check_deadline("sampling")
-        paid_ids = bounds = None
-        if already_sampled is not None:
-            paid_ids, _, bounds = already_sampled.by_group(index)
+        requested = [int(allocation.get(group_key, 0)) for group_key in index]
+        candidates: Sequence[np.ndarray] = [rows for _, rows in index.items()]
+        if already_sampled is not None and any(count > 0 for count in requested):
+            candidates = candidate_frame(index, already_sampled).candidates
         chosen_per_group = []
-        for code, (group_key, row_ids) in enumerate(index.items()):
-            available = row_ids
-            if paid_ids is not None:
-                available = drop_members(row_ids, paid_ids[bounds[code] : bounds[code + 1]])
-            count = min(int(allocation.get(group_key, 0)), int(available.size))
+        for available, count in zip(candidates, requested):
+            count = min(count, int(available.size))
             if count > 0:
                 positions = self.random_state.choice(
                     int(available.size), size=count, replace=False

@@ -18,6 +18,12 @@ it persists the state a long-running service accretes:
 * **UDF memo caches** — the paid-for ``row_id → bool`` evaluations, which is
   what lets a restored plan re-execute with **zero** fresh UDF calls.
 
+Row ids and group codes are written in the narrowest unsigned dtype that
+holds them (:func:`~repro.db.table.narrowed_ids` — one byte a row for codes
+of up to 256 groups, where the live index holds eight) and widened to
+``intp`` by whoever reads them, so the format version does not move: a blob
+holding ``intp`` arrays restores through the same lines.
+
 Everything is stamped with the owning table's
 :meth:`~repro.db.table.Table.shard_signature` and restored only on an exact
 match — warm state is an optimisation, never an alternative source of
@@ -45,7 +51,7 @@ from repro.db.index import GroupIndex, MergedGroupIndex
 from repro.db.sharding import ShardedTable
 from repro.db.storage.segments import atomic_write_bytes
 from repro.db.storage.store import CatalogStore, RecoveryReport, _count
-from repro.db.table import Table
+from repro.db.table import Table, narrowed_ids
 
 #: Warm-state blob magic (8 bytes, versioned).
 WARM_MAGIC = b"RPWRM02\x00"
@@ -159,7 +165,9 @@ def _capture_stats(service, table: Table, probe: bool) -> List[Dict[str, Any]]:
 
 
 def _index_parts(index: GroupIndex) -> Dict[str, Any]:
-    return {"values": list(index._values), "codes": np.asarray(index._codes)}
+    """``(values, codes)``; codes lie in ``[0, num_groups)``, so they pickle
+    at one or two bytes a row where the live index holds eight."""
+    return {"values": list(index._values), "codes": narrowed_ids(index._codes)}
 
 
 def _capture_indexes(table: Table, probe: bool) -> List[Dict[str, Any]]:
@@ -190,7 +198,7 @@ def _capture_udf_memos(service) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
             continue
         ids, values = udf.memo_arrays()
         if ids.size:
-            memos[udf.name] = (ids, values)
+            memos[udf.name] = (narrowed_ids(ids), values)
     return memos
 
 
@@ -236,6 +244,15 @@ def save_warm_state(service, store: CatalogStore) -> Dict[str, int]:
 
 
 # -- restore -----------------------------------------------------------------------
+def _install_parts(index: GroupIndex, parts: Dict[str, Any]) -> None:
+    """Finish ``index`` from persisted parts, counting no build.  Codes are
+    widened to ``intp`` from whatever dtype the blob holds: narrow from this
+    version, ``intp`` already from an older one."""
+    index._install(
+        list(parts["values"]), np.asarray(parts["codes"], dtype=np.intp), count_build=False
+    )
+
+
 def _restore_index(
     table: Table, column: str, allow_hidden: bool, record: Dict[str, Any]
 ) -> None:
@@ -253,9 +270,7 @@ def _restore_index(
             shard_index = GroupIndex.__new__(GroupIndex)
             shard_index.table = shard
             shard_index.column = column
-            shard_index._install(
-                list(parts["values"]), np.asarray(parts["codes"]), count_build=False
-            )
+            _install_parts(shard_index, parts)
             shard._group_indexes[key] = shard_index
             shard_indexes.append(shard_index)
         index: GroupIndex = MergedGroupIndex.__new__(MergedGroupIndex)
@@ -263,16 +278,12 @@ def _restore_index(
         index.column = column
         index.shard_indexes = shard_indexes
         index._offsets = tuple(table.shard_offsets)
-        index._install(
-            list(merged["values"]), np.asarray(merged["codes"]), count_build=False
-        )
+        _install_parts(index, merged)
     else:
         index = GroupIndex.__new__(GroupIndex)
         index.table = table
         index.column = column
-        index._install(
-            list(merged["values"]), np.asarray(merged["codes"]), count_build=False
-        )
+        _install_parts(index, merged)
     table._group_indexes[key] = index
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 # Make the package importable even without an installed distribution (the
 # offline environment cannot build editable wheels).
@@ -27,6 +29,24 @@ from repro.db.query import SelectQuery  # noqa: E402
 from repro.db.sharding import ShardedTable  # noqa: E402
 from repro.db.udf import CostLedger, UserDefinedFunction  # noqa: E402
 from repro.serving import QueryService, ServiceConfig  # noqa: E402
+
+
+# Hypothesis profiles, selected by HYPOTHESIS_PROFILE.  ``ci`` is what the
+# suite has always run under — whichever profile Hypothesis picks for itself
+# (its own CI profile where the runner sets ``CI``, its default elsewhere) —
+# and stays the default.  ``deep`` is the scheduled job's: many more examples
+# for every property that does not pin its own count (the sequence tests size
+# themselves from it), fresh ones on every run.
+settings.register_profile("ci", settings.default)
+settings.register_profile(
+    "deep",
+    max_examples=2_000,
+    deadline=None,
+    derandomize=False,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 def assert_same_rows(actual, expected):

@@ -15,7 +15,6 @@ import weakref
 
 import numpy as np
 
-from repro.core import executor as executor_module
 from repro.core import procpool as procpool_module
 from repro.core.executor import BatchExecutor, candidate_frame
 from repro.core.parallel import ParallelBatchExecutor
@@ -26,6 +25,7 @@ from repro.db.sharding import ShardedTable
 from repro.db.shm import release_exports
 from repro.db.table import Table
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
+from repro.sampling import sampler as sampler_module
 from repro.sampling.sampler import SampleOutcome, drop_members
 
 from leakcheck import assert_no_leaked_resources
@@ -273,13 +273,13 @@ class TestOneFrameBehindEveryBackend:
     @staticmethod
     def _count_builds(monkeypatch):
         builds = []
-        real = executor_module.build_candidate_frame
+        real = sampler_module.build_candidate_frame
 
         def counting(index, sample_outcome):
             builds.append((id(index), id(sample_outcome)))
             return real(index, sample_outcome)
 
-        monkeypatch.setattr(executor_module, "build_candidate_frame", counting)
+        monkeypatch.setattr(sampler_module, "build_candidate_frame", counting)
         return builds
 
     @staticmethod

@@ -12,11 +12,17 @@ row (8 224–12 971 blocks for answers of 8 325–13 134 rows before the change,
 The same count guards the refresh path: what a refresh after an append
 builds and keeps is per group (index arrays, model, plan) plus a few evidence
 arrays, not one python object per paid-for row.
+
+A second kind of count guards the update path's table-sized passes: how many
+times one {append, two refreshes, three hits} cycle regroups the evidence and
+excludes it from the groups' rows.
 """
 
 import numpy as np
 import pytest
 
+from repro.sampling import sampler as sampler_module
+from repro.sampling.sampler import Evidence, SampleOutcome
 from repro.serving.signature import plan_signature
 
 #: Far above what a hit allocates (tens), far below one block per row (8k+).
@@ -104,3 +110,82 @@ def test_the_refresh_gate_sees_a_per_row_evidence_container(churned_service, blo
     grown, (result, ids) = blocks_allocated_by(refresh_then_materialise)
     assert result.metadata["plan_cache"] == "refresh"
     assert grown > len(ids) // 2 > MAX_BLOCKS_PER_REFRESH
+
+
+# -- the update path's exclusion work ------------------------------------------------
+def _exclusion_work(monkeypatch):
+    """Count frame builds, ``by_group`` regroupings and ``drop_members`` calls
+    from here on — the table-sized passes of the update path."""
+    work = {"builds": 0, "by_group": 0, "drops_inside_a_build": 0, "drops_outside": 0}
+    build, drop = sampler_module.build_candidate_frame, sampler_module.drop_members
+    regroup = Evidence.by_group
+    building = []
+
+    def counted_build(index, outcome):
+        work["builds"] += 1
+        building.append(True)
+        try:
+            return build(index, outcome)
+        finally:
+            building.pop()
+
+    def counted_drop(rows, members):
+        work["drops_inside_a_build" if building else "drops_outside"] += 1
+        return drop(rows, members)
+
+    def counted_regroup(self, index):
+        work["by_group"] += 1
+        return regroup(self, index)
+
+    monkeypatch.setattr(sampler_module, "build_candidate_frame", counted_build)
+    monkeypatch.setattr(sampler_module, "drop_members", counted_drop)
+    monkeypatch.setattr(Evidence, "by_group", counted_regroup)
+    return work
+
+
+def _churn_cycle(service, append, first, second, seed):
+    """{append, refresh ``first``, refresh ``second``, 3 hits}: the benchmark's cycle."""
+    append()
+    paths = [
+        service.submit(query, seed=seed + position).metadata["plan_cache"]
+        for position, query in enumerate((first, second, first, second, first))
+    ]
+    assert paths == ["refresh", "refresh", "hit", "hit", "hit"]
+
+
+def test_a_churn_cycle_excludes_paid_for_rows_at_most_twice(churned_service, monkeypatch):
+    """A work count, not a stopwatch: a cycle regroups the evidence and
+    excludes it from the (8) groups once per frame build, at most two builds,
+    and nowhere else — the sampler reads the frame.  (Before the sampler and
+    the executor shared it: 4 regroupings and 32 ``drop_members`` a cycle.)"""
+    service, queries, append_1000, evidence = churned_service
+    work = _exclusion_work(monkeypatch)
+    modest, greedy = queries[0], queries[1]  # alpha 0.8 allocates less than 0.9
+    for first, second in ((modest, greedy), (greedy, modest)):
+        work.update(dict.fromkeys(work, 0))
+        _churn_cycle(service, append_1000, first, second, seed=300)
+        assert 1 <= work["builds"] <= 2, work
+        assert work["by_group"] == work["builds"], work
+        assert work["drops_inside_a_build"] == 8 * work["builds"], work
+        assert work["drops_outside"] == 0, work
+    # The greedy refresh drew every row the modest one asks for, so the modest
+    # refresh added nothing — and kept the evidence, and with it the frame.
+    assert evidence(modest) is evidence(greedy)
+
+
+def test_the_work_gate_sees_a_merge_that_always_allocates(churned_service, monkeypatch):
+    """Mutation check: a merge of nothing that returns a new object loses the
+    frame filed under the old one, and the cycle pays for a third build."""
+    service, queries, append_1000, evidence = churned_service
+
+    def always_new(cls, outcomes):
+        return cls(
+            np.concatenate([outcome.row_ids for outcome in outcomes]),
+            np.concatenate([outcome.flags for outcome in outcomes]),
+        )
+
+    monkeypatch.setattr(SampleOutcome, "merge_shards", classmethod(always_new))
+    work = _exclusion_work(monkeypatch)
+    _churn_cycle(service, append_1000, queries[1], queries[0], seed=400)
+    assert work["builds"] == 3, work
+    assert evidence(queries[0]) is not evidence(queries[1])

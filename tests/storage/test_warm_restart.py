@@ -113,8 +113,12 @@ class TestWarmRestart:
         legacy_values = np.fromiter(legacy.values(), dtype=bool, count=len(legacy))
         order = np.argsort(legacy_ids, kind="stable")
         section = (legacy_ids[order], legacy_values[order])
+        # Same ids and values; the blob holds the ids narrowed, the legacy
+        # section (like every blob before the narrowing) as ``intp``.
         for ours, theirs in zip((ids, values), section):
-            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            assert np.array_equal(ours, theirs)
+        assert values.dtype == bool and ids.dtype.kind == "u"
+        assert ids.dtype.itemsize < section[0].dtype.itemsize
         payload["udf_memos"]["served"] = section
         _write_blob(path, payload)
 
