@@ -60,7 +60,17 @@ class ServiceConfig:
     max_concurrency:
         Threads executing requests for the asyncio front-end
         (:meth:`QueryService.submit_async`); bounds how many requests run at
-        once regardless of how many are admitted.
+        once regardless of how many are admitted.  It bounds pool *tasks*:
+        the live hits one event-loop iteration brings share one task (run
+        back to back on one thread, their results landed together), so a
+        burst of k warm hits occupies one thread, not ``min(k,
+        max_concurrency)``; every planning request (flight leader),
+        python-callable-UDF, process-backend, budgeted, exact or
+        named-strategy request is a task of its own.  More threads than
+        cores buy nothing for label-column hits — they contend for the
+        interpreter lock — and with partly filled ticks an oversubscribed
+        pool costs tail latency on top (numbers on
+        :meth:`QueryService.submit_async`): size it to the cores.
     max_pending:
         Default per-class admission limit for the async front-end: when this
         many requests of one query class are already in flight, further
@@ -256,7 +266,11 @@ SERVICE_STATS_SCHEMA: Dict[str, str] = {
     "frontend": (
         "async front-end state: pending per query class, class_limits, "
         "max_pending, max_concurrency, open_flights (signatures being planned "
-        "right now, by either front-end: the size of the one flight table)"
+        "right now, by either front-end: the size of the one flight table), "
+        "ticks (pool tasks that carried the live hits of one event-loop "
+        "iteration) and tick_requests (the requests in them) - their ratio is "
+        "the mean number of submit_async hits sharing one pool task and one "
+        "loop wake-up; requests that dispatch alone are in neither"
     ),
     "registry": (
         "what the installed repro.obs registry itself owns — "

@@ -27,9 +27,21 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from repro.solvers.linear import InfeasibleProblemError
+
+
+def minimize(fun, x0, **kwargs):
+    """:func:`scipy.optimize.minimize`, imported by the first solve.
+
+    scipy is half of ``import repro``'s time and resident memory, and a
+    process that never solves — every spawned pool worker — should pay
+    neither.  The name stays a module attribute: it is the seam tests
+    interpose on.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 #: ``fun(x)`` returns the nonlinear constraint values ``g(x)`` as a vector,
 #: ``jac(x)`` their jacobian, one row per value.  Either may return the same
@@ -193,6 +205,8 @@ class ConvexSolver:
         :class:`InfeasibleProblemError` when every attempt fails the
         feasibility check.
         """
+        from scipy.optimize import Bounds
+
         lows, highs = problem.bounds.T
         bounds = Bounds(lows, highs)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -76,6 +75,17 @@ class LinearSolution:
 
     def __iter__(self):
         return iter(self.values)
+
+
+def linprog(c, **kwargs):
+    """:func:`scipy.optimize.linprog`, imported by the first solve.
+
+    See :func:`repro.solvers.convex.minimize`: a process that never solves
+    never imports scipy.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(c, **kwargs)
 
 
 def solve_linear_program(program: LinearProgram) -> LinearSolution:

@@ -9,9 +9,11 @@ constructor validation that replaced the old ``hasattr`` duck-typing.
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
+from leakcheck import assert_no_leaked_resources
 
 from repro.core.executor import ExecutorAware
 from repro.db.catalog import Catalog
@@ -21,7 +23,8 @@ from repro.db.query import SelectQuery
 from repro.db.table import Table
 from repro.db.udf import UserDefinedFunction
 from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
-from repro.serving import Overloaded, QueryService, ServiceConfig
+from repro.resilience import DeadlineExceeded, FaultPlan, FaultRule, fault_scope
+from repro.serving import Overloaded, QueryService, ServiceClosed, ServiceConfig
 from repro.serving.config import SERVICE_STATS_SCHEMA, ServiceStats
 
 
@@ -176,6 +179,300 @@ class TestCoalescing:
         first, second = asyncio.run(scenario())
         assert service.stats().serving["coalesced"] == 0
         assert np.array_equal(np.asarray(first.row_ids), np.asarray(second.row_ids))
+
+
+def _hold_submit(service, gates=(), failing=()):
+    """Interpose on ``service._submit`` (the body of the ``submit`` every
+    dispatched request runs on its pool thread, inside the in-flight count): a
+    seed in ``gates`` first waits for its event, a seed in ``failing`` raises.
+    Returns the seeds in the order they reached a thread."""
+    real, entered = service._submit, []
+
+    def held(query, client_id, seed, audit):
+        entered.append(seed)
+        if seed in gates:
+            assert gates[seed].wait(timeout=30)
+        if seed in failing:
+            raise LookupError(f"request {seed} failed")
+        return real(query, client_id, seed, audit)
+
+    service._submit = held
+    return entered
+
+
+async def _until(condition, timeout=10.0):
+    expires = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < expires, "condition never held"
+        await asyncio.sleep(0.002)
+
+
+class TestTickDispatch:
+    """Live hits of one event-loop iteration share one pool task and land
+    together; everything a request is owed individually stays individual."""
+
+    def _warm(self, name, **config):
+        catalog, udf = _setup(name=name)
+        service = QueryService(Engine(catalog), config=ServiceConfig(**config))
+        query = _query(udf, table=name)
+        service.submit(query, seed=0)  # plan it: from here on every request is a live hit
+        return service, query
+
+    def test_a_tick_returns_what_sequential_submits_return(self, assert_same_rows):
+        service, query = self._warm("ttab", max_concurrency=2)
+        twin, twin_query = self._warm("ttab")  # its own catalog, its own UDF memo
+
+        async def tick():
+            return await asyncio.gather(
+                *[service.submit_async(query, seed=seed) for seed in range(1, 6)]
+            )
+
+        for ours, seed in zip(asyncio.run(tick()), range(1, 6)):
+            theirs = twin.submit(twin_query, seed=seed)
+            assert_same_rows(ours.row_ids, theirs.row_ids)
+            assert ours.metadata["plan_cache"] == theirs.metadata["plan_cache"] == "hit"
+            assert ours.ledger.total_cost == theirs.ledger.total_cost  # arrival order kept
+        frontend = service.stats().frontend
+        assert (frontend["ticks"], frontend["tick_requests"]) == (1, 5)
+        assert twin.stats().frontend["ticks"] == 0
+        service.close()
+        twin.close()
+
+    def test_an_awaiter_cancelled_before_its_turn_is_not_executed(self):
+        service, query = self._warm("utab", max_concurrency=1)
+        gate = threading.Event()
+        entered = _hold_submit(service, gates={1: gate})
+
+        async def scenario():
+            tasks = [
+                asyncio.create_task(service.submit_async(query, seed=seed))
+                for seed in (1, 2, 3)
+            ]
+            try:
+                await _until(lambda: entered == [1])  # the tick's task is on its thread
+                tasks[1].cancel()
+            finally:
+                gate.set()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        queries_before = service.stats().serving["queries"]
+        first, second, third = asyncio.run(scenario())
+        assert isinstance(second, asyncio.CancelledError)
+        assert first.metadata["plan_cache"] == third.metadata["plan_cache"] == "hit"
+        assert entered == [1, 3]  # skipped: never reached submit, so nothing charged
+        stats = service.stats()
+        assert stats.serving["queries"] == queries_before + 2
+        assert stats.frontend["pending"]["approximate"] == 0
+        service.close()
+
+    def test_an_awaiter_cancelled_mid_run_has_its_result_dropped(self):
+        service, query = self._warm("vtab", max_concurrency=1)
+        gate = threading.Event()
+        entered = _hold_submit(service, gates={1: gate})
+
+        async def scenario():
+            tasks = [
+                asyncio.create_task(service.submit_async(query, seed=seed))
+                for seed in (1, 2)
+            ]
+            try:
+                await _until(lambda: entered == [1])
+                tasks[0].cancel()  # its submit is already running
+                await asyncio.sleep(0)
+            finally:
+                gate.set()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        queries_before = service.stats().serving["queries"]
+        first, second = asyncio.run(scenario())
+        assert isinstance(first, asyncio.CancelledError)
+        assert second.metadata["plan_cache"] == "hit"
+        assert entered == [1, 2]
+        assert service.stats().serving["queries"] == queries_before + 2  # it did run
+        service.close()
+
+    def test_an_exception_reaches_only_its_own_awaiter(self, assert_same_rows):
+        service, query = self._warm("wtab", max_concurrency=2)
+        _hold_submit(service, failing={2})
+
+        async def tick():
+            return await asyncio.gather(
+                *[service.submit_async(query, seed=seed) for seed in (1, 2, 3)],
+                return_exceptions=True,
+            )
+
+        first, second, third = asyncio.run(tick())
+        assert isinstance(second, LookupError) and "request 2" in str(second)
+        del service._submit  # back to the real one
+        assert_same_rows(first.row_ids, service.submit(query, seed=1).row_ids)
+        assert_same_rows(third.row_ids, service.submit(query, seed=3).row_ids)
+        assert service.stats().frontend["tick_requests"] == 3
+        service.close()
+
+    def test_close_cancels_the_awaiters_of_a_queued_tick(self):
+        service, query = self._warm("xtab", max_concurrency=1)
+        gate = threading.Event()
+        entered = _hold_submit(service, gates={1: gate})
+
+        async def scenario():
+            running = asyncio.create_task(service.submit_async(query, seed=1))
+            try:
+                await _until(lambda: entered == [1])  # the only pool thread is taken
+                queued = [
+                    asyncio.create_task(service.submit_async(query, seed=seed))
+                    for seed in (2, 3, 4)
+                ]
+                await _until(lambda: service.stats().frontend["ticks"] == 2)
+                # Undrained (the gated request is inside submit): close gives up
+                # waiting and shuts the pool down with the second tick queued.
+                await asyncio.get_running_loop().run_in_executor(None, service.close, 0.05)
+                done, pending = await asyncio.wait(queued, timeout=10)
+            finally:
+                gate.set()
+            return await running, done, pending
+
+        ran, done, pending = asyncio.run(scenario())
+        assert not pending, "an awaiter of the queued tick was left pending"
+        assert len(done) == 3 and all(task.cancelled() for task in done)
+        assert ran.metadata["plan_cache"] == "hit"  # in flight at close: drained
+        assert entered == [1]
+        assert service.stats().frontend["pending"]["approximate"] == 0
+        assert_no_leaked_resources()
+
+    def test_a_tick_flushed_after_close_fails_typed(self):
+        service, query = self._warm("ytab")
+
+        async def scenario():
+            tasks = [
+                asyncio.create_task(service.submit_async(query, seed=seed))
+                for seed in (1, 2)
+            ]
+            await asyncio.sleep(0)  # both admitted, their tick not yet flushed
+            service.close()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        assert [type(r) for r in asyncio.run(scenario())] == [ServiceClosed] * 2
+
+    def test_two_event_loops_share_one_service(self, assert_same_rows):
+        service, query = self._warm("ztab", max_concurrency=2)
+        answers, errors = {}, []
+
+        def drive(seeds):
+            async def rounds():
+                for _ in range(20):
+                    results = await asyncio.gather(
+                        *[service.submit_async(query, seed=seed) for seed in seeds]
+                    )
+                    answers[seeds] = results
+            try:
+                asyncio.run(rounds())
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=drive, args=(seeds,))
+            for seeds in ((1, 2, 3), (4, 5, 6, 7))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert not errors, errors
+        for seeds, results in answers.items():
+            for seed, result in zip(seeds, results):
+                assert_same_rows(result.row_ids, service.submit(query, seed=seed).row_ids)
+        frontend = service.stats().frontend
+        assert (frontend["ticks"], frontend["tick_requests"]) == (40, 140)
+        assert not service._ticks
+        service.close()
+
+    def test_a_python_callable_udf_dispatches_alone(self):
+        udf = UserDefinedFunction("pyf", lambda row: bool(row["f"]))
+        catalog, _ = _setup(udf=udf, name="ptab")
+        service = QueryService(Engine(catalog))
+        query = _query(udf, table="ptab")
+        service.submit(query, seed=0)
+
+        async def tick():
+            return await asyncio.gather(
+                *[service.submit_async(query, seed=seed) for seed in (1, 2, 3)]
+            )
+
+        assert [r.metadata["plan_cache"] for r in asyncio.run(tick())] == ["hit"] * 3
+        assert service.stats().frontend["tick_requests"] == 0
+        service.close()
+
+    def test_the_process_backend_and_a_budgeted_client_dispatch_alone(self):
+        service, query = self._warm("qtab", executor="process", max_workers=2)
+        budgeted, _ = self._warm("qtab", default_budget=1e9)
+
+        async def tick(target, client_id):
+            return await asyncio.gather(
+                *[target.submit_async(query, client_id, seed=seed) for seed in (1, 2, 3)]
+            )
+
+        try:
+            for target, client_id in ((service, None), (budgeted, "alice")):
+                results = asyncio.run(tick(target, client_id))
+                assert [r.metadata["plan_cache"] for r in results] == ["hit"] * 3
+                assert target.stats().frontend["tick_requests"] == 0
+            # The same client without a budget holds no lock and re-solves nothing.
+            unbudgeted, _ = self._warm("qtab")
+            asyncio.run(tick(unbudgeted, "alice"))
+            assert unbudgeted.stats().frontend["tick_requests"] == 3
+            unbudgeted.close()
+        finally:
+            service.close()
+            budgeted.close()
+        assert_no_leaked_resources()
+
+
+class TestAdmissionTimeDeadline:
+    """``timeout_s`` bounds the whole wait: the clock starts in ``submit_async``,
+    not when a pool thread picks the request up."""
+
+    def test_a_budget_spent_in_the_queue_raises_and_charges_nothing(self):
+        catalog, udf = _setup(name="dltab")
+        service = QueryService(Engine(catalog), config=ServiceConfig(max_concurrency=1))
+        query = _query(udf, table="dltab")
+        service.submit(query, seed=0)
+        slow = FaultPlan(
+            seed=0, rules={"udf_eval": FaultRule(kind="sleep", probability=1.0, sleep_s=0.3)}
+        )
+
+        async def scenario():
+            # One tick, one pool thread: the second request's turn comes when the
+            # first one's sleeping evaluation is over - 0.3 s into a 0.1 s budget.
+            return await asyncio.gather(
+                service.submit_async(query, seed=1),
+                service.submit_async(query, seed=2, timeout_s=0.1),
+                return_exceptions=True,
+            )
+
+        calls_before = udf.counter_snapshot()["calls"]
+        with fault_scope(slow):
+            first, second = asyncio.run(scenario())
+        assert first.metadata["plan_cache"] == "hit"
+        assert isinstance(second, DeadlineExceeded)
+        assert service.stats().serving["deadline_exceeded"] == 1
+        # Only the first request evaluated anything.
+        assert udf.counter_snapshot()["calls"] - calls_before == first.ledger.evaluated_count
+        service.close()
+
+    def test_without_a_timeout_no_deadline_is_built(self):
+        catalog, udf = _setup(name="ndtab")
+        service, deadlines = QueryService(Engine(catalog)), []
+        real = service.submit
+
+        def submit(*args, deadline=None, **kwargs):
+            deadlines.append(deadline)
+            return real(*args, deadline=deadline, **kwargs)
+
+        service.submit = submit
+        asyncio.run(service.submit_async(_query(udf, table="ndtab"), seed=1))
+        assert deadlines == [None]
+        service.close()
 
 
 class TestLoadShedding:

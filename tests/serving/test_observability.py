@@ -327,6 +327,9 @@ class TestServiceSnapshots:
         flat = snap.flat()
         assert flat["serving_queries"] == 1
         assert flat["udfs_traced_udf_calls"] == udf.counter_snapshot()["calls"]
+        assert flat["frontend_ticks"] == flat["frontend_tick_requests"] == 0  # no async yet
+        for counter in ("ticks", "tick_requests"):
+            assert counter in SERVICE_STATS_SCHEMA["frontend"]
         sections = tuple(f"{section}_" for section in SERVICE_STATS_SCHEMA)
         for key, value in flat.items():
             assert key.startswith(sections) and not key.startswith("registry_")

@@ -1,7 +1,12 @@
 """Tests for the lint stand-in (tools/lint_standin.py); CI's ``tests`` job is the gate."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("lint_standin", _ROOT / "tools" / "lint_standin.py")
@@ -63,6 +68,39 @@ def test_warnings_are_errors_and_init_files_may_reexport(tmp_path):
     package = tmp_path / "__init__.py"
     package.write_text("from os import path\n", encoding="utf-8")
     assert lint_standin.check(str(package), 100) == []
+
+
+def test_scipy_may_only_be_imported_inside_a_call(tmp_path):
+    source = (
+        "import numpy\n"
+        "import scipy.optimize\n"
+        "from scipy import stats\n"
+        "from scipy.optimize import linprog  # noqa\n"
+        "from . import scipy_free\n"
+        "def solve():\n"
+        "    from scipy.optimize import minimize\n"
+        "    return minimize\n"
+        "print(numpy, scipy, stats, scipy_free)\n"
+    )
+    messages = _messages(tmp_path, source)
+    assert [message.split(" ", 1)[0] for message in messages] == ["TID253", "TID253"]
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.core.procpool"])
+def test_importing_the_package_or_a_pool_worker_loads_no_scipy(module):
+    """What the lint rule is for, checked where it matters: the import closure
+    of the package and of a spawned pool worker (which never solves)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(_ROOT / "src"), env.get("PYTHONPATH", "")])
+    script = (
+        f"import sys, {module}\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_line_length_comes_from_ruff_toml():

@@ -2,7 +2,7 @@
 
     python tools/lint_standin.py [paths ...]        (default: src/repro)
 
-Three checks, standard library only, each a subset of what ``ruff check``
+Four checks, standard library only, each a subset of what ``ruff check``
 reports under ``ruff.toml`` — so passing here never fails there for these
 rules, and a finding here is a finding there:
 
@@ -12,7 +12,11 @@ rules, and a finding here is a finding there:
   ``__all__`` are exempt, as in ``ruff.toml``) and no local that is assigned
   by a plain ``name = ...`` / ``with ... as name`` / ``except ... as name`` and
   never read (F841);
-* no line longer than ``ruff.toml``'s ``line-length``.
+* no line longer than ``ruff.toml``'s ``line-length``;
+* no module-level ``import scipy`` / ``from scipy ...`` (TID253 with
+  ``banned-module-level-imports = ["scipy"]``): scipy is imported by the call
+  that solves, so ``import repro`` — and every spawned pool worker, which
+  never solves — does not pay for it.
 
 A ``# noqa`` comment on the line silences it.  Exit status 1 on any finding.
 """
@@ -85,6 +89,18 @@ def unused_imports(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
                     yield node.lineno, f"F401 `{alias.name}` imported but unused"
 
 
+def module_level_scipy(tree: ast.Module) -> Iterator[Tuple[int, str]]:
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "scipy" for module in modules):
+            yield node.lineno, "TID253 `scipy` is banned at the module level"
+
+
 def _own_nodes(function: ast.AST) -> Iterator[ast.AST]:
     """The function's nodes, nested function and class bodies left out."""
     stack = list(ast.iter_child_nodes(function))
@@ -139,6 +155,7 @@ def check(path: str, limit: int) -> List[Finding]:
         return [(path, lineno, f"E9 does not compile cleanly: {error}")]
     found.extend(unused_imports(tree, path))
     found.extend(unused_locals(tree))
+    found.extend(module_level_scipy(tree))
     found.extend(
         (number, f"E501 line too long ({len(line)} > {limit})")
         for number, line in enumerate(lines, 1)
