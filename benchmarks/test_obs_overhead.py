@@ -8,7 +8,7 @@ production deployment would run) — and asserts two claims:
 
 * **wall-clock** — over ``ROUNDS`` interleaved plain/instrumented pairs,
   the median per-pair *difference* is at most
-  ``REPRO_BENCH_MAX_OBS_OVERHEAD`` (default 0.05 = 5%) of
+  ``REPRO_BENCH_MAX_OBS_OVERHEAD`` (``0.05`` = 5% where it is armed) of
   ``CALIBRATION_US_PER_QUERY`` — an absolute per-query budget.  What
   instrumentation costs is one instrument operation and the span tree per
   warm query (counted, not timed, by ``tests/obs/test_single_home.py``; the
@@ -16,10 +16,11 @@ production deployment would run) — and asserts two claims:
   whenever the query gets
   faster (the warm path went from ~760 to ~260 µs/query with the cost
   unchanged at ~30 µs), so the ratio is printed and the budget is gated.
-  Like the other wall-clock asserts this is env-tunable and disarmed
-  (``"0"`` or negative) in the CI test matrix, where noisy-neighbour
-  runners would flake it; the dedicated bench-regression job keeps it
-  armed.
+  A stopwatch at 29 of 38 µs fails about one run in eleven on a shared
+  machine, so the assert is disarmed unless the variable says otherwise
+  (unset, ``"0"`` or negative: the tier-1 command and the CI test matrix);
+  the dedicated bench-regression job arms it with ``0.05``, the one place
+  it is meant to gate.
 * **counter identity** — the work counters (UDF evaluations, memo hits,
   bulk/row API calls, solver calls) of an instrumented replay are *bitwise
   identical* to an uninstrumented one: the registry observes, it never
@@ -40,9 +41,9 @@ from repro.obs import CollectingTraceSink, disable_metrics, enable_metrics
 from repro.serving import QueryService
 
 #: Allowed instrumentation cost per query, as a share of
-#: ``CALIBRATION_US_PER_QUERY``; ``<= 0`` disarms the wall-clock assert
-#: (counter identity still runs).
-MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_MAX_OBS_OVERHEAD", "0.05"))
+#: ``CALIBRATION_US_PER_QUERY``; unset or ``<= 0`` disarms the wall-clock
+#: assert (counter identity still runs).
+MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_MAX_OBS_OVERHEAD", "0"))
 
 #: Per-query time of this warm replay when the 5% limit was calibrated
 #: (PR 6 through PR 11); the budget stays ``MAX_OVERHEAD`` of *that*, so the

@@ -173,7 +173,6 @@ def _scale_comparison():
         columns,
         hidden_columns=["is_good"],
         num_shards=BENCH_SHARDS,
-        max_workers=BENCH_WORKERS,
     )
     # Label-column workload: serial vs thread fan (unchanged exhibit).
     serial, serial_results = _replay(serial_table, workers=1, tag="serial")

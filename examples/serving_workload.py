@@ -455,9 +455,7 @@ def main() -> None:
     catalog = Catalog()
     table = dataset.table
     if args.shards > 1:
-        table = ShardedTable.from_table(
-            dataset.table, num_shards=args.shards, max_workers=args.workers
-        )
+        table = ShardedTable.from_table(dataset.table, num_shards=args.shards)
     catalog.register_table(table)
     catalog.register_udf(udf)
 

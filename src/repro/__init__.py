@@ -116,6 +116,21 @@ one read-only ``(row_ids, flags)`` array pair in draw order,
 ``outcome.by_group(index)`` already is what ``sampled_members`` computed).
 Warm blobs written before 1.10 (``RPWRM01``)
 are quarantined on open and the table starts cold.
+Removed in 1.11, with the per-shard group indexes they built, held or
+stood beside (a sharded table has one group index per column, over global
+row ids; no shard keeps its own): ``ShardedTable(max_workers=)`` and the
+same keyword of ``from_table`` / ``from_columns`` / ``from_rows`` /
+``with_column`` / ``Catalog.shard_table`` and the ``.max_workers`` attribute
+(``ServiceConfig.max_workers`` still sizes the executor; a manifest that
+carries the key opens), ``MergedGroupIndex.num_shards`` and the list of
+per-shard indexes beside it (read ``span_boundaries()`` or
+``table.num_shards``; the constructor is ``MergedGroupIndex(table, column,
+allow_hidden)`` and ``resharded`` takes the offsets only), and the
+per-shard statistics entry points nothing called,
+``SelectivityModel.merge_shards`` and ``solve_with_shard_outcomes`` (merge
+the evidence with ``SampleOutcome.merge_shards``, then
+``solve_with_samples``).  Warm blobs written by 1.10 restore warm; their
+per-shard index parts are ignored.
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -194,7 +209,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "__version__",

@@ -64,7 +64,6 @@ from repro.core.sampling_program import (
     SamplingProgramSolution,
     solve_from_model,
     solve_with_samples,
-    solve_with_shard_outcomes,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "solve_estimated_selectivity",
     "SamplingProgramSolution",
     "solve_with_samples",
-    "solve_with_shard_outcomes",
     "solve_from_model",
     "PlanExecutor",
     "BatchExecutor",

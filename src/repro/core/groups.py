@@ -258,79 +258,6 @@ class SelectivityModel:
         }
         return cls.from_exact_counts(counts)
 
-    @classmethod
-    def merge_shards(cls, models: Iterable["SelectivityModel"]) -> "SelectivityModel":
-        """Exact merge of per-shard models into the whole-table model.
-
-        Shard models describe disjoint row ranges of one logical table, so
-        every underlying statistic is a count that adds: sizes, sampled
-        counts, sampled positives, and exact correct/incorrect counts.  The
-        merged selectivity and variance are *recomputed* from the merged
-        counts — the Beta posterior of the pooled sample for estimated
-        groups, the exact fraction for perfect-information groups — which is
-        why the merge is exact rather than an average-of-averages
-        approximation.  Groups keep global first-appearance order (shard
-        order, then each shard's own order).  Mixing exact and estimated
-        statistics for one group across shards is refused: the pooled
-        evidence would be neither.
-        """
-        sizes: Dict[Hashable, int] = {}
-        sampled: Dict[Hashable, int] = {}
-        positives: Dict[Hashable, int] = {}
-        correct: Dict[Hashable, Optional[int]] = {}
-        order: List[Hashable] = []
-        for model in models:
-            for group in model:
-                key = group.key
-                if key not in sizes:
-                    order.append(key)
-                    sizes[key] = 0
-                    sampled[key] = 0
-                    positives[key] = 0
-                    correct[key] = 0 if group.has_exact_counts else None
-                elif (correct[key] is not None) != group.has_exact_counts:
-                    raise ValueError(
-                        f"group {key!r} mixes exact and estimated statistics "
-                        "across shards; merge_shards cannot pool them"
-                    )
-                sizes[key] += group.size
-                sampled[key] += group.sampled
-                positives[key] += group.sampled_positives
-                if group.has_exact_counts:
-                    correct[key] += int(group.correct_count)  # type: ignore[arg-type]
-        merged: List[GroupStatistics] = []
-        for key in order:
-            if correct[key] is not None:
-                size = sizes[key]
-                exact = int(correct[key])  # type: ignore[arg-type]
-                merged.append(
-                    GroupStatistics(
-                        key=key,
-                        size=size,
-                        selectivity=exact / size if size else 0.0,
-                        correct_count=exact,
-                        incorrect_count=size - exact,
-                        sampled=sampled[key],
-                        sampled_positives=positives[key],
-                    )
-                )
-            else:
-                posterior = BetaPosterior(
-                    positives=positives[key],
-                    negatives=sampled[key] - positives[key],
-                )
-                merged.append(
-                    GroupStatistics(
-                        key=key,
-                        size=sizes[key],
-                        selectivity=posterior.mean,
-                        variance=posterior.variance,
-                        sampled=sampled[key],
-                        sampled_positives=positives[key],
-                    )
-                )
-        return cls(merged)
-
     # -- aggregate quantities ---------------------------------------------------------
     @property
     def groups(self) -> List[GroupStatistics]:

@@ -13,7 +13,7 @@ program by name, and so the sunk sampling cost is reported alongside the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.constraints import CostModel, QueryConstraints
 from repro.core.estimated import EstimatedSolution, solve_estimated_selectivity
@@ -53,34 +53,6 @@ def solve_with_samples(
     model = SelectivityModel.from_sample_outcome(index, outcome)
     return solve_from_model(
         model,
-        constraints,
-        cost_model=cost_model,
-        independent=independent,
-        solver=solver,
-    )
-
-
-def solve_with_shard_outcomes(
-    index: GroupIndex,
-    shard_outcomes: Sequence[SampleOutcome],
-    constraints: QueryConstraints,
-    cost_model: CostModel = CostModel(),
-    independent: bool = True,
-    solver: Optional[ConvexSolver] = None,
-) -> SamplingProgramSolution:
-    """Solve Convex Program 4.1 from independently sampled shard outcomes.
-
-    Scale-out entry point: each shard samples its own row range (outcomes in
-    global row-id space), the counts merge exactly via
-    :meth:`SampleOutcome.merge_shards`, and the solve proceeds on the merged
-    evidence — identical to having sampled the unsharded table with the same
-    draws.  ``index`` is the whole-table (merged) index the plan executes
-    over.
-    """
-    merged = SampleOutcome.merge_shards(shard_outcomes)
-    return solve_with_samples(
-        index,
-        merged,
         constraints,
         cost_model=cost_model,
         independent=independent,

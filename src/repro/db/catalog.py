@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.db.errors import DuplicateObjectError, TableNotFoundError
 from repro.db.sharding import ShardedTable
@@ -45,12 +45,7 @@ class Catalog:
             raise TableNotFoundError(name)
         del self._tables[name]
 
-    def shard_table(
-        self,
-        name: str,
-        num_shards: int,
-        max_workers: Optional[int] = None,
-    ) -> ShardedTable:
+    def shard_table(self, name: str, num_shards: int) -> ShardedTable:
         """Replace a registered table with a sharded copy of the same rows.
 
         The replacement is a fresh table object, so every identity-keyed
@@ -59,15 +54,9 @@ class Catalog:
         Returns the new :class:`~repro.db.sharding.ShardedTable`.
         """
         table = self.table(name)
-        if (
-            isinstance(table, ShardedTable)
-            and table.num_shards == num_shards
-            and (max_workers is None or table.max_workers == max_workers)
-        ):
+        if isinstance(table, ShardedTable) and table.num_shards == num_shards:
             return table
-        sharded = ShardedTable.from_table(
-            table, num_shards=num_shards, max_workers=max_workers
-        )
+        sharded = ShardedTable.from_table(table, num_shards=num_shards)
         self._tables[name] = sharded
         return sharded
 

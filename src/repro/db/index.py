@@ -12,10 +12,16 @@ membership lookups, per-group gathers and label aggregation are then O(1)
 vectorised operations instead of per-tuple dict walks, and the same index
 object is shared between the engine, the pipeline and the serving layer via
 :meth:`repro.db.table.Table.group_index` instead of being rebuilt per query.
+
+One index per (table, column), whatever the table's layout: a sharded
+table's :class:`MergedGroupIndex` is that same index over global row ids,
+built shard by shard and carrying the shard boundaries as its spans.  The
+shards hold no indexes of their own.
 """
 
 from __future__ import annotations
 
+import copy
 import weakref
 from typing import (
     Any,
@@ -115,6 +121,32 @@ def group_order(codes: np.ndarray, num_groups: int) -> Tuple[np.ndarray, np.ndar
     return order, np.searchsorted(codes[order], np.arange(num_groups + 1))
 
 
+def _fold_codes(
+    values: List[Any],
+    code_by_value: Dict[Any, int],
+    run_values: List[Any],
+    run_codes: np.ndarray,
+) -> np.ndarray:
+    """A factorised run of rows, re-expressed in a running code table.
+
+    The one remap rule behind both ways an index grows — shard after shard
+    at a build, delta after delta at an append: a value of the run the
+    table has not seen is appended to ``values`` / ``code_by_value`` (both
+    mutated in place) in the run's first-appearance order, which is exactly
+    where a from-scratch factorisation of all the rows so far plus the run
+    would put it.  Returns the run's codes in the table's numbering.
+    """
+    remap = np.empty(len(run_values), dtype=np.intp)
+    for run_code, value in enumerate(run_values):
+        code = code_by_value.get(value)
+        if code is None:
+            code = len(values)
+            code_by_value[value] = code
+            values.append(value)
+        remap[run_code] = code
+    return remap[run_codes] if run_codes.size else run_codes
+
+
 class GroupIndex:
     """Value → row-id index over one categorical column of a table.
 
@@ -154,10 +186,10 @@ class GroupIndex:
     ) -> None:
         """Finish construction from factorised parts.
 
-        ``row_id_arrays`` (per-group ascending global row ids) may be supplied
-        by subclasses that already know the grouping — :class:`MergedGroupIndex`
-        concatenates per-shard arrays instead of re-sorting the whole table —
-        otherwise they are derived from ``codes`` with one stable argsort.
+        ``row_id_arrays`` (per-group ascending row ids) may be supplied by a
+        caller that already knows the grouping — :meth:`extended_by` reuses
+        the arrays of every group an append did not touch — otherwise they
+        are derived from ``codes`` with one stable argsort.
         ``count_build=False`` keeps :attr:`builds_total` untouched (the
         incremental-extension path advances :attr:`extensions_total` instead).
         """
@@ -331,18 +363,12 @@ class GroupIndex:
         arrays.
         """
         old_total = int(self._codes.size)
-        delta_values, local_codes = _factorise(delta_array, delta_cells_supplier)
         values = list(self._values)
-        code_by_value = dict(self._code_by_value)
-        remap = np.empty(len(delta_values), dtype=np.intp)
-        for local_code, value in enumerate(delta_values):
-            merged_code = code_by_value.get(value)
-            if merged_code is None:
-                merged_code = len(values)
-                code_by_value[value] = merged_code
-                values.append(value)
-            remap[local_code] = merged_code
-        delta_codes = remap[local_codes] if local_codes.size else local_codes
+        delta_codes = _fold_codes(
+            values,
+            dict(self._code_by_value),
+            *_factorise(delta_array, delta_cells_supplier),
+        )
         codes = np.concatenate([self._codes, delta_codes])
 
         row_id_arrays = list(self._row_id_arrays)
@@ -378,7 +404,7 @@ class GroupIndex:
         view.  Does not advance :attr:`builds_total` — incremental work is
         counted on :attr:`extensions_total`.
         """
-        extended = GroupIndex.__new__(GroupIndex)
+        extended = type(self).__new__(type(self))
         extended._table_ref = self._table_ref
         extended.column = self.column
         extended._install(
@@ -433,86 +459,43 @@ _metrics.PROCESS_COLLECTORS["repro_index"] = lambda: {
 
 
 class MergedGroupIndex(GroupIndex):
-    """Exact concatenation of per-shard group indexes.
+    """*The* group index of a :class:`~repro.db.sharding.ShardedTable`.
 
-    Built by :meth:`repro.db.sharding.ShardedTable.group_index` from one
-    :class:`GroupIndex` per shard.  Every derived statistic is an exact
-    merge — group keys appear in global first-appearance order (each shard's
-    values are already in local first-appearance order, and shards are
-    concatenated in row order), ``codes`` is the concatenation of the shards'
-    codes remapped to global codes, and each group's row-id array is the
-    offset-shifted concatenation of its per-shard arrays (ascending, since
-    shards cover contiguous ascending row ranges).  Property tests pin all of
-    it equal to the :class:`GroupIndex` of the equivalent monolithic table,
-    so optimizers and executors cannot tell a sharded table apart from an
-    unsharded one.
+    A :class:`GroupIndex` over global row ids — the same values, codes and
+    per-group row-id arrays as the index of the monolithic table holding the
+    same rows (pinned by property tests), so optimizers and executors cannot
+    tell a sharded table apart from an unsharded one — plus the shard
+    boundaries it reports as :meth:`span_boundaries`.  It is the only group
+    index a sharded table has: no shard keeps one of its own.
     """
 
-    def __init__(
-        self,
-        table: Table,
-        column: str,
-        shard_indexes: Sequence[GroupIndex],
-        offsets: Sequence[int],
-    ):
-        if len(offsets) != len(shard_indexes) + 1:
-            raise ValueError(
-                f"expected {len(shard_indexes) + 1} offsets for "
-                f"{len(shard_indexes)} shards, got {len(offsets)}"
-            )
+    def __init__(self, table: Table, column: str, allow_hidden: bool = False):
+        """Factorise ``column`` one shard at a time, in row order.
+
+        Each shard's column is read through the shard's own ``column_array``
+        — a lazily opened table maps one segment at a time, and no
+        whole-column array is cached on the sharded table — and folded into
+        one running code table (:func:`_fold_codes`), so group keys come out
+        in global first-appearance order.
+        """
+        if not table.schema.has_column(column):
+            raise ColumnNotFoundError(column, table.schema.column_names)
         self.table = table
         self.column = column
-        self.shard_indexes: List[GroupIndex] = list(shard_indexes)
-        self._offsets: Tuple[int, ...] = tuple(int(o) for o in offsets)
-
+        self._offsets: Tuple[int, ...] = tuple(table.shard_offsets)
         values: List[Any] = []
         code_by_value: Dict[Any, int] = {}
-        remaps: List[np.ndarray] = []
-        for shard_index in self.shard_indexes:
-            remap = np.empty(shard_index.num_groups, dtype=np.intp)
-            for local_code, value in enumerate(shard_index._values):
-                merged_code = code_by_value.get(value)
-                if merged_code is None:
-                    merged_code = len(values)
-                    code_by_value[value] = merged_code
-                    values.append(value)
-                remap[local_code] = merged_code
-            remaps.append(remap)
-
-        if self.shard_indexes:
-            codes = np.concatenate(
-                [
-                    remap[shard_index.codes]
-                    for shard_index, remap in zip(self.shard_indexes, remaps)
-                ]
-            ).astype(np.intp, copy=False)
-        else:
-            codes = np.empty(0, dtype=np.intp)
-
-        row_id_arrays: List[np.ndarray] = []
-        for value in values:
-            parts = [
-                shard_index.row_ids(value) + offset
-                for shard_index, offset in zip(self.shard_indexes, self._offsets)
-                if shard_index.group_size(value)
-            ]
-            rows = (
-                np.concatenate(parts).astype(np.intp, copy=False)
-                if parts
-                else np.empty(0, dtype=np.intp)
+        codes: List[np.ndarray] = []
+        for shard in table.shards:
+            run = _factorise(
+                shard.column_array(column, allow_hidden=allow_hidden),
+                lambda shard=shard: shard.column_values(column, allow_hidden=allow_hidden),
             )
-            rows.setflags(write=False)
-            row_id_arrays.append(rows)
-
-        self._install(values, codes, row_id_arrays)
-
-    @property
-    def num_shards(self) -> int:
-        """Number of merged shard indexes."""
-        return len(self.shard_indexes)
+            codes.append(_fold_codes(values, code_by_value, *run))
+        self._install(values, np.concatenate(codes).astype(np.intp, copy=False))
 
     def span_boundaries(self) -> Tuple[int, ...]:
-        """The shard boundaries this index was merged along."""
+        """The shard boundaries of the indexed table."""
         return self._offsets
 
     # -- incremental maintenance -------------------------------------------------
@@ -520,64 +503,28 @@ class MergedGroupIndex(GroupIndex):
         self,
         delta_array: np.ndarray,
         delta_cells_supplier: Callable[[], Sequence[Any]],
-        tail_index: Optional[GroupIndex] = None,
     ) -> "MergedGroupIndex":
-        """Extend the merged index with rows appended to the *tail* shard.
-
-        Appends land at the global end of the table, so the delta path is
-        the same first-appearance-preserving merge as
-        :meth:`GroupIndex.extended_by`; additionally the last span boundary
-        grows by the delta and ``tail_index`` (the tail shard's own, already
-        extended index) replaces the stale per-shard entry.
-        """
-        extended = MergedGroupIndex.__new__(MergedGroupIndex)
-        extended._table_ref = self._table_ref
-        extended.column = self.column
-        shard_indexes = list(self.shard_indexes)
-        if tail_index is not None and shard_indexes:
-            shard_indexes[-1] = tail_index
-        extended.shard_indexes = shard_indexes
-        offsets = list(self._offsets)
-        offsets[-1] += int(np.asarray(delta_array).size)
-        extended._offsets = tuple(offsets)
-        extended._install(
-            *self._extended_parts(delta_array, delta_cells_supplier),
-            count_build=False,
-        )
-        GroupIndex.extensions_total += 1
+        """:meth:`GroupIndex.extended_by` for rows appended to the *tail*
+        shard: the last span boundary grows by the delta."""
+        extended = super().extended_by(delta_array, delta_cells_supplier)
+        extended._offsets = (*self._offsets[:-1], extended.total_rows())
         return extended
 
-    def resharded(
-        self, offsets: Sequence[int], shard_indexes: Sequence[GroupIndex]
-    ) -> "MergedGroupIndex":
+    def resharded(self, offsets: Sequence[int]) -> "MergedGroupIndex":
         """The same index data over a new span decomposition.
 
         Used after a tail seal/re-chunk: re-chunking never reorders rows, so
         values, codes and per-group row arrays are shared as-is; only the
-        span boundaries (and the per-shard index list) change.
+        span boundaries change (and the derived-value memo starts empty).
         """
         bounds = tuple(int(o) for o in offsets)
-        if len(bounds) != len(shard_indexes) + 1:
-            raise ValueError(
-                f"expected {len(shard_indexes) + 1} offsets for "
-                f"{len(shard_indexes)} shards, got {len(bounds)}"
-            )
         if bounds[-1] != self.total_rows():
             raise ValueError(
                 f"new offsets cover {bounds[-1]} rows but the index holds "
                 f"{self.total_rows()}"
             )
-        clone = MergedGroupIndex.__new__(MergedGroupIndex)
-        clone._table_ref = self._table_ref
-        clone.column = self.column
-        clone.shard_indexes = list(shard_indexes)
+        clone = copy.copy(self)
         clone._offsets = bounds
-        clone._values = self._values
-        clone._codes = self._codes
-        clone._code_by_value = self._code_by_value
-        clone._row_id_arrays = self._row_id_arrays
-        clone._sizes = self._sizes
-        clone._empty = self._empty
         clone._derived = {}
         return clone
 
@@ -585,5 +532,5 @@ class MergedGroupIndex(GroupIndex):
         return (
             f"MergedGroupIndex(table={getattr(self.table, 'name', None)!r}, "
             f"column={self.column!r}, "
-            f"groups={self.num_groups}, shards={self.num_shards})"
+            f"groups={self.num_groups}, shards={len(self._offsets) - 1})"
         )

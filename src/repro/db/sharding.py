@@ -12,20 +12,20 @@ What sharding buys:
 
 * **chunked ingestion** — ``from_columns``/``from_rows`` slice whole columns
   into shard ranges (C-level slicing, no per-row python loop per shard);
-* **per-shard group indexes** — :meth:`ShardedTable.group_index` builds one
-  :class:`~repro.db.index.GroupIndex` per shard (in parallel when the table
-  was given ``max_workers``) and merges them into a
-  :class:`~repro.db.index.MergedGroupIndex` whose codes/row arrays/label
-  counts are *exact* concatenations, pinned equal to the unsharded index by
-  property tests;
+* **one group index, built a shard at a time** —
+  :meth:`ShardedTable.group_index` is a
+  :class:`~repro.db.index.MergedGroupIndex`: the whole table's index over
+  global row ids (values, codes, row arrays and label counts pinned equal to
+  the unsharded index by property tests), factorised shard by shard so no
+  whole-column array is needed, with the shard boundaries as its spans.  The
+  shards keep no indexes of their own;
 * **parallel execution** — the shard boundaries give
   :class:`~repro.core.parallel.ParallelBatchExecutor` natural work partitions
   whose results are bitwise independent of the partition.
 
-Statistics merge exactly because everything downstream is a count: per-shard
-sample outcomes and selectivity models recombine through
-``SampleOutcome.merge_shards`` / ``SelectivityModel.merge_shards`` with no
-approximation.
+Statistics are whole-table statistics: every consumer addresses global row
+ids, and evidence sampled range by range recombines exactly through
+``SampleOutcome.merge_shards`` (a concatenation) before any model is built.
 """
 
 from __future__ import annotations
@@ -91,12 +91,9 @@ class ShardedTable(Table):
     (``MergedGroupIndex``, ``ParallelBatchExecutor``) discover the layout via
     :meth:`shard_signature` / :attr:`shard_offsets` and exploit it.
 
-    ``max_workers`` bounds the threads used for lazy per-shard index builds
-    (``None`` or ``1`` builds serially).
-
     Appends flow into a **mutable tail**: :meth:`append_columns` /
     :meth:`append_rows` extend the last shard in place (delta-maintaining
-    its caches and the merged indexes), and once the tail exceeds
+    its caches and the table's group indexes), and once the tail exceeds
     ``tail_shard_rows`` it is *sealed* — re-chunked into fixed-size shards
     with a fresh, small tail — so the layout stays balanced under sustained
     churn without ever rewriting sealed shards.
@@ -116,7 +113,6 @@ class ShardedTable(Table):
         name: str,
         schema: Schema,
         shards: Sequence[Table],
-        max_workers: Optional[int] = None,
         tail_shard_rows: Optional[int] = None,
     ):
         # Deliberately does NOT call Table.__init__: the shards hold the data
@@ -129,7 +125,6 @@ class ShardedTable(Table):
             )
         self.name = name
         self.schema = schema
-        self.max_workers = max_workers
         self._shards: List[Table] = list(shards)
         self._set_layout()
         #: Rows the mutable tail may hold before it is sealed and re-chunked;
@@ -158,7 +153,6 @@ class ShardedTable(Table):
         table: Table,
         num_shards: Optional[int] = None,
         shard_rows: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> "ShardedTable":
         """Shard an existing table (same name, schema and row order)."""
         columns = {
@@ -167,7 +161,7 @@ class ShardedTable(Table):
         }
         return cls._from_schema_and_columns(
             table.name, table.schema, columns,
-            num_shards=num_shards, shard_rows=shard_rows, max_workers=max_workers,
+            num_shards=num_shards, shard_rows=shard_rows,
         )
 
     @classmethod
@@ -179,7 +173,6 @@ class ShardedTable(Table):
         hidden_columns: Iterable[str] = (),
         num_shards: Optional[int] = None,
         shard_rows: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> "ShardedTable":
         """Chunked column ingestion: infer the schema once, slice per shard.
 
@@ -193,7 +186,7 @@ class ShardedTable(Table):
         )
         return cls._from_schema_and_columns(
             name, schema, columns,
-            num_shards=num_shards, shard_rows=shard_rows, max_workers=max_workers,
+            num_shards=num_shards, shard_rows=shard_rows,
         )
 
     @classmethod
@@ -204,7 +197,6 @@ class ShardedTable(Table):
         schema: Optional[Schema] = None,
         num_shards: Optional[int] = None,
         shard_rows: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> "ShardedTable":
         """Build a sharded table from dict rows (one transpose, then slices)."""
         if schema is None:
@@ -216,7 +208,7 @@ class ShardedTable(Table):
         }
         return cls._from_schema_and_columns(
             name, schema, columns,
-            num_shards=num_shards, shard_rows=shard_rows, max_workers=max_workers,
+            num_shards=num_shards, shard_rows=shard_rows,
         )
 
     @classmethod
@@ -227,7 +219,6 @@ class ShardedTable(Table):
         columns: Mapping[str, Sequence[Any]],
         num_shards: Optional[int] = None,
         shard_rows: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> "ShardedTable":
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
@@ -252,7 +243,6 @@ class ShardedTable(Table):
             name=name,
             schema=schema,
             shards=shards,
-            max_workers=max_workers,
             tail_shard_rows=shard_rows,
         )
 
@@ -416,7 +406,6 @@ class ShardedTable(Table):
             name=name or self.name,
             schema=new_shards[0].schema,
             shards=new_shards,
-            max_workers=self.max_workers,
             tail_shard_rows=self.tail_shard_rows,
         )
 
@@ -425,7 +414,7 @@ class ShardedTable(Table):
         """Append a delta of rows into the mutable tail shard.
 
         The tail shard extends in place (delta-maintaining its own caches),
-        the global cached arrays and merged group indexes are extended with
+        the global cached arrays and the group indexes are extended with
         the same delta, and the tail is sealed and re-chunked once it
         exceeds :attr:`tail_shard_rows`.  Work is proportional to the delta
         (bounded below by one O(n) array concatenation per cached column);
@@ -467,12 +456,10 @@ class ShardedTable(Table):
                 self._arrays[column] = extended
 
         with self._group_index_lock:
-            for key in list(self._group_indexes):
-                allow_hidden, column = key
-                self._group_indexes[key] = self._group_indexes[key].extended_by(
-                    delta_array(column),
-                    lambda column=column: delta[column],
-                    tail_index=tail.group_index(column, allow_hidden=allow_hidden),
+            for key, index in self._group_indexes.items():
+                column = key[1]
+                self._group_indexes[key] = index.extended_by(
+                    delta_array(column), lambda column=column: delta[column]
                 )
 
         self._data_generation += 1
@@ -484,11 +471,10 @@ class ShardedTable(Table):
 
         Re-chunking never reorders rows: the oversized tail's columns are
         sliced into fixed-size chunks (the last, possibly short, chunk is
-        the new mutable tail), so merged indexes keep their data and only
+        the new mutable tail), so the group indexes keep their data and only
         learn the new span decomposition via
-        :meth:`~repro.db.index.MergedGroupIndex.resharded` — per-new-shard
-        indexes are refactorised, but that work is bounded by the tail
-        size, never the table.
+        :meth:`~repro.db.index.MergedGroupIndex.resharded` — nothing is
+        factorised again.
         """
         limit = self.tail_shard_rows
         tail = self._shards[-1]
@@ -513,25 +499,16 @@ class ShardedTable(Table):
         self._shards[-1:] = new_shards
         self._set_layout()
         with self._group_index_lock:
-            for key in list(self._group_indexes):
-                allow_hidden, column = key
-                shard_indexes = [
-                    shard.group_index(column, allow_hidden=allow_hidden)
-                    for shard in self._shards
-                ]
-                self._group_indexes[key] = self._group_indexes[key].resharded(
-                    self._offsets, shard_indexes
-                )
+            for key, index in self._group_indexes.items():
+                self._group_indexes[key] = index.resharded(self._offsets)
 
     # -- group indexes ---------------------------------------------------------
     def group_index(self, column: str, allow_hidden: bool = False):
-        """A cached :class:`~repro.db.index.MergedGroupIndex` over ``column``.
+        """The cached :class:`~repro.db.index.MergedGroupIndex` over ``column``.
 
-        Per-shard indexes are built lazily (in parallel when ``max_workers``
-        allows — index factorisation is sort-dominated, which releases the
-        GIL) and cached on the shards themselves, then merged exactly.  Same
-        double-checked locking and privacy separation as
-        :meth:`Table.group_index`.
+        The table's one index on the column, over global row ids; the
+        shards are only read.  Same double-checked locking and privacy
+        separation as :meth:`Table.group_index`.
         """
         from repro.db.index import MergedGroupIndex
 
@@ -541,28 +518,9 @@ class ShardedTable(Table):
             with self._group_index_lock:
                 index = self._group_indexes.get(key)
                 if index is None:
-                    shard_indexes = self._build_shard_indexes(column, allow_hidden)
-                    index = MergedGroupIndex(
-                        self, column, shard_indexes, self._offsets
-                    )
+                    index = MergedGroupIndex(self, column, allow_hidden)
                     self._group_indexes[key] = index
         return index
-
-    def _build_shard_indexes(self, column: str, allow_hidden: bool):
-        workers = min(self.max_workers or 1, len(self._shards))
-        if workers > 1:
-            from repro.core.parallel import shared_pool
-
-            return list(
-                shared_pool(workers).map(
-                    lambda shard: shard.group_index(column, allow_hidden=allow_hidden),
-                    self._shards,
-                )
-            )
-        return [
-            shard.group_index(column, allow_hidden=allow_hidden)
-            for shard in self._shards
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

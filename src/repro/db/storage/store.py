@@ -254,7 +254,6 @@ class TableStore:
         if sharded:
             body["offsets"] = [int(offset) for offset in table.shard_offsets]
             body["tail_shard_rows"] = int(table.tail_shard_rows)
-            body["max_workers"] = table.max_workers
         write_manifest(self.manifest_path, body)
         _count("manifest_commits")
         for shard, entries in zip(shards, segments.values()):
@@ -496,7 +495,6 @@ class TableStore:
                 name,
                 schema,
                 shards,
-                max_workers=body.get("max_workers"),
                 tail_shard_rows=body.get("tail_shard_rows"),
             )
             table._data_generation = generation

@@ -96,8 +96,9 @@ class ServiceConfig:
     storage_dir:
         Root directory of a durable :class:`~repro.db.storage.CatalogStore`.
         When set, the service restores persisted warm state (plan-cache
-        entries, statistics reservoirs, group-index codes, UDF memos) for
-        matching tables on construction — a restarted service answers its
+        entries, statistics reservoirs, one set of group-index codes per
+        indexed column of a table, sharded or not, UDF memos) for matching
+        tables on construction — a restarted service answers its
         first repeated query as a warm hit with zero UDF evaluations — and
         :meth:`QueryService.save_warm_state` / :meth:`QueryService.close`
         checkpoint the tables and write the warm state back.  A checkpoint

@@ -13,8 +13,8 @@ it persists the state a long-running service accretes:
   :class:`~repro.sampling.sampler.Evidence` array pair, pickled with its
   row ids narrowed to the smallest unsigned dtype that holds them,
 * **group-index codes** — the factorised ``(values, codes)`` parts of every
-  built :class:`~repro.db.index.GroupIndex` (per shard and merged), restored
-  without counting index builds,
+  built :class:`~repro.db.index.GroupIndex` — one record per (table,
+  column), sharded or not — restored without counting index builds,
 * **UDF memo caches** — the paid-for ``row_id → bool`` evaluations, which is
   what lets a restored plan re-execute with **zero** fresh UDF calls.
 
@@ -164,26 +164,18 @@ def _capture_stats(service, table: Table, probe: bool) -> List[Dict[str, Any]]:
     return captured
 
 
-def _index_parts(index: GroupIndex) -> Dict[str, Any]:
-    """``(values, codes)``; codes lie in ``[0, num_groups)``, so they pickle
-    at one or two bytes a row where the live index holds eight."""
-    return {"values": list(index._values), "codes": narrowed_ids(index._codes)}
-
-
 def _capture_indexes(table: Table, probe: bool) -> List[Dict[str, Any]]:
-    """The factorised parts of every group index built on ``table``."""
+    """The factorised ``(values, codes)`` of every group index built on
+    ``table``; codes lie in ``[0, num_groups)``, so they pickle at one or two
+    bytes a row where the live index holds eight."""
     captured: List[Dict[str, Any]] = []
     for (allow_hidden, column), index in table._group_indexes.items():
         record: Dict[str, Any] = {
             "column": column,
             "allow_hidden": allow_hidden,
-            "merged": _index_parts(index),
-            "shards": None,
+            "values": list(index._values),
+            "codes": narrowed_ids(index._codes),
         }
-        if isinstance(index, MergedGroupIndex):
-            record["shards"] = [
-                _index_parts(shard_index) for shard_index in index.shard_indexes
-            ]
         if probe and not _picklable(record):
             continue
         captured.append(record)
@@ -244,47 +236,31 @@ def save_warm_state(service, store: CatalogStore) -> Dict[str, int]:
 
 
 # -- restore -----------------------------------------------------------------------
-def _install_parts(index: GroupIndex, parts: Dict[str, Any]) -> None:
-    """Finish ``index`` from persisted parts, counting no build.  Codes are
-    widened to ``intp`` from whatever dtype the blob holds: narrow from this
-    version, ``intp`` already from an older one."""
+def _restore_index(table: Table, record: Dict[str, Any]) -> bool:
+    """Reinstall a persisted group index, counting no index build; whether
+    it was installed (a table that already holds the index keeps its own).
+
+    One path for both table kinds: a sharded table's index is the same parts
+    plus the table's shard boundaries.  Blobs written before 1.11 nest the
+    parts under ``"merged"``, beside per-shard copies nothing reads.  Codes
+    are widened to ``intp`` from whatever dtype the blob holds.
+    """
+    key = (record["allow_hidden"], record["column"])
+    if key in table._group_indexes:
+        return False
+    parts = record.get("merged", record)
+    sharded = isinstance(table, ShardedTable)
+    index_class = MergedGroupIndex if sharded else GroupIndex
+    index = index_class.__new__(index_class)
+    index.table = table
+    index.column = record["column"]
+    if sharded:
+        index._offsets = tuple(table.shard_offsets)
     index._install(
         list(parts["values"]), np.asarray(parts["codes"], dtype=np.intp), count_build=False
     )
-
-
-def _restore_index(
-    table: Table, column: str, allow_hidden: bool, record: Dict[str, Any]
-) -> None:
-    """Reinstall a persisted group index without counting an index build."""
-    key = (allow_hidden, column)
-    if key in table._group_indexes:
-        return
-    merged = record["merged"]
-    if isinstance(table, ShardedTable):
-        shard_parts = record.get("shards")
-        if shard_parts is None or len(shard_parts) != len(table.shards):
-            return
-        shard_indexes: List[GroupIndex] = []
-        for shard, parts in zip(table.shards, shard_parts):
-            shard_index = GroupIndex.__new__(GroupIndex)
-            shard_index.table = shard
-            shard_index.column = column
-            _install_parts(shard_index, parts)
-            shard._group_indexes[key] = shard_index
-            shard_indexes.append(shard_index)
-        index: GroupIndex = MergedGroupIndex.__new__(MergedGroupIndex)
-        index.table = table
-        index.column = column
-        index.shard_indexes = shard_indexes
-        index._offsets = tuple(table.shard_offsets)
-        _install_parts(index, merged)
-    else:
-        index = GroupIndex.__new__(GroupIndex)
-        index.table = table
-        index.column = column
-        _install_parts(index, merged)
     table._group_indexes[key] = index
+    return True
 
 
 def _restore_udf_memos(service, memos: Dict[str, Tuple[np.ndarray, np.ndarray]]) -> int:
@@ -337,8 +313,7 @@ def restore_warm_state(service, store: CatalogStore) -> Dict[str, int]:
                 counts["restore_errors"] += 1
                 continue
             for record in payload["indexes"]:
-                _restore_index(table, record["column"], record["allow_hidden"], record)
-                counts["restored_group_indexes"] += 1
+                counts["restored_group_indexes"] += _restore_index(table, record)
             for record in payload["stats"]:
                 cache = (
                     service.stats_cache.labeled_samples

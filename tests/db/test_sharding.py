@@ -184,14 +184,43 @@ class TestMergedGroupIndex:
         for value in reference.values:
             assert np.array_equal(merged.row_ids(value), reference.row_ids(value))
 
-    def test_cached_and_counts_builds(self, sharded):
+    def test_one_build_per_index_and_no_index_on_any_shard(self, sharded):
         before = GroupIndex.builds_total
         first = sharded.group_index("grade")
-        built = GroupIndex.builds_total - before
-        # one per shard plus the merge wrapper
-        assert built == sharded.num_shards + 1
+        assert GroupIndex.builds_total - before == 1  # not one per shard as well
         assert sharded.group_index("grade") is first
-        assert GroupIndex.builds_total - before == built
+        assert GroupIndex.builds_total - before == 1
+        assert all(not shard._group_indexes for shard in sharded.shards)
+        assert "grade" not in sharded._arrays  # read a shard at a time
+
+    def test_an_append_extends_each_index_once_and_a_seal_builds_nothing(self, sharded):
+        sharded.group_index("grade")
+        sharded.group_index("is_good", allow_hidden=True)
+        shards_before = sharded.num_shards
+        builds, extensions = GroupIndex.builds_total, GroupIndex.extensions_total
+        delta = _columns(n=sharded.tail_shard_rows + 3, seed=9)  # overflows the tail
+        sharded.append_columns(delta)
+        assert sharded.num_shards > shards_before
+        assert GroupIndex.builds_total == builds
+        assert GroupIndex.extensions_total - extensions == 2  # one per indexed column
+        assert sharded.group_index("grade").span_boundaries() == sharded.shard_offsets
+        assert all(not shard._group_indexes for shard in sharded.shards)
+
+    def test_index_holds_the_array_bytes_of_the_monolithic_twin(self, plain, sharded):
+        def index_bytes(table):
+            """Array bytes of every group index the table and its shards hold."""
+            tables = [table, *getattr(table, "shards", ())]
+            return sum(
+                index.codes.nbytes + sum(rows.nbytes for _value, rows in index.items())
+                for held in tables
+                for index in held._group_indexes.values()
+            )
+
+        plain.group_index("grade")
+        sharded.group_index("grade")
+        assert index_bytes(sharded) == index_bytes(plain)
+        # intp codes + intp group order: 16 B/row, and no second copy per shard
+        assert index_bytes(sharded) == 2 * np.dtype(np.intp).itemsize * plain.num_rows
 
     def test_span_boundaries_report_shard_layout(self, plain, sharded):
         assert sharded.group_index("grade").span_boundaries() == sharded.shard_offsets
@@ -205,17 +234,6 @@ class TestMergedGroupIndex:
         got_totals, got_positives = sharded.group_index("grade").label_counts(ids, labels)
         assert np.array_equal(ref_totals, got_totals)
         assert np.array_equal(ref_positives, got_positives)
-
-    def test_parallel_index_build_matches_serial(self, columns):
-        serial = ShardedTable.from_columns(
-            "t", columns, hidden_columns=["is_good"], num_shards=4, max_workers=1
-        )
-        parallel = ShardedTable.from_columns(
-            "t", columns, hidden_columns=["is_good"], num_shards=4, max_workers=3
-        )
-        a, b = serial.group_index("grade"), parallel.group_index("grade")
-        assert a.values == b.values
-        assert np.array_equal(a.codes, b.codes)
 
 
 class TestCatalogSharding:

@@ -9,15 +9,26 @@ shard whose file a checkpoint deleted would fail to map); at every
 checkpoint ``segments_written`` advances by exactly columns x shards the
 model says that directory does not hold yet, every file the new manifest
 names is present, and every ``.seg`` it does not name is gone.
+
+The sequence also builds group indexes at drawn points — before appends,
+between them, after a seal, right after an eager or a lazy reopen under a
+budget smaller than one segment.  After every step each index the table
+holds is the ``GroupIndex`` of a monolithic twin of the same rows (values,
+codes, every row-id array, label counts), its spans are the table's shard
+boundaries, and no shard holds an index of its own: a sharded table has one
+index per column, maintained through append and seal, read a shard at a time
+when it is built (nothing lands in ``ShardedTable._arrays``).
 """
 
 import itertools
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db.index import GroupIndex
 from repro.db.residency import ResidencyManager
 from repro.db.sharding import ShardedTable, shard_bounds
 from repro.db.storage import TableStore, read_manifest, storage_counters
@@ -48,6 +59,28 @@ def _cells(table):
         )
         for name in table.schema.column_names
     }
+
+
+def _assert_indexes_equal_the_monolithic_twins(table):
+    """Every index ``table`` holds == ``GroupIndex`` over the same rows in one
+    plain table; spans == shard boundaries; the shards hold no index."""
+    rows = table.num_rows
+    monolithic = Table.from_columns("ckpt", _rows(0, rows), hidden_columns=["f"])
+    ids = np.arange(-1, rows + 1)  # one id off either end: counted by neither
+    flags = ids % 3 == 0
+    for (allow_hidden, column), index in table._group_indexes.items():
+        reference = GroupIndex(monolithic, column, allow_hidden=allow_hidden)
+        assert index.values == reference.values
+        assert np.array_equal(index.codes, reference.codes)
+        for held, expected in zip(index.items(), reference.items(), strict=True):
+            assert held[0] == expected[0] and np.array_equal(held[1], expected[1])
+        for held, expected in zip(
+            index.label_counts(ids, flags), reference.label_counts(ids, flags)
+        ):
+            assert np.array_equal(held, expected)
+        assert index.span_boundaries() == getattr(table, "shard_offsets", (0, rows))
+    for shard in getattr(table, "shards", ()):
+        assert not shard._group_indexes
 
 
 class _Model:
@@ -93,6 +126,7 @@ _OPS = st.one_of(
     st.tuples(st.just("reopen_eager"), st.just(0)),
     st.tuples(st.just("reopen_lazy"), st.sampled_from([None, 48, 4096])),
     st.tuples(st.just("evict_all"), st.just(0)),
+    st.tuples(st.just("index"), st.sampled_from(["A", "n"])),
 )
 
 
@@ -151,10 +185,16 @@ def test_interleaved_checkpoints_write_what_changed_and_lose_nothing(
                 table, report = first.open(residency=manager)
                 assert not report.rebuilt_from_source and not report.quarantined
                 model.reopened_from("first")
+            elif op == "index":
+                whole_columns = set(table._arrays)
+                table.group_index(argument)
+                if sharded:  # built a shard at a time, lazily opened or not
+                    assert set(table._arrays) == whole_columns
             elif manager is not None:  # evict_all
                 manager.evict_all()
             assert table.shard_signature() == twin.shard_signature()
             assert _cells(table) == _cells(twin)
+            _assert_indexes_equal_the_monolithic_twins(table)
 
         # Both directories open as what was last committed to them (plus,
         # in the first, the journalled appends since).

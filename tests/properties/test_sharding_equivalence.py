@@ -9,9 +9,11 @@ Three pins, each across random tables and random shard layouts (including the
 * per-shard :class:`~repro.sampling.sampler.SampleOutcome` objects merged via
   ``merge_shards`` equal the whole-table outcome built from the same labelled
   rows;
-* per-shard :class:`~repro.core.groups.SelectivityModel` objects merged via
-  ``merge_shards`` equal the model built from the merged evidence — same
-  keys, sizes, counts, and bit-equal selectivity/variance estimates.
+* the :class:`~repro.core.groups.SelectivityModel` built from that merged
+  evidence over the sharded table's index equals the unsharded model — same
+  keys, sizes, counts, and bit-equal selectivity/variance estimates.  (The
+  system never builds a model per shard; ``SelectivityModel.merge_shards``,
+  which this test alone exercised, went in 1.11.)
 """
 
 import numpy as np
@@ -116,12 +118,7 @@ def test_shard_merged_outcome_and_model_equal_unsharded(data):
     _assert_same_evidence_per_group(reference_index, merged, whole)
 
     reference_model = SelectivityModel.from_sample_outcome(reference_index, whole)
-    shard_models = [
-        SelectivityModel.from_sample_outcome(shard.group_index("A"), local)
-        for shard, (local, _shifted) in zip(sharded.shards, per_shard)
-        if shard.num_rows
-    ]
-    merged_model = SelectivityModel.merge_shards(shard_models)
+    merged_model = SelectivityModel.from_sample_outcome(sharded.group_index("A"), merged)
 
     assert merged_model.keys == reference_model.keys
     for key in reference_model.keys:

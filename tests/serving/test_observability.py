@@ -48,12 +48,11 @@ def _columns(rows, seed=8):
     return {"grade": grades, "is_good": labels}
 
 
-def _setup(rows=4000, shards=None, max_workers=None, seed=8):
+def _setup(rows=4000, shards=None, seed=8):
     columns = _columns(rows, seed=seed)
     if shards:
         table = ShardedTable.from_columns(
-            "traced", columns, hidden_columns=["is_good"],
-            num_shards=shards, max_workers=max_workers,
+            "traced", columns, hidden_columns=["is_good"], num_shards=shards
         )
     else:
         table = Table.from_columns("traced", columns, hidden_columns=["is_good"])
@@ -81,7 +80,7 @@ class TestTraceWorkExactness:
     def test_sharded_parallel_refresh_path_is_exact(self):
         """The acceptance differential: sharded + parallel + refresh,
         one tree per query, per-span deltas summing to the ledger total."""
-        table, udf, catalog = _setup(shards=4, max_workers=3)
+        table, udf, catalog = _setup(shards=4)
         service = QueryService(
             Engine(catalog), config=ServiceConfig(executor="thread", max_workers=3)
         )
@@ -134,7 +133,7 @@ class TestTraceWorkExactness:
 
 class TestShardSpans:
     def test_shard_spans_parent_under_execute(self):
-        table, udf, catalog = _setup(shards=4, max_workers=3)
+        table, udf, catalog = _setup(shards=4)
         service = QueryService(
             Engine(catalog), config=ServiceConfig(executor="thread", max_workers=3)
         )
@@ -156,7 +155,7 @@ class TestShardSpans:
 
     def test_shard_span_names_are_reproducible(self):
         def run():
-            table, udf, catalog = _setup(shards=4, max_workers=3)
+            table, udf, catalog = _setup(shards=4)
             service = QueryService(
             Engine(catalog), config=ServiceConfig(executor="thread", max_workers=3)
         )

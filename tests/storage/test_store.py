@@ -53,7 +53,6 @@ class TestCheckpointRoundTrip:
         assert len(loaded.shards) == len(sharded_table.shards)
         assert tuple(loaded.shard_offsets) == tuple(sharded_table.shard_offsets)
         assert loaded.tail_shard_rows == sharded_table.tail_shard_rows
-        assert loaded.max_workers == sharded_table.max_workers
         assert loaded.shard_signature() == sharded_table.shard_signature()
         assert cells(loaded) == cells(sharded_table)
         assert report.segments_loaded == 4 * len(sharded_table.schema.column_names)

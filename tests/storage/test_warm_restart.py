@@ -15,6 +15,7 @@ import pytest
 from repro.datasets.registry import load_dataset
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
+from repro.db.index import GroupIndex
 from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
 from repro.db.storage import CatalogStore
@@ -266,3 +267,29 @@ class TestWarmRestart:
         store = CatalogStore(str(tmp_path)).table_store(dataset.table.name)
         assert store.exists()
         assert os.path.exists(os.path.join(store.warm_dir, "state.blob"))
+
+    def test_restored_group_indexes_counts_what_was_installed(self, tmp_path, dataset):
+        _serve_and_close(dataset, tmp_path, seed=7)
+        service, udf, _ = _restarted_service(dataset, str(tmp_path))
+        try:
+            assert service.stats().storage["restored_group_indexes"] == 1
+            builds = GroupIndex.builds_total
+            service.catalog.table(dataset.table.name).group_index("grade")
+            assert GroupIndex.builds_total == builds  # installed, not built
+        finally:
+            service.close()
+        # A catalog used before the service is constructed on it: the table
+        # already holds the index, which is kept — and not counted as restored.
+        catalog, _reports = CatalogStore(str(tmp_path)).open()
+        catalog.register_udf(dataset.make_udf("served"))
+        own = catalog.table(dataset.table.name).group_index("grade")
+        service = QueryService(
+            Engine(catalog), config=ServiceConfig(storage_dir=str(tmp_path))
+        )
+        try:
+            storage = service.stats().storage
+            assert storage["restored_group_indexes"] == 0
+            assert storage["restore_errors"] == 0 and storage["restored_plans"] == 1
+            assert catalog.table(dataset.table.name).group_index("grade") is own
+        finally:
+            service.close()
