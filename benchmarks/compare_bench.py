@@ -21,8 +21,8 @@ Seven profiles select which counters are gated:
 * ``coldpath`` — the ~25k-row cold scaling point of
   ``BENCH_coldpath.json``;
 * ``scale`` — the 1M-row sharded/multi-core point of ``BENCH_scale.json``:
-  the label-column and python-callable workloads replayed serial vs thread
-  vs process pool, whose parity deltas (backend-vs-serial work counters and
+  the label-column and python-callable workloads replayed serial vs the
+  sharded process pool, whose parity deltas (backend-vs-serial work counters and
   row-id mismatches) are committed as zero and therefore gated at *exactly*
   zero (any non-zero delta is an unbounded relative drift);
 * ``update`` — the 1M-row incremental-ingest point of ``BENCH_update.json``
@@ -130,9 +130,6 @@ SCALE_COUNTERS: Tuple[Tuple[str, bool], ...] = (
     ("parity.udf_evaluations_abs_delta", True),
     ("parity.solver_calls_abs_delta", True),
     ("parity.row_ids_mismatch", True),
-    ("parity.thread_python_udf_evaluations_abs_delta", True),
-    ("parity.thread_python_solver_calls_abs_delta", True),
-    ("parity.thread_python_row_ids_mismatch", True),
     ("parity.process_udf_evaluations_abs_delta", True),
     ("parity.process_solver_calls_abs_delta", True),
     ("parity.process_row_ids_mismatch", True),
@@ -261,7 +258,7 @@ INFORMATIONAL_COUNTERS: Dict[str, Tuple[str, ...]] = {
         "warm.latency_p99_ms",
     ),
     "coldpath": ("cold.latency_p50_ms", "cold.latency_p99_ms"),
-    "scale": ("parallel_speedup", "thread_python_speedup", "process_speedup"),
+    "scale": ("parallel_speedup", "process_speedup"),
     "update": (),
     "traffic": ("latency.qps", "latency.p50_ms", "latency.p99_ms"),
     "restart": ("restart_speedup", "persist_seconds"),

@@ -2,26 +2,22 @@
 
 Builds a ~1M-row synthetic table (8 groups, mixed selectivities chosen so the
 solved plans do real evaluation work) and replays the same 3-query cold trace
-under two workloads:
+under two workloads, each serial (:class:`~repro.core.ParallelBatchExecutor`,
+spans inline, over the unsharded table) vs the ``BENCH_WORKERS``-process
+:class:`~repro.core.procpool.ProcessPoolBatchExecutor` over an 8-shard
+:class:`~repro.db.ShardedTable` in shared memory:
 
-* **label-column UDF** (vectorised NumPy evaluation) — serial vs the
-  ``BENCH_WORKERS``-thread :class:`~repro.core.ParallelBatchExecutor` over an
-  8-shard :class:`~repro.db.ShardedTable`.  Threads suffice here: per-span
-  work stays inside GIL-releasing kernels.
+* **label-column UDF** (vectorised NumPy evaluation) — the sharded replay
+  (``parallel``) pins sharded == unsharded work at ±0; its speedup is
+  recorded as information.
 * **python-callable UDF** (:class:`~repro.db.udf.RevealLabel`, evaluated row
-  by row — the paper's expensive-predicate regime) — serial vs the thread
-  pool vs :class:`~repro.core.procpool.ProcessPoolBatchExecutor` over
-  shared-memory shards.  The thread executor never moves a python-callable
-  UDF onto pool threads (they would serialise on the GIL: 0.09x of serial
-  when it still did), so its replay runs every span on the calling thread —
-  the counter coin stream and per-row reads of a sharded table, about 0.5x
-  of the unsharded serial replay, recorded as information; the **process**
-  replay is the one that must scale, and the one the speedup assert arms on.
+  by row — the paper's expensive-predicate regime) — the **process** replay
+  is the one that must scale, and the one the speedup assert arms on.
 
 Because the coin discipline is position-addressable and the process parent
 replays serial charging while folding, every replay is *bitwise identical*:
 same returned row ids, same UDF evaluations, same solver calls, for every
-backend, shard layout and worker count.  ``BENCH_scale.json`` records all
+shard layout and worker count.  ``BENCH_scale.json`` records all
 replays plus ``parity.*`` counters (committed as zero;
 ``compare_bench.py --profile scale`` gates them at exactly ±0 in CI,
 alongside the serial work counters at ±15%).
@@ -33,10 +29,9 @@ workload must reach ``REPRO_BENCH_MIN_PARALLEL_SPEEDUP`` (default 2.0,
 suite's A/B discipline: ``WINDOWS`` interleaved, order-alternating
 (serial, process) replay pairs, asserted on the **median** per-window
 ratio so a single noisy window cannot flake the gate (the replays are
-bitwise identical, so repeating them perturbs only wall-clock).  Thread
-speedups are recorded but never asserted — the label-path fan is
-memory-bandwidth bound and the python path does not fan on threads at all.
-Wall-clock is never part of the JSON gate.
+bitwise identical, so repeating them perturbs only wall-clock).  The
+label-column speedup is recorded but never asserted — that path is
+memory-bandwidth bound.  Wall-clock is never part of the JSON gate.
 """
 
 from __future__ import annotations
@@ -100,7 +95,11 @@ def _build_columns(rows: int, seed: int = 2015):
     }
 
 
-def _replay(table, workers: int, tag: str, executor_cls=ParallelBatchExecutor,
+def _process_executor(rng):
+    return ProcessPoolBatchExecutor(rng, max_workers=BENCH_WORKERS)
+
+
+def _replay(table, tag: str, executor_factory=ParallelBatchExecutor,
             python_udf: bool = False):
     """Run the cold trace (fresh UDF per query, index built lazily in-query)."""
     elapsed = 0.0
@@ -123,7 +122,7 @@ def _replay(table, workers: int, tag: str, executor_cls=ParallelBatchExecutor,
         ledger = CostLedger()
         strategy = IntelSample(
             random_state=9_000 + position,
-            executor_factory=lambda rng: executor_cls(rng, max_workers=workers),
+            executor_factory=executor_factory,
         )
         started = time.perf_counter()
         result = strategy.answer(
@@ -174,39 +173,35 @@ def _scale_comparison():
         hidden_columns=["is_good"],
         num_shards=BENCH_SHARDS,
     )
-    # Label-column workload: serial vs thread fan (unchanged exhibit).
-    serial, serial_results = _replay(serial_table, workers=1, tag="serial")
+    # Label-column workload: serial vs the sharded process replay.
+    serial, serial_results = _replay(serial_table, tag="serial")
     parallel, parallel_results = _replay(
-        sharded_table, workers=BENCH_WORKERS, tag="parallel"
+        sharded_table, tag="parallel", executor_factory=_process_executor
     )
-    # Python-callable workload: serial vs thread (inline spans) vs process.
-    # The armed serial-vs-process ratio runs WINDOWS interleaved,
-    # order-alternating pairs; every replay is bitwise identical (the coin
-    # discipline is position-addressable), so repetition perturbs only
-    # wall-clock and window 0's counters/results stand for all windows.
-    py_thread, py_thread_results = _replay(
-        sharded_table, workers=BENCH_WORKERS, tag="py_thread", python_udf=True
-    )
+    # Python-callable workload: serial vs process.  The armed ratio runs
+    # WINDOWS interleaved, order-alternating pairs; every replay is bitwise
+    # identical (the coin discipline is position-addressable), so repetition
+    # perturbs only wall-clock and window 0's counters/results stand for all
+    # windows.
     py_serial_windows = []
     py_process_windows = []
     for window in range(WINDOWS):
         serial_first = window % 2 == 0
         if serial_first:
             py_serial_windows.append(
-                _replay(serial_table, workers=1, tag="py_serial", python_udf=True)
+                _replay(serial_table, tag="py_serial", python_udf=True)
             )
         py_process_windows.append(
             _replay(
                 sharded_table,
-                workers=BENCH_WORKERS,
                 tag="py_process",
-                executor_cls=ProcessPoolBatchExecutor,
+                executor_factory=_process_executor,
                 python_udf=True,
             )
         )
         if not serial_first:
             py_serial_windows.append(
-                _replay(serial_table, workers=1, tag="py_serial", python_udf=True)
+                _replay(serial_table, tag="py_serial", python_udf=True)
             )
     py_serial, py_serial_results = py_serial_windows[0]
     py_process, py_process_results = py_process_windows[0]
@@ -218,18 +213,12 @@ def _scale_comparison():
     parity = _abs_deltas(serial, parallel, parallel_results, serial_results)
     parity.update(
         _abs_deltas(
-            py_serial, py_thread, py_thread_results, py_serial_results,
-            prefix="thread_python_",
-        )
-    )
-    parity.update(
-        _abs_deltas(
             py_serial, py_process, py_process_results, py_serial_results,
             prefix="process_",
         )
     )
     # The two workloads must also agree with each other: the evaluation path
-    # (vectorised labels vs python calls vs worker processes) may never
+    # (vectorised labels vs python calls, in-process or in workers) may never
     # change which rows a plan touches.
     parity["workload_row_ids_mismatch"] = sum(
         0 if np.array_equal(a, b) else 1
@@ -251,7 +240,6 @@ def _scale_comparison():
         "parallel": parallel,
         "python_udf": {
             "serial": py_serial,
-            "thread": py_thread,
             "process": py_process,
         },
         "parity": parity,
@@ -264,11 +252,7 @@ def test_scale_sharded_parallel(benchmark):
     serial, parallel = data["serial"], data["parallel"]
     python_udf, parity = data["python_udf"], data["parity"]
 
-    thread_speedup = parallel["queries_per_second"] / serial["queries_per_second"]
-    py_thread_speedup = (
-        python_udf["thread"]["queries_per_second"]
-        / python_udf["serial"]["queries_per_second"]
-    )
+    parallel_speedup = parallel["queries_per_second"] / serial["queries_per_second"]
     speedup_windows = data["process_speedup_windows"]
     process_speedup = statistics.median(speedup_windows)
     print(
@@ -278,9 +262,8 @@ def test_scale_sharded_parallel(benchmark):
     )
     rows = (
         ("label serial", serial),
-        ("label thread", parallel),
+        ("label process", parallel),
         ("python serial", python_udf["serial"]),
-        ("python thread", python_udf["thread"]),
         ("python process", python_udf["process"]),
     )
     for label, row in rows:
@@ -290,8 +273,7 @@ def test_scale_sharded_parallel(benchmark):
             f"{row['solver_calls']} solver calls"
         )
     print(
-        f"  thread speedup (label): {thread_speedup:.2f}x   "
-        f"thread speedup (python): {py_thread_speedup:.2f}x   "
+        f"  process speedup (label): {parallel_speedup:.2f}x   "
         "process speedup (python): "
         + ", ".join(f"{value:.2f}x" for value in speedup_windows)
         + f" -> median {process_speedup:.2f}x"
@@ -309,8 +291,7 @@ def test_scale_sharded_parallel(benchmark):
         # Committed as exact zeros; the scale gate profile fails on any
         # non-zero fresh value (an unbounded relative drift from 0).
         "parity": parity,
-        "parallel_speedup": round(thread_speedup, 2),
-        "thread_python_speedup": round(py_thread_speedup, 2),
+        "parallel_speedup": round(parallel_speedup, 2),
         "process_speedup": round(process_speedup, 2),
         "process_speedup_windows": [
             round(value, 2) for value in speedup_windows
@@ -319,7 +300,7 @@ def test_scale_sharded_parallel(benchmark):
     }
     write_result("BENCH_scale.json", json.dumps(payload, indent=2) + "\n")
 
-    # Exact parity: sharding, threads and processes must not change the work.
+    # Exact parity: sharding and processes must not change the work.
     for key, value in parity.items():
         assert value == 0, f"parity breach: {key}={value}"
     assert serial["udf_row_calls"] == 0 and parallel["udf_row_calls"] == 0, (
@@ -327,8 +308,8 @@ def test_scale_sharded_parallel(benchmark):
     )
 
     # Throughput scaling, where the hardware can deliver it: the armed assert
-    # rides on the process pool — the thread executor keeps a python-UDF
-    # workload on the calling thread, so it cannot exceed 1x by design.
+    # rides on the python-UDF workload, the one only processes can spread
+    # over cores.
     cores = os.cpu_count() or 1
     if cores >= BENCH_WORKERS and MIN_PARALLEL_SPEEDUP > 0:
         assert process_speedup >= MIN_PARALLEL_SPEEDUP, (

@@ -17,7 +17,7 @@ that a 1000-query trace groups each column exactly once.
 Run with::
 
     python examples/serving_workload.py
-    python examples/serving_workload.py --shards 8 --workers 4   # sharded + threads
+    python examples/serving_workload.py --shards 8               # sharded, serial
     python examples/serving_workload.py --shards 8 --workers 4 --executor process
     python examples/serving_workload.py --churn 2                # 2% appends between batches
     python examples/serving_workload.py --async --clients 1000   # concurrent front-end
@@ -26,13 +26,12 @@ Run with::
     python examples/serving_workload.py --scale 20 --memory-budget 8000000  # ~1M rows
 
 ``--shards N`` splits the table into N contiguous shards
-(:class:`~repro.db.ShardedTable`) and ``--workers W`` serves it on a
-parallel executor backend — ``--executor thread`` (the default once
-sharded) for GIL-releasing label-column work, ``--executor process`` for
-true multi-core python-callable UDFs over shared-memory shards.  Results
-are identical to the unsharded serial run (the coin discipline is layout-
-and worker-invariant); only the wall-clock changes, and only helps on
-multi-core hosts with large tables.
+(:class:`~repro.db.ShardedTable`); ``--executor process --workers W`` serves
+it on W worker processes over shared-memory shards, the multi-core backend
+for python-callable UDFs.  Its answers are identical for every shard layout
+and worker count (the coin discipline is layout- and worker-invariant);
+only the wall-clock changes, and only helps on multi-core hosts with large
+tables.
 
 ``--async`` replays the trace through :meth:`QueryService.submit_async`
 with ``--clients N`` concurrent anonymous requests: same-signature cold
@@ -402,7 +401,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="thread workers for the parallel executor backend (default: 1)",
+        help="worker processes for the 'process' executor backend (default: 1)",
     )
     parser.add_argument(
         "--scale", type=float, default=0.1,
@@ -414,10 +413,10 @@ def main() -> None:
         "no churn); appends take the serving layer's delta-refresh path",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default=None,
-        help="executor backend (default: 'thread' when sharded or --workers "
-        "> 1, else 'serial'; 'process' fans python-callable UDF work over "
-        "shared-memory shards on a spawn process pool)",
+        "--executor", choices=("serial", "process"), default="serial",
+        help="executor backend (default: 'serial'; 'process' fans "
+        "python-callable UDF work over shared-memory shards on a spawn "
+        "process pool)",
     )
     parser.add_argument(
         "--async", dest="use_async", action="store_true",
@@ -460,7 +459,7 @@ def main() -> None:
     catalog.register_udf(udf)
 
     parallel = args.shards > 1 or args.workers > 1
-    backend = args.executor or ("thread" if parallel else "serial")
+    backend = args.executor
     service = QueryService(
         Engine(catalog),
         config=ServiceConfig(

@@ -49,8 +49,9 @@ it; this is the index.
   solver-free warm start in :mod:`repro.core.bigreedy`.
 * **Plan execution** — :mod:`repro.core.executor` (one kernel, the candidate
   frame, the two coin disciplines, the reference ``PlanExecutor``);
-  :mod:`repro.core.parallel` (counter coins, spans, the thread placement);
-  :mod:`repro.core.procpool` (worker processes, span retry, the breaker).
+  :mod:`repro.core.parallel` (counter coins, spans, run inline);
+  :mod:`repro.core.procpool` (the same spans in worker processes, span
+  retry, the breaker).
 * **Tables, indexes, UDFs** — :mod:`repro.db.table`, :mod:`repro.db.index`
   (``GroupIndex`` and its delta extension), :mod:`repro.db.udf` (cost ledger,
   the dense memo), :mod:`repro.db.sharding` (shard layout, the appendable
@@ -131,6 +132,16 @@ per-shard statistics entry points nothing called,
 the evidence with ``SampleOutcome.merge_shards``, then
 ``solve_with_samples``).  Warm blobs written by 1.10 restore warm; their
 per-shard index parts are ignored.
+Removed in 1.12, with the thread placement of the span executor (it was
+faster than running spans inline on no workload measured; spans now run
+inline or in worker processes): the ``"thread"`` executor backend
+(``ServiceConfig(executor="thread")`` raises ``ValueError``; use
+``"serial"``, or ``"process"`` for multi-core), ``repro.core.shared_pool``
+/ ``repro.core.parallel.shared_pool``, and ``ParallelBatchExecutor(max_workers=)``
+(the constructor is ``ParallelBatchExecutor(random_state, free_memoized)``;
+``ProcessPoolBatchExecutor(max_workers=)`` and ``ServiceConfig.max_workers``
+size the process pool, and ``default_max_workers`` lives in
+:mod:`repro.core.procpool`).
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -209,7 +220,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "__version__",

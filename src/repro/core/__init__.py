@@ -9,8 +9,9 @@ Public surface:
   (Section 3.2), :func:`solve_estimated_selectivity` (Section 3.3),
   :func:`solve_with_samples` (Section 4.2),
 * execution — :class:`BatchExecutor` (vectorised default),
-  :class:`ParallelBatchExecutor` (sharded, thread-parallel scale-out),
-  :class:`ProcessPoolBatchExecutor` (multi-core over shared-memory shards)
+  :class:`ParallelBatchExecutor` (counter coins over shard spans, inline),
+  :class:`ProcessPoolBatchExecutor` (the same spans in worker processes
+  over shared-memory shards)
   and :class:`PlanExecutor` (tuple-at-a-time reference); strategies that
   accept an injected backend implement the :class:`ExecutorAware` protocol,
 * end-to-end strategies — :class:`IntelSample`, :class:`AdaptiveIntelSample`,
@@ -43,8 +44,8 @@ from repro.core.executor import (
     GroupExecutionCounts,
     PlanExecutor,
 )
-from repro.core.parallel import ParallelBatchExecutor, default_max_workers, shared_pool
-from repro.core.procpool import ProcessPoolBatchExecutor
+from repro.core.parallel import ParallelBatchExecutor
+from repro.core.procpool import ProcessPoolBatchExecutor, default_max_workers
 from repro.core.groups import GroupStatistics, SelectivityModel
 from repro.core.hoeffding_lp import (
     LpSolution,
@@ -93,7 +94,6 @@ __all__ = [
     "ParallelBatchExecutor",
     "ProcessPoolBatchExecutor",
     "default_max_workers",
-    "shared_pool",
     "ExecutorAware",
     "ExecutorBackend",
     "ExecutionResult",

@@ -70,7 +70,7 @@ def draw_labeled_sample(
     """Uniformly sample rows and evaluate the UDF on them (charging costs).
 
     ``bulk_evaluator`` optionally replaces ``udf.evaluate_rows`` for the
-    batched evaluation (the parallel executor's shard fan-out); row selection
+    batched evaluation (the process executor's worker fan-out); row selection
     stays on this function's stream, so the drawn sample is identical either
     way.
     """

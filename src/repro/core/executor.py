@@ -10,8 +10,8 @@ group and
 3. skips tuples that were already evaluated during sampling — their positive
    members are added to the output for free, exactly as Section 4.2 allows.
 
-One kernel, two coin sources, three placements
-----------------------------------------------
+One kernel, two coin sources, two span placements
+-------------------------------------------------
 
 Every vectorised backend runs the same kernel — candidates from the one
 :func:`~repro.sampling.sampler.candidate_frame`, coins, one
@@ -31,16 +31,16 @@ coins come from and where the work runs:
   compare the two.
 * **Counter coins** — :class:`~repro.core.parallel.ParallelBatchExecutor`:
   position-addressable SplitMix64 streams, so results are invariant to
-  shard layout and worker count, over spans placed *inline*, on the shared
-  *thread pool*, or (:class:`~repro.core.procpool.ProcessPoolBatchExecutor`)
-  in *worker processes*.  Seeds are not comparable across the two coin
+  shard layout and worker count, over spans run *inline* on the calling
+  thread or (:class:`~repro.core.procpool.ProcessPoolBatchExecutor`) in
+  *worker processes*.  Seeds are not comparable across the two coin
   sources, only within each.
 
 Two coin sources remain by measurement, not by oversight.  "Serial is one
 span on zero workers" does not hold: on one cached plan of the benchmark's
 ``warm_hits`` shape (20k rows, 4 shards, 8 groups; median of 500 runs)
 ``BatchExecutor.execute`` takes 0.25 ms and
-``ParallelBatchExecutor(max_workers=1).execute`` 1.1–1.4 ms (0.5–0.6 ms
+``ParallelBatchExecutor().execute`` 1.1–1.4 ms (0.5–0.6 ms
 unsharded; 1.7–2.5 and 1.0–1.2 ms before the span path shared the frame),
 most of the gap inside the counter coins themselves, and the two streams
 return different rows for one seed — which would re-baseline every

@@ -1,13 +1,15 @@
-"""Span execution: the counter-coin kernel and where its spans run.
+"""Span execution: the counter-coin kernel and its in-process placement.
 
-:class:`ParallelBatchExecutor` is the scale-out sibling of
+:class:`ParallelBatchExecutor` is the counter-coin sibling of
 :class:`~repro.core.executor.BatchExecutor`.  It owns the one span skeleton
 — root key → :func:`~repro.core.executor.candidate_frame` →
 :func:`build_span_tasks` → *run the spans that have work* →
 :func:`merge_span_outcomes` — over the contiguous row spans of a
-:class:`~repro.db.sharding.ShardedTable`, and so does its subclass
-:class:`~repro.core.procpool.ProcessPoolBatchExecutor`: "where the spans
-run" is the only part a placement supplies.
+:class:`~repro.db.sharding.ShardedTable`, and runs every span inline on the
+calling thread.  Its subclass
+:class:`~repro.core.procpool.ProcessPoolBatchExecutor` runs the same spans
+in worker processes: "where the spans run" is the only part it supplies, and
+those are the two places spans run.
 
 * **Candidates** come from the same memoised
   :class:`~repro.core.executor.CandidateFrame` the serial executor uses:
@@ -15,20 +17,8 @@ run" is the only part a placement supplies.
   per request and not inside a worker.  A span task is a slice of a frame
   array, and the slice start *is* the coin position of its first row.
 * **Charging and folding** are :func:`~repro.core.executor.evaluation_charge`
-  (under this executor's ledger lock, :meth:`ParallelBatchExecutor._charge_span`)
-  and :func:`~repro.core.executor.fold_group` — the serial executor's own.
-* **Placement** is chosen from the input, not by an option.  Spans run
-  inline on the calling thread unless there is more than one worker, more
-  than one span with work *and* the UDF is vectorised on this table
-  (:meth:`~repro.db.udf.UserDefinedFunction.vectorised_on`): then the heavy
-  per-span work — block coin generation, ufunc comparisons, bulk label
-  reads — runs in NumPy kernels that release the GIL, the python
-  orchestration around them is O(groups), not O(rows), and the shared
-  thread pool genuinely overlaps spans.  A python-callable UDF evaluated
-  row by row holds the GIL, so it never leaves the calling thread (pool
-  threads ran it at 0.09x of serial); its multi-core placement is the
-  process pool.  The same rule gates the bulk-evaluation fan used while
-  sampling and labelling.
+  (:meth:`ParallelBatchExecutor._charge_span`) and
+  :func:`~repro.core.executor.fold_group` — the serial executor's own.
 
 Position-addressable coin discipline
 ------------------------------------
@@ -43,30 +33,27 @@ its seeded :class:`~repro.stats.random.RandomState` and gives every group two
   list = stream ``(root, group code, phase 0)`` at position ``p``;
 * evaluation coin for the same tuple = stream ``(root, group code, phase 1)``
   at position ``p`` (drawn per *candidate* position and applied only to
-  retrieved tuples, so it never depends on how many tuples earlier workers
+  retrieved tuples, so it never depends on how many tuples earlier spans
   retrieved).
 
+The two stream keys of a group are derived once per execution, in
+:func:`build_span_tasks`, and travel on every segment of the group.
 Because every coin is a pure function of (seed, group, position), the result
-is **bitwise identical for any shard layout and any ``max_workers``** —
-including the serial fallback — which is what lets the scale benchmark pin
-sharded work counters to the unsharded run at ±0.  The trade-off is that the
-stream differs from the sequential one shared by ``BatchExecutor`` /
-``PlanExecutor``; per-tuple marginals are unchanged (independent uniforms
-either way), but seeds are not comparable across disciplines.
+is **bitwise identical for any shard layout and either placement** — inline
+or in worker processes, including every fallback to inline — which is what
+lets the scale benchmark pin sharded work counters to the unsharded run at
+±0.  The trade-off is that the stream differs from the sequential one shared
+by ``BatchExecutor`` / ``PlanExecutor``; per-tuple marginals are unchanged
+(independent uniforms either way), but seeds are not comparable across
+disciplines.
 
 Ledger charging is span-granular (one retrieval block + one evaluation block
-per span, charged under a lock before that span's UDF work), so a hard budget
-stops whole spans, never mid-span.  ``max_workers=1`` — or a table with a
-single span, or a python-callable UDF — degrades to a deterministic serial
-loop over the spans with no pool involved.
+per span, charged before that span's UDF work), so a hard budget stops whole
+spans, never mid-span.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -101,67 +88,6 @@ from repro.stats.random import (
 _PHASE_RETRIEVE = 0
 _PHASE_EVALUATE = 1
 
-#: Below this many row ids a bulk-evaluation fan-out is not worth the
-#: dispatch overhead; the call degrades to one serial ``evaluate_rows``.
-_MIN_PARALLEL_EVAL_ROWS = 2048
-
-_POOLS: Dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def default_max_workers() -> int:
-    """Default worker bound: the machine's cores (at least 1)."""
-    return max(1, os.cpu_count() or 1)
-
-
-def shared_pool(max_workers: int) -> ThreadPoolExecutor:
-    """A process-wide thread pool per worker bound (created lazily).
-
-    Sharing one pool across executors and index builds avoids paying thread
-    start-up per query; workers are plain daemon-less pool threads, joined at
-    interpreter exit like any ``ThreadPoolExecutor``.
-    """
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be positive, got {max_workers}")
-    pool = _POOLS.get(max_workers)
-    if pool is None:
-        with _POOLS_LOCK:
-            pool = _POOLS.get(max_workers)
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=max_workers,
-                    thread_name_prefix=f"repro-shard-{max_workers}",
-                )
-                _POOLS[max_workers] = pool
-    return pool
-
-
-def _table_spans(table: Table) -> Tuple[int, ...]:
-    """The table's natural contiguous row spans (shard bounds, else one span)."""
-    offsets = getattr(table, "shard_offsets", None)
-    if offsets is not None:
-        return tuple(offsets)
-    return (0, table.num_rows)
-
-
-def _span_masks(table: Table, ids: np.ndarray) -> Optional[List[np.ndarray]]:
-    """Masks splitting ``ids`` by the table's spans, or ``None`` for "don't fan".
-
-    The one partition of a bulk evaluation, for the thread and the process
-    fan alike: ``None`` when the table has a single span, when ``ids`` is
-    below :data:`_MIN_PARALLEL_EVAL_ROWS`, or when every id falls in one
-    span — the call is then one serial ``evaluate_rows``.
-    """
-    spans = _table_spans(table)
-    if len(spans) <= 2 or ids.size < _MIN_PARALLEL_EVAL_ROWS:
-        return None
-    masks = []
-    for start, stop in zip(spans, spans[1:]):
-        mask = (ids >= start) & (ids < stop)
-        if mask.any():
-            masks.append(mask)
-    return masks if len(masks) > 1 else None
-
 
 @dataclass
 class _GroupSegment:
@@ -171,8 +97,9 @@ class _GroupSegment:
     a slice of the shared :class:`~repro.core.executor.CandidateFrame`, so
     already-sampled rows are gone before a task exists).
     ``position_offset`` is the index of this segment's first candidate
-    within the group's full candidate list, which addresses the group's
-    coin streams.
+    within the group's full candidate list; together with the group's
+    ``retrieve_key`` / ``evaluate_key`` (its two coin streams for this
+    execution) it addresses the segment's coins.
     """
 
     key: Hashable
@@ -181,16 +108,16 @@ class _GroupSegment:
     conditional_evaluate: float
     rows: np.ndarray
     position_offset: int
+    retrieve_key: int
+    evaluate_key: int
 
 
 @dataclass
 class _SpanOutcome:
-    """What one span's worker hands back for merging.
+    """What settling one span hands back for merging.
 
-    ``retrieved``/``evaluated_charge`` are the exact amounts the worker
-    charged to the shared ledger (computed under the ledger lock) — the
-    per-shard trace spans report these instead of diffing the ledger, which
-    siblings mutate concurrently.
+    ``retrieved``/``evaluated_charge`` are the exact amounts charged to the
+    ledger for the span — what its ``shard:<i>`` trace span reports.
     """
 
     returned: Dict[int, np.ndarray]  # group code -> returned global row ids
@@ -203,12 +130,10 @@ class _SpanOutcome:
 class _Execution:
     """What every span of one ``execute`` call shares.
 
-    ``root`` keys the call's coin streams; ``ledger`` is charged (under the
-    executor's lock) and ``udf`` evaluated on ``table`` by whichever
+    ``ledger`` is charged and ``udf`` evaluated on ``table`` by whichever
     placement settles a span.
     """
 
-    root: int
     table: Table
     udf: UserDefinedFunction
     ledger: CostLedger
@@ -225,9 +150,9 @@ SpanRunner = Callable[[ActiveSpans, _Execution], List[_SpanOutcome]]
 def _record_span_work(shard_span: _trace.Span, outcome: _SpanOutcome) -> None:
     """Put a settled span's work on its ``shard:<i>`` trace span.
 
-    The counters are the exact amounts charged to the ledger for the span —
-    recorded via :meth:`Span.add`, never by diffing the ledger, which
-    sibling shards mutate concurrently.
+    The counters are the exact amounts charged to the ledger for the span,
+    recorded via :meth:`Span.add` — a process span is charged in the
+    parent while its trace span is open, its UDF work done elsewhere.
     """
     shard_span.add("retrievals", outcome.retrieved)
     shard_span.add("udf_evals", outcome.evaluated_charge)
@@ -238,15 +163,18 @@ def build_span_tasks(
     index: GroupIndex,
     plan: ExecutionPlan,
     frame: CandidateFrame,
+    root: int,
 ) -> Tuple[List[List[_GroupSegment]], Dict[Hashable, GroupExecutionCounts]]:
-    """Partition every group's candidate rows into per-span worker tasks.
+    """Partition every group's candidate rows into per-span tasks.
 
     Returns ``(span_tasks, group_counts)``: one task list per index span
     (``span_boundaries()`` order) and a zero-initialised counts dict covering
-    every group.  Pure function of the plan and inputs: ``frame.candidates``
-    is cut at the span bounds, and the cut position *is* the coin position
-    of the segment's first row — so the work decomposition of the thread
-    and process placements cannot drift.
+    every group.  Pure function of the plan, the inputs and the execution's
+    ``root`` key: ``frame.candidates`` is cut at the span bounds, the cut
+    position *is* the coin position of the segment's first row, and a
+    group's two stream keys are derived here once and shared by all of its
+    segments — so the work decomposition of the inline and process
+    placements cannot drift.
     """
     group_counts: Dict[Hashable, GroupExecutionCounts] = {}
     bounds = np.asarray(index.span_boundaries(), dtype=np.intp)
@@ -260,6 +188,8 @@ def build_span_tasks(
         conditional_evaluate = decision.conditional_evaluate_probability
         if retrieve_probability <= 0.0 or candidates.size == 0:
             continue
+        retrieve_key = stream_key(root, code, _PHASE_RETRIEVE)
+        evaluate_key = stream_key(root, code, _PHASE_EVALUATE)
         cuts = np.searchsorted(candidates, bounds)
         for span in range(num_spans):
             lo, hi = int(cuts[span]), int(cuts[span + 1])
@@ -272,20 +202,22 @@ def build_span_tasks(
                         conditional_evaluate=conditional_evaluate,
                         rows=candidates[lo:hi],
                         position_offset=lo,
+                        retrieve_key=retrieve_key,
+                        evaluate_key=evaluate_key,
                     )
                 )
     return span_tasks, group_counts
 
 
 def span_coin_pass(
-    root: int, tasks: List[_GroupSegment]
+    tasks: List[_GroupSegment],
 ) -> Tuple[List[np.ndarray], List[np.ndarray], int]:
     """Flip every task's retrieval and evaluation coins (no UDF, no ledger).
 
     Returns ``(retrieved_per_task, evaluate_per_task, total_retrieved)`` —
     per task, the retrieved global row ids and the evaluation mask over
-    them.  Pure function of ``(root, tasks)``: this is the half of span
-    execution that process-pool workers run remotely.
+    them.  Pure function of ``tasks`` (which carry their stream keys): this
+    is the half of span execution that process-pool workers run remotely.
     """
     retrieved_per_task: List[np.ndarray] = []
     evaluate_per_task: List[np.ndarray] = []  # masks over retrieved
@@ -297,11 +229,7 @@ def span_coin_pass(
             retrieved = seg
             retrieved_positions = None  # all positions
         else:
-            coins = counter_uniforms(
-                stream_key(root, task.code, _PHASE_RETRIEVE),
-                task.position_offset,
-                seg.size,
-            )
+            coins = counter_uniforms(task.retrieve_key, task.position_offset, seg.size)
             keep = coins < task.retrieve_probability
             retrieved = seg[keep]
             retrieved_positions = keep
@@ -312,11 +240,7 @@ def span_coin_pass(
         else:
             # Per-candidate-position evaluation coins, applied to the
             # retrieved subset (see the coin discipline in the module doc).
-            eval_coins = counter_uniforms(
-                stream_key(root, task.code, _PHASE_EVALUATE),
-                task.position_offset,
-                seg.size,
-            )
+            eval_coins = counter_uniforms(task.evaluate_key, task.position_offset, seg.size)
             per_candidate = eval_coins < task.conditional_evaluate
             evaluate_mask = (
                 per_candidate
@@ -407,58 +331,33 @@ def merge_span_outcomes(
 
 
 class ParallelBatchExecutor:
-    """Sharded, thread-parallel plan executor (see module docstring).
+    """Sharded counter-coin plan executor, spans inline (see module docstring).
 
     Parameters
     ----------
     random_state:
         Seed for the per-execution root key; two executions with the same
         seed, plan and inputs return identical results regardless of shard
-        layout or ``max_workers``.
-    max_workers:
-        Thread bound; ``None`` means :func:`default_max_workers`, ``1``
-        forces the serial fallback.
+        layout or placement.
     free_memoized:
         Serving accounting — do not re-charge evaluations whose value the
         UDF already memoised (same semantics as ``BatchExecutor``).
     """
 
-    def __init__(
-        self,
-        random_state: SeedLike = None,
-        max_workers: Optional[int] = None,
-        free_memoized: bool = False,
-    ):
+    def __init__(self, random_state: SeedLike = None, free_memoized: bool = False):
         self.random_state: RandomState = as_random_state(random_state)
-        workers = default_max_workers() if max_workers is None else int(max_workers)
-        if workers < 1:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = workers
         self.free_memoized = free_memoized
-        self._ledger_lock = threading.Lock()
 
-    def _fans_out(self, table: Table, udf: UserDefinedFunction) -> bool:
-        """Whether span work may leave the calling thread for the thread pool.
-
-        Only with more than one worker *and* a UDF whose bulk evaluation on
-        this table is a GIL-releasing column gather
-        (:meth:`~repro.db.udf.UserDefinedFunction.vectorised_on`): a python
-        callable evaluated row by row holds the GIL, so pool threads would
-        only add hand-offs to a serial computation.  Chosen from the input —
-        answers cannot depend on it (counter-addressed coins).
-        """
-        return self.max_workers > 1 and udf.vectorised_on(table)
-
-    # -- bulk UDF evaluation fan-out ------------------------------------------
     def bulk_evaluator(
         self, udf: UserDefinedFunction
     ) -> Callable[[Table, Sequence[int]], np.ndarray]:
-        """An ``evaluate_rows``-shaped callable that fans across shards.
+        """An ``evaluate_rows``-shaped callable bound to this executor.
 
         Drop-in for ``udf.evaluate_rows`` in ``draw_labeled_sample`` and
-        ``GroupSampler.sample``: UDF outcomes are deterministic, so the fan
-        changes wall-clock only — never results or paid-evaluation counters
-        (the UDF's internal counters are lock-protected).
+        ``GroupSampler.sample``, so a process executor can fan the bulk
+        evaluation across its workers: UDF outcomes are deterministic, so
+        where they are computed changes wall-clock only — never results or
+        paid-evaluation counters.
         """
 
         def evaluate(table: Table, row_ids: Sequence[int]) -> np.ndarray:
@@ -469,20 +368,9 @@ class ParallelBatchExecutor:
     def evaluate_rows(
         self, table: Table, udf: UserDefinedFunction, row_ids: Sequence[int]
     ) -> np.ndarray:
-        """Evaluate ``udf`` on ``row_ids``, partitioned by the table's shards."""
+        """Evaluate ``udf`` on ``row_ids`` in one bulk call on this thread."""
         check_deadline("bulk-evaluate")
-        ids = np.asarray(row_ids, dtype=np.intp)
-        masks = _span_masks(table, ids) if self._fans_out(table, udf) else None
-        if masks is None:
-            return udf.evaluate_rows(table, ids)
-        outcomes = np.empty(ids.size, dtype=bool)
-        pool = shared_pool(self.max_workers)
-        futures = [
-            pool.submit(udf.evaluate_rows, table, ids[mask]) for mask in masks
-        ]
-        for mask, future in zip(masks, futures):
-            outcomes[mask] = future.result()
-        return outcomes
+        return udf.evaluate_rows(table, np.asarray(row_ids, dtype=np.intp))
 
     # -- plan execution --------------------------------------------------------
     def execute(
@@ -494,7 +382,7 @@ class ParallelBatchExecutor:
         ledger: CostLedger,
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
-        """Run ``plan`` over every group of ``index``, fanned across spans."""
+        """Run ``plan`` over every group of ``index``, span by span."""
         return self._execute_spans(
             "parallel", self._run_spans, table, index, udf, plan, ledger, sample_outcome
         )
@@ -518,21 +406,23 @@ class ParallelBatchExecutor:
         charge already made.
         """
         _metrics.counter("repro_executor_runs_total", backend=backend).inc()
-        run = _Execution(int(self.random_state.integers(0, 2**63)), table, udf, ledger)
+        root = int(self.random_state.integers(0, 2**63))
         frame = candidate_frame(index, sample_outcome)
-        span_tasks, group_counts = build_span_tasks(index, plan, frame)
+        span_tasks, group_counts = build_span_tasks(index, plan, frame, root)
 
         # Span indices (not list positions after filtering) name the shard
         # trace spans, so ``shard:<i>`` is deterministic for a given layout
-        # regardless of which spans end up with work or how the pool
-        # schedules them.
+        # regardless of which spans end up with work.
         active = [
             (span_index, tasks)
             for span_index, tasks in enumerate(span_tasks)
             if tasks
         ]
         returned = merge_span_outcomes(
-            index, run_spans(active, run), group_counts, frame.free_positives
+            index,
+            run_spans(active, _Execution(table, udf, ledger)),
+            group_counts,
+            frame.free_positives,
         )
         return ExecutionResult(
             returned_row_ids=returned,
@@ -541,37 +431,8 @@ class ParallelBatchExecutor:
         )
 
     def _run_spans(self, active: ActiveSpans, run: _Execution) -> List[_SpanOutcome]:
-        """Run the active spans inline, or on the shared thread pool."""
-        if len(active) <= 1 or not self._fans_out(run.table, run.udf):
-            return [self._run_span(run, span_index, tasks) for span_index, tasks in active]
-        pool = shared_pool(self.max_workers)
-        # Each worker runs in a copy of the submitting context, so the
-        # per-shard trace spans it opens parent under this query's
-        # current span even though the pool threads are long-lived and
-        # shared across queries.  (A Context cannot be entered twice
-        # concurrently, hence one copy per task.)
-        futures = [
-            pool.submit(
-                contextvars.copy_context().run, self._run_span, run, span_index, tasks
-            )
-            for span_index, tasks in active
-        ]
-        # Drain every span before propagating a failure: siblings share
-        # the ledger, so raising while they still run would hand the
-        # caller (and session settlement) a moving cost total.  A hard
-        # budget trips each remaining span at its own charge step, so no
-        # un-paid-for UDF work happens in the meantime.
-        outcomes = []
-        first_error: Optional[BaseException] = None
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return outcomes
+        """Run the active spans inline, in span order."""
+        return [self._run_span(run, span_index, tasks) for span_index, tasks in active]
 
     def _charge_span(
         self, run: _Execution, retrieved: int, to_evaluate: np.ndarray
@@ -581,18 +442,15 @@ class ParallelBatchExecutor:
         The whole span is charged before any of its UDF work (the serial
         backends' charge-before-evaluate order, at span granularity): a
         hard budget stops the span before any un-paid-for value could land
-        in the memo cache.  The lock makes concurrent span charges exact.
+        in the memo cache.
         """
         evaluated_charge = 0
-        with self._ledger_lock:
-            if retrieved:
-                run.ledger.charge_retrieval(retrieved)
-            if to_evaluate.size:
-                evaluated_charge = evaluation_charge(
-                    run.udf, to_evaluate, self.free_memoized
-                )
-                if evaluated_charge:
-                    run.ledger.charge_evaluation(evaluated_charge)
+        if retrieved:
+            run.ledger.charge_retrieval(retrieved)
+        if to_evaluate.size:
+            evaluated_charge = evaluation_charge(run.udf, to_evaluate, self.free_memoized)
+            if evaluated_charge:
+                run.ledger.charge_evaluation(evaluated_charge)
         return evaluated_charge
 
     def _run_span(
@@ -604,14 +462,10 @@ class ParallelBatchExecutor:
         one ``ContextVar`` read).
         """
         with _trace.span(f"shard:{span_index}") as shard_span:
-            # Span boundary = cancellation point.  Pool workers run in a copy
-            # of the submitting context, so the request's deadline contextvar
-            # is visible here; an expired request stops before this span
-            # charges.
+            # Span boundary = cancellation point: an expired request stops
+            # before this span charges.
             check_deadline("execute-span")
-            retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(
-                run.root, tasks
-            )
+            retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(tasks)
             to_evaluate = concat_to_evaluate(retrieved_per_task, evaluate_per_task)
             evaluated_charge = self._charge_span(run, total_retrieved, to_evaluate)
             outcomes = (

@@ -403,8 +403,8 @@ class OptimalOracle:
         # design) — in oracle mode, so the peek leaves no trace in the UDF's
         # memo cache or counters that later accounting could mistake for
         # paid-for work.  The peek spans the whole table, so it fans across
-        # shards when the backend is parallel (oracle mode is depth-counted
-        # on the shared UDF object, which worker threads observe).
+        # shards on the process backend (oracle mode is depth-counted on the
+        # parent's UDF object, which absorbs the workers' outcomes).
         bulk_evaluator = _probe_bulk_evaluator(self.executor_factory, udf)
         evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
         with _span("ground-truth-peek"):

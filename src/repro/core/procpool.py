@@ -1,33 +1,32 @@
 """Process-pool plan execution over shared-memory shards.
 
-:class:`ProcessPoolBatchExecutor` is the third placement of the span kernel
-(:mod:`repro.core.parallel`: inline, thread pool, worker processes).
-Threads only help while the per-span work stays inside GIL-releasing NumPy
-kernels; when the UDF is a python callable evaluated row by row — the
-paper's whole premise is that this is the expensive part — the thread
-placement keeps every span on the calling thread, and this executor is the
-multi-core one.  It inherits the whole skeleton (root key, shared candidate
-frame, span tasks, merge) and supplies only "where the spans run": its own
-:meth:`~ProcessPoolBatchExecutor.execute` is the prepare-or-fall-back guard
-in front of it, and :meth:`~ProcessPoolBatchExecutor._run_process_spans`
-fans the same span tasks across a spawn-based process pool:
+:class:`ProcessPoolBatchExecutor` is the second placement of the span
+kernel (:mod:`repro.core.parallel`: inline on the calling thread, or worker
+processes) and the repository's only multi-core one: a UDF that is a python
+callable evaluated row by row — the paper's whole premise is that this is
+the expensive part — holds the interpreter lock, so only processes run it
+on more than one core.  It inherits the whole skeleton (root key, shared
+candidate frame, span tasks, merge) and supplies only "where the spans
+run": its own :meth:`~ProcessPoolBatchExecutor.execute` is the
+prepare-or-fall-back guard in front of it, and
+:meth:`~ProcessPoolBatchExecutor._run_process_spans` fans the same span
+tasks across a spawn-based process pool:
 
 * **Zero-copy inputs** — sealed shard columns are exported once into
   :mod:`multiprocessing.shared_memory` segments (:mod:`repro.db.shm`);
   workers attach numpy views on first touch and reuse them for every later
   task, so per-task pickle traffic is row ids, not column data.
-* **Stateless workers** — a worker receives the execution root key, its
-  span's :class:`~repro.core.parallel._GroupSegment` tasks (slices of the
-  parent's candidate frame — already-sampled rows never cross the process
-  boundary) and a picklable
+* **Stateless workers** — a worker receives its span's
+  :class:`~repro.core.parallel._GroupSegment` tasks (slices of the parent's
+  candidate frame carrying their groups' coin stream keys — already-sampled
+  rows never cross the process boundary) and a picklable
   :class:`~repro.db.udf.UdfSpec`; it flips the counter-based coins, evaluates
   the UDF locally (every pending row fresh — it has no memo cache), and
   ships back outcomes plus the folded per-group counts.
 * **Parent-side accounting** — the parent replays, span by span in span
   order, exactly what serial execution would have charged: the inherited
   :meth:`~repro.core.parallel.ParallelBatchExecutor._charge_span` (retrieval
-  and evaluation under the ledger lock; ``free_memoized`` consults the
-  parent's memo), then
+  then evaluation; ``free_memoized`` consults the parent's memo), then
   :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations` to
   absorb outcomes into the memo cache with serial-identical counter
   advances.  A hard budget trips at the same span boundary as serial, and
@@ -35,7 +34,7 @@ fans the same span tasks across a spawn-based process pool:
 
 Because the PR-4 coin discipline makes every coin a pure function of
 (seed, group, position) and UDF outcomes are deterministic, results and every
-gated work counter are **bitwise identical** to the serial and thread paths.
+gated work counter are **bitwise identical** to the inline path.
 
 Anything that cannot cross the process boundary degrades gracefully to the
 inherited in-process path (bitwise-identical results, just not multi-core):
@@ -53,7 +52,7 @@ span-index order, so a retried or locally recomputed span double-charges
 nothing and budget boundaries stay bitwise-serial.  Each faulting round is
 reported to the service's :class:`~repro.resilience.breaker.CircuitBreaker`
 (when one is wired in), which eventually degrades the whole service to the
-thread executor.  The breaker is asked exactly where the pool is about to be
+inline path.  The breaker is asked exactly where the pool is about to be
 used — :meth:`~ProcessPoolBatchExecutor.execute` and
 :meth:`~ProcessPoolBatchExecutor.evaluate_rows`, never the constructor — so
 building an executor (the pipeline builds a throwaway one just to read its
@@ -66,7 +65,7 @@ as a typed ``DeadlineExceeded`` — the pool is discarded and the table's
 shared-memory exports are released (no leaked segments), never a wedged
 request — while an exception the worker itself raised (a UDF's own
 ``TimeoutError`` included) reaches the caller as it would from the serial
-and thread backends.  The failure paths themselves are exercised
+and inline paths.  The failure paths themselves are exercised
 deterministically via :mod:`repro.resilience.faults`; the active
 :class:`FaultPlan` ships inside worker task payloads so worker-side sites
 fire in the right process.
@@ -75,6 +74,7 @@ fire in the right process.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -92,7 +92,6 @@ from repro.core.parallel import (
     _Execution,
     _GroupSegment,
     _record_span_work,
-    _span_masks,
     _SpanOutcome,
     concat_to_evaluate,
     fold_span_outcomes,
@@ -121,6 +120,10 @@ from repro.resilience.deadline import (
 )
 from repro.sampling.sampler import SampleOutcome
 
+#: Below this many row ids a bulk-evaluation fan-out is not worth the
+#: dispatch overhead; the call degrades to one in-process ``evaluate_rows``.
+_MIN_PARALLEL_EVAL_ROWS = 2048
+
 _PROC_POOLS: Dict[int, ProcessPoolExecutor] = {}
 _PROC_POOLS_LOCK = threading.Lock()
 
@@ -147,6 +150,29 @@ def shared_process_pool(max_workers: int) -> ProcessPoolExecutor:
                 )
                 _PROC_POOLS[max_workers] = pool
     return pool
+
+
+def default_max_workers() -> int:
+    """Default worker bound: the machine's cores (at least 1)."""
+    return max(1, os.cpu_count() or 1)
+
+
+def _span_masks(table: Table, ids: np.ndarray) -> Optional[List[np.ndarray]]:
+    """Masks splitting ``ids`` by the table's shards, or ``None`` for "don't fan".
+
+    ``None`` when the table has a single span, when ``ids`` is below
+    :data:`_MIN_PARALLEL_EVAL_ROWS`, or when every id falls in one span —
+    the call is then one in-process ``evaluate_rows``.
+    """
+    spans = getattr(table, "shard_offsets", None)
+    if spans is None or len(spans) <= 2 or ids.size < _MIN_PARALLEL_EVAL_ROWS:
+        return None
+    masks = []
+    for start, stop in zip(spans, spans[1:]):
+        mask = (ids >= start) & (ids < stop)
+        if mask.any():
+            masks.append(mask)
+    return masks if len(masks) > 1 else None
 
 
 def _discard_process_pool(max_workers: int) -> None:
@@ -209,7 +235,6 @@ def spec_evaluate(
 
 
 def _remote_run_span(
-    root: int,
     span_index: int,
     tasks: List[_GroupSegment],
     spec: UdfSpec,
@@ -226,9 +251,7 @@ def _remote_run_span(
     """
     with _faults.fault_scope(fault_plan):
         kind = _faults.maybe_fire(fault_plan, "worker", span_index, attempt)
-        retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(
-            root, tasks
-        )
+        retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(tasks)
         to_evaluate = concat_to_evaluate(retrieved_per_task, evaluate_per_task)
         outcomes = spec_evaluate(spec, exports, to_evaluate)
         returned, counts = fold_span_outcomes(
@@ -282,8 +305,11 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
     only the wall-clock differs: python-callable UDFs scale with cores
     instead of serialising on the GIL.  See the module docstring for the
     division of labour between workers and the parent, and for the fault
-    handling added in PR 8 (span retry, breaker reporting, deadline-bounded
-    harvest, export release on give-up).
+    handling (span retry, breaker reporting, deadline-bounded harvest,
+    export release on give-up).
+
+    ``max_workers`` bounds the worker processes (``None`` means
+    :func:`default_max_workers`); ``1`` keeps every call in-process.
     """
 
     def __init__(
@@ -295,11 +321,11 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         retry_spans: bool = True,
         on_degraded: Optional[Callable[[str], None]] = None,
     ):
-        super().__init__(
-            random_state=random_state,
-            max_workers=max_workers,
-            free_memoized=free_memoized,
-        )
+        super().__init__(random_state=random_state, free_memoized=free_memoized)
+        workers = default_max_workers() if max_workers is None else int(max_workers)
+        if workers < 1:
+            raise ValueError(f"max_workers must be positive, got {max_workers}")
+        self.max_workers = workers
         #: The serving layer's circuit breaker, shared across this service's
         #: executors; ``None`` standalone — every note below no-ops then.
         self.breaker = breaker
@@ -437,9 +463,8 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         Workers evaluate span-partitioned chunks fresh; the parent then folds
         everything through one :meth:`merge_remote_evaluations`, so the memo
         cache and every UDF counter advance exactly as one serial
-        ``udf.evaluate_rows`` call would (one bulk call — unlike the thread
-        path, which pays one per span chunk).  The labelling fan reports
-        pool faults but never vouches for the pool — only a clean
+        ``udf.evaluate_rows`` call would (one bulk call).  The labelling fan
+        reports pool faults but never vouches for the pool — only a clean
         :meth:`execute` closes a half-open breaker — so a probe slot taken
         here is always handed back.
         """
@@ -577,7 +602,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             pool = shared_process_pool(self.max_workers)
             futures = {
                 span_index: _submit_span(
-                    pool, run.root, span_index, tasks, spec, exports, fault_plan, attempt
+                    pool, span_index, tasks, spec, exports, fault_plan, attempt
                 )
                 for span_index, tasks in pending.items()
             }
@@ -641,13 +666,13 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         """Run the active spans in worker processes; settle them in the parent.
 
         Settles in span-index order (the submit order), replaying serial
-        charging: retrieval then evaluation per span, under the ledger
-        lock, *before* that span's outcomes are absorbed — so a hard
-        budget raises at exactly the span boundary the serial loop would,
-        with no later span absorbed.  A span the pool failed twice is
-        recomputed in-process *here, at its serial position* (it charges
-        internally), so the charge order — and any budget trip point —
-        stays bitwise-serial whether or not faults occurred.
+        charging: retrieval then evaluation per span, *before* that span's
+        outcomes are absorbed — so a hard budget raises at exactly the span
+        boundary the serial loop would, with no later span absorbed.  A span
+        the pool failed twice is recomputed in-process *here, at its serial
+        position* (it charges internally), so the charge order — and any
+        budget trip point — stays bitwise-serial whether or not faults
+        occurred.
         """
         if len(active) <= 1:
             self._cancel_probe()

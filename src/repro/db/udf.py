@@ -225,8 +225,8 @@ class UserDefinedFunction:
         self.positive_value: Any = True
         self._oracle_depth = 0
         # Counter/memo mutations are lock-protected so concurrent bulk calls
-        # (the parallel executor evaluates disjoint shard spans on worker
-        # threads) keep the paid-evaluation accounting exact — the CI parity
+        # (requests served on several threads share one UDF) keep the
+        # paid-evaluation accounting exact — the CI parity
         # gates compare these counters at ±0.  The lock is taken per bulk
         # call, not per row, so the serial hot path is unaffected.
         self._state_lock = threading.Lock()
@@ -271,8 +271,8 @@ class UserDefinedFunction:
 
         True for a label-column UDF whose column is in this table's schema.
         A gather runs in NumPy kernels that release the GIL, a python
-        callable per row holds it — which is what the executors ask before
-        moving evaluation onto pool threads.
+        callable per row holds it — which is what the serving layer asks
+        before letting a request share a pool task with others.
         """
         return self.label_column is not None and table.schema.has_column(
             self.label_column

@@ -13,8 +13,8 @@ Three layers, all opt-in-cheap:
   :func:`enable_metrics` turns it on and
   :meth:`MetricsRegistry.snapshot` reads everything at once.
 * :mod:`repro.obs.trace` — per-query :class:`Trace`/:class:`Span` trees
-  with wall time and exact work-counter deltas, propagated across the
-  parallel executor's worker threads via :mod:`contextvars`.
+  with wall time and exact work-counter deltas, bound to the handling
+  context via :mod:`contextvars`.
 * :mod:`repro.obs.export` — Prometheus text, JSON-lines trace sink,
   :class:`SlowQueryLog` (threshold-triggered trace retention).
 

@@ -24,9 +24,8 @@ bitwise identical whether or not the obs layer is imported.  Call
 :func:`disable_metrics` to restore the null one).  Live instruments are
 created on first use under one of :data:`_STRIPES` stripe locks (keyed by
 instrument identity, so unrelated metrics never contend) and each
-instrument carries its own lock, keeping concurrent increments exact — the
-parallel executor's worker threads update the same counters the serial
-path does.
+instrument carries its own lock, keeping concurrent increments exact —
+requests served on several threads update the same counters.
 
 Histograms are fixed-bucket with exact summary statistics (count, sum,
 min, max).  :meth:`Histogram.quantile` locates the target rank's bucket

@@ -9,10 +9,10 @@ span in which they were incurred.
 Propagation uses :mod:`contextvars`: :meth:`Trace.activate` binds the
 trace's root span into :data:`_CURRENT_SPAN`, and every
 :func:`span` entered after that parents itself under the context's current
-span.  The parallel executor copies its submitting context into pool
-workers (``contextvars.copy_context().run``), so per-shard spans created on
-worker threads land under the submitting query's ``execute`` span and a
-1M-row sharded query still yields one coherent tree.  Because the binding
+span.  The span executors open their per-shard spans on the calling
+thread — the process executor while it settles each worker's span — so
+they land under the query's ``execute`` span and a 1M-row sharded query
+still yields one coherent tree.  Because the binding
 is per-context, concurrent queries through the same service — even ones
 waiting on one another's flight — never see each other's spans.
 
@@ -22,11 +22,9 @@ Work-counter exactness comes from two disciplines:
   :func:`span`; the span snapshots ``retrieved/evaluated`` on entry and
   records the delta on exit.  Within one request these sections run on one
   thread, so the delta is exactly the work done inside the span.
-* **Parallel shard spans** never diff the shared ledger (another shard may
-  charge it concurrently).  Instead the executor calls :meth:`Span.add`
-  with the exact per-shard amounts it computes under its own ledger lock —
-  the same numbers it charges — so the leaf spans sum to the query total
-  by construction.
+* **Shard spans** never diff the ledger.  Instead the executor calls
+  :meth:`Span.add` with the exact per-shard amounts it charges, so the
+  leaf spans sum to the query total by construction.
 
 Like the metrics registry, tracing is opt-in-cheap: with no active trace
 :func:`span` returns a shared no-op context manager and touches neither
@@ -163,8 +161,7 @@ class Trace:
     """One query's span tree.
 
     Create, :meth:`activate` inside the handling context, wrap sections in
-    :func:`span`, then :meth:`finish`.  Span creation is thread-safe (the
-    parallel executor opens shard spans from worker threads); activation
+    :func:`span`, then :meth:`finish`.  Span creation is thread-safe; activation
     tokens are context-local.
     """
 
@@ -216,8 +213,8 @@ class Trace:
 
         The returned span is its own context manager: while the ``with``
         body runs it is the context's current span, so nested :func:`span`
-        calls — including ones on worker threads that inherited this
-        context — attach beneath it.
+        calls — including ones on threads that inherited this context —
+        attach beneath it.
         """
         if parent is None:
             parent = _CURRENT_SPAN.get() or self.root

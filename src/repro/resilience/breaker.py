@@ -5,8 +5,8 @@ that fails, a worker hung past the request deadline — are retried once at
 span granularity by :class:`~repro.core.procpool.ProcessPoolBatchExecutor`.
 When faults keep coming the right move is to stop paying the pool tax
 altogether: the breaker **opens** after ``failure_threshold`` consecutive
-failures, and while open the process executor runs its inherited in-process
-thread path instead (bitwise-identical answers, just not multi-core), the
+failures, and while open the process executor runs its spans inline on the
+calling thread instead (bitwise-identical answers, just not multi-core), the
 service counting each degraded query.  After ``recovery_time_s`` the breaker
 **half-opens** and lets up to ``probe_quota`` concurrent probe queries try
 the pool again: one success closes it, one failure re-opens it.

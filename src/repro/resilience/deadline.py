@@ -2,14 +2,12 @@
 
 A :class:`Deadline` is a wall-clock bound carried by one request.  The
 serving layer activates it with :func:`deadline_scope` — a
-:class:`~contextvars.ContextVar`, so it propagates automatically into the
-thread-pool span workers (they run under ``contextvars.copy_context()``)
-and into every library layer below without threading a parameter through
-the call graph.  Compute loops then call :func:`check_deadline` at their
-natural charge boundaries — per group in the serial executors, per span in
-the parallel ones, before the sampler's bulk charge, between pipeline
-steps and at solver entry — and an expired deadline raises the typed
-:class:`DeadlineExceeded`.
+:class:`~contextvars.ContextVar`, so it reaches every library layer below
+without threading a parameter through the call graph.  Compute loops then
+call :func:`check_deadline` at their natural charge boundaries — per group
+in the serial executors, per span in the span executors, before the
+sampler's bulk charge, between pipeline steps and at solver entry — and an
+expired deadline raises the typed :class:`DeadlineExceeded`.
 
 Cancellation is **cooperative**: a check sits *before* each ledger charge,
 so an expired request never pays for further UDF work (the accounting

@@ -276,7 +276,7 @@ class GroupSampler:
         evaluated in a single batched UDF call across all groups.
 
         ``bulk_evaluator`` optionally replaces ``udf.evaluate_rows`` for that
-        batched call — the parallel executor passes its shard fan-out here.
+        batched call — the process executor passes its worker fan-out here.
         Row *selection* stays on this sampler's sequential stream either way,
         so the drawn sample (and therefore every downstream statistic) is
         identical whether or not the evaluation is fanned.

@@ -19,20 +19,15 @@ from typing import Dict, Mapping, Optional, Union
 #: ``serial``
 #:     The vectorised single-threaded :class:`~repro.core.executor.BatchExecutor`
 #:     (the default — "serial" describes its concurrency, not its speed).
-#: ``thread``
-#:     Sharded :class:`~repro.core.parallel.ParallelBatchExecutor`: spans of
-#:     a label-column UDF (a GIL-releasing column gather) run on the shared
-#:     thread pool; a python-callable UDF never leaves the calling thread —
-#:     threads would only serialise on the GIL — so there it is the serial
-#:     speed with the counter coin stream.
 #: ``process``
 #:     :class:`~repro.core.procpool.ProcessPoolBatchExecutor` over
 #:     shared-memory shards; the only backend that scales python-callable
-#:     UDF evaluation across cores.
+#:     UDF evaluation across cores.  Its counter coin stream differs from
+#:     ``serial``'s, so seeds are comparable only within a backend.
 #: ``reference``
 #:     The paper-faithful tuple-at-a-time :class:`~repro.core.executor.PlanExecutor`,
 #:     kept for differential testing.
-EXECUTORS = ("serial", "thread", "process", "reference")
+EXECUTORS = ("serial", "process", "reference")
 
 
 @dataclass(frozen=True)
@@ -45,8 +40,8 @@ class ServiceConfig:
         One of :data:`EXECUTORS` — backend for warm-plan execution and the
         pipeline's execution step.
     max_workers:
-        Worker bound for the ``thread``/``process`` backends (``None`` =
-        machine cores); ignored by the others.
+        Worker processes of the ``process`` backend (``None`` = machine
+        cores; ``1`` runs its spans inline); ignored by the others.
     plan_cache_size / stats_cache_size:
         LRU bounds for the two caches (``0`` disables caching).
     ttl:
@@ -89,8 +84,8 @@ class ServiceConfig:
         against a respawned pool before recomputing it in-process.
     breaker_threshold / breaker_recovery_s:
         Circuit breaker over process-pool health: after ``breaker_threshold``
-        consecutive faulting requests the service degrades process-backed
-        execution to the in-process thread path; after
+        consecutive faulting requests the service runs process-backed
+        execution inline on the calling thread; after
         ``breaker_recovery_s`` seconds it half-opens and lets one probe
         request at a time try the pool again.
     storage_dir:

@@ -37,9 +37,9 @@ service is deterministic per request regardless of thread interleaving.
 Sharded catalogs are served transparently: a
 :class:`~repro.db.sharding.ShardedTable` satisfies the full table contract,
 the statistics cache keys per (table, shard-layout) generation, and the
-``"thread"``/``"process"`` executor backends fan execution across the
-shards (``"process"`` over shared-memory column exports, the only backend
-that scales python-callable UDFs past the GIL).
+``"process"`` executor backend fans execution across the shards in worker
+processes over shared-memory column exports (the only backend that scales
+python-callable UDFs past the GIL).
 
 On top of the synchronous :meth:`QueryService.submit` there is an asyncio
 front-end, :meth:`QueryService.submit_async`: admission control sheds
@@ -92,9 +92,12 @@ from repro.core.executor import (
     PlanExecutor,
 )
 from repro.core.extensions.budget import solve_budgeted_recall
-from repro.core.parallel import ParallelBatchExecutor, default_max_workers
 from repro.core.pipeline import IntelSample, _probe_bulk_evaluator
-from repro.core.procpool import ProcessPoolBatchExecutor, _discard_process_pool
+from repro.core.procpool import (
+    ProcessPoolBatchExecutor,
+    _discard_process_pool,
+    default_max_workers,
+)
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine, QueryResult
 from repro.db.query import SelectQuery
@@ -218,8 +221,8 @@ class QueryService:
         The shared catalog, or an :class:`Engine` wrapping one.
     config:
         A :class:`~repro.serving.config.ServiceConfig` with everything else:
-        executor backend (``"serial"``/``"thread"``/``"process"``/
-        ``"reference"``), cache bounds and TTL, session budgets, serving
+        executor backend (``"serial"``/``"process"``/``"reference"``),
+        cache bounds and TTL, session budgets, serving
         accounting, and the async front-end's admission limits.  Omitted =
         all defaults.
     strategy_factory:
@@ -227,7 +230,7 @@ class QueryService:
         default builds an :class:`IntelSample` wired to this service's
         executor backend.  The factory must produce identically-configured
         strategies — the configuration is part of every plan signature.
-        With a ``"thread"``/``"process"`` backend the strategies must
+        With the ``"process"`` backend the strategies must
         implement :class:`~repro.core.executor.ExecutorAware`, otherwise
         the backend would be silently dropped on refresh traffic (checked
         at construction).
@@ -271,7 +274,7 @@ class QueryService:
             if strategy_factory is None
             else strategy_factory(as_random_state(0))
         )
-        if self.executor_backend in ("thread", "process") and not isinstance(
+        if self.executor_backend == "process" and not isinstance(
             self._strategy_prototype, ExecutorAware
         ):
             raise TypeError(
@@ -420,8 +423,8 @@ class QueryService:
         may build a throwaway executor just to read its ``bulk_evaluator``.
         The ``process`` executor asks the service's breaker itself, where it
         is about to use the pool: refused (repeated pool faults), it runs
-        the in-process thread path — bitwise-identical results, just not
-        multi-core — and reports ``"breaker_open"`` to
+        its spans inline — bitwise-identical results, just not multi-core —
+        and reports ``"breaker_open"`` to
         :meth:`_note_degraded`; admitted as a half-open probe, it reports
         the probe's outcome back through the shared breaker.
         """
@@ -429,19 +432,13 @@ class QueryService:
             return BatchExecutor(random_state=random_state, free_memoized=free_memoized)
         if self.executor_backend == "reference":
             return PlanExecutor(random_state=random_state)
-        if self.executor_backend == "process":
-            return ProcessPoolBatchExecutor(
-                random_state=random_state,
-                max_workers=self.max_workers,
-                free_memoized=free_memoized,
-                breaker=self.breaker,
-                retry_spans=self.config.retry_spans,
-                on_degraded=self._note_degraded,
-            )
-        return ParallelBatchExecutor(
+        return ProcessPoolBatchExecutor(
             random_state=random_state,
             max_workers=self.max_workers,
             free_memoized=free_memoized,
+            breaker=self.breaker,
+            retry_spans=self.config.retry_spans,
+            on_degraded=self._note_degraded,
         )
 
     def _cost_model(self) -> CostModel:
@@ -889,9 +886,8 @@ class QueryService:
         Only what is known to be short and to run on the thread that calls
         :meth:`submit`: a live plan (no planning, no flight), a UDF whose
         evaluation is a column gather
-        (:meth:`~repro.db.udf.UserDefinedFunction.vectorised_on`, the
-        predicate the thread placement asks — a python callable may take
-        any time per row), not the ``"process"`` backend (IPC, retries,
+        (:meth:`~repro.db.udf.UserDefinedFunction.vectorised_on` — a python
+        callable may take any time per row), not the ``"process"`` backend (IPC, retries,
         breaker probes), and no client budget (a budgeted client queues on
         its execution lock and may re-solve to its allowance).  Everything
         else would make its tick-mates wait for work that is not theirs.

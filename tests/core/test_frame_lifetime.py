@@ -4,7 +4,7 @@ The frame memo lives on the :class:`~repro.db.index.GroupIndex` it was
 derived from, keyed on the identity of the sample outcome: it must be
 reachable exactly as long as *both* are, keep neither alive, hang off no
 module-level container and never ride along when an outcome is pickled.
-Every backend — serial, thread, process — takes its candidates from that
+Every backend — serial, inline spans, process — takes its candidates from that
 one frame: built once however many warm executions follow, shared across
 backends, and never shipped to a worker as sampled-id arrays.
 """
@@ -262,7 +262,7 @@ def _sharded_outcome(index):
 
 def _span_backends():
     return {
-        "thread": lambda seed: ParallelBatchExecutor(seed, max_workers=3),
+        "inline": lambda seed: ParallelBatchExecutor(seed),
         "process": lambda seed: ProcessPoolBatchExecutor(seed, max_workers=2),
     }
 
@@ -306,7 +306,7 @@ class TestOneFrameBehindEveryBackend:
                 release_exports(table)
         assert_no_leaked_resources()
 
-    def test_serial_thread_and_process_share_one_frame_object(self, monkeypatch):
+    def test_serial_inline_and_process_share_one_frame_object(self, monkeypatch):
         builds = self._count_builds(monkeypatch)
         table = _sharded("shared_frame")
         index = table.group_index("A")
@@ -340,7 +340,7 @@ class TestOneFrameBehindEveryBackend:
         finally:
             release_exports(table)
         assert len(submitted) == 4  # one payload per span
-        for _entry, _root, _span_index, tasks, *_rest in pickle.loads(pickle.dumps(submitted)):
+        for _entry, _span_index, tasks, *_rest in pickle.loads(pickle.dumps(submitted)):
             for task in tasks:
                 arrays = {
                     name for name, value in vars(task).items() if isinstance(value, np.ndarray)

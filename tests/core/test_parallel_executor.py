@@ -1,14 +1,17 @@
-"""Tests for ParallelBatchExecutor: invariance, fan-out, accounting."""
+"""Tests for ParallelBatchExecutor: invariance, inline placement, accounting."""
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.constraints import QueryConstraints
-from repro.core.parallel import ParallelBatchExecutor, default_max_workers
+import repro.core.procpool as procpool_module
+from repro.core.parallel import ParallelBatchExecutor
 from repro.core.pipeline import IntelSample, OptimalOracle
 from repro.core.plan import ExecutionPlan, GroupDecision
+from repro.core.procpool import ProcessPoolBatchExecutor, default_max_workers
 from repro.db.errors import BudgetExhaustedError
 from repro.db.sharding import ShardedTable
 from repro.db.table import Table
@@ -50,13 +53,11 @@ def _mixed_plan(index):
     return ExecutionPlan(decisions=decisions)
 
 
-def _execute(table, workers, seed=7, sample_outcome=None, free_memoized=False, udf=None):
+def _execute(table, seed=7, sample_outcome=None, free_memoized=False, udf=None):
     index = table.group_index("A")
     plan = _mixed_plan(index)
     ledger = CostLedger()
-    executor = ParallelBatchExecutor(
-        random_state=seed, max_workers=workers, free_memoized=free_memoized
-    )
+    executor = ParallelBatchExecutor(random_state=seed, free_memoized=free_memoized)
     result = executor.execute(
         table, index, udf or _udf(), plan, ledger, sample_outcome=sample_outcome
     )
@@ -66,10 +67,10 @@ def _execute(table, workers, seed=7, sample_outcome=None, free_memoized=False, u
 class TestInvariance:
     def test_identical_across_shard_layouts(self):
         plain = _table()
-        reference, ref_ledger = _execute(plain, workers=1)
+        reference, ref_ledger = _execute(plain)
         for shards in (1, 2, 3, 7):
             sharded = ShardedTable.from_table(plain, num_shards=shards)
-            result, ledger = _execute(sharded, workers=1)
+            result, ledger = _execute(sharded)
             assert np.array_equal(
                 np.asarray(reference.returned_row_ids),
                 np.asarray(result.returned_row_ids),
@@ -77,22 +78,11 @@ class TestInvariance:
             assert ledger.evaluated_count == ref_ledger.evaluated_count
             assert ledger.retrieved_count == ref_ledger.retrieved_count
 
-    def test_identical_across_worker_counts(self):
-        sharded = ShardedTable.from_table(_table(), num_shards=4)
-        reference, ref_ledger = _execute(sharded, workers=1)
-        for workers in (2, 3, 8):
-            result, ledger = _execute(sharded, workers=workers)
-            assert np.array_equal(
-                np.asarray(reference.returned_row_ids),
-                np.asarray(result.returned_row_ids),
-            )
-            assert ledger.evaluated_count == ref_ledger.evaluated_count
-
     def test_group_counts_match_across_layouts(self):
         plain = _table()
         sharded = ShardedTable.from_table(plain, num_shards=3)
-        reference, _ = _execute(plain, workers=1)
-        result, _ = _execute(sharded, workers=2)
+        reference, _ = _execute(plain)
+        result, _ = _execute(sharded)
         for key, counts in reference.group_counts.items():
             other = result.group_counts[key]
             assert (
@@ -112,9 +102,9 @@ class TestInvariance:
         sampled = set(outcome.row_ids.tolist())
         positives = set(outcome.positives.tolist())
 
-        reference, _ = _execute(plain, workers=1, sample_outcome=outcome)
+        reference, _ = _execute(plain, sample_outcome=outcome)
         sharded = ShardedTable.from_table(plain, num_shards=4)
-        result, _ = _execute(sharded, workers=2, sample_outcome=outcome)
+        result, _ = _execute(sharded, sample_outcome=outcome)
         assert np.array_equal(
             np.asarray(reference.returned_row_ids),
             np.asarray(result.returned_row_ids),
@@ -124,10 +114,34 @@ class TestInvariance:
         # Sampled negatives can never re-enter through the probabilistic pass.
         assert not (sampled - positives) & returned
 
+    def test_stream_keys_are_derived_once_per_group(self, monkeypatch):
+        """Two keys per group with work, however many spans the group spans."""
+        import repro.core.parallel as parallel_module
+
+        derived = []
+        real = parallel_module.stream_key
+
+        def counting(*parts):
+            derived.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(parallel_module, "stream_key", counting)
+        plain = _table()
+        index = plain.group_index("A")
+        plan = _mixed_plan(index)
+        groups_with_work = sum(
+            plan.decision(key).retrieve_probability > 0 for key in index.values
+        )
+        for shards in (1, 7):
+            derived.clear()
+            _execute(ShardedTable.from_table(plain, num_shards=shards))
+            assert len(derived) == 2 * groups_with_work, shards
+            assert len(set(derived)) == len(derived)  # (root, code, phase), each once
+
     def test_seed_changes_results(self):
         sharded = ShardedTable.from_table(_table(), num_shards=3)
-        a, _ = _execute(sharded, workers=2, seed=1)
-        b, _ = _execute(sharded, workers=2, seed=2)
+        a, _ = _execute(sharded, seed=1)
+        b, _ = _execute(sharded, seed=2)
         assert not np.array_equal(
             np.asarray(a.returned_row_ids), np.asarray(b.returned_row_ids)
         )
@@ -145,9 +159,7 @@ class TestPipelineParity:
             ledger = CostLedger()
             strategy = IntelSample(
                 random_state=42,
-                executor_factory=lambda rng: ParallelBatchExecutor(
-                    rng, max_workers=2
-                ),
+                executor_factory=ParallelBatchExecutor,
             )
             result = strategy.answer(
                 table, udf, constraints, ledger, correlated_column="A"
@@ -169,9 +181,7 @@ class TestPipelineParity:
             ledger = CostLedger()
             oracle = OptimalOracle(
                 random_state=13,
-                executor_factory=lambda rng: ParallelBatchExecutor(
-                    rng, max_workers=2
-                ),
+                executor_factory=ParallelBatchExecutor,
             )
             result = oracle.answer(
                 table, udf, constraints, ledger, correlated_column="A"
@@ -184,8 +194,58 @@ class TestPipelineParity:
         assert outcomes[0][1] > 0
 
 
-class TestBulkEvaluationFanOut:
-    def test_matches_serial_outcomes_and_counters(self):
+class TestInlinePlacement:
+    """Spans and bulk evaluations run on the calling thread, whatever the UDF."""
+
+    @staticmethod
+    def _recording_label_udf(name, seen):
+        """A label-column UDF that notes the thread of every bulk call."""
+        udf = _udf(name)
+        real = udf.evaluate_rows
+
+        def evaluate_rows(table, row_ids):
+            seen.append(threading.get_ident())
+            return real(table, row_ids)
+
+        udf.evaluate_rows = evaluate_rows
+        return udf
+
+    def test_label_udf_work_never_leaves_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(procpool_module, "_MIN_PARALLEL_EVAL_ROWS", 1)
+        sharded = ShardedTable.from_table(_table(), num_shards=4)
+        here = threading.get_ident()
+
+        seen = []
+        _execute(sharded, udf=self._recording_label_udf("rec_execute", seen))
+        assert len(seen) == 4  # one bulk call per span with work
+        assert set(seen) == {here}
+
+        seen.clear()
+        udf = self._recording_label_udf("rec_bulk", seen)
+        outcomes = ParallelBatchExecutor().evaluate_rows(
+            sharded, udf, np.arange(sharded.num_rows)
+        )
+        assert seen == [here]  # one bulk call, on this thread
+        assert udf.bulk_calls == 1
+        expected = sharded.column_array("f", allow_hidden=True).astype(bool)
+        assert np.array_equal(outcomes, expected)
+
+    def test_the_module_holds_no_pool_machinery(self):
+        """Neither a thread pool nor a context copy: spans run where called."""
+        import ast
+
+        import repro.core.parallel as parallel_module
+
+        tree = ast.parse(Path(parallel_module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert not imported & {"concurrent", "contextvars", "threading", "os"}
+
+    def test_sharded_bulk_evaluation_matches_serial_outcomes_and_counters(self):
         plain = _table(n=300)
         sharded = ShardedTable.from_table(plain, num_shards=3)
         ids = np.random.default_rng(5).permutation(300)[:200]
@@ -193,82 +253,19 @@ class TestBulkEvaluationFanOut:
         serial_udf = _udf("bulk_serial")
         serial = serial_udf.evaluate_rows(plain, ids)
 
-        parallel_udf = _udf("bulk_parallel")
-        executor = ParallelBatchExecutor(max_workers=3)
-        # force the fan even below the size threshold
-        executor_eval = executor.bulk_evaluator(parallel_udf)
-        import repro.core.parallel as parallel_module
+        inline_udf = _udf("bulk_inline")
+        inline = ParallelBatchExecutor().bulk_evaluator(inline_udf)(sharded, ids)
+        assert np.array_equal(serial, inline)
+        assert inline_udf.call_count == serial_udf.call_count
+        assert inline_udf.cache_misses == serial_udf.cache_misses
+        assert inline_udf.bulk_calls == serial_udf.bulk_calls == 1
 
-        original = parallel_module._MIN_PARALLEL_EVAL_ROWS
-        parallel_module._MIN_PARALLEL_EVAL_ROWS = 1
-        try:
-            fanned = executor_eval(sharded, ids)
-        finally:
-            parallel_module._MIN_PARALLEL_EVAL_ROWS = original
-        assert np.array_equal(serial, fanned)
-        assert parallel_udf.call_count == serial_udf.call_count
-        assert parallel_udf.cache_misses == serial_udf.cache_misses
-
-    def test_monolithic_table_degrades_to_single_call(self):
+    def test_monolithic_table_is_one_bulk_call(self):
         plain = _table(n=100)
         udf = _udf("bulk_mono")
-        executor = ParallelBatchExecutor(max_workers=4)
-        outcomes = executor.evaluate_rows(plain, udf, np.arange(100))
+        outcomes = ParallelBatchExecutor().evaluate_rows(plain, udf, np.arange(100))
         assert outcomes.size == 100
         assert udf.bulk_calls == 1
-
-
-class TestThreadPlacement:
-    """Spans leave the calling thread only for a UDF that releases the GIL."""
-
-    @staticmethod
-    def _recording_udf(name, seen):
-        def reveal(row):
-            seen.add(threading.get_ident())
-            return bool(row["f"])
-
-        return UserDefinedFunction(name, reveal)
-
-    def test_python_callable_udf_never_leaves_the_calling_thread(self, assert_same_rows):
-        sharded = ShardedTable.from_table(_table(), num_shards=4)
-        seen = set()
-        fanned, fanned_ledger = _execute(
-            sharded, workers=4, udf=self._recording_udf("rec_fan", seen)
-        )
-        assert seen == {threading.get_ident()}
-        inline, inline_ledger = _execute(
-            sharded, workers=1, udf=self._recording_udf("rec_inline", set())
-        )
-        assert_same_rows(fanned.returned_row_ids, inline.returned_row_ids)
-        assert fanned_ledger.evaluated_count == inline_ledger.evaluated_count
-        assert fanned_ledger.retrieved_count == inline_ledger.retrieved_count
-        assert fanned.group_counts == inline.group_counts
-
-    def test_python_callable_bulk_evaluation_never_fans(self, monkeypatch):
-        import repro.core.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "_MIN_PARALLEL_EVAL_ROWS", 1)
-        sharded = ShardedTable.from_table(_table(), num_shards=4)
-        seen = set()
-        udf = self._recording_udf("rec_bulk", seen)
-        outcomes = ParallelBatchExecutor(max_workers=4).evaluate_rows(
-            sharded, udf, np.arange(sharded.num_rows)
-        )
-        assert outcomes.size == sharded.num_rows
-        assert seen == {threading.get_ident()}
-        assert udf.bulk_calls == 1  # one serial call, not one per span
-
-    def test_label_udf_still_submits_to_the_shared_pool(self, record_pool_submits):
-        import repro.core.parallel as parallel_module
-
-        submitted = record_pool_submits(parallel_module, "shared_pool")
-        sharded = ShardedTable.from_table(_table(), num_shards=4)
-        fanned, _ = _execute(sharded, workers=4)
-        assert len(submitted) == 4  # one per span with work
-        submitted.clear()
-        inline, _ = _execute(sharded, workers=1)
-        assert submitted == []
-        assert np.array_equal(fanned.returned_row_ids, inline.returned_row_ids)
 
 
 class TestAccounting:
@@ -279,7 +276,7 @@ class TestAccounting:
         plan = _mixed_plan(index)
         ledger = CostLedger()
         ledger.set_budget(1.0)  # cannot afford even one span's retrievals
-        executor = ParallelBatchExecutor(random_state=0, max_workers=2)
+        executor = ParallelBatchExecutor(random_state=0)
         with pytest.raises(BudgetExhaustedError):
             executor.execute(sharded, index, udf, plan, ledger)
         assert udf.call_count == 0
@@ -290,14 +287,16 @@ class TestAccounting:
         # pre-pay every row so serving accounting has nothing left to charge
         udf.evaluate_rows(plain, np.arange(plain.num_rows))
         sharded = ShardedTable.from_table(plain, num_shards=3)
-        result, ledger = _execute(
-            sharded, workers=2, free_memoized=True, udf=udf
-        )
+        result, ledger = _execute(sharded, free_memoized=True, udf=udf)
         assert ledger.evaluated_count == 0
         assert ledger.retrieved_count > 0
         assert len(result.returned_row_ids) > 0
 
+    def test_only_the_process_pool_takes_a_worker_count(self):
+        with pytest.raises(TypeError):
+            ParallelBatchExecutor(max_workers=2)
+
     def test_rejects_non_positive_workers(self):
         with pytest.raises(ValueError):
-            ParallelBatchExecutor(max_workers=0)
+            ProcessPoolBatchExecutor(max_workers=0)
         assert default_max_workers() >= 1

@@ -70,14 +70,14 @@ def _mixed_plan(index):
     return ExecutionPlan(decisions=decisions)
 
 
-def _execute(table, executor_cls, udf, workers, seed=7, free_memoized=False,
+def _execute(table, executor_cls, udf, workers=None, seed=7, free_memoized=False,
              sample_outcome=None, ledger=None):
+    """Run the mixed plan; ``workers`` sizes a process pool (inline: ``None``)."""
     index = table.group_index("A")
     plan = _mixed_plan(index)
     ledger = ledger if ledger is not None else CostLedger()
-    executor = executor_cls(
-        random_state=seed, max_workers=workers, free_memoized=free_memoized
-    )
+    sizing = {} if workers is None else {"max_workers": workers}
+    executor = executor_cls(random_state=seed, free_memoized=free_memoized, **sizing)
     result = executor.execute(
         table, index, udf, plan, ledger, sample_outcome=sample_outcome
     )
@@ -111,7 +111,7 @@ class TestExecuteParity:
     def test_label_udf_bitwise_parity(self):
         table = _sharded()
         udf_a, udf_b = _label_udf(), _label_udf()
-        serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_a, workers=1)
+        serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_a)
         remote, remote_ledger = _execute(
             table, ProcessPoolBatchExecutor, udf_b, workers=WORKERS
         )
@@ -120,7 +120,7 @@ class TestExecuteParity:
     def test_python_callable_udf_bitwise_parity(self):
         table = _sharded(name="pytab")
         udf_a, udf_b = _func_udf(), _func_udf()
-        serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_a, workers=1)
+        serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_a)
         remote, remote_ledger = _execute(
             table, ProcessPoolBatchExecutor, udf_b, workers=WORKERS
         )
@@ -139,7 +139,7 @@ class TestExecuteParity:
             table, index, udf_b, {value: 5 for value in index.values}, CostLedger()
         )
         serial, serial_ledger = _execute(
-            table, ParallelBatchExecutor, udf_a, workers=1, sample_outcome=outcome
+            table, ParallelBatchExecutor, udf_a, sample_outcome=outcome
         )
         remote, remote_ledger = _execute(
             table, ProcessPoolBatchExecutor, udf_b, workers=WORKERS,
@@ -152,7 +152,7 @@ class TestExecuteParity:
         udf_a, udf_b = _label_udf("m_a"), _label_udf("m_b")
         for run_seed in (7, 7, 13):
             serial, serial_ledger = _execute(
-                table, ParallelBatchExecutor, udf_a, workers=1,
+                table, ParallelBatchExecutor, udf_a,
                 seed=run_seed, free_memoized=True,
             )
             remote, remote_ledger = _execute(
@@ -162,14 +162,14 @@ class TestExecuteParity:
             _assert_parity(serial, serial_ledger, udf_a, remote, remote_ledger, udf_b)
         # The repeated seed really was free the second time (memo merged back).
         _, second_ledger = _execute(
-            table, ParallelBatchExecutor, _label_udf("m_c"), workers=1,
+            table, ParallelBatchExecutor, _label_udf("m_c"),
             seed=7, free_memoized=True,
         )
         assert second_ledger.evaluated_count > 0  # fresh UDF pays
 
     def test_budget_trips_at_the_same_boundary(self):
         table = _sharded(name="budtab")
-        _, full_ledger = _execute(table, ParallelBatchExecutor, _label_udf(), workers=1)
+        _, full_ledger = _execute(table, ParallelBatchExecutor, _label_udf())
         budget = full_ledger.total_cost / 2
 
         def run(executor_cls, udf, workers):
@@ -179,7 +179,7 @@ class TestExecuteParity:
                 _execute(table, executor_cls, udf, workers=workers, ledger=ledger)
             return ledger
 
-        serial_ledger = run(ParallelBatchExecutor, _label_udf(), 1)
+        serial_ledger = run(ParallelBatchExecutor, _label_udf(), None)
         remote_ledger = run(ProcessPoolBatchExecutor, _label_udf(), WORKERS)
         assert remote_ledger.retrieved_count == serial_ledger.retrieved_count
         assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
@@ -194,16 +194,13 @@ class TestEvaluateRowsFan:
         executor = ProcessPoolBatchExecutor(random_state=0, max_workers=WORKERS)
         got = executor.evaluate_rows(table, udf_remote, ids)
         assert np.array_equal(np.asarray(expected), np.asarray(got))
-        # One bulk call, like serial — the thread path pays one per chunk.
+        # One bulk call, like serial.
         assert udf_remote.counter_snapshot() == udf_serial.counter_snapshot()
         assert _memo(udf_remote) == _memo(udf_serial)
 
-    def test_fan_threshold_is_read_where_the_thread_executor_reads_it(
-        self, monkeypatch, record_pool_submits
-    ):
-        """One ``_span_masks``: patching ``parallel._MIN_PARALLEL_EVAL_ROWS``
-        moves the process fan too (procpool used to import it by value)."""
-        import repro.core.parallel as parallel_module
+    def test_fan_threshold_is_read_at_call_time(self, monkeypatch, record_pool_submits):
+        """Patching ``procpool._MIN_PARALLEL_EVAL_ROWS`` moves the fan: the
+        threshold is a module global read per call, not a copied value."""
         import repro.core.procpool as procpool_module
 
         table = _sharded(n=600, shards=4, name="thrtab")
@@ -214,7 +211,7 @@ class TestEvaluateRowsFan:
         expected = udf_serial.evaluate_rows(table, ids)
         executor.evaluate_rows(table, _label_udf("thr_small"), ids)
         assert submitted == []  # 600 ids < 2048: one serial call
-        monkeypatch.setattr(parallel_module, "_MIN_PARALLEL_EVAL_ROWS", 1)
+        monkeypatch.setattr(procpool_module, "_MIN_PARALLEL_EVAL_ROWS", 1)
         got = executor.evaluate_rows(table, udf_remote, ids)
         assert len(submitted) == 4
         assert np.array_equal(np.asarray(expected), np.asarray(got))
@@ -252,9 +249,7 @@ class TestFallbacks:
             udf_remote = UserDefinedFunction(
                 "lam_b", lambda row: bool(row["f"])  # unpicklable on purpose
             )
-            serial, serial_ledger = _execute(
-                table, ParallelBatchExecutor, udf_serial, workers=1
-            )
+            serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_serial)
             remote, remote_ledger = _execute(
                 table, ProcessPoolBatchExecutor, udf_remote, workers=WORKERS
             )
@@ -284,9 +279,7 @@ class TestFallbacks:
             )
             table = ShardedTable.from_table(base, num_shards=3)
             udf_serial, udf_remote = _func_udf("obj_a"), _func_udf("obj_b")
-            serial, serial_ledger = _execute(
-                table, ParallelBatchExecutor, udf_serial, workers=1
-            )
+            serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_serial)
             remote, remote_ledger = _execute(
                 table, ProcessPoolBatchExecutor, udf_remote, workers=WORKERS
             )

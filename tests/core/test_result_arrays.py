@@ -87,7 +87,7 @@ def _label_udf(name="rudf"):
 EXECUTORS = {
     "plan": lambda seed: PlanExecutor(random_state=seed),
     "batch": lambda seed: BatchExecutor(random_state=seed),
-    "thread": lambda seed: ParallelBatchExecutor(random_state=seed, max_workers=2),
+    "inline": lambda seed: ParallelBatchExecutor(random_state=seed),
     "process": lambda seed: ProcessPoolBatchExecutor(random_state=seed, max_workers=2),
 }
 
@@ -173,7 +173,7 @@ class TestExecutors:
                     table, index, UserDefinedFunction(f"py{i}", RevealLabel("f", True)),
                     plan, CostLedger(),
                 )
-                for i, factory in enumerate((EXECUTORS["thread"], EXECUTORS["process"]))
+                for i, factory in enumerate((EXECUTORS["inline"], EXECUTORS["process"]))
             ]
             for result in results:
                 assert_answer_type(result.returned_row_ids)

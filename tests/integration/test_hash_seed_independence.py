@@ -6,9 +6,10 @@ the merged outcome's group order — and with it the order of the sampled
 positives at the head of ``row_ids`` — followed the hash seed: same rows,
 different order, different bytes.  Each query below runs in two processes
 with different hash seeds and must print the same ``row_ids`` list — on the
-serial executor over a plain table, and on the thread executor over a
-sharded one (span tasks, per-group coin streams keyed by group *code* and a
-merge by code: nothing there may follow a hash either).
+serial executor over a plain table, and on the process executor over a
+sharded one (span tasks shipped to worker processes, per-group coin streams
+keyed by group *code* and a merge by code: nothing there may follow a hash
+either).
 
 The same script then walks the stateful path in miniature — append (a new
 string-keyed group arrives in the delta) → refresh query → ``save_warm_state``
@@ -47,14 +48,14 @@ table = Table.from_columns(
     },
     hidden_columns=["is_good"],
 )
-if EXECUTOR == "thread":
+if EXECUTOR == "process":
     table = ShardedTable.from_table(table, num_shards=4)
 
 
 def serve(catalog, directory):
     udf = UserDefinedFunction.from_label_column("label", "is_good")
     catalog.register_udf(udf)
-    config = ServiceConfig(executor=EXECUTOR, max_workers=3, storage_dir=directory)
+    config = ServiceConfig(executor=EXECUTOR, max_workers=2, storage_dir=directory)
     query = SelectQuery(
         table="loans", predicate=UdfPredicate(udf), alpha=0.8, beta=0.8, rho=0.8,
         correlated_column=None,  # automatic selection: labelled sample merged with group samples
@@ -123,5 +124,5 @@ def test_row_ids_are_identical_across_hash_seeds():
     _assert_hash_seed_independent("serial")
 
 
-def test_row_ids_are_identical_across_hash_seeds_on_a_sharded_thread_executor():
-    _assert_hash_seed_independent("thread")
+def test_row_ids_are_identical_across_hash_seeds_on_a_sharded_process_executor():
+    _assert_hash_seed_independent("process")

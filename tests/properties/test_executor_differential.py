@@ -11,9 +11,9 @@ Three promises this suite pins down:
 * the factorised :class:`~repro.db.index.GroupIndex` produces exactly the
   grouping of the dict-based reference :meth:`Table.group_row_ids` (keys,
   key order, row ids, row order), including its per-row codes;
-* the span path (:class:`~repro.core.parallel.ParallelBatchExecutor` inline
-  and on pool threads, :class:`~repro.core.procpool.ProcessPoolBatchExecutor`
-  in worker processes) returns exactly what the counter coin discipline
+* the span path (:class:`~repro.core.parallel.ParallelBatchExecutor` inline,
+  :class:`~repro.core.procpool.ProcessPoolBatchExecutor` in worker
+  processes) returns exactly what the counter coin discipline
   *defines*, as restated tuple by tuple in ``counter_coin_oracle.py`` — so
   the span path is compared with something other than itself.
 
@@ -205,7 +205,7 @@ def _assert_equals_oracle(
 
 class TestSpanPathAgainstCounterCoinOracle:
     @pytest.mark.parametrize("free_memoized", [False, True], ids=["paper", "serving"])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
     @pytest.mark.parametrize("shards", [1, 2, 5])
     @settings(
         max_examples=25,
@@ -213,15 +213,19 @@ class TestSpanPathAgainstCounterCoinOracle:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(case=span_cases())
-    def test_thread_executor_equals_the_oracle(
-        self, shards, workers, free_memoized, case, assert_same_rows
+    def test_inline_executor_equals_the_oracle(
+        self, shards, python_udf, free_memoized, case, assert_same_rows
     ):
         columns, decisions, outcome, prepaid, seed = case
+        if python_udf:
+            make_udf = lambda tag: UserDefinedFunction(f"{tag}_py", RevealLabel("f", True))  # noqa: E731
+        else:
+            make_udf = lambda tag: UserDefinedFunction.from_label_column(f"{tag}_label", "f")  # noqa: E731
         _assert_equals_oracle(
             assert_same_rows,
-            ParallelBatchExecutor(seed, max_workers=workers, free_memoized=free_memoized),
+            ParallelBatchExecutor(seed, free_memoized=free_memoized),
             _span_table(columns, shards),
-            lambda tag: UserDefinedFunction.from_label_column(f"{tag}_label", "f"),
+            make_udf,
             ExecutionPlan(decisions),
             outcome,
             prepaid,

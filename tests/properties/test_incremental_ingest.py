@@ -207,7 +207,6 @@ def test_query_results_identical_after_appends_serial_and_parallel(data):
     fresh_sharded = ShardedTable.from_columns(
         "inc", {"A": values, "f": labels}, hidden_columns=["f"], shard_rows=7
     )
-    parallel = lambda rng: ParallelBatchExecutor(rng, max_workers=2)  # noqa: E731
-    assert _run_query(sharded, "c", parallel) == _run_query(
-        fresh_sharded, "d", parallel
+    assert _run_query(sharded, "c", ParallelBatchExecutor) == _run_query(
+        fresh_sharded, "d", ParallelBatchExecutor
     )

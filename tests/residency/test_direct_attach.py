@@ -31,11 +31,12 @@ def _mixed_plan(index):
     return ExecutionPlan(decisions=decisions)
 
 
-def _execute(table, executor_cls, udf, workers, seed=7):
+def _execute(table, executor_cls, udf, workers=None, seed=7):
     index = table.group_index("A")
     plan = _mixed_plan(index)
     ledger = CostLedger()
-    executor = executor_cls(random_state=seed, max_workers=workers)
+    sizing = {} if workers is None else {"max_workers": workers}
+    executor = executor_cls(random_state=seed, **sizing)
     result = executor.execute(table, index, udf, plan, ledger)
     return result, ledger
 
@@ -87,9 +88,7 @@ class TestProcessPoolDirectAttach:
         remote_udf = UserDefinedFunction.from_label_column("da_remote", "f")
         registry = enable_metrics(MetricsRegistry())
         try:
-            serial, serial_ledger = _execute(
-                eager, ParallelBatchExecutor, serial_udf, workers=1
-            )
+            serial, serial_ledger = _execute(eager, ParallelBatchExecutor, serial_udf)
             remote, remote_ledger = _execute(
                 lazy, ProcessPoolBatchExecutor, remote_udf, workers=WORKERS
             )

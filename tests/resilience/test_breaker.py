@@ -162,7 +162,7 @@ class TestStateMachine:
 
 
 class TestServiceDegradation:
-    def test_open_breaker_degrades_to_thread_with_identical_answer(self):
+    def test_open_breaker_degrades_inline_with_identical_answer(self):
         catalog, udf = _setup(name="dgtab", shards=3)
         service = QueryService(
             Engine(catalog),
@@ -172,7 +172,8 @@ class TestServiceDegradation:
         )
         baseline_catalog, baseline_udf = _setup(name="dgtab", shards=3)
         baseline = QueryService(
-            Engine(baseline_catalog), config=ServiceConfig(executor="thread")
+            Engine(baseline_catalog),
+            config=ServiceConfig(executor="process", max_workers=1),
         )
 
         for _ in range(service.config.breaker_threshold):

@@ -85,7 +85,7 @@ def _run(table, executor, udf, ledger=None):
 
 
 def _serial_baseline(table, udf, seed=7):
-    executor = ParallelBatchExecutor(random_state=seed, max_workers=1)
+    executor = ParallelBatchExecutor(random_state=seed)
     return _run(table, executor, udf)
 
 
@@ -342,7 +342,7 @@ class TestWorkerRaisedTimeoutFault:
     ``concurrent.futures.TimeoutError is TimeoutError`` since Python 3.11,
     so the parent's "the wait timed out" handler also sees an exception the
     UDF raised inside a worker.  It must take the fatal path — the caller
-    gets the UDF's own error, as from the serial and thread backends — and
+    gets the UDF's own error, as from the serial and inline paths — and
     must not be treated as a hang: the healthy pool stays cached, the
     exports stay linked, the breaker hears nothing, and with a deadline
     armed it is not misreported as ``DeadlineExceeded``.

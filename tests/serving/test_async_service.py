@@ -25,7 +25,7 @@ from repro.db.udf import UserDefinedFunction
 from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
 from repro.resilience import DeadlineExceeded, FaultPlan, FaultRule, fault_scope
 from repro.serving import Overloaded, QueryService, ServiceClosed, ServiceConfig
-from repro.serving.config import SERVICE_STATS_SCHEMA, ServiceStats
+from repro.serving.config import EXECUTORS, SERVICE_STATS_SCHEMA, ServiceStats
 
 
 def _table(n=300, groups=4, seed=9, name="atab"):
@@ -534,12 +534,19 @@ class TestConfigShims:
         """The pre-1.3 constructor keywords were removed in 1.7: config= only."""
         catalog, _ = _setup(name="ftab")
         with pytest.raises(TypeError, match="executor"):
-            QueryService(Engine(catalog), executor="thread")
+            QueryService(Engine(catalog), executor="process")
 
     def test_service_config_rejects_legacy_names(self):
         for name in ("parallel", "batch", "bogus"):
             with pytest.raises(ValueError, match="must be one of"):
                 ServiceConfig(executor=name)
+
+    def test_the_thread_backend_is_gone(self):
+        """Removed in 1.12: the error names the three backends that remain."""
+        assert EXECUTORS == ("serial", "process", "reference")
+        with pytest.raises(ValueError) as raised:
+            ServiceConfig(executor="thread")
+        assert all(repr(name) in str(raised.value) for name in EXECUTORS)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -580,20 +587,19 @@ class TestStatsSurface:
 
 
 class TestExecutorAwareValidation:
-    def test_non_aware_strategy_rejected_for_parallel_backends(self):
+    def test_non_aware_strategy_rejected_for_the_process_backend(self):
         catalog, _ = _setup(name="jtab")
 
         class Opaque:
             def __init__(self, random_state):
                 pass
 
-        for backend in ("thread", "process"):
-            with pytest.raises(TypeError, match="ExecutorAware"):
-                QueryService(
-                    Engine(catalog),
-                    strategy_factory=Opaque,
-                    config=ServiceConfig(executor=backend),
-                )
+        with pytest.raises(TypeError, match="ExecutorAware"):
+            QueryService(
+                Engine(catalog),
+                strategy_factory=Opaque,
+                config=ServiceConfig(executor="process"),
+            )
         # Serial backends never inject an executor, so anything goes.
         QueryService(
             Engine(catalog),
@@ -604,6 +610,6 @@ class TestExecutorAwareValidation:
     def test_default_strategy_is_executor_aware(self):
         catalog, _ = _setup(name="ktab")
         service = QueryService(
-            Engine(catalog), config=ServiceConfig(executor="thread", max_workers=2)
+            Engine(catalog), config=ServiceConfig(executor="process", max_workers=2)
         )
         assert isinstance(service._strategy_prototype, ExecutorAware)

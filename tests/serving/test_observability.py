@@ -1,11 +1,12 @@
 """End-to-end observability: traces, metrics and latency through the service.
 
 The load-bearing test here is the differential one pinned by the PR's
-acceptance criteria: a sharded, parallel, refresh-path query must produce a
-single coherent trace tree whose per-span ``udf_evals`` deltas sum *exactly*
-to the query ledger's ``evaluated_count`` — serial sections attribute work
-by ledger diffing, parallel shard spans by the exact amounts charged under
-the executor's ledger lock, and nothing may be double-counted or dropped.
+acceptance criteria: a sharded, process-backed, refresh-path query must
+produce a single coherent trace tree whose per-span ``udf_evals`` deltas sum
+*exactly* to the query ledger's ``evaluated_count`` — serial sections
+attribute work by ledger diffing, shard spans by the exact amounts the
+parent charges while it settles each worker's span, and nothing may be
+double-counted or dropped.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class TestTraceWorkExactness:
         one tree per query, per-span deltas summing to the ledger total."""
         table, udf, catalog = _setup(shards=4)
         service = QueryService(
-            Engine(catalog), config=ServiceConfig(executor="thread", max_workers=3)
+            Engine(catalog), config=ServiceConfig(executor="process", max_workers=2)
         )
         sink = CollectingTraceSink()
         service.set_trace_sink(sink)
@@ -135,7 +136,7 @@ class TestShardSpans:
     def test_shard_spans_parent_under_execute(self):
         table, udf, catalog = _setup(shards=4)
         service = QueryService(
-            Engine(catalog), config=ServiceConfig(executor="thread", max_workers=3)
+            Engine(catalog), config=ServiceConfig(executor="process", max_workers=2)
         )
         sink = CollectingTraceSink()
         service.set_trace_sink(sink)
@@ -157,8 +158,8 @@ class TestShardSpans:
         def run():
             table, udf, catalog = _setup(shards=4)
             service = QueryService(
-            Engine(catalog), config=ServiceConfig(executor="thread", max_workers=3)
-        )
+                Engine(catalog), config=ServiceConfig(executor="process", max_workers=2)
+            )
             sink = CollectingTraceSink()
             service.set_trace_sink(sink)
             service.submit(_query(udf), seed=0)

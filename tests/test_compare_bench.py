@@ -159,23 +159,18 @@ def _scale_payload(parity_delta=0, mismatches=0, process_delta=0,
         "parallel": dict(replay, udf_evaluations=serial_evals + parity_delta),
         "python_udf": {
             "serial": dict(replay),
-            "thread": dict(replay),
             "process": dict(replay, udf_evaluations=serial_evals + process_delta),
         },
         "parity": {
             "udf_evaluations_abs_delta": abs(parity_delta),
             "solver_calls_abs_delta": 0,
             "row_ids_mismatch": mismatches,
-            "thread_python_udf_evaluations_abs_delta": 0,
-            "thread_python_solver_calls_abs_delta": 0,
-            "thread_python_row_ids_mismatch": 0,
             "process_udf_evaluations_abs_delta": abs(process_delta),
             "process_solver_calls_abs_delta": 0,
             "process_row_ids_mismatch": 0,
             "workload_row_ids_mismatch": 0,
         },
         "parallel_speedup": 0.9,
-        "thread_python_speedup": 0.8,
         "process_speedup": 2.4,
         "seconds": 1.0,
     }

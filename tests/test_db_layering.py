@@ -2,7 +2,7 @@
 
 An AST walk, so an import tucked inside a function counts as much as one at
 module level — that is how the last one hid (``db/sharding.py`` reached into
-``repro.core.parallel`` for a thread pool to build per-shard indexes on).
+``repro.core`` from inside a function to build per-shard indexes).
 """
 
 import ast
@@ -60,7 +60,7 @@ def test_the_walk_sees_nested_relative_and_submodule_imports(tmp_path):
         "import repro.corelib\n"
         "from repro.db.table import Table\n"
         "def build():\n"
-        "    from repro.core.parallel import shared_pool\n"
+        "    from repro.core.parallel import build_span_tasks\n"
         "    from ...sampling import sampler\n"
         "    from repro import serving\n"
         "    import repro.serving.config as config\n",
