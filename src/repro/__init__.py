@@ -142,6 +142,13 @@ inline or in worker processes): the ``"thread"`` executor backend
 ``ProcessPoolBatchExecutor(max_workers=)`` and ``ServiceConfig.max_workers``
 size the process pool, and ``default_max_workers`` lives in
 :mod:`repro.core.procpool`).
+Removed in 1.13, with the solve path it served (SLSQP is driven directly,
+bit for bit, by :func:`repro.solvers.convex.slsqp`, which needs scipy ≥ 1.16):
+``repro.solvers.convex.minimize`` (interpose on ``repro.solvers.convex.slsqp``,
+which returns ``(x, converged)``).  Inverted bounds now raise
+:class:`ValueError` when the :class:`~repro.solvers.convex.ConvexProblem` is
+built, not when it is solved, and its ``bounds`` must be ``n`` ``(low,
+high)`` pairs (a flat sequence of ``2n`` numbers is no longer reshaped).
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -220,7 +227,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "__version__",

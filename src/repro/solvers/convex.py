@@ -10,10 +10,23 @@ solver finds the global optimum.  A :class:`ConvexProblem` states its
 constraints as arrays, not as lists of Python objects: the nonlinear rows are
 **one** vector-valued ``(fun, jac)`` pair and the linear rows are one
 ``(matrix, offsets)`` block.  :meth:`ConvexProblem.oracle` stacks the two into
-the single constraint :func:`scipy.optimize.minimize` (SLSQP) is given — one
-values callback and one jacobian callback per iteration, both returning
-preallocated arrays, the jacobian's linear rows written once.  Around that
-solve this module adds:
+the single constraint SLSQP is given — one values callback and one jacobian
+callback per iteration, both returning preallocated arrays, the jacobian's
+linear rows written once.
+
+SLSQP runs through :func:`slsqp`, which drives scipy's step routine
+(``scipy.optimize._slsqplib.slsqp``, shipped since scipy 1.16) exactly as
+:func:`scipy.optimize.minimize` with ``method="SLSQP"`` drives it, and
+nothing else.  Why not ``minimize`` itself: on a six-group planner program
+(2-core x86 box, scipy 1.17) a solve took 1.19 ms through it and takes
+0.82 ms driven directly, of which 0.44 ms is SLSQP's own steps; the
+difference was ``minimize``'s per-call validation, ``ScalarFunction``
+wrapper, bound conversions and result object, paid on every cold plan and
+every refresh.  The driver keeps every iterate bit for bit, so plans and
+answers do not move.  It leans on a private scipy routine, so
+``tests/solvers/test_slsqp_driver.py`` holds it to public ``minimize`` and
+is the gate a scipy release that changes the step fails by name.  Around
+that solve this module adds:
 
 * multiple deterministic starting points (all-evaluate, mid-point, near the
   top, after caller-provided warm starts such as the BiGreedy solution),
@@ -29,19 +42,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.solvers.linear import InfeasibleProblemError
-
-
-def minimize(fun, x0, **kwargs):
-    """:func:`scipy.optimize.minimize`, imported by the first solve.
-
-    scipy is half of ``import repro``'s time and resident memory, and a
-    process that never solves — every spawned pool worker — should pay
-    neither.  The name stays a module attribute: it is the seam tests
-    interpose on.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
 
 #: ``fun(x)`` returns the nonlinear constraint values ``g(x)`` as a vector,
 #: ``jac(x)`` their jacobian, one row per value.  Either may return the same
@@ -81,8 +81,10 @@ class ConvexProblem:
         The linear rows (used for the ``R_a >= E_a`` coupling constraints);
         starts empty unless given.
     bounds:
-        Per-variable ``(low, high)``; defaults to ``[0, 1]``.  Held as one
-        ``(n, 2)`` array.
+        Per-variable ``(low, high)`` — a sequence of pairs or the ``(n, 2)``
+        array it is held as; defaults to ``[0, 1]``.  An infinite bound
+        leaves that side open.  A high below its low raises
+        :class:`ValueError` here, not at solve time.
     """
 
     objective: Sequence[float]
@@ -97,7 +99,15 @@ class ConvexProblem:
             self.constraints = (lambda x: np.empty(0), lambda x: np.empty((0, n)))
         if self.linear_inequalities is None:
             self.linear_inequalities = LinearBlock(np.empty((0, n)), np.empty(0))
-        self.bounds = np.asarray(self.bounds or [(0.0, 1.0)] * n, dtype=float).reshape(n, 2)
+        if self.bounds is None:
+            self.bounds = np.tile([0.0, 1.0], (n, 1))
+        self.bounds = np.asarray(self.bounds, dtype=float)
+        if self.bounds.shape != (n, 2):
+            raise ValueError(
+                f"bounds must be {n} (low, high) pairs, got shape {self.bounds.shape}"
+            )
+        if np.any(self.bounds[:, 1] < self.bounds[:, 0]):
+            raise ValueError("An upper bound is less than the corresponding lower bound.")
 
     @property
     def num_variables(self) -> int:
@@ -176,8 +186,83 @@ class ConvexSolution:
         return iter(self.values)
 
 
+def slsqp(
+    problem: ConvexProblem,
+    start: np.ndarray,
+    values: ConstraintFn,
+    jacobian: ConstraintFn,
+    max_iterations: int,
+    tolerance: float,
+) -> Tuple[np.ndarray, bool]:
+    """One SLSQP run on ``problem`` from ``start``: ``(x, converged)``.
+
+    ``values`` / ``jacobian`` are the problem's :meth:`~ConvexProblem.oracle`
+    (every row an inequality).  This is the reverse-communication loop
+    :func:`scipy.optimize.minimize` runs for ``method="SLSQP"`` with
+    ``options={"maxiter": max_iterations, "ftol": tolerance}``, stated once
+    for a linear objective with an analytic jacobian: the same clipped start,
+    state, buffer sizes and callback values, so every iterate is the same to
+    the bit.  What is left out is work whose result this program never reads
+    — argument validation, the ``ScalarFunction`` cache, per-call bound
+    conversions, the result object.  scipy (≥ 1.16, which ships the step as
+    ``scipy.optimize._slsqplib``) is imported by the first solve.
+    """
+    from scipy.optimize._slsqplib import slsqp as step
+
+    lows, highs = problem.bounds.T
+    # A NaN bound is an open side, as scipy's bound conversion makes it; the
+    # step itself reads every non-finite bound as NaN.
+    x = np.clip(
+        np.asarray(start, dtype=float),
+        np.where(lows > -np.inf, lows, -np.inf),
+        np.where(highs < np.inf, highs, np.inf),
+    )
+    xl = np.where(np.isfinite(lows), lows, np.nan)
+    xu = np.where(np.isfinite(highs), highs, np.nan)
+
+    n = x.size
+    fx = problem.cost(x)
+    gradient = problem.objective
+    constraint_values = values(x)
+    m = constraint_values.size
+    d = np.zeros(max(1, m))
+    d[:m] = constraint_values
+    normals = np.zeros((max(1, m), n), order="F")
+    normals[:m] = jacobian(x)
+    state = {
+        "acc": tolerance, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
+        "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
+        "tol": 10.0 * tolerance, "exact": 0, "inconsistent": 0, "reset": 0,
+        "iter": 0, "itermax": int(max_iterations), "line": 0, "m": m, "meq": 0,
+        "mode": 0, "n": n,
+    }
+    # scipy's worst-case workspace with no equality rows, topped up when
+    # there are no inequality rows either.
+    size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28
+    if m == 0:
+        size += 2 * n * (n + 1)
+    buffer = np.zeros(size)
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    multipliers = np.zeros(m + 2 * n + 2)
+    while True:
+        step(state, fx, gradient, normals, d, x, multipliers, xl, xu, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:           # objective and constraint values at the new x
+            fx = problem.cost(x)
+            d[:m] = values(x)
+        elif mode == -1:        # jacobian at the new x (the gradient is constant)
+            normals[:m] = jacobian(x)
+        else:
+            return x, mode == 0
+
+
 class ConvexSolver:
-    """SLSQP-based solver with warm starts and feasibility verification."""
+    """SLSQP-based solver with warm starts and feasibility verification.
+
+    Each start is one :func:`slsqp` run — scipy's SLSQP step driven directly,
+    not through ``scipy.optimize.minimize``, with the same iterates bit for
+    bit (see the module docstring for why and what guards it).
+    """
 
     def __init__(
         self,
@@ -205,10 +290,7 @@ class ConvexSolver:
         :class:`InfeasibleProblemError` when every attempt fails the
         feasibility check.
         """
-        from scipy.optimize import Bounds
-
         lows, highs = problem.bounds.T
-        bounds = Bounds(lows, highs)
 
         def starts() -> Iterator[np.ndarray]:
             for warm in warm_starts or ():
@@ -218,22 +300,15 @@ class ConvexSolver:
             yield lows + 0.9 * (highs - lows)   # near the top
 
         values, jacobian = problem.oracle()
-        constraint = {"type": "ineq", "fun": values, "jac": jacobian}
 
         best: Optional[ConvexSolution] = None
         tried: List[np.ndarray] = []
         for start in starts():
             tried.append(start)
-            result = minimize(
-                problem.cost,
-                start,
-                jac=lambda x: problem.objective,
-                bounds=bounds,
-                constraints=constraint,
-                method="SLSQP",
-                options={"maxiter": self.max_iterations, "ftol": self.tolerance},
+            x, converged = slsqp(
+                problem, start, values, jacobian, self.max_iterations, self.tolerance
             )
-            candidate = np.clip(np.asarray(result.x, dtype=float), lows, highs)
+            candidate = np.clip(x, lows, highs)
             if not problem.is_feasible(candidate, self.feasibility_tolerance):
                 continue
             cost = problem.cost(candidate)
@@ -242,9 +317,9 @@ class ConvexSolver:
                     values=candidate,
                     objective_value=cost,
                     feasible=True,
-                    status="optimal" if result.success else "feasible",
+                    status="optimal" if converged else "feasible",
                 )
-            if result.success:
+            if converged:
                 # The program is convex (linear objective over a convex
                 # feasible set), so any converged feasible solve is already
                 # the global optimum — the remaining starts exist only to

@@ -80,8 +80,10 @@ class LinearSolution:
 def linprog(c, **kwargs):
     """:func:`scipy.optimize.linprog`, imported by the first solve.
 
-    See :func:`repro.solvers.convex.minimize`: a process that never solves
-    never imports scipy.
+    scipy is half of ``import repro``'s time and resident memory, and a
+    process that never solves — every spawned pool worker — should pay
+    neither (:func:`repro.solvers.convex.slsqp` imports it the same way).
+    The name stays a module attribute: it is the seam tests interpose on.
     """
     from scipy.optimize import linprog as scipy_linprog
 

@@ -14,7 +14,12 @@ used to evaluate query results and seeded random-number helpers that keep
 every experiment reproducible.
 """
 
-from repro.stats.beta import BetaPosterior, beta_mean, beta_variance
+from repro.stats.beta import (
+    BetaPosterior,
+    beta_mean,
+    beta_variance,
+    clopper_pearson_upper,
+)
 from repro.stats.chebyshev import chebyshev_deviation_factor, chebyshev_tail_bound
 from repro.stats.hoeffding import (
     hoeffding_bound,
@@ -41,6 +46,7 @@ __all__ = [
     "BetaPosterior",
     "beta_mean",
     "beta_variance",
+    "clopper_pearson_upper",
     "chebyshev_deviation_factor",
     "chebyshev_tail_bound",
     "hoeffding_bound",

@@ -30,6 +30,26 @@ def beta_variance(positives: int, negatives: int) -> float:
     return mean * (1.0 - mean) / (total + 3)
 
 
+def clopper_pearson_upper(successes: int, n: int, confidence: float = 0.95) -> float:
+    """One-sided Clopper–Pearson upper bound on a binomial rate.
+
+    The exact bound: the largest rate ``p`` under which seeing ``successes``
+    or fewer in ``n`` trials still has probability ``1 - confidence``, i.e.
+    the ``confidence`` quantile of ``Beta(successes + 1, n - successes)``
+    (1 when every trial succeeded).  A guarantee "rate >= rho" is violated
+    with that confidence when this bound falls below ``rho``.
+    """
+    if not 0 <= successes <= n or n <= 0:
+        raise ValueError(f"need 0 <= successes <= n and n > 0, got {successes} of {n}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if successes == n:
+        return 1.0
+    from scipy import stats
+
+    return float(stats.beta.ppf(confidence, successes + 1, n - successes))
+
+
 def _validate_counts(positives: int, negatives: int) -> None:
     if positives < 0 or negatives < 0:
         raise ValueError(

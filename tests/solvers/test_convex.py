@@ -68,6 +68,30 @@ class TestConvexProblem:
         x = np.array([0.3, 0.4])
         assert appended.violation(x) == whole.violation(x) > 0.0
 
+    def test_array_bounds_are_accepted_and_equal_list_bounds(self):
+        from_array = ConvexProblem(objective=[1.0, 1.0], bounds=np.array([[0, 1], [0, 2]]))
+        from_list = ConvexProblem(objective=[1.0, 1.0], bounds=[(0.0, 1.0), (0.0, 2.0)])
+        assert from_array.bounds.dtype == float
+        assert np.array_equal(from_array.bounds, from_list.bounds)
+        assert np.array_equal(ConvexProblem(objective=[1.0, 1.0]).bounds, [[0, 1], [0, 1]])
+
+    def test_inverted_bounds_raise_at_construction(self):
+        with pytest.raises(ValueError, match="upper bound is less than"):
+            ConvexProblem(objective=[1.0, 1.0], bounds=[(0.0, 1.0), (0.5, 0.25)])
+
+    def test_bounds_of_the_wrong_shape_raise_at_construction(self):
+        with pytest.raises(ValueError, match="2 \\(low, high\\) pairs"):
+            ConvexProblem(objective=[1.0, 1.0], bounds=[(0.0, 1.0)])
+        with pytest.raises(ValueError, match="shape \\(4,\\)"):
+            ConvexProblem(objective=[1.0, 1.0], bounds=[0.0, 1.0, 0.0, 1.0])
+
+    def test_a_nan_bound_is_an_open_side(self):
+        # Accepted (NaN compares false, so it is not "inverted"), and the
+        # violation ignores that side, as it ignores a NaN row.
+        problem = ConvexProblem(objective=[1.0, 1.0], bounds=[(np.nan, 1.0), (0.0, np.nan)])
+        assert problem.violation(np.array([-3.0, 5.0])) == 0.0
+        assert problem.violation(np.array([1.5, -0.5])) == 0.5 - 1e-7
+
     def test_oracle_stacks_nonlinear_rows_above_the_linear_block(self):
         problem = make_socp_problem()
         problem.linear_inequalities.append(([1.0, -1.0], 0.25))
@@ -177,12 +201,12 @@ class TestConvexSolver:
 
         seen = []
 
-        def recording(fun, x0, **kwargs):
-            seen.append(np.array(x0))
-            return minimize(fun, x0, **kwargs)
+        def recording(problem, start, *args):
+            seen.append(np.array(start))
+            return slsqp(problem, start, *args)
 
-        minimize = convex.minimize
-        monkeypatch.setattr(convex, "minimize", recording)
+        slsqp = convex.slsqp
+        monkeypatch.setattr(convex, "slsqp", recording)
         problem = ConvexProblem(objective=[1.0, 1.0], bounds=[(2.0, 3.0), (-1.0, -0.5)])
         solution = ConvexSolver().solve(problem, warm_starts=[[0.5, 0.5], [9.0, -9.0]])
         assert seen[0].tolist() == [2.0, -0.5]  # not the literal [0, 1] box

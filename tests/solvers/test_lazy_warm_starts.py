@@ -20,7 +20,7 @@ from repro.solvers.convex import ConvexProblem, ConvexSolver
 from repro.solvers.linear import InfeasibleProblemError
 
 CONSTRAINTS = QueryConstraints(alpha=0.8, beta=0.8, rho=0.8)
-_REAL_MINIMIZE = convex.minimize
+_REAL_SLSQP = convex.slsqp
 
 
 def _model():
@@ -79,12 +79,11 @@ class TestLazyStartsInTheSolver:
     ):
         # SLSQP "finds" an infeasible point every time: the solver falls back
         # to the starts themselves, every one of which it has produced by then.
-        def never_feasible(fun, x0, **kwargs):
-            result = _REAL_MINIMIZE(fun, x0, **kwargs)
-            result.x = np.zeros_like(result.x)
-            return result
+        def never_feasible(*args):
+            x, converged = _REAL_SLSQP(*args)
+            return np.zeros_like(x), converged
 
-        monkeypatch.setattr(convex, "minimize", never_feasible)
+        monkeypatch.setattr(convex, "slsqp", never_feasible)
         produced = []
 
         def starts():
@@ -101,7 +100,7 @@ class TestLazyStartsInTheSolver:
 class TestTheLpStartIsBuiltOnlyWhenReached:
     def test_zero_lp_builds_when_the_bigreedy_start_converges(self, monkeypatch):
         lp_calls = _count_calls(monkeypatch, estimated, "_solve_unknown_correlations")
-        slsqp_calls = _count_calls(monkeypatch, convex, "minimize")
+        slsqp_calls = _count_calls(monkeypatch, convex, "slsqp")
         solution = estimated.solve_estimated_selectivity(_model(), CONSTRAINTS)
         assert not solution.used_fallback
         assert len(slsqp_calls) == 1
@@ -119,14 +118,12 @@ class TestTheLpStartIsBuiltOnlyWhenReached:
         lp_calls = _count_calls(monkeypatch, estimated, "_solve_unknown_correlations")
         attempts = []
 
-        def first_solve_fails(fun, x0, **kwargs):
-            result = _REAL_MINIMIZE(fun, x0, **kwargs)
-            attempts.append(result.success)
-            if len(attempts) == 1:
-                result.success = False
-            return result
+        def first_solve_fails(*args):
+            x, converged = _REAL_SLSQP(*args)
+            attempts.append(converged)
+            return x, converged and len(attempts) > 1
 
-        monkeypatch.setattr(convex, "minimize", first_solve_fails)
+        monkeypatch.setattr(convex, "slsqp", first_solve_fails)
         estimated.solve_estimated_selectivity(_model(), CONSTRAINTS)
         assert len(attempts) == 2  # the LP start was reached, and converged
         assert len(lp_calls) == 1

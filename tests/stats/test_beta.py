@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.stats.beta import BetaPosterior, beta_mean, beta_variance
+from repro.stats.beta import BetaPosterior, beta_mean, beta_variance, clopper_pearson_upper
 
 
 class TestBetaMean:
@@ -125,3 +125,37 @@ def test_importing_the_worker_module_does_not_import_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+class TestClopperPearsonUpper:
+    @pytest.mark.parametrize("n", [1, 10, 150])
+    def test_no_successes_has_the_closed_form(self, n):
+        # P(X <= 0; p) = (1 - p)^n = 1 - confidence
+        assert clopper_pearson_upper(0, n, 0.95) == pytest.approx(1 - 0.05 ** (1 / n), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 10, 150])
+    def test_one_failure_has_the_closed_form(self, n):
+        # P(X <= n - 1; p) = 1 - p^n = 1 - confidence
+        assert clopper_pearson_upper(n - 1, n, 0.95) == pytest.approx(0.95 ** (1 / n), rel=1e-12)
+
+    def test_table_values(self):
+        # The upper end of the exact two-sided 90 % interval for 5 / 10.
+        assert clopper_pearson_upper(5, 10, 0.95) == pytest.approx(0.7776, abs=1e-4)
+        # "Rule of three": 0 of 100 bounds the rate near 3 / 100.
+        assert clopper_pearson_upper(0, 100, 0.95) == pytest.approx(0.0295, abs=1e-4)
+
+    def test_all_successes_bound_is_one(self):
+        assert clopper_pearson_upper(150, 150, 0.95) == 1.0
+
+    def test_grows_with_successes_and_confidence(self):
+        bounds = [clopper_pearson_upper(k, 150, 0.95) for k in range(151)]
+        assert bounds == sorted(bounds)
+        assert clopper_pearson_upper(101, 150, 0.99) > clopper_pearson_upper(101, 150, 0.95)
+
+    @pytest.mark.parametrize(
+        "successes, n, confidence",
+        [(-1, 10, 0.95), (11, 10, 0.95), (0, 0, 0.95), (5, 10, 0.0), (5, 10, 1.0)],
+    )
+    def test_rejects_impossible_arguments(self, successes, n, confidence):
+        with pytest.raises(ValueError):
+            clopper_pearson_upper(successes, n, confidence)
