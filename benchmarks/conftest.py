@@ -1,14 +1,24 @@
-"""Shared configuration for the benchmark suite.
+"""Shared configuration for the paper's figures and tables.
 
-Each benchmark regenerates one table or figure of the paper on proportionally
-scaled-down datasets (so the whole suite runs in minutes) and prints the
-numeric series that the paper plots.  Run with::
+Each benchmark here regenerates one table or figure of the paper on
+proportionally scaled-down datasets (so the whole suite runs in under
+a minute) and prints the numeric series that the paper plots.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
 ``-s`` shows the printed tables; drop it to just collect timings.  Scale and
 iteration counts can be raised via the environment variables
 ``REPRO_BENCH_SCALE`` and ``REPRO_BENCH_ITERATIONS`` for paper-sized runs.
+
+Serving speed and work are measured elsewhere: ``bench/run.py`` times the
+serving workloads end to end and layer by layer, and the deterministic
+counter and parity gates of the serving layer are tier-1 tests under
+``tests/``.
+
+Helpers reach the benchmarks as fixtures (``bench_config``, ``run_once``),
+never through ``from conftest import ...``: every ``conftest.py`` on a
+command line is the module ``conftest``, and the one loaded last owns the
+name, so an import by name breaks ``pytest benchmarks tests/residency``.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from compare_bench import OUT_DIR
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -47,18 +56,11 @@ def bench_config() -> ExperimentConfig:
     )
 
 
-def write_result(filename: str, text: str) -> None:
-    """Write one fresh benchmark artefact to git-ignored ``benchmarks/out/``.
+@pytest.fixture
+def run_once(benchmark):
+    """``run_once(func, *args, **kwargs)``: one call under pytest-benchmark timing."""
 
-    The ``BENCH_*.json`` committed beside this file are the baselines
-    ``compare_bench.py`` gates a fresh run against; a run never touches
-    them, and only a deliberate re-baseline copies a file over one.
-    """
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / filename).write_text(text)
-    print(f"  wrote out/{filename}")
+    def run(func, *args, **kwargs):
+        return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run ``func`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    return run

@@ -9,7 +9,6 @@
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core.bigreedy import solve_bigreedy
 from repro.core.constraints import CostModel, QueryConstraints
@@ -51,10 +50,10 @@ def margin_ablation(dataset, constraints, runs=10):
     return outcomes
 
 
-def test_margin_ablation(benchmark, bench_config):
+def test_margin_ablation(run_once, bench_config):
     dataset = bench_config.load("prosper")
     constraints = QueryConstraints(0.8, 0.8, 0.8)
-    outcomes = run_once(benchmark, margin_ablation, dataset, constraints)
+    outcomes = run_once(margin_ablation, dataset, constraints)
     print("\nAblation — Hoeffding safety margins (Prosper-like dataset)")
     print(
         format_table(
@@ -85,7 +84,7 @@ def solver_comparison(model, constraints):
     }
 
 
-def test_solver_equivalence_and_convex_ablation(benchmark, bench_config):
+def test_solver_equivalence_and_convex_ablation(run_once, bench_config):
     dataset = bench_config.load("census")
     index = GroupIndex(dataset.table, dataset.correlated_column)
     truth = dataset.ground_truth_row_ids()
@@ -101,7 +100,7 @@ def test_solver_equivalence_and_convex_ablation(benchmark, bench_config):
         variances={g.key: 1e-4 for g in exact},
     )
     constraints = QueryConstraints(0.8, 0.8, 0.8)
-    costs = run_once(benchmark, solver_comparison, estimated, constraints)
+    costs = run_once(solver_comparison, estimated, constraints)
     print("\nAblation — solver comparison (Census-like dataset)")
     print(format_table(["solver", "expected_cost"], [[k, round(v)] for k, v in costs.items()]))
 

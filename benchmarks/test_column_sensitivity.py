@@ -1,13 +1,11 @@
 """Section 6.2.1: Intel-Sample cost when forced to use each candidate column."""
 
-from conftest import run_once
-
 from repro.experiments.experiment1 import column_sensitivity
 from repro.experiments.report import format_mapping
 
 
-def test_column_sensitivity(benchmark, bench_config):
-    results = run_once(benchmark, column_sensitivity, bench_config, dataset_name="lending_club")
+def test_column_sensitivity(run_once, bench_config):
+    results = run_once(column_sensitivity, bench_config, dataset_name="lending_club")
     print("\nSection 6.2.1 — evaluations per forced correlated column (LC)")
     print(format_mapping({k: round(v) for k, v in results.items()}, "column", "evaluations"))
 

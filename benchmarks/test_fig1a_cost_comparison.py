@@ -1,13 +1,11 @@
 """Figure 1(a): UDF evaluations of Naive vs Intel-Sample vs Optimal per dataset."""
 
-from conftest import run_once
-
 from repro.experiments.experiment1 import figure1a
 from repro.experiments.report import format_table
 
 
-def test_figure1a_cost_comparison(benchmark, bench_config):
-    results = run_once(benchmark, figure1a, bench_config)
+def test_figure1a_cost_comparison(run_once, bench_config):
+    results = run_once(figure1a, bench_config)
     rows = []
     for dataset, by_strategy in results.items():
         rows.append(

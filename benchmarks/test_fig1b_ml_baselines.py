@@ -1,13 +1,11 @@
 """Figure 1(b): UDF evaluations of the Learning/Multiple baselines vs Intel-Sample."""
 
-from conftest import run_once
-
 from repro.experiments.experiment1 import figure1b
 from repro.experiments.report import format_table
 
 
-def test_figure1b_ml_baselines(benchmark, bench_config):
-    results = run_once(benchmark, figure1b, bench_config)
+def test_figure1b_ml_baselines(run_once, bench_config):
+    results = run_once(figure1b, bench_config)
     rows = []
     for dataset, by_strategy in results.items():
         rows.append(

@@ -1,7 +1,5 @@
 """Figure 1(c): evaluations vs sampling parameter with a logistic-regression virtual column."""
 
-from conftest import run_once
-
 from repro.experiments.experiment2 import figure1c
 from repro.experiments.report import format_series
 
@@ -9,9 +7,8 @@ from repro.experiments.report import format_series
 NUM_VALUES = (1.0, 2.5, 5.0, 9.0)
 
 
-def test_figure1c_virtual_column_sweep(benchmark, bench_config):
+def test_figure1c_virtual_column_sweep(run_once, bench_config):
     results = run_once(
-        benchmark,
         figure1c,
         bench_config,
         num_values=NUM_VALUES,

@@ -1,7 +1,5 @@
 """Figure 2(c): expected evaluations vs the precision constraint alpha (beta = 0.8)."""
 
-from conftest import run_once
-
 from repro.experiments.experiment3 import figure2c, is_convex_increasing
 from repro.experiments.report import format_series
 
@@ -9,9 +7,8 @@ ALPHAS = (0.2, 0.5, 0.8, 0.9)
 MULTIPLIERS = (2.5, 3.5, 4.5)
 
 
-def test_figure2c_evaluations_vs_alpha(benchmark, bench_config):
+def test_figure2c_evaluations_vs_alpha(run_once, bench_config):
     results = run_once(
-        benchmark,
         figure2c,
         bench_config,
         alphas=ALPHAS,

@@ -1,16 +1,13 @@
 """Figure 3(a): evaluations vs the Constant sampling scheme parameter c."""
 
-from conftest import run_once
-
 from repro.experiments.experiment2 import figure3a
 from repro.experiments.report import format_series
 
 CONSTANT_VALUES = (5, 25, 80, 250)
 
 
-def test_figure3a_constant_sampling(benchmark, bench_config):
+def test_figure3a_constant_sampling(run_once, bench_config):
     results = run_once(
-        benchmark,
         figure3a,
         bench_config,
         constant_values=CONSTANT_VALUES,

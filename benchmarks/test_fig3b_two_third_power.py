@@ -1,16 +1,13 @@
 """Figure 3(b): evaluations vs num for the Two-Third-Power sampling scheme."""
 
-from conftest import run_once
-
 from repro.experiments.experiment2 import figure3b, optimum_of
 from repro.experiments.report import format_series
 
 NUM_VALUES = (0.5, 2.0, 4.0, 8.0, 12.0)
 
 
-def test_figure3b_two_third_power(benchmark, bench_config):
+def test_figure3b_two_third_power(run_once, bench_config):
     results = run_once(
-        benchmark,
         figure3b,
         bench_config,
         num_values=NUM_VALUES,

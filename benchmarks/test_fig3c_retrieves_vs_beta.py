@@ -1,7 +1,5 @@
 """Figure 3(c): expected retrievals vs the recall constraint beta (alpha = 0.8)."""
 
-from conftest import run_once
-
 from repro.experiments.experiment3 import figure3c, is_convex_increasing
 from repro.experiments.report import format_series
 
@@ -9,9 +7,8 @@ BETAS = (0.2, 0.5, 0.8, 0.9)
 MULTIPLIERS = (2.5, 3.5, 4.5)
 
 
-def test_figure3c_retrieves_vs_beta(benchmark, bench_config):
+def test_figure3c_retrieves_vs_beta(run_once, bench_config):
     results = run_once(
-        benchmark,
         figure3c,
         bench_config,
         betas=BETAS,

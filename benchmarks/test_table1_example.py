@@ -1,13 +1,11 @@
 """Table 1: the paper's running example relation."""
 
-from conftest import run_once
-
 from repro.experiments.report import format_table
 from repro.experiments.tables import table1_example
 
 
-def test_table1_example(benchmark):
-    rows = run_once(benchmark, table1_example)
+def test_table1_example(run_once):
+    rows = run_once(table1_example)
     print("\nTable 1 — per-group summary of the toy relation")
     print(
         format_table(

@@ -1,13 +1,11 @@
 """Table 2: selectivity and savings of Intel-Sample vs the baselines per dataset."""
 
-from conftest import run_once
-
 from repro.experiments.report import format_table
 from repro.experiments.tables import table2_savings
 
 
-def test_table2_savings(benchmark, bench_config):
-    rows = run_once(benchmark, table2_savings, bench_config, include_ml_baselines=True)
+def test_table2_savings(run_once, bench_config):
+    rows = run_once(table2_savings, bench_config, include_ml_baselines=True)
     print("\nTable 2 — selectivity and savings (measured vs paper)")
     print(
         format_table(

@@ -1,13 +1,11 @@
 """Table 3: group statistics of each dataset under its correlated column."""
 
-from conftest import run_once
-
 from repro.experiments.report import format_table
 from repro.experiments.tables import table3_group_statistics
 
 
-def test_table3_group_statistics(benchmark):
-    rows = run_once(benchmark, table3_group_statistics)
+def test_table3_group_statistics(run_once):
+    rows = run_once(table3_group_statistics)
     print("\nTable 3 — group statistics (measured vs paper)")
     print(
         format_table(

@@ -71,9 +71,12 @@ it; this is the index.
   manifest, write-ahead journal, quarantine and rebuild).
 * **Bounded memory** — :mod:`repro.db.residency` (lazy open under a byte
   budget, pin/evict, watermark degradation, direct worker attach).
-* **Measuring** — ``bench/README.md`` (the layered benchmark every speed claim
-  goes through) and ``benchmarks/compare_bench.py`` (work-counter gates);
-  ``examples/`` holds runnable tours of the pipeline and the serving layer.
+* **Measuring** — ``bench/run.py`` (the layered benchmark every speed claim
+  goes through: five serving workloads timed end to end and per layer, each
+  op's answers hashed into a digest); ``benchmarks/`` regenerates the
+  paper's figures and tables; the serving layer's work-counter and parity
+  gates are tier-1 tests under ``tests/``; ``examples/`` holds runnable
+  tours of the pipeline and the serving layer.
 
 Removed names
 -------------
@@ -227,7 +230,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "__version__",

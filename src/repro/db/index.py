@@ -155,15 +155,16 @@ class GroupIndex:
     repeated queries never re-group the same data.
     """
 
-    #: Total number of index constructions since process start.  The serving
-    #: benchmarks read this to prove the shared cache amortises index builds
-    #: (a wall-clock-independent counter the CI gate can hold steady).
+    #: Total number of index constructions since process start.  Tests read
+    #: this to prove the shared cache amortises index builds (a
+    #: wall-clock-independent counter).
     builds_total: int = 0
 
     #: Total number of *incremental* extensions (see :meth:`extended_by`)
     #: since process start.  Extensions deliberately do not count as builds:
-    #: the update benchmarks gate ``builds_total`` to prove appends never
-    #: trigger a from-scratch refactorisation of a warm column.
+    #: the refresh tests hold ``builds_total`` still across an append and the
+    #: next query, proving appends never trigger a from-scratch
+    #: refactorisation of a warm column.
     extensions_total: int = 0
 
     def __init__(self, table: Table, column: str, allow_hidden: bool = False):

@@ -215,7 +215,7 @@ class UserDefinedFunction:
         #: Row evaluations that had to invoke the underlying function.
         self.cache_misses = 0
         #: Paid :meth:`evaluate_row` invocations (per-row API calls).  The
-        #: cold-path benchmarks gate this against :attr:`bulk_calls` to prove
+        #: cold-path tests hold this at 0 beside :attr:`bulk_calls` to prove
         #: the pipeline stays batched.
         self.row_calls = 0
         #: Paid :meth:`evaluate_rows` invocations (batched API calls).

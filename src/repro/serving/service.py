@@ -1112,8 +1112,9 @@ class QueryService:
         miss.
 
         Hit/miss statistics are recorded only after the liveness checks, so
-        a dead or refreshable entry counts as the miss it behaves as (the
-        bench-regression CI gate watches the reported hit rate).
+        a dead or refreshable entry counts as the miss it behaves as and the
+        reported hit rate counts only what was served warm (pinned by
+        ``tests/serving/test_service.py::TestPlanCaching``).
         """
         table = self.catalog.table(query.table)
         entry = self.plan_cache.get(signature, record=False)

@@ -9,10 +9,14 @@ two-worker pool, reused across tests), so they also exercise the
 shared-memory export/attach lifecycle end to end.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.core.constraints import QueryConstraints
 from repro.core.parallel import ParallelBatchExecutor
+from repro.core.pipeline import IntelSample
 from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.core.procpool import ProcessPoolBatchExecutor
 from repro.db.errors import BudgetExhaustedError
@@ -107,15 +111,40 @@ def _assert_parity(serial, serial_ledger, serial_udf, remote, remote_ledger, rem
         )
 
 
+#: (alpha, beta) per query of a cold trace; rho is fixed at 0.8.
+TRACE = ((0.9, 0.85), (0.92, 0.8), (0.88, 0.9))
+
+
+def _cold_query(table, udf, signature, workers=None):
+    """Sample, solve and execute one query: inline, or on ``workers`` processes."""
+    executor_factory = (
+        ParallelBatchExecutor if workers is None
+        else partial(ProcessPoolBatchExecutor, max_workers=workers)
+    )
+    alpha, beta = signature
+    ledger = CostLedger()
+    result = IntelSample(random_state=9_000, executor_factory=executor_factory).answer(
+        table, udf, QueryConstraints(alpha=alpha, beta=beta, rho=0.8), ledger,
+        correlated_column="A",
+    )
+    return np.asarray(result.row_ids, dtype=np.intp), ledger
+
+
 class TestExecuteParity:
-    def test_label_udf_bitwise_parity(self):
+    def test_label_udf_bitwise_parity(self, record_pool_submits):
+        import repro.core.procpool as procpool_module
+
         table = _sharded()
+        submitted = record_pool_submits(procpool_module, "shared_process_pool")
         udf_a, udf_b = _label_udf(), _label_udf()
         serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_a)
         remote, remote_ledger = _execute(
             table, ProcessPoolBatchExecutor, udf_b, workers=WORKERS
         )
         _assert_parity(serial, serial_ledger, udf_a, remote, remote_ledger, udf_b)
+        # The pool really ran the spans, and the label path stayed bulk.
+        assert len(submitted) == table.num_shards
+        assert udf_b.counter_snapshot()["row_calls"] == 0
 
     def test_python_callable_udf_bitwise_parity(self):
         table = _sharded(name="pytab")
@@ -125,6 +154,39 @@ class TestExecuteParity:
             table, ProcessPoolBatchExecutor, udf_b, workers=WORKERS
         )
         _assert_parity(serial, serial_ledger, udf_a, remote, remote_ledger, udf_b)
+        # How a row is evaluated never changes which rows a plan touches.
+        label, _ = _execute(table, ParallelBatchExecutor, _label_udf("pylabel"))
+        assert np.array_equal(
+            np.asarray(label.returned_row_ids), np.asarray(remote.returned_row_ids)
+        )
+
+    @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
+    @pytest.mark.parametrize("signature", TRACE, ids=["q0", "q1", "q2"])
+    def test_cold_query_parity(self, signature, python_udf, record_pool_submits):
+        """A whole cold query — its sample, its solve, then the plan — on the
+        unsharded table inline equals the sharded table in the pool, and the
+        pool really fans the plan's spans out."""
+        import repro.core.procpool as procpool_module
+
+        make_udf = _func_udf if python_udf else _label_udf
+        plain = _table(n=2400, name="trace")
+        sharded = ShardedTable.from_table(plain, num_shards=4)
+        submitted = record_pool_submits(procpool_module, "shared_process_pool")
+        serial_udf, remote_udf = make_udf("trace_s"), make_udf("trace_p")
+        try:
+            serial, serial_ledger = _cold_query(plain, serial_udf, signature)
+            remote, remote_ledger = _cold_query(
+                sharded, remote_udf, signature, workers=WORKERS
+            )
+        finally:
+            release_exports(sharded)
+        assert np.array_equal(serial, remote)
+        assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
+        assert remote_ledger.retrieved_count == serial_ledger.retrieved_count
+        assert remote_udf.counter_snapshot()["calls"] == serial_udf.counter_snapshot()["calls"]
+        assert len(submitted) >= sharded.num_shards
+        if not python_udf:
+            assert remote_udf.counter_snapshot()["row_calls"] == 0
 
     def test_sampled_rows_excluded_and_positives_free(self):
         table = _sharded(name="samptab")

@@ -9,8 +9,16 @@ residency, engine, the process executor's fallback), and then:
 * the instrument names in the registry are a subset of
   :data:`repro.obs.metrics.REGISTRY_OWNED` — no mirror came back;
 * a warm hit performs exactly one instrument operation and a cold miss two;
-* the same script under the null registry leaves every native counter equal
-  to the instrumented run — the registry is a reader, never a participant.
+* with a trace sink installed, a request records one span per stage it runs
+  — a cold miss each pipeline stage once, a warm hit only the plan lookup
+  and the execution — pinned by name, count and order;
+* the same script under the null registry and without a trace sink leaves
+  every native counter equal to the instrumented, traced run — the registry
+  and the tracer are readers, never participants.
+
+What instrumentation costs is counted here as operations and span records,
+never timed: a stopwatch at tens of microseconds per query is noise on a
+shared machine, and ``bench/run.py`` times the serving path itself.
 
 The read side is pinned next to it: the process-wide stores reach
 ``snapshot()["collected"]`` by pull, and a ``repro_service`` collector puts
@@ -39,7 +47,12 @@ from repro.db.sharding import ShardedTable
 from repro.db.storage import TableStore, reset_storage_counters, storage_counters
 from repro.db.table import Table
 from repro.db.udf import UserDefinedFunction
-from repro.obs import disable_metrics, enable_metrics, prometheus_text
+from repro.obs import (
+    CollectingTraceSink,
+    disable_metrics,
+    enable_metrics,
+    prometheus_text,
+)
 from repro.obs.metrics import (
     REGISTRY_OWNED,
     MetricsRegistry,
@@ -118,29 +131,38 @@ def _service(table, udf, config=None):
     return QueryService(Engine(catalog), config=config or ServiceConfig())
 
 
-def _query(table, udf, alpha=0.8, beta=0.8, rho=0.8):
+def _query(table, udf, alpha=0.8, beta=0.8, rho=0.8, column="grade"):
     return SelectQuery(
         table.name, UdfPredicate(udf), alpha=alpha, beta=beta, rho=rho,
-        correlated_column="grade",
+        correlated_column=column,
     )
 
 
-def _drive(directory):
-    """One pass over every layer that counts; returns ``(natives, steps)``.
+def _drive(directory, traced=False):
+    """One pass over every layer that counts; returns ``(natives, steps, spans)``.
 
     ``natives`` is every native counter surface the script touched (timings
     left out); ``steps`` maps a step name to the instrument operations the
-    installed registry saw during it (empty under the null registry).
+    installed registry saw during it (empty under the null registry), and
+    ``spans`` maps it to the span names its requests to the in-memory
+    service recorded, in order (empty unless ``traced``).
     """
     operations = getattr(get_registry(), "operations", [])
+    sink = CollectingTraceSink()
     steps: Dict[str, List[str]] = {}
+    spans: Dict[str, List[str]] = {}
 
     def step(name, action):
-        start = len(operations)
+        start, traces = len(operations), len(sink.traces)
         try:
             return action()
         finally:
             steps[name] = operations[start:]
+            spans[name] = [
+                recorded.name
+                for trace in sink.traces[traces:]
+                for recorded in trace.spans
+            ]
 
     reset_storage_counters()
     index_totals = (GroupIndex.builds_total, GroupIndex.extensions_total)
@@ -149,6 +171,8 @@ def _drive(directory):
     table = Table.from_columns("home", _columns(4000, 8), hidden_columns=["is_good"])
     udf = UserDefinedFunction.from_label_column("home_udf", "is_good")
     service = _service(table, udf, ServiceConfig(class_limits={"exact": 0}))
+    if traced:
+        service.set_trace_sink(sink)
     query = _query(table, udf)
     exact = _query(table, udf, alpha=1.0, beta=1.0, rho=1.0)
     cold = step("cold", lambda: service.submit(query, seed=0))
@@ -156,6 +180,9 @@ def _drive(directory):
     for name, seed in (("hit", 1), ("second_hit", 2)):
         warm = step(name, lambda: service.submit(query, seed=seed))
         assert warm.metadata["plan_cache"] == "hit"
+    # No designated column: the cold miss also runs column selection.
+    auto = step("cold_auto", lambda: service.submit(_query(table, udf, column=None), seed=6))
+    assert auto.metadata["plan_cache"] == "miss"
     step("exact", lambda: service.submit(exact))
     step("append", lambda: table.append_columns(_columns(50, 5)))
     refreshed = step("refresh", lambda: service.submit(query, seed=3))
@@ -210,7 +237,7 @@ def _drive(directory):
         "index_builds": GroupIndex.builds_total - index_totals[0],
         "index_extensions": GroupIndex.extensions_total - index_totals[1],
     }
-    return natives, steps
+    return natives, steps, spans
 
 
 def _instrument_names(registry: MetricsRegistry) -> set:
@@ -225,7 +252,7 @@ def _instrument_names(registry: MetricsRegistry) -> set:
 class TestSingleHome:
     def test_registry_holds_only_what_nothing_else_owns(self, tmp_path):
         registry = enable_metrics(CountingRegistry())
-        natives, steps = _drive(tmp_path)
+        natives, steps, _ = _drive(tmp_path)
         names = _instrument_names(registry)
         assert names <= set(REGISTRY_OWNED), sorted(names - set(REGISTRY_OWNED))
         # ... and the script did reach the registry-owned sites.
@@ -242,10 +269,11 @@ class TestSingleHome:
 
     def test_one_instrument_operation_per_hit_two_per_cold_miss(self, tmp_path):
         enable_metrics(CountingRegistry())
-        _, steps = _drive(tmp_path)
+        _, steps, _ = _drive(tmp_path)
         assert steps["hit"] == [BATCH_RUN]
         assert steps["second_hit"] == [BATCH_RUN]
         assert sorted(steps["cold"]) == sorted([SOLVER_CALL, BATCH_RUN])
+        assert sorted(steps["cold_auto"]) == sorted([SOLVER_CALL, BATCH_RUN])
         # An exact query and a shed request touch no instrument at all; an
         # append writes the four per-table instruments, once each.
         assert steps["exact"] == []
@@ -257,12 +285,27 @@ class TestSingleHome:
             "repro_table_rows_appended_total",
         ]
 
+    def test_one_span_record_per_stage_a_request_runs(self, tmp_path):
+        _, _, spans = _drive(tmp_path, traced=True)
+        request = ["query", "plan-lookup"]
+        stages = ["group-index", "sampling", "solve", "execute"]
+        assert spans["cold"] == request + stages
+        assert spans["cold_auto"] == request + ["column-selection"] + stages
+        assert spans["hit"] == spans["second_hit"] == request + ["execute"]
+        assert spans["refresh"] == request + ["refresh"] + stages
+        # An exact query runs no planner stage: the request's root alone.
+        assert spans["exact"] == ["query"]
+        # A shed request never reaches ``submit``: no trace at all.
+        assert spans["shed"] == []
+
     def test_null_registry_leaves_every_native_counter_identical(self, tmp_path):
         enable_metrics(CountingRegistry())
-        instrumented, _ = _drive(tmp_path / "on")
+        instrumented, _, traced = _drive(tmp_path / "on", traced=True)
+        assert traced["hit"]
         disable_metrics()
-        plain, steps = _drive(tmp_path / "off")
+        plain, steps, spans = _drive(tmp_path / "off")
         assert all(not operations for operations in steps.values())
+        assert all(not names for names in spans.values())
         assert plain == instrumented
         assert plain["udfs"] == {"home_udf": plain["udf"]}
 

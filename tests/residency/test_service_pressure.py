@@ -19,16 +19,19 @@ from repro.db.query import SelectQuery
 from repro.db.residency import ResidencyManager
 from repro.db.sharding import ShardedTable
 from repro.db.storage import TableStore
-from repro.db.udf import UserDefinedFunction
+from repro.db.udf import RevealLabel, UserDefinedFunction
 from repro.serving import Overloaded, QueryService, ServiceConfig
 
 from residency_tables import build_columns, numeric_columns
 
 
-def _service_over(table, tag, config=None):
+def _service_over(table, tag, config=None, python_udf=False):
     catalog = Catalog()
     catalog.register_table(table)
-    udf = UserDefinedFunction.from_label_column(f"press_{tag}", "f")
+    if python_udf:  # no label column: every evaluation is a per-row call
+        udf = UserDefinedFunction(f"press_{tag}", RevealLabel("f", True))
+    else:
+        udf = UserDefinedFunction.from_label_column(f"press_{tag}", "f")
     catalog.register_udf(udf)
     service = QueryService(Engine(catalog), config=config or ServiceConfig())
     query = SelectQuery(
@@ -86,12 +89,25 @@ class TestAdoption:
         finally:
             service.close()
 
-    def test_bounded_submit_matches_unbounded_bitwise(self, lazy_pair):
+    @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
+    @pytest.mark.parametrize("share", [4, 8], ids=["quarter", "eighth"])
+    def test_bounded_submit_matches_unbounded_bitwise(self, lazy_pair, share, python_udf):
+        """A table ``share`` times the budget answers as if fully resident.
+
+        Same row ids and the same work, under genuine eviction pressure and
+        without a fault, and never more resident than the budget plus the
+        columns of the one shard a gather pins.
+        """
         lazy, _, eager = lazy_pair()
+        shard_bytes = [
+            sum(shard.segment_handle(column).payload_bytes for column in shard.schema.column_names)
+            for shard in lazy.shards
+        ]
+        budget = sum(shard_bytes) // share
         bounded_svc, bounded_q = _service_over(
-            lazy, "par", ServiceConfig(memory_budget_bytes=4000)
+            lazy, "par", ServiceConfig(memory_budget_bytes=budget), python_udf
         )
-        eager_svc, eager_q = _service_over(eager, "par")
+        eager_svc, eager_q = _service_over(eager, "par", python_udf=python_udf)
         try:
             bounded = bounded_svc.submit(bounded_q, seed=31)
             unbounded = eager_svc.submit(eager_q, seed=31)
@@ -99,8 +115,20 @@ class TestAdoption:
             assert (
                 bounded.ledger.evaluated_count == unbounded.ledger.evaluated_count
             )
-            storage = bounded_svc.stats().storage
-            assert storage["residency"]["resident_bytes"] <= 4000
+            assert (
+                bounded.ledger.retrieved_count == unbounded.ledger.retrieved_count
+            )
+            assert bounded_svc.stats().udfs == eager_svc.stats().udfs
+            assert (
+                bounded_svc.stats().serving["solver_calls"]
+                == eager_svc.stats().serving["solver_calls"]
+                == 1
+            )
+            residency = bounded_svc.stats().storage["residency"]
+            assert residency["resident_bytes"] <= budget
+            assert residency["evictions"] > 0
+            assert residency["map_faults"] == residency["evict_faults"] == 0
+            assert residency["peak_resident_bytes"] <= budget + max(shard_bytes)
         finally:
             bounded_svc.close()
             eager_svc.close()

@@ -250,8 +250,11 @@ class TestServiceDeadlines:
         assert isinstance(follower_err, DeadlineExceeded)
         assert service.stats().serving["deadline_exceeded"] >= 2
 
-    def test_async_follower_own_deadline_while_parked(self):
-        """A follower whose own deadline fires mid-wait raises promptly."""
+    @pytest.mark.parametrize("burst_size", [1, 8])
+    def test_async_follower_own_deadline_while_parked(self, burst_size):
+        """Followers whose own deadline fires mid-wait raise promptly: every
+        one ``DeadlineExceeded`` — none hangs, none completes — and every
+        raise counted exactly once."""
         gate = threading.Event()
         udf = _gated_udf(gate, name="af_gated")
         catalog, _ = _setup(udf=udf, name="aftab")
@@ -264,16 +267,20 @@ class TestServiceDeadlines:
                 while not service._flights:
                     await asyncio.sleep(0.005)
                 started = time.perf_counter()
-                try:
-                    await service.submit_async(query, seed=5, timeout_s=0.1)
-                    raise AssertionError("follower should have timed out")
-                except DeadlineExceeded:
-                    waited = time.perf_counter() - started
+                burst = await asyncio.gather(
+                    *[
+                        service.submit_async(query, seed=5, timeout_s=0.1)
+                        for _ in range(burst_size)
+                    ],
+                    return_exceptions=True,
+                )
+                waited = time.perf_counter() - started
             finally:
                 gate.set()
             await leader
-            return waited
+            return burst, waited
 
-        waited = asyncio.run(scenario())
+        burst, waited = asyncio.run(scenario())
         assert waited < 5.0
-        assert service.stats().serving["deadline_exceeded"] >= 1
+        assert all(isinstance(item, DeadlineExceeded) for item in burst), burst
+        assert service.stats().serving["deadline_exceeded"] == burst_size

@@ -476,7 +476,15 @@ class TestAdmissionTimeDeadline:
 
 
 class TestLoadShedding:
-    def test_overloaded_is_typed_counted_and_never_silent(self):
+    @pytest.mark.parametrize("limit", [1, 2, 4, 5])
+    def test_overloaded_is_typed_counted_and_never_silent(self, limit):
+        """Every request of a burst is answered or raises typed and counted.
+
+        The leader holds one admission slot; ``limit - 1`` burst requests
+        are admitted and follow its flight, the rest shed.  Nothing is
+        dropped silently and the ``shed`` counter equals the raises.
+        """
+        burst_size = 12
         enable_metrics(MetricsRegistry())
         try:
             gate = threading.Event()
@@ -485,7 +493,7 @@ class TestLoadShedding:
             service = QueryService(
                 Engine(catalog),
                 config=ServiceConfig(
-                    max_concurrency=1, class_limits={"approximate": 1}
+                    max_concurrency=1, class_limits={"approximate": limit}
                 ),
             )
             query = _query(udf, table="dtab")
@@ -495,27 +503,39 @@ class TestLoadShedding:
                 try:
                     while not service._flights:
                         await asyncio.sleep(0.005)
-                    shed = await asyncio.gather(
-                        *[service.submit_async(query, seed=5) for _ in range(5)],
-                        return_exceptions=True,
-                    )
+                    burst = [
+                        asyncio.create_task(service.submit_async(query, seed=5))
+                        for _ in range(burst_size)
+                    ]
+                    # One yield runs every burst task's admission in creation
+                    # order; gathering before the gate opens would wait
+                    # forever on the admitted followers.
+                    await asyncio.sleep(0)
                 finally:
                     gate.set()
-                return await leader, shed
+                outcomes = await asyncio.gather(*burst, return_exceptions=True)
+                return await leader, outcomes
 
-            leader_result, shed = asyncio.run(scenario())
+            leader_result, outcomes = asyncio.run(scenario())
             assert leader_result.ledger.evaluated_count > 0
-            assert len(shed) == 5
+            shed = [item for item in outcomes if isinstance(item, Overloaded)]
+            answered = [item for item in outcomes if not isinstance(item, BaseException)]
+            assert len(shed) == burst_size - (limit - 1)
+            assert len(answered) == limit - 1
+            assert len(shed) + len(answered) == burst_size  # no silent drop
             for exc in shed:
-                assert isinstance(exc, Overloaded)  # typed, never silently dropped
                 assert exc.query_class == "approximate"
-                assert exc.limit == 1
+                assert exc.limit == limit
                 assert exc.pending >= 1
             metrics = service.stats().serving
             # Accounting delta is exactly zero: every raise is counted once.
-            assert metrics["shed"] == 5
-            # Shed requests never executed: one query, one pipeline run.
+            assert metrics["shed"] == len(shed)
+            # Shed requests never reach the service, and the admitted
+            # followers (the leader's seed, anonymous) share its result
+            # without a query of their own: one query, one pipeline run.
             assert metrics["queries"] == 1
+            assert metrics["coalesced"] == limit - 1
+            assert metrics["pipeline_runs"] == 1
         finally:
             disable_metrics()
 

@@ -25,10 +25,12 @@ import pytest
 
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
+from repro.db.index import GroupIndex
 from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
+from repro.db.sharding import ShardedTable
 from repro.db.table import Table
-from repro.db.udf import UserDefinedFunction
+from repro.db.udf import RevealLabel, UserDefinedFunction
 from repro.serving import QueryService, ServiceConfig
 
 
@@ -40,12 +42,13 @@ def _columns(rows, seed=9):
     }
 
 
-def _service(*udfs, rows=300, config=None):
+def _service(*udfs, rows=300, config=None, shards=None):
     """A service over one table ``flights`` with ``udfs`` registered."""
+    table = Table.from_columns("flights", _columns(rows), hidden_columns=["f"])
+    if shards is not None:
+        table = ShardedTable.from_table(table, num_shards=shards)
     catalog = Catalog()
-    catalog.register_table(
-        Table.from_columns("flights", _columns(rows), hidden_columns=["f"])
-    )
+    catalog.register_table(table)
     for udf in udfs:
         catalog.register_udf(udf)
     return QueryService(Engine(catalog), config=config)
@@ -290,24 +293,32 @@ class TestAsyncAndSyncShareTheTable:
 
 
 class TestOneSolvePath:
-    def test_refresh_and_cold_differ_only_in_their_statistics(self):
-        """After an append: a warm signature refreshes, a new (α, β) plans cold.
+    APPENDED = 200
+    WINDOWS = 3
+
+    @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
+    @pytest.mark.parametrize("shards", [None, 4], ids=["plain", "sharded"])
+    def test_refresh_and_cold_differ_only_in_their_statistics(self, shards, python_udf):
+        """After each append: a warm signature refreshes, a new (α, β) plans cold.
 
         Both go through ``_solve_and_execute``: one solver call each, the
-        refresh is not a pipeline run, and its UDF work stays proportional
-        to the delta (the bound ``benchmarks/test_update_workload.py``
-        gates) — it tops the cached statistics up, it does not re-label.
+        refresh is not a pipeline run, builds no group index (it extends
+        the warm one), and its UDF work stays proportional to the delta —
+        it tops the cached statistics up, it does not re-label.  Every one
+        of ``WINDOWS`` appends in a row refreshes that way, not only the
+        first after warm-up.
         """
-        udf = UserDefinedFunction.from_label_column("solve_udf", "f")
-        service = _service(udf, rows=4000)
+        if python_udf:  # no label column: every evaluation is a per-row call
+            udf = UserDefinedFunction("solve_udf", RevealLabel("f", True))
+        else:
+            udf = UserDefinedFunction.from_label_column("solve_udf", "f")
+        service = _service(udf, rows=4000, shards=shards)
         # No designated column: the full pipeline, labelled sample included.
         seen, unseen = _query(udf, 0.8, 0.8, None), _query(udf, 0.7, 0.9, None)
         assert service.submit(seen, seed=0).metadata["plan_cache"] == "miss"
         for seed in range(100, 108):  # steady state: the memo covers the table
             assert service.submit(seen, seed=seed).metadata["plan_cache"] == "hit"
-        appended = 200
         table = service.catalog.table("flights")
-        table.append_columns(_columns(appended, seed=21))
 
         def served(query, seed):
             before = service.stats().serving
@@ -318,20 +329,29 @@ class TestOneSolvePath:
                 key: after[key] - before[key]
                 for key in ("pipeline_runs", "solver_calls", "plan_refreshes", "plan_misses")
             }
-            return result, moved, udf.counter_delta(udf_before)["calls"]
+            return result, moved, udf.counter_delta(udf_before)
 
-        refreshed, moved, udf_calls = served(seen, seed=1)
-        assert refreshed.metadata["plan_cache"] == "refresh"
-        assert moved == {
-            "pipeline_runs": 0, "solver_calls": 1, "plan_refreshes": 1, "plan_misses": 0
-        }
-        assert refreshed.metadata["stats_cache"]["labeled_hit"] is True
-        assert refreshed.metadata["stats_cache"]["outcome_hits"] == ["A"]
-        assert udf_calls <= appended
-        assert refreshed.ledger.evaluated_count <= appended
-        assert any(int(row_id) >= 4000 for row_id in refreshed.row_ids)
+        for window in range(self.WINDOWS):
+            rows_before = table.num_rows
+            index_totals = (GroupIndex.builds_total, GroupIndex.extensions_total)
+            table.append_columns(_columns(self.APPENDED, seed=21 + window))
+            refreshed, moved, udf_work = served(seen, seed=1 + window)
+            assert refreshed.metadata["plan_cache"] == "refresh"
+            assert moved == {
+                "pipeline_runs": 0, "solver_calls": 1, "plan_refreshes": 1, "plan_misses": 0
+            }
+            # The append extended the warm index; the refresh built none.
+            assert GroupIndex.builds_total == index_totals[0]
+            assert GroupIndex.extensions_total > index_totals[1]
+            assert refreshed.metadata["stats_cache"]["labeled_hit"] is True
+            assert refreshed.metadata["stats_cache"]["outcome_hits"] == ["A"]
+            assert udf_work["calls"] <= self.APPENDED
+            assert refreshed.ledger.evaluated_count <= self.APPENDED
+            assert any(int(row_id) >= rows_before for row_id in refreshed.row_ids)
+            if not python_udf:
+                assert udf_work["row_calls"] == 0  # the label path stays bulk
 
-        cold, moved, _ = served(unseen, seed=2)
+        cold, moved, _ = served(unseen, seed=10)
         assert cold.metadata["plan_cache"] == "miss"
         assert moved == {
             "pipeline_runs": 1, "solver_calls": 1, "plan_refreshes": 0, "plan_misses": 1
@@ -339,5 +359,5 @@ class TestOneSolvePath:
         # The cold leg reads the same statistics cache the refresh wrote.
         assert cold.metadata["stats_cache"]["labeled_hit"] is True
         assert cold.metadata["stats_cache"]["outcome_hits"] == ["A"]
-        assert service.submit(seen, seed=3).metadata["plan_cache"] == "hit"
-        assert service.submit(unseen, seed=4).metadata["plan_cache"] == "hit"
+        assert service.submit(seen, seed=11).metadata["plan_cache"] == "hit"
+        assert service.submit(unseen, seed=12).metadata["plan_cache"] == "hit"

@@ -10,6 +10,7 @@ from repro.datasets.registry import load_dataset
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
 from repro.db.errors import BudgetExhaustedError, UnsupportedQueryError
+from repro.db.index import GroupIndex
 from repro.db.predicate import ColumnPredicate, UdfPredicate
 from repro.db.query import SelectQuery
 from repro.db.table import Table
@@ -61,6 +62,53 @@ class TestPlanCaching:
         # of its evaluations come from the memo cache filled by the cold run.
         assert warm.metadata["udf_cache"]["calls"] < cold.metadata["udf_cache"]["calls"] / 4
 
+    @pytest.mark.parametrize(
+        "name, scale",
+        [("lending_club", 0.03), ("lending_club", 0.5), ("census", 0.03), ("prosper", 0.03)],
+    )
+    def test_warm_replay_amortises_the_cold_path(self, name, scale):
+        """A trace over four signatures costs a fifth of its cold replay.
+
+        Cold: both caches off and the UDF memo wiped before every query, so
+        each query labels, samples, solves and executes from scratch.
+        Warm: the default service.  Work is UDF evaluations plus solver
+        calls.  The cold path stays batched — not one per-row UDF call —
+        and builds at most one group index per column, however long the
+        trace.
+        """
+        serving_dataset = load_dataset(name, random_state=42, scale=scale)
+        signatures = ((0.8, 0.8), (0.9, 0.7), (0.7, 0.9), (0.85, 0.75))
+        configs = {
+            "cold": ServiceConfig(plan_cache_size=0, stats_cache_size=0, free_memoized=False),
+            "warm": ServiceConfig(),
+        }
+        work = {}
+        for label, config in configs.items():
+            catalog = Catalog()
+            catalog.register_table(serving_dataset.table)
+            udf = serving_dataset.make_udf(f"amortised_{label}")
+            catalog.register_udf(udf)
+            service = QueryService(Engine(catalog), config=config)
+            builds = GroupIndex.builds_total
+            calls = row_calls = 0
+            for position in range(40):
+                if label == "cold":
+                    udf.reset()
+                alpha, beta = signatures[position % len(signatures)]
+                before = udf.counter_snapshot()
+                query = _query(
+                    serving_dataset, udf, alpha, beta, column=serving_dataset.correlated_column
+                )
+                service.submit(query, seed=50_000 + position)
+                delta = udf.counter_delta(before)
+                calls += delta["calls"]
+                row_calls += delta["row_calls"]
+            work[label] = calls + service.stats().serving["solver_calls"]
+            if label == "cold":
+                assert row_calls == 0
+                assert GroupIndex.builds_total - builds <= serving_dataset.table.num_columns
+        assert work["cold"] >= 5 * work["warm"], work
+
     def test_reordered_cheap_predicates_share_plan(self, serving_setup):
         dataset, catalog, udf = serving_setup
         service = QueryService(Engine(catalog))
@@ -107,7 +155,7 @@ class TestPlanCaching:
         refreshed = service.plan_cache.get(signature, record=False)
         assert refreshed.solver_version == PLAN_CACHE_VERSION
         # The dead entry must be accounted as the miss it behaved as, not as
-        # a hit (the bench-regression gate watches the reported hit rate).
+        # a hit: the reported hit rate counts only what was served warm.
         stats = service.plan_cache.snapshot()
         assert stats["misses"] == misses_before + 1
         assert stats["hits"] == hits_before

@@ -9,6 +9,7 @@ quarantined) and the service starts cold.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,23 +19,42 @@ from repro.db.engine import Engine
 from repro.db.index import GroupIndex
 from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
-from repro.db.storage import CatalogStore
+from repro.db.sharding import ShardedTable
+from repro.db.storage import CatalogStore, storage_counters
+from repro.db.udf import RevealLabel, UserDefinedFunction
 from repro.serving import QueryService, ServiceConfig
 
 
-@pytest.fixture(scope="module")
-def dataset():
-    return load_dataset("lending_club", random_state=42, scale=0.03)
+@pytest.fixture(
+    params=[("plain", "label"), ("plain", "python"), ("sharded", "label"), ("sharded", "python")],
+    ids=["plain-label", "plain-python", "sharded-label", "sharded-python"],
+)
+def dataset(request):
+    """What every restart test serves: a fresh lending_club table as loaded
+    or in four shards, behind its label-column UDF or a python-callable UDF
+    that reads the same label row by row."""
+    layout, kind = request.param
+    loaded = load_dataset("lending_club", random_state=42, scale=0.03)
+    table = loaded.table
+    if layout == "sharded":
+        table = ShardedTable.from_table(table, num_shards=4)
+
+    def make_udf(name):
+        if kind == "label":
+            return loaded.make_udf(name)
+        return UserDefinedFunction(name, RevealLabel(loaded.label_column, True))
+
+    return SimpleNamespace(table=table, make_udf=make_udf)
 
 
-def _query(dataset, udf):
+def _query(dataset, udf, column="grade"):
     return SelectQuery(
         table=dataset.table.name,
         predicate=UdfPredicate(udf),
         alpha=0.8,
         beta=0.8,
         rho=0.8,
-        correlated_column="grade",
+        correlated_column=column,
     )
 
 
@@ -60,36 +80,50 @@ def _restarted_service(dataset, storage_dir):
     return service, udf, reports
 
 
-def _serve_and_close(dataset, storage_dir, seed=7):
+def _serve_and_close(dataset, storage_dir, seed=7, column="grade"):
     """Cold + warm runs at ``seed``, then a clean shutdown (persists state)."""
     service, udf = _fresh_service(dataset, str(storage_dir))
-    cold = service.submit(_query(dataset, udf), seed=0)
+    cold = service.submit(_query(dataset, udf, column), seed=0)
     assert cold.metadata["plan_cache"] == "miss"
-    warm = service.submit(_query(dataset, udf), seed=seed)
+    warm = service.submit(_query(dataset, udf, column), seed=seed)
     assert warm.metadata["plan_cache"] == "hit"
     service.close()
     return warm
 
 
 class TestWarmRestart:
+    @pytest.mark.parametrize("column", ["grade", None], ids=["given", "auto"])
     def test_restart_answers_restored_hit_with_zero_udf_work(
-        self, tmp_path, dataset
+        self, tmp_path, dataset, column
     ):
-        warm = _serve_and_close(dataset, tmp_path, seed=7)
-        service, udf, reports = _restarted_service(dataset, str(tmp_path))
-        try:
-            assert reports[dataset.table.name].generation == 0
-            restored = service.submit(_query(dataset, udf), seed=7)
-            assert restored.metadata["plan_cache"] == "restored"
-            assert restored.metadata["udf_cache"]["calls"] == 0
-            assert list(restored.row_ids) == list(warm.row_ids)
-            assert service.stats().serving["plan_restored"] == 1
-            storage = service.stats().storage
-            assert storage["restored_plans"] >= 1
-            assert storage["restored_udf_memos"] == 1
-            assert storage["restore_errors"] == 0
-        finally:
-            service.close()
+        """Every reopen answers as a restored hit with zero UDF and solver
+        work, and its close re-persists warm state the next reopen restores
+        just the same.  With no designated column the cold run selected
+        one, and the restored plan carries that choice."""
+        warm = _serve_and_close(dataset, tmp_path, seed=7, column=column)
+        for _reopen in range(2):
+            service, udf, reports = _restarted_service(dataset, str(tmp_path))
+            try:
+                assert reports[dataset.table.name].generation == 0
+                restored = service.submit(_query(dataset, udf, column), seed=7)
+                assert restored.metadata["plan_cache"] == "restored"
+                assert restored.metadata["udf_cache"]["calls"] == 0
+                assert udf.counter_snapshot()["calls"] == 0
+                assert list(restored.row_ids) == list(warm.row_ids)
+                assert service.stats().serving["plan_restored"] == 1
+                assert service.stats().serving["solver_calls"] == 0
+                storage = service.stats().storage
+                assert storage["restored_plans"] >= 1
+                assert storage["restored_udf_memos"] == 1
+                assert storage["restore_errors"] == 0
+                assert storage["rebuilds"] == 0
+                assert storage["checksum_failures"] == 0
+            finally:
+                written = storage_counters()["segments_written"]
+                service.close()
+            # Nothing was appended since the reopen: the checkpoint at close
+            # references every segment and writes none.
+            assert storage_counters()["segments_written"] == written
 
     def test_memo_section_in_the_dict_era_format_restores_with_zero_udf_work(
         self, tmp_path, dataset
@@ -293,3 +327,4 @@ class TestWarmRestart:
             assert catalog.table(dataset.table.name).group_index("grade") is own
         finally:
             service.close()
+
