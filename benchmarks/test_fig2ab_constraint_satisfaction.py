@@ -11,9 +11,18 @@ of its rate below rho.  A rate a little under rho over ``RUNS`` seeds is
 not such evidence.
 
 Marketing, the paper's second 2(b) series, is its own case at
-``MARKETING_RUNS`` seeds per point under the slack rule: its solve at
-rho = 0.9 is ~20x slower than any other point's (ROADMAP item 1(a)), so
-``RUNS`` seeds of it alone would take longer than the rest of the figure.
+``MARKETING_RUNS`` seeds per point under the slack rule: its point at
+rho = 0.9 is ~20x slower than any other, so ``RUNS`` seeds of it alone
+would take longer than the rest of the figure.  The time is one solve.
+With ``bench_config`` (seed 2015), run 4 of 6 fails four SLSQP starts
+before the near-top start converges (17 step calls): the BiGreedy warm
+start exits with mode 8 (positive directional derivative in the line
+search) after 975 step calls, the LP warm start with mode 8 after 361, the
+all-ones start with mode 4 (incompatible constraints) after 204 and the
+midpoint start with mode 8 after 149.  That is about 1 700 step calls where
+a normal solve takes about 15 (13–21 on the point's other runs).  Nothing
+here is a wrong answer, and any fix to the solver moves answers
+(ROADMAP item 1(a)).
 """
 
 from repro.experiments.experiment1 import figure2a_2b

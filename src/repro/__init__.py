@@ -230,7 +230,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "__version__",

@@ -120,10 +120,13 @@ def top_up_labeled_sample(
     after the same rows arrived in many small appends produce **bitwise
     identical samples**.  The reservoir target grows with the table
     (``max(minimum_size, round(fraction * rows_seen))``), so the maintained
-    sample is the classic uniform reservoir while the target is flat and a
-    slightly delta-favouring approximation while it grows — good enough for
-    the column-selection heuristics it feeds, and pinned deterministic by
-    tests either way.
+    sample is the classic uniform reservoir while the target is flat, and
+    delta-favouring while it grows: every growth slot goes to a delta row.
+    Measured over 400 seeds at ``fraction=0.01`` on 10 000 rows, delta rows
+    are included at 2.00 / 1.94 / 1.82 % after 1 / 5 / 20 appends of 1 %,
+    old rows at 0.99 / 0.95 / 0.82 %, against a uniform 1 %
+    (``tests/core/test_column_selection.py``, a strict xfail until ROADMAP
+    item 1(b) fixes it).  Pinned deterministic by tests either way.
 
     Returns a new :class:`LabeledSample` — the surviving old rows in their
     draw order, then the admitted delta rows ascending — or ``labeled``

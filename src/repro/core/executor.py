@@ -14,12 +14,16 @@ One kernel, two coin sources, two span placements
 -------------------------------------------------
 
 Every vectorised backend runs the same kernel — candidates from the one
-:func:`~repro.sampling.sampler.candidate_frame`, coins, one
-:func:`evaluation_charge` before any UDF work, one bulk
-:meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows`, one
-:func:`fold_group` — so a change to exclusion, charging or folding is made
-once and proven by every backend's parity suite.  What differs is where the
-coins come from and where the work runs:
+:func:`~repro.sampling.sampler.candidate_frame`, coins, then one memo pass
+per evaluated batch: a single
+:meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows` over the retrieved
+rows and their evaluation mask reads each row's memo state once and, from
+that read, charges the ledger before any UDF work, evaluates only the
+picked rows the memo does not know, and returns a per-row ``passed`` array
+that one :func:`fold_group` turns into the answer ``retrieved[~mask |
+passed]`` — so a change to exclusion, charging or folding is made once and
+proven by every backend's parity suite.  What differs is where the coins
+come from and where the work runs:
 
 * **Sequential coins** — :class:`BatchExecutor`, the default: one NumPy pass
   per group on the calling thread, coins drawn in order from the seeded
@@ -244,53 +248,41 @@ class ExecutorAware(Protocol):
     executor_factory: Optional[Callable[[RandomState], "ExecutorBackend"]]
 
 
-#: The UDF results of a group in which nothing was evaluated.
-NO_OUTCOMES = np.empty(0, dtype=bool)
-NO_OUTCOMES.setflags(write=False)
-
-
-def evaluation_charge(
-    udf: UserDefinedFunction, to_evaluate: np.ndarray, free_memoized: bool
-) -> int:
-    """How many of ``to_evaluate``'s UDF evaluations the ledger is charged for.
-
-    All of them under the paper's accounting; under serving accounting
-    (``free_memoized``) only the rows whose value the UDF has not memoised —
-    a production system never pays twice for the same expensive predicate.
-    The one charge rule of every backend.
-    """
-    if not free_memoized:
-        return int(to_evaluate.size)
-    return int(to_evaluate.size) - int(udf.memoized_mask(to_evaluate).sum())
-
-
 def fold_group(
     counts: GroupExecutionCounts,
     retrieved: np.ndarray,
-    evaluate_mask: np.ndarray,
-    outcomes: np.ndarray,
+    evaluate_mask: Optional[np.ndarray],
+    passed: Optional[np.ndarray],
 ) -> np.ndarray:
     """Book one group's (or group segment's) UDF outcomes; return its output rows.
 
-    ``outcomes`` are the UDF results for ``retrieved[evaluate_mask]``, in
-    order.  Every retrieved-but-unevaluated row is kept; evaluated rows are
-    kept only when the UDF passed — in the group's row order either way,
-    matching the serial reference.  ``counts`` is advanced in place.
+    ``passed`` is what :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows`
+    returns for ``retrieved`` and ``evaluate_mask``: per retrieved row, whether
+    it was evaluated and the UDF passed (``None`` when nothing was evaluated;
+    an ``evaluate_mask`` of ``None`` means every row was).  A row is kept
+    unless it was evaluated and failed — ``retrieved[~evaluate_mask |
+    passed]``, in the group's row order, matching the serial reference.
+    ``counts`` is advanced in place.
     """
-    evaluated = int(outcomes.size)
-    counts.returned += int(retrieved.size) - evaluated
-    if not evaluated:
+    if passed is None:
+        counts.returned += int(retrieved.size)
         return retrieved
-    positives = int(outcomes.sum())
+    if evaluate_mask is None:
+        evaluated = int(retrieved.size)
+        kept = retrieved[passed]
+    else:
+        evaluated = int(np.count_nonzero(evaluate_mask))
+        keep = ~evaluate_mask
+        keep |= passed
+        kept = retrieved[keep]
+    positives = int(kept.size) - (int(retrieved.size) - evaluated)
     negatives = evaluated - positives
     counts.evaluated_correct += positives
     counts.retrieved_correct += positives
     counts.evaluated_incorrect += negatives
     counts.retrieved_incorrect += negatives
-    counts.returned += positives
-    keep_mask = ~evaluate_mask
-    keep_mask[evaluate_mask] = outcomes
-    return retrieved[keep_mask]
+    counts.returned += int(kept.size)
+    return kept
 
 
 class PlanExecutor:
@@ -472,28 +464,22 @@ class BatchExecutor:
             ledger.charge_retrieval(int(retrieved.size))
 
             if conditional_evaluate <= 0.0:
-                counts.returned += int(retrieved.size)
-                chunks.append(retrieved)
+                chunks.append(fold_group(counts, retrieved, None, None))
                 continue
-
-            if conditional_evaluate >= 1.0:
-                # Everything retrieved is evaluated: no gather, no copy.
-                evaluate_mask = np.ones(retrieved.size, dtype=bool)
-                to_evaluate = retrieved
-            else:
+            evaluate_mask = None  # every retrieved row is evaluated
+            if conditional_evaluate < 1.0:
                 evaluate_mask = rng.random(retrieved.size) < conditional_evaluate
-                to_evaluate = retrieved[evaluate_mask]
-
-            outcomes = NO_OUTCOMES
-            if to_evaluate.size:
-                # Charge before evaluating (the serial backend's order), so a
-                # hard budget stops the batch before any UDF work happens and
-                # no un-paid-for values land in the memo cache.
-                charge = evaluation_charge(udf, to_evaluate, self.free_memoized)
-                if charge:
-                    ledger.charge_evaluation(charge)
-                outcomes = udf.evaluate_rows(table, to_evaluate)
-            chunks.append(fold_group(counts, retrieved, evaluate_mask, outcomes))
+            passed = None
+            if evaluate_mask is None or evaluate_mask.any():
+                # One memo read over the retrieved rows: the ledger is
+                # charged from it before any UDF work (the serial backend's
+                # order, so a hard budget stops the batch before a value
+                # lands in the memo cache), then only the picked rows the
+                # memo does not know are evaluated.
+                passed = udf.evaluate_rows(
+                    table, retrieved, evaluate_mask, ledger, self.free_memoized
+                )
+            chunks.append(fold_group(counts, retrieved, evaluate_mask, passed))
 
         if active_span is not None:
             active_span.add("retrievals", ledger.retrieved_count - ledger_before[0])

@@ -16,9 +16,16 @@ those are the two places spans run.
   already-sampled rows are excluded once per (index, sample outcome), not
   per request and not inside a worker.  A span task is a slice of a frame
   array, and the slice start *is* the coin position of its first row.
-* **Charging and folding** are :func:`~repro.core.executor.evaluation_charge`
-  (:meth:`ParallelBatchExecutor._charge_span`) and
-  :func:`~repro.core.executor.fold_group` — the serial executor's own.
+* **Charging, evaluating and folding** are the serial executor's own one
+  memo pass per evaluated batch: the span's retrieved rows and evaluation
+  mask go through one
+  :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows`, which reads the
+  memo once, charges the ledger from that read before any UDF work and
+  returns a per-row ``passed`` array, and
+  :func:`~repro.core.executor.fold_group` cuts the answer from it.  The
+  process placement settles a span through
+  :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations`, the
+  same one read and the same charge over the workers' outcomes.
 
 Position-addressable coin discipline
 ------------------------------------
@@ -60,12 +67,10 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.executor import (
-    NO_OUTCOMES,
     CandidateFrame,
     ExecutionResult,
     GroupExecutionCounts,
     candidate_frame,
-    evaluation_charge,
     fold_group,
 )
 from repro.core.plan import ExecutionPlan
@@ -253,29 +258,27 @@ def span_coin_pass(
     return retrieved_per_task, evaluate_per_task, total_retrieved
 
 
-def concat_to_evaluate(
+def span_rows(
     retrieved_per_task: List[np.ndarray], evaluate_per_task: List[np.ndarray]
-) -> np.ndarray:
-    """The span's rows needing UDF evaluation, in task order."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The span's retrieved rows and their evaluation mask, in task order."""
     if not retrieved_per_task:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(
-        [r[m] for r, m in zip(retrieved_per_task, evaluate_per_task)]
-    )
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
+    return np.concatenate(retrieved_per_task), np.concatenate(evaluate_per_task)
 
 
 def fold_span_outcomes(
     tasks: List[_GroupSegment],
     retrieved_per_task: List[np.ndarray],
     evaluate_per_task: List[np.ndarray],
-    outcomes: np.ndarray,
+    passed: Optional[np.ndarray],
 ) -> Tuple[Dict[int, np.ndarray], Dict[int, GroupExecutionCounts]]:
     """Fold UDF outcomes back into per-group returned rows and counts.
 
-    ``outcomes`` is the boolean result for :func:`concat_to_evaluate`'s rows
-    (same order).  Pure: UDF outcomes are deterministic, so folding a worker
-    process's fresh evaluations gives bitwise the same result as folding the
-    parent's memo-assisted ones.
+    ``passed`` is the per-row result over :func:`span_rows`' rows (same
+    order; ``None`` when the span evaluated nothing).  Pure: UDF outcomes
+    are deterministic, so folding a worker process's fresh evaluations
+    gives bitwise the same result as folding the parent's memo-assisted ones.
     """
     counts: Dict[int, GroupExecutionCounts] = {}
     returned: Dict[int, np.ndarray] = {}
@@ -287,11 +290,14 @@ def fold_span_outcomes(
         counts[task.code] = task_counts = GroupExecutionCounts()
         if retrieved.size == 0:
             continue
-        evaluated = int(evaluate_mask.sum())
+        end = offset + int(retrieved.size)
         kept = fold_group(
-            task_counts, retrieved, evaluate_mask, outcomes[offset : offset + evaluated]
+            task_counts,
+            retrieved,
+            evaluate_mask,
+            None if passed is None else passed[offset:end],
         )
-        offset += evaluated
+        offset = end
         if kept.size:
             returned[task.code] = kept
     return returned, counts
@@ -434,25 +440,6 @@ class ParallelBatchExecutor:
         """Run the active spans inline, in span order."""
         return [self._run_span(run, span_index, tasks) for span_index, tasks in active]
 
-    def _charge_span(
-        self, run: _Execution, retrieved: int, to_evaluate: np.ndarray
-    ) -> int:
-        """Charge one span's retrievals and evaluations; return the latter.
-
-        The whole span is charged before any of its UDF work (the serial
-        backends' charge-before-evaluate order, at span granularity): a
-        hard budget stops the span before any un-paid-for value could land
-        in the memo cache.
-        """
-        evaluated_charge = 0
-        if retrieved:
-            run.ledger.charge_retrieval(retrieved)
-        if to_evaluate.size:
-            evaluated_charge = evaluation_charge(run.udf, to_evaluate, self.free_memoized)
-            if evaluated_charge:
-                run.ledger.charge_evaluation(evaluated_charge)
-        return evaluated_charge
-
     def _run_span(
         self, run: _Execution, span_index: int, tasks: List[_GroupSegment]
     ) -> _SpanOutcome:
@@ -466,21 +453,26 @@ class ParallelBatchExecutor:
             # before this span charges.
             check_deadline("execute-span")
             retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(tasks)
-            to_evaluate = concat_to_evaluate(retrieved_per_task, evaluate_per_task)
-            evaluated_charge = self._charge_span(run, total_retrieved, to_evaluate)
-            outcomes = (
-                run.udf.evaluate_rows(run.table, to_evaluate)
-                if to_evaluate.size
-                else NO_OUTCOMES
-            )
+            charged_before = run.ledger.evaluated_count
+            if total_retrieved:
+                run.ledger.charge_retrieval(total_retrieved)
+            retrieved, evaluate_mask = span_rows(retrieved_per_task, evaluate_per_task)
+            passed = None
+            if evaluate_mask.any():
+                # The whole span is charged before any of its UDF work (the
+                # serial backends' charge-before-evaluate order, at span
+                # granularity), from the one memo read inside evaluate_rows.
+                passed = run.udf.evaluate_rows(
+                    run.table, retrieved, evaluate_mask, run.ledger, self.free_memoized
+                )
             returned, counts = fold_span_outcomes(
-                tasks, retrieved_per_task, evaluate_per_task, outcomes
+                tasks, retrieved_per_task, evaluate_per_task, passed
             )
             outcome = _SpanOutcome(
                 returned=returned,
                 counts=counts,
                 retrieved=total_retrieved,
-                evaluated_charge=evaluated_charge,
+                evaluated_charge=run.ledger.evaluated_count - charged_before,
             )
             _record_span_work(shard_span, outcome)
         return outcome

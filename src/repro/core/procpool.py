@@ -24,13 +24,14 @@ tasks across a spawn-based process pool:
   the UDF locally (every pending row fresh — it has no memo cache), and
   ships back outcomes plus the folded per-group counts.
 * **Parent-side accounting** — the parent replays, span by span in span
-  order, exactly what serial execution would have charged: the inherited
-  :meth:`~repro.core.parallel.ParallelBatchExecutor._charge_span` (retrieval
-  then evaluation; ``free_memoized`` consults the parent's memo), then
-  :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations` to
-  absorb outcomes into the memo cache with serial-identical counter
-  advances.  A hard budget trips at the same span boundary as serial, and
-  later spans are never absorbed.
+  order, exactly what serial execution would have charged: the span's
+  retrievals, then one
+  :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations` — the
+  inline path's one memo read, which charges the evaluations
+  (``free_memoized`` consults the parent's memo) before it absorbs the
+  outcomes into the memo cache with serial-identical counter advances.  A
+  hard budget trips at the same span boundary as serial, and later spans
+  are never absorbed.
 
 Because the PR-4 coin discipline makes every coin a pure function of
 (seed, group, position) and UDF outcomes are deterministic, results and every
@@ -93,9 +94,9 @@ from repro.core.parallel import (
     _GroupSegment,
     _record_span_work,
     _SpanOutcome,
-    concat_to_evaluate,
     fold_span_outcomes,
     span_coin_pass,
+    span_rows,
 )
 from repro.core.plan import ExecutionPlan
 from repro.db.errors import StorageError, UnpicklableUdfError
@@ -252,10 +253,13 @@ def _remote_run_span(
     with _faults.fault_scope(fault_plan):
         kind = _faults.maybe_fire(fault_plan, "worker", span_index, attempt)
         retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(tasks)
-        to_evaluate = concat_to_evaluate(retrieved_per_task, evaluate_per_task)
+        retrieved, evaluate_mask = span_rows(retrieved_per_task, evaluate_per_task)
+        to_evaluate = retrieved[evaluate_mask]
         outcomes = spec_evaluate(spec, exports, to_evaluate)
+        passed = np.zeros(retrieved.size, dtype=bool)
+        passed[evaluate_mask] = outcomes
         returned, counts = fold_span_outcomes(
-            tasks, retrieved_per_task, evaluate_per_task, outcomes
+            tasks, retrieved_per_task, evaluate_per_task, passed
         )
         if kind == _faults.GARBAGE:
             # Ship a wrong-shaped outcome array: the parent's shape check
@@ -686,11 +690,14 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
                 continue
             span = remote[span_index]
             with _trace.span(f"shard:{span_index}") as shard_span:
-                span.outcome.evaluated_charge = self._charge_span(
-                    run, span.outcome.retrieved, span.to_evaluate
-                )
+                charged_before = run.ledger.evaluated_count
+                if span.outcome.retrieved:
+                    run.ledger.charge_retrieval(span.outcome.retrieved)
                 if span.to_evaluate.size:
-                    run.udf.merge_remote_evaluations(span.to_evaluate, span.outcomes)
+                    run.udf.merge_remote_evaluations(
+                        span.to_evaluate, span.outcomes, run.ledger, self.free_memoized
+                    )
+                span.outcome.evaluated_charge = run.ledger.evaluated_count - charged_before
                 _record_span_work(shard_span, span.outcome)
             outcomes.append(span.outcome)
         return outcomes

@@ -301,23 +301,45 @@ class UserDefinedFunction:
                     self._memo = memo
         return result
 
-    def evaluate_rows(self, table: Table, row_ids: Iterable[int]) -> np.ndarray:
+    def evaluate_rows(
+        self,
+        table: Table,
+        row_ids: Iterable[int],
+        mask: Optional[np.ndarray] = None,
+        ledger: Optional[CostLedger] = None,
+        free_memoized: bool = False,
+    ) -> np.ndarray:
         """Evaluate the UDF on many rows at once, returning a boolean array.
 
-        Memoised rows are answered from the cache (counted as hits); only the
-        remaining rows invoke the function.  Label-column UDFs take a
-        vectorised fast path through :meth:`Table.column_array`; arbitrary
+        ``mask`` (boolean, one entry per id) picks the rows to evaluate;
+        without one every row is.  The result holds one entry per id: the
+        UDF's value on a picked row, ``False`` on the others.  The memo is
+        read once over all of ``row_ids``; the charge, the counters and the
+        split into answered and pending rows all come from that read.
+
+        ``ledger``, when given, is charged first, before any UDF work: every
+        picked row, or with ``free_memoized`` (serving accounting) only the
+        picked rows the memo does not know — so a hard budget raises before
+        any counter moves or any value is memoised.  Picked rows the memo
+        knows are answered from it (counted as hits); only the rest invoke
+        the function, in the order given.  Label-column UDFs take a
+        vectorised fast path through :meth:`Table.gather_column`; arbitrary
         callables fall back to per-row dict evaluation.  Counter semantics
-        match :meth:`evaluate_row`: ``call_count``/``cache_misses`` advance
-        once per actual function evaluation.
+        match :meth:`evaluate_row`: one bulk call, and
+        ``call_count``/``cache_misses`` advance once per actual function
+        evaluation.
         """
         oracle = bool(self._oracle_depth)
-        # Fault-injection site ``udf_eval`` (tests only; a ``None`` check
-        # otherwise): a ``sleep`` rule here models the paper's adversarially
-        # slow predicate without touching the UDF under test.
-        _faults.maybe_fire(_faults.active_plan(), "udf_eval")
         id_array = _row_id_array(row_ids)
-        results, pending_positions, pending_array = self._bulk_split(id_array, oracle)
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != id_array.shape:
+                raise ValueError(
+                    f"mask shape {mask.shape} does not match row_ids shape {id_array.shape}"
+                )
+        results, pending_positions, pending_array = self._bulk_split(
+            id_array, oracle, mask, ledger, free_memoized, evaluating=True
+        )
         if pending_array.size:
             if self.vectorised_on(table):
                 # gather_column (not column_array[...]): residency-managed
@@ -343,7 +365,11 @@ class UserDefinedFunction:
         return results
 
     def merge_remote_evaluations(
-        self, row_ids: Iterable[int], outcomes: Iterable[bool]
+        self,
+        row_ids: Iterable[int],
+        outcomes: Iterable[bool],
+        ledger: Optional[CostLedger] = None,
+        free_memoized: bool = False,
     ) -> np.ndarray:
         """Fold UDF outcomes evaluated in a worker process into this instance.
 
@@ -351,7 +377,8 @@ class UserDefinedFunction:
         views in workers that hold only a :class:`UdfSpec` — no memo cache, no
         counters.  The parent calls this with the worker's ``(row_ids,
         outcomes)`` to replay exactly the accounting :meth:`evaluate_rows`
-        would have produced locally: one bulk call, memoised rows counted as
+        would have produced locally, from the same one memo read: ``ledger``
+        charged first (same rule), one bulk call, memoised rows counted as
         hits (their cached value wins; determinism makes the remote outcome
         identical), pending rows counted as misses and absorbed into the memo
         cache.  Returns the final boolean array for ``row_ids``, so serial
@@ -366,7 +393,9 @@ class UserDefinedFunction:
                 f"outcomes shape {outcome_array.shape} does not match "
                 f"row_ids shape {id_array.shape}"
             )
-        results, pending_positions, pending_array = self._bulk_split(id_array, oracle)
+        results, pending_positions, pending_array = self._bulk_split(
+            id_array, oracle, None, ledger, free_memoized
+        )
         if pending_array.size:
             fresh = outcome_array[pending_positions]
             self._bulk_absorb(results, pending_positions, pending_array, fresh, oracle)
@@ -395,33 +424,57 @@ class UserDefinedFunction:
         return UdfSpec(self.name, None, self.positive_value, self._func)
 
     def _bulk_split(
-        self, id_array: np.ndarray, oracle: bool
+        self,
+        id_array: np.ndarray,
+        oracle: bool,
+        mask: Optional[np.ndarray],
+        ledger: Optional[CostLedger],
+        free_memoized: bool,
+        evaluating: bool = False,
     ) -> Tuple[np.ndarray, Union[np.ndarray, slice], np.ndarray]:
-        """Count one bulk call and split ``id_array`` against the memo cache.
+        """The one memo read of a bulk call: charge, count, split.
 
-        Returns ``(results, pending_positions, pending_array)``: ``results``
-        has memo-answered positions filled in, ``pending_array`` holds the
-        row ids still needing evaluation, and ``pending_positions`` their
-        positions in ``results`` (the full slice when nothing is memoised and
-        everything is pending).  Shared by :meth:`evaluate_rows` and
+        Reads the memo once over ``id_array`` and, from that read, charges
+        ``ledger`` for the rows ``mask`` picks (all of them, or with
+        ``free_memoized`` the unknown ones), fires the ``udf_eval`` fault site
+        when ``evaluating``, counts one bulk call plus the picked rows the
+        memo answered, and returns ``(results, pending_positions,
+        pending_array)``: ``results`` has memo-answered positions filled in
+        (``False`` outside the mask), ``pending_array`` holds the row ids
+        still needing evaluation, and ``pending_positions`` their positions in
+        ``results`` (the full slice when nothing is memoised and every row is
+        picked).  Shared by :meth:`evaluate_rows` and
         :meth:`merge_remote_evaluations` so the two paths cannot drift.
         """
-        if not oracle:
-            with self._state_lock:
-                self.bulk_calls += 1
         if self.memoize and self._memo.size:
             states = self._memo_states(id_array)
             results = states == _TRUE
-            pending_positions = np.flatnonzero(states == _UNKNOWN)
-            pending_array = id_array[pending_positions]
-            if not oracle:
-                hits = int(id_array.size - pending_array.size)
-                with self._state_lock:
-                    self.cache_hits += hits
-        else:
-            results = np.empty(len(id_array), dtype=bool)
+            pending_positions: Union[np.ndarray, slice] = states == _UNKNOWN
+            if mask is not None:
+                results &= mask
+                pending_positions &= mask
+        elif mask is None:
+            results = np.empty(id_array.size, dtype=bool)
             pending_positions = slice(None)
-            pending_array = id_array
+        else:
+            results = np.zeros(id_array.size, dtype=bool)
+            pending_positions = mask
+        pending_array = id_array[pending_positions]
+        picked = id_array.size if mask is None else int(np.count_nonzero(mask))
+        if ledger is not None:
+            charge = int(pending_array.size) if free_memoized else picked
+            if charge:
+                ledger.charge_evaluation(charge)
+        if evaluating:
+            # Fault-injection site ``udf_eval`` (tests only; a ``None`` check
+            # otherwise): a ``sleep`` rule here models the paper's
+            # adversarially slow predicate without touching the UDF under
+            # test.  It fires after the charge, before any UDF work.
+            _faults.maybe_fire(_faults.active_plan(), "udf_eval")
+        if not oracle:
+            with self._state_lock:
+                self.bulk_calls += 1
+                self.cache_hits += picked - int(pending_array.size)
         return results, pending_positions, pending_array
 
     def _bulk_absorb(
@@ -507,17 +560,6 @@ class UserDefinedFunction:
     def is_memoized(self, row_id: int) -> bool:
         """Whether the UDF value for ``row_id`` is already cached."""
         return self._memo_state(row_id) != _UNKNOWN and self.memoize
-
-    def memoized_mask(self, row_ids: Iterable[int]) -> np.ndarray:
-        """Boolean mask of rows whose UDF value is already memoised.
-
-        Used by serving-accounting executors to charge only un-memoised rows
-        without a per-row ``is_memoized`` call.
-        """
-        ids = _row_id_array(row_ids)
-        if not self.memoize:
-            return np.zeros(ids.size, dtype=bool)
-        return self._memo_states(ids) != _UNKNOWN
 
     def counter_snapshot(self) -> Dict[str, int]:
         """Memoisation counters as a plain dict (for result metadata)."""

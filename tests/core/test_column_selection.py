@@ -304,3 +304,52 @@ class TestReservoirTopUp:
         )
         assert topped.size == 150  # 10% of 1500
         assert (topped.row_ids >= 1000).any()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1(b)")
+    @pytest.mark.parametrize("appends", [1, 5, 20])
+    def test_every_row_is_equally_likely_after_appends(self, appends):
+        """Inclusion frequency, old rows against appended rows, over 400
+        seeds: a uniform sample of the grown table includes every row at the
+        same rate (size / rows).  It does not today — each growth slot goes to
+        a delta row, so delta rows sit near twice the uniform rate (1 % on
+        10 000 rows: old 0.99 / 0.95 / 0.82 %, delta 2.00 / 1.94 / 1.82 %
+        after 1 / 5 / 20 appends of 1 %)."""
+        import numpy as np
+
+        from repro.db.table import Table
+
+        seeds, base = 400, 10_000
+        sizes = [base]
+        for _ in range(appends):
+            sizes.append(sizes[-1] + sizes[-1] // 100)
+        labels = (np.random.default_rng(0).random(sizes[-1]) < 0.5).tolist()
+        # One table per append window: a prefix of the final one.
+        tables = [
+            Table.from_columns(
+                "res",
+                {"grade": ["g0"] * rows, "is_good": labels[:rows]},
+                hidden_columns=["is_good"],
+            )
+            for rows in sizes
+        ]
+        udf = self._udf("uniform")
+        included = np.zeros(sizes[-1], dtype=np.int64)
+        drawn = 0
+        for seed in range(seeds):
+            sample = draw_labeled_sample(
+                tables[0], udf, CostLedger(), fraction=0.01, random_state=seed
+            )
+            for previous, table in zip(sizes, tables[1:]):
+                sample = top_up_labeled_sample(
+                    table, udf, CostLedger(), sample, previous_rows=previous,
+                    fraction=0.01, stream_seed=seed,
+                )
+            included[sample.row_ids] += 1
+            drawn += sample.size
+        rate = drawn / (seeds * sizes[-1])  # each row's share under uniformity
+        for rows in (included[:base], included[base:]):  # old rows, delta rows
+            expected = rate * seeds * rows.size
+            # Fixed-size samples include rows with negative correlation, so
+            # the binomial deviation bounds the spread: 4 of them is a
+            # false alarm well under once in 10 000 runs.
+            assert abs(int(rows.sum()) - expected) <= 4 * np.sqrt(expected * (1 - rate))

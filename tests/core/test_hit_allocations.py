@@ -15,12 +15,15 @@ arrays, not one python object per paid-for row.
 
 A second kind of count guards the update path's table-sized passes: how many
 times one {append, two refreshes, three hits} cycle regroups the evidence and
-excludes it from the groups' rows.
+excludes it from the groups' rows.  A third guards the executor kernel: under
+serving accounting a warm hit and a churn cycle read the UDF's memo once per
+bulk evaluation, not once to price it and again to evaluate.
 """
 
 import numpy as np
 import pytest
 
+from repro.db.udf import UserDefinedFunction
 from repro.sampling import sampler as sampler_module
 from repro.sampling.sampler import Evidence, SampleOutcome
 from repro.serving.signature import plan_signature
@@ -189,3 +192,78 @@ def test_the_work_gate_sees_a_merge_that_always_allocates(churned_service, monke
     _churn_cycle(service, append_1000, queries[1], queries[0], seed=400)
     assert work["builds"] == 3, work
     assert evidence(queries[0]) is not evidence(queries[1])
+
+
+# -- the executor kernel's memo reads ------------------------------------------------
+def _memo_reads(monkeypatch):
+    """Count the UDF memo's bulk reads (the one gather of per-row states)
+    from here on."""
+    reads = {"count": 0}
+    gather = UserDefinedFunction._memo_states
+
+    def counted(self, ids):
+        reads["count"] += 1
+        return gather(self, ids)
+
+    monkeypatch.setattr(UserDefinedFunction, "_memo_states", counted)
+    return reads
+
+
+def _reads_and_bulk_calls(service, query, monkeypatch, action):
+    """``(memo reads, bulk evaluations)`` of ``action()`` under serving
+    accounting (``free_memoized``: the path that used to price a batch with a
+    memo read of its own before evaluating it)."""
+    monkeypatch.setattr(service, "free_memoized", True)
+    udf = query.predicate.udf
+    reads = _memo_reads(monkeypatch)
+    bulk_before = udf.bulk_calls
+    action()
+    return reads["count"], udf.bulk_calls - bulk_before
+
+
+def _hit(service, query, seed):
+    def submit():
+        assert service.submit(query, seed=seed).metadata["plan_cache"] == "hit"
+
+    return submit
+
+
+def test_a_serving_hit_and_churn_cycle_read_the_memo_once_per_evaluated_group(
+    warm_hits_service, churned_service, monkeypatch
+):
+    """A work count: every bulk evaluation (an executor group with picked
+    rows, a sampler or top-up batch) reads the memo once, and the executor
+    charges from that read.  (Before: twice per executor group.)"""
+    service, queries = warm_hits_service
+    reads, bulk = _reads_and_bulk_calls(
+        service, queries[0], monkeypatch, _hit(service, queries[0], seed=500)
+    )
+    assert 1 <= bulk <= 8 and reads == bulk, (reads, bulk)
+
+    service, queries, append_1000, _evidence = churned_service
+    reads, bulk = _reads_and_bulk_calls(
+        service,
+        queries[0],
+        monkeypatch,
+        lambda: _churn_cycle(service, append_1000, queries[0], queries[1], seed=510),
+    )
+    assert bulk >= 8 and reads == bulk, (reads, bulk)
+
+
+def test_the_memo_read_gate_sees_a_second_read(warm_hits_service, monkeypatch):
+    """Mutation check: pricing a batch with a memo read of its own before
+    evaluating it — the shape of the deleted ``evaluation_charge`` — is what
+    the gate would catch."""
+    service, queries = warm_hits_service
+    evaluate = UserDefinedFunction.evaluate_rows
+
+    def priced_twice(self, table, row_ids, mask=None, ledger=None, free_memoized=False):
+        if ledger is not None and free_memoized:
+            self._memo_states(np.asarray(row_ids, dtype=np.intp))
+        return evaluate(self, table, row_ids, mask, ledger, free_memoized)
+
+    monkeypatch.setattr(UserDefinedFunction, "evaluate_rows", priced_twice)
+    reads, bulk = _reads_and_bulk_calls(
+        service, queries[1], monkeypatch, _hit(service, queries[1], seed=520)
+    )
+    assert bulk >= 1 and reads == 2 * bulk, (reads, bulk)

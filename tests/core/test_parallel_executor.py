@@ -203,9 +203,9 @@ class TestInlinePlacement:
         udf = _udf(name)
         real = udf.evaluate_rows
 
-        def evaluate_rows(table, row_ids):
+        def evaluate_rows(*args, **kwargs):
             seen.append(threading.get_ident())
-            return real(table, row_ids)
+            return real(*args, **kwargs)
 
         udf.evaluate_rows = evaluate_rows
         return udf

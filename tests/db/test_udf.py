@@ -1,9 +1,16 @@
 """Tests for UDFs and cost ledgers."""
 
+import numpy as np
 import pytest
 
 from repro.db.errors import BudgetExhaustedError, DuplicateObjectError, UdfNotFoundError
 from repro.db.udf import CostLedger, UdfRegistry, UserDefinedFunction
+
+
+def _ledger_with_budget(budget):
+    ledger = CostLedger(retrieval_cost=1.0, evaluation_cost=3.0)
+    ledger.set_budget(budget)
+    return ledger
 
 
 class TestCostLedger:
@@ -73,10 +80,26 @@ class TestUserDefinedFunction:
         udf.evaluate_row(toy_table, 0)
         assert udf.call_count == 1
 
-    def test_no_memoization_when_disabled(self, toy_table):
+    @pytest.mark.parametrize("bulk", [False, True], ids=["row", "masked_bulk"])
+    def test_no_memoization_when_disabled(self, toy_table, bulk):
         udf = UserDefinedFunction("g", lambda row: row["A"] == 1, memoize=False)
-        udf.evaluate_row(toy_table, 0)
-        udf.evaluate_row(toy_table, 0)
+        if not bulk:
+            udf.evaluate_row(toy_table, 0)
+            udf.evaluate_row(toy_table, 0)
+        else:
+            ledger = CostLedger()
+            for _ in range(2):
+                got = udf.evaluate_rows(
+                    toy_table, [0, 4], np.array([True, False]), ledger, free_memoized=True
+                )
+                assert got.tolist() == [True, False]
+            # Nothing is memoised, so nothing is free: both rounds are charged.
+            assert ledger.evaluated_count == 2
+            assert udf.counter_snapshot() == {
+                "calls": 2, "cache_hits": 0, "cache_misses": 2, "cache_size": 0,
+                "row_calls": 0, "bulk_calls": 2,
+            }
+            assert [part.tolist() for part in udf.memo_arrays()] == [[], []]
         assert udf.call_count == 2
 
     def test_reset(self, toy_table):
@@ -105,13 +128,29 @@ class TestUserDefinedFunction:
         assert [bool(o) for o in outcomes] == [single.evaluate_row(toy_table, r) for r in rows]
         assert bulk.call_count == single.call_count == len(rows)
 
-    def test_evaluate_rows_serves_memoized_rows_from_cache(self, toy_table):
+    @pytest.mark.parametrize("masked", [False, True], ids=["all_rows", "masked"])
+    def test_evaluate_rows_serves_memoized_rows_from_cache(self, toy_table, masked):
         udf = UserDefinedFunction.from_label_column("f_check", "f")
         udf.evaluate_rows(toy_table, [0, 1, 2])
-        udf.evaluate_rows(toy_table, [1, 2, 3])
+        if masked:
+            # Rows 4 and 5 are not picked: not evaluated, not counted, False
+            # (row 5 is a positive), and the ledger pays for row 3 only.
+            ledger = CostLedger()
+            got = udf.evaluate_rows(
+                toy_table,
+                [1, 4, 2, 5, 3],
+                np.array([True, False, True, False, True]),
+                ledger,
+                free_memoized=True,
+            )
+            assert got.tolist() == [True, False, True, False, True]
+            assert ledger.evaluated_count == 1
+        else:
+            udf.evaluate_rows(toy_table, [1, 2, 3])
         assert udf.cache_hits == 2
         assert udf.cache_misses == 4
         assert udf.call_count == 4
+        assert udf.memo_arrays()[0].tolist() == [0, 1, 2, 3]
 
     def test_oracle_mode_leaves_no_trace(self, toy_table):
         udf = UserDefinedFunction.from_label_column("f_check", "f")
@@ -124,20 +163,48 @@ class TestUserDefinedFunction:
         udf.evaluate_row(toy_table, 0)
         assert udf.call_count == 1
 
-    def test_oracle_mode_covers_bulk_evaluation(self, toy_table):
+    @pytest.mark.parametrize("masked", [False, True], ids=["all_rows", "masked"])
+    def test_oracle_mode_covers_bulk_evaluation(self, toy_table, masked):
         udf = UserDefinedFunction.from_label_column("f_check", "f")
+        udf.evaluate_rows(toy_table, [1])
+        before = udf.counter_snapshot()
+        ids = list(toy_table.row_ids)
+        mask = np.array([row % 2 == 0 for row in ids]) if masked else None
+        ledger = CostLedger()
         with udf.oracle_mode():
-            outcomes = udf.evaluate_rows(toy_table, list(toy_table.row_ids))
+            outcomes = udf.evaluate_rows(toy_table, ids, mask, ledger, free_memoized=True)
         assert bool(outcomes[0]) is True
-        assert udf.call_count == 0
-        assert udf.counter_snapshot()["cache_size"] == 0
+        assert bool(outcomes[1]) is not masked  # row 1 is a positive, picked when unmasked
+        # The ledger is the caller's: it is charged (rows the memo does not
+        # know) even while the UDF itself records nothing.
+        assert ledger.evaluated_count == (6 if masked else 11)
+        assert udf.counter_snapshot() == before
+        assert udf.memo_arrays()[0].tolist() == [1]
 
-    def test_evaluate_rows_generic_callable(self, toy_table):
-        udf = UserDefinedFunction("g", lambda row: row["A"] == 1)
-        outcomes = udf.evaluate_rows(toy_table, list(toy_table.row_ids))
-        assert [bool(o) for o in outcomes] == [
-            value == 1 for value in toy_table.column_values("A")
+    @pytest.mark.parametrize("masked", [False, True], ids=["all_rows", "masked"])
+    def test_evaluate_rows_generic_callable(self, toy_table, masked):
+        seen = []
+
+        def func(row):
+            seen.append(row)
+            return row["A"] == 1
+
+        udf = UserDefinedFunction("g", func)
+        udf.evaluate_rows(toy_table, [6])  # memoised: never called for again
+        seen.clear()
+        ids = [9, 6, 0, 4, 11, 2]
+        mask = np.array([True, True, False, True, True, True]) if masked else None
+        outcomes = udf.evaluate_rows(toy_table, ids, mask)
+        # The function sees the picked rows the memo does not know, in the
+        # order given.
+        called = [9, 4, 11, 2] if masked else [9, 0, 4, 11, 2]
+        assert seen == [toy_table.row(row, include_hidden=True) for row in called]
+        values = toy_table.column_values("A")
+        picked = [True] * len(ids) if mask is None else mask.tolist()
+        assert outcomes.tolist() == [
+            values[row] == 1 and pick for row, pick in zip(ids, picked)
         ]
+        assert udf.counter_snapshot()["cache_hits"] == 1
 
     def test_direct_call_on_row_dict(self):
         udf = UserDefinedFunction("g", lambda row: row["x"] > 5)
@@ -154,26 +221,58 @@ class TestUserDefinedFunction:
             UserDefinedFunction("g", lambda row: True, evaluation_cost=-1)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, error",
         [
-            lambda udf, table: udf.evaluate_rows(table, [1, -1]),
-            lambda udf, table: udf.merge_remote_evaluations([1, -1], [True, False]),
-            lambda udf, table: udf.memoized_mask([1, -1]),
-            lambda udf, table: udf.is_memoized(-1),
-            lambda udf, table: udf.evaluate_row(table, -1),
-            lambda udf, table: udf.absorb_memo([1, -1], [True, False]),
+            pytest.param(
+                lambda udf, table: udf.evaluate_rows(table, [1, -1]),
+                IndexError,
+                id="evaluate_rows",
+            ),
+            pytest.param(
+                lambda udf, table: udf.merge_remote_evaluations([1, -1], [True, False]),
+                IndexError,
+                id="merge_remote",
+            ),
+            pytest.param(
+                lambda udf, table: udf.evaluate_rows(
+                    table, [1, -1], np.array([True, True]), CostLedger(), True
+                ),
+                IndexError,
+                id="evaluate_rows_masked",
+            ),
+            pytest.param(lambda udf, table: udf.is_memoized(-1), IndexError, id="is_memoized"),
+            pytest.param(
+                lambda udf, table: udf.evaluate_row(table, -1), IndexError, id="evaluate_row"
+            ),
+            pytest.param(
+                lambda udf, table: udf.absorb_memo([1, -1], [True, False]),
+                IndexError,
+                id="absorb_memo",
+            ),
+            pytest.param(
+                lambda udf, table: udf.evaluate_rows(table, [1, 3], np.array([True])),
+                ValueError,
+                id="mask_shape",
+            ),
+            # A budget that cannot pay for the one unknown picked row (3)
+            # trips before any counter moves, any UDF work or memo write.
+            pytest.param(
+                lambda udf, table: udf.evaluate_rows(
+                    table, [0, 3, 2], None, _ledger_with_budget(2.0), True
+                ),
+                BudgetExhaustedError,
+                id="budget",
+            ),
         ],
-        ids=["evaluate_rows", "merge_remote", "memoized_mask", "is_memoized",
-             "evaluate_row", "absorb_memo"],
     )
-    def test_negative_row_id_raises_before_any_side_effect(self, toy_table, call):
+    def test_a_refused_call_leaves_no_side_effect(self, toy_table, call, error):
         # A bulk gather would wrap -1 to the last row and, in a
         # position-indexed memo, alias its slot; Table.row already refuses.
         udf = UserDefinedFunction.from_label_column("f_check", "f")
         udf.evaluate_rows(toy_table, [0, 2])
         counters = udf.counter_snapshot()
         memo = [part.tolist() for part in udf.memo_arrays()]
-        with pytest.raises(IndexError):
+        with pytest.raises(error):
             call(udf, toy_table)
         assert udf.counter_snapshot() == counters
         assert [part.tolist() for part in udf.memo_arrays()] == memo
@@ -183,7 +282,20 @@ class TestUserDefinedFunction:
         udf.evaluate_rows(toy_table, [0, 1])
         beyond = toy_table.num_rows + 1000
         assert not udf.is_memoized(beyond)
-        assert udf.memoized_mask([1, beyond, 0]).tolist() == [True, False, True]
+        # An id past the memo's end reads as unknown: a serving charge counts
+        # it (3 > a budget of 2) before the gather could touch a missing row.
+        with pytest.raises(BudgetExhaustedError):
+            udf.evaluate_rows(
+                toy_table, [1, beyond, 0], ledger=_ledger_with_budget(2.0), free_memoized=True
+            )
+        # Left out of the mask it is never read, evaluated or charged.
+        ledger = CostLedger()
+        got = udf.evaluate_rows(
+            toy_table, [1, beyond, 0], np.array([True, False, True]), ledger, True
+        )
+        assert got.tolist() == [True, False, True]
+        assert ledger.evaluated_count == 0
+        assert udf.counter_snapshot()["cache_hits"] == 2
         # Remote outcomes for rows a grown table now has land past the old end.
         udf.merge_remote_evaluations([beyond, 1], [True, False])
         assert udf.is_memoized(beyond)

@@ -15,7 +15,12 @@ Three promises this suite pins down:
   :class:`~repro.core.procpool.ProcessPoolBatchExecutor` in worker
   processes) returns exactly what the counter coin discipline
   *defines*, as restated tuple by tuple in ``counter_coin_oracle.py`` — so
-  the span path is compared with something other than itself.
+  the span path is compared with something other than itself;
+* the executor kernel's one memo pass per evaluated group (charge,
+  evaluate, fold from one read) meets hand-computed row ids, ledgers, UDF
+  counters and memo contents at its edges: ids past the memo's end, a UDF
+  that does not memoise, ``oracle_mode()``, a python callable's call order
+  and a hard budget tripping at a group boundary.
 
 These guarantees are what make it safe to run the whole library — pipeline,
 oracle, adaptive strategy, serving layer — on the vectorised backend while
@@ -37,6 +42,7 @@ from repro.db.index import GroupIndex
 from repro.db.sharding import ShardedTable
 from repro.db.shm import release_exports
 from repro.db.table import Table
+from repro.db.errors import BudgetExhaustedError
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
 from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import ConstantScheme
@@ -142,6 +148,91 @@ class TestExecutorSeedForSeed:
         assert_same_rows(batch.row_ids, serial.row_ids)
         assert batch.ledger.evaluated_count == serial.ledger.evaluated_count
         assert batch.ledger.retrieved_count == serial.ledger.retrieved_count
+
+
+    @pytest.mark.parametrize("free_memoized", [False, True], ids=["paper", "serving"])
+    @pytest.mark.parametrize("backend", ["batch", "inline_spans"])
+    @pytest.mark.parametrize(
+        "edge", ["past_memo_end", "no_memo", "oracle_mode", "call_order", "budget"]
+    )
+    def test_kernel_edges_by_hand(self, edge, backend, free_memoized):
+        """Two groups that are also the two shards (so a span is a group and
+        both backends charge group by group): ``x`` = rows 0-3, ``y`` = rows
+        4-7, every row retrieved and evaluated (no coins).  Rows 0 and 5 are
+        paid for first; that memo is 6 slots long, so rows 6 and 7 lie past
+        its end."""
+        labels = [True, False, True, False, False, True, True, False]
+        table = Table.from_columns(
+            "kernel_edges",
+            {"A": list("xxxxyyyy"), "i": list(range(8)), "f": labels},
+            hidden_columns=["f"],
+        )
+        if backend == "inline_spans":
+            table = ShardedTable.from_table(table, num_shards=2)
+            executor = ParallelBatchExecutor(3, free_memoized=free_memoized)
+        else:
+            executor = BatchExecutor(3, free_memoized=free_memoized)
+        called = []
+        if edge == "call_order":
+
+            def reveal(row):
+                called.append(row["i"])
+                return bool(row["f"])
+
+            udf = UserDefinedFunction("edge_py", reveal)
+        else:
+            udf = UserDefinedFunction.from_label_column("edge_label", "f")
+        udf.memoize = edge != "no_memo"
+        udf.evaluate_rows(table, [0, 5])
+        del called[:]
+        ledger = CostLedger(retrieval_cost=1.0, evaluation_cost=3.0)
+        if edge == "budget":
+            # x: 4 retrievals + its evaluations (4, or the 3 unknown) fit in
+            # 20; y's 4 retrievals fit too, its evaluations do not.
+            ledger.set_budget(20.0)
+        plan = ExecutionPlan({key: GroupDecision(retrieve=1.0, evaluate=1.0) for key in "xy"})
+        run = lambda: executor.execute(table, table.group_index("A"), udf, plan, ledger)  # noqa: E731
+
+        memo = {0: True, 5: True}  # what the memo holds afterwards
+        if edge == "budget":
+            with pytest.raises(BudgetExhaustedError):
+                run()
+            # y tripped before any of its UDF work: x was evaluated, y not.
+            assert (ledger.retrieved_count, ledger.evaluated_count) == (
+                8,
+                3 if free_memoized else 4,
+            )
+            memo.update({1: False, 2: True, 3: False})
+            expected = {"calls": 5, "cache_hits": 1, "bulk_calls": 2}
+        else:
+            if edge == "oracle_mode":
+                with udf.oracle_mode():
+                    result = run()
+            else:
+                result = run()
+            assert result.returned_row_ids.tolist() == [0, 2, 5, 6]
+            assert ledger.retrieved_count == 8
+            # The memo knows rows 0 and 5 unless the UDF does not memoise.
+            free = 2 if free_memoized and edge != "no_memo" else 0
+            assert ledger.evaluated_count == 8 - free
+            if edge == "oracle_mode":  # counts nothing, memoises nothing
+                expected = {"calls": 2, "cache_hits": 0, "bulk_calls": 1}
+            elif edge == "no_memo":
+                memo = {}
+                expected = {"calls": 10, "cache_hits": 0, "bulk_calls": 3}
+            else:
+                memo = dict(enumerate(labels))
+                expected = {"calls": 8, "cache_hits": 2, "bulk_calls": 3}
+        assert udf.counter_snapshot() == dict(
+            expected,
+            cache_misses=expected["calls"],
+            cache_size=len(memo),
+            row_calls=0,
+        )
+        ids, values = udf.memo_arrays()
+        assert (ids.tolist(), values.tolist()) == (sorted(memo), [memo[i] for i in sorted(memo)])
+        if edge == "call_order":
+            assert called == [1, 2, 3, 4, 6, 7]  # unknown rows, group by group, in row order
 
 
 SPAN_KEYS = ("a", "b", "c", "d")

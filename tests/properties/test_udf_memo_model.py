@@ -2,13 +2,14 @@
 
 :class:`~repro.db.udf.UserDefinedFunction` keeps its memo as one ``int8``
 array indexed by row id.  Whatever sequence of calls it sees — per-row and
-bulk evaluation with unsorted ids and repeats inside one batch, ids past
-anything the memo has seen, rows that exist only after an append, outcomes
-merged from a worker process, mask lookups, oracle reads, restored memos,
-resets — it must agree after *every* step with the obvious model: a
-``{row_id: bool}`` dict and six integer counters.  Agreement covers the
-returned outcomes, which rows the function was actually called on, the memo
-contents and all six ``counter_snapshot()`` fields, on every table kind.
+bulk evaluation with unsorted ids and repeats inside one batch, masked bulk
+evaluation charging a ledger, ids past anything the memo has seen, rows that
+exist only after an append, outcomes merged from a worker process, "is it
+known?" probes, oracle reads, restored memos, resets — it must agree after
+*every* step with the obvious model: a ``{row_id: bool}`` dict and six
+integer counters.  Agreement covers the returned outcomes, the ledger charge,
+which rows the function was actually called on, the memo contents and all
+six ``counter_snapshot()`` fields, on every table kind.
 """
 
 import sys
@@ -21,11 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db.errors import BudgetExhaustedError
 from repro.db.residency import ResidencyManager
 from repro.db.sharding import ShardedTable
 from repro.db.storage import TableStore
 from repro.db.table import Table
-from repro.db.udf import UserDefinedFunction
+from repro.db.udf import CostLedger, UserDefinedFunction
 
 #: Ops that never read the table may name rows this far past its end.
 BEYOND = 40
@@ -41,9 +43,14 @@ def memo_cases(draw):
         st.lists(
             st.one_of(
                 st.tuples(st.just("row"), st.integers(0, 10_000), st.booleans()),
-                st.tuples(st.just("rows"), _IDS, st.booleans()),
+                st.tuples(
+                    st.just("rows"),
+                    _IDS,
+                    st.booleans(),
+                    st.one_of(st.none(), st.integers(0, 2**13)),
+                ),
                 st.tuples(st.just("merge"), _IDS, st.booleans(), st.integers(0, 2**12)),
-                st.tuples(st.just("mask"), _IDS),
+                st.tuples(st.just("known"), _IDS),
                 st.tuples(st.just("absorb"), _IDS, st.integers(0, 2**12)),
                 st.tuples(st.just("append"), _ROWS),
                 st.tuples(st.just("reset")),
@@ -84,20 +91,26 @@ class DictMemo:
             self.cache[row_id] = outcome
         return outcome, pending
 
-    def bulk(self, ids, fresh, oracle):
+    def bulk(self, ids, fresh, oracle, mask=None):
         """``fresh[position]`` is the outcome for a pending ``ids[position]``.
 
-        A row repeated inside the batch is pending (and paid for) at every
-        position it occupies, and fills one memo slot.
+        Only the positions ``mask`` picks (all without one) are looked at;
+        the others come back ``False``.  A row repeated inside the batch is
+        pending (and paid for) at every picked position it occupies, and
+        fills one memo slot.
         """
-        pending = [i for i in ids if i not in self.cache]
-        outcomes = [self.cache.get(i, fresh[p]) for p, i in enumerate(ids)]
+        mask = [True] * len(ids) if mask is None else mask
+        picked = [i for i, pick in zip(ids, mask) if pick]
+        pending = [i for i in picked if i not in self.cache]
+        outcomes = [
+            pick and self.cache.get(i, fresh[p]) for p, (i, pick) in enumerate(zip(ids, mask))
+        ]
         if not oracle:
             self.counters["bulk_calls"] += 1
-            self.counters["cache_hits"] += len(ids) - len(pending)
+            self.counters["cache_hits"] += len(picked) - len(pending)
             self.counters["cache_misses"] += len(pending)
             self.counters["calls"] += len(pending)
-            self.cache.update(zip(ids, outcomes))
+            self.cache.update((i, o) for i, o, pick in zip(ids, outcomes, mask) if pick)
         return outcomes, pending
 
 
@@ -133,6 +146,27 @@ def _bits(seed, count):
     return [bool(seed >> (position % 12) & 1) for position in range(count)]
 
 
+def _known(udf, table, ids):
+    """Which ``ids`` the memo knows, read through ``evaluate_rows``' one memo
+    read: in oracle mode, with a serving ledger that cannot pay for one
+    evaluation, a picked row the memo does not know trips the budget before
+    any gather (so ids past the table's end are fine)."""
+    known = []
+    with udf.oracle_mode():
+        for position in range(len(ids)):
+            ledger = CostLedger()
+            ledger.set_budget(0.0)
+            mask = np.zeros(len(ids), dtype=bool)
+            mask[position] = True
+            try:
+                udf.evaluate_rows(table, ids, mask, ledger, free_memoized=True)
+            except BudgetExhaustedError:
+                known.append(False)
+            else:
+                known.append(True)
+    return known
+
+
 def _assert_same_state(udf, model):
     assert udf.counter_snapshot() == model.snapshot()
     ids, values = udf.memo_arrays()
@@ -159,13 +193,25 @@ def _run_case(kind, udf_kind, labels, ops):
                     expected, pending = model.evaluate_row(row_id, truth, oracle)
                     assert got is expected
                 elif name == "rows":
-                    ids, oracle = [i % len(truth) for i in op[1]], op[2]
+                    ids, oracle, mask_seed = [i % len(truth) for i in op[1]], op[2], op[3]
+                    mask = None if mask_seed is None else _bits(mask_seed, len(ids))
+                    free_memoized = bool(mask_seed) and mask_seed % 3 == 0
+                    ledger = CostLedger()
                     with udf.oracle_mode() if oracle else nullcontext():
-                        got = udf.evaluate_rows(table, ids)
+                        got = udf.evaluate_rows(
+                            table,
+                            ids,
+                            None if mask is None else np.asarray(mask, dtype=bool),
+                            ledger,
+                            free_memoized,
+                        )
                     expected, pending = model.bulk(
-                        ids, [truth[i] for i in ids], oracle
+                        ids, [truth[i] for i in ids], oracle, mask
                     )
                     assert got.dtype == bool and got.tolist() == expected
+                    picked = len(ids) if mask is None else sum(mask)
+                    charged = len(pending) if free_memoized else picked
+                    assert ledger.evaluated_count == charged
                 elif name == "merge":
                     ids = [i % (len(truth) + BEYOND) for i in op[1]]
                     outcomes = _bits(op[3], len(ids))
@@ -174,10 +220,10 @@ def _run_case(kind, udf_kind, labels, ops):
                     # The worker ran the function, not this UDF: nothing pending.
                     expected, _ = model.bulk(ids, outcomes, op[2])
                     assert got.dtype == bool and got.tolist() == expected
-                elif name == "mask":
+                elif name == "known":
                     ids = [i % (len(truth) + BEYOND) for i in op[1]]
                     expected = [i in model.cache for i in ids]
-                    assert udf.memoized_mask(ids).tolist() == expected
+                    assert _known(udf, table, ids) == expected
                     assert [udf.is_memoized(i) for i in ids] == expected
                 elif name == "absorb":
                     ids = [i % (len(truth) + BEYOND) for i in op[1]]
@@ -214,12 +260,13 @@ def test_array_memo_equals_dict_model_after_every_step(kind, udf_kind, case):
 #: that repeats two new rows, then growth past rows already memoised.
 _LABELS = [True, False, True, True, False, False, True, False]
 _PINNED_OPS = [
-    ("rows", [1, 0], False),
-    ("rows", [3, 2, 3, 0, 2], False),
+    ("rows", [1, 0], False, None),
+    ("rows", [3, 2, 3, 0, 2], False, None),
     ("append", [True, False, True]),
-    ("rows", [10, 1, 9], False),
+    ("rows", [10, 1, 9], False, None),
+    ("rows", [4, 10, 5, 4], False, 0b1101),
     ("row", 1, False),
-    ("mask", [0, 1, 2, 3, 9, 10]),
+    ("known", [0, 1, 2, 3, 4, 5, 9, 10]),
 ]
 
 
@@ -232,7 +279,7 @@ def test_differential_catches_a_duplicate_counted_twice(monkeypatch):
     write = UserDefinedFunction._memo_write
 
     def counts_every_position(self, ids, values):
-        fresh = ids[~self.memoized_mask(ids)]
+        fresh = ids[self._memo_states(ids) == 0]
         write(self, ids, values)
         self._memo_count += int(fresh.size - np.unique(fresh).size)
 
