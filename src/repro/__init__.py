@@ -152,6 +152,16 @@ which returns ``(x, converged)``).  Inverted bounds now raise
 :class:`ValueError` when the :class:`~repro.solvers.convex.ConvexProblem` is
 built, not when it is solved, and its ``bounds`` must be ``n`` ``(low,
 high)`` pairs (a flat sequence of ``2n`` numbers is no longer reshaped).
+Removed in 1.16, with the process executor's second fan-out (bulk UDF
+evaluation now runs through the span path's submit, harvest, retry and
+give-up): ``ServiceConfig.retry_spans`` and
+``ProcessPoolBatchExecutor(retry_spans=)`` (a transiently failed span is
+always retried once), ``ParallelBatchExecutor.bulk_evaluator`` (call
+``executor.evaluate_rows(table, udf, row_ids)``), and the ``"reference"``
+executor backend (``ServiceConfig(executor="reference")`` raises
+``ValueError``; no service ran it, and
+:class:`~repro.core.executor.PlanExecutor` stays in :mod:`repro.core` as
+the differential reference).
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -230,7 +240,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "__version__",

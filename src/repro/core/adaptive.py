@@ -12,7 +12,7 @@ found with everything sampled so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import CostModel, QueryConstraints
 from repro.core.executor import BatchExecutor, ExecutorBackend
@@ -22,7 +22,7 @@ from repro.core.sampling_program import solve_with_samples
 from repro.db.engine import QueryResult
 from repro.db.table import Table
 from repro.db.udf import CostLedger, UserDefinedFunction
-from repro.sampling.adaptive import default_num_schedule
+from repro.sampling.adaptive import choose_num_adaptively, default_num_schedule
 from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import TwoThirdPowerScheme
 from repro.solvers.linear import InfeasibleProblemError
@@ -112,19 +112,16 @@ class AdaptiveIntelSample:
 
         outcome: Optional[SampleOutcome] = None
         rounds: List[AdaptiveRound] = []
-        best_cost = float("inf")
-        best_plan: Optional[ExecutionPlan] = None
-        best_model: Optional[SelectivityModel] = None
-        chosen_num = schedule[0]
-        consecutive_rises = 0
+        solved: Dict[float, Tuple[ExecutionPlan, SelectivityModel]] = {}
 
-        for num in schedule:
+        def sample_and_solve(num: float) -> float:
+            """One round: sample up to ``num``, re-solve, keep the plan."""
+            nonlocal outcome
             allocation = TwoThirdPowerScheme(num=num).allocate(index.group_sizes())
             new_outcome = sampler.sample(
                 table, index, udf, allocation, ledger, already_sampled=outcome
             )
             outcome = new_outcome if outcome is None else outcome.merge(new_outcome)
-            used_fallback = False
             try:
                 solution = solve_with_samples(
                     index,
@@ -150,18 +147,11 @@ class AdaptiveIntelSample:
                     used_fallback=used_fallback,
                 )
             )
-            if predicted < best_cost - 1e-9:
-                best_cost = predicted
-                best_plan = plan
-                best_model = model
-                chosen_num = num
-                consecutive_rises = 0
-            else:
-                consecutive_rises += 1
-                if consecutive_rises > self.patience:
-                    break
+            solved[num] = (plan, model)
+            return predicted
 
-        assert best_plan is not None and best_model is not None and outcome is not None
+        chosen_num = choose_num_adaptively(sample_and_solve, schedule, self.patience).best_num
+        best_plan, best_model = solved[chosen_num]
         executor_rng = self.random_state.child()
         if self.executor_factory is not None:
             executor: ExecutorBackend = self.executor_factory(executor_rng)

@@ -354,23 +354,6 @@ class ParallelBatchExecutor:
         self.random_state: RandomState = as_random_state(random_state)
         self.free_memoized = free_memoized
 
-    def bulk_evaluator(
-        self, udf: UserDefinedFunction
-    ) -> Callable[[Table, Sequence[int]], np.ndarray]:
-        """An ``evaluate_rows``-shaped callable bound to this executor.
-
-        Drop-in for ``udf.evaluate_rows`` in ``draw_labeled_sample`` and
-        ``GroupSampler.sample``, so a process executor can fan the bulk
-        evaluation across its workers: UDF outcomes are deterministic, so
-        where they are computed changes wall-clock only — never results or
-        paid-evaluation counters.
-        """
-
-        def evaluate(table: Table, row_ids: Sequence[int]) -> np.ndarray:
-            return self.evaluate_rows(table, udf, row_ids)
-
-        return evaluate
-
     def evaluate_rows(
         self, table: Table, udf: UserDefinedFunction, row_ids: Sequence[int]
     ) -> np.ndarray:

@@ -59,9 +59,11 @@ def _probe_bulk_evaluator(
     executor_factory: Optional[Callable[[RandomState], ExecutorBackend]],
     udf: UserDefinedFunction,
 ):
-    """The executor's shard fan-out for bulk UDF evaluation, if it has one.
+    """The executor's ``evaluate_rows`` bound to ``udf``, if it has one.
 
-    A throwaway, fixed-seed instance is built purely to read configuration —
+    Drop-in for ``udf.evaluate_rows`` in sampling and labelling, so a
+    process executor can fan the bulk evaluation across its workers.  A
+    throwaway, fixed-seed instance is built purely to read configuration —
     the real executor is still created (with its proper child stream) at the
     execution step, so the pipeline's random-stream consumption is unchanged
     whether or not the backend is parallel.  UDF outcomes are deterministic,
@@ -70,11 +72,10 @@ def _probe_bulk_evaluator(
     """
     if executor_factory is None:
         return None
-    probe = executor_factory(as_random_state(0))
-    hook = getattr(probe, "bulk_evaluator", None)
-    if callable(hook):
-        return hook(udf)
-    return None
+    evaluate_rows = getattr(executor_factory(as_random_state(0)), "evaluate_rows", None)
+    if evaluate_rows is None:
+        return None
+    return lambda table, row_ids: evaluate_rows(table, udf, row_ids)
 
 
 def _udf_from_query(query: SelectQuery) -> UserDefinedFunction:

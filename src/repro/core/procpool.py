@@ -10,7 +10,15 @@ candidate frame, span tasks, merge) and supplies only "where the spans
 run": its own :meth:`~ProcessPoolBatchExecutor.execute` is the
 prepare-or-fall-back guard in front of it, and
 :meth:`~ProcessPoolBatchExecutor._run_process_spans` fans the same span
-tasks across a spawn-based process pool:
+tasks across a spawn-based process pool.
+
+There is one fan-out.  Bulk UDF evaluation — the sampling and labelling
+calls, :meth:`~ProcessPoolBatchExecutor.evaluate_rows` — is a span job too:
+its ids are cut at the span bounds and each span's ids become one
+evaluate-everything task (R = E = 1, no coin drawn).  Both entry points
+share one preamble, one worker entry (:func:`_remote_run_span`), one submit
+(:func:`_submit_span`), one harvest and one retry-then-give-up loop
+(:meth:`~ProcessPoolBatchExecutor._run_remote_spans`).
 
 * **Zero-copy inputs** — sealed shard columns are exported once into
   :mod:`multiprocessing.shared_memory` segments (:mod:`repro.db.shm`);
@@ -50,14 +58,15 @@ hit a shared-memory error is retried exactly once against a respawned
 pool, and a span that still fails is recomputed in-process **at its serial
 position in the fold loop** — charges only ever happen at fold time, in
 span-index order, so a retried or locally recomputed span double-charges
-nothing and budget boundaries stay bitwise-serial.  Each faulting round is
+nothing and budget boundaries stay bitwise-serial; a bulk evaluation with
+such a span runs whole in-process instead.  Each faulting round is
 reported to the service's :class:`~repro.resilience.breaker.CircuitBreaker`
 (when one is wired in), which eventually degrades the whole service to the
 inline path.  The breaker is asked exactly where the pool is about to be
 used — :meth:`~ProcessPoolBatchExecutor.execute` and
 :meth:`~ProcessPoolBatchExecutor.evaluate_rows`, never the constructor — so
-building an executor (the pipeline builds a throwaway one just to read its
-``bulk_evaluator``) can neither take nor leak a half-open probe slot; a
+building an executor (the pipeline builds a throwaway one just to bind its
+``evaluate_rows``) can neither take nor leak a half-open probe slot; a
 refused call runs the inherited in-process path and says so through
 ``on_degraded``.  Every wait on a worker goes through one
 :meth:`~ProcessPoolBatchExecutor._await`, bounded by the request's
@@ -158,22 +167,42 @@ def default_max_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _span_masks(table: Table, ids: np.ndarray) -> Optional[List[np.ndarray]]:
-    """Masks splitting ``ids`` by the table's shards, or ``None`` for "don't fan".
+def _span_masks(table: Table, ids: np.ndarray) -> Optional[List[Tuple[int, np.ndarray]]]:
+    """``(span index, mask)`` cutting ``ids`` at the table's span bounds, or ``None``.
 
-    ``None`` when the table has a single span, when ``ids`` is below
-    :data:`_MIN_PARALLEL_EVAL_ROWS`, or when every id falls in one span —
+    ``None`` means "don't fan": the table has a single span, ``ids`` is
+    below :data:`_MIN_PARALLEL_EVAL_ROWS`, or every id falls in one span —
     the call is then one in-process ``evaluate_rows``.
     """
     spans = getattr(table, "shard_offsets", None)
     if spans is None or len(spans) <= 2 or ids.size < _MIN_PARALLEL_EVAL_ROWS:
         return None
     masks = []
-    for start, stop in zip(spans, spans[1:]):
+    for span_index, (start, stop) in enumerate(zip(spans, spans[1:])):
         mask = (ids >= start) & (ids < stop)
         if mask.any():
-            masks.append(mask)
+            masks.append((span_index, mask))
     return masks if len(masks) > 1 else None
+
+
+def _evaluate_all(rows: np.ndarray) -> List[_GroupSegment]:
+    """A span's task list that retrieves and evaluates every row of ``rows``.
+
+    R = E = 1, so :func:`span_coin_pass` draws no coin: run as a span, it is
+    one bulk evaluation of ``rows``, in their order.
+    """
+    return [
+        _GroupSegment(
+            key=None,
+            code=0,
+            retrieve_probability=1.0,
+            conditional_evaluate=1.0,
+            rows=rows,
+            position_offset=0,
+            retrieve_key=0,
+            evaluate_key=0,
+        )
+    ]
 
 
 def _discard_process_pool(max_workers: int) -> None:
@@ -291,17 +320,6 @@ def _submit_span(pool: ProcessPoolExecutor, *args) -> Future:
         return future
 
 
-def _remote_evaluate(
-    spec: UdfSpec,
-    exports: Tuple[SpanExport, ...],
-    row_ids: np.ndarray,
-    fault_plan: Optional[_faults.FaultPlan] = None,
-) -> np.ndarray:
-    """Worker entry point for the bulk-evaluation (sampling/labelling) fan."""
-    with _faults.fault_scope(fault_plan):
-        return spec_evaluate(spec, exports, row_ids)
-
-
 class ProcessPoolBatchExecutor(ParallelBatchExecutor):
     """Span-parallel executor running UDF evaluation in worker processes.
 
@@ -322,7 +340,6 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         max_workers: Optional[int] = None,
         free_memoized: bool = False,
         breaker: Optional[CircuitBreaker] = None,
-        retry_spans: bool = True,
         on_degraded: Optional[Callable[[str], None]] = None,
     ):
         super().__init__(random_state=random_state, free_memoized=free_memoized)
@@ -333,9 +350,6 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         #: The serving layer's circuit breaker, shared across this service's
         #: executors; ``None`` standalone — every note below no-ops then.
         self.breaker = breaker
-        #: Retry transiently failed spans once against a respawned pool
-        #: before recomputing them in-process.
-        self.retry_spans = retry_spans
         #: Told ``"breaker_open"`` each time the breaker refuses this
         #: executor the pool (the service marks the request degraded).
         self.on_degraded = on_degraded
@@ -376,6 +390,23 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         """
         if self.breaker is not None:
             self.breaker.cancel_probe()
+
+    def _remote_inputs(
+        self, table: Table, udf: UserDefinedFunction
+    ) -> Optional[Tuple[UdfSpec, Tuple[SpanExport, ...]]]:
+        """The pool's inputs for this call, or ``None`` to run it in-process.
+
+        The one preamble of :meth:`execute` and :meth:`evaluate_rows`: more
+        than one worker, the breaker's admission, then
+        :meth:`_prepare_remote`.  A probe slot taken for a call that then
+        falls back is handed back here.
+        """
+        if self.max_workers == 1 or not self._admitted():
+            return None
+        prepared = self._prepare_remote(table, udf)
+        if prepared is None:
+            self._cancel_probe()
+        return prepared
 
     def _prepare_remote(
         self, table: Table, udf: UserDefinedFunction
@@ -464,63 +495,35 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
     ) -> np.ndarray:
         """Evaluate ``udf`` on ``row_ids``, fanned across worker processes.
 
-        Workers evaluate span-partitioned chunks fresh; the parent then folds
-        everything through one :meth:`merge_remote_evaluations`, so the memo
-        cache and every UDF counter advance exactly as one serial
-        ``udf.evaluate_rows`` call would (one bulk call).  The labelling fan
-        reports pool faults but never vouches for the pool — only a clean
-        :meth:`execute` closes a half-open breaker — so a probe slot taken
-        here is always handed back.
+        A span job like any other: ``row_ids`` are cut at the span bounds,
+        each span's ids become one evaluate-everything task list, and the
+        spans run through :meth:`_run_remote_spans` — the submit, harvest,
+        retry and give-up of :meth:`execute`.  Workers evaluate fresh; the
+        parent then folds everything through one
+        :meth:`merge_remote_evaluations`, so the memo cache and every UDF
+        counter advance exactly as one serial ``udf.evaluate_rows`` call
+        would (one bulk call).  A span the pool failed twice sends the whole
+        call in-process.  The labelling fan reports pool faults but never
+        vouches for the pool — only a clean :meth:`execute` closes a
+        half-open breaker — so a probe slot taken here is always handed
+        back.
         """
         ids = np.asarray(row_ids, dtype=np.intp)
-        masks = None if self.max_workers == 1 else _span_masks(table, ids)
-        if masks is None or not self._admitted():
+        masks = _span_masks(table, ids)
+        prepared = None if masks is None else self._remote_inputs(table, udf)
+        if prepared is None:
             return super().evaluate_rows(table, udf, ids)
+        active = [(span_index, _evaluate_all(ids[mask])) for span_index, mask in masks]
         try:
-            outcomes = self._evaluate_remote(table, udf, ids, masks)
+            remote, failed = self._run_remote_spans(active, table, *prepared)
         finally:
             self._cancel_probe()
-        if outcomes is None:
+        if failed:
             return super().evaluate_rows(table, udf, ids)
-        return udf.merge_remote_evaluations(ids, outcomes)
-
-    def _evaluate_remote(
-        self,
-        table: Table,
-        udf: UserDefinedFunction,
-        ids: np.ndarray,
-        masks: List[np.ndarray],
-    ) -> Optional[np.ndarray]:
-        """The workers' outcomes for ``ids``, or ``None`` to fall back in-process."""
-        prepared = self._prepare_remote(table, udf)
-        if prepared is None:
-            return None
-        spec, exports = prepared
-        pool = shared_process_pool(self.max_workers)
-        fault_plan = _faults.active_plan()
-        futures = [
-            pool.submit(_remote_evaluate, spec, exports, ids[mask], fault_plan)
-            for mask in masks
-        ]
         outcomes = np.empty(ids.size, dtype=bool)
-        try:
-            for mask, future in zip(masks, futures):
-                outcomes[mask] = self._await(
-                    future, futures, table, "process-pool evaluate"
-                )
-        except BrokenProcessPool:
-            _discard_process_pool(self.max_workers)
-            release_exports(table)
-            self._note_failure("worker_crash")
-            self._fallback("broken_pool")
-            return None
-        except TimeoutError:
-            raise  # the UDF's own: a timed-out wait raises DeadlineExceeded
-        except (_faults.InjectedFault, OSError):
-            self._note_failure("shm_attach")
-            self._fallback("shm_attach")
-            return None
-        return outcomes
+        for span_index, mask in masks:
+            outcomes[mask] = remote[span_index].outcomes
+        return udf.merge_remote_evaluations(ids, outcomes)
 
     def _harvest_spans(
         self,
@@ -575,23 +578,25 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
     def _run_remote_spans(
         self,
         active: ActiveSpans,
-        run: _Execution,
+        table: Table,
         spec: UdfSpec,
         exports: Tuple[SpanExport, ...],
     ) -> Tuple[Dict[int, _RemoteSpan], Set[int]]:
         """Fan spans to the pool; retry transient failures exactly once.
 
-        Returns successful spans by index plus the indices that must be
-        recomputed in-process at fold time.  Each faulting round notes one
-        failure on the breaker; a fully clean remote run notes a success.
-        Retried spans re-flip the same counter-addressed coins, and charges
-        only happen at fold — so a retry can never double-charge.
+        The one fan-out of this executor, for plan spans and bulk
+        evaluation alike.  Returns successful spans by index plus the
+        indices the pool failed twice, which the caller recomputes
+        in-process.  Each faulting round notes one failure on the breaker;
+        a success is the caller's to note.  Retried spans re-flip the same
+        counter-addressed coins, and charges only happen when the caller
+        settles — so a retry can never double-charge.
         """
         fault_plan = _faults.active_plan()
         results: Dict[int, _RemoteSpan] = {}
         pending = dict(active)
         failed: Dict[int, str] = {}
-        for attempt in range(2 if self.retry_spans else 1):
+        for attempt in range(2):
             if attempt:
                 # The one event written twice: the breaker is optional, so
                 # without one the registry instrument is its only home.
@@ -610,7 +615,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
                 )
                 for span_index, tasks in pending.items()
             }
-            failed = self._harvest_spans(futures, results, run.table)
+            failed = self._harvest_spans(futures, results, table)
             if not failed:
                 break
             self._note_failure(sorted(failed.values())[0])
@@ -621,9 +626,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             # failure (the leak-check invariant: zero segments after
             # teardown, even on degraded paths).
             self._fallback(sorted(failed.values())[0])
-            release_exports(run.table)
-        elif results:
-            self._note_success()
+            release_exports(table)
         return results, set(failed)
 
     def execute(
@@ -636,11 +639,8 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
         """Run ``plan`` with span workers in processes (see module doc)."""
-        if self.max_workers == 1 or not self._admitted():
-            return super().execute(table, index, udf, plan, ledger, sample_outcome)
-        prepared = self._prepare_remote(table, udf)
+        prepared = self._remote_inputs(table, udf)
         if prepared is None:
-            self._cancel_probe()
             return super().execute(table, index, udf, plan, ledger, sample_outcome)
         try:
             return self._execute_spans(
@@ -681,7 +681,9 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         if len(active) <= 1:
             self._cancel_probe()
             return self._run_spans(active, run)
-        remote, failed = self._run_remote_spans(active, run, spec, exports)
+        remote, failed = self._run_remote_spans(active, run.table, spec, exports)
+        if not failed:
+            self._note_success()
         outcomes = []
         for span_index, tasks in active:
             check_deadline("process-fold")

@@ -434,34 +434,7 @@ class ShardedTable(Table):
         self._num_rows = self._offsets[-1]
         self._offset_array = np.asarray(self._offsets, dtype=np.intp)
 
-        from repro.db.table import coerce_cells_to_array
-
-        delta_arrays: Dict[str, np.ndarray] = {}
-
-        def delta_array(column: str) -> np.ndarray:
-            array = delta_arrays.get(column)
-            if array is None:
-                array = coerce_cells_to_array(delta[column])
-                delta_arrays[column] = array
-            return array
-
-        for column in list(self._arrays):
-            extended = self._extend_column_array(
-                self._arrays[column], delta_array(column), delta[column]
-            )
-            if extended is None:
-                del self._arrays[column]
-            else:
-                extended.setflags(write=False)
-                self._arrays[column] = extended
-
-        with self._group_index_lock:
-            for key, index in self._group_indexes.items():
-                column = key[1]
-                self._group_indexes[key] = index.extended_by(
-                    delta_array(column), lambda column=column: delta[column]
-                )
-
+        self._extend_caches(delta, self._num_rows - delta_rows)
         self._data_generation += 1
         self._maybe_seal_tail()
         return delta_rows

@@ -24,10 +24,10 @@ from typing import Dict, Mapping, Optional, Union
 #:     shared-memory shards; the only backend that scales python-callable
 #:     UDF evaluation across cores.  Its counter coin stream differs from
 #:     ``serial``'s, so seeds are comparable only within a backend.
-#: ``reference``
-#:     The paper-faithful tuple-at-a-time :class:`~repro.core.executor.PlanExecutor`,
-#:     kept for differential testing.
-EXECUTORS = ("serial", "process", "reference")
+#:
+#: The paper-faithful tuple-at-a-time :class:`~repro.core.executor.PlanExecutor`
+#: stays in :mod:`repro.core` as the differential reference; no service runs it.
+EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,12 @@ class ServiceConfig:
     Parameters
     ----------
     executor:
-        One of :data:`EXECUTORS` — backend for warm-plan execution and the
-        pipeline's execution step.
+        One of :data:`EXECUTORS` (``"serial"`` or ``"process"``) — backend
+        for warm-plan execution, the pipeline's execution step and, for
+        ``"process"``, the fan-out of sampling and labelling evaluations.
     max_workers:
         Worker processes of the ``process`` backend (``None`` = machine
-        cores; ``1`` runs its spans inline); ignored by the others.
+        cores; ``1`` runs its spans inline); ignored by ``serial``.
     plan_cache_size / stats_cache_size:
         LRU bounds for the two caches (``0`` disables caching).
     ttl:
@@ -79,11 +80,10 @@ class ServiceConfig:
         expired request raises the typed
         :class:`~repro.resilience.deadline.DeadlineExceeded` at the next
         cooperative cancellation point, charging no further UDF work.
-    retry_spans:
-        Let the process executor retry a transiently failed span once
-        against a respawned pool before recomputing it in-process.
     breaker_threshold / breaker_recovery_s:
-        Circuit breaker over process-pool health: after ``breaker_threshold``
+        Circuit breaker over process-pool health.  The process executor
+        retries a transiently failed span once against a respawned pool and
+        reports each faulting round here.  After ``breaker_threshold``
         consecutive faulting requests the service runs process-backed
         execution inline on the calling thread; after
         ``breaker_recovery_s`` seconds it half-opens and lets one probe
@@ -127,7 +127,6 @@ class ServiceConfig:
     max_pending: int = 64
     class_limits: Mapping[str, int] = field(default_factory=dict)
     default_timeout_s: Optional[float] = None
-    retry_spans: bool = True
     breaker_threshold: int = 3
     breaker_recovery_s: float = 30.0
     storage_dir: Optional[str] = None

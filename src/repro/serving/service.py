@@ -85,12 +85,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Un
 
 from repro.core.column_selection import top_up_labeled_sample
 from repro.core.constraints import CostModel, QueryConstraints
-from repro.core.executor import (
-    BatchExecutor,
-    ExecutorAware,
-    ExecutorBackend,
-    PlanExecutor,
-)
+from repro.core.executor import BatchExecutor, ExecutorAware, ExecutorBackend
 from repro.core.extensions.budget import solve_budgeted_recall
 from repro.core.pipeline import IntelSample, _probe_bulk_evaluator
 from repro.core.procpool import (
@@ -221,7 +216,7 @@ class QueryService:
         The shared catalog, or an :class:`Engine` wrapping one.
     config:
         A :class:`~repro.serving.config.ServiceConfig` with everything else:
-        executor backend (``"serial"``/``"process"``/``"reference"``),
+        executor backend (``"serial"``/``"process"``),
         cache bounds and TTL, session budgets, serving
         accounting, and the async front-end's admission limits.  Omitted =
         all defaults.
@@ -420,7 +415,7 @@ class QueryService:
         paper's charging semantics (``False``); serving accounting
         (``config.free_memoized``) applies on warm paths.  Construction is
         configuration only — it touches no breaker state, so the pipeline
-        may build a throwaway executor just to read its ``bulk_evaluator``.
+        may build a throwaway executor just to bind its ``evaluate_rows``.
         The ``process`` executor asks the service's breaker itself, where it
         is about to use the pool: refused (repeated pool faults), it runs
         its spans inline — bitwise-identical results, just not multi-core —
@@ -430,14 +425,11 @@ class QueryService:
         """
         if self.executor_backend == "serial":
             return BatchExecutor(random_state=random_state, free_memoized=free_memoized)
-        if self.executor_backend == "reference":
-            return PlanExecutor(random_state=random_state)
         return ProcessPoolBatchExecutor(
             random_state=random_state,
             max_workers=self.max_workers,
             free_memoized=free_memoized,
             breaker=self.breaker,
-            retry_spans=self.config.retry_spans,
             on_degraded=self._note_degraded,
         )
 

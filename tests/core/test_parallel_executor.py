@@ -254,7 +254,7 @@ class TestInlinePlacement:
         serial = serial_udf.evaluate_rows(plain, ids)
 
         inline_udf = _udf("bulk_inline")
-        inline = ParallelBatchExecutor().bulk_evaluator(inline_udf)(sharded, ids)
+        inline = ParallelBatchExecutor().evaluate_rows(sharded, inline_udf, ids)
         assert np.array_equal(serial, inline)
         assert inline_udf.call_count == serial_udf.call_count
         assert inline_udf.cache_misses == serial_udf.cache_misses

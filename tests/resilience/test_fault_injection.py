@@ -260,23 +260,6 @@ class TestWorkerFaults:
         assert exported_segment_count() == 0
         assert breaker.snapshot()["failures_total"] == 2  # both rounds faulted
 
-    def test_retry_disabled_still_reaches_parity(self):
-        table = _sharded(name="nortab")
-        udf_serial, udf_remote = _label_udf("nr_a"), _label_udf("nr_b")
-        serial, serial_ledger = _serial_baseline(table, udf_serial)
-        plan = FaultPlan(
-            seed=0,
-            rules={"worker": FaultRule(kind="crash", addresses=frozenset({(0, 0)}))},
-        )
-        breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=7, max_workers=WORKERS, breaker=breaker, retry_spans=False
-        )
-        with fault_scope(plan):
-            remote, remote_ledger = _run(table, executor, udf_remote)
-        _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
-        assert breaker.snapshot()["retried_spans"] == 0
-
     def test_garbage_result_rejected_and_retried(self):
         """A wrong-shaped worker result is discarded before any charge."""
         table = _sharded(name="garbtab")
@@ -322,6 +305,101 @@ class TestWorkerFaults:
         assert udf.counter_snapshot()["cache_misses"] == 0
         assert exported_segment_count() == 0
         assert breaker.snapshot()["last_failure_reason"] == "worker_hang"
+
+
+class TestBulkEvaluationFanFault:
+    """Bulk evaluation (the sampling and labelling calls) is a span job.
+
+    ``evaluate_rows`` fans through the same submit, harvest, retry and
+    give-up as ``execute``, so it survives the same pool faults with
+    serial-identical outcomes, UDF counters (one bulk call) and memo.
+    """
+
+    @staticmethod
+    def _fan(name, plan=None, breaker=None, before=None):
+        """Serial and fanned outcomes of one ``evaluate_rows`` over 3 000 ids.
+
+        ``before(executor, table)`` runs between the two sides, outside the
+        fault scope.  Returns the table: its exports live as long as it does.
+        """
+        table = _sharded(n=3000, name=name)
+        ids = np.arange(table.num_rows)
+        udf_serial, udf_remote = _label_udf(f"{name}_a"), _label_udf(f"{name}_b")
+        expected = udf_serial.evaluate_rows(table, ids)
+        executor = ProcessPoolBatchExecutor(
+            random_state=0, max_workers=WORKERS, breaker=breaker
+        )
+        if before is not None:
+            before(executor, table)
+        with fault_scope(plan):
+            got = executor.evaluate_rows(table, udf_remote, ids)
+        assert np.array_equal(np.asarray(expected), np.asarray(got))
+        assert udf_remote.counter_snapshot() == udf_serial.counter_snapshot()
+        assert udf_remote.counter_snapshot()["bulk_calls"] == 1
+        assert _memo(udf_remote) == _memo(udf_serial)
+        return table
+
+    def test_worker_killed_between_calls_is_survived(self):
+        """A pool worker SIGKILLed after one fan breaks the cached pool; the
+        next fan finds it broken at submit, respawns and retries."""
+        import os
+        import signal
+
+        from repro.core import procpool
+
+        def warm_then_kill(executor, table):
+            executor.evaluate_rows(table, _label_udf("kill_warm"), np.arange(3000))
+            pool = procpool.shared_process_pool(WORKERS)
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            waited = time.perf_counter()
+            while not pool._broken and time.perf_counter() - waited < 30.0:
+                time.sleep(0.01)
+            assert pool._broken  # the next submit raises BrokenProcessPool
+
+        breaker = CircuitBreaker(failure_threshold=100)
+        self._fan("killtab", breaker=breaker, before=warm_then_kill)
+        snap = breaker.snapshot()
+        assert snap["last_failure_reason"] == "worker_crash"
+        assert snap["failures_total"] == 1 and snap["retried_spans"] >= 1
+        assert snap["successes_total"] == 0  # the fan never vouches for the pool
+
+    @pytest.mark.parametrize(
+        "kind, reason", [("crash", "worker_crash"), ("garbage", "garbage")]
+    )
+    def test_worker_rule_reaches_the_fan_and_is_retried(self, kind, reason):
+        """A ``worker`` rule at (span 1, attempt 0) fires in the fan's worker."""
+        plan = FaultPlan(
+            seed=0,
+            rules={"worker": FaultRule(kind=kind, addresses=frozenset({(1, 0)}))},
+        )
+        breaker = CircuitBreaker(failure_threshold=100)
+        self._fan(f"fan{kind}tab", plan=plan, breaker=breaker)
+        snap = breaker.snapshot()
+        assert snap["last_failure_reason"] == reason
+        assert snap["failures_total"] == 1 and snap["retried_spans"] >= 1
+        assert snap["successes_total"] == 0
+
+    def test_span_failing_twice_releases_exports_and_runs_in_process(self):
+        """Both attempts of span 1 return garbage: give up on the pool,
+        release the exports at once, and evaluate the whole call in-process
+        as one bulk call."""
+        plan = FaultPlan(
+            seed=0,
+            rules={
+                "worker": FaultRule(
+                    kind="garbage", addresses=frozenset({(1, 0), (1, 1)})
+                )
+            },
+        )
+        breaker = CircuitBreaker(failure_threshold=100)
+        table = self._fan("fangiveuptab", plan=plan, breaker=breaker)
+        # Released by the give-up while ``table`` still lives, not by its
+        # collection or by teardown (either would mask the leak).
+        assert exported_segment_count() == 0
+        del table
+        snap = breaker.snapshot()
+        assert snap["failures_total"] == 2  # both rounds faulted
+        assert snap["last_failure_reason"] == "garbage"
 
 
 class UpstreamTimesOut:

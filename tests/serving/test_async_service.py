@@ -562,11 +562,13 @@ class TestConfigShims:
                 ServiceConfig(executor=name)
 
     def test_the_thread_backend_is_gone(self):
-        """Removed in 1.12: the error names the three backends that remain."""
-        assert EXECUTORS == ("serial", "process", "reference")
-        with pytest.raises(ValueError) as raised:
-            ServiceConfig(executor="thread")
-        assert all(repr(name) in str(raised.value) for name in EXECUTORS)
+        """Removed in 1.12 (and ``"reference"`` in 1.16): the error names the
+        two backends that remain."""
+        assert EXECUTORS == ("serial", "process")
+        for gone in ("thread", "reference"):
+            with pytest.raises(ValueError) as raised:
+                ServiceConfig(executor=gone)
+            assert all(repr(name) in str(raised.value) for name in EXECUTORS)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
