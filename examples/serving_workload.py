@@ -27,7 +27,7 @@ Run with::
 
 ``--shards N`` splits the table into N contiguous shards
 (:class:`~repro.db.ShardedTable`); ``--executor process --workers W`` serves
-it on W worker processes over shared-memory shards, the multi-core backend
+it on W worker processes over memory-mapped shard files, the multi-core backend
 for python-callable UDFs.  Its answers are identical for every shard layout
 and worker count (the coin discipline is layout- and worker-invariant);
 only the wall-clock changes, and only helps on multi-core hosts with large
@@ -415,7 +415,7 @@ def main() -> None:
     parser.add_argument(
         "--executor", choices=("serial", "process"), default="serial",
         help="executor backend (default: 'serial'; 'process' fans "
-        "python-callable UDF work over shared-memory shards on a spawn "
+        "python-callable UDF work over memory-mapped shard files on a spawn "
         "process pool)",
     )
     parser.add_argument(

@@ -55,7 +55,7 @@ it; this is the index.
 * **Tables, indexes, UDFs** — :mod:`repro.db.table`, :mod:`repro.db.index`
   (``GroupIndex`` and its delta extension), :mod:`repro.db.udf` (cost ledger,
   the dense memo), :mod:`repro.db.sharding` (shard layout, the appendable
-  tail), :mod:`repro.db.shm` (shared-memory column exports).
+  tail), :mod:`repro.db.shm` (the segment files pool workers map).
 * **Serving** — :mod:`repro.serving.service` (plan and statistics caches, the
   single-flight table, the asyncio front-end, the refresh path after an
   append, budgets); :mod:`repro.serving.config` (``ServiceConfig``, the
@@ -162,6 +162,14 @@ executor backend (``ServiceConfig(executor="reference")`` raises
 ``ValueError``; no service ran it, and
 :class:`~repro.core.executor.PlanExecutor` stays in :mod:`repro.core` as
 the differential reference).
+Removed in 1.17, with the second worker transport (workers memory-map a
+segment file for every column they read): the shared-memory export path,
+the segment-name field of :class:`~repro.db.shm.ColumnBlock`, the
+residency module's all-or-nothing durable export helper
+(:func:`repro.db.shm.export_table_spans` chooses per shard), the two
+shared-memory fault sites and reasons (``segment_write`` and
+``segment_map`` fire instead) and ``repro_executor_direct_attach_total``.
+A UDF's own ``OSError`` in a worker now reaches the caller, unretried.
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -240,7 +248,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "__version__",

@@ -11,7 +11,7 @@ Public surface:
 * execution — :class:`BatchExecutor` (vectorised default),
   :class:`ParallelBatchExecutor` (counter coins over shard spans, inline),
   :class:`ProcessPoolBatchExecutor` (the same spans in worker processes
-  over shared-memory shards)
+  over memory-mapped segment files)
   and :class:`PlanExecutor` (tuple-at-a-time reference); strategies that
   accept an injected backend implement the :class:`ExecutorAware` protocol,
 * end-to-end strategies — :class:`IntelSample`, :class:`AdaptiveIntelSample`,

@@ -1,4 +1,4 @@
-"""Process-pool plan execution over shared-memory shards.
+"""Process-pool plan execution over memory-mapped segment files.
 
 :class:`ProcessPoolBatchExecutor` is the second placement of the span
 kernel (:mod:`repro.core.parallel`: inline on the calling thread, or worker
@@ -20,10 +20,11 @@ share one preamble, one worker entry (:func:`_remote_run_span`), one submit
 (:func:`_submit_span`), one harvest and one retry-then-give-up loop
 (:meth:`~ProcessPoolBatchExecutor._run_remote_spans`).
 
-* **Zero-copy inputs** — sealed shard columns are exported once into
-  :mod:`multiprocessing.shared_memory` segments (:mod:`repro.db.shm`);
-  workers attach numpy views on first touch and reuse them for every later
-  task, so per-task pickle traffic is row ids, not column data.
+* **Zero-copy inputs** — every column a worker reads is a segment file
+  (:mod:`repro.db.shm`): a durable table's committed segment, or one
+  written once into the process's export directory on tmpfs; workers
+  ``np.memmap`` it on first touch and reuse the map for every later task,
+  so per-task pickle traffic is row ids, not column data.
 * **Stateless workers** — a worker receives its span's
   :class:`~repro.core.parallel._GroupSegment` tasks (slices of the parent's
   candidate frame carrying their groups' coin stream keys — already-sampled
@@ -54,7 +55,7 @@ all fall back, each counted on
 
 Resilience (PR 8).  Transient pool faults are survived at *span*
 granularity: a span whose worker died, returned a wrong-shaped result or
-hit a shared-memory error is retried exactly once against a respawned
+could not map a segment file is retried exactly once against a respawned
 pool, and a span that still fails is recomputed in-process **at its serial
 position in the fold loop** — charges only ever happen at fold time, in
 span-index order, so a retried or locally recomputed span double-charges
@@ -72,10 +73,10 @@ refused call runs the inherited in-process path and says so through
 :meth:`~ProcessPoolBatchExecutor._await`, bounded by the request's
 :class:`~repro.resilience.deadline.Deadline`, so a *hung* worker surfaces
 as a typed ``DeadlineExceeded`` — the pool is discarded and the table's
-shared-memory exports are released (no leaked segments), never a wedged
-request — while an exception the worker itself raised (a UDF's own
-``TimeoutError`` included) reaches the caller as it would from the serial
-and inline paths.  The failure paths themselves are exercised
+exported files are removed, never a wedged request — while an exception
+the worker itself raised (a UDF's own ``TimeoutError`` or
+``ConnectionRefusedError`` included) reaches the caller as it would from
+the serial and inline paths.  The failure paths themselves are exercised
 deterministically via :mod:`repro.resilience.faults`; the active
 :class:`FaultPlan` ships inside worker task payloads so worker-side sites
 fire in the right process.
@@ -108,7 +109,7 @@ from repro.core.parallel import (
     span_rows,
 )
 from repro.core.plan import ExecutionPlan
-from repro.db.errors import StorageError, UnpicklableUdfError
+from repro.db.errors import SegmentMapError, StorageError, UnpicklableUdfError
 from repro.db.index import GroupIndex
 from repro.db.shm import (
     SpanExport,
@@ -142,10 +143,8 @@ def shared_process_pool(max_workers: int) -> ProcessPoolExecutor:
     """A process-wide spawn pool per worker bound (created lazily).
 
     Spawn (not fork): workers must not inherit the parent's locks, pools, or
-    open trace state, and spawn children share the parent's resource tracker,
-    which is what makes the shared-memory cleanup story in
-    :mod:`repro.db.shm` single-owner.  Workers are reused across queries, so
-    the interpreter start-up cost is paid once per worker bound.
+    open trace state.  Workers are reused across queries, so the interpreter
+    start-up cost is paid once per worker bound.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be positive, got {max_workers}")
@@ -232,7 +231,7 @@ class _RemoteSpan:
 def spec_evaluate(
     spec: UdfSpec, exports: Sequence[SpanExport], row_ids: np.ndarray
 ) -> np.ndarray:
-    """Evaluate a :class:`UdfSpec` on global ``row_ids`` via shared memory.
+    """Evaluate a :class:`UdfSpec` on global ``row_ids`` via mapped columns.
 
     Runs in worker processes (and in the pickle-safety check): attaches the
     needed column blocks, then either takes the vectorised label fast path or
@@ -397,68 +396,36 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         """The pool's inputs for this call, or ``None`` to run it in-process.
 
         The one preamble of :meth:`execute` and :meth:`evaluate_rows`: more
-        than one worker, the breaker's admission, then
-        :meth:`_prepare_remote`.  A probe slot taken for a call that then
-        falls back is handed back here.
+        than one worker, the breaker's admission, a picklable spec, then the
+        span exports.  A call that falls back after its admission hands its
+        probe slot back; a committed segment that will not map and a file
+        that could not be written (a full tmpfs) are also noted on the
+        breaker.
         """
         if self.max_workers == 1 or not self._admitted():
             return None
-        prepared = self._prepare_remote(table, udf)
-        if prepared is None:
-            self._cancel_probe()
-        return prepared
-
-    def _prepare_remote(
-        self, table: Table, udf: UserDefinedFunction
-    ) -> Optional[Tuple[UdfSpec, Tuple[SpanExport, ...]]]:
-        """The picklable spec + span exports, or ``None`` to fall back.
-
-        Residency-managed durable tables export by segment-file coordinates
-        (workers ``np.memmap`` the committed payload directly — no
-        shared-memory copy, and the parent keeps sole charge of residency);
-        everything else takes the shared-memory export path.
-        """
         try:
             spec = udf.worker_spec()
+            if spec.func is not None:
+                return spec, export_table_spans(table, table.schema.column_names)
+            if udf.vectorised_on(table):
+                return spec, export_table_spans(table, [spec.label_column])
+            # The serial path would use the callable fallback for this
+            # table; workers only hold the spec, so stay in-process.
+            reason = "label_column_missing"
         except UnpicklableUdfError:
-            self._fallback("unpicklable_udf")
-            return None
-        if spec.func is None:
-            if not udf.vectorised_on(table):
-                # The serial path would use the callable fallback for this
-                # table; workers only hold the spec, so stay in-process.
-                self._fallback("label_column_missing")
-                return None
-            columns = [spec.label_column]
-        else:
-            columns = table.schema.column_names
-        try:
-            from repro.db.residency import durable_span_exports
-
-            exports = durable_span_exports(table, columns)
-        except (StorageError, _faults.InjectedFault, OSError):
-            # Verification-time map trouble: note it and serve in-process
-            # (the table's own map breaker handles repeated failures).
-            self._note_failure("segment_map")
-            self._fallback("segment_map")
-            return None
-        if exports is not None:
-            _metrics.counter(
-                "repro_executor_direct_attach_total", backend="process"
-            ).inc()
-            return spec, exports
-        try:
-            exports = export_table_spans(table, columns)
+            reason = "unpicklable_udf"
         except UnshareableColumnError:
-            self._fallback("unshareable_column")
-            return None
+            reason = "unshareable_column"
+        except StorageError:
+            reason = "segment_map"
+            self._note_failure(reason)
         except (_faults.InjectedFault, OSError):
-            # Transient: /dev/shm exhaustion (or its injected stand-in).
-            # Note it on the breaker and serve this query in-process.
-            self._note_failure("shm_export")
-            self._fallback("shm_export")
-            return None
-        return spec, exports
+            reason = "segment_write"
+            self._note_failure(reason)
+        self._fallback(reason)
+        self._cancel_probe()
+        return None
 
     def _await(
         self, future: Future, siblings: Iterable[Future], table: Table, where: str
@@ -472,7 +439,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         hang — its own exception (or result) goes to the caller like any
         other, pool and exports untouched.  A *hung* worker cannot be
         interrupted: abandon the whole pool (cancel ``siblings``, discard,
-        release this table's exports — no leaked segments) and surface the
+        remove this table's exported files) and surface the
         typed ``DeadlineExceeded`` within deadline + scheduling grace.
         """
         deadline = current_deadline()
@@ -533,9 +500,11 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
     ) -> Dict[int, str]:
         """Drain span futures into ``results``; classify transient failures.
 
-        Returns ``{span_index: reason}`` for spans that failed transiently
-        (worker crash, shm attach error, wrong-shaped result).  Fatal errors
-        re-raise only after every future has settled — nothing mutates the
+        Returns ``{span_index: reason}`` for spans that failed transiently:
+        a broken pool, a segment file that would not map, an injected fault
+        or a wrong-shaped result.  Anything else the worker raised is the
+        call's own error (a UDF's ``OSError`` included) and re-raises, but
+        only after every future has settled — nothing mutates the
         ledger or memo until folding, so an abort leaves parent state
         untouched.  Every wait goes through :meth:`_await`: with an active
         deadline a *hung* worker raises the typed ``DeadlineExceeded``
@@ -554,14 +523,10 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             except BrokenProcessPool:
                 broken = True
                 failed[span_index] = "worker_crash"
-            except (_faults.InjectedFault, OSError) as exc:
-                # ``TimeoutError`` is an ``OSError``, but here it can only be
-                # the UDF's own (a timed-out wait left ``_await`` as
-                # ``DeadlineExceeded``): fatal like any error of the call.
-                if isinstance(exc, TimeoutError):
-                    fatal.append(exc)
-                else:
-                    failed[span_index] = "shm_attach"
+            except SegmentMapError:
+                failed[span_index] = "segment_map"
+            except _faults.InjectedFault as exc:
+                failed[span_index] = exc.site
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 fatal.append(exc)
             else:
@@ -605,9 +570,9 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
                 ).inc(len(pending))
                 if self.breaker is not None:
                     self.breaker.record_retry(len(pending))
-            # A retry runs against a (re)spawned pool.  Exports stay linked
-            # until a give-up: unlinking here would strand the fresh
-            # workers' attaches.
+            # A retry runs against a (re)spawned pool.  Exported files stay
+            # until a give-up: removing them here would strand the fresh
+            # workers' maps.
             pool = shared_process_pool(self.max_workers)
             futures = {
                 span_index: _submit_span(
@@ -623,7 +588,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         if failed:
             # Give up on the pool for these spans: they recompute in-process
             # at fold time, and the suspect exports must not outlive the
-            # failure (the leak-check invariant: zero segments after
+            # failure (the leak-check invariant: zero exported files after
             # teardown, even on degraded paths).
             self._fallback(sorted(failed.values())[0])
             release_exports(table)

@@ -115,6 +115,11 @@ class SegmentMapError(StorageError):
         self.reason = reason
         super().__init__(f"cannot map segment {self.path}: {reason}")
 
+    def __reduce__(self):
+        # Raised in pool workers: default pickling would ship only the
+        # message and fail to rebuild in the parent's result thread.
+        return (SegmentMapError, (self.path, self.reason))
+
 
 class ManifestVersionError(StorageError):
     """A manifest was written by an incompatible storage format version."""

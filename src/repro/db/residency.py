@@ -45,7 +45,7 @@ import time
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from repro.db.errors import (
 )
 from repro.db.schema import Schema
 from repro.db.sharding import ShardedTable
-from repro.db.shm import ColumnBlock, SpanExport
+from repro.db.shm import ColumnBlock
 from repro.db.storage.segments import read_segment
 from repro.db.table import Table
 from repro.obs import metrics as _metrics
@@ -439,23 +439,6 @@ class SegmentHandle:
             with self.pinned():
                 self.array()
 
-    def durable_block(self) -> Optional[ColumnBlock]:
-        """A (path, offset, dtype) block for direct worker attach, or None.
-
-        Only fixed-width (``numpy``-kind) payloads are directly mappable;
-        pickled object columns have no fixed-width buffer and fall back to
-        the shared-memory export path.
-        """
-        if self.kind != "numpy" or self.dtype is None:
-            return None
-        return ColumnBlock(
-            shm_name=None,
-            dtype=self.dtype,
-            length=self.rows,
-            path=os.path.abspath(self.path),
-            offset=self.payload_offset,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "resident" if self.is_resident else "cold"
         return f"SegmentHandle({self.column!r}, {state}, path={self.path!r})"
@@ -526,11 +509,24 @@ class LazySegmentTable(Table):
         return self._handles.get(column)
 
     def durable_block(self, column: str) -> Optional[ColumnBlock]:
-        """A direct-attach block for ``column``, or None if not lazy-durable."""
+        """The committed segment of ``column`` for workers to map, or None.
+
+        None unless the column is still served from a fixed-width
+        (``numpy``-kind) segment.  The segment is full-CRC verified once
+        (:meth:`SegmentHandle.ensure_verified`) before its coordinates are
+        handed out; a map failure raises
+        :class:`~repro.db.errors.SegmentMapError`.
+        """
         handle = self._handles.get(column)
-        if handle is None or column in self._arrays:
+        if handle is None or column in self._arrays or handle.kind != "numpy":
             return None
-        return handle.durable_block()
+        handle.ensure_verified()
+        return ColumnBlock(
+            path=os.path.abspath(handle.path),
+            offset=handle.payload_offset,
+            dtype=str(handle.dtype),
+            length=handle.rows,
+        )
 
     def _materialise(self, reason: str) -> None:
         """Copy every column into memory and leave the residency domain.
@@ -741,40 +737,3 @@ def iter_column_spans(
         yield start, stop, shards[position].column_array(
             column, allow_hidden=allow_hidden
         )
-
-
-def durable_span_exports(
-    table: Table, columns: Sequence[str]
-) -> Optional[Tuple[SpanExport, ...]]:
-    """Direct-attach span exports for a fully lazy-durable table, or None.
-
-    Workers re-map the committed segment files by ``(path, offset, dtype)``
-    — memmaps are already zero-copy, so this skips the shared-memory export
-    copy entirely.  The parent full-CRC verifies each segment at least once
-    (:meth:`SegmentHandle.ensure_verified`) before handing its coordinates
-    out.  Returns None when any column of any shard is not served from a
-    durable fixed-width segment (in-memory tables, pickled object columns,
-    materialised/degraded tables): the caller falls back to the
-    shared-memory path.
-    """
-    shards = getattr(table, "shards", None)
-    if shards:
-        spans = table.shard_spans()
-    else:
-        shards = [table]
-        spans = [(0, table.num_rows)]
-    exports = []
-    for shard, (start, stop) in zip(shards, spans):
-        if not isinstance(shard, LazySegmentTable) or not shard.is_lazy:
-            return None
-        blocks: Dict[str, ColumnBlock] = {}
-        for column in columns:
-            block = shard.durable_block(column)
-            if block is None:
-                return None
-            handle = shard.segment_handle(column)
-            assert handle is not None
-            handle.ensure_verified()
-            blocks[column] = block
-        exports.append(SpanExport(start=start, stop=stop, columns=blocks))
-    return tuple(exports)

@@ -1,92 +1,85 @@
-"""Shared-memory export of table columns for process-pool workers.
+"""Segment files as the one way process-pool workers read table columns.
 
-The process executor (:mod:`repro.core.procpool`) evaluates UDFs in worker
-processes.  Shipping 1M-row column arrays through pickle per task would erase
-the parallel win, so sealed columns are placed in
-:mod:`multiprocessing.shared_memory` segments once and workers attach
-zero-copy numpy views — attach-once per worker, reused across tasks.
+Shipping column arrays through pickle per task would erase the parallel win
+of :mod:`repro.core.procpool`, so every column a worker reads is a segment
+file (:mod:`repro.db.storage.segments`) that the worker ``np.memmap``\\ s once
+and reuses for every later task.
 
-Lifecycle
----------
+*Parent side* — :func:`export_table_spans` chooses per ``(shard, column)``:
+a shard served from a committed fixed-width segment
+(:meth:`~repro.db.residency.LazySegmentTable.durable_block`) hands out that
+file; every other one is written once with
+:func:`~repro.db.storage.segments.write_segment` into this process's export
+directory (on ``/dev/shm`` where it exists) and cached by the shard's
+``data_generation``.  A written file goes away when its shard is collected,
+when the shard's generation advances, at :func:`release_exports`, and with
+the whole directory at exit.  A SIGKILLed process runs no exit hook, so
+creating an export directory first removes every ``repro-exports-*``
+directory that no live process holds locked.  Each process holds an
+exclusive ``flock`` on its own directory for as long as the directory
+exists; that judges liveness across PID namespaces sharing ``/dev/shm``
+(containers of one pod) and across PID reuse, which a pid check cannot.
 
-*Parent side* — :func:`export_table_spans` lazily creates one segment per
-``(shard, column)`` and caches it keyed by the shard's ``data_generation``.
-Sealed shards never change generation, so a warm serving process exports each
-shard column exactly once; when a mutable tail shard advances its generation
-the stale segments are unlinked and re-exported.  Segments are reclaimed when
-the owning shard is garbage-collected (a ``weakref.finalize`` hook), when
-:func:`release_exports` is called, and unconditionally at interpreter exit.
-
-*Worker side* — :func:`attach_array` caches attachments by segment name for
-the life of the worker process.  Workers are spawned, so they share the
-parent's ``resource_tracker`` process: the attach-time re-registration is
-idempotent there and the parent's single ``unlink`` balances it, which is why
-workers must *not* unregister or unlink anything themselves.
-
-Only fixed-width dtypes can live in shared memory.  An ``object``-dtype
-column raises :class:`UnshareableColumnError`; the process executor treats
-that as "fall back to in-process evaluation".
+*Worker side* — :func:`attach_array` caches maps by path.  File names are
+never reused within a process and committed segments are immutable at a
+given path, so a cached map never goes stale.  Workers remove nothing.
 """
 
 from __future__ import annotations
 
 import atexit
+import fcntl
+import itertools
+import os
+import shutil
+import tempfile
 import threading
 import weakref
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.db.errors import DatabaseError
+from repro.db.errors import DatabaseError, SegmentMapError
+from repro.db.storage.segments import fixed_width, write_segment
 from repro.db.table import Table
 from repro.resilience import faults as _faults
 
+#: Where export directories live: tmpfs where the platform has one.
+EXPORT_ROOT = "/dev/shm" if os.access("/dev/shm", os.W_OK) else tempfile.gettempdir()
+EXPORT_PREFIX = "repro-exports-"
+
 
 class UnshareableColumnError(DatabaseError):
-    """A column's dtype cannot be placed in shared memory."""
+    """A column's dtype has no fixed-width buffer a worker could map."""
 
     def __init__(self, column: str, dtype: object):
         self.column = column
         self.dtype = dtype
-        super().__init__(
-            f"column {column!r} has dtype {dtype} which cannot live in shared "
-            "memory (object arrays have no fixed-width buffer); process-pool "
-            "execution falls back to in-process evaluation"
-        )
+        super().__init__(f"column {column!r} has dtype {dtype}: no fixed-width buffer to map")
 
 
 @dataclass(frozen=True)
 class ColumnBlock:
-    """One column of one row span, addressable by workers without pickle.
+    """One column of one row span: the payload of a segment file.
 
-    Two transports share this handle: a named shared-memory segment
-    (``shm_name``), or — for columns already durable on disk — the direct
-    coordinates of a committed segment file (``path``/``offset``), which
-    workers ``np.memmap`` themselves.  Exactly one of ``shm_name`` and
-    ``path`` is set; the direct-attach form skips the shared-memory export
-    copy entirely (memmaps are already zero-copy).
+    ``path`` is a durable table's committed segment or a file this process
+    wrote into its export directory; the payload starts at byte ``offset``.
     """
 
-    shm_name: Optional[str]
+    path: str
+    offset: int
     #: ``numpy.dtype.str`` — fixed-width, endianness included.
     dtype: str
     length: int
-    #: Absolute path of the durable segment file (direct-attach form).
-    path: Optional[str] = None
-    #: Byte offset of the payload inside the segment file.
-    offset: int = 0
 
 
 @dataclass(frozen=True)
 class SpanExport:
-    """Shared-memory handles for one contiguous row span ``[start, stop)``.
+    """Column blocks for the row span ``[start, stop)``, by column name.
 
-    ``columns`` maps column name → :class:`ColumnBlock`; row ``row_id`` of
-    the owning table lives at local position ``row_id - start`` in every
-    block.  The whole object pickles into worker task payloads by name —
-    no array bytes cross the process boundary.
+    Row ``row_id`` lives at position ``row_id - start`` of every block.  It
+    pickles into worker task payloads by path, never by array bytes.
     """
 
     start: int
@@ -96,33 +89,29 @@ class SpanExport:
 
 @dataclass
 class _OwnerExports:
-    """Live segments for one table/shard object, keyed by column name."""
+    """The files written for one table/shard object at one generation."""
 
     generation: int
-    blocks: Dict[str, Tuple[shared_memory.SharedMemory, ColumnBlock]] = field(
-        default_factory=dict
-    )
-    finalizer: Optional[weakref.finalize] = None
+    finalizer: weakref.finalize
+    blocks: Dict[str, ColumnBlock] = field(default_factory=dict)
 
 
-#: id(owner) → its exported segments.  Identity keys are safe: the finalizer
-#: removes the entry when the owner dies, before its id can be reused.
+#: id(owner) → its written files.  Identity keys are safe: the finalizer
+#: removes the entry when the owner dies, before its id can be reused.  The
+#: lock is re-entrant because a finalizer may run inside a locked section.
 _EXPORTS: Dict[int, _OwnerExports] = {}
-_LOCK = threading.Lock()
+_LOCK = threading.RLock()
+_FILE_NUMBERS = itertools.count()
+_directory: Optional[str] = None
+#: An open descriptor of ``_directory`` holding its ``flock``.
+_directory_fd: Optional[int] = None
 
 
-def _close_blocks(
-    blocks: Dict[str, Tuple[shared_memory.SharedMemory, ColumnBlock]],
-) -> int:
-    closed = 0
-    for shm, _ in blocks.values():
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:  # pragma: no cover - already-unlinked races at exit
-            pass
-        closed += 1
-    return closed
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def _release_owner(owner_id: int) -> int:
@@ -130,89 +119,128 @@ def _release_owner(owner_id: int) -> int:
         entry = _EXPORTS.pop(owner_id, None)
     if entry is None:
         return 0
-    if entry.finalizer is not None:
-        entry.finalizer.detach()
-    return _close_blocks(entry.blocks)
+    entry.finalizer.detach()
+    for block in entry.blocks.values():
+        _remove(block.path)
+    return len(entry.blocks)
 
 
 def release_exports(table: Optional[Table] = None) -> int:
-    """Unlink exported segments (all of them, or one table's shards).
+    """Remove written files (one table's shards', or all of them).
 
-    Returns the number of segments released.  Registered with ``atexit`` so a
-    crashing benchmark cannot leak ``/dev/shm`` space, but long-lived services
-    replacing a table should call it explicitly rather than wait for GC.
+    Returns the number of files removed.  Without ``table`` the export
+    directory goes too, and the next export creates a fresh one; registered
+    with ``atexit``.
     """
-    if table is None:
-        with _LOCK:
-            owner_ids = list(_EXPORTS.keys())
-    else:
-        shards = getattr(table, "shards", None) or [table]
-        owner_ids = [id(shard) for shard in shards]
-    return sum(_release_owner(owner_id) for owner_id in owner_ids)
+    global _directory, _directory_fd
+    with _LOCK:
+        if table is not None:
+            shards = getattr(table, "shards", None) or [table]
+            return sum(_release_owner(id(shard)) for shard in shards)
+        released = sum(_release_owner(owner_id) for owner_id in list(_EXPORTS))
+        if _directory is not None:
+            shutil.rmtree(_directory, ignore_errors=True)
+            os.close(_directory_fd)  # drops the lock
+            _directory = _directory_fd = None
+    return released
 
 
 atexit.register(release_exports)
 
 
-def _export_column(owner: Table, column: str) -> ColumnBlock:
-    """The shared block for one column of ``owner``, creating it if needed."""
-    generation = owner.data_generation
-    with _LOCK:
-        entry = _EXPORTS.get(id(owner))
-        if entry is None:
-            entry = _OwnerExports(generation=generation)
-            entry.finalizer = weakref.finalize(owner, _release_owner, id(owner))
-            _EXPORTS[id(owner)] = entry
-        elif entry.generation != generation:
-            # The owner mutated (tail shard append): every cached segment is
-            # stale for the new generation.  Unlink and start over.
-            _close_blocks(entry.blocks)
-            entry.blocks = {}
-            entry.generation = generation
-        cached = entry.blocks.get(column)
-        if cached is not None:
-            return cached[1]
-    # Fault-injection site ``shm_export`` (parent side): an ``error`` rule
-    # models /dev/shm exhaustion at segment-creation time.
-    _faults.maybe_fire(_faults.active_plan(), "shm_export")
-    # Build outside the lock: column_array may materialise a concatenation.
+def _lock(path: str) -> int:
+    """An open descriptor of directory ``path`` holding its ``flock``.
+
+    Raises :class:`OSError` (``BlockingIOError`` when a live process holds
+    the lock).
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _create_directory() -> Tuple[str, int]:
+    """Sweep dead processes' export directories, then create this one's.
+
+    The directory is locked under a hidden name and only then renamed to
+    its ``repro-exports-`` name, so a concurrent sweep never sees it
+    unlocked.  The lock lives on the directory's inode and survives the
+    rename.
+    """
+    for name in os.listdir(EXPORT_ROOT):
+        if name.startswith(EXPORT_PREFIX):
+            path = os.path.join(EXPORT_ROOT, name)
+            try:
+                fd = _lock(path)
+            except OSError:  # held by a live process, or already gone
+                continue
+            shutil.rmtree(path, ignore_errors=True)
+            os.close(fd)
+    hidden = tempfile.mkdtemp(prefix=f".{EXPORT_PREFIX}{os.getpid()}-", dir=EXPORT_ROOT)
+    fd = _lock(hidden)
+    path = os.path.join(EXPORT_ROOT, os.path.basename(hidden)[1:])
+    os.rename(hidden, path)
+    return path, fd
+
+
+def _write_column(owner: Table, column: str) -> ColumnBlock:
+    """Write one column of ``owner`` into a new file in the export directory."""
+    global _directory, _directory_fd
     array = owner.column_array(column, allow_hidden=True)
-    if array.dtype.hasobject:
+    if not fixed_width(array.dtype):
         raise UnshareableColumnError(column, array.dtype)
-    array = np.ascontiguousarray(array)
-    # SharedMemory refuses size=0; an empty span still gets a (tiny) segment
-    # so workers can attach unconditionally.
-    shm = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-    view[:] = array
-    block = ColumnBlock(shm_name=shm.name, dtype=array.dtype.str, length=len(array))
+    with _LOCK:
+        if _directory is None:
+            _directory, _directory_fd = _create_directory()
+        path = os.path.join(_directory, f"{next(_FILE_NUMBERS)}.seg")
+    try:
+        write_segment(path, column, array)
+    except BaseException:
+        _remove(f"{path}.tmp")  # a torn write leaves its temp file behind
+        raise
+    # The raw payload ends the file: its offset is what precedes it.
+    offset = os.path.getsize(path) - array.nbytes
+    return ColumnBlock(path=path, offset=offset, dtype=array.dtype.str, length=len(array))
+
+
+def _export_column(owner: Table, column: str) -> ColumnBlock:
+    durable_block = getattr(owner, "durable_block", None)  # lazy durable shards
+    block = None if durable_block is None else durable_block(column)
+    if block is not None:
+        return block
     with _LOCK:
         entry = _EXPORTS.get(id(owner))
-        if entry is None or entry.generation != generation:
-            # Lost a race with release/mutation: don't cache a segment nobody
-            # will unlink.
-            shm.close()
-            shm.unlink()
-            raise UnshareableColumnError(column, "owner released during export")
-        raced = entry.blocks.get(column)
-        if raced is not None:
-            shm.close()
-            shm.unlink()
-            return raced[1]
-        entry.blocks[column] = (shm, block)
+        if entry is not None and entry.generation != owner.data_generation:
+            _release_owner(id(owner))  # the owner mutated: its files are stale
+            entry = None
+        if entry is None:
+            finalizer = weakref.finalize(owner, _release_owner, id(owner))
+            entry = _EXPORTS[id(owner)] = _OwnerExports(owner.data_generation, finalizer)
+        block = entry.blocks.get(column)
+    if block is not None:
+        return block
+    written = _write_column(owner, column)  # outside the lock: one file write
+    with _LOCK:
+        current = _EXPORTS.get(id(owner)) is entry
+        block = entry.blocks.setdefault(column, written) if current else None
+    if block is not written:  # lost a race with another export or a release
+        _remove(written.path)
+    if block is None:
+        raise SegmentMapError(written.path, "released while being written")
     return block
 
 
 def export_table_spans(table: Table, columns: Sequence[str]) -> Tuple[SpanExport, ...]:
-    """Export ``columns`` of every span of ``table`` to shared memory.
+    """A :class:`SpanExport` of ``columns`` per shard span of ``table``.
 
-    For a :class:`~repro.db.sharding.ShardedTable` the spans are its shard
-    spans (one :class:`SpanExport` per shard, in order); a monolithic table
-    exports as a single span ``[0, num_rows)``.  Idempotent and cheap when
-    warm: already-exported ``(shard, column)`` pairs are returned from cache.
-
-    Raises :class:`UnshareableColumnError` if any requested column has an
-    object dtype.
+    A monolithic table is one span ``[0, num_rows)``.  Raises
+    :class:`UnshareableColumnError` for an object-dtype column,
+    :class:`~repro.db.errors.SegmentMapError` for a committed segment that
+    will not map, and whatever writing a file raises.
     """
     shards: Optional[List[Table]] = getattr(table, "shards", None)
     if shards:
@@ -220,69 +248,42 @@ def export_table_spans(table: Table, columns: Sequence[str]) -> Tuple[SpanExport
     else:
         shards = [table]
         spans = [(0, table.num_rows)]
-    exports = []
-    for shard, (start, stop) in zip(shards, spans):
-        blocks = {column: _export_column(shard, column) for column in columns}
-        exports.append(SpanExport(start=start, stop=stop, columns=blocks))
-    return tuple(exports)
+    return tuple(
+        SpanExport(start, stop, {column: _export_column(shard, column) for column in columns})
+        for shard, (start, stop) in zip(shards, spans)
+    )
+
+
+def exported_paths() -> List[str]:
+    """Every file this process has written for workers and not removed."""
+    with _LOCK:
+        return [block.path for entry in _EXPORTS.values() for block in entry.blocks.values()]
 
 
 def exported_segment_count() -> int:
-    """How many shared-memory segments this process currently owns."""
-    with _LOCK:
-        return sum(len(entry.blocks) for entry in _EXPORTS.values())
+    """How many files this process has written for workers and not removed."""
+    return len(exported_paths())
 
 
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-#: Segment name → (segment, read-only view).  The segment object must stay
-#: referenced as long as the view: its buffer dies with it.
-_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-
-#: (path, offset) key → read-only memmap of a durable segment payload.
-#: Committed segment files are immutable at a given path (checkpoints are
-#: generation-qualified), so a warm worker's cached map never goes stale.
-_ATTACHED_FILES: Dict[str, np.ndarray] = {}
+#: Worker side: path → read-only memmap of that file's payload.
+_ATTACHED: Dict[str, np.ndarray] = {}
 
 
 def attach_array(block: ColumnBlock) -> np.ndarray:
-    """Attach (once per process) to ``block`` and return a read-only view.
+    """Map ``block`` (once per process) and return its read-only array.
 
-    Called in worker processes; the attachment cache lives for the worker's
-    lifetime, so a warm worker touches ``/dev/shm`` (or re-maps a segment
-    file) only on the first task that references a block.  Workers never
-    unlink — the parent owns shared-memory segments and shares our resource
-    tracker (spawn inherits it), so cleanup is entirely the parent's job;
-    file maps need no cleanup beyond process exit.
+    The ``segment_map`` fault site fires before each map; any failure is
+    raised as :class:`~repro.db.errors.SegmentMapError`, which the executor
+    retries once and then serves in-process.
     """
-    if block.path is not None:
-        key = f"{block.path}@{block.offset}"
-        mapped = _ATTACHED_FILES.get(key)
-        if mapped is None:
-            # Fault-injection site ``segment_map`` (worker side): an
-            # ``error`` rule models a mapping failure under the worker; the
-            # executor classifies it like a vanished shm segment and falls
-            # back bitwise.
+    mapped = _ATTACHED.get(block.path)
+    if mapped is None:
+        try:
             _faults.maybe_fire(_faults.active_plan(), "segment_map")
             mapped = np.memmap(
-                block.path,
-                dtype=np.dtype(block.dtype),
-                mode="r",
-                offset=block.offset,
-                shape=(block.length,),
+                block.path, dtype=block.dtype, mode="r", offset=block.offset, shape=(block.length,)
             )
-            _ATTACHED_FILES[key] = mapped
-        return mapped
-    entry = _ATTACHED.get(block.shm_name)
-    if entry is None:
-        # Fault-injection site ``shm_attach`` (worker side — the process
-        # executor re-activates the shipped plan around its task body): an
-        # ``error`` rule models a segment that vanished under the worker.
-        _faults.maybe_fire(_faults.active_plan(), "shm_attach")
-        shm = shared_memory.SharedMemory(name=block.shm_name)
-        array = np.ndarray((block.length,), dtype=np.dtype(block.dtype), buffer=shm.buf)
-        array.setflags(write=False)
-        _ATTACHED[block.shm_name] = entry = (shm, array)
-    return entry[1]
+        except Exception as exc:
+            raise SegmentMapError(block.path, str(exc)) from None
+        _ATTACHED[block.path] = mapped
+    return mapped

@@ -58,6 +58,11 @@ _LIVE_MEMMAPS: "weakref.WeakValueDictionary[int, np.ndarray]" = (
 _MEMMAP_TOKENS = iter(range(1 << 62))
 
 
+def fixed_width(dtype: np.dtype) -> bool:
+    """Whether ``dtype`` is stored as raw bytes (and can be memmapped)."""
+    return dtype.kind in _FIXED_KINDS
+
+
 def live_memmap_count() -> int:
     """How many segment-backed memmap arrays are still referenced."""
     return len(_LIVE_MEMMAPS)
@@ -118,7 +123,7 @@ def write_segment(
     header itself).  Fired through the ``segment_write`` fault site.
     """
     array = np.asarray(array)
-    if array.dtype.kind in _FIXED_KINDS:
+    if fixed_width(array.dtype):
         kind = "numpy"
         dtype = array.dtype.str
         payload = np.ascontiguousarray(array).tobytes()

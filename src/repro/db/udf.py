@@ -373,8 +373,8 @@ class UserDefinedFunction:
     ) -> np.ndarray:
         """Fold UDF outcomes evaluated in a worker process into this instance.
 
-        The process-pool executor evaluates rows against shared-memory column
-        views in workers that hold only a :class:`UdfSpec` — no memo cache, no
+        The process-pool executor evaluates rows against memory-mapped column
+        files in workers that hold only a :class:`UdfSpec` — no memo cache, no
         counters.  The parent calls this with the worker's ``(row_ids,
         outcomes)`` to replay exactly the accounting :meth:`evaluate_rows`
         would have produced locally, from the same one memo read: ``ledger``

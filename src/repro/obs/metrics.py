@@ -54,7 +54,6 @@ _STRIPES = 16
 REGISTRY_OWNED: Tuple[str, ...] = (
     "repro_executor_runs_total",  # {backend}
     "repro_executor_fallbacks_total",  # {backend, reason}
-    "repro_executor_direct_attach_total",  # {backend}
     "repro_executor_retried_spans_total",  # {backend}; also on an attached breaker
     "repro_solver_calls_total",  # {strategy}
     "repro_breaker_transitions_total",  # {to}

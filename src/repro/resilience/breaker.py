@@ -1,7 +1,7 @@
 """A circuit breaker over the process-pool execution path.
 
-Transient pool faults — a worker killed mid-span, a shared-memory attach
-that fails, a worker hung past the request deadline — are retried once at
+Transient pool faults — a worker killed mid-span, a segment file a worker
+cannot map, a worker hung past the request deadline — are retried once at
 span granularity by :class:`~repro.core.procpool.ProcessPoolBatchExecutor`.
 When faults keep coming the right move is to stop paying the pool tax
 altogether: the breaker **opens** after ``failure_threshold`` consecutive

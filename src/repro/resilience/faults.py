@@ -1,14 +1,14 @@
 """Deterministic fault injection for the resilience test suite.
 
 A :class:`FaultPlan` makes the failure paths — worker crashes, hangs,
-garbage results, slow UDFs, shared-memory export/attach errors — happen *on
+garbage results, slow UDFs, export write and worker map errors — happen *on
 purpose, at chosen points*, so ``tests/resilience`` can assert that every
 degraded path still returns the bitwise-serial answer or a typed error.
 
 Determinism follows the PR-4 coin discipline: each potential fault has a
 **site** (a string naming the code location) and an **address** (a tuple of
 integers naming the occurrence — span index and attempt for worker faults,
-a per-site hit counter for UDF/shm sites), and whether it fires is either
+a per-site hit counter for the other sites), and whether it fires is either
 an explicit address set or a pure function of
 ``(plan.seed, site, address)`` via the same counter-based SplitMix64
 stream used for sampling coins.  The same plan against the same workload
@@ -18,7 +18,7 @@ count or thread interleaving.
 Activation is process-global (:func:`fault_scope`); the process-pool
 executor additionally ships the active plan inside worker task payloads and
 re-activates it there (spawned workers inherit nothing), so worker-side
-sites — ``worker``, ``shm_attach`` — fire in the right process.  With no
+sites — ``worker``, ``segment_map`` — fire in the right process.  With no
 active plan every hook is a single ``None`` check.
 
 Sites and their addresses
@@ -28,17 +28,18 @@ Sites and their addresses
 Site                Address                Fires in
 ==================  =====================  ====================================
 ``worker``          ``(span, attempt)``    worker process, at span-task entry
-``shm_attach``      ``(hit,)`` per worker  worker process, before segment attach
-``shm_export``      ``(hit,)``             parent, before segment creation
 ``udf_eval``        ``(hit,)``             whichever process evaluates the UDF
 ``manifest_write``  ``(hit,)``             parent, mid manifest atomic write
 ``segment_write``   ``(hit,)``             parent, mid segment atomic write
+                                           (checkpoints and worker exports)
 ``journal_append``  ``(hit,)``             parent, mid journal record append
 ``segment_read``    ``(hit,)``             parent, before segment validation
-``segment_map``     ``(hit,)``             before a lazy segment map — parent
-                                           first-touch *and* worker direct
-                                           attach (one retry, then typed
-                                           ``SegmentMapError``)
+``segment_map``     ``(hit,)``             before a segment map — parent
+                                           first-touch of a lazy segment
+                                           (one retry, then typed
+                                           ``SegmentMapError``) *and* every
+                                           worker attach (``SegmentMapError``;
+                                           the span is retried once)
 ``segment_evict``   ``(hit,)``             parent, inside LRU eviction (the
                                            logical drop still completes —
                                            zero leaked mappings)

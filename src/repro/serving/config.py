@@ -21,7 +21,7 @@ from typing import Dict, Mapping, Optional, Union
 #:     (the default — "serial" describes its concurrency, not its speed).
 #: ``process``
 #:     :class:`~repro.core.procpool.ProcessPoolBatchExecutor` over
-#:     shared-memory shards; the only backend that scales python-callable
+#:     memory-mapped shard files; the only backend that scales python-callable
 #:     UDF evaluation across cores.  Its counter coin stream differs from
 #:     ``serial``'s, so seeds are comparable only within a backend.
 #:
@@ -42,7 +42,9 @@ class ServiceConfig:
         ``"process"``, the fan-out of sampling and labelling evaluations.
     max_workers:
         Worker processes of the ``process`` backend (``None`` = machine
-        cores; ``1`` runs its spans inline); ignored by ``serial``.
+        cores; ``1`` runs its spans inline); ignored by ``serial``.  Workers
+        memory-map the columns they read as segment files
+        (:mod:`repro.db.shm`).
     plan_cache_size / stats_cache_size:
         LRU bounds for the two caches (``0`` disables caching).
     ttl:

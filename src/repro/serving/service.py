@@ -38,7 +38,7 @@ Sharded catalogs are served transparently: a
 :class:`~repro.db.sharding.ShardedTable` satisfies the full table contract,
 the statistics cache keys per (table, shard-layout) generation, and the
 ``"process"`` executor backend fans execution across the shards in worker
-processes over shared-memory column exports (the only backend that scales
+processes over memory-mapped column files (the only backend that scales
 python-callable UDFs past the GIL).
 
 On top of the synchronous :meth:`QueryService.submit` there is an asyncio
@@ -1417,7 +1417,7 @@ class QueryService:
         ``timeout`` seconds, ``None`` = wait for all of them).  Teardown
         then shuts the async front-end pool down, discards the shared
         process pool (when this service used one) and releases every
-        shared-memory export of this catalog's tables — after close,
+        exported column file of this catalog's tables — after close,
         :func:`repro.db.shm.exported_segment_count` owes nothing to this
         service.  Idempotent: a second close is a cheap no-op re-running
         only the (already empty) teardown.  Also the context-manager exit.

@@ -6,7 +6,7 @@ charges, per-group counts, UDF memo content and every UDF counter — because
 coins are pure functions of (seed, group, position) and the parent replays
 serial charging while folding.  These tests run real spawn workers (a shared
 two-worker pool, reused across tests), so they also exercise the
-shared-memory export/attach lifecycle end to end.
+export/map lifecycle of the segment files workers read end to end.
 """
 
 from functools import partial
@@ -32,7 +32,7 @@ WORKERS = 2
 
 @pytest.fixture(autouse=True)
 def _no_leaked_segments():
-    """Leak check: teardown must leave zero shm segments, memmaps or temp files."""
+    """Leak check: teardown must leave zero exported files, memmaps or temp files."""
     from leakcheck import assert_no_leaked_resources
 
     yield

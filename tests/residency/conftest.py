@@ -1,7 +1,7 @@
 """Fixtures for the bounded-memory residency suite.
 
 Every test gets counter isolation and the shared leak invariant — zero
-exported shm segments, zero dangling segment memmaps, **zero resident
+exported segment files, zero dangling segment memmaps, **zero resident
 mapped bytes and zero pinned segments** (the bounded-memory gate), and
 zero torn ``.tmp`` files — even for the tests that inject map/evict
 faults on purpose.

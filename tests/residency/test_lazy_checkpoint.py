@@ -18,8 +18,9 @@ from repro.db.catalog import Catalog
 from repro.db.engine import Engine
 from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
-from repro.db.residency import ResidencyManager, durable_span_exports
+from repro.db.residency import ResidencyManager
 from repro.db.sharding import ShardedTable
+from repro.db.shm import export_table_spans
 from repro.db.storage import CatalogStore, TableStore, storage_counters
 from repro.db.udf import UserDefinedFunction
 from repro.serving import QueryService, ServiceConfig
@@ -120,8 +121,7 @@ class TestStoreLevel:
         store.save(source)
         manager = ResidencyManager()
         lazy, _ = store.open(residency=manager)
-        exports = durable_span_exports(lazy, ["amount", "f"])
-        assert exports is not None
+        exports = export_table_spans(lazy, ["amount", "f"])
         paths = {block.path for export in exports for block in export.columns.values()}
         store.append(lazy, numeric_columns(rows=5, seed=4))
         store.save(lazy)

@@ -1,8 +1,8 @@
 """Shared invariant for the resilience suite: no leaked resources.
 
 Every test — including the ones that crash workers, hang them past the
-deadline, or fail shared-memory exports on purpose — must leave zero
-exported segments, zero dangling segment memmaps and zero torn temp files
+deadline, or fail export writes on purpose — must leave zero
+exported segment files, zero dangling segment memmaps and zero torn temp files
 behind after teardown.  The check itself lives in ``tests/leakcheck.py``
 and is shared with the storage suite.
 """

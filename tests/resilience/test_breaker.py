@@ -84,7 +84,7 @@ class TestStateMachine:
         breaker = CircuitBreaker(
             failure_threshold=1, recovery_time_s=5.0, clock=lambda: now[0]
         )
-        breaker.record_failure("shm_export")
+        breaker.record_failure("segment_write")
         assert not breaker.allow()
         now[0] = 5.0
         assert breaker.state == HALF_OPEN

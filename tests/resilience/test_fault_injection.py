@@ -1,11 +1,11 @@
 """Deterministic fault injection: every failure is survived or typed.
 
 The differential contract (ISSUE 8 acceptance): under any injected fault —
-worker crash, hang, garbage result, shared-memory export/attach error, slow
+worker crash, hang, garbage result, export write or worker map error, slow
 UDF — a query returns the **bitwise-serial** answer (row ids, ledger
 charges, UDF counters, memo content) or a typed error within deadline +
-grace.  Retried spans double-charge nothing, and no run leaks a
-shared-memory segment (the conftest fixture asserts that after every test).
+grace.  Retried spans double-charge nothing, and no run leaks an exported
+segment file (the conftest fixture asserts that after every test).
 
 Selected by the CI ``chaos`` step via ``-k fault`` (the module name).
 """
@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from leakcheck import exported_files
 from repro.core.parallel import ParallelBatchExecutor
 from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.core.procpool import ProcessPoolBatchExecutor
@@ -155,24 +156,24 @@ class TestFaultPlanDeterminism:
         assert clone.next_address("udf_eval") == 0  # fresh counters
 
     def test_injected_fault_survives_pickling(self):
-        fault = InjectedFault("shm_attach", (3,))
+        fault = InjectedFault("segment_map", (3,))
         clone = pickle.loads(pickle.dumps(fault))
         assert isinstance(clone, InjectedFault)
-        assert clone.site == "shm_attach" and clone.address == (3,)
+        assert clone.site == "segment_map" and clone.address == (3,)
 
     def test_counter_addresses_are_per_site(self):
         plan = FaultPlan(
             seed=1,
             rules={
-                "shm_export": FaultRule(kind="error", addresses=frozenset({(1,)}))
+                "segment_write": FaultRule(kind="error", addresses=frozenset({(1,)}))
             },
         )
         # Sites without a rule never advance a counter (maybe_fire no-ops).
         assert maybe_fire(plan, "udf_eval") is None
-        assert maybe_fire(plan, "shm_export") is None  # hit 0
+        assert maybe_fire(plan, "segment_write") is None  # hit 0
         with pytest.raises(InjectedFault):
-            maybe_fire(plan, "shm_export")  # hit 1 fires
-        assert plan.fired() == [("shm_export", (1,), "error")]
+            maybe_fire(plan, "segment_write")  # hit 1 fires
+        assert plan.fired() == [("segment_write", (1,), "error")]
 
 
 class TestWorkerFaults:
@@ -402,28 +403,31 @@ class TestBulkEvaluationFanFault:
         assert snap["last_failure_reason"] == "garbage"
 
 
-class UpstreamTimesOut:
-    """A picklable UDF whose labelling service times out on one row."""
+class UpstreamFails:
+    """A picklable UDF whose labelling service fails on one row."""
 
-    def __init__(self, bad_marker):
+    def __init__(self, bad_marker, error):
         self.bad_marker = bad_marker
+        self.error = error
 
     def __call__(self, row):
         if row["A"] == self.bad_marker:
-            raise TimeoutError("upstream labelling service timed out")
+            raise self.error("upstream labelling service failed")
         return bool(row["f"])
 
 
 class TestWorkerRaisedTimeoutFault:
-    """A worker that *raised* ``TimeoutError`` did not hang.
+    """A worker that *raised* an ``OSError`` of the UDF's own is no pool fault.
 
     ``concurrent.futures.TimeoutError is TimeoutError`` since Python 3.11,
-    so the parent's "the wait timed out" handler also sees an exception the
-    UDF raised inside a worker.  It must take the fatal path — the caller
-    gets the UDF's own error, as from the serial and inline paths — and
-    must not be treated as a hang: the healthy pool stays cached, the
-    exports stay linked, the breaker hears nothing, and with a deadline
-    armed it is not misreported as ``DeadlineExceeded``.
+    so the parent's "the wait timed out" handler also sees a
+    ``TimeoutError`` the UDF raised inside a worker; a
+    ``ConnectionRefusedError`` (a labelling service that is down) is an
+    ``OSError`` too.  Both must take the fatal path — the caller gets the
+    UDF's own error, as from the serial and inline paths — and must not be
+    treated as a hang or a transient fault: the healthy pool stays cached,
+    the exports stay on disk, nothing is retried, the breaker hears nothing,
+    and with a deadline armed it is not misreported as ``DeadlineExceeded``.
     """
 
     @staticmethod
@@ -440,12 +444,16 @@ class TestWorkerRaisedTimeoutFault:
 
     @pytest.mark.parametrize("armed", [False, True], ids=["no_deadline", "deadline_armed"])
     @pytest.mark.parametrize("entry", ["execute", "evaluate_rows"])
-    def test_udf_timeout_error_reaches_the_caller(self, entry, armed):
+    @pytest.mark.parametrize(
+        "error", [TimeoutError, ConnectionRefusedError], ids=lambda error: error.__name__
+    )
+    def test_udf_timeout_error_reaches_the_caller(self, error, entry, armed):
         from repro.core import procpool
         from repro.db.shm import release_exports
 
-        table = self._poisoned(f"tmo_{entry}_{int(armed)}", n=600 if entry == "execute" else 3000)
-        udf = UserDefinedFunction(f"tmo_udf_{entry}_{int(armed)}", UpstreamTimesOut("poison"))
+        name = f"{error.__name__}_{entry}_{int(armed)}"
+        table = self._poisoned(f"tmo_{name}", n=600 if entry == "execute" else 3000)
+        udf = UserDefinedFunction(f"tmo_udf_{name}", UpstreamFails("poison", error))
         breaker = CircuitBreaker(failure_threshold=100)
         executor = ProcessPoolBatchExecutor(
             random_state=0, max_workers=WORKERS, breaker=breaker
@@ -453,7 +461,7 @@ class TestWorkerRaisedTimeoutFault:
         pool_before = procpool.shared_process_pool(WORKERS)
         ledger = CostLedger()
         with deadline_scope(Deadline.after(60.0) if armed else None):
-            with pytest.raises(TimeoutError, match="upstream labelling service"):
+            with pytest.raises(error, match="upstream labelling service"):
                 if entry == "execute":
                     index = table.group_index("A")
                     everything = ExecutionPlan(
@@ -473,15 +481,15 @@ class TestWorkerRaisedTimeoutFault:
         assert exported_segment_count() == 0
 
 
-class TestSharedMemoryFaults:
-    def test_export_fault_falls_back_in_process(self):
-        """The very first segment export fails: serve in-process, bitwise."""
+class TestSegmentFileFaults:
+    def test_export_write_fault_falls_back_in_process(self):
+        """The very first export file write tears: serve in-process, bitwise."""
         table = _sharded(name="exptab")
         udf_serial, udf_remote = _label_udf("ex_a"), _label_udf("ex_b")
         serial, serial_ledger = _serial_baseline(table, udf_serial)
         plan = FaultPlan(
             seed=0,
-            rules={"shm_export": FaultRule(kind="error", addresses=frozenset({(0,)}))},
+            rules={"segment_write": FaultRule(kind="error", addresses=frozenset({(0,)}))},
         )
         breaker = CircuitBreaker(failure_threshold=100)
         executor = ProcessPoolBatchExecutor(
@@ -489,21 +497,24 @@ class TestSharedMemoryFaults:
         )
         with fault_scope(plan):
             remote, remote_ledger = _run(table, executor, udf_remote)
+        assert plan.fired() == [("segment_write", (0,), "error")]
         _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
-        assert exported_segment_count() == 0
         snap = breaker.snapshot()
         assert snap["failures_total"] == 1
-        assert snap["last_failure_reason"] == "shm_export"
+        assert snap["last_failure_reason"] == "segment_write"
+        assert exported_segment_count() == 0
+        # The torn write's temp file went with it.
+        assert not [path for path in exported_files() if path.endswith(".tmp")]
 
-    def test_attach_fault_in_worker_is_retried(self):
-        """Each worker's first attach fails; the retry (counters advanced)
+    def test_map_fault_in_worker_is_retried(self):
+        """Each worker's first map fails; the retry (counters advanced)
         succeeds on the same warm pool — parity, no respawn needed."""
         table = _sharded(name="atttab")
         udf_serial, udf_remote = _label_udf("at_a"), _label_udf("at_b")
         serial, serial_ledger = _serial_baseline(table, udf_serial)
         plan = FaultPlan(
             seed=0,
-            rules={"shm_attach": FaultRule(kind="error", addresses=frozenset({(0,)}))},
+            rules={"segment_map": FaultRule(kind="error", addresses=frozenset({(0,)}))},
         )
         breaker = CircuitBreaker(failure_threshold=100)
         executor = ProcessPoolBatchExecutor(
@@ -514,7 +525,7 @@ class TestSharedMemoryFaults:
         _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
         snap = breaker.snapshot()
         assert snap["retried_spans"] >= 1
-        assert snap["last_failure_reason"] == "shm_attach"
+        assert snap["last_failure_reason"] == "segment_map"
 
 
 class TestServiceUnderFaults:

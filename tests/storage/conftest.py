@@ -1,7 +1,7 @@
 """Fixtures for the durable-storage suite.
 
 Every test gets a scratch store directory and the shared leak invariant:
-zero exported shm segments, zero dangling segment memmaps (after GC) and
+zero exported segment files, zero dangling segment memmaps (after GC) and
 zero torn ``.tmp`` files left anywhere under the test's tmp tree — even
 for the tests that tear writes and quarantine artifacts on purpose.
 """
