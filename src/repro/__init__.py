@@ -248,7 +248,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "__version__",

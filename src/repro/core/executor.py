@@ -40,13 +40,27 @@ come from and where the work runs:
   *worker processes*.  Seeds are not comparable across the two coin
   sources, only within each.
 
+Both copy the rows a coin or the memo picked by one count-first rule,
+:func:`~repro.db.table.select_rows`: the retrieval coins, the fold's keep
+mask, the span coin pass's per-candidate evaluation mask and the UDF's
+pending rows are counted first (``np.count_nonzero``); every row passing
+hands on the input array itself, none an empty one, and otherwise one
+``compress`` copies them.  :class:`BatchExecutor` counts its evaluation
+mask the same way: all-true becomes ``None`` (every retrieved row is
+evaluated) and all-false skips the UDF call and the fold.  SLSQP leaves
+many probabilities a hair from 0 or 1 (R = 2.3e-16 over 11 483 rows, or
+1 − 2.2e-16 over 24 740), whose coins all fail or all pass; between those,
+numpy 2.4's ``compress`` is 3–5x faster than a boolean-index gather.  The
+coins drawn, and so the rows chosen, are the same either way: only how they
+are copied differs.
+
 Two coin sources remain by measurement, not by oversight.  "Serial is one
-span on zero workers" does not hold: on one cached plan of the benchmark's
-``warm_hits`` shape (20k rows, 4 shards, 8 groups; median of 500 runs)
-``BatchExecutor.execute`` takes 0.25 ms and
-``ParallelBatchExecutor().execute`` 1.1–1.4 ms (0.5–0.6 ms
-unsharded; 1.7–2.5 and 1.0–1.2 ms before the span path shared the frame),
-most of the gap inside the counter coins themselves, and the two streams
+span on zero workers" does not hold: on the benchmark's four cached
+``warm_hits`` plans (20k rows, 4 shards, 8 groups; per plan the least of
+five medians of 200 runs, on a shared 2-core box) ``BatchExecutor.execute``
+takes 0.15–0.22 ms and ``ParallelBatchExecutor().execute`` 0.9–1.4 ms
+(0.2–0.3 and 0.7–1.0 ms unsharded), most of the gap inside the counter
+coins themselves, and the two streams
 return different rows for one seed — which would re-baseline every
 committed answers digest and work counter.  Each path is the better one on
 a benchmark workload (``warm_hits`` serial, ``udf_process`` process), and
@@ -136,7 +150,7 @@ import numpy.typing as npt
 
 from repro.core.plan import ExecutionPlan
 from repro.db.index import GroupIndex
-from repro.db.table import Table, as_row_ids
+from repro.db.table import Table, as_row_ids, select_rows
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -269,12 +283,12 @@ def fold_group(
         return retrieved
     if evaluate_mask is None:
         evaluated = int(retrieved.size)
-        kept = retrieved[passed]
+        kept = select_rows(retrieved, passed)
     else:
         evaluated = int(np.count_nonzero(evaluate_mask))
         keep = ~evaluate_mask
         keep |= passed
-        kept = retrieved[keep]
+        kept = select_rows(retrieved, keep)
     positives = int(kept.size) - (int(retrieved.size) - evaluated)
     negatives = evaluated - positives
     counts.evaluated_correct += positives
@@ -458,27 +472,32 @@ class BatchExecutor:
             if retrieve_probability >= 1.0:
                 retrieved = candidates
             else:
-                retrieved = candidates[rng.random(candidates.size) < retrieve_probability]
+                coins = rng.random(candidates.size)
+                retrieved = select_rows(candidates, coins < retrieve_probability)
             if retrieved.size == 0:
                 continue
             ledger.charge_retrieval(int(retrieved.size))
 
-            if conditional_evaluate <= 0.0:
+            # The evaluation mask by count: ``None`` when every retrieved row
+            # is picked, no UDF call when none is.
+            picked = int(retrieved.size) if conditional_evaluate > 0.0 else 0
+            evaluate_mask = None
+            if 0.0 < conditional_evaluate < 1.0:
+                evaluate_mask = rng.random(retrieved.size) < conditional_evaluate
+                picked = int(np.count_nonzero(evaluate_mask))
+                if picked == retrieved.size:
+                    evaluate_mask = None
+            if picked == 0:
                 chunks.append(fold_group(counts, retrieved, None, None))
                 continue
-            evaluate_mask = None  # every retrieved row is evaluated
-            if conditional_evaluate < 1.0:
-                evaluate_mask = rng.random(retrieved.size) < conditional_evaluate
-            passed = None
-            if evaluate_mask is None or evaluate_mask.any():
-                # One memo read over the retrieved rows: the ledger is
-                # charged from it before any UDF work (the serial backend's
-                # order, so a hard budget stops the batch before a value
-                # lands in the memo cache), then only the picked rows the
-                # memo does not know are evaluated.
-                passed = udf.evaluate_rows(
-                    table, retrieved, evaluate_mask, ledger, self.free_memoized
-                )
+            # One memo read over the retrieved rows: the ledger is charged
+            # from it before any UDF work (the serial backend's order, so a
+            # hard budget stops the batch before a value lands in the memo
+            # cache), then only the picked rows the memo does not know are
+            # evaluated.
+            passed = udf.evaluate_rows(
+                table, retrieved, evaluate_mask, ledger, self.free_memoized
+            )
             chunks.append(fold_group(counts, retrieved, evaluate_mask, passed))
 
         if active_span is not None:

@@ -75,7 +75,7 @@ from repro.core.executor import (
 )
 from repro.core.plan import ExecutionPlan
 from repro.db.index import GroupIndex
-from repro.db.table import Table
+from repro.db.table import Table, select_rows
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -235,9 +235,8 @@ def span_coin_pass(
             retrieved_positions = None  # all positions
         else:
             coins = counter_uniforms(task.retrieve_key, task.position_offset, seg.size)
-            keep = coins < task.retrieve_probability
-            retrieved = seg[keep]
-            retrieved_positions = keep
+            retrieved_positions = coins < task.retrieve_probability
+            retrieved = select_rows(seg, retrieved_positions)
         if task.conditional_evaluate <= 0.0 or retrieved.size == 0:
             evaluate_mask = np.zeros(retrieved.size, dtype=bool)
         elif task.conditional_evaluate >= 1.0:
@@ -250,7 +249,7 @@ def span_coin_pass(
             evaluate_mask = (
                 per_candidate
                 if retrieved_positions is None
-                else per_candidate[retrieved_positions]
+                else select_rows(per_candidate, retrieved_positions)
             )
         retrieved_per_task.append(retrieved)
         evaluate_per_task.append(evaluate_mask)

@@ -14,7 +14,7 @@ unevaluated tuple is returned unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -27,10 +27,22 @@ _PROBABILITY_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class GroupDecision:
-    """The ``(R_a, E_a)`` pair for one group."""
+    """The ``(R_a, E_a)`` pair for one group.
+
+    ``retrieve`` and ``evaluate`` are the pair as given, and the only state:
+    ``repr``, ``==``, ``hash`` and the pickled form hold those two.  The
+    clipped probabilities the executors read on every plan hit are derived
+    from them once, at construction and when a pickle is loaded.
+    """
 
     retrieve: float
     evaluate: float
+    #: ``R_a`` clipped to [0, 1].
+    retrieve_probability: float = field(init=False, repr=False, compare=False)
+    #: ``E_a`` clipped to [0, R_a].
+    evaluate_probability: float = field(init=False, repr=False, compare=False)
+    #: ``E_a / R_a`` — probability of evaluating a tuple given it was retrieved.
+    conditional_evaluate_probability: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not -_PROBABILITY_TOLERANCE <= self.retrieve <= 1.0 + _PROBABILITY_TOLERANCE:
@@ -42,24 +54,18 @@ class GroupDecision:
                 f"evaluate probability ({self.evaluate}) cannot exceed retrieve "
                 f"probability ({self.retrieve})"
             )
+        retrieve = min(1.0, max(0.0, self.retrieve))
+        evaluate = min(retrieve, max(0.0, self.evaluate))
+        conditional = min(1.0, evaluate / retrieve) if retrieve > 0.0 else 0.0
+        object.__setattr__(self, "retrieve_probability", retrieve)
+        object.__setattr__(self, "evaluate_probability", evaluate)
+        object.__setattr__(self, "conditional_evaluate_probability", conditional)
 
-    @property
-    def retrieve_probability(self) -> float:
-        """``R_a`` clipped to [0, 1]."""
-        return min(1.0, max(0.0, self.retrieve))
+    def __getstate__(self) -> Dict[str, float]:
+        return {"retrieve": self.retrieve, "evaluate": self.evaluate}
 
-    @property
-    def evaluate_probability(self) -> float:
-        """``E_a`` clipped to [0, R_a]."""
-        return min(self.retrieve_probability, max(0.0, self.evaluate))
-
-    @property
-    def conditional_evaluate_probability(self) -> float:
-        """``E_a / R_a`` — probability of evaluating a tuple given it was retrieved."""
-        retrieve = self.retrieve_probability
-        if retrieve <= 0.0:
-            return 0.0
-        return min(1.0, self.evaluate_probability / retrieve)
+    def __setstate__(self, state: Dict[str, float]) -> None:
+        self.__init__(**state)  # type: ignore[misc]
 
     @property
     def is_deterministic(self) -> bool:

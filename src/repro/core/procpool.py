@@ -118,7 +118,7 @@ from repro.db.shm import (
     export_table_spans,
     release_exports,
 )
-from repro.db.table import Table
+from repro.db.table import Table, select_rows
 from repro.db.udf import CostLedger, UdfSpec, UserDefinedFunction
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -282,7 +282,7 @@ def _remote_run_span(
         kind = _faults.maybe_fire(fault_plan, "worker", span_index, attempt)
         retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(tasks)
         retrieved, evaluate_mask = span_rows(retrieved_per_task, evaluate_per_task)
-        to_evaluate = retrieved[evaluate_mask]
+        to_evaluate = select_rows(retrieved, evaluate_mask)
         outcomes = spec_evaluate(spec, exports, to_evaluate)
         passed = np.zeros(retrieved.size, dtype=bool)
         passed[evaluate_mask] = outcomes

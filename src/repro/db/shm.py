@@ -22,7 +22,10 @@ exists; that judges liveness across PID namespaces sharing ``/dev/shm``
 
 *Worker side* — :func:`attach_array` caches maps by path.  File names are
 never reused within a process and committed segments are immutable at a
-given path, so a cached map never goes stale.  Workers remove nothing.
+given path, so a cached map never goes stale; but a map holds its file's
+pages after the parent removes the file (an append rewrites the tail
+shard's exports), so a map miss first drops the cached maps whose file is
+gone.  Workers remove no file.
 """
 
 from __future__ import annotations
@@ -269,6 +272,15 @@ def exported_segment_count() -> int:
 _ATTACHED: Dict[str, np.ndarray] = {}
 
 
+def _forget_removed_files() -> None:
+    """Drop the cached maps of files that no longer exist: one ``stat`` per
+    cached path, so removed files' pages are freed and the cache stays
+    bounded by the live files under churn."""
+    for path in list(_ATTACHED):
+        if not os.path.exists(path):
+            _ATTACHED.pop(path, None)
+
+
 def attach_array(block: ColumnBlock) -> np.ndarray:
     """Map ``block`` (once per process) and return its read-only array.
 
@@ -278,6 +290,7 @@ def attach_array(block: ColumnBlock) -> np.ndarray:
     """
     mapped = _ATTACHED.get(block.path)
     if mapped is None:
+        _forget_removed_files()
         try:
             _faults.maybe_fire(_faults.active_plan(), "segment_map")
             mapped = np.memmap(

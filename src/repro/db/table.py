@@ -78,6 +78,27 @@ def as_row_ids(ids: Iterable[int]) -> npt.NDArray[np.intp]:
     return array
 
 
+def select_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``rows[mask]`` for a boolean ``mask`` over 1-d ``rows``, chosen by count.
+
+    The mask is counted first (``np.count_nonzero``, about 1 µs per 12.5k
+    entries): when every entry passes the result is ``rows`` itself, not a
+    copy, so callers must not write into it; when none does it is an empty
+    array; otherwise one ``rows.compress(mask)``.  Coin and memo masks are
+    where this pays: a probability a hair from 0 or 1 makes them all-false or
+    all-true, and between those numpy 2.4's ``compress`` is 3–5x faster than
+    the boolean-index gather (12.5k rows at density 0.3 / 0.6: 13 / 17 µs
+    against 47 / 61).  A mask known to be nearly all-true is faster through
+    ``rows[mask]``; :func:`~repro.sampling.sampler.drop_members` keeps it.
+    """
+    kept = int(np.count_nonzero(mask))
+    if kept == rows.size:
+        return rows
+    if kept == 0:
+        return rows[:0]
+    return rows.compress(mask)
+
+
 def narrowed_ids(ids: np.ndarray) -> np.ndarray:
     """``ids`` in the narrowest unsigned dtype that holds them — how the warm
     blob stores row ids and group codes (as they are when empty or when any

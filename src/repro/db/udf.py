@@ -17,7 +17,7 @@ import pickle
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.db.errors import (
     UdfNotFoundError,
     UnpicklableUdfError,
 )
-from repro.db.table import Table
+from repro.db.table import Table, select_rows
 from repro.resilience import faults as _faults
 
 
@@ -397,7 +397,11 @@ class UserDefinedFunction:
             id_array, oracle, None, ledger, free_memoized
         )
         if pending_array.size:
-            fresh = outcome_array[pending_positions]
+            fresh = (
+                outcome_array
+                if pending_positions is None
+                else select_rows(outcome_array, pending_positions)
+            )
             self._bulk_absorb(results, pending_positions, pending_array, fresh, oracle)
         return results
 
@@ -431,7 +435,7 @@ class UserDefinedFunction:
         ledger: Optional[CostLedger],
         free_memoized: bool,
         evaluating: bool = False,
-    ) -> Tuple[np.ndarray, Union[np.ndarray, slice], np.ndarray]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """The one memo read of a bulk call: charge, count, split.
 
         Reads the memo once over ``id_array`` and, from that read, charges
@@ -441,25 +445,30 @@ class UserDefinedFunction:
         memo answered, and returns ``(results, pending_positions,
         pending_array)``: ``results`` has memo-answered positions filled in
         (``False`` outside the mask), ``pending_array`` holds the row ids
-        still needing evaluation, and ``pending_positions`` their positions in
-        ``results`` (the full slice when nothing is memoised and every row is
-        picked).  Shared by :meth:`evaluate_rows` and
+        still needing evaluation, and ``pending_positions`` their mask over
+        ``results`` — ``None`` when every row is pending, and then
+        ``pending_array`` is ``id_array`` itself (the gather goes through
+        :func:`~repro.db.table.select_rows`).  Shared by :meth:`evaluate_rows` and
         :meth:`merge_remote_evaluations` so the two paths cannot drift.
         """
         if self.memoize and self._memo.size:
             states = self._memo_states(id_array)
             results = states == _TRUE
-            pending_positions: Union[np.ndarray, slice] = states == _UNKNOWN
+            pending_positions: Optional[np.ndarray] = states == _UNKNOWN
             if mask is not None:
                 results &= mask
                 pending_positions &= mask
         elif mask is None:
             results = np.empty(id_array.size, dtype=bool)
-            pending_positions = slice(None)
+            pending_positions = None
         else:
             results = np.zeros(id_array.size, dtype=bool)
             pending_positions = mask
-        pending_array = id_array[pending_positions]
+        pending_array = id_array
+        if pending_positions is not None:
+            pending_array = select_rows(id_array, pending_positions)
+            if pending_array is id_array:
+                pending_positions = None
         picked = id_array.size if mask is None else int(np.count_nonzero(mask))
         if ledger is not None:
             charge = int(pending_array.size) if free_memoized else picked
@@ -480,7 +489,7 @@ class UserDefinedFunction:
     def _bulk_absorb(
         self,
         results: np.ndarray,
-        pending_positions: Union[np.ndarray, slice],
+        pending_positions: Optional[np.ndarray],
         pending_array: np.ndarray,
         fresh: np.ndarray,
         oracle: bool,
@@ -492,7 +501,10 @@ class UserDefinedFunction:
         memo cache, regardless of whether the outcomes were computed locally
         or merged back from a worker process.
         """
-        results[pending_positions] = fresh
+        if pending_positions is None:
+            results[:] = fresh
+        else:
+            results[pending_positions] = fresh
         if not oracle:
             paid = int(pending_array.size)
             with self._state_lock:

@@ -1,5 +1,8 @@
 """Tests for the core data model: groups, constraints, cost model, plans."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.constraints import CostModel, QueryConstraints
@@ -175,6 +178,32 @@ class TestGroupDecision:
             GroupDecision(retrieve=1.2, evaluate=0.0)
         with pytest.raises(ValueError):
             GroupDecision(retrieve=0.5, evaluate=0.7)
+
+    def test_clipped_probabilities_are_not_state(self):
+        # Slightly outside [0, 1] within tolerance: clipped, but repr, ==
+        # and hash see the pair as given.
+        decision = GroupDecision(retrieve=1.0 + 1e-12, evaluate=-1e-12)
+        assert (decision.retrieve_probability, decision.evaluate_probability) == (1.0, 0.0)
+        assert repr(decision) == f"GroupDecision(retrieve={1.0 + 1e-12!r}, evaluate={-1e-12!r})"
+        assert decision != GroupDecision(retrieve=1.0, evaluate=0.0)
+        assert {decision: 1}[GroupDecision(retrieve=1.0 + 1e-12, evaluate=-1e-12)] == 1
+
+    def test_pickled_form_holds_the_pair_only(self):
+        # Protocol 4 (the warm blob's) bytes of GroupDecision(0.75, 0.25), as
+        # written when the clipped probabilities were properties: an older
+        # blob restores, and a new one is byte-identical to it.
+        older = (
+            b"\x80\x04\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x0frepro.core.plan\x94"
+            b"\x8c\rGroupDecision\x94\x93\x94)\x81\x94}\x94(\x8c\x08retrieve\x94"
+            b"G?\xe8\x00\x00\x00\x00\x00\x00\x8c\x08evaluate\x94G?\xd0\x00\x00\x00"
+            b"\x00\x00\x00ub."
+        )
+        decision = GroupDecision(retrieve=0.75, evaluate=0.25)
+        assert pickle.dumps(decision, protocol=4) == older
+        restored = pickle.loads(older)
+        assert restored == decision
+        assert restored.conditional_evaluate_probability == pytest.approx(1 / 3)
+        assert copy.deepcopy(decision).evaluate_probability == 0.25
 
 
 class TestExecutionPlan:

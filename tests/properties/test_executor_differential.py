@@ -20,7 +20,11 @@ Three promises this suite pins down:
   evaluate, fold from one read) meets hand-computed row ids, ledgers, UDF
   counters and memo contents at its edges: ids past the memo's end, a UDF
   that does not memoise, ``oracle_mode()``, a python callable's call order
-  and a hard budget tripping at a group boundary.
+  and a hard budget tripping at a group boundary;
+* probabilities a hair from 0 or 1 (the near-certain values SLSQP leaves,
+  where the count-first select takes its no-row and every-row branches)
+  give the sequential, span and reference backends the same rows and
+  ledgers as the plan they round to.
 
 These guarantees are what make it safe to run the whole library — pipeline,
 oracle, adaptive strategy, serving layer — on the vectorised backend while
@@ -236,6 +240,58 @@ class TestExecutorSeedForSeed:
 
 
 SPAN_KEYS = ("a", "b", "c", "d")
+
+#: Probabilities a hair from 0 or 1, as SLSQP leaves them: on the 2**-53
+#: grid of the uniform coins every coin fails (the first two) or passes (the
+#: last two) unless it lands on one of the one to three exceptional values.
+NEAR_CERTAIN = (2.0**-53, 3 * 2.0**-53, 1 - 2.0**-52, 1 - 2.0**-53)
+
+
+class TestNearCertainProbabilities:
+    @pytest.mark.parametrize("conditional", NEAR_CERTAIN)
+    @pytest.mark.parametrize("retrieve", NEAR_CERTAIN)
+    def test_sequential_span_and_reference_backends_agree(
+        self, retrieve, conditional, assert_same_rows
+    ):
+        """Coins that all fail or all pass select no row or every row, so the
+        sequential backends, the span path (counter coins) and the plan the
+        probabilities round to all return the same rows and ledgers."""
+        rng = np.random.default_rng(29)
+        rows = 600
+        columns = {
+            "A": [SPAN_KEYS[code] for code in rng.integers(0, len(SPAN_KEYS), rows)],
+            "f": (rng.random(rows) < 0.5).tolist(),
+        }
+        table = Table.from_columns("near_certain", columns, hidden_columns=["f"])
+        sharded = ShardedTable.from_table(table, num_shards=3)
+        outcome = SampleOutcome(rng.integers(0, rows, 30).tolist(), rng.random(30) < 0.5)
+
+        def decisions(r, share):
+            return ExecutionPlan(
+                {key: GroupDecision(retrieve=r, evaluate=r * share) for key in SPAN_KEYS}
+            )
+
+        runs = []
+        for executor, over, plan in (
+            (PlanExecutor(11), table, decisions(retrieve, conditional)),
+            (BatchExecutor(11), table, decisions(retrieve, conditional)),
+            (ParallelBatchExecutor(11), sharded, decisions(retrieve, conditional)),
+            (BatchExecutor(11), table, decisions(round(retrieve), round(conditional))),
+        ):
+            udf = UserDefinedFunction.from_label_column("near", "f")
+            ledger = CostLedger()
+            result = executor.execute(
+                over, over.group_index("A"), udf, plan, ledger, sample_outcome=outcome
+            )
+            runs.append((result, ledger))
+        (expected, expected_ledger), *others = runs
+        for result, ledger in others:
+            assert_same_rows(result.returned_row_ids, expected.returned_row_ids)
+            assert ledger.retrieved_count == expected_ledger.retrieved_count
+            assert ledger.evaluated_count == expected_ledger.evaluated_count
+            assert result.group_counts == expected.group_counts
+
+
 #: Counters that do not depend on how evaluations are batched.
 BATCHING_FREE_COUNTERS = ("calls", "cache_hits", "cache_misses", "cache_size")
 

@@ -10,6 +10,7 @@ inline path.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from residency_tables import build_columns
 from repro.core.parallel import ParallelBatchExecutor
 from repro.core.plan import ExecutionPlan, GroupDecision
+from repro.core import procpool
 from repro.core.procpool import ProcessPoolBatchExecutor
 from repro.db import shm
 from repro.db.errors import SegmentMapError
@@ -206,3 +208,47 @@ class TestProcessPoolOverSegmentFiles:
         assert exported_segment_count() == len(lazy.schema.column_names)
         del lazy
         manager.evict_all()
+
+
+def _worker_map_count(_):
+    """In a pool worker: its pid and how many maps its attach cache holds.
+
+    The pause keeps this worker busy so the other tasks of a round land on
+    the other workers.
+    """
+    time.sleep(0.3)
+    return os.getpid(), len(shm._ATTACHED)
+
+
+class TestWorkerMapCache:
+    def test_appends_keep_each_workers_maps_bounded_by_the_live_files(self):
+        # Fresh workers: no map another test left cached.
+        procpool._discard_process_pool(WORKERS)
+        table = ShardedTable.from_columns(
+            "churn", build_columns(rows=350, seed=3), shard_rows=100, hidden_columns=["f"]
+        )
+        udf = UserDefinedFunction.from_label_column("churn_udf", "f")
+        for step in range(10):
+            if step:
+                table.append_columns(build_columns(rows=5, seed=step))
+            index = table.group_index("A")
+            plan = ExecutionPlan.evaluate_everything(index.values)
+            executor = ProcessPoolBatchExecutor(random_state=step, max_workers=WORKERS)
+            executor.execute(table, index, udf, plan, CostLedger())
+        assert len(table.shards) == 4  # the tail had room: no seal
+        # Every append rewrote the tail's one exported file ("f").
+        live = exported_segment_count()
+        assert live == len(table.shards)
+
+        pool = procpool.shared_process_pool(WORKERS)
+        counts = {}
+        for _ in range(10):
+            counts.update(pool.map(_worker_map_count, range(WORKERS)))
+            if len(counts) == WORKERS:
+                break
+        assert len(counts) == WORKERS
+        # The last query ran every span remotely: each live file is mapped.
+        assert sum(counts.values()) >= live, counts
+        # Without dropping removed files' maps the workers would hold one
+        # per append on top of the live ones.
+        assert max(counts.values()) <= live, counts
