@@ -118,8 +118,6 @@ one read-only ``(row_ids, flags)`` array pair in draw order,
 ``sampled_members`` / ``drop_members`` in ``repro.core.executor``
 (``drop_members`` lives in ``repro.sampling.sampler``; a group's slice of
 ``outcome.by_group(index)`` already is what ``sampled_members`` computed).
-Warm blobs written before 1.10 (``RPWRM01``)
-are quarantined on open and the table starts cold.
 Removed in 1.11, with the per-shard group indexes they built, held or
 stood beside (a sharded table has one group index per column, over global
 row ids; no shard keeps its own): ``ShardedTable(max_workers=)`` and the
@@ -133,8 +131,7 @@ allow_hidden)`` and ``resharded`` takes the offsets only), and the
 per-shard statistics entry points nothing called,
 ``SelectivityModel.merge_shards`` and ``solve_with_shard_outcomes`` (merge
 the evidence with ``SampleOutcome.merge_shards``, then
-``solve_with_samples``).  Warm blobs written by 1.10 restore warm; their
-per-shard index parts are ignored.
+``solve_with_samples``).
 Removed in 1.12, with the thread placement of the span executor (it was
 faster than running spans inline on no workload measured; spans now run
 inline or in worker processes): the ``"thread"`` executor backend
@@ -170,6 +167,16 @@ residency module's all-or-nothing durable export helper
 shared-memory fault sites and reasons (``segment_write`` and
 ``segment_map`` fire instead) and ``repro_executor_direct_attach_total``.
 A UDF's own ``OSError`` in a worker now reaches the caller, unretried.
+Removed in 1.19, with the second durable format (warm state is segments
+under one JSON record per table, see :mod:`repro.serving.persistence`):
+the pickled warm blob with its magic number and file-name constants, the
+``Evidence`` and ``GroupDecision`` pickle hooks that only it used
+(both pickle as plain dataclasses), and the ``mmap=`` option of
+``TableStore.open`` / ``CatalogStore.open`` (an eager open maps; read a
+segment into memory with ``read_segment(..., mmap=False)``).  Warm state
+written before 1.19 (``warm/state.blob``, of any version) is not read: that
+table starts cold once, and the next save removes the blob.  A plan whose
+signature does not survive a JSON round trip is not saved.
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -248,7 +255,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "__version__",

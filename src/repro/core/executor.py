@@ -103,7 +103,8 @@ sampler, or the other signature's refresh, already built: one exclusion
 pass per changed evidence, not one per reader.  The memo entry dies with
 whichever input dies first (the index owns it; a weak reference to the
 outcome removes it), the frame references neither, and nothing of it is
-attached to the outcome — so it is never pickled into warm state; a
+attached to the outcome — so it is never written into warm state, which
+holds the index's values and codes and the evidence's arrays only; a
 restored plan rebuilds its frame on the first hit.  With the caches off
 every query brings a fresh outcome and the frame is simply rebuilt per
 query by the same (cheap) function: there is no second code path.

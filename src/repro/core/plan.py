@@ -30,9 +30,9 @@ class GroupDecision:
     """The ``(R_a, E_a)`` pair for one group.
 
     ``retrieve`` and ``evaluate`` are the pair as given, and the only state:
-    ``repr``, ``==``, ``hash`` and the pickled form hold those two.  The
+    ``repr``, ``==``, ``hash`` and the warm-state record hold those two.  The
     clipped probabilities the executors read on every plan hit are derived
-    from them once, at construction and when a pickle is loaded.
+    from them once, at construction.
     """
 
     retrieve: float
@@ -60,12 +60,6 @@ class GroupDecision:
         object.__setattr__(self, "retrieve_probability", retrieve)
         object.__setattr__(self, "evaluate_probability", evaluate)
         object.__setattr__(self, "conditional_evaluate_probability", conditional)
-
-    def __getstate__(self) -> Dict[str, float]:
-        return {"retrieve": self.retrieve, "evaluate": self.evaluate}
-
-    def __setstate__(self, state: Dict[str, float]) -> None:
-        self.__init__(**state)  # type: ignore[misc]
 
     @property
     def is_deterministic(self) -> bool:

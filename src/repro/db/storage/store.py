@@ -5,7 +5,8 @@
     <dir>/MANIFEST.json      the single commit point (see ``manifest.py``)
     <dir>/segments/*.seg     checksummed column segments, one per (shard, column)
     <dir>/journal.wal        tail-append write-ahead journal
-    <dir>/warm/*.blob        serving-layer warm state (repro.serving.persistence)
+    <dir>/warm/              serving-layer warm state: segments under one record
+                             (repro.serving.persistence)
     <dir>/quarantine/        corrupt artifacts moved aside, never deleted
 
 :meth:`TableStore.save` is the checkpoint, and it writes what changed:
@@ -41,6 +42,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -131,6 +133,11 @@ class RecoveryReport:
             "rebuild_reason": self.rebuild_reason,
             "generation": self.generation,
         }
+
+
+def _segment_files(segments: Mapping[str, Mapping[str, Any]]) -> List[str]:
+    """The file of every ``{shard: {column: entry}}`` entry of a manifest."""
+    return [entry["file"] for per_shard in segments.values() for entry in per_shard.values()]
 
 
 def _safe_dirname(name: str) -> str:
@@ -259,7 +266,7 @@ class TableStore:
         for shard, entries in zip(shards, segments.values()):
             shard.mark_durable(record_key, entries)
         _journal.truncate(self.journal_path)
-        self._drop_unreferenced_segments(segments)
+        self._drop_unreferenced(self.segments_dir, _segment_files(segments))
 
     @property
     def _record_key(self) -> str:
@@ -287,27 +294,25 @@ class TableStore:
             return False
         return True
 
-    def _drop_unreferenced_segments(self, segments: Mapping[str, Mapping[str, Any]]) -> None:
-        """Remove segment files the committed manifest does not name.
+    def _drop_unreferenced(self, directory: str, referenced: Iterable[str]) -> None:
+        """Remove the files of ``directory`` a committed record does not name.
 
-        Safe only *after* a manifest commit (or a fully validated open):
-        the segments a checkpoint replaced, and orphans from a checkpoint
-        that tore before its manifest commit, would otherwise leak forever.
-        Files of older generations that a checkpoint retained are named by
-        the manifest like any other, so they stay.
+        Safe only *after* the commit of the record naming ``referenced`` (a
+        manifest, a warm-state record) or a fully validated open: the files
+        a commit replaced, and orphans from one that tore before its
+        commit, would otherwise leak forever.  Files of older generations
+        that a checkpoint retained are named like any other, so they stay.
+        Torn ``.tmp`` files are left to :meth:`_sweep_temp_files`, which
+        counts them.
         """
-        referenced = {
-            entry["file"]
-            for per_shard in segments.values()
-            for entry in per_shard.values()
-        }
+        keep = set(referenced)
         try:
-            present = os.listdir(self.segments_dir)
-        except FileNotFoundError:  # pragma: no cover - save() just created it
+            present = os.listdir(directory)
+        except FileNotFoundError:  # pragma: no cover - the caller just wrote there
             return
         for filename in present:
-            if filename.endswith(".seg") and filename not in referenced:
-                os.remove(os.path.join(self.segments_dir, filename))
+            if filename not in keep and not filename.endswith(".tmp"):
+                os.remove(os.path.join(directory, filename))
 
     # -- durable append ----------------------------------------------------------
     def append(self, table: Table, columns: Mapping[str, Sequence[Any]]) -> int:
@@ -330,7 +335,6 @@ class TableStore:
     def open(
         self,
         rebuild: Optional[Callable[[], Table]] = None,
-        mmap: bool = True,
         residency: Optional["ResidencyManager"] = None,
     ) -> Tuple[Table, RecoveryReport]:
         """Open the last durable generation, replaying the journal tail.
@@ -358,13 +362,13 @@ class TableStore:
                         f"no manifest at {self.manifest_path}; nothing to open"
                     )
                 return self._rebuild(rebuild, report, "missing manifest")
-            table = self._load_table(body, report, mmap, residency)
+            table = self._load_table(body, report, residency)
             self._replay_journal(table, report)
             report.generation = table.data_generation
             # Everything validated against the committed manifest: orphan
             # segments from a checkpoint that crashed before its manifest
             # commit are now provably garbage.
-            self._drop_unreferenced_segments(body["segments"])
+            self._drop_unreferenced(self.segments_dir, _segment_files(body["segments"]))
             return table, report
         except (CorruptSegmentError, ManifestVersionError) as exc:
             if isinstance(exc, CorruptSegmentError):
@@ -392,7 +396,6 @@ class TableStore:
         self,
         body: Dict[str, Any],
         report: RecoveryReport,
-        mmap: bool,
         residency: Optional["ResidencyManager"],
     ) -> Table:
         """Rebuild the table a committed manifest describes, cross-checked.
@@ -441,7 +444,7 @@ class TableStore:
             for column, entry in segments[key].items():
                 path = os.path.join(self.segments_dir, entry["file"])
                 if residency is None:
-                    columns[column] = read_segment(path, expected=entry, mmap=mmap)
+                    columns[column] = read_segment(path, expected=entry)
                     report.segments_loaded += 1
                     _count("segments_loaded")
                 else:
@@ -606,7 +609,6 @@ class CatalogStore:
     def open(
         self,
         rebuilders: Optional[Mapping[str, Callable[[], Table]]] = None,
-        mmap: bool = True,
         residency: Optional["ResidencyManager"] = None,
     ) -> Tuple[Catalog, Dict[str, RecoveryReport]]:
         """Open every committed table into a fresh :class:`Catalog`.
@@ -622,7 +624,7 @@ class CatalogStore:
         for name in self.table_names():
             rebuild = None if rebuilders is None else rebuilders.get(name)
             table, report = self.table_store(name).open(
-                rebuild=rebuild, mmap=mmap, residency=residency
+                rebuild=rebuild, residency=residency
             )
             catalog.register_table(table)
             reports[name] = report

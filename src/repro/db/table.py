@@ -100,8 +100,8 @@ def select_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def narrowed_ids(ids: np.ndarray) -> np.ndarray:
-    """``ids`` in the narrowest unsigned dtype that holds them — how the warm
-    blob stores row ids and group codes (as they are when empty or when any
+    """``ids`` in the narrowest unsigned dtype that holds them — how warm
+    state stores row ids and group codes (as they are when empty or when any
     is negative).  Readers widen whatever dtype they find back to ``intp``."""
     if ids.size and int(ids.min()) >= 0:
         return ids.astype(np.min_scalar_type(int(ids.max())))

@@ -231,7 +231,7 @@ class UserDefinedFunction:
         # call, not per row, so the serial hot path is unaffected.
         self._state_lock = threading.Lock()
         # Memoised answer to "does self._func pickle?" for worker_spec().
-        self._func_picklable: Optional[bool] = None
+        self._func_ships: Optional[bool] = None
 
     @classmethod
     def from_label_column(
@@ -416,14 +416,14 @@ class UserDefinedFunction:
         """
         if self.label_column is not None:
             return UdfSpec(self.name, self.label_column, self.positive_value, None)
-        if self._func_picklable is None:
+        if self._func_ships is None:
             try:
                 pickle.loads(pickle.dumps(self._func))
             except Exception:
-                self._func_picklable = False
+                self._func_ships = False
             else:
-                self._func_picklable = True
-        if not self._func_picklable:
+                self._func_ships = True
+        if not self._func_ships:
             raise UnpicklableUdfError(self.name, self._func)
         return UdfSpec(self.name, None, self.positive_value, self._func)
 
@@ -552,15 +552,15 @@ class UserDefinedFunction:
         self._memo = memo
 
     def memo_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The memo as ``(ascending row ids, boolean values)`` — the warm-state
-        blob's format.  Scans the whole array: for checkpoints and tests."""
+        """The memo as ``(ascending row ids, boolean values)`` — what warm
+        state writes.  Scans the whole array: for checkpoints and tests."""
         memo = self._memo
         ids = np.flatnonzero(memo)
         return ids, memo[ids] == _TRUE
 
     def absorb_memo(self, row_ids: Iterable[int], values: Iterable[bool]) -> None:
         """Install paid-for values without advancing any counter (warm-state
-        restore only: the process that wrote the blob was charged for them)."""
+        restore only: the process that wrote them was charged for them)."""
         id_array = _row_id_array(row_ids)
         value_array = np.asarray(values, dtype=bool)
         if value_array.shape != id_array.shape:

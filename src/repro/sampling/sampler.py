@@ -38,7 +38,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.db.index import GroupIndex, group_order
-from repro.db.table import Table, as_row_ids, narrowed_ids
+from repro.db.table import Table, as_row_ids
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.resilience.deadline import check_deadline
 from repro.stats.random import RandomState, SeedLike, as_random_state
@@ -72,7 +72,8 @@ def drop_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
 class Evidence:
     """Rows whose UDF value has been paid for, and what it was.
 
-    One immutable array pair, the same from the draw to the warm blob:
+    One immutable array pair, the same from the draw to the warm-state
+    segments (:mod:`repro.serving.persistence`, one pair per object):
     ``row_ids`` (``intp``, in **draw order** — the order rows were paid for,
     not sorted) and ``flags`` (``bool``, ``flags[i]`` is the UDF's answer for
     ``row_ids[i]``).  Both are read-only under
@@ -102,15 +103,6 @@ class Evidence:
         flags.setflags(write=False)
         object.__setattr__(self, "row_ids", ids)
         object.__setattr__(self, "flags", flags)
-
-    def __getstate__(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Pickled small: ids in the narrowest unsigned dtype that holds them
-        (widened back to ``intp`` on load), flags as bits."""
-        return narrowed_ids(self.row_ids), np.packbits(self.flags)
-
-    def __setstate__(self, state: Tuple[np.ndarray, np.ndarray]) -> None:
-        ids, bits = state
-        self.__init__(ids, np.unpackbits(bits, count=ids.size))  # type: ignore[misc]
 
     def __eq__(self, other: object) -> bool:
         """Same design, same rows in the same order, same answers."""

@@ -102,9 +102,10 @@ class ServiceConfig:
         writes what changed since the last one into this directory (the
         appended-to tail, freshly sealed shards) and references every
         segment file that is already durable there, so closing an untouched
-        service writes no segment at all; the warm blobs are rewritten
-        whole each time.  ``None`` (the default) keeps the service fully
-        in-memory.
+        service writes no table segment at all; the warm state (segments
+        under one record per table, :mod:`repro.serving.persistence`) is
+        rewritten whole each time.  ``None`` (the default) keeps the
+        service fully in-memory.
     memory_budget_bytes:
         Residency budget for durable table segments, in bytes.  When set
         (with ``storage_dir``), tables open *lazily*: segments map on first

@@ -1,345 +1,308 @@
 """Warm-state persistence: what makes a restart *warm*, saved with the data.
 
 Durable segments (:mod:`repro.db.storage`) make a restarted service
-*correct*; this module makes it *fast*.  Alongside each table's checkpoint
-it persists the state a long-running service accretes:
+*correct*; this module makes it *fast*.  Beside each table's checkpoint it
+persists what a long-running service accretes: every built group index's
+``(values, codes)``, restored without counting an index build; every UDF
+memo, which lets a restored plan re-execute with **zero** fresh UDF calls;
+each distinct :class:`~repro.sampling.sampler.Evidence` the caches hold;
+the statistics-cache keys; and the plan-cache entries, so the first
+repeated query replays its solved plan instead of re-planning.
 
-* **plan-cache entries** — solved :class:`~repro.serving.plan_cache.CachedPlan`
-  values keyed by canonical plan signature, so the first repeated query
-  after a restart replays the solved plan instead of re-running column
-  selection, sampling and the convex solve,
-* **statistics reservoirs** — labelled samples and merged sample outcomes
-  from the :class:`~repro.serving.stats_cache.StatisticsCache`: each one
-  :class:`~repro.sampling.sampler.Evidence` array pair, pickled with its
-  row ids narrowed to the smallest unsigned dtype that holds them,
-* **group-index codes** — the factorised ``(values, codes)`` parts of every
-  built :class:`~repro.db.index.GroupIndex` — one record per (table,
-  column), sharded or not — restored without counting index builds,
-* **UDF memo caches** — the paid-for ``row_id → bool`` evaluations, which is
-  what lets a restored plan re-execute with **zero** fresh UDF calls.
+It is written with the storage layer's own encoders, into ``<table>/warm/``::
 
-Row ids and group codes are written in the narrowest unsigned dtype that
-holds them (:func:`~repro.db.table.narrowed_ids` — one byte a row for codes
-of up to 256 groups, where the live index holds eight) and widened to
-``intp`` by whoever reads them, so the format version does not move: a blob
-holding ``intp`` arrays restores through the same lines.
+    WARM.json                  the record (a CRC'd, versioned JSON manifest)
+    w<serial>-<n>-<kind>.seg   one checksummed segment per array
 
-Everything is stamped with the owning table's
-:meth:`~repro.db.table.Table.shard_signature` and restored only on an exact
-match — warm state is an optimisation, never an alternative source of
-truth, so a blob that is stale, torn or checksum-failing is quarantined and
-skipped (counted, surfaced in ``stats().storage``), and the service simply
-starts cold for that table.  So is a blob of another format version
-(:data:`WARM_MAGIC`): ``RPWRM01`` blobs pickled evidence as per-group python
-lists, and nothing of them is read.
+Row ids and codes are segments in the narrowest unsigned dtype that holds
+them (:func:`~repro.db.table.narrowed_ids`; readers widen to ``intp``),
+flags and memo values ``bool``, an index's values coerced the way a
+column's cells are (:func:`~repro.db.table.coerce_cells_to_array`: mixed
+types take the segment's object path).  The record holds the rest — the
+table's shard signature, the statistics keys, the plans and their models,
+which name groups by index code — and names every file with its checksum
+entry.  A plan whose signature or group keys do not survive a JSON round
+trip is left out, and so is a plan over a virtual column (its working table
+cannot be rebound to the reopened one).  An evidence object is written
+once, so what shared it before the save shares it after the restore.
+
+Commit order is the crash argument: a save's files carry a serial new to
+the directory, so they never replace a file the previous record names; the
+record commits last, atomically; only then is every file it does not name
+removed (a pre-1.19 ``state.blob`` too).  A crash before the commit leaves
+the previous warm state whole.
+
+Restore runs at service construction, table by table, and installs
+nothing of a table until every file of it is verified.  A record whose signature is
+not the reopened table's is skipped; a corrupt or torn file is quarantined.
+Either is counted in ``restore_errors`` and that table starts cold.  Memos
+come from the first table whose warm state is current (each carries a copy).
 """
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
-import struct
-import zlib
-from dataclasses import replace as _dc_replace
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.db.errors import CorruptSegmentError
+from repro.core.column_selection import LabeledSample
+from repro.core.groups import GroupStatistics, SelectivityModel
+from repro.core.plan import ExecutionPlan, GroupDecision
+from repro.db.errors import CorruptSegmentError, ManifestVersionError
 from repro.db.index import GroupIndex, MergedGroupIndex
 from repro.db.sharding import ShardedTable
-from repro.db.storage.segments import atomic_write_bytes
-from repro.db.storage.store import CatalogStore, RecoveryReport, _count
-from repro.db.table import Table, narrowed_ids
+from repro.db.storage.manifest import read_manifest, write_manifest
+from repro.db.storage.segments import read_segment, write_segment
+from repro.db.storage.store import CatalogStore, RecoveryReport, TableStore, _count
+from repro.db.table import Table, coerce_cells_to_array, narrowed_ids
+from repro.sampling.sampler import SampleOutcome
+from repro.serving.plan_cache import CachedPlan
 
-#: Warm-state blob magic (8 bytes, versioned).
-WARM_MAGIC = b"RPWRM02\x00"
+#: Basename of the record that commits a table's warm state.
+WARM_RECORD = "WARM.json"
 
-#: Basename of the per-table warm-state blob under ``<table>/warm/``.
-WARM_STATE_FILE = "state.blob"
+_EVIDENCE_KINDS = {cls.__name__: cls for cls in (LabeledSample, SampleOutcome)}
 
-_CRC = struct.Struct("<I")
+#: The :class:`CachedPlan` fields a plan record holds as they are.
+_PLAN_FIELDS = (
+    "column", "expected_execution_cost", "used_fallback", "solver_version",
+    "data_generation", "table_rows",
+)
 
-_T = TypeVar("_T")
+
+def _stats_caches(service) -> Dict[str, Any]:
+    stats = service.stats_cache
+    return {"labeled": stats.labeled_samples, "outcome": stats.sample_outcomes}
 
 
-def _write_blob(
-    path: str, payload: _T, probed: Optional[Callable[[], _T]] = None
-) -> _T:
-    """Atomically write a CRC-wrapped pickle blob; returns what was written.
+def _tuples(value: Any) -> Any:
+    """Decoded JSON with its arrays back as the tuples they were written from."""
+    if isinstance(value, list):
+        return tuple(_tuples(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _tuples(item) for key, item in value.items()}
+    return value
 
-    ``payload`` is pickled once.  Only when that raises is ``probed()``
-    asked for the payload again, with the records that cannot be pickled
-    left out — the common, fully picklable state never pays for a probe.
-    """
+
+def _as_json(value: Any) -> Any:
+    """``value`` as decoded JSON when it survives the round trip (numpy
+    scalars as their python values), else ``None``."""
     try:
-        data = pickle.dumps(payload, protocol=4)
-    except Exception:
-        if probed is None:
-            raise
-        payload = probed()
-        data = pickle.dumps(payload, protocol=4)
-    atomic_write_bytes(path, WARM_MAGIC + _CRC.pack(zlib.crc32(data)) + data)
-    return payload
-
-
-def _read_blob(path: str) -> Optional[object]:
-    """Read a warm blob; ``None`` when absent, typed error when corrupt."""
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except FileNotFoundError:
+        decoded = json.loads(json.dumps(value, default=lambda item: item.item()))
+    except (TypeError, ValueError, AttributeError):
         return None
-    if len(raw) < len(WARM_MAGIC) + _CRC.size or raw[: len(WARM_MAGIC)] != WARM_MAGIC:
-        raise CorruptSegmentError(path, "bad warm-state magic")
-    (crc,) = _CRC.unpack_from(raw, len(WARM_MAGIC))
-    data = raw[len(WARM_MAGIC) + _CRC.size :]
-    if zlib.crc32(data) != crc:
-        raise CorruptSegmentError(path, "warm-state checksum mismatch")
+    return decoded if _tuples(decoded) == value else None
+
+
+# -- save ----------------------------------------------------------------------
+def _plan_record(signature, entry: CachedPlan, codes: Optional[Dict[Any, int]]):
+    """A cached plan as JSON, its groups named by index code — ``None`` when
+    its signature or a group key cannot be written that way."""
     try:
-        return pickle.loads(data)
-    except Exception as exc:
-        raise CorruptSegmentError(path, f"unpicklable warm state: {exc}") from None
+        decisions = tuple((codes[key], d.retrieve, d.evaluate) for key, d in entry.plan)
+        model = tuple(
+            (codes[g.key], g.size, g.selectivity, g.variance, g.sampled,
+             g.sampled_positives, g.correct_count, g.incorrect_count)
+            for g in entry.model
+        )
+    except (KeyError, TypeError):  # a key the index lacks, or no index at all
+        return None
+    fields = {name: getattr(entry, name) for name in _PLAN_FIELDS}
+    return _as_json({"signature": signature, "decisions": decisions, "model": model,
+                     "fields": fields})
 
 
-def _picklable(value: object) -> bool:
-    try:
-        pickle.dumps(value, protocol=4)
-        return True
-    except Exception:
-        return False
+def _save_table(service, table: Table, table_store: TableStore, memos) -> Dict[str, Any]:
+    """Write one table's warm files, commit its record, then drop every
+    other file of its warm directory; returns the record."""
+    warm_dir = table_store.warm_dir
+    os.makedirs(warm_dir, exist_ok=True)
+    names = os.listdir(warm_dir)  # the next serial: no file there carries it yet
+    serial = max((int(n[1:7]) for n in names if n[1:7].isdigit()), default=-1) + 1
+    files = [WARM_RECORD]
 
+    def segment(kind: str, array: np.ndarray) -> Dict[str, Any]:
+        files.append(f"w{serial:06d}-{len(files)}-{kind}.seg")
+        return write_segment(os.path.join(warm_dir, files[-1]), kind, array)
 
-# -- capture -----------------------------------------------------------------------
-def _capture_plans(service, table: Table, probe: bool) -> List[Dict[str, Any]]:
-    """Cached plans over ``table``, with table references stripped.
+    evidence: List[Dict[str, Any]] = []
+    numbers: Dict[int, int] = {}  # id(evidence object) -> its record number
 
-    Virtual-column plans are skipped: their working table is a derived copy
-    whose bucketing depends on the training sample, so they cannot be
-    rebound to the reopened base table.  Under ``probe`` (the blob did not
-    pickle whole — see :func:`_write_blob`), entries that fail a pickle
-    probe (e.g. a plan closed over an unpicklable strategy) are skipped too
-    — persistence must never make :meth:`save_warm_state` fail.
-    """
-    captured: List[Dict[str, Any]] = []
-    for signature, entry in service.plan_cache._cache.items():
-        if entry.base_table is not table or entry.working_table is not table:
-            continue
-        if entry.used_virtual_column:
-            continue
-        stripped = _dc_replace(entry, working_table=None, base_table=None, restored=True)
-        if probe and not _picklable((signature, stripped)):
-            continue
-        captured.append({"signature": signature, "entry": stripped})
-    return captured
+    def evidence_number(outcome) -> int:
+        """The record's number for ``outcome``, written at its first use."""
+        if id(outcome) not in numbers:
+            numbers[id(outcome)] = len(evidence)
+            ids = segment("ids", narrowed_ids(outcome.row_ids))
+            flags = segment("flags", outcome.flags)
+            evidence.append({"kind": type(outcome).__name__, "ids": ids, "flags": flags})
+        return numbers[id(outcome)]
 
-
-def _capture_stats(service, table: Table, probe: bool) -> List[Dict[str, Any]]:
-    """Statistics-cache entries for ``table`` (labelled samples + outcomes).
-
-    The cache keys on ``(id(table), tail)``; only the tail is persisted —
-    restore re-keys against the reopened table object's identity.
-    """
-    captured: List[Dict[str, Any]] = []
-    for cache_name, cache in (
-        ("labeled", service.stats_cache.labeled_samples),
-        ("outcome", service.stats_cache.sample_outcomes),
-    ):
-        for key, value in cache.items():
-            stored_table, signature, rows, payload = value
-            if stored_table is not table:
-                continue
-            if probe and not _picklable(payload):
-                continue
-            captured.append(
-                {
-                    "cache": cache_name,
-                    "key_tail": key[1],
-                    "signature": signature,
-                    "rows": rows,
-                    "payload": payload,
-                }
-            )
-    return captured
-
-
-def _capture_indexes(table: Table, probe: bool) -> List[Dict[str, Any]]:
-    """The factorised ``(values, codes)`` of every group index built on
-    ``table``; codes lie in ``[0, num_groups)``, so they pickle at one or two
-    bytes a row where the live index holds eight."""
-    captured: List[Dict[str, Any]] = []
+    indexes, codes_of = [], {}
     for (allow_hidden, column), index in table._group_indexes.items():
-        record: Dict[str, Any] = {
-            "column": column,
-            "allow_hidden": allow_hidden,
-            "values": list(index._values),
-            "codes": narrowed_ids(index._codes),
-        }
-        if probe and not _picklable(record):
-            continue
-        captured.append(record)
-    return captured
-
-
-def _capture_udf_memos(service) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Every registered UDF's memo cache as sorted (row_ids, values) arrays."""
-    memos: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    for udf in service.catalog.udfs:
-        if not udf.memoize:
-            continue
-        ids, values = udf.memo_arrays()
-        if ids.size:
-            memos[udf.name] = (narrowed_ids(ids), values)
-    return memos
-
-
-def _table_state(
-    service, table: Table, memos: Dict[str, Any], probe: bool
-) -> Dict[str, Any]:
-    """One table's warm blob payload (``probe``: leave out what cannot pickle)."""
-    return {
-        "table": table.name,
-        "signature": table.shard_signature(),
-        "plans": _capture_plans(service, table, probe),
-        "stats": _capture_stats(service, table, probe),
-        "indexes": _capture_indexes(table, probe),
-        "udf_memos": memos,
-    }
+        values = segment("values", coerce_cells_to_array(index._values))
+        codes = segment("codes", narrowed_ids(index._codes))
+        indexes.append({"column": column, "allow_hidden": allow_hidden,
+                        "values": values, "codes": codes})
+        if not allow_hidden:
+            codes_of[column] = {value: code for code, value in enumerate(index._values)}
+    stats = []
+    for cache_name, cache in _stats_caches(service).items():
+        for key, (stored_table, signature, rows, payload) in cache.items():
+            record = {"key": key[1], "signature": signature, "rows": rows}
+            record = _as_json(record) if stored_table is table else None
+            if record is not None:
+                stats.append({**record, "cache": cache_name, "evidence": evidence_number(payload)})
+    plans = []
+    for signature, entry in service.plan_cache._cache.items():
+        if entry.base_table is table and entry.working_table is table:
+            record = _plan_record(signature, entry, codes_of.get(entry.column))
+            outcome = entry.sample_outcome
+            if record is not None:
+                number = None if outcome is None else evidence_number(outcome)
+                plans.append({**record, "evidence": number})
+    memos = [{"udf": name, "ids": segment("ids", ids), "values": segment("memo", values)}
+             for name, ids, values in memos]
+    body = {"signature": _as_json(table.shard_signature()), "indexes": indexes,
+            "memos": memos, "evidence": evidence, "stats": stats, "plans": plans}
+    write_manifest(os.path.join(warm_dir, WARM_RECORD), body)
+    table_store._drop_unreferenced(warm_dir, files)
+    return body
 
 
 def save_warm_state(service, store: CatalogStore) -> Dict[str, int]:
     """Checkpoint the catalog, then persist the service's warm state.
 
-    The two are written together so every warm blob's signature stamp
-    matches the durable generation it sits next to; a crash between the
-    two leaves data durable and warm state stale — restore then skips the
-    stale blob and starts cold, which is safe.
+    The two are written together so every record's signature stamp matches
+    the durable generation it sits next to; a crash between the two leaves
+    data durable and warm state stale — restore then skips it and starts
+    cold, which is safe.
     """
     store.save(service.catalog)
-    counts = {"plans": 0, "stats_entries": 0, "group_indexes": 0, "udf_memos": 0}
-    memos = _capture_udf_memos(service)
-    counts["udf_memos"] = len(memos)
+    memos = []
+    for udf in service.catalog.udfs:
+        ids, values = udf.memo_arrays() if udf.memoize else ((), ())
+        if len(ids):
+            memos.append((udf.name, narrowed_ids(ids), values))
+    counts = {"plans": 0, "stats_entries": 0, "group_indexes": 0, "udf_memos": len(memos)}
     for name in service.catalog.table_names():
-        state = partial(_table_state, service, service.catalog.table(name), memos)
-        table_store = store.table_store(name)
-        os.makedirs(table_store.warm_dir, exist_ok=True)
-        written = _write_blob(
-            os.path.join(table_store.warm_dir, WARM_STATE_FILE),
-            state(probe=False),
-            probed=partial(state, probe=True),
-        )
-        counts["plans"] += len(written["plans"])
-        counts["stats_entries"] += len(written["stats"])
-        counts["group_indexes"] += len(written["indexes"])
+        body = _save_table(service, service.catalog.table(name), store.table_store(name), memos)
+        counts["plans"] += len(body["plans"])
+        counts["stats_entries"] += len(body["stats"])
+        counts["group_indexes"] += len(body["indexes"])
     return counts
 
 
-# -- restore -----------------------------------------------------------------------
-def _restore_index(table: Table, record: Dict[str, Any]) -> bool:
+# -- restore -------------------------------------------------------------------
+def _install_index(table: Table, column: str, allow_hidden: bool, values, codes) -> bool:
     """Reinstall a persisted group index, counting no index build; whether
     it was installed (a table that already holds the index keeps its own).
-
-    One path for both table kinds: a sharded table's index is the same parts
-    plus the table's shard boundaries.  Blobs written before 1.11 nest the
-    parts under ``"merged"``, beside per-shard copies nothing reads.  Codes
-    are widened to ``intp`` from whatever dtype the blob holds.
-    """
-    key = (record["allow_hidden"], record["column"])
+    A sharded table's index is the same parts plus its shard boundaries."""
+    key = (allow_hidden, column)
     if key in table._group_indexes:
         return False
-    parts = record.get("merged", record)
     sharded = isinstance(table, ShardedTable)
     index_class = MergedGroupIndex if sharded else GroupIndex
     index = index_class.__new__(index_class)
     index.table = table
-    index.column = record["column"]
+    index.column = column
     if sharded:
         index._offsets = tuple(table.shard_offsets)
-    index._install(
-        list(parts["values"]), np.asarray(parts["codes"], dtype=np.intp), count_build=False
-    )
+    index._install(values, codes.astype(np.intp), count_build=False)
     table._group_indexes[key] = index
     return True
 
 
-def _restore_udf_memos(service, memos: Dict[str, Tuple[np.ndarray, np.ndarray]]) -> int:
-    restored = 0
-    for name, (ids, values) in memos.items():
-        if name not in service.catalog.udfs:
-            continue
-        udf = service.catalog.udf(name)
-        if not udf.memoize:
-            continue
-        udf.absorb_memo(ids, values)
-        restored += 1
-    return restored
+def _restore_table(
+    service, table: Table, warm_dir: str, with_memos: bool, counts: Dict[str, int]
+) -> bool:
+    """Read and verify one table's warm state, then install it, adding to
+    ``counts``; whether there was any.  Raises :class:`CorruptSegmentError`
+    / :class:`ManifestVersionError` for a bad file, :class:`LookupError`
+    for a record stamped with another signature."""
+    body = read_manifest(os.path.join(warm_dir, WARM_RECORD))
+    if body is None:
+        return False
+    if _tuples(body["signature"]) != table.shard_signature():
+        raise LookupError("stale warm state")
+
+    def read(entry) -> np.ndarray:
+        return read_segment(os.path.join(warm_dir, entry["file"]), expected=entry, mmap=False)
+
+    indexes = [(record, read(record["values"]).tolist(), read(record["codes"]))
+               for record in body["indexes"]]
+    evidence = [_EVIDENCE_KINDS[record["kind"]](read(record["ids"]), read(record["flags"]))
+                for record in body["evidence"]]
+    memos = [(record["udf"], read(record["ids"]), read(record["values"]))
+             for record in (body["memos"] if with_memos else ())]
+    values_of: Dict[str, List[Any]] = {}
+    for record, values, codes in indexes:
+        counts["restored_group_indexes"] += _install_index(
+            table, record["column"], record["allow_hidden"], values, codes
+        )
+        if not record["allow_hidden"]:
+            values_of[record["column"]] = values
+    caches = _stats_caches(service)
+    for record in body["stats"]:
+        cache = caches[record["cache"]]
+        if cache.enabled:
+            stored = (table, _tuples(record["signature"]), record["rows"])
+            cache.put((id(table), _tuples(record["key"])), (*stored, evidence[record["evidence"]]))
+            counts["restored_stats_entries"] += 1
+    for record in body["plans"] if service.plan_cache.enabled else ():
+        values = values_of[record["fields"]["column"]]
+        number = record["evidence"]
+        entry = CachedPlan(
+            plan=ExecutionPlan(
+                {values[code]: GroupDecision(r, e) for code, r, e in record["decisions"]}
+            ),
+            model=SelectivityModel(
+                GroupStatistics(values[code], *rest) for code, *rest in record["model"]
+            ),
+            sample_outcome=None if number is None else evidence[number],
+            working_table=table,
+            base_table=table,
+            restored=True,
+            **record["fields"],
+        )
+        service.plan_cache.put(_tuples(record["signature"]), entry)
+        counts["restored_plans"] += 1
+    for name, ids, values in memos:
+        if name in service.catalog.udfs and service.catalog.udf(name).memoize:
+            service.catalog.udf(name).absorb_memo(ids, values)
+            counts["restored_udf_memos"] += 1
+    return True
 
 
 def restore_warm_state(service, store: CatalogStore) -> Dict[str, int]:
     """Load persisted warm state into a freshly constructed service.
 
-    Per-table blobs are validated (magic + CRC), signature-gated against the
-    *reopened* table, and restored independently: one corrupt or stale blob
-    is quarantined/skipped and counted in ``restore_errors`` without
-    touching any other table's warm state — a failed restore can only ever
-    cost warmth, never correctness.
+    Each table's record and segments are verified, signature-gated against
+    the *reopened* table and restored independently: a corrupt file is
+    quarantined and a stale record skipped, each counted once in
+    ``restore_errors``, without touching any other table's warm state — a
+    failed restore can only ever cost warmth, never correctness.
     """
-    counts = {
-        "restored_plans": 0,
-        "restored_stats_entries": 0,
-        "restored_group_indexes": 0,
-        "restored_udf_memos": 0,
-        "restore_errors": 0,
-    }
+    counts = dict.fromkeys(
+        ("restored_plans", "restored_stats_entries", "restored_group_indexes",
+         "restored_udf_memos", "restore_errors"), 0,
+    )
     memos_restored = False
     for name in service.catalog.table_names():
         table_store = store.table_store(name)
-        path = os.path.join(table_store.warm_dir, WARM_STATE_FILE)
         try:
-            payload = _read_blob(path)
-        except CorruptSegmentError:
-            _count("checksum_failures")
-            table_store._quarantine(path, RecoveryReport())
+            memos_restored |= _restore_table(
+                service, service.catalog.table(name), table_store.warm_dir,
+                not memos_restored, counts,
+            )
+        except (CorruptSegmentError, ManifestVersionError) as exc:
+            if isinstance(exc, CorruptSegmentError):
+                _count("checksum_failures")
+            table_store._quarantine(exc.path, RecoveryReport())
             counts["restore_errors"] += 1
-            continue
-        if payload is None:
-            continue
-        try:
-            table = service.catalog.table(name)
-            if payload["signature"] != table.shard_signature():
-                # Stale warm state (data reopened at a different durable
-                # generation): starting cold is the safe answer.
-                counts["restore_errors"] += 1
-                continue
-            for record in payload["indexes"]:
-                counts["restored_group_indexes"] += _restore_index(table, record)
-            for record in payload["stats"]:
-                cache = (
-                    service.stats_cache.labeled_samples
-                    if record["cache"] == "labeled"
-                    else service.stats_cache.sample_outcomes
-                )
-                if cache.enabled:
-                    cache.put(
-                        (id(table), record["key_tail"]),
-                        (table, record["signature"], record["rows"], record["payload"]),
-                    )
-                    counts["restored_stats_entries"] += 1
-            for record in payload["plans"]:
-                entry = _dc_replace(
-                    record["entry"], working_table=table, base_table=table
-                )
-                if service.plan_cache.enabled:
-                    service.plan_cache.put(record["signature"], entry)
-                    counts["restored_plans"] += 1
-            if not memos_restored:
-                counts["restored_udf_memos"] += _restore_udf_memos(
-                    service, payload.get("udf_memos", {})
-                )
-                memos_restored = True
         except Exception:
-            # Structurally unexpected payloads degrade to a cold start for
-            # this table; never fail service construction over warmth.
+            # A stale record, or one this build cannot make sense of: the
+            # table starts cold; never fail service construction over warmth.
             counts["restore_errors"] += 1
     return counts

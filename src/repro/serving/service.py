@@ -337,8 +337,8 @@ class QueryService:
         # Durable warm restart: with a storage_dir configured, restore
         # persisted warm state (plans, statistics, group indexes, UDF memos)
         # for tables whose shard signature matches their durable checkpoint.
-        # Restore is best-effort — corrupt or stale blobs are quarantined,
-        # counted, and only cost warmth, never construction.
+        # Restore is best-effort — corrupt warm files are quarantined, stale
+        # ones skipped, both counted; they only cost warmth, never construction.
         self._storage: Optional[CatalogStore] = None
         self._storage_counts: Dict[str, int] = {}
         self._warm_saves = 0
@@ -1393,9 +1393,9 @@ class QueryService:
         """Checkpoint the catalog and persist the service's warm state.
 
         Writes every table's segments/manifest/journal through the
-        configured :class:`~repro.db.storage.CatalogStore`, then the warm
-        blobs (plan-cache entries, statistics reservoirs, group-index
-        codes, UDF memos) stamped with each table's current shard
+        configured :class:`~repro.db.storage.CatalogStore`, then each
+        table's warm state (plan-cache entries, statistics reservoirs,
+        group-index codes, UDF memos) stamped with its current shard
         signature.  Storage faults (including injected ones) propagate —
         this is the explicit durability call; :meth:`close` wraps it
         best-effort.  Returns what was captured.

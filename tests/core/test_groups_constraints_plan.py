@@ -188,22 +188,12 @@ class TestGroupDecision:
         assert decision != GroupDecision(retrieve=1.0, evaluate=0.0)
         assert {decision: 1}[GroupDecision(retrieve=1.0 + 1e-12, evaluate=-1e-12)] == 1
 
-    def test_pickled_form_holds_the_pair_only(self):
-        # Protocol 4 (the warm blob's) bytes of GroupDecision(0.75, 0.25), as
-        # written when the clipped probabilities were properties: an older
-        # blob restores, and a new one is byte-identical to it.
-        older = (
-            b"\x80\x04\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x0frepro.core.plan\x94"
-            b"\x8c\rGroupDecision\x94\x93\x94)\x81\x94}\x94(\x8c\x08retrieve\x94"
-            b"G?\xe8\x00\x00\x00\x00\x00\x00\x8c\x08evaluate\x94G?\xd0\x00\x00\x00"
-            b"\x00\x00\x00ub."
-        )
+    def test_copies_keep_the_pair_and_what_is_derived_from_it(self):
         decision = GroupDecision(retrieve=0.75, evaluate=0.25)
-        assert pickle.dumps(decision, protocol=4) == older
-        restored = pickle.loads(older)
-        assert restored == decision
-        assert restored.conditional_evaluate_probability == pytest.approx(1 / 3)
-        assert copy.deepcopy(decision).evaluate_probability == 0.25
+        for copied in (pickle.loads(pickle.dumps(decision)), copy.deepcopy(decision)):
+            assert copied == decision
+            assert copied.conditional_evaluate_probability == pytest.approx(1 / 3)
+            assert copied.evaluate_probability == 0.25
 
 
 class TestExecutionPlan:

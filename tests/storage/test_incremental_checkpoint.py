@@ -135,8 +135,8 @@ class TestWriteSet:
     ):
         store = TableStore(str(tmp_path / "t"))
         store.save(short_tail)
-        for mmap in (True, False):
-            loaded, _ = store.open(mmap=mmap)
+        for _reopen in range(2):
+            loaded, _ = store.open()
             assert _checkpoint(store, loaded) == (0, 4 * COLUMNS)
         store.append(loaded, make_columns(rows=5, seed=44))
         assert _checkpoint(store, loaded) == (COLUMNS, 3 * COLUMNS)

@@ -57,12 +57,6 @@ class TestCheckpointRoundTrip:
         assert cells(loaded) == cells(sharded_table)
         assert report.segments_loaded == 4 * len(sharded_table.schema.column_names)
 
-    def test_round_trip_without_mmap(self, tmp_path, table, cells):
-        store = TableStore(str(tmp_path / "tbl"))
-        store.save(table)
-        loaded, _ = store.open(mmap=False)
-        assert cells(loaded) == cells(table)
-
     def test_counters_track_segments_and_commits(self, tmp_path, table):
         store = TableStore(str(tmp_path / "tbl"))
         store.save(table)

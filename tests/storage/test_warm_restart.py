@@ -125,52 +125,6 @@ class TestWarmRestart:
             # references every segment and writes none.
             assert storage_counters()["segments_written"] == written
 
-    def test_memo_section_in_the_dict_era_format_restores_with_zero_udf_work(
-        self, tmp_path, dataset
-    ):
-        """A blob written before the array memo still restores warm.
-
-        Until PR 14 the memo section was built from a ``{row_id: bool}`` dict
-        (``fromiter`` + stable ``argsort``).  Rebuild it exactly that way,
-        check the array memo captures the same thing, and restart from it.
-        """
-        import numpy as np
-
-        from repro.serving.persistence import WARM_STATE_FILE, _read_blob, _write_blob
-
-        warm = _serve_and_close(dataset, tmp_path, seed=7)
-        store = CatalogStore(str(tmp_path)).table_store(dataset.table.name)
-        path = os.path.join(store.warm_dir, WARM_STATE_FILE)
-        payload = _read_blob(path)
-        ids, values = payload["udf_memos"]["served"]
-        legacy = dict(zip(ids.tolist()[::-1], values.tolist()[::-1]))
-        legacy_ids = np.fromiter(legacy.keys(), dtype=np.intp, count=len(legacy))
-        legacy_values = np.fromiter(legacy.values(), dtype=bool, count=len(legacy))
-        order = np.argsort(legacy_ids, kind="stable")
-        section = (legacy_ids[order], legacy_values[order])
-        # Same ids and values; the blob holds the ids narrowed, the legacy
-        # section (like every blob before the narrowing) as ``intp``.
-        for ours, theirs in zip((ids, values), section):
-            assert np.array_equal(ours, theirs)
-        assert values.dtype == bool and ids.dtype.kind == "u"
-        assert ids.dtype.itemsize < section[0].dtype.itemsize
-        payload["udf_memos"]["served"] = section
-        _write_blob(path, payload)
-
-        service, udf, _ = _restarted_service(dataset, str(tmp_path))
-        try:
-            assert udf.counter_snapshot() == {
-                "calls": 0, "cache_hits": 0, "cache_misses": 0,
-                "cache_size": len(legacy), "row_calls": 0, "bulk_calls": 0,
-            }
-            restored = service.submit(_query(dataset, udf), seed=7)
-            assert restored.metadata["plan_cache"] == "restored"
-            assert restored.metadata["udf_cache"]["calls"] == 0
-            assert list(restored.row_ids) == list(warm.row_ids)
-            assert service.stats().storage["restore_errors"] == 0
-        finally:
-            service.close()
-
     def test_populated_candidate_frames_stay_out_of_the_warm_blob(
         self, tmp_path, dataset
     ):
@@ -181,7 +135,6 @@ class TestWarmRestart:
         and answers exactly as before the restart.
         """
         from repro.core.executor import candidate_frame
-        from repro.serving.persistence import WARM_STATE_FILE
 
         service, udf = _fresh_service(dataset, str(tmp_path))
         service.submit(_query(dataset, udf), seed=0)
@@ -193,9 +146,10 @@ class TestWarmRestart:
         assert counts["plans"] >= 1 and counts["group_indexes"] >= 1
         service.close()
 
-        blob = CatalogStore(str(tmp_path)).table_store(dataset.table.name)
-        with open(os.path.join(blob.warm_dir, WARM_STATE_FILE), "rb") as handle:
-            assert b"CandidateFrame" not in handle.read()
+        warm_dir = CatalogStore(str(tmp_path)).table_store(dataset.table.name).warm_dir
+        for name in os.listdir(warm_dir):
+            with open(os.path.join(warm_dir, name), "rb") as handle:
+                assert b"CandidateFrame" not in handle.read()
 
         service, udf, _ = _restarted_service(dataset, str(tmp_path))
         try:
@@ -262,17 +216,17 @@ class TestWarmRestart:
     ):
         _serve_and_close(dataset, tmp_path, seed=7)
         store = CatalogStore(str(tmp_path)).table_store(dataset.table.name)
-        blob = os.path.join(store.warm_dir, "state.blob")
-        data = bytearray(open(blob, "rb").read())
+        record = os.path.join(store.warm_dir, "WARM.json")
+        data = bytearray(open(record, "rb").read())
         data[len(data) // 2] ^= 0x20
-        open(blob, "wb").write(bytes(data))
+        open(record, "wb").write(bytes(data))
         service, udf, _ = _restarted_service(dataset, str(tmp_path))
         try:
             storage = service.stats().storage
             assert storage["restore_errors"] >= 1
             assert storage["restored_plans"] == 0
             assert storage["checksum_failures"] >= 1
-            assert os.listdir(store.quarantine_dir)  # blob moved aside
+            assert os.listdir(store.quarantine_dir)  # record moved aside
             result = service.submit(_query(dataset, udf), seed=7)
             assert result.metadata["plan_cache"] == "miss"
         finally:
@@ -300,7 +254,7 @@ class TestWarmRestart:
         service.close()
         store = CatalogStore(str(tmp_path)).table_store(dataset.table.name)
         assert store.exists()
-        assert os.path.exists(os.path.join(store.warm_dir, "state.blob"))
+        assert os.path.exists(os.path.join(store.warm_dir, "WARM.json"))
 
     def test_restored_group_indexes_counts_what_was_installed(self, tmp_path, dataset):
         _serve_and_close(dataset, tmp_path, seed=7)

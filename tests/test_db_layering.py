@@ -2,7 +2,9 @@
 
 An AST walk, so an import tucked inside a function counts as much as one at
 module level — that is how the last one hid (``db/sharding.py`` reached into
-``repro.core`` from inside a function to build per-shard indexes).
+``repro.core`` from inside a function to build per-shard indexes).  The same
+walk pins the one durable format: only the segment codec (object columns),
+the journal and the UDF's worker-shipping probe may import ``pickle``.
 """
 
 import ast
@@ -50,6 +52,20 @@ def test_db_imports_nothing_from_core_sampling_or_serving():
     files = sorted((_SRC / "repro" / "db").rglob("*.py"))
     assert len(files) > 10  # the walk found the package
     assert [found for path in files for found in _violations(path)] == []
+
+
+def test_only_the_segment_codec_the_journal_and_the_udf_import_pickle():
+    allowed = {"repro.db.storage.segments", "repro.db.storage.journal", "repro.db.udf"}
+    importers = set()
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        package = list(path.relative_to(_SRC).parent.parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if any(
+            module == "pickle" or module.startswith("pickle.")
+            for _line, module in _imported_modules(tree, package)
+        ):
+            importers.add(".".join(path.relative_to(_SRC).with_suffix("").parts))
+    assert importers == allowed
 
 
 def test_the_walk_sees_nested_relative_and_submodule_imports(tmp_path):
