@@ -177,6 +177,18 @@ segment into memory with ``read_segment(..., mmap=False)``).  Warm state
 written before 1.19 (``warm/state.blob``, of any version) is not read: that
 table starts cold once, and the next save removes the blob.  A plan whose
 signature does not survive a JSON round trip is not saved.
+Removed in 1.20, with the python cell lists every table kept beside its
+column arrays (a column is one read-only array; ``row``, ``value`` and
+``column_values`` read it through ``ndarray.item`` / ``tolist``, so an
+in-memory table hands out exactly what its durable reopen and a pool
+worker do — ``str`` for string cells, one group per NaN cell): the
+``GroupIndex`` / ``MergedGroupIndex`` ``extended_by`` cell-supplier
+argument (``extended_by(delta_array)``), ``GroupIndex.row_id_array`` (call
+``row_ids``), ``SelectivityModel.from_label_array``,
+``repro.experiments.harness.run_many`` and ``Column.with_metadata``, which
+nothing called.  UDF memos are written once per save, in one warm record
+beside ``CATALOG.json`` (``<storage_dir>/warm/``); the ``memos`` entry of a
+1.19 per-table warm record is not read.
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -255,7 +267,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "__version__",

@@ -17,12 +17,11 @@ ordered collection the optimizers iterate over.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
 
 import numpy as np
 
 from repro.db.index import GroupIndex
-from repro.db.table import Table
 from repro.sampling.sampler import SampleOutcome
 from repro.stats.beta import BetaPosterior
 
@@ -213,45 +212,6 @@ class SelectivityModel:
             )
         else:
             correct = np.zeros(index.num_groups, dtype=np.intp)
-        counts = {
-            key: (int(correct[code]), int(sizes[code] - correct[code]))
-            for code, key in enumerate(index.values)
-        }
-        return cls.from_exact_counts(counts)
-
-    @classmethod
-    def from_label_array(
-        cls,
-        index: GroupIndex,
-        table: Table,
-        label_column: str,
-        positive_value: Any = True,
-    ) -> "SelectivityModel":
-        """Build a perfect-information model straight from a hidden label column.
-
-        Vectorised over per-shard label spans and the index codes — one pass
-        over the label values instead of one dict-building row access per
-        tuple, which is the hot path when oracles and auditors read ground
-        truth on every query.  The spans come from
-        :func:`~repro.db.residency.iter_column_spans`, so a lazy durable
-        table faults each shard's label segment in one at a time (resident
-        shards first) instead of materialising the whole column; per-span
-        ``bincount`` partial sums of 0/1 weights are exact integers, so the
-        accumulation is order-independent and bitwise equal to the
-        monolithic pass.
-        """
-        from repro.db.residency import iter_column_spans
-
-        sizes = index.size_array()
-        correct = np.zeros(index.num_groups, dtype=np.float64)
-        for start, stop, labels in iter_column_spans(
-            table, label_column, allow_hidden=True
-        ):
-            mask = np.asarray(labels == positive_value, dtype=bool)
-            correct += np.bincount(
-                index.codes[start:stop], weights=mask, minlength=index.num_groups
-            )
-        correct = correct.astype(np.intp)
         counts = {
             key: (int(correct[code]), int(sizes[code] - correct[code]))
             for code, key in enumerate(index.values)

@@ -119,7 +119,7 @@ from repro.db.shm import (
     release_exports,
 )
 from repro.db.table import Table, select_rows
-from repro.db.udf import CostLedger, UdfSpec, UserDefinedFunction
+from repro.db.udf import CostLedger, UdfSpec, UserDefinedFunction, call_on_rows
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience import faults as _faults
@@ -235,11 +235,10 @@ def spec_evaluate(
 
     Runs in worker processes (and in the pickle-safety check): attaches the
     needed column blocks, then either takes the vectorised label fast path or
-    builds python row dicts and calls ``spec.func`` — the exact evaluation
-    the parent's ``UserDefinedFunction`` would have performed for
-    un-memoised rows.  Row dict values are python scalars (one
-    ``ndarray.tolist`` per needed column slice), matching ``Table.row``
-    fidelity.
+    calls ``spec.func`` on the span's rows through
+    :func:`~repro.db.udf.call_on_rows` — the same helper, over the same
+    gathered arrays, that the parent's ``UserDefinedFunction`` evaluates
+    un-memoised rows with, so both see the same python values.
     """
     result = np.empty(row_ids.size, dtype=bool)
     if not row_ids.size:
@@ -254,11 +253,9 @@ def spec_evaluate(
             labels = attach_array(export.columns[spec.label_column])
             result[mask] = labels[local] == spec.positive_value
         else:
-            cells = [attach_array(block)[local].tolist() for block in export.columns.values()]
-            result[mask] = np.fromiter(
-                (bool(spec.func(dict(zip(export.columns, row)))) for row in zip(*cells)),
-                dtype=bool,
-                count=int(local.size),
+            result[mask] = call_on_rows(
+                spec.func,
+                {name: attach_array(block)[local] for name, block in export.columns.items()},
             )
     return result
 

@@ -102,18 +102,6 @@ class Column:
                     f"column {self.name!r} is boolean but received {value!r}"
                 )
 
-    def with_metadata(self, **metadata: Any) -> "Column":
-        """Return a copy of the column carrying extra metadata."""
-        merged = dict(self._metadata)
-        merged.update(metadata)
-        return Column(
-            name=self.name,
-            column_type=self.column_type,
-            hidden=self.hidden,
-            description=self.description,
-            _metadata=merged,
-        )
-
     @property
     def metadata(self) -> dict:
         """Read-only view of the column metadata."""

@@ -45,7 +45,7 @@ _T = TypeVar("_T")
 
 
 def _dict_factorise(cells: Sequence[Any]) -> Tuple[List[Any], np.ndarray]:
-    """Reference dict-based factorisation over the original python values.
+    """Reference dict-based factorisation over a column's python values.
 
     Byte-for-byte the grouping of :meth:`Table.group_row_ids` — used when
     numpy's ``unique`` would change semantics (unsortable mixed-type cells,
@@ -65,26 +65,25 @@ def _dict_factorise(cells: Sequence[Any]) -> Tuple[List[Any], np.ndarray]:
     return values, codes
 
 
-def _factorise(
-    array: np.ndarray, cells_supplier: Callable[[], Sequence[Any]]
-) -> Tuple[List[Any], np.ndarray]:
+def _factorise(array: np.ndarray) -> Tuple[List[Any], np.ndarray]:
     """Factorise a column into first-appearance-ordered values + codes.
 
     Returns ``(values, codes)`` where ``values[codes[i]] == array[i]`` and
     ``values`` preserves the order in which distinct values first appear —
-    the same order the historical dict-based grouping produced.
-    ``cells_supplier`` lazily yields the column's original python values for
-    the reference fallback when numpy cannot reproduce dict semantics.
+    the same order the historical dict-based grouping produced.  Where numpy
+    cannot reproduce dict semantics the reference fallback groups
+    ``array.tolist()`` — the python values every reader of the column sees,
+    so a NaN cell is its own group however the column was built.
     """
     if array.dtype.kind == "f" and bool(np.isnan(array).any()):
         # np.unique merges NaNs into one group; the dict reference does not.
-        return _dict_factorise(cells_supplier())
+        return _dict_factorise(array.tolist())
     try:
         uniques, first_index, inverse = np.unique(
             array, return_index=True, return_inverse=True
         )
     except TypeError:  # unsortable mixed-type object cells
-        return _dict_factorise(cells_supplier())
+        return _dict_factorise(array.tolist())
     # np.unique sorts; remap sorted codes to first-appearance order.
     appearance_order = np.argsort(first_index, kind="stable")
     rank = np.empty(len(uniques), dtype=np.intp)
@@ -172,11 +171,7 @@ class GroupIndex:
             raise ColumnNotFoundError(column, table.schema.column_names)
         self.table = table
         self.column = column
-        array = table.column_array(column, allow_hidden=allow_hidden)
-        values, codes = _factorise(
-            array, lambda: table.column_values(column, allow_hidden=allow_hidden)
-        )
-        self._install(values, codes)
+        self._install(*_factorise(table.column_array(column, allow_hidden=allow_hidden)))
 
     def _install(
         self,
@@ -275,10 +270,6 @@ class GroupIndex:
             return self._empty
         return self._row_id_arrays[code]
 
-    def row_id_array(self, value: Any) -> np.ndarray:
-        """Alias of :meth:`row_ids`, kept for the serving layer's vocabulary."""
-        return self.row_ids(value)
-
     def group_size(self, value: Any) -> int:
         """Number of tuples in the group for ``value`` (``t_a``)."""
         code = self._code_by_value.get(value)
@@ -348,9 +339,7 @@ class GroupIndex:
 
     # -- incremental maintenance -------------------------------------------------
     def _extended_parts(
-        self,
-        delta_array: np.ndarray,
-        delta_cells_supplier: Callable[[], Sequence[Any]],
+        self, delta_array: np.ndarray
     ) -> Tuple[List[Any], np.ndarray, List[np.ndarray]]:
         """Factorise only the appended rows and merge against the code table.
 
@@ -368,7 +357,7 @@ class GroupIndex:
         delta_codes = _fold_codes(
             values,
             dict(self._code_by_value),
-            *_factorise(delta_array, delta_cells_supplier),
+            *_factorise(delta_array),
         )
         codes = np.concatenate([self._codes, delta_codes])
 
@@ -391,11 +380,7 @@ class GroupIndex:
                 row_id_arrays[code] = rows
         return values, codes, row_id_arrays
 
-    def extended_by(
-        self,
-        delta_array: np.ndarray,
-        delta_cells_supplier: Callable[[], Sequence[Any]],
-    ) -> "GroupIndex":
+    def extended_by(self, delta_array: np.ndarray) -> "GroupIndex":
         """A new index covering the indexed rows plus an appended delta.
 
         The extension is *exactly* equivalent to rebuilding the index over
@@ -409,7 +394,7 @@ class GroupIndex:
         extended._table_ref = self._table_ref
         extended.column = self.column
         extended._install(
-            *self._extended_parts(delta_array, delta_cells_supplier),
+            *self._extended_parts(delta_array),
             count_build=False,
         )
         GroupIndex.extensions_total += 1
@@ -488,10 +473,7 @@ class MergedGroupIndex(GroupIndex):
         code_by_value: Dict[Any, int] = {}
         codes: List[np.ndarray] = []
         for shard in table.shards:
-            run = _factorise(
-                shard.column_array(column, allow_hidden=allow_hidden),
-                lambda shard=shard: shard.column_values(column, allow_hidden=allow_hidden),
-            )
+            run = _factorise(shard.column_array(column, allow_hidden=allow_hidden))
             codes.append(_fold_codes(values, code_by_value, *run))
         self._install(values, np.concatenate(codes).astype(np.intp, copy=False))
 
@@ -500,14 +482,10 @@ class MergedGroupIndex(GroupIndex):
         return self._offsets
 
     # -- incremental maintenance -------------------------------------------------
-    def extended_by(
-        self,
-        delta_array: np.ndarray,
-        delta_cells_supplier: Callable[[], Sequence[Any]],
-    ) -> "MergedGroupIndex":
+    def extended_by(self, delta_array: np.ndarray) -> "MergedGroupIndex":
         """:meth:`GroupIndex.extended_by` for rows appended to the *tail*
         shard: the last span boundary grows by the delta."""
-        extended = super().extended_by(delta_array, delta_cells_supplier)
+        extended = super().extended_by(delta_array)
         extended._offsets = (*self._offsets[:-1], extended.total_rows())
         return extended
 

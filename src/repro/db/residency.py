@@ -451,13 +451,16 @@ class LazySegmentTable(Table):
     headers only; the first touch of each column maps (and CRC-verifies)
     its segment through the :class:`ResidencyManager`.  Mapped arrays are
     *not* cached in ``_arrays`` — the handle owns residency, so eviction
-    works.  Appends (journal replay, live ingest) first materialise the
-    table in memory, as do repeated map failures once the per-table map
-    breaker opens (graceful degradation: memory for liveness).  A
-    checkpoint maps nothing: while the table is lazy its segment files are
-    referenced by the new manifest as they are (``TableStore.save``), which
-    is also what keeps them on disk under its handles; once materialised it
-    is written from memory like any other table.
+    works — and nothing else of a column is kept beside its segment: cell
+    reads (:meth:`~repro.db.table.Table.row`, ``value``, ``column_values``)
+    read the mapped array, and bulk row reads gather it pinned.  Appends
+    (journal replay, live ingest) first materialise the table in memory,
+    as do repeated map failures once the per-table map breaker opens
+    (graceful degradation: memory for liveness).  A checkpoint maps
+    nothing: while the table is lazy its segment files are referenced by
+    the new manifest as they are (``TableStore.save``), which is also what
+    keeps them on disk under its handles; once materialised it is written
+    from memory like any other table.
     """
 
     @classmethod
@@ -482,7 +485,7 @@ class LazySegmentTable(Table):
         table = cls.__new__(cls)
         table.name = name
         table.schema = schema
-        table._data = {}
+        table._pending = {}
         table._num_rows = int(num_rows)
         table._data_generation = int(data_generation)
         table._arrays = {}
@@ -598,19 +601,7 @@ class LazySegmentTable(Table):
             array = self.column_array(column, allow_hidden=allow_hidden)
             return array[ids]  # fancy indexing copies: safe past eviction
 
-    def _cells(self, column: str) -> List[Any]:
-        cells = self._data.get(column)
-        if cells is not None:
-            return cells
-        handle = self._handles.get(column)
-        if handle is not None and column not in self._arrays:
-            with handle.pinned():
-                cells = handle.array().tolist()
-            self._data[column] = cells
-            return cells
-        return super()._cells(column)
-
-    def _apply_append(self, delta: Dict[str, List[Any]]) -> int:
+    def _apply_append(self, delta: Dict[str, np.ndarray]) -> int:
         # Appends mutate; segments are immutable. Materialise first (journal
         # replay hits this; checkpointed tables have empty journals, so warm
         # restarts stay lazy).

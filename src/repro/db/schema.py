@@ -20,6 +20,9 @@ class Schema:
                 f"duplicate column names in schema: {sorted(duplicates)}"
             )
         self._by_name: Dict[str, Column] = {c.name: c for c in self._columns}
+        # Read once per row by Table.row; the properties below hand out copies.
+        self._names = tuple(names)
+        self._visible_names = tuple(c.name for c in self._columns if not c.hidden)
 
     # -- construction helpers -------------------------------------------------
     @classmethod
@@ -46,7 +49,7 @@ class Schema:
     @property
     def column_names(self) -> List[str]:
         """Names of all columns, in schema order."""
-        return [c.name for c in self._columns]
+        return list(self._names)
 
     @property
     def columns(self) -> List[Column]:
@@ -56,7 +59,7 @@ class Schema:
     @property
     def visible_column_names(self) -> List[str]:
         """Names of columns not marked hidden."""
-        return [c.name for c in self._columns if not c.hidden]
+        return list(self._visible_names)
 
     def column(self, name: str) -> Column:
         """Look up a column by name, raising :class:`ColumnNotFoundError`."""

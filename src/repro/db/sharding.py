@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.db.column import Column, ColumnType
 from repro.db.errors import SchemaMismatchError
 from repro.db.schema import Schema
-from repro.db.table import Table, infer_schema_for_columns
+from repro.db.table import Table, extended_column, infer_schema_for_columns
 
 
 def shard_bounds(
@@ -285,22 +285,14 @@ class ShardedTable(Table):
 
     # -- data access (routing / concatenation overrides) ----------------------
     def column_values(self, column: str, allow_hidden: bool = False) -> List[Any]:
-        """All values of a column (shards concatenated in row order)."""
-        self.schema.column(column)  # existence check (and consistent error)
-        values: List[Any] = []
-        for shard in self._shards:
-            values.extend(shard.column_values(column, allow_hidden=allow_hidden))
-        return values
+        """All values of a column (shards concatenated in row order), read
+        a shard at a time: no whole-column array is cached here."""
+        if column in self._arrays:
+            return self.column_array(column, allow_hidden=allow_hidden).tolist()
+        return self._concatenated(column, allow_hidden).tolist()
 
     def column_array(self, column: str, allow_hidden: bool = False) -> np.ndarray:
-        """The concatenated, cached, read-only column array.
-
-        Per-shard arrays (each already validated against numpy's silent
-        mixed-type stringification) are concatenated once; if the shards
-        disagree on dtype kind — a hint the column is mixed-type across shard
-        boundaries — the global array falls back to object dtype over the
-        original python values, matching what the monolithic table would do.
-        """
+        """The concatenated, cached, read-only column array."""
         array = self._arrays.get(column)
         if array is not None:
             column_def = self.schema.column(column)
@@ -310,31 +302,30 @@ class ShardedTable(Table):
 
                 raise ColumnNotFoundError(column, self.schema.visible_column_names)
             return array
+        array = self._concatenated(column, allow_hidden)
+        self._arrays[column] = array
+        return array
+
+    def _concatenated(self, column: str, allow_hidden: bool) -> np.ndarray:
+        """The shards' arrays of ``column`` as one read-only array.
+
+        Per-shard arrays (each already validated against numpy's silent
+        mixed-type stringification) are concatenated once.  If some shard
+        holds objects, or string cells meet non-string ones across a shard
+        boundary (``np.concatenate`` would stringify them), the result is an
+        object array over the shards' python values instead — what the
+        monolithic table holding the same rows would do.
+        """
         parts = [
             shard.column_array(column, allow_hidden=allow_hidden)
             for shard in self._shards
         ]
         kinds = {part.dtype.kind for part in parts if part.size}
-        if "O" in kinds:
-            # Some shard already fell back to python values; the global
-            # array does too (exactly what the monolithic table would do).
-            array = self._object_column_array(column, allow_hidden)
-        else:
-            array = np.concatenate(parts) if parts else np.empty(0)
-            if array.dtype.kind in ("U", "S") and not kinds <= {"U", "S"}:
-                # np.concatenate stringified a string/non-string kind mix
-                # that happened to split cleanly along shard boundaries —
-                # the monolithic table's mixed-type check would have gone
-                # to object dtype, so the sharded table must as well.
-                array = self._object_column_array(column, allow_hidden)
+        strings = kinds & {"U", "S"}
+        if "O" in kinds or (strings and kinds - strings):
+            parts = [part.astype(object) for part in parts]
+        array = np.concatenate(parts)
         array.setflags(write=False)
-        self._arrays[column] = array
-        return array
-
-    def _object_column_array(self, column: str, allow_hidden: bool) -> np.ndarray:
-        values = self.column_values(column, allow_hidden=allow_hidden)
-        array = np.empty(len(values), dtype=object)
-        array[:] = values
         return array
 
     def value(self, row_id: int, column: str, allow_hidden: bool = False) -> Any:
@@ -351,35 +342,6 @@ class ShardedTable(Table):
         """Iterate rows across shards in global row order."""
         for shard in self._shards:
             yield from shard.rows(include_hidden=include_hidden)
-
-    def select_rows(
-        self, row_ids: Iterable[int], name: Optional[str] = None
-    ) -> Table:
-        """A new (monolithic) table of ``row_ids``, re-numbered densely."""
-        ids = list(row_ids)
-        for row_id in ids:
-            self._check_row_id(row_id)
-        if len(ids) * 4 >= self._num_rows:
-            # Large selection: one concatenation pass per column amortises.
-            data = {
-                column_name: self.column_values(column_name, allow_hidden=True)
-                for column_name in self.schema.column_names
-            }
-            columns = {
-                column_name: [values[i] for i in ids]
-                for column_name, values in data.items()
-            }
-        else:
-            # Small selection: route each row to its shard instead of
-            # materialising every column of the whole table.
-            picked = [self.row(row_id, include_hidden=True) for row_id in ids]
-            columns = {
-                column_name: [row[column_name] for row in picked]
-                for column_name in self.schema.column_names
-            }
-        return Table(
-            name=name or f"{self.name}_subset", schema=self.schema, columns=columns
-        )
 
     def with_column(
         self,
@@ -422,8 +384,8 @@ class ShardedTable(Table):
         :meth:`Table.append_columns`.
         """
         tail = self._shards[-1]
-        # One normalise/copy, shared: the tail applies the delta and this
-        # table reuses the same lists for its own cache maintenance.
+        # One normalise/coerce, shared: the tail applies the delta and this
+        # table reuses the same arrays for its own cache maintenance.
         delta = tail._normalise_delta(columns)
         delta_rows = tail._apply_append(delta)
         if delta_rows == 0:
@@ -434,7 +396,9 @@ class ShardedTable(Table):
         self._num_rows = self._offsets[-1]
         self._offset_array = np.asarray(self._offsets, dtype=np.intp)
 
-        self._extend_caches(delta, self._num_rows - delta_rows)
+        for column, array in list(self._arrays.items()):
+            self._arrays[column] = extended_column(array, delta[column])
+        self._extend_indexes(delta)
         self._data_generation += 1
         self._maybe_seal_tail()
         return delta_rows
@@ -453,19 +417,19 @@ class ShardedTable(Table):
         tail = self._shards[-1]
         if tail.num_rows <= limit:
             return
-        columns = {
-            name: tail.column_values(name, allow_hidden=True)
+        arrays = {
+            name: tail.column_array(name, allow_hidden=True)
             for name in self.schema.column_names
         }
         bounds = shard_bounds(tail.num_rows, shard_rows=limit)
         base_position = len(self._shards) - 1
+        # Each chunk copies its slice, so no shard keeps the whole old tail
+        # (and the rows the next tail moves on from) alive.
         new_shards = [
-            Table(
-                name=f"{self.name}#shard{base_position + chunk}",
-                schema=self.schema,
-                columns={
-                    name: values[start:stop] for name, values in columns.items()
-                },
+            Table.from_arrays(
+                f"{self.name}#shard{base_position + chunk}",
+                self.schema,
+                {name: array[start:stop].copy() for name, array in arrays.items()},
             )
             for chunk, (start, stop) in enumerate(zip(bounds, bounds[1:]))
         ]

@@ -326,7 +326,7 @@ class TableStore:
         """
         # Validate against the schema before journalling, so the journal
         # never holds a record that cannot replay.
-        table._normalise_delta(columns)
+        table._check_delta(columns)
         os.makedirs(self.directory, exist_ok=True)
         _journal.append_record(self.journal_path, table.data_generation + 1, columns)
         return table.append_columns(columns)

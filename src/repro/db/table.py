@@ -1,7 +1,8 @@
 """A small in-memory column-store table.
 
-The table stores each column as a Python list (values may be heterogeneous —
-categorical strings, ints, floats, booleans) and assigns every row a stable
+The table stores each column as one read-only NumPy array (values may be
+heterogeneous — categorical strings, ints, floats, booleans; a column numpy
+cannot hold faithfully is an object array) and assigns every row a stable
 integer ``row id``.  Row ids are what the optimizers, executors and metrics
 pass around: the ground-truth "correct result" of a query is a set of row ids,
 and so is an approximate result.
@@ -40,13 +41,13 @@ from repro.obs import metrics as _metrics
 def coerce_cells_to_array(values: Sequence[Any]) -> np.ndarray:
     """A 1-d NumPy array over ``values`` with dict-equality-safe semantics.
 
-    The array is the vectorisation substrate for grouping, bulk UDF
-    evaluation and batch execution, so it must never change value semantics:
-    ragged/sequence-valued cells and mixed-type cells (which numpy would
-    silently stringify, altering grouping/equality downstream) fall back to
-    an object array preserving the original python values.  Shared by
-    :meth:`Table.column_array` and the incremental append path so a column
-    built whole and a column built in deltas coerce identically.
+    The array is a column's one store — grouping, bulk UDF evaluation,
+    batch execution and every cell read go through it — so it must never
+    change value semantics: ragged/sequence-valued cells and mixed-type
+    cells (which numpy would silently stringify, altering grouping/equality
+    downstream) fall back to an object array holding the given python
+    values.  Shared by :meth:`Table.column_array` and the append path, so a
+    column built whole and a column built in deltas coerce identically.
     """
     try:
         array = np.asarray(values)
@@ -59,6 +60,30 @@ def coerce_cells_to_array(values: Sequence[Any]) -> np.ndarray:
     except ValueError:
         array = np.empty(len(values), dtype=object)
         array[:] = values
+    return array
+
+
+def extended_column(cached: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """A column array and its coerced append ``delta`` as one read-only array.
+
+    ``delta`` itself when the column is empty, else one concatenation when
+    the two kinds can be joined faithfully.  A pair
+    ``np.concatenate`` would change — an object half, or string cells
+    beside non-string ones, which it would silently stringify — is rebuilt
+    from python values (``tolist``) through :func:`coerce_cells_to_array`:
+    the array a from-scratch table over all the rows would hold.
+    """
+    string_kinds = ("U", "S")
+    kinds = (cached.dtype.kind, delta.dtype.kind)
+    if not cached.size:  # an empty column's dtype says nothing about its cells
+        array = delta
+    elif ("O" in kinds and kinds != ("O", "O")) or (
+        (kinds[0] in string_kinds) != (kinds[1] in string_kinds)
+    ):
+        array = coerce_cells_to_array(cached.tolist() + delta.tolist())
+    else:
+        array = np.concatenate([cached, delta])
+    array.setflags(write=False)
     return array
 
 
@@ -144,11 +169,17 @@ def infer_schema_for_columns(
 class Table:
     """A row-id addressed, append-only table.
 
-    Existing rows are immutable (and their ids stable) after construction;
-    the only supported mutation is appending new rows at the end via
-    :meth:`append_rows` / :meth:`append_columns`, which bumps
-    :attr:`data_generation` and delta-maintains every cached derived
-    structure (column arrays, group indexes).
+    Each column is stored once, as a read-only NumPy array
+    (:meth:`column_array`); every reader — group indexes, executors, bulk
+    UDF evaluation, :meth:`row` / :meth:`value` / :meth:`column_values` —
+    takes that array, so all of them see the same python values a durable
+    reopen or a pool worker sees.  A table built from python sequences
+    holds each copied sequence only until its column is first read or
+    appended to.  Existing rows are immutable (and their ids stable) after
+    construction; the only supported mutation is appending new rows at the
+    end via :meth:`append_rows` / :meth:`append_columns`, which bumps
+    :attr:`data_generation`, extends the column arrays and delta-maintains
+    the group indexes.
     """
 
     #: What this table's columns have on disk, per segments directory:
@@ -179,7 +210,9 @@ class Table:
             raise SchemaMismatchError(
                 f"columns have inconsistent lengths: {lengths}"
             )
-        self._data: Dict[str, List[Any]] = {
+        # Each column's copied cells wait here until the column is first read
+        # or appended to; :meth:`column_array` coerces them and drops them.
+        self._pending: Dict[str, List[Any]] = {
             name: list(values) for name, values in columns.items()
         }
         self._num_rows = next(iter(lengths.values())) if lengths else 0
@@ -228,15 +261,14 @@ class Table:
         arrays: Mapping[str, np.ndarray],
         data_generation: int = 0,
     ) -> "Table":
-        """Build a table directly over column arrays, without materialising lists.
+        """Build a table directly over column arrays.
 
-        The storage layer's load path: ``arrays`` (typically read-only
-        memmaps over persisted segment files) become the table's cached
-        column arrays as-is, and the python-value cell lists behind
-        :meth:`column_values` / :meth:`row` are materialised lazily, per
-        column, only when something actually asks for python cells.  Arrays
-        must be 1-d, cover every schema column and agree on length; they are
-        marked read-only (the table shares, not copies, them).
+        The storage layer's load path (``arrays`` are then typically
+        read-only memmaps over persisted segment files) and how derived
+        tables share or gather their parent's columns: the arrays become
+        the table's columns as-is.  Arrays must be 1-d, cover every schema
+        column and agree on length; they are marked read-only (the table
+        shares, not copies, them).
         """
         missing = [c for c in schema.column_names if c not in arrays]
         if missing:
@@ -252,7 +284,7 @@ class Table:
         table = cls.__new__(cls)
         table.name = name
         table.schema = schema
-        table._data = {}
+        table._pending = {}
         table._num_rows = next(iter(lengths.values())) if lengths else 0
         table._data_generation = int(data_generation)
         table._arrays = {}
@@ -343,7 +375,7 @@ class Table:
 
         Appends are the only mutation a table supports: new rows receive the
         next dense row ids, existing rows never move, and every derived
-        structure is maintained *incrementally* — cached column arrays are
+        structure is maintained *incrementally* — each column array is
         extended with the coerced delta, and cached
         :class:`~repro.db.index.GroupIndex` objects are replaced by
         :meth:`~repro.db.index.GroupIndex.extended_by` copies that factorise
@@ -359,14 +391,22 @@ class Table:
 
     def _normalise_delta(
         self, columns: Mapping[str, Sequence[Any]]
-    ) -> Dict[str, List[Any]]:
-        """Validate an append delta against the schema and copy it once.
+    ) -> Dict[str, np.ndarray]:
+        """Validate an append delta against the schema and coerce it once.
 
-        The returned lists are owned by the append machinery (the sharded
-        tail reuses them for its own cache maintenance without re-copying);
-        copying up front also means a failure during the append can never
-        leave the table with ragged columns.
+        The returned arrays are owned by the append machinery (a sharded
+        table extends its own caches with the same arrays its tail shard
+        appended); coercing up front also means a failure during the append
+        can never leave the table with ragged columns.
         """
+        self._check_delta(columns)
+        return {
+            name: coerce_cells_to_array(list(values)) for name, values in columns.items()
+        }
+
+    def _check_delta(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        """Raise :class:`SchemaMismatchError` unless ``columns`` is a delta
+        this table can append: every schema column, equal lengths."""
         missing = [c for c in self.schema.column_names if c not in columns]
         if missing:
             raise SchemaMismatchError(f"missing data for columns {missing}")
@@ -378,18 +418,18 @@ class Table:
             raise SchemaMismatchError(
                 f"appended columns have inconsistent lengths: {lengths}"
             )
-        return {name: list(values) for name, values in columns.items()}
 
-    def _apply_append(self, delta: Dict[str, List[Any]]) -> int:
+    def _apply_append(self, delta: Dict[str, np.ndarray]) -> int:
         """Extend the columns with an already-normalised delta."""
         delta_rows = len(next(iter(delta.values()))) if delta else 0
         if delta_rows == 0:
             return 0
-        for name, values in delta.items():
-            self._cells(name).extend(values)
-        previous_rows = self._num_rows
+        for name, addition in delta.items():
+            self._arrays[name] = extended_column(
+                self.column_array(name, allow_hidden=True), addition
+            )
         self._num_rows += delta_rows
-        self._extend_caches(delta, previous_rows)
+        self._extend_indexes(delta)
         self._data_generation += 1
         _metrics.counter("repro_table_appends_total", table=self.name).inc()
         _metrics.counter("repro_table_rows_appended_total", table=self.name).inc(delta_rows)
@@ -411,111 +451,48 @@ class Table:
             }
         )
 
-    def _extend_caches(
-        self, delta: Mapping[str, List[Any]], previous_rows: int
-    ) -> None:
-        """Delta-maintain cached arrays and group indexes after an append."""
-        delta_arrays: Dict[str, np.ndarray] = {}
-
-        def delta_array(column: str) -> np.ndarray:
-            array = delta_arrays.get(column)
-            if array is None:
-                array = coerce_cells_to_array(delta[column])
-                delta_arrays[column] = array
-            return array
-
-        for column in list(self._arrays):
-            extended = self._extend_column_array(
-                self._arrays[column], delta_array(column), delta[column]
-            )
-            if extended is None:
-                # Mixed kinds across the append boundary: rebuild lazily from
-                # the full python values (what a from-scratch table would do).
-                del self._arrays[column]
-            else:
-                extended.setflags(write=False)
-                self._arrays[column] = extended
-
+    def _extend_indexes(self, delta: Mapping[str, np.ndarray]) -> None:
+        """Replace every cached group index by its extension over ``delta``."""
         with self._group_index_lock:
-            for key in list(self._group_indexes):
+            for key, index in list(self._group_indexes.items()):
                 _allow_hidden, column = key
-                self._group_indexes[key] = self._group_indexes[key].extended_by(
-                    delta_array(column), lambda column=column: delta[column]
-                )
-
-    @staticmethod
-    def _extend_column_array(
-        cached: np.ndarray, delta: np.ndarray, delta_cells: List[Any]
-    ) -> Optional[np.ndarray]:
-        """Concatenate a cached column array with its coerced delta.
-
-        Returns ``None`` when the pair cannot be concatenated faithfully
-        (e.g. a numeric column receiving string cells, which
-        ``np.concatenate`` would silently stringify): the caller then drops
-        the cache entry and the next :meth:`Table.column_array` call rebuilds
-        from the python values — exactly the array a monolithic rebuild
-        would produce.
-        """
-        if cached.dtype.kind == "O" or delta.dtype.kind == "O":
-            if cached.dtype.kind == delta.dtype.kind == "O":
-                return np.concatenate([cached, delta])
-            return None
-        string_kinds = ("U", "S")
-        if (cached.dtype.kind in string_kinds) != (delta.dtype.kind in string_kinds):
-            return None
-        return np.concatenate([cached, delta])
+                self._group_indexes[key] = index.extended_by(delta[column])
 
     # -- access ------------------------------------------------------------------
-    def _cells(self, column: str) -> List[Any]:
-        """The mutable python-value cell list backing ``column``.
-
-        Eagerly-built tables carry their lists from construction; tables
-        loaded over arrays (:meth:`from_arrays`) materialise each list
-        lazily from the cached array on first access — ``ndarray.tolist``
-        yields plain python scalars, exactly the values the original
-        ingestion stored.  The returned list is the canonical storage the
-        append path extends; callers must copy before exposing it.
-        """
-        cells = self._data.get(column)
-        if cells is None:
-            cells = self._arrays[column].tolist()
-            self._data[column] = cells
-        return cells
-
     def column_values(self, column: str, allow_hidden: bool = False) -> List[Any]:
-        """All values of a column.
+        """All values of a column, as python values (``ndarray.tolist``).
 
         Hidden columns (ground-truth labels) are only readable when
         ``allow_hidden`` is set; the query-evaluation algorithms never set it.
         """
-        column_def = self.schema.column(column)
-        if column_def.hidden and not allow_hidden:
-            raise ColumnNotFoundError(
-                column, self.schema.visible_column_names
-            )
-        return list(self._cells(column))
+        return self.column_array(column, allow_hidden=allow_hidden).tolist()
 
     def column_array(self, column: str, allow_hidden: bool = False) -> np.ndarray:
-        """All values of a column as a cached, read-only NumPy array.
+        """All values of a column as its read-only NumPy array.
 
-        Existing rows are immutable, so the array is built once per column
-        and shared by every caller (batch executors, vectorised group
-        statistics, UDF fast paths); appends extend the cached array with
-        the coerced delta in place of a rebuild.  Callers must not write to
-        it; the write flag is cleared to enforce that.
+        The array is the column's one store, shared by every caller (batch
+        executors, group indexes, UDF evaluation, cell reads); appends
+        replace it with an extended array.  A column given as python values
+        is coerced here on its first read (:func:`coerce_cells_to_array`),
+        so columns no query touches cost nothing.  Callers must not write
+        to it; the write flag is cleared to enforce that.
         """
         column_def = self.schema.column(column)
         if column_def.hidden and not allow_hidden:
             raise ColumnNotFoundError(column, self.schema.visible_column_names)
         array = self._arrays.get(column)
         if array is None:
-            # Ragged/sequence-valued or mixed-type cells fall back to an
-            # object array preserving the original python values (numpy
-            # silently stringifies mixed str/int columns, which would change
-            # grouping/equality semantics downstream).
-            array = coerce_cells_to_array(self._cells(column))
-            array.setflags(write=False)
-            self._arrays[column] = array
+            cells = self._pending.get(column)
+            if cells is not None:
+                # Racing first reads may each coerce; the arrays are equal and
+                # the first stored wins.  A column leaves ``_pending`` only
+                # after its array is stored, so a reader that finds neither
+                # cannot exist.
+                coerced = coerce_cells_to_array(cells)
+                coerced.setflags(write=False)
+                self._arrays.setdefault(column, coerced)
+                self._pending.pop(column, None)
+            array = self._arrays[column]
         return array
 
     def gather_column(
@@ -539,22 +516,23 @@ class Table:
         return self.column_array(column, allow_hidden=allow_hidden)[ids]
 
     def value(self, row_id: int, column: str, allow_hidden: bool = False) -> Any:
-        """Value of one cell."""
-        column_def = self.schema.column(column)
-        if column_def.hidden and not allow_hidden:
-            raise ColumnNotFoundError(column, self.schema.visible_column_names)
+        """Value of one cell, as a python value (``ndarray.item``)."""
+        array = self.column_array(column, allow_hidden=allow_hidden)
         self._check_row_id(row_id)
-        return self._cells(column)[row_id]
+        return array.item(row_id)
 
     def row(self, row_id: int, include_hidden: bool = False) -> Dict[str, Any]:
-        """A dict view of one row."""
+        """A dict view of one row, its cells python values (``ndarray.item``)."""
         self._check_row_id(row_id)
-        names = (
-            self.schema.column_names
-            if include_hidden
-            else self.schema.visible_column_names
-        )
-        return {name: self._cells(name)[row_id] for name in names}
+        names = self.schema._names if include_hidden else self.schema._visible_names
+        arrays = self._arrays
+        try:
+            return {name: arrays[name].item(row_id) for name in names}
+        except KeyError:  # a column not yet coerced, or served from a segment
+            return {
+                name: self.column_array(name, allow_hidden=True).item(row_id)
+                for name in names
+            }
 
     def rows(self, include_hidden: bool = False) -> Iterator[Dict[str, Any]]:
         """Iterate dict views of all rows."""
@@ -571,15 +549,20 @@ class Table:
 
     # -- derivation ---------------------------------------------------------------
     def select_rows(self, row_ids: Iterable[int], name: Optional[str] = None) -> "Table":
-        """A new table containing only ``row_ids`` (re-numbered densely)."""
-        ids = list(row_ids)
-        for row_id in ids:
-            self._check_row_id(row_id)
-        columns = {
-            column_name: [self._cells(column_name)[i] for i in ids]
-            for column_name in self.schema.column_names
-        }
-        return Table(name=name or f"{self.name}_subset", schema=self.schema, columns=columns)
+        """A new (monolithic) table of ``row_ids``, re-numbered densely: one
+        :meth:`gather_column` per column."""
+        ids = np.asarray(list(row_ids), dtype=np.intp)
+        outside = ids[(ids < 0) | (ids >= self._num_rows)]
+        if outside.size:
+            self._check_row_id(int(outside[0]))
+        return Table.from_arrays(
+            name or f"{self.name}_subset",
+            self.schema,
+            {
+                column_name: self.gather_column(column_name, ids, allow_hidden=True)
+                for column_name in self.schema.column_names
+            },
+        )
 
     def with_column(
         self,
@@ -590,24 +573,20 @@ class Table:
         """A new table with one extra (or replaced) column.
 
         Used by the virtual-column machinery: the logistic-regression bucket
-        id becomes a brand new categorical column.
+        id becomes a brand new categorical column.  The other columns' arrays
+        are shared, not copied.
         """
         if len(values) != self._num_rows:
             raise SchemaMismatchError(
                 f"new column {column.name!r} has {len(values)} values for a "
                 f"table of {self._num_rows} rows"
             )
-        new_columns = {
-            column_name: self._cells(column_name)
-            for column_name in self.schema.column_names
-        }
-        new_columns[column.name] = list(values)
         existing = [c for c in self.schema.columns if c.name != column.name]
-        return Table(
-            name=name or self.name,
-            schema=Schema(existing + [column]),
-            columns=new_columns,
-        )
+        arrays = {
+            kept.name: self.column_array(kept.name, allow_hidden=True) for kept in existing
+        }
+        arrays[column.name] = coerce_cells_to_array(list(values))
+        return Table.from_arrays(name or self.name, Schema(existing + [column]), arrays)
 
     def filter(
         self, predicate: Callable[[Dict[str, Any]], bool], include_hidden: bool = False
@@ -622,9 +601,10 @@ class Table:
     def group_row_ids(self, column: str, allow_hidden: bool = False) -> Dict[Any, List[int]]:
         """Map each distinct value of ``column`` to the row ids holding it.
 
-        This is the reference dict-based grouping; the vectorised
-        :class:`~repro.db.index.GroupIndex` is differential-tested against it.
-        Hot paths should use :meth:`group_index` instead.
+        This is the reference dict-based grouping over :meth:`column_values`;
+        the vectorised :class:`~repro.db.index.GroupIndex` is
+        differential-tested against it.  Hot paths should use
+        :meth:`group_index` instead.
         """
         values = self.column_values(column, allow_hidden=allow_hidden)
         groups: Dict[Any, List[int]] = {}

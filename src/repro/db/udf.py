@@ -148,6 +148,27 @@ class UdfSpec:
     func: Optional[Callable[[Mapping[str, Any]], bool]]
 
 
+def call_on_rows(
+    func: Callable[[Mapping[str, Any]], bool], columns: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """``func`` on every row of ``columns``, as one boolean array.
+
+    ``columns`` maps each column name to its cells at the rows, in row
+    order (one gather per column).  Each array's ``tolist`` gives the python
+    values :meth:`Table.row` hands out, zipped into one dict per row.  The
+    one way a python-callable UDF is evaluated in bulk, in-process
+    (:meth:`UserDefinedFunction.evaluate_rows`) and in a pool worker
+    (:func:`repro.core.procpool.spec_evaluate`), so both see the same values.
+    """
+    names = list(columns)
+    cells = [array.tolist() for array in columns.values()]
+    return np.fromiter(
+        (bool(func(dict(zip(names, row)))) for row in zip(*cells)),
+        dtype=bool,
+        count=len(cells[0]) if cells else 0,
+    )
+
+
 #: Memo slot states.  ``bool + _FALSE`` maps False/True onto the last two.
 _UNKNOWN, _FALSE, _TRUE = 0, 1, 2
 
@@ -324,7 +345,8 @@ class UserDefinedFunction:
         knows are answered from it (counted as hits); only the rest invoke
         the function, in the order given.  Label-column UDFs take a
         vectorised fast path through :meth:`Table.gather_column`; arbitrary
-        callables fall back to per-row dict evaluation.  Counter semantics
+        callables get row dicts from one gather per column
+        (:func:`call_on_rows`).  Counter semantics
         match :meth:`evaluate_row`: one bulk call, and
         ``call_count``/``cache_misses`` advance once per actual function
         evaluation.
@@ -353,13 +375,12 @@ class UserDefinedFunction:
                     dtype=bool,
                 )
             else:
-                fresh = np.fromiter(
-                    (
-                        bool(self._func(table.row(int(r), include_hidden=True)))
-                        for r in pending_array
-                    ),
-                    dtype=bool,
-                    count=int(pending_array.size),
+                fresh = call_on_rows(
+                    self._func,
+                    {
+                        name: table.gather_column(name, pending_array, allow_hidden=True)
+                        for name in table.schema.column_names
+                    },
                 )
             self._bulk_absorb(results, pending_positions, pending_array, fresh, oracle)
         return results

@@ -11,7 +11,7 @@ aggregates evaluations, retrievals, cost and achieved precision/recall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -225,23 +225,3 @@ def run_strategy(
         stats.recalls.append(quality.recall)
         stats.satisfied.append(quality.satisfies(constraints.alpha, constraints.beta))
     return stats
-
-
-def run_many(
-    strategy_names: List[str],
-    dataset_names: List[str],
-    config: ExperimentConfig,
-    **kwargs,
-) -> Dict[str, Dict[str, AlgorithmStats]]:
-    """Run several strategies over several datasets.
-
-    Returns ``{dataset_name: {strategy_name: stats}}``.
-    """
-    results: Dict[str, Dict[str, AlgorithmStats]] = {}
-    for dataset_name in dataset_names:
-        dataset = config.load(dataset_name)
-        results[dataset_name] = {
-            name: run_strategy(name, dataset, config, **kwargs)
-            for name in strategy_names
-        }
-    return results

@@ -94,8 +94,9 @@ class ServiceConfig:
         Root directory of a durable :class:`~repro.db.storage.CatalogStore`.
         When set, the service restores persisted warm state (plan-cache
         entries, statistics reservoirs, one set of group-index codes per
-        indexed column of a table, sharded or not, UDF memos) for matching
-        tables on construction — a restarted service answers its
+        indexed column of a table, sharded or not, and the UDF memos, kept
+        once for the whole catalog under ``<storage_dir>/warm/``) for
+        matching tables on construction — a restarted service answers its
         first repeated query as a warm hit with zero UDF evaluations — and
         :meth:`QueryService.save_warm_state` / :meth:`QueryService.close`
         checkpoint the tables and write the warm state back.  A checkpoint
@@ -103,9 +104,9 @@ class ServiceConfig:
         appended-to tail, freshly sealed shards) and references every
         segment file that is already durable there, so closing an untouched
         service writes no table segment at all; the warm state (segments
-        under one record per table, :mod:`repro.serving.persistence`) is
-        rewritten whole each time.  ``None`` (the default) keeps the
-        service fully in-memory.
+        under one record per table plus the catalog's memo record,
+        :mod:`repro.serving.persistence`) is rewritten whole each time.
+        ``None`` (the default) keeps the service fully in-memory.
     memory_budget_bytes:
         Residency budget for durable table segments, in bytes.  When set
         (with ``storage_dir``), tables open *lazily*: segments map on first

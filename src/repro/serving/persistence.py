@@ -1,42 +1,49 @@
 """Warm-state persistence: what makes a restart *warm*, saved with the data.
 
 Durable segments (:mod:`repro.db.storage`) make a restarted service
-*correct*; this module makes it *fast*.  Beside each table's checkpoint it
-persists what a long-running service accretes: every built group index's
-``(values, codes)``, restored without counting an index build; every UDF
-memo, which lets a restored plan re-execute with **zero** fresh UDF calls;
-each distinct :class:`~repro.sampling.sampler.Evidence` the caches hold;
-the statistics-cache keys; and the plan-cache entries, so the first
-repeated query replays its solved plan instead of re-planning.
+*correct*; this module makes it *fast*.  Beside the checkpoint it persists
+what a long-running service accretes: every built group index's ``(values,
+codes)``, restored without counting an index build; every UDF memo, which
+lets a restored plan re-execute with **zero** fresh UDF calls; each
+distinct :class:`~repro.sampling.sampler.Evidence` the caches hold; the
+statistics-cache keys; and the plan-cache entries, so the first repeated
+query replays its solved plan instead of re-planning.
 
-It is written with the storage layer's own encoders, into ``<table>/warm/``::
+It is written with the storage layer's own encoders, as one record per
+warm directory — each table's ``<table>/warm/``, and the catalog's
+``<storage_dir>/warm/`` beside ``CATALOG.json``::
 
     WARM.json                  the record (a CRC'd, versioned JSON manifest)
     w<serial>-<n>-<kind>.seg   one checksummed segment per array
 
-Row ids and codes are segments in the narrowest unsigned dtype that holds
-them (:func:`~repro.db.table.narrowed_ids`; readers widen to ``intp``),
-flags and memo values ``bool``, an index's values coerced the way a
-column's cells are (:func:`~repro.db.table.coerce_cells_to_array`: mixed
-types take the segment's object path).  The record holds the rest — the
-table's shard signature, the statistics keys, the plans and their models,
-which name groups by index code — and names every file with its checksum
-entry.  A plan whose signature or group keys do not survive a JSON round
-trip is left out, and so is a plan over a virtual column (its working table
-cannot be rebound to the reopened one).  An evidence object is written
-once, so what shared it before the save shares it after the restore.
+The catalog's record holds every UDF memo, written once per save, and is
+stamped with each table's shard signature.  A table's record holds that
+table's indexes, evidence, statistics keys and plans.  Row ids and codes
+are segments in the narrowest unsigned dtype that holds them
+(:func:`~repro.db.table.narrowed_ids`; readers widen to ``intp``), flags
+and memo values ``bool``, an index's values coerced the way a column's
+cells are (:func:`~repro.db.table.coerce_cells_to_array`: mixed types take
+the segment's object path).  The record holds the rest — the table's shard
+signature, the statistics keys, the plans and their models, which name
+groups by index code — and names every file with its checksum entry.  A
+plan whose signature or group keys do not survive a JSON round trip is
+left out, and so is a plan over a virtual column (its working table cannot
+be rebound to the reopened one).  An evidence object is written once, so
+what shared it before the save shares it after the restore.
 
 Commit order is the crash argument: a save's files carry a serial new to
-the directory, so they never replace a file the previous record names; the
-record commits last, atomically; only then is every file it does not name
-removed (a pre-1.19 ``state.blob`` too).  A crash before the commit leaves
-the previous warm state whole.
+their directory, so they never replace a file the previous record names;
+each record commits last, atomically; only then is every file it does not
+name removed (a pre-1.19 ``state.blob`` too).  A crash before a commit
+leaves that directory's previous warm state whole.
 
-Restore runs at service construction, table by table, and installs
-nothing of a table until every file of it is verified.  A record whose signature is
-not the reopened table's is skipped; a corrupt or torn file is quarantined.
-Either is counted in ``restore_errors`` and that table starts cold.  Memos
-come from the first table whose warm state is current (each carries a copy).
+Restore runs at service construction, record by record, and installs
+nothing of a record until every file of it is verified.  A table record
+whose signature is not the reopened table's is skipped; a corrupt or torn
+file is quarantined.  Either is counted in ``restore_errors`` and that
+table (or, for the catalog's record, every memo) starts cold.  The memos
+are restored when some reopened table still has the signature they were
+stamped with; the ``memos`` entry a 1.19 table record carries is not read.
 """
 
 from __future__ import annotations
@@ -114,9 +121,16 @@ def _plan_record(signature, entry: CachedPlan, codes: Optional[Dict[Any, int]]):
                      "fields": fields})
 
 
-def _save_table(service, table: Table, table_store: TableStore, memos) -> Dict[str, Any]:
-    """Write one table's warm files, commit its record, then drop every
-    other file of its warm directory; returns the record."""
+def _catalog_warm(store: CatalogStore) -> TableStore:
+    """Where the catalog's own warm record lives: ``<storage_dir>/warm/``,
+    beside ``CATALOG.json``, kept (swept, quarantined) exactly as a table's."""
+    return TableStore(store.directory)
+
+
+def _write_warm(table_store: TableStore, fill, *args) -> Dict[str, Any]:
+    """One save of ``table_store``'s warm directory: ``fill(*args, segment)``
+    writes the arrays and returns the record, which commits last; then every
+    file it does not name is dropped.  Returns the record."""
     warm_dir = table_store.warm_dir
     os.makedirs(warm_dir, exist_ok=True)
     names = os.listdir(warm_dir)  # the next serial: no file there carries it yet
@@ -127,6 +141,14 @@ def _save_table(service, table: Table, table_store: TableStore, memos) -> Dict[s
         files.append(f"w{serial:06d}-{len(files)}-{kind}.seg")
         return write_segment(os.path.join(warm_dir, files[-1]), kind, array)
 
+    body = fill(*args, segment)
+    write_manifest(os.path.join(warm_dir, WARM_RECORD), body)
+    table_store._drop_unreferenced(warm_dir, files)
+    return body
+
+
+def _table_record(service, table: Table, segment) -> Dict[str, Any]:
+    """One table's warm record, its arrays written through ``segment``."""
     evidence: List[Dict[str, Any]] = []
     numbers: Dict[int, int] = {}  # id(evidence object) -> its record number
 
@@ -162,13 +184,23 @@ def _save_table(service, table: Table, table_store: TableStore, memos) -> Dict[s
             if record is not None:
                 number = None if outcome is None else evidence_number(outcome)
                 plans.append({**record, "evidence": number})
-    memos = [{"udf": name, "ids": segment("ids", ids), "values": segment("memo", values)}
-             for name, ids, values in memos]
-    body = {"signature": _as_json(table.shard_signature()), "indexes": indexes,
-            "memos": memos, "evidence": evidence, "stats": stats, "plans": plans}
-    write_manifest(os.path.join(warm_dir, WARM_RECORD), body)
-    table_store._drop_unreferenced(warm_dir, files)
-    return body
+    return {"signature": _as_json(table.shard_signature()), "indexes": indexes,
+            "evidence": evidence, "stats": stats, "plans": plans}
+
+
+def _memo_record(service, segment) -> Dict[str, Any]:
+    """The catalog's warm record: every UDF memo, written once, stamped with
+    each table's shard signature."""
+    catalog = service.catalog
+    memos = []
+    for udf in catalog.udfs:
+        ids, values = udf.memo_arrays() if udf.memoize else ((), ())
+        if len(ids):
+            memos.append({"udf": udf.name, "ids": segment("ids", narrowed_ids(ids)),
+                          "values": segment("memo", values)})
+    signatures = {name: _as_json(catalog.table(name).shard_signature())
+                  for name in catalog.table_names()}
+    return {"signatures": signatures, "memos": memos}
 
 
 def save_warm_state(service, store: CatalogStore) -> Dict[str, int]:
@@ -177,17 +209,18 @@ def save_warm_state(service, store: CatalogStore) -> Dict[str, int]:
     The two are written together so every record's signature stamp matches
     the durable generation it sits next to; a crash between the two leaves
     data durable and warm state stale — restore then skips it and starts
-    cold, which is safe.
+    cold, which is safe.  The memos go first: a crash after them leaves
+    every table's previous record beside memos that know more rows, which
+    costs nothing (a memo holds only values the UDF really has).
     """
     store.save(service.catalog)
-    memos = []
-    for udf in service.catalog.udfs:
-        ids, values = udf.memo_arrays() if udf.memoize else ((), ())
-        if len(ids):
-            memos.append((udf.name, narrowed_ids(ids), values))
-    counts = {"plans": 0, "stats_entries": 0, "group_indexes": 0, "udf_memos": len(memos)}
+    memos = _write_warm(_catalog_warm(store), _memo_record, service)
+    counts = {"plans": 0, "stats_entries": 0, "group_indexes": 0,
+              "udf_memos": len(memos["memos"])}
     for name in service.catalog.table_names():
-        body = _save_table(service, service.catalog.table(name), store.table_store(name), memos)
+        body = _write_warm(
+            store.table_store(name), _table_record, service, service.catalog.table(name)
+        )
         counts["plans"] += len(body["plans"])
         counts["stats_entries"] += len(body["stats"])
         counts["group_indexes"] += len(body["indexes"])
@@ -195,6 +228,11 @@ def save_warm_state(service, store: CatalogStore) -> Dict[str, int]:
 
 
 # -- restore -------------------------------------------------------------------
+def _read(warm_dir: str, entry: Dict[str, Any]) -> np.ndarray:
+    """The warm segment a record's ``entry`` names, verified against it."""
+    return read_segment(os.path.join(warm_dir, entry["file"]), expected=entry, mmap=False)
+
+
 def _install_index(table: Table, column: str, allow_hidden: bool, values, codes) -> bool:
     """Reinstall a persisted group index, counting no index build; whether
     it was installed (a table that already holds the index keeps its own).
@@ -214,28 +252,26 @@ def _install_index(table: Table, column: str, allow_hidden: bool, values, codes)
     return True
 
 
-def _restore_table(
-    service, table: Table, warm_dir: str, with_memos: bool, counts: Dict[str, int]
-) -> bool:
+def _restore_table(service, table: Table, warm_dir: str, counts: Dict[str, int]) -> None:
     """Read and verify one table's warm state, then install it, adding to
-    ``counts``; whether there was any.  Raises :class:`CorruptSegmentError`
-    / :class:`ManifestVersionError` for a bad file, :class:`LookupError`
-    for a record stamped with another signature."""
+    ``counts``.  Raises :class:`CorruptSegmentError` /
+    :class:`ManifestVersionError` for a bad file, :class:`LookupError` for a
+    record stamped with another signature."""
     body = read_manifest(os.path.join(warm_dir, WARM_RECORD))
     if body is None:
-        return False
+        return
     if _tuples(body["signature"]) != table.shard_signature():
         raise LookupError("stale warm state")
-
-    def read(entry) -> np.ndarray:
-        return read_segment(os.path.join(warm_dir, entry["file"]), expected=entry, mmap=False)
-
-    indexes = [(record, read(record["values"]).tolist(), read(record["codes"]))
-               for record in body["indexes"]]
-    evidence = [_EVIDENCE_KINDS[record["kind"]](read(record["ids"]), read(record["flags"]))
-                for record in body["evidence"]]
-    memos = [(record["udf"], read(record["ids"]), read(record["values"]))
-             for record in (body["memos"] if with_memos else ())]
+    indexes = [
+        (record, _read(warm_dir, record["values"]).tolist(), _read(warm_dir, record["codes"]))
+        for record in body["indexes"]
+    ]
+    evidence = [
+        _EVIDENCE_KINDS[record["kind"]](
+            _read(warm_dir, record["ids"]), _read(warm_dir, record["flags"])
+        )
+        for record in body["evidence"]
+    ]
     values_of: Dict[str, List[Any]] = {}
     for record, values, codes in indexes:
         counts["restored_group_indexes"] += _install_index(
@@ -268,41 +304,57 @@ def _restore_table(
         )
         service.plan_cache.put(_tuples(record["signature"]), entry)
         counts["restored_plans"] += 1
+
+
+def _restore_memos(service, warm_dir: str, counts: Dict[str, int]) -> None:
+    """Read and verify the catalog's memo record, then absorb every memo —
+    when some reopened table still has the shard signature it was stamped
+    with.  Raises like :func:`_restore_table` for a bad file."""
+    TableStore(warm_dir)._sweep_temp_files()  # a table's open sweeps its own
+    body = read_manifest(os.path.join(warm_dir, WARM_RECORD))
+    catalog = service.catalog
+    if body is None or not any(
+        name in catalog.table_names()
+        and _tuples(signature) == catalog.table(name).shard_signature()
+        for name, signature in body["signatures"].items()
+    ):
+        return
+    memos = [(record["udf"], _read(warm_dir, record["ids"]), _read(warm_dir, record["values"]))
+             for record in body["memos"]]
     for name, ids, values in memos:
-        if name in service.catalog.udfs and service.catalog.udf(name).memoize:
-            service.catalog.udf(name).absorb_memo(ids, values)
+        if name in catalog.udfs and catalog.udf(name).memoize:
+            catalog.udf(name).absorb_memo(ids, values)
             counts["restored_udf_memos"] += 1
-    return True
 
 
 def restore_warm_state(service, store: CatalogStore) -> Dict[str, int]:
     """Load persisted warm state into a freshly constructed service.
 
-    Each table's record and segments are verified, signature-gated against
-    the *reopened* table and restored independently: a corrupt file is
-    quarantined and a stale record skipped, each counted once in
-    ``restore_errors``, without touching any other table's warm state — a
+    Each record and its segments are verified, signature-gated against the
+    *reopened* tables and restored independently: a corrupt file is
+    quarantined and a stale table record skipped, each counted once in
+    ``restore_errors``, without touching any other record's warm state — a
     failed restore can only ever cost warmth, never correctness.
     """
     counts = dict.fromkeys(
         ("restored_plans", "restored_stats_entries", "restored_group_indexes",
          "restored_udf_memos", "restore_errors"), 0,
     )
-    memos_restored = False
-    for name in service.catalog.table_names():
-        table_store = store.table_store(name)
+    records = [(_catalog_warm(store), _restore_memos, ())]
+    records += [
+        (store.table_store(name), _restore_table, (service.catalog.table(name),))
+        for name in service.catalog.table_names()
+    ]
+    for table_store, restore, args in records:
         try:
-            memos_restored |= _restore_table(
-                service, service.catalog.table(name), table_store.warm_dir,
-                not memos_restored, counts,
-            )
+            restore(service, *args, table_store.warm_dir, counts)
         except (CorruptSegmentError, ManifestVersionError) as exc:
             if isinstance(exc, CorruptSegmentError):
                 _count("checksum_failures")
             table_store._quarantine(exc.path, RecoveryReport())
             counts["restore_errors"] += 1
         except Exception:
-            # A stale record, or one this build cannot make sense of: the
-            # table starts cold; never fail service construction over warmth.
+            # A stale record, or one this build cannot make sense of: it
+            # starts cold; never fail service construction over warmth.
             counts["restore_errors"] += 1
     return counts

@@ -81,6 +81,14 @@ class TestTableAppend:
         assert array.dtype.kind == "O"
         assert array.tolist() == ["x", "y", 3]
 
+    def test_append_to_an_empty_column_holds_what_a_fresh_table_holds(self):
+        table = Table.from_columns("t", {"n": []}, column_types={"n": "numeric"})
+        assert table.column_array("n").dtype == np.float64  # no cells to say otherwise
+        table.append_columns({"n": [1, 2]})
+        fresh = Table.from_columns("f", {"n": [1, 2]})
+        assert table.column_array("n").dtype == fresh.column_array("n").dtype
+        assert table.row(0) == {"n": 1} and type(table.row(0)["n"]) is int
+
     def test_cached_group_index_extended_in_place(self):
         table = Table.from_columns("t", _columns(40), hidden_columns=["is_good"])
         old_index = table.group_index("grade")

@@ -1,6 +1,8 @@
-"""Warm state is segments under one record: each record kind round-trips,
-a pre-1.19 blob is ignored then swept, and a torn or corrupt warm file
-costs warmth — never correctness, never the previous warm state.
+"""Warm state is segments under one record per warm directory — each
+table's, and the catalog's, which holds every UDF memo once: each record
+kind round-trips, a pre-1.19 blob is ignored then swept, and a torn or
+corrupt warm file costs warmth — never correctness, never the previous warm
+state.
 
 A service over two small tables — ``loans`` (an 8-group ``grade``, a
 300-group ``many``, a mixed-type ``mixed`` column) and its copy
@@ -24,12 +26,13 @@ from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
 from repro.db.sharding import ShardedTable
 from repro.db.storage import CatalogStore, read_manifest, storage_counters
-from repro.db.storage.segments import validate_segment_header
+from repro.db.storage.segments import validate_segment_header, write_segment
 from repro.db.table import Table, narrowed_ids
 from repro.db.udf import UserDefinedFunction
 from repro.resilience.faults import ERROR, FaultPlan, FaultRule, InjectedFault, fault_scope
 from repro.sampling.sampler import SampleOutcome
 from repro.serving import QueryService, ServiceConfig
+from repro.serving import persistence
 from repro.serving.persistence import WARM_RECORD
 
 TABLES = ("loans", "loans_b")
@@ -100,6 +103,9 @@ def _served(storage_dir, tables=TABLES):
 
 
 def _warm_dir(storage_dir, name="loans"):
+    """A table's warm directory, or with ``name=None`` the catalog's."""
+    if name is None:
+        return os.path.join(storage_dir, "warm")
     return CatalogStore(storage_dir).table_store(name).warm_dir
 
 
@@ -143,15 +149,36 @@ def test_index_values_and_codes_round_trip_narrowed(storage):
         service.close()
 
 
-def test_memo_round_trip(storage):
+def test_memo_round_trip(storage, monkeypatch):
+    """Each memo is written once per save, beside ``CATALOG.json``, however
+    many tables the catalog holds; no table record carries one."""
     service, udf = _service(storage)
     service.submit(_query(udf), seed=0)
+    service.submit(_query(udf, "loans_b"), seed=0)
     saved = udf.memo_arrays()
+    kinds = []
+
+    def counted(path, kind, array):
+        kinds.append(kind)
+        return write_segment(path, kind, array)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(persistence, "write_segment", counted)
+        counts = service.save_warm_state()
     service.close()
-    (memo,) = _record(storage)["memos"]
+    assert counts["udf_memos"] == 1
+    record = _record(storage, None)
+    (memo,) = record["memos"]
     assert memo["udf"] == "label" and memo["ids"]["rows"] == saved[0].size > 0
-    assert _header(storage, memo["ids"])["dtype"] == "<u2"
-    assert _header(storage, memo["values"])["dtype"] == "|b1"
+    assert _header(storage, memo["ids"], None)["dtype"] == "<u2"
+    assert _header(storage, memo["values"], None)["dtype"] == "|b1"
+    assert set(record["signatures"]) == set(TABLES)
+    for name in TABLES:
+        assert "memos" not in _record(storage, name)
+        assert not [n for n in os.listdir(_warm_dir(storage, name)) if n.endswith("-memo.seg")]
+    tables = [_record(storage, name) for name in TABLES]
+    assert kinds.count("memo") == 1  # once, for two tables
+    assert len(kinds) == 2 + sum(2 * len(r["indexes"]) + 2 * len(r["evidence"]) for r in tables)
     for _reopen in range(2):  # the second reopen reads what the first one's close wrote
         service, udf = _service(storage)  # a cold UDF: the memo comes from disk
         try:
@@ -306,7 +333,8 @@ def _saved_then_solved(directory):
 
 def _warm_write_sites(directory):
     """``(site, hit)`` of every write of the next save's warm state: each
-    segment (the save checkpoints no table segment), then the record."""
+    segment (the save checkpoints no table segment), then the two records —
+    the catalog's (memos, written first) and the table's."""
     service, _udf, _warm, _other = _saved_then_solved(directory)
     rules = {site: FaultRule(ERROR, addresses=frozenset())
              for site in ("segment_write", "manifest_write")}
@@ -317,9 +345,9 @@ def _warm_write_sites(directory):
     assert storage_counters()["segments_written"] == written
     service.close()
     segments = plan.next_address("segment_write")
-    last_manifest = plan.next_address("manifest_write") - 1  # the warm record
+    last_manifest = plan.next_address("manifest_write") - 1  # the table's warm record
     return [("segment_write", hit) for hit in range(segments)] + [
-        ("manifest_write", last_manifest)
+        ("manifest_write", last_manifest - 1), ("manifest_write", last_manifest)
     ]
 
 
@@ -328,7 +356,7 @@ def test_fault_at_every_warm_write_keeps_the_previous_warm_state(tmp_path, layou
     its one plan restores, the plan solved after it is a miss, every answer
     is the one served before the restart, and no ``.tmp`` file is left."""
     sites = _warm_write_sites(_checkpoint(tmp_path / "probe", layout, ("loans",)))
-    assert len(sites) == 2 * 4 + 1  # index, memo, two evidences: 2 arrays each; the record
+    assert len(sites) == 2 * 4 + 2  # memo, index, two evidences: 2 arrays each; two records
     for site, hit in sites:
         directory = _checkpoint(tmp_path / f"{site}-{hit}", layout, ("loans",))
         service, udf, warm, other = _saved_then_solved(directory)
@@ -357,10 +385,9 @@ def test_fault_at_every_warm_write_keeps_the_previous_warm_state(tmp_path, layou
         ]
 
 
-@pytest.mark.parametrize("kind", ["record", "values", "codes", "ids", "flags", "memo"])
-def test_fault_flipped_byte_in_a_warm_file_quarantines_that_table_only(storage, kind):
-    answers = _served(storage)
-    warm_dir = _warm_dir(storage)
+def _flip_a_byte(warm_dir, kind):
+    """Flip one byte of ``warm_dir``'s record or first ``kind`` segment;
+    returns the file's path."""
     if kind == "record":
         path, position = os.path.join(warm_dir, WARM_RECORD), 40
     else:
@@ -369,6 +396,13 @@ def test_fault_flipped_byte_in_a_warm_file_quarantines_that_table_only(storage, 
     data = bytearray(open(path, "rb").read())
     data[position] ^= 0x20
     open(path, "wb").write(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["record", "values", "codes", "ids", "flags"])
+def test_fault_flipped_byte_in_a_warm_file_quarantines_that_table_only(storage, kind):
+    answers = _served(storage)
+    path = _flip_a_byte(_warm_dir(storage), kind)
 
     service, udf = _service(storage)
     try:
@@ -383,5 +417,26 @@ def test_fault_flipped_byte_in_a_warm_file_quarantines_that_table_only(storage, 
         restored = service.submit(_query(udf, "loans_b"), seed=7)
         assert restored.metadata["plan_cache"] == "restored"
         assert restored.row_ids.tolist() == answers["loans_b"][1]
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("kind", ["record", "ids", "memo"])
+def test_fault_flipped_byte_in_the_memo_record_leaves_only_the_memos_cold(storage, kind):
+    answers = _served(storage)
+    path = _flip_a_byte(_warm_dir(storage, None), kind)
+
+    service, udf = _service(storage)
+    try:
+        counts = service.stats().storage
+        assert counts["restore_errors"] == 1 and counts["checksum_failures"] == 1
+        assert counts["restored_plans"] == 2 and counts["restored_udf_memos"] == 0
+        quarantine = os.path.join(storage, "quarantine")
+        assert os.listdir(quarantine) == [os.path.basename(path)]
+        assert udf.counter_snapshot()["cache_size"] == 0
+        for name in TABLES:
+            restored = service.submit(_query(udf, name), seed=7)
+            assert restored.metadata["plan_cache"] == "restored"
+            assert restored.row_ids.tolist() == answers[name][1]
     finally:
         service.close()
