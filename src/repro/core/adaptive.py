@@ -23,7 +23,7 @@ from repro.db.engine import QueryResult
 from repro.db.table import Table
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.sampling.adaptive import choose_num_adaptively, default_num_schedule
-from repro.sampling.sampler import GroupSampler, SampleOutcome
+from repro.sampling.sampler import GroupSampler, SampleOutcome, merge_drawn
 from repro.sampling.schemes import TwoThirdPowerScheme
 from repro.solvers.linear import InfeasibleProblemError
 from repro.stats.random import RandomState, SeedLike, as_random_state
@@ -121,7 +121,9 @@ class AdaptiveIntelSample:
             new_outcome = sampler.sample(
                 table, index, udf, allocation, ledger, already_sampled=outcome
             )
-            outcome = new_outcome if outcome is None else outcome.merge(new_outcome)
+            outcome = (
+                new_outcome if outcome is None else merge_drawn(index, outcome, new_outcome)
+            )
             try:
                 solution = solve_with_samples(
                     index,

@@ -91,23 +91,28 @@ object is built anywhere between the coins and the caller.
 
 Identity keys are sufficient because both inputs are replaced, never
 edited, when the data they describe changes: an append gives the table a
-new (extended) index object, whose memo starts empty, and evidence that
-gained a row is a new :class:`~repro.sampling.sampler.SampleOutcome`, which
-no older frame is filed under.  A stale frame is therefore unreachable, not
-merely invalidated.  The converse holds too, and the update path relies on
-it: evidence that gained *nothing* stays the same object
-(:meth:`SampleOutcome.merge <repro.sampling.sampler.SampleOutcome.merge>`
-returns a sole non-empty operand as is — safe because evidence is
-immutable), so a refresh that drew no row executes over the frame its
-sampler, or the other signature's refresh, already built: one exclusion
-pass per changed evidence, not one per reader.  The memo entry dies with
-whichever input dies first (the index owns it; a weak reference to the
-outcome removes it), the frame references neither, and nothing of it is
-attached to the outcome — so it is never written into warm state, which
-holds the index's values and codes and the evidence's arrays only; a
-restored plan rebuilds its frame on the first hit.  With the caches off
-every query brings a fresh outcome and the frame is simply rebuilt per
-query by the same (cheap) function: there is no second code path.
+new (extended) index object, and evidence that gained a row is a new
+:class:`~repro.sampling.sampler.SampleOutcome`.  Neither replacement starts
+from nothing.  The extended index inherits its parent's memo lazily — each
+frame with the row count it covers — and the first lookup grows it by the
+appended rows (one concatenation per group the append reached; evidence
+holding an appended row is rebuilt).  Evidence a draw extended derives its
+frame from the one the rows were drawn over
+(:func:`~repro.sampling.sampler.merge_drawn`), dropping only the drawn rows,
+from their groups.  Either way the frame equals a from-scratch build, array
+for array.  The converse holds too: evidence that gained *nothing* stays the
+same object (:meth:`SampleOutcome.merge
+<repro.sampling.sampler.SampleOutcome.merge>` returns a sole non-empty
+operand as is — safe because evidence is immutable), so a refresh that drew
+no row executes over the frame its sampler, or the other signature's
+refresh, already grew.  The memo entry dies with the outcome (a weak
+reference removes it from every index holding it) or with the last index
+holding it; the frame references neither input, no extended index keeps its
+parent alive, and nothing of it is attached to the outcome — so it is never
+written into warm state, which holds the index's values and codes and the
+evidence's arrays only; a restored plan builds its frame on the first hit.
+With the caches off every query brings a fresh outcome and the frame is
+simply built per query by the same function: there is no second code path.
 
 Shared coin discipline
 ----------------------

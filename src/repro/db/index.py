@@ -210,7 +210,7 @@ class GroupIndex:
         self._sizes: List[int] = [int(rows.size) for rows in self._row_id_arrays]
         self._empty: np.ndarray = np.empty(0, dtype=np.intp)
         self._empty.setflags(write=False)
-        self._derived: Dict[int, Tuple[weakref.ref, Any]] = {}
+        self._derived: Dict[int, Tuple[weakref.ref, Any, object]] = {}
         if count_build:
             GroupIndex.builds_total += 1
 
@@ -309,23 +309,56 @@ class GroupIndex:
         return (0, self.total_rows())
 
     # -- derived-value memo ------------------------------------------------------
-    def derived(self, source: object, build: Callable[[], _T]) -> _T:
+    def derived(
+        self,
+        source: object,
+        build: Callable[[], _T],
+        grow: Optional[Callable[[_T, object], _T]] = None,
+    ) -> _T:
         """``build()``, kept for as long as this index and ``source`` both live.
 
         For values that are a pure function of this index and one other
         immutable-by-convention object (the executor's candidate frame over a
         sample outcome).  The memo is keyed on the *identity* of ``source``
-        and owned by this index: an extended index starts with an empty memo,
-        the entry is dropped when ``source`` is collected, and neither the
-        memo nor the weak reference keeps ``source`` (or this index) alive.
-        ``build`` may run more than once under concurrent first calls; the
-        results are interchangeable.
+        and owned by this index; the entry is dropped when ``source`` is
+        collected, and neither the memo nor the weak reference keeps
+        ``source`` (or this index) alive.
+
+        An entry may hold a *basis* instead of the value: the value for fewer
+        rows, which an extended index inherits from its parent
+        (:meth:`extended_by`; the step is the row count, an ``int``, the
+        basis covers), or the value of other evidence (:meth:`derive_later`;
+        the step is what the caller filed).  The first call then returns
+        ``grow(basis, step)`` — ``build()`` when no ``grow`` is given — and
+        keeps it.  ``build`` and ``grow`` may run more than once under
+        concurrent first calls; the results are interchangeable.
         """
         key = id(source)
         entry = self._derived.get(key)
         if entry is not None and entry[0]() is source:
-            return entry[1]
+            reference, basis, step = entry
+            if step is None:
+                return basis
+            value = build() if grow is None else grow(basis, step)
+            self._derived[key] = (reference, value, None)
+            return value
         value = build()
+        self._remember(source, value, None)
+        return value
+
+    def derive_later(self, source: object, origin: object, step: object) -> None:
+        """File ``source``'s value as ``origin``'s plus ``step``, unbuilt.
+
+        Does nothing unless ``origin``'s value is current here; otherwise the
+        first :meth:`derived` call for ``source`` hands ``origin``'s value and
+        ``step`` to its ``grow``.
+        """
+        entry = self._derived.get(id(origin))
+        if entry is not None and entry[0]() is origin and entry[2] is None:
+            self._remember(source, entry[1], step)
+
+    def _remember(self, source: object, value: Any, step: object) -> None:
+        key = id(source)
         owner = weakref.ref(self)
 
         def forget(_reference: weakref.ref) -> None:
@@ -334,8 +367,24 @@ class GroupIndex:
             if index is not None:
                 index._derived.pop(key, None)
 
-        self._derived[key] = (weakref.ref(source, forget), value)
-        return value
+        self._derived[key] = (weakref.ref(source, forget), value, step)
+
+    def _inherit(self, parent: "GroupIndex", covered: Optional[int]) -> None:
+        """Take over ``parent``'s memo without keeping ``parent`` alive.
+
+        ``covered`` is the row count ``parent`` indexes when this index holds
+        more rows: only its current values are taken, as bases covering that
+        many rows.  An entry nobody read since the previous append is left
+        behind with ``parent``, as is a value filed against other evidence
+        (:meth:`derive_later`), so an append keeps alive no more than the
+        previous one did.  ``None`` (the same rows over new spans) takes
+        every entry as it is.
+        """
+        for reference, value, step in list(parent._derived.values()):
+            source = reference()
+            if source is None or (covered is not None and step is not None):
+                continue
+            self._remember(source, value, step if covered is None else covered)
 
     # -- incremental maintenance -------------------------------------------------
     def _extended_parts(
@@ -389,6 +438,11 @@ class GroupIndex:
         so concurrent readers holding it keep a consistent (pre-append)
         view.  Does not advance :attr:`builds_total` — incremental work is
         counted on :attr:`extensions_total`.
+
+        The new index inherits the memo (:meth:`derived`) lazily: each value
+        becomes a basis covering the old rows, grown on its first use by
+        whoever reads it, so an append pays nothing for values never read
+        again.  The original index is not kept alive by its extension.
         """
         extended = type(self).__new__(type(self))
         extended._table_ref = self._table_ref
@@ -397,6 +451,7 @@ class GroupIndex:
             *self._extended_parts(delta_array),
             count_build=False,
         )
+        extended._inherit(self, self.total_rows())
         GroupIndex.extensions_total += 1
         return extended
 
@@ -494,7 +549,8 @@ class MergedGroupIndex(GroupIndex):
 
         Used after a tail seal/re-chunk: re-chunking never reorders rows, so
         values, codes and per-group row arrays are shared as-is; only the
-        span boundaries change (and the derived-value memo starts empty).
+        span boundaries change.  No memoised value depends on them, so the
+        memo is carried over as it is (:meth:`derived`).
         """
         bounds = tuple(int(o) for o in offsets)
         if bounds[-1] != self.total_rows():
@@ -505,6 +561,7 @@ class MergedGroupIndex(GroupIndex):
         clone = copy.copy(self)
         clone._offsets = bounds
         clone._derived = {}
+        clone._inherit(self, None)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

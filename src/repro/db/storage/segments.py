@@ -27,6 +27,7 @@ committed file is never half-written.
 from __future__ import annotations
 
 import json
+import mmap as mmap_module
 import os
 import pickle
 import struct
@@ -176,19 +177,6 @@ def _parse_header(path: str, header_bytes: bytes) -> Dict[str, Any]:
     return header
 
 
-def _read_header(path: str, data: bytes) -> "tuple[Dict[str, Any], int]":
-    if len(data) < len(SEGMENT_MAGIC) + 8:
-        raise CorruptSegmentError(path, "truncated before header")
-    if data[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
-        raise CorruptSegmentError(path, "bad magic (not a segment file)")
-    (header_len,) = struct.unpack_from("<Q", data, len(SEGMENT_MAGIC))
-    header_start = len(SEGMENT_MAGIC) + 8
-    if header_start + header_len > len(data):
-        raise CorruptSegmentError(path, "truncated header")
-    header = _parse_header(path, data[header_start : header_start + header_len])
-    return header, header_start + int(header_len)
-
-
 #: Sanity cap for header lengths read from disk: a corrupted length field
 #: must fail typed, not attempt a multi-gigabyte allocation.
 _MAX_HEADER_BYTES = 64 << 20
@@ -254,6 +242,42 @@ def validate_segment_header(
     return header, payload_offset
 
 
+def _verify_payload(
+    path: str,
+    payload: Any,
+    header: Dict[str, Any],
+    expected: Optional[Dict[str, Any]],
+) -> None:
+    """Check ``payload`` (bytes, or a ``uint8`` array over the payload)
+    against the header's block CRCs and the manifest entry's whole CRC.
+
+    A payload of one block has one CRC, which is also the whole-payload CRC:
+    it is computed once and compared with both.
+    """
+    stored = [int(crc) for crc in header["block_crcs"]]
+    block_bytes = int(header["block_bytes"])
+    if len(payload) <= block_bytes:
+        whole = zlib.crc32(payload)
+        checksums = [whole]
+    else:
+        checksums = _block_checksums(payload, block_bytes)
+        whole = None
+    if checksums != stored:
+        bad = [
+            position
+            for position, (fresh, kept) in enumerate(zip(checksums, stored))
+            if fresh != kept
+        ]
+        raise CorruptSegmentError(
+            path, f"checksum mismatch in block(s) {bad or 'trailing'}"
+        )
+    if expected is not None:
+        if whole is None:
+            whole = zlib.crc32(payload)
+        if int(expected["crc"]) != whole:
+            raise CorruptSegmentError(path, "manifest payload CRC mismatch")
+
+
 def read_segment(
     path: str,
     expected: Optional[Dict[str, Any]] = None,
@@ -261,57 +285,62 @@ def read_segment(
 ) -> np.ndarray:
     """Validate and load one segment file as a read-only column array.
 
-    Every block CRC is verified against the header before any data is
-    handed out; fixed-width payloads then come back as a read-only
-    ``np.memmap`` view (``mmap=False`` forces an in-memory copy), pickled
-    object payloads as an object array.  ``expected`` is the manifest entry
-    written by :func:`write_segment` — row count and whole-payload CRC must
-    agree, so a segment swapped for a different (but self-consistent) file
-    still fails typed.
+    The header is validated first (:func:`validate_segment_header`: magic,
+    header CRC, file size, and ``expected`` — the manifest entry written by
+    :func:`write_segment` — for rows, codec and dtype).  Every block CRC,
+    and the manifest's whole-payload CRC, is then verified before any data
+    is handed out, so a segment swapped for a different (but
+    self-consistent) file still fails typed.  The payload is read once:
+    fixed-width payloads come back as a read-only ``np.memmap`` that the
+    checksums are computed over in place (``mmap=False`` reads the payload
+    into the in-memory array it returns), pickled object payloads as an
+    object array.
 
     The ``segment_read`` fault site fires here: a ``garbage`` rule models a
     bit flip (the checksum pass sees one corrupted byte and fails exactly
     as it would for real media corruption).
     """
     fired = _faults.maybe_fire(_faults.active_plan(), "segment_read")
+    header, payload_offset = validate_segment_header(path, expected)
+    size = int(header["payload_bytes"])
+    rows = int(header["rows"])
+    if header["kind"] == "numpy":
+        dtype = np.dtype(header["dtype"])
+        if rows * dtype.itemsize != size:
+            raise CorruptSegmentError(
+                path, f"{rows} rows of {dtype.str} cannot fill {size} payload bytes"
+            )
+        if mmap and size and fired != _faults.GARBAGE:
+            try:
+                array = np.memmap(
+                    path, dtype=dtype, mode="r", offset=payload_offset, shape=(rows,)
+                )
+            except FileNotFoundError:
+                raise CorruptSegmentError(path, "segment file missing") from None
+            except ValueError:  # shorter than its header said when validated
+                raise CorruptSegmentError(path, "truncated payload") from None
+            _verify_payload(path, array.view(np.uint8), header, expected)
+            # The check read every page; the caller may read few of them.
+            # Unmapping them keeps the file's bytes out of this process's
+            # resident set until a reader faults them back in from the cache.
+            array._mmap.madvise(mmap_module.MADV_DONTNEED)
+            _LIVE_MEMMAPS[next(_MEMMAP_TOKENS)] = array
+            return array
+        array = np.empty(rows, dtype=dtype)
+        payload = array.view(np.uint8)
+    else:
+        payload = np.empty(size, dtype=np.uint8)
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            handle.seek(payload_offset)
+            read = handle.readinto(payload)
     except FileNotFoundError:
         raise CorruptSegmentError(path, "segment file missing") from None
-    header, payload_offset = _read_header(path, data)
-    payload = data[payload_offset:]
-    if fired == _faults.GARBAGE and payload:
-        # Injected bit flip: corrupt one payload byte before validation.
-        payload = bytes([payload[0] ^ 0x40]) + payload[1:]
-    if len(payload) != int(header["payload_bytes"]):
-        raise CorruptSegmentError(
-            path,
-            f"payload holds {len(payload)} bytes, header says "
-            f"{header['payload_bytes']}",
-        )
-    block_bytes = int(header["block_bytes"])
-    checksums = _block_checksums(payload, block_bytes)
-    if checksums != [int(crc) for crc in header["block_crcs"]]:
-        bad = [
-            position
-            for position, (fresh, stored) in enumerate(
-                zip(checksums, header["block_crcs"])
-            )
-            if fresh != int(stored)
-        ]
-        raise CorruptSegmentError(
-            path, f"checksum mismatch in block(s) {bad or 'trailing'}"
-        )
-    if expected is not None:
-        if int(expected["rows"]) != int(header["rows"]):
-            raise CorruptSegmentError(
-                path,
-                f"manifest expects {expected['rows']} rows, segment holds "
-                f"{header['rows']}",
-            )
-        if int(expected["crc"]) != zlib.crc32(payload):
-            raise CorruptSegmentError(path, "manifest payload CRC mismatch")
+    if read != size:
+        raise CorruptSegmentError(path, "truncated payload")
+    if fired == _faults.GARBAGE and size:
+        payload[0] ^= 0x40  # injected bit flip, before validation
+    _verify_payload(path, payload, header, expected)
     if header["kind"] == "pickle":
         try:
             values = pickle.loads(payload)
@@ -319,14 +348,5 @@ def read_segment(
             raise CorruptSegmentError(path, f"unpicklable payload: {exc}") from None
         array = np.empty(len(values), dtype=object)
         array[:] = values
-        array.setflags(write=False)
-        return array
-    dtype = np.dtype(header["dtype"])
-    rows = int(header["rows"])
-    if mmap and fired != _faults.GARBAGE:
-        array = np.memmap(path, dtype=dtype, mode="r", offset=payload_offset, shape=(rows,))
-        _LIVE_MEMMAPS[next(_MEMMAP_TOKENS)] = array
-    else:
-        array = np.frombuffer(payload, dtype=dtype, count=rows).copy()
-        array.setflags(write=False)
+    array.setflags(write=False)
     return array

@@ -11,14 +11,17 @@ which rows it paid for and which passed (``F_a``, ``F_a^+``) as one
   the remaining ``t_a - F_a`` tuples only.
 
 Both read "a group's rows minus the rows already paid for", and it is
-computed in one place: :func:`build_candidate_frame` (:func:`drop_members`
-over :meth:`Evidence.by_group`, once per group), memoised by
-:func:`candidate_frame` on the index under the evidence's identity.  This
-module owns the frame because both readers can reach it here — the sampler
-topping up an earlier outcome asks for ``candidate_frame(index, prior)`` (and
-only when some group's requested count is positive: a top-up that draws
-nothing excludes nothing), and ``core.executor``, which imports this module,
-flips its coins over the same arrays.
+computed in one place: :func:`candidate_frame`, memoised on the index under
+the evidence's identity.  From scratch that is :func:`build_candidate_frame`
+(:func:`drop_members` over :meth:`Evidence.by_group`, once per group); after
+an append the extended index grows the frame it inherited by the appended
+rows, and after a draw :func:`merge_drawn` lets the merged evidence derive
+its frame from the one the rows were drawn over, dropping only those rows.
+This module owns the frame because both readers can reach it here — the
+sampler topping up an earlier outcome asks for ``candidate_frame(index,
+prior)`` (and only when some group's requested count is positive: a top-up
+that draws nothing excludes nothing), and ``core.executor``, which imports
+this module, flips its coins over the same arrays.
 
 The identity rule that keeps the memo warm: :meth:`SampleOutcome.merge`
 returns its operand *as is* when the other side is empty.  Evidence is
@@ -26,7 +29,7 @@ immutable (read-only arrays in a frozen dataclass), so sharing one object
 between the statistics cache, several plans and a frame filed under it is
 safe — nobody can edit it under anybody else — and a refresh whose evidence
 did not move keeps the outcome it started with, and with it the frame.
-Evidence that did move is a new object, which no older frame is filed under.
+Evidence that did move is a new object; its frame is derived, not found.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy.typing as npt
 from repro.db.index import GroupIndex, group_order
 from repro.db.table import Table, as_row_ids
 from repro.db.udf import CostLedger, UserDefinedFunction
+from repro.obs import trace as _trace
 from repro.resilience.deadline import check_deadline
 from repro.stats.random import RandomState, SeedLike, as_random_state
 
@@ -56,10 +60,11 @@ def drop_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Ascending ``rows`` without ``members`` — one binary search per member.
 
     Every member must occur in ``rows`` (any order, repeats allowed): a
-    group's rows and its slice of :meth:`Evidence.by_group`.  The members
-    are sorted before the probe: neighbouring searches then walk the same
-    cache lines of ``rows`` (0.038 → 0.010 ms at 39k rows × 600 members,
-    the sort itself 0.003), which is most of what the exclusion costs.
+    group's rows and its slice of :meth:`Evidence.by_group`, or a group's
+    candidates and the rows a draw took from them.  The members are sorted
+    before the probe: neighbouring searches then walk the same cache lines
+    of ``rows`` (0.038 → 0.010 ms at 39k rows × 600 members, the sort
+    itself 0.003), which is most of what the exclusion costs.
     """
     if not members.size:
         return rows
@@ -229,15 +234,107 @@ def build_candidate_frame(
     )
 
 
+def _grown_frame(
+    index: GroupIndex, frame: CandidateFrame, covered: int
+) -> CandidateFrame:
+    """``frame`` over the first ``covered`` rows, grown to all of ``index``'s.
+
+    For evidence that holds no row past ``covered``: no appended row is paid
+    for and no free positive moves, so each group the append reached gets
+    its rows past ``covered`` (ascending, after every older row) in one
+    concatenation, and a group that first appears in the append takes its
+    own row array.  A group none of whose rows is paid for is its row array,
+    as in :func:`build_candidate_frame`.
+    """
+    candidates = list(frame.candidates)
+    for code, (_, rows) in enumerate(index.items()):
+        if code >= len(candidates):
+            candidates.append(rows)
+            continue
+        kept = candidates[code]
+        start = int(np.searchsorted(rows, covered))
+        if start == rows.size:
+            continue
+        if kept.size == start:
+            candidates[code] = rows
+            continue
+        grown = np.concatenate([kept, rows[start:]])
+        grown.setflags(write=False)
+        candidates[code] = grown
+    return CandidateFrame(tuple(candidates), frame.free_positives)
+
+
+def _frame_after_draw(
+    index: GroupIndex,
+    frame: CandidateFrame,
+    fresh: Evidence,
+    merged: Evidence,
+) -> CandidateFrame:
+    """``frame`` of the evidence ``fresh`` was drawn over, for ``merged``.
+
+    ``fresh`` holds rows drawn from ``frame``'s candidates, so only they are
+    dropped, and only from the groups they fall in.  The free positives are
+    re-read from ``merged``: its positives in the index's group order, draw
+    order within a group — what regrouping all of it would give.
+    """
+    sampled, _, bounds = fresh.by_group(index)
+    candidates = list(frame.candidates)
+    for code in np.flatnonzero(np.diff(bounds)).tolist():
+        rows = drop_members(candidates[code], sampled[bounds[code] : bounds[code + 1]])
+        rows.setflags(write=False)
+        candidates[code] = rows
+    positives = merged.row_ids[merged.flags & merged.inside(index)]
+    order, _ = group_order(index.codes_for_rows(positives), index.num_groups)
+    return CandidateFrame(tuple(candidates), as_row_ids(positives[order]))
+
+
 def candidate_frame(
     index: GroupIndex, sample_outcome: Optional[SampleOutcome]
 ) -> CandidateFrame:
-    """The frame, built at most once while ``index`` and the outcome both live."""
+    """The frame, computed at most once while ``index`` and the outcome both live.
+
+    It is found in the index's memo, grown from the frame the index
+    inherited over fewer rows, derived from the frame of the evidence the
+    outcome's newest rows were drawn over (:func:`merge_drawn`), or built;
+    the current trace span records which as ``frame``.
+    """
+    how = "memo"
+
+    def build() -> CandidateFrame:
+        nonlocal how
+        how = "built"
+        return build_candidate_frame(index, sample_outcome)
+
+    def grow(frame: CandidateFrame, step: object) -> CandidateFrame:
+        nonlocal how
+        if isinstance(step, Evidence):
+            how = "derived"
+            return _frame_after_draw(index, frame, step, sample_outcome)
+        if sample_outcome.size and int(sample_outcome.row_ids.max()) >= step:
+            return build()  # evidence the old frame did not exclude
+        how = "grown"
+        return _grown_frame(index, frame, step)
+
     if sample_outcome is None:
-        return build_candidate_frame(index, None)
-    return index.derived(
-        sample_outcome, lambda: build_candidate_frame(index, sample_outcome)
-    )
+        frame = build()
+    else:
+        frame = index.derived(sample_outcome, build, grow)
+    active = _trace.current_span()
+    if active is not None:
+        active.annotate("frame", how)
+    return frame
+
+
+def merge_drawn(
+    index: GroupIndex, prior: SampleOutcome, fresh: SampleOutcome
+) -> SampleOutcome:
+    """``prior.merge(fresh)`` for ``fresh`` drawn over ``prior``'s frame on
+    ``index``: a merged outcome that is a new object gets its frame derived
+    from ``prior``'s on first use, not built (:func:`candidate_frame`)."""
+    merged = prior.merge(fresh)
+    if merged is not prior:
+        index.derive_later(merged, prior, fresh)
+    return merged
 
 
 class GroupSampler:

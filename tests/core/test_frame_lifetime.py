@@ -2,8 +2,11 @@
 
 The frame memo lives on the :class:`~repro.db.index.GroupIndex` it was
 derived from, keyed on the identity of the sample outcome: it must be
-reachable exactly as long as *both* are, keep neither alive, hang off no
-module-level container and never ride along when an outcome is pickled.
+reachable exactly as long as *both* are (or an extension of that index that
+inherited it, and grows it to equal a fresh build), keep neither alive, hang
+off no module-level container and never ride along when an outcome is
+pickled.  A merged outcome derives its frame from the one its rows were
+drawn over, and the current trace span says how each frame was obtained.
 Every backend — serial, inline spans, process — takes its candidates from that
 one frame: built once however many warm executions follow, shared across
 backends, and never shipped to a worker as sampled-id arrays.
@@ -20,13 +23,21 @@ from repro.core.executor import BatchExecutor, candidate_frame
 from repro.core.parallel import ParallelBatchExecutor
 from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.core.procpool import ProcessPoolBatchExecutor
+from repro.datasets.registry import load_dataset
+from repro.db.catalog import Catalog
+from repro.db.engine import Engine
 from repro.db.index import GroupIndex
+from repro.db.predicate import UdfPredicate
+from repro.db.query import SelectQuery
 from repro.db.sharding import ShardedTable
 from repro.db.shm import release_exports
+from repro.db.storage import CatalogStore
 from repro.db.table import Table
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
+from repro.obs import CollectingTraceSink
 from repro.sampling import sampler as sampler_module
-from repro.sampling.sampler import SampleOutcome, drop_members
+from repro.sampling.sampler import SampleOutcome, drop_members, merge_drawn
+from repro.serving import QueryService, ServiceConfig
 
 from leakcheck import assert_no_leaked_resources
 
@@ -138,28 +149,6 @@ class TestFrameLifetime:
         assert index_ref() is None and outcome_ref() is None
         assert frame.free_positives.tolist() == [0, 4]  # still usable on its own
 
-    def test_an_extended_index_starts_with_an_empty_memo(self):
-        for table in (
-            _table(),
-            ShardedTable.from_columns(
-                "lifetimes",
-                {"A": list("abcabaca"), "f": [True] * 8},
-                hidden_columns=["f"],
-                shard_rows=3,
-            ),
-        ):
-            before = table.group_index("A")
-            outcome = _outcome()
-            stale = candidate_frame(before, outcome)
-            table.append_columns({"A": ["a", "d"], "f": [True, False]})
-            after = table.group_index("A")
-            assert after is not before
-            assert after._derived == {}
-            fresh = candidate_frame(after, outcome)
-            assert fresh is not stale
-            assert [rows.tolist() for rows in fresh.candidates][0][-1] == 8
-            assert len(fresh.candidates) == len(stale.candidates) + 1
-
     def test_no_module_level_container_holds_frames(self):
         """A global memo would keep the frame (and the table) after both die."""
         table = _table()
@@ -242,6 +231,248 @@ class TestFrameLifetime:
         _run(table, table.group_index("A"), _outcome())
         del table
         assert_no_leaked_resources()
+
+
+def _frames_equal(frame, expected):
+    assert len(frame.candidates) == len(expected.candidates)
+    for rows, want in zip(frame.candidates, expected.candidates):
+        assert rows.dtype == want.dtype and np.array_equal(rows, want)
+        assert not rows.flags.writeable
+    assert np.array_equal(frame.free_positives, expected.free_positives)
+
+
+def _appendable_tables():
+    """The lifetime table as it is, and in shards of three rows (whose
+    three-row append seals the tail and re-chunks the index's spans)."""
+    return (
+        _table(),
+        ShardedTable.from_columns(
+            "lifetimes",
+            {"A": ["a", "b", "c", "a", "b", "a", "c", "a"], "f": [True] * 8},
+            hidden_columns=["f"],
+            shard_rows=3,
+        ),
+    )
+
+
+def _append(table):
+    table.append_columns({"A": ["a", "d", "b"], "f": [True, False, True]})
+
+
+class TestFramesAcrossAppends:
+    """An extended index grows its parent's frames instead of rebuilding them."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        real = sampler_module.build_candidate_frame
+
+        def counting(index, sample_outcome):
+            builds.append(id(sample_outcome))
+            return real(index, sample_outcome)
+
+        monkeypatch.setattr(sampler_module, "build_candidate_frame", counting)
+        return builds, real
+
+    def test_an_extended_index_grows_its_parent_frames(self, monkeypatch):
+        builds, build = self._count_builds(monkeypatch)
+        for table in _appendable_tables():
+            before = table.group_index("A")
+            outcome = _outcome()
+            stale = candidate_frame(before, outcome)
+            _append(table)
+            after = table.group_index("A")
+            assert after is not before
+            builds.clear()
+            grown = candidate_frame(after, outcome)
+            assert builds == []  # grown, not built
+            _frames_equal(grown, build(after, outcome))
+            # a: 0+ 5- sampled, 8 appended; b: 4+ sampled, 10 appended; c untouched.
+            assert [rows.tolist() for rows in grown.candidates] == [[3, 7, 8], [1, 10], [2, 6], [9]]
+            assert grown.candidates[2] is stale.candidates[2]  # no row of c appended
+            assert grown.candidates[3] is after.row_ids("d")  # a new group's own rows
+            assert [rows.tolist() for rows in stale.candidates] == [[3, 7], [1], [2, 6]]
+            assert candidate_frame(after, outcome) is grown  # kept, like a built frame
+
+    def test_evidence_past_the_old_end_is_rebuilt(self, monkeypatch):
+        builds, build = self._count_builds(monkeypatch)
+        for table in _appendable_tables():
+            before = table.group_index("A")
+            outcome = SampleOutcome([0, 9], [True, True])  # 9 is not a row yet
+            candidate_frame(before, outcome)
+            _append(table)
+            after = table.group_index("A")
+            builds.clear()
+            frame = candidate_frame(after, outcome)
+            assert builds == [id(outcome)]
+            _frames_equal(frame, build(after, outcome))
+            assert frame.free_positives.tolist() == [0, 9]
+
+    def test_a_frame_nobody_read_since_the_last_append_is_left_behind(self, monkeypatch):
+        """An append keeps alive no more frames than the previous one did."""
+        builds, build = self._count_builds(monkeypatch)
+        table = _table()
+        read, unread = _outcome(), _outcome()
+        candidate_frame(table.group_index("A"), read)
+        candidate_frame(table.group_index("A"), unread)
+        unread_ref = weakref.ref(candidate_frame(table.group_index("A"), unread))
+        _append(table)
+        candidate_frame(table.group_index("A"), read)  # grown: carried on
+        _append(table)
+        index = table.group_index("A")
+        gc.collect()
+        assert list(index._derived) == [id(read)] and unread_ref() is None
+        builds.clear()
+        _frames_equal(candidate_frame(index, read), build(index, read))
+        _frames_equal(candidate_frame(index, unread), build(index, unread))
+        assert builds == [id(unread)]
+
+    def test_a_rechunk_carries_the_frame_itself(self):
+        table = _appendable_tables()[1]
+        index = table.group_index("A")
+        outcome = _outcome()
+        frame = candidate_frame(index, outcome)
+        clone = index.resharded(index.span_boundaries())
+        assert candidate_frame(clone, outcome) is frame
+
+    def test_an_outcome_that_dies_before_the_append_leaves_no_frame(self):
+        for table in _appendable_tables():
+            before = table.group_index("A")
+            outcome = _outcome()
+            frame_ref = weakref.ref(candidate_frame(before, outcome))
+            del outcome
+            gc.collect()
+            _append(table)
+            assert frame_ref() is None
+            assert before._derived == {} and table.group_index("A")._derived == {}
+
+    def test_an_outcome_that_dies_after_the_append_leaves_no_frame(self):
+        for table in _appendable_tables():
+            before = table.group_index("A")
+            outcome = _outcome()
+            frame_ref = weakref.ref(candidate_frame(before, outcome))
+            _append(table)
+            after = table.group_index("A")
+            assert list(after._derived) == [id(outcome)]  # inherited, not yet grown
+            del outcome
+            gc.collect()
+            assert frame_ref() is None
+            assert before._derived == {} and after._derived == {}
+
+    def test_the_parent_index_is_collectable_while_its_child_lives(self):
+        for table in _appendable_tables():
+            before = table.group_index("A")
+            outcome = _outcome()
+            candidate_frame(before, outcome)
+            before_ref = weakref.ref(before)
+            _append(table)
+            del before
+            gc.collect()
+            assert before_ref() is None
+            after = table.group_index("A")
+            _frames_equal(
+                candidate_frame(after, outcome),
+                sampler_module.build_candidate_frame(after, outcome),
+            )
+
+
+class TestFramesAcrossMerges:
+    """Evidence that gained drawn rows derives its frame from the one the
+    rows were drawn over: only they are dropped, from their groups."""
+
+    def test_a_merged_outcome_derives_its_frame(self, monkeypatch):
+        builds, build = TestFramesAcrossAppends._count_builds(monkeypatch)
+        for table in _appendable_tables():
+            index = table.group_index("A")
+            prior = _outcome()
+            candidate_frame(index, prior)
+            fresh = SampleOutcome([7, 2], [True, True])  # a: 7+, c: 2+
+            merged = merge_drawn(index, prior, fresh)
+            builds.clear()
+            frame = candidate_frame(index, merged)
+            assert builds == []
+            _frames_equal(frame, build(index, merged))
+            assert [rows.tolist() for rows in frame.candidates] == [[3], [1], [6]]
+            assert frame.candidates[1] is candidate_frame(index, prior).candidates[1]
+            assert frame.free_positives.tolist() == [0, 7, 4, 2]  # group order, draw order
+            assert candidate_frame(index, merged) is frame
+
+    def test_nothing_drawn_keeps_the_outcome_and_its_frame(self):
+        index = _table().group_index("A")
+        prior = _outcome()
+        frame = candidate_frame(index, prior)
+        assert merge_drawn(index, prior, SampleOutcome()) is prior
+        assert candidate_frame(index, prior) is frame
+
+    def test_without_the_prior_frame_the_merged_frame_is_built(self, monkeypatch):
+        builds, _build = TestFramesAcrossAppends._count_builds(monkeypatch)
+        index = _table().group_index("A")
+        merged = merge_drawn(index, _outcome(), SampleOutcome([7], [True]))
+        assert index._derived == {}
+        candidate_frame(index, merged)
+        assert builds == [id(merged)]
+
+    def test_an_append_before_first_use_rebuilds_the_merged_frame(self, monkeypatch):
+        builds, build = TestFramesAcrossAppends._count_builds(monkeypatch)
+        table = _table()
+        before = table.group_index("A")
+        prior = _outcome()
+        candidate_frame(before, prior)
+        merged = merge_drawn(before, prior, SampleOutcome([7], [True]))
+        _append(table)
+        after = table.group_index("A")
+        assert list(after._derived) == [id(prior)]  # the filed derivation stays behind
+        builds.clear()
+        _frames_equal(candidate_frame(after, merged), build(after, merged))
+        assert builds == [id(merged)]
+
+
+class TestHowTheFrameWasObtained:
+    """``candidate_frame`` records on the current span whether the frame was
+    found, grown, derived or built — why a refresh was slow."""
+
+    @staticmethod
+    def _frames(trace):
+        return {span.name: span.work["frame"] for span in trace.spans if "frame" in span.work}
+
+    def test_a_refresh_grows_and_derives_and_a_restored_hit_builds(self, tmp_path):
+        loaded = load_dataset("lending_club", random_state=42, scale=0.03)
+        catalog = Catalog()
+        catalog.register_table(loaded.table)
+        udf = loaded.make_udf("traced")
+        catalog.register_udf(udf)
+        query = SelectQuery(
+            table=loaded.table.name,
+            predicate=UdfPredicate(udf),
+            alpha=0.8,
+            beta=0.8,
+            rho=0.8,
+            correlated_column="grade",
+        )
+        config = ServiceConfig(storage_dir=str(tmp_path))
+        service = QueryService(Engine(catalog), config=config)
+        sink = CollectingTraceSink()
+        service.set_trace_sink(sink)
+        assert service.submit(query, seed=0).metadata["plan_cache"] == "miss"
+        assert service.submit(query, seed=1).metadata["plan_cache"] == "hit"
+        delta = loaded.table.select_rows(np.arange(600))
+        loaded.table.append_columns(
+            {name: delta.column_values(name, allow_hidden=True) for name in delta.schema.column_names}
+        )
+        assert service.submit(query, seed=2).metadata["plan_cache"] == "refresh"
+        cold, hit, refresh = sink.traces
+        assert self._frames(cold) == {"execute": "built"}  # drawn over no frame
+        assert self._frames(hit) == {"execute": "memo"}
+        assert self._frames(refresh) == {"sampling": "grown", "execute": "derived"}
+        service.close()
+
+        catalog, _reports = CatalogStore(str(tmp_path)).open()
+        catalog.register_udf(loaded.make_udf("traced"))
+        service = QueryService(Engine(catalog), config=config)
+        service.set_trace_sink(sink)
+        assert service.submit(query, seed=3).metadata["plan_cache"] == "restored"
+        assert self._frames(sink.traces[-1]) == {"execute": "built"}
+        service.close()
 
 
 def _sharded(name):

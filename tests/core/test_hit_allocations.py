@@ -118,8 +118,17 @@ def test_the_refresh_gate_sees_a_per_row_evidence_container(churned_service, blo
 # -- the update path's exclusion work ------------------------------------------------
 def _exclusion_work(monkeypatch):
     """Count frame builds, ``by_group`` regroupings and ``drop_members`` calls
-    from here on — the table-sized passes of the update path."""
-    work = {"builds": 0, "by_group": 0, "drops_inside_a_build": 0, "drops_outside": 0}
+    from here on — the passes of the update path that can be table-sized —
+    and the rows each regroups or drops."""
+    work = {
+        "builds": 0,
+        "by_group": 0,
+        "drops_inside_a_build": 0,
+        "drops_outside": 0,
+        "rows_regrouped_outside": 0,
+        "groups_regrouped_outside": 0,
+        "rows_dropped_outside": 0,
+    }
     build, drop = sampler_module.build_candidate_frame, sampler_module.drop_members
     regroup = Evidence.by_group
     building = []
@@ -133,12 +142,20 @@ def _exclusion_work(monkeypatch):
             building.pop()
 
     def counted_drop(rows, members):
-        work["drops_inside_a_build" if building else "drops_outside"] += 1
+        if building:
+            work["drops_inside_a_build"] += 1
+        else:
+            work["drops_outside"] += 1
+            work["rows_dropped_outside"] += members.size
         return drop(rows, members)
 
     def counted_regroup(self, index):
         work["by_group"] += 1
-        return regroup(self, index)
+        regrouped = regroup(self, index)
+        if not building:
+            work["rows_regrouped_outside"] += self.size
+            work["groups_regrouped_outside"] += int(np.count_nonzero(np.diff(regrouped[2])))
+        return regrouped
 
     monkeypatch.setattr(sampler_module, "build_candidate_frame", counted_build)
     monkeypatch.setattr(sampler_module, "drop_members", counted_drop)
@@ -156,21 +173,27 @@ def _churn_cycle(service, append, first, second, seed):
     assert paths == ["refresh", "refresh", "hit", "hit", "hit"]
 
 
-def test_a_churn_cycle_excludes_paid_for_rows_at_most_twice(churned_service, monkeypatch):
-    """A work count, not a stopwatch: a cycle regroups the evidence and
-    excludes it from the (8) groups once per frame build, at most two builds,
-    and nowhere else — the sampler reads the frame.  (Before the sampler and
-    the executor shared it: 4 regroupings and 32 ``drop_members`` a cycle.)"""
+def test_a_churn_cycle_excludes_only_the_fresh_rows(churned_service, monkeypatch):
+    """A work count, not a stopwatch: a cycle builds no frame.  The append
+    hands each frame to the extended index, which grows it by the appended
+    rows; the refresh that draws derives its merged evidence's frame from the
+    grown one, regrouping only the rows it drew and dropping them only from
+    the groups they fall in; the other refresh draws nothing and keeps its
+    evidence and frame.  (Before frames were kept across appends: one or two
+    builds a cycle, each regrouping all ~3 500 evidence rows and excluding
+    them from all 8 groups; before the sampler and the executor shared a
+    frame: 4 regroupings and 32 ``drop_members`` a cycle.)"""
     service, queries, append_1000, evidence = churned_service
     work = _exclusion_work(monkeypatch)
     modest, greedy = queries[0], queries[1]  # alpha 0.8 allocates less than 0.9
     for first, second in ((modest, greedy), (greedy, modest)):
         work.update(dict.fromkeys(work, 0))
         _churn_cycle(service, append_1000, first, second, seed=300)
-        assert 1 <= work["builds"] <= 2, work
-        assert work["by_group"] == work["builds"], work
-        assert work["drops_inside_a_build"] == 8 * work["builds"], work
-        assert work["drops_outside"] == 0, work
+        assert work["builds"] == 0 and work["drops_inside_a_build"] == 0, work
+        assert work["by_group"] == 1, work  # the drawn rows, once
+        assert 0 < work["rows_regrouped_outside"] < 200, work  # not the ~3 500 evidence rows
+        assert work["rows_dropped_outside"] == work["rows_regrouped_outside"], work
+        assert work["drops_outside"] == work["groups_regrouped_outside"] <= 8, work
     # The greedy refresh drew every row the modest one asks for, so the modest
     # refresh added nothing — and kept the evidence, and with it the frame.
     assert evidence(modest) is evidence(greedy)
@@ -178,7 +201,8 @@ def test_a_churn_cycle_excludes_paid_for_rows_at_most_twice(churned_service, mon
 
 def test_the_work_gate_sees_a_merge_that_always_allocates(churned_service, monkeypatch):
     """Mutation check: a merge of nothing that returns a new object loses the
-    frame filed under the old one, and the cycle pays for a third build."""
+    frame filed under the old one, and the cycle pays for a second
+    derivation."""
     service, queries, append_1000, evidence = churned_service
 
     def always_new(cls, outcomes):
@@ -190,7 +214,7 @@ def test_the_work_gate_sees_a_merge_that_always_allocates(churned_service, monke
     monkeypatch.setattr(SampleOutcome, "merge_shards", classmethod(always_new))
     work = _exclusion_work(monkeypatch)
     _churn_cycle(service, append_1000, queries[1], queries[0], seed=400)
-    assert work["builds"] == 3, work
+    assert work["builds"] == 0 and work["by_group"] == 2, work
     assert evidence(queries[0]) is not evidence(queries[1])
 
 

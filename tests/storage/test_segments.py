@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.db.storage.segments import (
     read_segment,
     write_segment,
 )
+from repro.resilience.faults import GARBAGE, FaultPlan, FaultRule, fault_scope
 
 
 @pytest.mark.parametrize(
@@ -129,3 +131,66 @@ def test_header_crc_table_covers_every_block(tmp_path):
     raw = payload.tobytes()
     assert len(header["block_crcs"]) == (len(raw) + 999) // 1000
     assert header["block_crcs"][0] == zlib.crc32(raw[:1000])
+
+
+def _count_payload_crcs(monkeypatch, threshold=4096):
+    """Record every ``zlib.crc32`` call over more than ``threshold`` bytes
+    (a segment header's own CRC is a few hundred)."""
+    calls = []
+    real = zlib.crc32
+
+    def counting(data, *args):
+        if len(data) > threshold:
+            calls.append(len(data))
+        return real(data, *args)
+
+    monkeypatch.setattr(zlib, "crc32", counting)
+    return calls
+
+
+def test_a_single_block_read_checksums_once_and_copies_nothing(tmp_path, monkeypatch):
+    """A one-block payload's block CRC is its whole-payload CRC: one pass
+    checks both, and a first map reads the header, not the payload, into
+    memory — the checksum runs over the map it returns."""
+    path = str(tmp_path / "col.seg")
+    array = np.arange(50_000, dtype=np.int64)  # 400 KB, one 1 MiB block
+    entry = write_segment(path, "col", array)
+    calls = _count_payload_crcs(monkeypatch)
+    tracemalloc.start()
+    try:
+        mapped = read_segment(path, expected=entry)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [array.nbytes]
+    assert peak < 64 << 10, peak
+    assert isinstance(mapped, np.memmap) and np.array_equal(mapped, array)
+    calls.clear()
+    copied = read_segment(path, expected=entry, mmap=False)
+    assert calls == [array.nbytes]
+    assert np.array_equal(copied, array) and not copied.flags.writeable
+    del mapped
+
+
+def test_a_multi_block_read_checks_blocks_and_the_manifest_crc(tmp_path, monkeypatch):
+    path = str(tmp_path / "col.seg")
+    entry = write_segment(path, "col", np.arange(4096, dtype=np.int64), block_bytes=8192)
+    calls = _count_payload_crcs(monkeypatch)
+    read_segment(path, expected=entry, mmap=False)
+    assert calls == [8192] * 4 + [32768]
+    write_segment(path, "col", np.arange(4096, dtype=np.int64) + 1, block_bytes=8192)
+    for mmap in (True, False):
+        with pytest.raises(CorruptSegmentError, match="manifest payload CRC mismatch"):
+            read_segment(path, expected=entry, mmap=mmap)
+
+
+@pytest.mark.parametrize("array", [np.arange(300), np.array(["a", 1, None], dtype=object)])
+@pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copy"])
+def test_an_injected_read_flip_fails_in_the_first_block(tmp_path, array, mmap):
+    path = str(tmp_path / "col.seg")
+    entry = write_segment(path, "col", array)
+    plan = FaultPlan(seed=0, rules={"segment_read": FaultRule(GARBAGE, probability=1.0)})
+    with fault_scope(plan):
+        with pytest.raises(CorruptSegmentError, match=r"checksum mismatch in block\(s\) \[0\]"):
+            read_segment(path, expected=entry, mmap=mmap)
+    assert np.array_equal(read_segment(path, expected=entry, mmap=mmap), array)
