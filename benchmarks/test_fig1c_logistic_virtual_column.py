@@ -22,6 +22,10 @@ def test_figure1c_virtual_column_sweep(run_once, bench_config):
     # the Naive baseline (beta * n evaluations).  At the benchmark's reduced
     # scale the low-selectivity Marketing dataset is close to the break-even
     # the paper reports (3% savings), so it is only held to the weaker bound.
+    # The rows that train the model are not selectivity evidence (their
+    # buckets were fitted to them), so every bucket is sampled fresh: this
+    # sweep evaluates more than it did while they were (prosper at num = 1:
+    # 1 565 -> 1 712), the price of plans that meet rho.
     for dataset, series in results.items():
         dataset_bundle = bench_config.load(dataset)
         assert min(series.values()) < dataset_bundle.num_rows

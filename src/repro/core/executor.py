@@ -47,12 +47,29 @@ pending rows are counted first (``np.count_nonzero``); every row passing
 hands on the input array itself, none an empty one, and otherwise one
 ``compress`` copies them.  :class:`BatchExecutor` counts its evaluation
 mask the same way: all-true becomes ``None`` (every retrieved row is
-evaluated) and all-false skips the UDF call and the fold.  SLSQP leaves
-many probabilities a hair from 0 or 1 (R = 2.3e-16 over 11 483 rows, or
-1 − 2.2e-16 over 24 740), whose coins all fail or all pass; between those,
+evaluated) and all-false skips the UDF call and the fold.  Between those,
 numpy 2.4's ``compress`` is 3–5x faster than a boolean-index gather.  The
 coins drawn, and so the rows chosen, are the same either way: only how they
 are copied differs.
+
+SLSQP leaves many probabilities a hair from 0 or 1 (R = 2.3e-16 over 11 483
+rows, or 1 − 2.2e-16 over 24 740).  Over one 8 s ``durable_churn`` run
+(7 024 executed groups) their groups held 60 % of the candidate rows and
+70 % of the retrieval coins; no such value lay farther than 7e-14 from 0
+or 1, and no other value nearer than 1e-4.  Their outcome is fixed before
+any coin is drawn: :class:`~repro.core.plan.GroupDecision` derives, once, a
+*threshold* per phase that is the probability, or exactly 0 or 1 when the
+probability is within ``_PROBABILITY_TOLERANCE`` of either, and the
+vectorised backends compare coins against the thresholds.  A fixed outcome
+takes the no-row or every-row branch with no coin drawn and no compare.
+:class:`BatchExecutor` then moves the generator past the coins the
+reference would have drawn (:func:`~repro.stats.random.skip_uniforms`, a
+PCG64 ``advance``), so every later group sees the reference's coins: the
+skip costs 3.5–4 µs where drawing, comparing and selecting 12.5k–63k coins
+costs 60–280 µs (numpy 2.4, one core).  An answer therefore differs from
+:class:`PlanExecutor`'s only when some coin of a fixed group lands between
+the probability and the 0 or 1 it is fixed at, a band as wide as that
+distance: at most 1e-9, and on that run at most 7e-14.
 
 Two coin sources remain by measurement, not by oversight.  "Serial is one
 span on zero workers" does not hold: on the benchmark's four cached
@@ -128,7 +145,11 @@ differential property tests in ``tests/properties`` pin this.  Per group, in
   otherwise one uniform per candidate tuple in row order;
 * evaluation coins: none when ``E_a/R_a <= 0`` (nothing evaluated) or
   ``E_a/R_a >= 1`` (every retrieved tuple evaluated), otherwise one uniform
-  per *retrieved* tuple in row order.
+  per *retrieved* tuple in row order;
+* a fixed outcome (a near-certain ``R_a`` or ``E_a/R_a``, above) draws
+  nothing but consumes its positions: :class:`BatchExecutor` skips the
+  generator past exactly the uniforms :class:`PlanExecutor` draws there
+  (one per candidate, or one per retrieved tuple).
 
 Each tuple still sees an independent Bernoulli trial — the discipline only
 fixes where its coin sits in the stream (numpy's block and scalar ``random``
@@ -166,7 +187,7 @@ from repro.sampling.sampler import SampleOutcome, candidate_frame
 # Re-exported: the frame is built in ``sampling.sampler`` (which cannot import
 # this module) and named from here by the span executors and the tests.
 from repro.sampling.sampler import CandidateFrame, build_candidate_frame  # noqa: F401
-from repro.stats.random import RandomState, SeedLike, as_random_state
+from repro.stats.random import RandomState, SeedLike, as_random_state, skip_uniforms
 
 
 @dataclass
@@ -469,30 +490,38 @@ class BatchExecutor:
             decision = plan.decision(key)
             counts = GroupExecutionCounts()
             group_counts[key] = counts
-            retrieve_probability = decision.retrieve_probability
-            conditional_evaluate = decision.conditional_evaluate_probability
-            if retrieve_probability <= 0.0 or candidates.size == 0:
+            if candidates.size == 0:
                 continue
 
-            # One retrieval coin per candidate tuple, drawn in a single block.
-            if retrieve_probability >= 1.0:
-                retrieved = candidates
-            else:
+            # One retrieval coin per candidate tuple, drawn in a single block;
+            # a fixed outcome draws none but moves past the reference's coins.
+            threshold = decision.retrieve_threshold
+            if 0.0 < threshold < 1.0:
                 coins = rng.random(candidates.size)
-                retrieved = select_rows(candidates, coins < retrieve_probability)
+                retrieved = select_rows(candidates, coins < threshold)
+            else:
+                if 0.0 < decision.retrieve_probability < 1.0:
+                    skip_uniforms(rng, candidates.size)
+                if threshold <= 0.0:
+                    continue
+                retrieved = candidates
             if retrieved.size == 0:
                 continue
             ledger.charge_retrieval(int(retrieved.size))
 
             # The evaluation mask by count: ``None`` when every retrieved row
             # is picked, no UDF call when none is.
-            picked = int(retrieved.size) if conditional_evaluate > 0.0 else 0
+            threshold = decision.evaluate_threshold
             evaluate_mask = None
-            if 0.0 < conditional_evaluate < 1.0:
-                evaluate_mask = rng.random(retrieved.size) < conditional_evaluate
+            if 0.0 < threshold < 1.0:
+                evaluate_mask = rng.random(retrieved.size) < threshold
                 picked = int(np.count_nonzero(evaluate_mask))
                 if picked == retrieved.size:
                     evaluate_mask = None
+            else:
+                if 0.0 < decision.conditional_evaluate_probability < 1.0:
+                    skip_uniforms(rng, retrieved.size)
+                picked = int(retrieved.size) if threshold > 0.0 else 0
             if picked == 0:
                 chunks.append(fold_group(counts, retrieved, None, None))
                 continue

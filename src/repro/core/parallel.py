@@ -44,7 +44,13 @@ its seeded :class:`~repro.stats.random.RandomState` and gives every group two
   retrieved).
 
 The two stream keys of a group are derived once per execution, in
-:func:`build_span_tasks`, and travel on every segment of the group.
+:func:`build_span_tasks`, and travel on every segment of the group.  So do
+the probabilities the coins are compared against: the decision's
+*thresholds* (:class:`~repro.core.plan.GroupDecision`), where a near-certain
+``R_a`` or ``E_a / R_a`` is exactly 0 or 1 and its coins are not drawn.  No
+bookkeeping follows, as the coins are addressed by position: a group whose
+``R_a`` is fixed at 0 gets no segment at all, and the groups after a skipped
+block draw the coins they always did.
 Because every coin is a pure function of (seed, group, position), the result
 is **bitwise identical for any shard layout and either placement** — inline
 or in worker processes, including every fallback to inline — which is what
@@ -101,6 +107,8 @@ class _GroupSegment:
     ``rows`` are the group's candidate row ids within the span (ascending;
     a slice of the shared :class:`~repro.core.executor.CandidateFrame`, so
     already-sampled rows are gone before a task exists).
+    ``retrieve_probability`` / ``conditional_evaluate`` are the decision's
+    thresholds (near-certain values made exactly 0 or 1).
     ``position_offset`` is the index of this segment's first candidate
     within the group's full candidate list; together with the group's
     ``retrieve_key`` / ``evaluate_key`` (its two coin streams for this
@@ -189,9 +197,7 @@ def build_span_tasks(
     for code, (key, candidates) in enumerate(zip(index, frame.candidates)):
         decision = plan.decision(key)
         group_counts[key] = GroupExecutionCounts()
-        retrieve_probability = decision.retrieve_probability
-        conditional_evaluate = decision.conditional_evaluate_probability
-        if retrieve_probability <= 0.0 or candidates.size == 0:
+        if decision.retrieve_threshold <= 0.0 or candidates.size == 0:
             continue
         retrieve_key = stream_key(root, code, _PHASE_RETRIEVE)
         evaluate_key = stream_key(root, code, _PHASE_EVALUATE)
@@ -203,8 +209,8 @@ def build_span_tasks(
                     _GroupSegment(
                         key=key,
                         code=code,
-                        retrieve_probability=retrieve_probability,
-                        conditional_evaluate=conditional_evaluate,
+                        retrieve_probability=decision.retrieve_threshold,
+                        conditional_evaluate=decision.evaluate_threshold,
                         rows=candidates[lo:hi],
                         position_offset=lo,
                         retrieve_key=retrieve_key,
@@ -223,6 +229,10 @@ def span_coin_pass(
     per task, the retrieved global row ids and the evaluation mask over
     them.  Pure function of ``tasks`` (which carry their stream keys): this
     is the half of span execution that process-pool workers run remotely.
+    A task's probabilities are its decision's thresholds, so a near-certain
+    one is exactly 0 or 1 and takes the no-coin branch: every row, or none.
+    The answer differs from drawing only when a coin would have landed
+    between the probability and that 0 or 1 (a band at most 1e-9 wide).
     """
     retrieved_per_task: List[np.ndarray] = []
     evaluate_per_task: List[np.ndarray] = []  # masks over retrieved

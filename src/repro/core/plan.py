@@ -25,6 +25,15 @@ from repro.core.groups import GroupStatistics, SelectivityModel
 _PROBABILITY_TOLERANCE = 1e-9
 
 
+def _fixed_when_near_certain(probability: float) -> float:
+    """``probability``, or 0.0 / 1.0 when it is within tolerance of either."""
+    if probability <= _PROBABILITY_TOLERANCE:
+        return 0.0
+    if probability >= 1.0 - _PROBABILITY_TOLERANCE:
+        return 1.0
+    return probability
+
+
 @dataclass(frozen=True)
 class GroupDecision:
     """The ``(R_a, E_a)`` pair for one group.
@@ -32,7 +41,19 @@ class GroupDecision:
     ``retrieve`` and ``evaluate`` are the pair as given, and the only state:
     ``repr``, ``==``, ``hash`` and the warm-state record hold those two.  The
     clipped probabilities the executors read on every plan hit are derived
-    from them once, at construction.
+    from them once, at construction, and so is the coin outcome.
+
+    SLSQP leaves many probabilities a hair from 0 or 1 (R = 2.3e-16,
+    1 − 2.2e-16): a rounding artefact of the solver, not a decision.  Their
+    coins are all but certain to fail or to pass, so the two *thresholds*
+    the vectorised executors compare coins against are the clipped
+    probabilities with every value within ``_PROBABILITY_TOLERANCE`` of 0 or
+    1 made exactly 0 or 1: the outcome is fixed (no row / every row) and no
+    coin is drawn for it.  An answer differs from the one the probabilities
+    themselves give only when some coin lands in the band between the
+    probability and the 0 or 1 it is fixed at — a band as wide as that
+    distance, at most ``_PROBABILITY_TOLERANCE``.  The cost and solver code
+    keep reading the probabilities.
     """
 
     retrieve: float
@@ -43,6 +64,11 @@ class GroupDecision:
     evaluate_probability: float = field(init=False, repr=False, compare=False)
     #: ``E_a / R_a`` — probability of evaluating a tuple given it was retrieved.
     conditional_evaluate_probability: float = field(init=False, repr=False, compare=False)
+    #: ``retrieve_probability``, or exactly 0.0 / 1.0 when it is near-certain.
+    retrieve_threshold: float = field(init=False, repr=False, compare=False)
+    #: ``conditional_evaluate_probability``, or exactly 0.0 / 1.0 when it is
+    #: near-certain.
+    evaluate_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not -_PROBABILITY_TOLERANCE <= self.retrieve <= 1.0 + _PROBABILITY_TOLERANCE:
@@ -60,6 +86,8 @@ class GroupDecision:
         object.__setattr__(self, "retrieve_probability", retrieve)
         object.__setattr__(self, "evaluate_probability", evaluate)
         object.__setattr__(self, "conditional_evaluate_probability", conditional)
+        object.__setattr__(self, "retrieve_threshold", _fixed_when_near_certain(retrieve))
+        object.__setattr__(self, "evaluate_threshold", _fixed_when_near_certain(conditional))
 
     @property
     def is_deterministic(self) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,18 +71,40 @@ def assert_same_rows_fixture():
     return assert_same_rows
 
 
+def _measured_call(action):
+    return action()
+
+
+#: The line of :func:`_measured_call` that every counted allocation descends from.
+_MEASURED_LINE = _measured_call.__code__.co_firstlineno + 1
+#: Deeper than any call chain from ``action()`` down to an allocation.
+_TRACE_FRAMES = 256
+
+
 def blocks_allocated_by(action):
-    """``(blocks, result)``: pymalloc blocks live after ``action()`` that were
-    not before, with its result still held.  Repeats exactly for a warmed-up
-    action, which is what lets allocation gates run in tier-1."""
+    """``(blocks, result)``: allocations ``action()`` made that are still live
+    when it returns, its result held.
+
+    ``tracemalloc`` runs for the call alone and only allocations whose
+    traceback passes through the call are counted: objects other threads or
+    late finalisers of earlier tests allocate or free meanwhile do not move
+    the count (``sys.getallocatedblocks()`` counts the whole interpreter, and
+    once read a net *negative* hit).  Repeats exactly for a warmed-up action,
+    which is what lets allocation gates run in tier-1."""
+    assert not tracemalloc.is_tracing(), "the count owns tracemalloc while it runs"
     gc.collect()
     gc.disable()
+    tracemalloc.start(_TRACE_FRAMES)
     try:
-        before = sys.getallocatedblocks()
-        result = action()
-        return sys.getallocatedblocks() - before, result
+        result = _measured_call(action)
+        snapshot = tracemalloc.take_snapshot()
     finally:
+        tracemalloc.stop()
         gc.enable()
+    made = snapshot.filter_traces(
+        [tracemalloc.Filter(True, __file__, lineno=_MEASURED_LINE, all_frames=True)]
+    )
+    return len(made.traces), result
 
 
 @pytest.fixture(name="blocks_allocated_by", scope="session")

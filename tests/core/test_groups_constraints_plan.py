@@ -188,12 +188,36 @@ class TestGroupDecision:
         assert decision != GroupDecision(retrieve=1.0, evaluate=0.0)
         assert {decision: 1}[GroupDecision(retrieve=1.0 + 1e-12, evaluate=-1e-12)] == 1
 
+    @pytest.mark.parametrize(
+        "retrieve, evaluate, thresholds",
+        [
+            (2.3e-16, 2.3e-16, (0.0, 1.0)),
+            (1 - 2.2e-16, 1e-12, (1.0, 0.0)),
+            (1 - 1e-9, 0.5, (1.0, 0.5 / (1 - 1e-9))),
+            (2e-9, 1e-9, (2e-9, 0.5)),
+            (0.3, 0.3 * (1 - 1e-12), (0.3, 1.0)),
+        ],
+    )
+    def test_near_certain_outcomes_are_fixed_only_in_the_thresholds(
+        self, retrieve, evaluate, thresholds
+    ):
+        decision = GroupDecision(retrieve=retrieve, evaluate=evaluate)
+        assert (decision.retrieve_threshold, decision.evaluate_threshold) == pytest.approx(
+            thresholds, rel=1e-15, abs=0.0
+        )
+        # Everything else reads the probabilities as they are.
+        assert decision.retrieve_probability == retrieve
+        assert decision.evaluate_probability == evaluate
+        assert repr(decision) == f"GroupDecision(retrieve={retrieve!r}, evaluate={evaluate!r})"
+        assert decision != GroupDecision(retrieve=thresholds[0], evaluate=0.0)
+
     def test_copies_keep_the_pair_and_what_is_derived_from_it(self):
         decision = GroupDecision(retrieve=0.75, evaluate=0.25)
         for copied in (pickle.loads(pickle.dumps(decision)), copy.deepcopy(decision)):
             assert copied == decision
             assert copied.conditional_evaluate_probability == pytest.approx(1 / 3)
             assert copied.evaluate_probability == 0.25
+            assert copied.retrieve_threshold == 0.75
 
 
 class TestExecutionPlan:

@@ -2,7 +2,8 @@
 
 A stopwatch cannot guard "someone re-added a per-row loop" in tier-1 — the
 loop costs a fraction of a millisecond and the suite runs on shared
-machines.  A count can: ``sys.getallocatedblocks()`` is deterministic, and an
+machines.  A count can: the live allocations a call made
+(``blocks_allocated_by``, a ``tracemalloc`` count) repeat exactly, and an
 answer handed over as the array the coin pass concatenated allocates a few
 dozen blocks (per-group chunks, the result objects, metadata) however many
 rows it holds, where one python int per returned row allocated one block per

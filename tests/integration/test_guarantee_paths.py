@@ -39,7 +39,6 @@ def prosper():
         pytest.param("", False, id="auto column"),
         pytest.param(
             "", True, id="virtual column",
-            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)"),
         ),
     ],
 )

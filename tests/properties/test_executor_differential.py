@@ -22,9 +22,11 @@ Three promises this suite pins down:
   that does not memoise, ``oracle_mode()``, a python callable's call order
   and a hard budget tripping at a group boundary;
 * probabilities a hair from 0 or 1 (the near-certain values SLSQP leaves,
-  where the count-first select takes its no-row and every-row branches)
-  give the sequential, span and reference backends the same rows and
-  ledgers as the plan they round to.
+  whose outcome the vectorised backends fix instead of drawing coins) give
+  the sequential, span and reference backends the same rows and ledgers as
+  the plan they round to, and leave the sequential stream where the
+  reference's coins leave it — so every later group, in any mix of fixed
+  and drawn groups, sees the reference's coins.
 
 These guarantees are what make it safe to run the whole library — pipeline,
 oracle, adaptive strategy, serving layer — on the vectorised backend while
@@ -272,9 +274,10 @@ class TestNearCertainProbabilities:
             )
 
         runs = []
+        reference, batch = PlanExecutor(11), BatchExecutor(11)
         for executor, over, plan in (
-            (PlanExecutor(11), table, decisions(retrieve, conditional)),
-            (BatchExecutor(11), table, decisions(retrieve, conditional)),
+            (reference, table, decisions(retrieve, conditional)),
+            (batch, table, decisions(retrieve, conditional)),
             (ParallelBatchExecutor(11), sharded, decisions(retrieve, conditional)),
             (BatchExecutor(11), table, decisions(round(retrieve), round(conditional))),
         ):
@@ -290,27 +293,35 @@ class TestNearCertainProbabilities:
             assert ledger.retrieved_count == expected_ledger.retrieved_count
             assert ledger.evaluated_count == expected_ledger.evaluated_count
             assert result.group_counts == expected.group_counts
+        # The batch backend drew none of these coins but moved past them all.
+        assert batch.random_state.random() == reference.random_state.random()
 
 
 #: Counters that do not depend on how evaluations are batched.
 BATCHING_FREE_COUNTERS = ("calls", "cache_hits", "cache_misses", "cache_size")
 
 
+#: Near-certain values :func:`span_cases` mixes in, as ``R_a`` and as the
+#: share ``E_a / R_a``.
+SPAN_NEAR_CERTAIN = (2.0**-53, 1 - 2.0**-53, 1e-12, 1 - 1e-12)
+
+
 @st.composite
 def span_cases(draw):
     """A table, a plan, a sample outcome, pre-paid rows and a seed.
 
-    Plans cover ``R_a`` and ``E_a / R_a`` at 0, strictly inside (0, 1) and at
-    1; outcomes hold any rows of the table and ids outside it, in any order,
-    repeats included, and flag them freely.
+    Plans cover ``R_a`` and ``E_a / R_a`` at 0, strictly inside (0, 1), a
+    hair from 0 or 1 (whose outcome is fixed: no coin drawn) and at 1, mixed
+    freely across groups; outcomes hold any rows of the table and ids outside
+    it, in any order, repeats included, and flag them freely.
     """
     rows = draw(st.integers(min_value=1, max_value=60))
     keys = draw(st.lists(st.sampled_from(SPAN_KEYS), min_size=rows, max_size=rows))
     labels = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
     decisions = {}
     for key in SPAN_KEYS:
-        retrieve = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
-        share = draw(st.sampled_from([0.0, 0.4, 1.0]))
+        retrieve = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0, *SPAN_NEAR_CERTAIN]))
+        share = draw(st.sampled_from([0.0, 0.4, 1.0, *SPAN_NEAR_CERTAIN]))
         decisions[key] = GroupDecision(retrieve=retrieve, evaluate=retrieve * share)
     sampled = draw(st.lists(st.integers(min_value=-2, max_value=rows + 3), max_size=30))
     flags = [draw(st.booleans()) for _row in sampled]
@@ -348,6 +359,31 @@ def _assert_equals_oracle(
     assert [part.tolist() for part in udf.memo_arrays()] == [
         part.tolist() for part in oracle_udf.memo_arrays()
     ]
+
+
+class TestSequentialStreamAfterFixedOutcomes:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=span_cases())
+    def test_batch_equals_the_reference_over_mixed_plans(self, case, assert_same_rows):
+        """A group whose outcome is fixed draws no coin, yet every later group
+        sees the reference's coins: same rows, ledgers and next draw."""
+        columns, decisions, outcome, _prepaid, seed = case
+        table = _span_table(columns, shards=1)
+        index = table.group_index("A")
+        plan = ExecutionPlan(decisions)
+        runs = []
+        for executor in (PlanExecutor(seed), BatchExecutor(seed)):
+            udf = UserDefinedFunction.from_label_column("mixed", "f")
+            ledger = CostLedger()
+            result = executor.execute(table, index, udf, plan, ledger, sample_outcome=outcome)
+            runs.append((result, ledger, executor.random_state.random()))
+        (reference, reference_ledger, reference_next), (batch, batch_ledger, batch_next) = runs
+        _assert_identical(assert_same_rows, reference, reference_ledger, batch, batch_ledger)
+        assert batch_next == reference_next
 
 
 class TestSpanPathAgainstCounterCoinOracle:

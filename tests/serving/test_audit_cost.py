@@ -4,9 +4,10 @@ Auditing used to build two python sets per request (the returned ids and the
 ground truth), tens of thousands of objects for a 20k-row table, which made
 an always-on sampled guarantee monitor unaffordable.  The audit is now a
 truth-mask gather (:meth:`Engine.audit`), so an audited hit allocates what an
-unaudited one does plus a constant — measured with
-``sys.getallocatedblocks()``, which repeats exactly, not with a clock — and
-its ``ResultQuality`` is still the set definition's, field for field.
+unaudited one does plus a constant — counted by ``blocks_allocated_by``
+(the live allocations the measured call itself made, which repeats exactly),
+not with a clock — and its ``ResultQuality`` is still the set definition's,
+field for field.
 """
 
 import numpy as np

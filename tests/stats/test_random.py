@@ -7,6 +7,7 @@ from repro.stats.random import (
     RandomState,
     as_random_state,
     sample_without_replacement,
+    skip_uniforms,
     spawn_children,
     stable_hash_seed,
 )
@@ -79,3 +80,62 @@ class TestHelpers:
     def test_stable_hash_seed_in_32_bit_range(self):
         seed = stable_hash_seed("dataset", "strategy", 123456789)
         assert 0 <= seed < 2**32
+
+
+#: The generators :func:`as_random_state` hands out: its own (an int seed gives
+#: numpy's default, PCG64) and any numpy ``Generator`` it is given, whose bit
+#: generator may have a compatible ``advance`` (PCG64DXSM), an incompatible
+#: one (Philox counts blocks of four outputs) or none (MT19937, SFC64).
+GENERATORS = {
+    "seeded": lambda: as_random_state(41).generator,
+    "pcg64dxsm": lambda: as_random_state(np.random.Generator(np.random.PCG64DXSM(41))).generator,
+    "philox": lambda: as_random_state(np.random.Generator(np.random.Philox(41))).generator,
+    "mt19937": lambda: as_random_state(np.random.Generator(np.random.MT19937(41))).generator,
+    "sfc64": lambda: as_random_state(np.random.Generator(np.random.SFC64(41))).generator,
+}
+
+
+def _next_draws(generator):
+    """Doubles, then 32-bit draws (which read a buffered half first), then doubles."""
+    return (
+        generator.random(3).tolist(),
+        generator.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+        generator.random(2).tolist(),
+    )
+
+
+class TestSkipUniforms:
+    @pytest.mark.parametrize("buffered_half", [False, True], ids=["aligned", "buffered"])
+    @pytest.mark.parametrize("count", [0, 1, 7, 1000])
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_skipping_equals_drawing(self, name, count, buffered_half):
+        drawn, skipped = GENERATORS[name](), GENERATORS[name]()
+        drawn.random(5)
+        skipped.random(5)
+        if buffered_half:  # a 32-bit draw leaves the other half of its output buffered
+            assert drawn.integers(0, 2**32, dtype=np.uint32) == skipped.integers(
+                0, 2**32, dtype=np.uint32
+            )
+        drawn.random(count)
+        skip_uniforms(skipped, count)
+        assert _next_draws(skipped) == _next_draws(drawn)
+
+    def test_a_bare_advance_drops_the_buffered_half(self):
+        """Why the helper puts the half back: ``advance`` alone is not ``random``."""
+        drawn, advanced = GENERATORS["seeded"](), GENERATORS["seeded"]()
+        for generator in (drawn, advanced):
+            generator.integers(0, 2**32, dtype=np.uint32)
+        drawn.random(100)
+        advanced.bit_generator.advance(100)
+        assert _next_draws(advanced) != _next_draws(drawn)
+
+    def test_a_generator_without_advance_draws_and_discards(self):
+        generator = GENERATORS["mt19937"]()
+        assert not hasattr(generator.bit_generator, "advance")
+        skip_uniforms(generator, 64)
+        assert generator.random() == GENERATORS["mt19937"]().random(65)[-1]
+
+    def test_a_negative_count_skips_nothing(self):
+        skipped = GENERATORS["seeded"]()
+        skip_uniforms(skipped, -3)
+        assert _next_draws(skipped) == _next_draws(GENERATORS["seeded"]())
