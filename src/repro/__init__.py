@@ -267,7 +267,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "__version__",

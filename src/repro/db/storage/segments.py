@@ -16,8 +16,11 @@ checksums, not python lists.  Object-dtype columns (mixed-type or ragged
 cells) are pickled whole; they have no fixed-width buffer to map.
 
 Every write is crash-safe: bytes go to ``<file>.tmp``, are flushed and
-fsynced, and only then atomically renamed over the final name (the
-directory is fsynced too, so the rename itself is durable).  A crash —
+fsynced, and only then atomically renamed over the final name.  A rename is
+durable once its directory is fsynced: a record (:func:`atomic_write_bytes`)
+syncs its directory itself; segments are group-committed — the caller syncs
+the directory once (:func:`sync_directory`) after a commit's last segment
+and before the record that names them.  A crash —
 injected through the ``segment_write``/``manifest_write``/
 ``journal_append`` fault sites, which fire *mid-write*, after a partial
 prefix — leaves at worst a torn ``.tmp`` file that recovery sweeps; the
@@ -69,8 +72,13 @@ def live_memmap_count() -> int:
     return len(_LIVE_MEMMAPS)
 
 
-def _fsync_directory(directory: str) -> None:
-    """Make a rename in ``directory`` durable (best-effort off-POSIX)."""
+def sync_directory(directory: str) -> None:
+    """Make the renames already done in ``directory`` durable (one fsync of
+    the directory; best-effort off-POSIX).
+
+    A commit calls it once, after its last file's rename and before the
+    record that names those files is written (group commit).
+    """
     try:
         fd = os.open(directory or ".", os.O_RDONLY)
     except OSError:  # pragma: no cover - exotic filesystems
@@ -81,8 +89,9 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str, data: bytes, site: Optional[str] = None) -> None:
-    """Write ``data`` to ``path`` crash-safely: temp file, fsync, atomic rename.
+def _write_and_rename(path: str, data: bytes, site: Optional[str]) -> None:
+    """Write ``data`` to ``<path>.tmp``, fsync it and rename it over
+    ``path``.  The directory is not synced.
 
     ``site`` names the fault-injection point fired *between* the first and
     second half of the payload — an ``error``/``crash`` rule there models a
@@ -90,8 +99,8 @@ def atomic_write_bytes(path: str, data: bytes, site: Optional[str] = None) -> No
     still holds the previous committed bytes (or nothing), and recovery
     must cope with both.
     """
-    tmp = f"{path}.tmp"
     half = len(data) // 2
+    tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:
         handle.write(data[:half])
         if site is not None:
@@ -101,7 +110,18 @@ def atomic_write_bytes(path: str, data: bytes, site: Optional[str] = None) -> No
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    _fsync_directory(os.path.dirname(path))
+
+
+def atomic_write_bytes(path: str, data: bytes, site: Optional[str] = None) -> None:
+    """Write ``data`` to ``path`` crash-safely and durably: temp file, fsync,
+    atomic rename, then one fsync of the directory.
+
+    For a file that is its own commit — a manifest, a warm record, the
+    journal's reset.  The ``site`` fault fires between the two halves of
+    ``data`` (see :func:`_write_and_rename`).
+    """
+    _write_and_rename(path, data, site)
+    sync_directory(os.path.dirname(path))
 
 
 def _block_checksums(payload: bytes, block_bytes: int) -> list:
@@ -121,7 +141,15 @@ def write_segment(
 
     Returns the manifest entry for the segment: file basename, codec, rows
     and the whole-payload CRC (the per-block CRC table lives in the segment
-    header itself).  Fired through the ``segment_write`` fault site.
+    header itself).  A payload of one block is checksummed once: its block
+    CRC is the whole-payload CRC.  Fired through the ``segment_write`` fault
+    site.
+
+    The file is fsynced and renamed into place, but its directory is *not*
+    synced: the rename is durable only once the caller syncs the directory
+    (:func:`sync_directory`) — once per commit, after the commit's last
+    segment and before the record naming them.  An export that is never
+    durable (:mod:`repro.db.shm`) needs no sync at all.
     """
     array = np.asarray(array)
     if fixed_width(array.dtype):
@@ -132,6 +160,8 @@ def write_segment(
         kind = "pickle"
         dtype = None
         payload = pickle.dumps(array.tolist(), protocol=4)
+    block_crcs = _block_checksums(payload, block_bytes)
+    whole = block_crcs[0] if len(block_crcs) == 1 else zlib.crc32(payload)
     header = {
         "column": column,
         "kind": kind,
@@ -139,7 +169,7 @@ def write_segment(
         "rows": int(array.shape[0]),
         "payload_bytes": len(payload),
         "block_bytes": int(block_bytes),
-        "block_crcs": _block_checksums(payload, block_bytes),
+        "block_crcs": block_crcs,
     }
     header["header_crc"] = _header_crc(header)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -149,13 +179,13 @@ def write_segment(
         + header_bytes
         + payload
     )
-    atomic_write_bytes(path, data, site="segment_write")
+    _write_and_rename(path, data, "segment_write")
     return {
         "file": os.path.basename(path),
         "kind": kind,
         "dtype": dtype,
         "rows": int(array.shape[0]),
-        "crc": zlib.crc32(payload),
+        "crc": whole,
     }
 
 

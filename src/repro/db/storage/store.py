@@ -60,7 +60,12 @@ from repro.db.schema import Schema
 from repro.db.sharding import ShardedTable
 from repro.db.storage import journal as _journal
 from repro.db.storage.manifest import read_manifest, write_manifest
-from repro.db.storage.segments import read_segment, validate_segment_header, write_segment
+from repro.db.storage.segments import (
+    read_segment,
+    sync_directory,
+    validate_segment_header,
+    write_segment,
+)
 from repro.db.table import Table
 from repro.obs import metrics as _metrics
 
@@ -203,14 +208,18 @@ class TableStore:
         first checkpoint into a fresh directory is.
 
         Ordering is the crash-safety argument.  A retained file is never
-        touched, and a new file is one atomic write under a name made of
-        the table's generation and the file's slot — a name the previous
-        manifest can only hold if the table is still at that manifest's
-        generation, where the rows under the name, and so the bytes the
-        rename puts there, are the same.  So nothing the previous manifest
-        names changes before the commit; the manifest — the single commit
-        point — only ever references segments that are already durable;
-        the journal resets only after the manifest committed, and only
+        touched, and a new file is one atomic write (fsynced, then renamed)
+        under a name made of the table's generation and the file's slot — a
+        name the previous manifest can only hold if the table is still at
+        that manifest's generation, where the rows under the name, and so
+        the bytes the rename puts there, are the same.  So nothing the
+        previous manifest names changes before the commit.  The renames are
+        group-committed: after the last of them the segments directory is
+        fsynced once (not once per file), and only then is the manifest —
+        the single commit point, its own atomic write — written, so it only
+        ever references segments whose bytes and names are already durable;
+        a checkpoint that writes no file syncs nothing there.
+        The journal resets only after the manifest committed, and only
         then are the files the new manifest does not name removed
         (retained files of older generations are named, so they stay).  A
         crash at *any* point leaves the previous manifest describing the
@@ -224,6 +233,7 @@ class TableStore:
         segments: Dict[str, Dict[str, Any]] = {}
         generation = table.data_generation
         record_key = self._record_key
+        written = False
         for position, shard in enumerate(shards):
             durable = shard.durable_segments(record_key)
             entries: Dict[str, Any] = {}
@@ -245,8 +255,11 @@ class TableStore:
                         shard.column_array(column, allow_hidden=True),
                     )
                     _count("segments_written")
+                    written = True
                 entries[column] = entry
             segments[str(position)] = entries
+        if written:
+            sync_directory(self.segments_dir)
         body: Dict[str, Any] = {
             "table": table.name,
             "layout": "sharded" if sharded else "monolithic",

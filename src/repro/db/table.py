@@ -10,6 +10,7 @@ and so is an approximate result.
 
 from __future__ import annotations
 
+import sys
 import threading
 from itertools import islice
 from typing import (
@@ -38,6 +39,10 @@ from repro.db.schema import Schema
 from repro.obs import metrics as _metrics
 
 
+#: UTF-32 in this machine's byte order: the code units of a native ``U`` array.
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+
 def coerce_cells_to_array(values: Sequence[Any]) -> np.ndarray:
     """A 1-d NumPy array over ``values`` with dict-equality-safe semantics.
 
@@ -48,7 +53,18 @@ def coerce_cells_to_array(values: Sequence[Any]) -> np.ndarray:
     downstream) fall back to an object array holding the given python
     values.  Shared by :meth:`Table.column_array` and the append path, so a
     column built whole and a column built in deltas coerce identically.
+
+    A list whose first cell is a ``str`` — a categorical column, the kind
+    the paper groups by — is first tried as a string column
+    (:func:`_string_column`): its distinct cells decide, not every cell, and
+    cells of one width become the array in one encoded join, without numpy
+    discovering a dtype cell by cell.  It is the array the general rule
+    gives (dtype, bytes, ``tolist()``), read-only.
     """
+    if type(values) is list and values and type(values[0]) is str:
+        strings = _string_column(values)
+        if strings is not None:
+            return strings
     try:
         array = np.asarray(values)
         if array.ndim != 1 or len(array) != len(values):
@@ -61,6 +77,29 @@ def coerce_cells_to_array(values: Sequence[Any]) -> np.ndarray:
         array = np.empty(len(values), dtype=object)
         array[:] = values
     return array
+
+
+def _string_column(values: List[Any]) -> Optional[np.ndarray]:
+    """``values`` as a read-only ``U`` array, or ``None`` unless every cell is
+    a ``str`` and all have one width of at least 1.
+
+    ``set(values)`` gives the distinct cells (a column has few), and their
+    lengths the width.  The cells are joined and encoded once —
+    ``surrogatepass`` keeps a lone surrogate, which a ``U`` array stores as
+    its code unit — and the bytes are the array.
+    """
+    try:
+        distinct = set(values)
+    except TypeError:  # an unhashable cell
+        return None
+    if not all(isinstance(value, str) for value in distinct):
+        return None
+    widths = {len(value) for value in distinct}
+    if len(widths) != 1 or 0 in widths:
+        return None
+    (width,) = widths
+    encoded = "".join(values).encode(_UTF32, "surrogatepass")
+    return np.frombuffer(encoded, dtype=np.dtype(("U", width)))
 
 
 def extended_column(cached: np.ndarray, delta: np.ndarray) -> np.ndarray:

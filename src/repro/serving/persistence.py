@@ -33,9 +33,11 @@ what shared it before the save shares it after the restore.
 
 Commit order is the crash argument: a save's files carry a serial new to
 their directory, so they never replace a file the previous record names;
-each record commits last, atomically; only then is every file it does not
-name removed (a pre-1.19 ``state.blob`` too).  A crash before a commit
-leaves that directory's previous warm state whole.
+each file is fsynced before its rename, and the directory is fsynced once,
+after the last rename (group commit, :func:`_write_warm`); each record
+commits last, atomically; only then is every file it does not name removed
+(a pre-1.19 ``state.blob`` too).  A crash before a commit leaves that
+directory's previous warm state whole.
 
 Restore runs at service construction, record by record, and installs
 nothing of a record until every file of it is verified.  A table record
@@ -61,7 +63,7 @@ from repro.db.errors import CorruptSegmentError, ManifestVersionError
 from repro.db.index import GroupIndex, MergedGroupIndex
 from repro.db.sharding import ShardedTable
 from repro.db.storage.manifest import read_manifest, write_manifest
-from repro.db.storage.segments import read_segment, write_segment
+from repro.db.storage.segments import read_segment, sync_directory, write_segment
 from repro.db.storage.store import CatalogStore, RecoveryReport, TableStore, _count
 from repro.db.table import Table, coerce_cells_to_array, narrowed_ids
 from repro.sampling.sampler import SampleOutcome
@@ -129,8 +131,9 @@ def _catalog_warm(store: CatalogStore) -> TableStore:
 
 def _write_warm(table_store: TableStore, fill, *args) -> Dict[str, Any]:
     """One save of ``table_store``'s warm directory: ``fill(*args, segment)``
-    writes the arrays and returns the record, which commits last; then every
-    file it does not name is dropped.  Returns the record."""
+    writes the arrays and returns the record.  The directory is synced once
+    after the last array, the record commits last, then every file it does
+    not name is dropped.  Returns the record."""
     warm_dir = table_store.warm_dir
     os.makedirs(warm_dir, exist_ok=True)
     names = os.listdir(warm_dir)  # the next serial: no file there carries it yet
@@ -142,6 +145,8 @@ def _write_warm(table_store: TableStore, fill, *args) -> Dict[str, Any]:
         return write_segment(os.path.join(warm_dir, files[-1]), kind, array)
 
     body = fill(*args, segment)
+    if len(files) > 1:
+        sync_directory(warm_dir)
     write_manifest(os.path.join(warm_dir, WARM_RECORD), body)
     table_store._drop_unreferenced(warm_dir, files)
     return body

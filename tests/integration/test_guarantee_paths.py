@@ -10,9 +10,10 @@ a rate a little under rho, is not such evidence.
 
 Measured: the given column satisfies .967 / .993 (precision / recall) and
 the automatically chosen column .947 / .987.  The virtual column satisfies
-.673 / .640 — upper bounds .737 / .705 — because the rows that fit its
-model and bucket edges are also its buckets' selectivity evidence (ROADMAP
-item 1(a)).  That case is a strict xfail until the fix lands.
+.900 / .840 — upper bounds .937 / .887 — since the rows that fit its model
+and bucket edges are no longer its buckets' selectivity evidence (ROADMAP
+item 1(a)); before that it satisfied .673 / .640 (upper bounds .737 / .705)
+and failed.
 """
 
 from __future__ import annotations

@@ -14,9 +14,17 @@ from repro.db.storage.segments import (
     atomic_write_bytes,
     live_memmap_count,
     read_segment,
+    validate_segment_header,
     write_segment,
 )
-from repro.resilience.faults import GARBAGE, FaultPlan, FaultRule, fault_scope
+from repro.resilience.faults import (
+    ERROR,
+    GARBAGE,
+    FaultPlan,
+    FaultRule,
+    InjectedFault,
+    fault_scope,
+)
 
 
 @pytest.mark.parametrize(
@@ -170,6 +178,44 @@ def test_a_single_block_read_checksums_once_and_copies_nothing(tmp_path, monkeyp
     assert calls == [array.nbytes]
     assert np.array_equal(copied, array) and not copied.flags.writeable
     del mapped
+
+
+def test_a_single_block_write_checksums_once(tmp_path, monkeypatch):
+    """A one-block payload's block CRC is the manifest entry's CRC: the
+    write computes it once (the multi-block path: every block, then the
+    whole)."""
+    array = np.arange(50_000, dtype=np.int64)
+    calls = _count_payload_crcs(monkeypatch)
+    entry = write_segment(str(tmp_path / "one.seg"), "col", array)
+    assert calls == [array.nbytes]
+    calls.clear()
+    write_segment(str(tmp_path / "four.seg"), "col", np.arange(4096, dtype=np.int64),
+                  block_bytes=8192)
+    assert calls == [8192] * 4 + [32768]
+    monkeypatch.undo()
+    assert entry["crc"] == zlib.crc32(array.tobytes())
+    header, _ = validate_segment_header(str(tmp_path / "one.seg"), expected=entry)
+    assert header["block_crcs"] == [entry["crc"]]
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.arange(3000, dtype=np.int64), np.array(["ab", "c"] * 40), np.arange(0),
+     np.array(["a", 1, None], dtype=object)],
+    ids=["int64", "unicode", "empty", "object"],
+)
+def test_a_torn_segment_write_leaves_the_first_half_of_its_bytes(tmp_path, array):
+    """The ``segment_write`` site fires at the byte that halves the file."""
+    whole = str(tmp_path / "whole.seg")
+    write_segment(whole, "col", array)
+    data = open(whole, "rb").read()
+    torn = str(tmp_path / "torn.seg")
+    with fault_scope(FaultPlan(seed=0, rules={"segment_write": FaultRule(ERROR, probability=1.0)})):
+        with pytest.raises(InjectedFault):
+            write_segment(torn, "col", array)
+    assert not os.path.exists(torn)
+    assert open(torn + ".tmp", "rb").read() == data[: len(data) // 2]
+    os.remove(torn + ".tmp")
 
 
 def test_a_multi_block_read_checks_blocks_and_the_manifest_crc(tmp_path, monkeypatch):
