@@ -48,8 +48,8 @@ it; this is the index.
   :mod:`repro.core.sampling_program` over :mod:`repro.solvers.convex`, the
   solver-free warm start in :mod:`repro.core.bigreedy`.
 * **Plan execution** — :mod:`repro.core.executor` (one kernel, the candidate
-  frame, the two coin disciplines, the reference ``PlanExecutor``);
-  :mod:`repro.core.parallel` (counter coins, spans, run inline);
+  frame, the one coin discipline, the reference ``PlanExecutor``);
+  :mod:`repro.core.parallel` (spans, run inline);
   :mod:`repro.core.procpool` (the same spans in worker processes, span
   retry, the breaker).
 * **Tables, indexes, UDFs** — :mod:`repro.db.table`, :mod:`repro.db.index`
@@ -189,6 +189,16 @@ argument (``extended_by(delta_array)``), ``GroupIndex.row_id_array`` (call
 nothing called.  UDF memos are written once per save, in one warm record
 beside ``CATALOG.json`` (``<storage_dir>/warm/``); the ``memos`` entry of a
 1.19 per-table warm record is not read.
+Removed in 1.24, with the second coin discipline (the span executors flip
+the serial backend's coins in the parent, so a seed returns the same answer
+from every backend, and pool workers only evaluate row ids): counter-coin
+plan execution (the per-execution root key and per-group stream keys),
+``repro.core.parallel.span_coin_pass``, and the coin fields of
+``repro.core.parallel._GroupSegment`` (its probabilities,
+``position_offset``, ``retrieve_key`` and ``evaluate_key``; a segment is now
+a group's retrieved rows in one span and their evaluation mask).
+``repro.stats.random.counter_uniforms`` and ``stream_key`` stay: the
+reservoir top-up and :class:`~repro.resilience.FaultPlan` use them.
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -267,7 +277,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "__version__",

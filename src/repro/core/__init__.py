@@ -9,7 +9,8 @@ Public surface:
   (Section 3.2), :func:`solve_estimated_selectivity` (Section 3.3),
   :func:`solve_with_samples` (Section 4.2),
 * execution — :class:`BatchExecutor` (vectorised default),
-  :class:`ParallelBatchExecutor` (counter coins over shard spans, inline),
+  :class:`ParallelBatchExecutor` (the same coins, evaluated span by span,
+  inline),
   :class:`ProcessPoolBatchExecutor` (the same spans in worker processes
   over memory-mapped segment files)
   and :class:`PlanExecutor` (tuple-at-a-time reference); strategies that

@@ -10,47 +10,48 @@ group and
 3. skips tuples that were already evaluated during sampling — their positive
    members are added to the output for free, exactly as Section 4.2 allows.
 
-One kernel, two coin sources, two span placements
--------------------------------------------------
+One kernel, one coin stream, three placements
+---------------------------------------------
 
 Every vectorised backend runs the same kernel — candidates from the one
-:func:`~repro.sampling.sampler.candidate_frame`, coins, then one memo pass
-per evaluated batch: a single
+:func:`~repro.sampling.sampler.candidate_frame`, coins from the one
+:func:`flip_group_coins`, then one memo pass per evaluated batch: a single
 :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows` over the retrieved
 rows and their evaluation mask reads each row's memo state once and, from
 that read, charges the ledger before any UDF work, evaluates only the
 picked rows the memo does not know, and returns a per-row ``passed`` array
 that one :func:`fold_group` turns into the answer ``retrieved[~mask |
-passed]`` — so a change to exclusion, charging or folding is made once and
-proven by every backend's parity suite.  What differs is where the coins
-come from and where the work runs:
+passed]`` — so a change to exclusion, coins, charging or folding is made
+once and proven by every backend's parity suite.  What differs is where the
+evaluation runs:
 
-* **Sequential coins** — :class:`BatchExecutor`, the default: one NumPy pass
-  per group on the calling thread, coins drawn in order from the seeded
-  generator (the discipline below).  :class:`PlanExecutor` is its
-  paper-faithful tuple-at-a-time reference — python loops, one ledger
-  charge per tuple, one UDF call per evaluated row — kept apart on purpose
-  (it shares only the free positives' order, and excludes sampled rows
-  through a whole-table mask of its own), because the differential tests
-  compare the two.
-* **Counter coins** — :class:`~repro.core.parallel.ParallelBatchExecutor`:
-  position-addressable SplitMix64 streams, so results are invariant to
-  shard layout and worker count, over spans run *inline* on the calling
-  thread or (:class:`~repro.core.procpool.ProcessPoolBatchExecutor`) in
-  *worker processes*.  Seeds are not comparable across the two coin
-  sources, only within each.
+* :class:`BatchExecutor`, the default: one NumPy pass per group on the
+  calling thread.  :class:`PlanExecutor` is its paper-faithful
+  tuple-at-a-time reference — python loops, one ledger charge per tuple,
+  one UDF call per evaluated row — kept apart on purpose (it shares only
+  the free positives' order, and excludes sampled rows through a
+  whole-table mask of its own), because the differential tests compare the
+  two.
+* :class:`~repro.core.parallel.ParallelBatchExecutor` flips the same coins
+  in the same order, cuts each group's retrieved rows and evaluation mask at
+  the shard bounds, and evaluates span by span on the calling thread;
+  :class:`~repro.core.procpool.ProcessPoolBatchExecutor` sends each span's
+  picked rows to a worker process and settles the outcomes in the parent.
+
+So a seed returns the same rows, ledger counts and per-group counts from
+every backend, whatever the shard layout or worker count; only the
+granularity at which a hard budget trips differs (a group, or a span).
 
 Both copy the rows a coin or the memo picked by one count-first rule,
 :func:`~repro.db.table.select_rows`: the retrieval coins, the fold's keep
-mask, the span coin pass's per-candidate evaluation mask and the UDF's
-pending rows are counted first (``np.count_nonzero``); every row passing
-hands on the input array itself, none an empty one, and otherwise one
-``compress`` copies them.  :class:`BatchExecutor` counts its evaluation
-mask the same way: all-true becomes ``None`` (every retrieved row is
-evaluated) and all-false skips the UDF call and the fold.  Between those,
-numpy 2.4's ``compress`` is 3–5x faster than a boolean-index gather.  The
-coins drawn, and so the rows chosen, are the same either way: only how they
-are copied differs.
+mask and the UDF's pending rows are counted first (``np.count_nonzero``);
+every row passing hands on the input array itself, none an empty one, and
+otherwise one ``compress`` copies them.  The evaluation mask is counted the
+same way: all-true becomes ``None`` (every retrieved row is evaluated) and
+all-false skips the UDF call and the fold.  Between those, numpy 2.4's
+``compress`` is 3–5x faster than a boolean-index gather.  The coins drawn,
+and so the rows chosen, are the same either way: only how they are copied
+differs.
 
 SLSQP leaves many probabilities a hair from 0 or 1 (R = 2.3e-16 over 11 483
 rows, or 1 − 2.2e-16 over 24 740).  Over one 8 s ``durable_churn`` run
@@ -59,29 +60,17 @@ rows, or 1 − 2.2e-16 over 24 740).  Over one 8 s ``durable_churn`` run
 or 1, and no other value nearer than 1e-4.  Their outcome is fixed before
 any coin is drawn: :class:`~repro.core.plan.GroupDecision` derives, once, a
 *threshold* per phase that is the probability, or exactly 0 or 1 when the
-probability is within ``_PROBABILITY_TOLERANCE`` of either, and the
-vectorised backends compare coins against the thresholds.  A fixed outcome
-takes the no-row or every-row branch with no coin drawn and no compare.
-:class:`BatchExecutor` then moves the generator past the coins the
-reference would have drawn (:func:`~repro.stats.random.skip_uniforms`, a
-PCG64 ``advance``), so every later group sees the reference's coins: the
-skip costs 3.5–4 µs where drawing, comparing and selecting 12.5k–63k coins
-costs 60–280 µs (numpy 2.4, one core).  An answer therefore differs from
-:class:`PlanExecutor`'s only when some coin of a fixed group lands between
-the probability and the 0 or 1 it is fixed at, a band as wide as that
-distance: at most 1e-9, and on that run at most 7e-14.
-
-Two coin sources remain by measurement, not by oversight.  "Serial is one
-span on zero workers" does not hold: on the benchmark's four cached
-``warm_hits`` plans (20k rows, 4 shards, 8 groups; per plan the least of
-five medians of 200 runs, on a shared 2-core box) ``BatchExecutor.execute``
-takes 0.15–0.22 ms and ``ParallelBatchExecutor().execute`` 0.9–1.4 ms
-(0.2–0.3 and 0.7–1.0 ms unsharded), most of the gap inside the counter
-coins themselves, and the two streams
-return different rows for one seed — which would re-baseline every
-committed answers digest and work counter.  Each path is the better one on
-a benchmark workload (``warm_hits`` serial, ``udf_process`` process), and
-the choice is the configured backend, not an option of this module.
+probability is within ``_PROBABILITY_TOLERANCE`` of either, and
+:func:`flip_group_coins` compares coins against the thresholds.  A fixed
+outcome takes the no-row or every-row branch with no coin drawn and no
+compare, and moves the generator past the coins the reference would have
+drawn (:func:`~repro.stats.random.skip_uniforms`, a PCG64 ``advance``), so
+every later group sees the reference's coins: the skip costs 3.5–4 µs where
+drawing, comparing and selecting 12.5k–63k coins costs 60–280 µs (numpy
+2.4, one core).  An answer therefore differs from :class:`PlanExecutor`'s
+only when some coin of a fixed group lands between the probability and the
+0 or 1 it is fixed at, a band as wide as that distance: at most 1e-9, and
+on that run at most 7e-14.
 
 The prepared candidate frame
 ----------------------------
@@ -134,11 +123,11 @@ simply built per query by the same function: there is no second code path.
 Shared coin discipline
 ----------------------
 
-Both sequential backends (:class:`BatchExecutor`, :class:`PlanExecutor`)
-consume the random stream identically, so for a fixed seed
-they produce *exactly* the same returned row ids and ledger counts — the
-differential property tests in ``tests/properties`` pin this.  Per group, in
-:attr:`GroupIndex.values` order:
+Every backend consumes the random stream identically — the vectorised ones
+through :func:`flip_group_coins`, the reference coin by coin — so for a
+fixed seed they produce *exactly* the same returned row ids and ledger
+counts; the differential property tests in ``tests/properties`` pin this.
+Per group, in :attr:`GroupIndex.values` order:
 
 * ``R_a <= 0``: the group is skipped, no coins drawn;
 * retrieval coins: none when ``R_a >= 1`` (every candidate retrieved),
@@ -147,7 +136,7 @@ differential property tests in ``tests/properties`` pin this.  Per group, in
   ``E_a/R_a >= 1`` (every retrieved tuple evaluated), otherwise one uniform
   per *retrieved* tuple in row order;
 * a fixed outcome (a near-certain ``R_a`` or ``E_a/R_a``, above) draws
-  nothing but consumes its positions: :class:`BatchExecutor` skips the
+  nothing but consumes its positions: :func:`flip_group_coins` skips the
   generator past exactly the uniforms :class:`PlanExecutor` draws there
   (one per candidate, or one per retrieved tuple).
 
@@ -169,13 +158,14 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Tuple,
     runtime_checkable,
 )
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.plan import ExecutionPlan
+from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.db.index import GroupIndex
 from repro.db.table import Table, as_row_ids, select_rows
 from repro.db.udf import CostLedger, UserDefinedFunction
@@ -324,6 +314,40 @@ def fold_group(
     counts.retrieved_incorrect += negatives
     counts.returned += int(kept.size)
     return kept
+
+
+def flip_group_coins(
+    rng: np.random.Generator, decision: GroupDecision, candidates: np.ndarray
+) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
+    """Flip one group's coins where the reference draws them in the stream.
+
+    Returns ``(retrieved, evaluate_mask, picked)``: the retrieved candidates
+    (one block of retrieval coins, one per candidate), the evaluation mask
+    over them (one coin per retrieved row; ``None`` when every retrieved row
+    is picked, or when none is) and how many rows are picked.  A fixed
+    outcome draws nothing but moves ``rng`` past the coins the reference
+    would have drawn there.  The one coin step of both kernels:
+    :class:`BatchExecutor` calls it per group, and
+    :func:`~repro.core.parallel.build_span_tasks` per group before cutting
+    the result at the span bounds.
+    """
+    threshold = decision.retrieve_threshold
+    if 0.0 < threshold < 1.0:
+        retrieved = select_rows(candidates, rng.random(candidates.size) < threshold)
+    else:
+        if 0.0 < decision.retrieve_probability < 1.0:
+            skip_uniforms(rng, candidates.size)
+        retrieved = candidates if threshold > 0.0 else candidates[:0]
+    if retrieved.size == 0:
+        return retrieved, None, 0
+    threshold = decision.evaluate_threshold
+    if 0.0 < threshold < 1.0:
+        evaluate_mask = rng.random(retrieved.size) < threshold
+        picked = int(np.count_nonzero(evaluate_mask))
+        return retrieved, None if picked == retrieved.size else evaluate_mask, picked
+    if 0.0 < decision.conditional_evaluate_probability < 1.0:
+        skip_uniforms(rng, retrieved.size)
+    return retrieved, None, int(retrieved.size) if threshold > 0.0 else 0
 
 
 class PlanExecutor:
@@ -487,41 +511,16 @@ class BatchExecutor:
             # coin draws below consume no stream positions when skipped
             # mid-loop — the request is abandoned wholesale, not resumed).
             check_deadline("execute")
-            decision = plan.decision(key)
             counts = GroupExecutionCounts()
             group_counts[key] = counts
             if candidates.size == 0:
                 continue
-
-            # One retrieval coin per candidate tuple, drawn in a single block;
-            # a fixed outcome draws none but moves past the reference's coins.
-            threshold = decision.retrieve_threshold
-            if 0.0 < threshold < 1.0:
-                coins = rng.random(candidates.size)
-                retrieved = select_rows(candidates, coins < threshold)
-            else:
-                if 0.0 < decision.retrieve_probability < 1.0:
-                    skip_uniforms(rng, candidates.size)
-                if threshold <= 0.0:
-                    continue
-                retrieved = candidates
+            retrieved, evaluate_mask, picked = flip_group_coins(
+                rng, plan.decision(key), candidates
+            )
             if retrieved.size == 0:
                 continue
             ledger.charge_retrieval(int(retrieved.size))
-
-            # The evaluation mask by count: ``None`` when every retrieved row
-            # is picked, no UDF call when none is.
-            threshold = decision.evaluate_threshold
-            evaluate_mask = None
-            if 0.0 < threshold < 1.0:
-                evaluate_mask = rng.random(retrieved.size) < threshold
-                picked = int(np.count_nonzero(evaluate_mask))
-                if picked == retrieved.size:
-                    evaluate_mask = None
-            else:
-                if 0.0 < decision.conditional_evaluate_probability < 1.0:
-                    skip_uniforms(rng, retrieved.size)
-                picked = int(retrieved.size) if threshold > 0.0 else 0
             if picked == 0:
                 chunks.append(fold_group(counts, retrieved, None, None))
                 continue

@@ -1,64 +1,38 @@
-"""Span execution: the counter-coin kernel and its in-process placement.
+"""Span execution: the vectorised kernel over shard spans, run inline.
 
-:class:`ParallelBatchExecutor` is the counter-coin sibling of
-:class:`~repro.core.executor.BatchExecutor`.  It owns the one span skeleton
-— root key → :func:`~repro.core.executor.candidate_frame` →
-:func:`build_span_tasks` → *run the spans that have work* →
-:func:`merge_span_outcomes` — over the contiguous row spans of a
-:class:`~repro.db.sharding.ShardedTable`, and runs every span inline on the
-calling thread.  Its subclass
-:class:`~repro.core.procpool.ProcessPoolBatchExecutor` runs the same spans
-in worker processes: "where the spans run" is the only part it supplies, and
-those are the two places spans run.
+:class:`ParallelBatchExecutor` runs :class:`~repro.core.executor.BatchExecutor`'s
+kernel over the contiguous row spans of a
+:class:`~repro.db.sharding.ShardedTable`.  It owns the one span skeleton —
+:func:`~repro.core.executor.candidate_frame` → :func:`build_span_tasks` →
+*settle the spans that have work* → :func:`merge_span_outcomes` — and
+settles every span inline on the calling thread.  Its subclass
+:class:`~repro.core.procpool.ProcessPoolBatchExecutor` evaluates the same
+spans' picked rows in worker processes: "where the spans are evaluated" is
+the only part it supplies, and those are the two places spans run.
 
+* **Coins** are flipped in the parent, before any span runs, from the
+  executor's own seeded generator by :func:`~repro.core.executor.flip_group_coins`
+  — the serial backend's coin step, group by group in index order, with its
+  thresholds and skips.  :func:`build_span_tasks` then cuts each group's
+  retrieved rows and evaluation mask at the span bounds.  So a seed returns
+  :class:`~repro.core.executor.BatchExecutor`'s (and
+  :class:`~repro.core.executor.PlanExecutor`'s) rows, ledger counts and
+  per-group counts, whatever the shard layout, the worker count or a
+  fallback to inline.
 * **Candidates** come from the same memoised
   :class:`~repro.core.executor.CandidateFrame` the serial executor uses:
   already-sampled rows are excluded once per (index, sample outcome), not
-  per request and not inside a worker.  A span task is a slice of a frame
-  array, and the slice start *is* the coin position of its first row.
+  per request and not inside a worker.
 * **Charging, evaluating and folding** are the serial executor's own one
   memo pass per evaluated batch: the span's retrieved rows and evaluation
   mask go through one
   :meth:`~repro.db.udf.UserDefinedFunction.evaluate_rows`, which reads the
   memo once, charges the ledger from that read before any UDF work and
   returns a per-row ``passed`` array, and
-  :func:`~repro.core.executor.fold_group` cuts the answer from it.  The
-  process placement settles a span through
+  :func:`~repro.core.executor.fold_group` cuts the answer from it.  A span
+  whose picked rows a worker evaluated is settled through
   :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations`, the
-  same one read and the same charge over the workers' outcomes.
-
-Position-addressable coin discipline
-------------------------------------
-
-The serial backends consume one sequential random stream, which couples every
-coin to all earlier coins — correct, but impossible to decompose across
-shards.  This executor instead derives, per execution, a 64-bit root key from
-its seeded :class:`~repro.stats.random.RandomState` and gives every group two
-*counter-based* SplitMix64 streams (:func:`repro.stats.random.counter_uniforms`):
-
-* retrieval coin for the tuple at position ``p`` of the group's candidate
-  list = stream ``(root, group code, phase 0)`` at position ``p``;
-* evaluation coin for the same tuple = stream ``(root, group code, phase 1)``
-  at position ``p`` (drawn per *candidate* position and applied only to
-  retrieved tuples, so it never depends on how many tuples earlier spans
-  retrieved).
-
-The two stream keys of a group are derived once per execution, in
-:func:`build_span_tasks`, and travel on every segment of the group.  So do
-the probabilities the coins are compared against: the decision's
-*thresholds* (:class:`~repro.core.plan.GroupDecision`), where a near-certain
-``R_a`` or ``E_a / R_a`` is exactly 0 or 1 and its coins are not drawn.  No
-bookkeeping follows, as the coins are addressed by position: a group whose
-``R_a`` is fixed at 0 gets no segment at all, and the groups after a skipped
-block draw the coins they always did.
-Because every coin is a pure function of (seed, group, position), the result
-is **bitwise identical for any shard layout and either placement** — inline
-or in worker processes, including every fallback to inline — which is what
-lets the scale benchmark pin sharded work counters to the unsharded run at
-±0.  The trade-off is that the stream differs from the sequential one shared
-by ``BatchExecutor`` / ``PlanExecutor``; per-tuple marginals are unchanged
-(independent uniforms either way), but seeds are not comparable across
-disciplines.
+  same one read and the same charge over the worker's outcomes.
 
 Ledger charging is span-granular (one retrieval block + one evaluation block
 per span, charged before that span's UDF work), so a hard budget stops whole
@@ -77,6 +51,7 @@ from repro.core.executor import (
     ExecutionResult,
     GroupExecutionCounts,
     candidate_frame,
+    flip_group_coins,
     fold_group,
 )
 from repro.core.plan import ExecutionPlan
@@ -87,56 +62,29 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience.deadline import check_deadline
 from repro.sampling.sampler import SampleOutcome
-from repro.stats.random import (
-    RandomState,
-    SeedLike,
-    as_random_state,
-    counter_uniforms,
-    stream_key,
-)
-
-#: Phase tags separating the retrieval and evaluation coin streams of a group.
-_PHASE_RETRIEVE = 0
-_PHASE_EVALUATE = 1
+from repro.stats.random import RandomState, SeedLike, as_random_state
 
 
 @dataclass
 class _GroupSegment:
-    """One group's candidate slice falling inside one span.
+    """One group's retrieved rows falling inside one span.
 
-    ``rows`` are the group's candidate row ids within the span (ascending;
-    a slice of the shared :class:`~repro.core.executor.CandidateFrame`, so
-    already-sampled rows are gone before a task exists).
-    ``retrieve_probability`` / ``conditional_evaluate`` are the decision's
-    thresholds (near-certain values made exactly 0 or 1).
-    ``position_offset`` is the index of this segment's first candidate
-    within the group's full candidate list; together with the group's
-    ``retrieve_key`` / ``evaluate_key`` (its two coin streams for this
-    execution) it addresses the segment's coins.
+    ``rows`` are the group's retrieved row ids within the span (ascending);
+    ``evaluate`` is the evaluation mask over them — both slices of what
+    :func:`~repro.core.executor.flip_group_coins` returned for the group.
     """
 
-    key: Hashable
     code: int
-    retrieve_probability: float
-    conditional_evaluate: float
     rows: np.ndarray
-    position_offset: int
-    retrieve_key: int
-    evaluate_key: int
+    evaluate: np.ndarray
 
 
 @dataclass
 class _SpanOutcome:
-    """What settling one span hands back for merging.
-
-    ``retrieved``/``evaluated_charge`` are the exact amounts charged to the
-    ledger for the span — what its ``shard:<i>`` trace span reports.
-    """
+    """What settling one span hands back for merging."""
 
     returned: Dict[int, np.ndarray]  # group code -> returned global row ids
     counts: Dict[int, GroupExecutionCounts]
-    retrieved: int = 0
-    evaluated_charge: int = 0
 
 
 @dataclass(frozen=True)
@@ -155,39 +103,25 @@ class _Execution:
 #: The spans of one execution that have work: ``(span index, tasks)``, ascending.
 ActiveSpans = List[Tuple[int, List[_GroupSegment]]]
 
-#: "Where the spans run": settles every active span (coins, charges, UDF
-#: work, fold) and returns their outcomes in span order.
+#: "Where the spans run": settles every active span (charges, UDF work,
+#: fold) and returns their outcomes in span order.
 SpanRunner = Callable[[ActiveSpans, _Execution], List[_SpanOutcome]]
-
-
-def _record_span_work(shard_span: _trace.Span, outcome: _SpanOutcome) -> None:
-    """Put a settled span's work on its ``shard:<i>`` trace span.
-
-    The counters are the exact amounts charged to the ledger for the span,
-    recorded via :meth:`Span.add` — a process span is charged in the
-    parent while its trace span is open, its UDF work done elsewhere.
-    """
-    shard_span.add("retrievals", outcome.retrieved)
-    shard_span.add("udf_evals", outcome.evaluated_charge)
-    shard_span.annotate("groups", len(outcome.counts))
 
 
 def build_span_tasks(
     index: GroupIndex,
     plan: ExecutionPlan,
     frame: CandidateFrame,
-    root: int,
+    rng: np.random.Generator,
 ) -> Tuple[List[List[_GroupSegment]], Dict[Hashable, GroupExecutionCounts]]:
-    """Partition every group's candidate rows into per-span tasks.
+    """Flip every group's coins, then cut the result into per-span tasks.
 
     Returns ``(span_tasks, group_counts)``: one task list per index span
     (``span_boundaries()`` order) and a zero-initialised counts dict covering
-    every group.  Pure function of the plan, the inputs and the execution's
-    ``root`` key: ``frame.candidates`` is cut at the span bounds, the cut
-    position *is* the coin position of the segment's first row, and a
-    group's two stream keys are derived here once and shared by all of its
-    segments — so the work decomposition of the inline and process
-    placements cannot drift.
+    every group.  The coins come from ``rng`` group by group, in index order,
+    through :func:`~repro.core.executor.flip_group_coins` — exactly where
+    :class:`~repro.core.executor.BatchExecutor` draws them — so the inline
+    and process placements cut one answer, whatever the span bounds.
     """
     group_counts: Dict[Hashable, GroupExecutionCounts] = {}
     bounds = np.asarray(index.span_boundaries(), dtype=np.intp)
@@ -195,92 +129,34 @@ def build_span_tasks(
     span_tasks: List[List[_GroupSegment]] = [[] for _ in range(num_spans)]
 
     for code, (key, candidates) in enumerate(zip(index, frame.candidates)):
-        decision = plan.decision(key)
         group_counts[key] = GroupExecutionCounts()
-        if decision.retrieve_threshold <= 0.0 or candidates.size == 0:
+        if candidates.size == 0:
             continue
-        retrieve_key = stream_key(root, code, _PHASE_RETRIEVE)
-        evaluate_key = stream_key(root, code, _PHASE_EVALUATE)
-        cuts = np.searchsorted(candidates, bounds)
+        retrieved, evaluate, picked = flip_group_coins(rng, plan.decision(key), candidates)
+        if retrieved.size == 0:
+            continue
+        if evaluate is None:  # every retrieved row picked, or none
+            evaluate = np.full(retrieved.size, picked > 0)
+        cuts = np.searchsorted(retrieved, bounds)
         for span in range(num_spans):
             lo, hi = int(cuts[span]), int(cuts[span + 1])
             if hi > lo:
                 span_tasks[span].append(
-                    _GroupSegment(
-                        key=key,
-                        code=code,
-                        retrieve_probability=decision.retrieve_threshold,
-                        conditional_evaluate=decision.evaluate_threshold,
-                        rows=candidates[lo:hi],
-                        position_offset=lo,
-                        retrieve_key=retrieve_key,
-                        evaluate_key=evaluate_key,
-                    )
+                    _GroupSegment(code, retrieved[lo:hi], evaluate[lo:hi])
                 )
     return span_tasks, group_counts
 
 
-def span_coin_pass(
-    tasks: List[_GroupSegment],
-) -> Tuple[List[np.ndarray], List[np.ndarray], int]:
-    """Flip every task's retrieval and evaluation coins (no UDF, no ledger).
-
-    Returns ``(retrieved_per_task, evaluate_per_task, total_retrieved)`` —
-    per task, the retrieved global row ids and the evaluation mask over
-    them.  Pure function of ``tasks`` (which carry their stream keys): this
-    is the half of span execution that process-pool workers run remotely.
-    A task's probabilities are its decision's thresholds, so a near-certain
-    one is exactly 0 or 1 and takes the no-coin branch: every row, or none.
-    The answer differs from drawing only when a coin would have landed
-    between the probability and that 0 or 1 (a band at most 1e-9 wide).
-    """
-    retrieved_per_task: List[np.ndarray] = []
-    evaluate_per_task: List[np.ndarray] = []  # masks over retrieved
-    total_retrieved = 0
-
-    for task in tasks:
-        seg = task.rows
-        if task.retrieve_probability >= 1.0:
-            retrieved = seg
-            retrieved_positions = None  # all positions
-        else:
-            coins = counter_uniforms(task.retrieve_key, task.position_offset, seg.size)
-            retrieved_positions = coins < task.retrieve_probability
-            retrieved = select_rows(seg, retrieved_positions)
-        if task.conditional_evaluate <= 0.0 or retrieved.size == 0:
-            evaluate_mask = np.zeros(retrieved.size, dtype=bool)
-        elif task.conditional_evaluate >= 1.0:
-            evaluate_mask = np.ones(retrieved.size, dtype=bool)
-        else:
-            # Per-candidate-position evaluation coins, applied to the
-            # retrieved subset (see the coin discipline in the module doc).
-            eval_coins = counter_uniforms(task.evaluate_key, task.position_offset, seg.size)
-            per_candidate = eval_coins < task.conditional_evaluate
-            evaluate_mask = (
-                per_candidate
-                if retrieved_positions is None
-                else select_rows(per_candidate, retrieved_positions)
-            )
-        retrieved_per_task.append(retrieved)
-        evaluate_per_task.append(evaluate_mask)
-        total_retrieved += int(retrieved.size)
-    return retrieved_per_task, evaluate_per_task, total_retrieved
-
-
-def span_rows(
-    retrieved_per_task: List[np.ndarray], evaluate_per_task: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
+def span_rows(tasks: List[_GroupSegment]) -> Tuple[np.ndarray, np.ndarray]:
     """The span's retrieved rows and their evaluation mask, in task order."""
-    if not retrieved_per_task:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
-    return np.concatenate(retrieved_per_task), np.concatenate(evaluate_per_task)
+    return (
+        np.concatenate([task.rows for task in tasks]),
+        np.concatenate([task.evaluate for task in tasks]),
+    )
 
 
 def fold_span_outcomes(
-    tasks: List[_GroupSegment],
-    retrieved_per_task: List[np.ndarray],
-    evaluate_per_task: List[np.ndarray],
-    passed: Optional[np.ndarray],
+    tasks: List[_GroupSegment], passed: Optional[np.ndarray]
 ) -> Tuple[Dict[int, np.ndarray], Dict[int, GroupExecutionCounts]]:
     """Fold UDF outcomes back into per-group returned rows and counts.
 
@@ -292,18 +168,14 @@ def fold_span_outcomes(
     counts: Dict[int, GroupExecutionCounts] = {}
     returned: Dict[int, np.ndarray] = {}
     offset = 0
-    for task, retrieved, evaluate_mask in zip(
-        tasks, retrieved_per_task, evaluate_per_task
-    ):
+    for task in tasks:
         # A span holds at most one segment of a group (build_span_tasks).
         counts[task.code] = task_counts = GroupExecutionCounts()
-        if retrieved.size == 0:
-            continue
-        end = offset + int(retrieved.size)
+        end = offset + int(task.rows.size)
         kept = fold_group(
             task_counts,
-            retrieved,
-            evaluate_mask,
+            task.rows,
+            task.evaluate,
             None if passed is None else passed[offset:end],
         )
         offset = end
@@ -346,14 +218,14 @@ def merge_span_outcomes(
 
 
 class ParallelBatchExecutor:
-    """Sharded counter-coin plan executor, spans inline (see module docstring).
+    """Sharded plan executor, spans inline (see module docstring).
 
     Parameters
     ----------
     random_state:
-        Seed for the per-execution root key; two executions with the same
-        seed, plan and inputs return identical results regardless of shard
-        layout or placement.
+        Seed of the coin stream; a seed returns what
+        :class:`~repro.core.executor.BatchExecutor` returns for it, whatever
+        the shard layout or placement.
     free_memoized:
         Serving accounting — do not re-charge evaluations whose value the
         UDF already memoised (same semantics as ``BatchExecutor``).
@@ -398,15 +270,16 @@ class ParallelBatchExecutor:
     ) -> ExecutionResult:
         """The one span skeleton; ``run_spans`` is "where the spans run".
 
-        Root key → shared candidate frame → span tasks → ``run_spans`` over
+        Shared candidate frame → coins and span tasks → ``run_spans`` over
         the spans that have work → merge.  ``run_spans`` returns one
         :class:`_SpanOutcome` per active span, in span order, with every
         charge already made.
         """
         _metrics.counter("repro_executor_runs_total", backend=backend).inc()
-        root = int(self.random_state.integers(0, 2**63))
         frame = candidate_frame(index, sample_outcome)
-        span_tasks, group_counts = build_span_tasks(index, plan, frame, root)
+        span_tasks, group_counts = build_span_tasks(
+            index, plan, frame, self.random_state.generator
+        )
 
         # Span indices (not list positions after filtering) name the shard
         # trace spans, so ``shard:<i>`` is deterministic for a given layout
@@ -429,42 +302,47 @@ class ParallelBatchExecutor:
         )
 
     def _run_spans(self, active: ActiveSpans, run: _Execution) -> List[_SpanOutcome]:
-        """Run the active spans inline, in span order."""
-        return [self._run_span(run, span_index, tasks) for span_index, tasks in active]
+        """Settle the active spans inline, in span order."""
+        return [self._settle_span(run, span_index, tasks) for span_index, tasks in active]
 
-    def _run_span(
-        self, run: _Execution, span_index: int, tasks: List[_GroupSegment]
+    def _settle_span(
+        self,
+        run: _Execution,
+        span_index: int,
+        tasks: List[_GroupSegment],
+        outcomes: Optional[np.ndarray] = None,
     ) -> _SpanOutcome:
-        """Execute one span's group segments: coins, charge, one bulk UDF call.
+        """Charge one span, evaluate its picked rows and fold them.
 
-        Runs inside a ``shard:<i>`` trace span (with no active trace that is
-        one ``ContextVar`` read).
+        ``outcomes`` are a worker's results for the span's picked rows (its
+        :func:`span_rows` under their mask), absorbed through
+        :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations`;
+        without them the picked rows are evaluated here.  Either way the
+        whole span is charged before any of its UDF work lands (the serial
+        backend's charge-before-evaluate order, at span granularity), from
+        one memo read.  Runs inside a ``shard:<i>`` trace span (with no
+        active trace that is one ``ContextVar`` read) that records the
+        span's charges.
         """
         with _trace.span(f"shard:{span_index}") as shard_span:
             # Span boundary = cancellation point: an expired request stops
             # before this span charges.
             check_deadline("execute-span")
-            retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(tasks)
+            rows, evaluate = span_rows(tasks)
             charged_before = run.ledger.evaluated_count
-            if total_retrieved:
-                run.ledger.charge_retrieval(total_retrieved)
-            retrieved, evaluate_mask = span_rows(retrieved_per_task, evaluate_per_task)
+            run.ledger.charge_retrieval(int(rows.size))
             passed = None
-            if evaluate_mask.any():
-                # The whole span is charged before any of its UDF work (the
-                # serial backends' charge-before-evaluate order, at span
-                # granularity), from the one memo read inside evaluate_rows.
-                passed = run.udf.evaluate_rows(
-                    run.table, retrieved, evaluate_mask, run.ledger, self.free_memoized
+            if outcomes is not None:
+                passed = np.zeros(rows.size, dtype=bool)
+                passed[evaluate] = run.udf.merge_remote_evaluations(
+                    select_rows(rows, evaluate), outcomes, run.ledger, self.free_memoized
                 )
-            returned, counts = fold_span_outcomes(
-                tasks, retrieved_per_task, evaluate_per_task, passed
-            )
-            outcome = _SpanOutcome(
-                returned=returned,
-                counts=counts,
-                retrieved=total_retrieved,
-                evaluated_charge=run.ledger.evaluated_count - charged_before,
-            )
-            _record_span_work(shard_span, outcome)
-        return outcome
+            elif evaluate.any():
+                passed = run.udf.evaluate_rows(
+                    run.table, rows, evaluate, run.ledger, self.free_memoized
+                )
+            returned, counts = fold_span_outcomes(tasks, passed)
+            shard_span.add("retrievals", int(rows.size))
+            shard_span.add("udf_evals", run.ledger.evaluated_count - charged_before)
+            shard_span.annotate("groups", len(counts))
+        return _SpanOutcome(returned, counts)

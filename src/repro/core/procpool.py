@@ -5,19 +5,20 @@ kernel (:mod:`repro.core.parallel`: inline on the calling thread, or worker
 processes) and the repository's only multi-core one: a UDF that is a python
 callable evaluated row by row — the paper's whole premise is that this is
 the expensive part — holds the interpreter lock, so only processes run it
-on more than one core.  It inherits the whole skeleton (root key, shared
-candidate frame, span tasks, merge) and supplies only "where the spans
-run": its own :meth:`~ProcessPoolBatchExecutor.execute` is the
-prepare-or-fall-back guard in front of it, and
-:meth:`~ProcessPoolBatchExecutor._run_process_spans` fans the same span
-tasks across a spawn-based process pool.
+on more than one core.  It inherits the whole skeleton (shared candidate
+frame, the parent's coins, span tasks, merge) and supplies only "where the
+spans are evaluated": its own :meth:`~ProcessPoolBatchExecutor.execute` is
+the prepare-or-fall-back guard in front of it, and
+:meth:`~ProcessPoolBatchExecutor._run_process_spans` sends each span's
+picked rows to a spawn-based process pool.
 
-There is one fan-out.  Bulk UDF evaluation — the sampling and labelling
-calls, :meth:`~ProcessPoolBatchExecutor.evaluate_rows` — is a span job too:
-its ids are cut at the span bounds and each span's ids become one
-evaluate-everything task (R = E = 1, no coin drawn).  Both entry points
-share one preamble, one worker entry (:func:`_remote_run_span`), one submit
-(:func:`_submit_span`), one harvest and one retry-then-give-up loop
+There is one fan-out and one payload.  A worker gets a span's row ids and
+sends back one boolean outcome per id, whether the ids are a plan span's
+picked rows or a span's share of a bulk evaluation — the sampling and
+labelling calls, :meth:`~ProcessPoolBatchExecutor.evaluate_rows`, whose ids
+are cut at the span bounds.  Both entry points share one preamble, one
+worker entry (:func:`_remote_run_span`), one submit (:func:`_submit_span`),
+one harvest and one retry-then-give-up loop
 (:meth:`~ProcessPoolBatchExecutor._run_remote_spans`).
 
 * **Zero-copy inputs** — every column a worker reads is a segment file
@@ -25,26 +26,26 @@ share one preamble, one worker entry (:func:`_remote_run_span`), one submit
   written once into the process's export directory on tmpfs; workers
   ``np.memmap`` it on first touch and reuse the map for every later task,
   so per-task pickle traffic is row ids, not column data.
-* **Stateless workers** — a worker receives its span's
-  :class:`~repro.core.parallel._GroupSegment` tasks (slices of the parent's
-  candidate frame carrying their groups' coin stream keys — already-sampled
-  rows never cross the process boundary) and a picklable
-  :class:`~repro.db.udf.UdfSpec`; it flips the counter-based coins, evaluates
-  the UDF locally (every pending row fresh — it has no memo cache), and
-  ships back outcomes plus the folded per-group counts.
-* **Parent-side accounting** — the parent replays, span by span in span
-  order, exactly what serial execution would have charged: the span's
+* **Stateless workers** — a worker holds no coins, no memo and no ledger:
+  it receives row ids and a picklable :class:`~repro.db.udf.UdfSpec`,
+  evaluates every id fresh and ships the outcomes back.  The coins were
+  flipped in the parent (:func:`~repro.core.parallel.build_span_tasks`),
+  so already-sampled and unretrieved rows never cross the process
+  boundary, and a span with nothing to evaluate needs no worker.
+* **Parent-side accounting** — the parent settles, span by span in span
+  order, exactly what the inline path would have charged: the span's
   retrievals, then one
   :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations` — the
   inline path's one memo read, which charges the evaluations
   (``free_memoized`` consults the parent's memo) before it absorbs the
-  outcomes into the memo cache with serial-identical counter advances.  A
-  hard budget trips at the same span boundary as serial, and later spans
-  are never absorbed.
+  outcomes into the memo cache with serial-identical counter advances —
+  then the same fold.  A hard budget trips at the same span boundary as
+  inline, and later spans are never absorbed.
 
-Because the PR-4 coin discipline makes every coin a pure function of
-(seed, group, position) and UDF outcomes are deterministic, results and every
-gated work counter are **bitwise identical** to the inline path.
+Because the coins are the parent's and UDF outcomes are deterministic,
+results and every gated work counter are **bitwise identical** to the
+inline path, and the rows and ledger counts to
+:class:`~repro.core.executor.BatchExecutor`'s for the same seed.
 
 Anything that cannot cross the process boundary degrades gracefully to the
 inherited in-process path (bitwise-identical results, just not multi-core):
@@ -56,10 +57,11 @@ all fall back, each counted on
 Resilience (PR 8).  Transient pool faults are survived at *span*
 granularity: a span whose worker died, returned a wrong-shaped result or
 could not map a segment file is retried exactly once against a respawned
-pool, and a span that still fails is recomputed in-process **at its serial
-position in the fold loop** — charges only ever happen at fold time, in
-span-index order, so a retried or locally recomputed span double-charges
-nothing and budget boundaries stay bitwise-serial; a bulk evaluation with
+pool, and a span that still fails is evaluated in-process **at its serial
+position in the settle loop** — charges only ever happen when a span is
+settled, in span-index order, so a retried or locally recomputed span
+double-charges nothing and budget boundaries stay bitwise-serial; a bulk
+evaluation with
 such a span runs whole in-process instead.  Each faulting round is
 reported to the service's :class:`~repro.resilience.breaker.CircuitBreaker`
 (when one is wired in), which eventually degrades the whole service to the
@@ -90,7 +92,6 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -101,11 +102,7 @@ from repro.core.parallel import (
     ActiveSpans,
     ParallelBatchExecutor,
     _Execution,
-    _GroupSegment,
-    _record_span_work,
     _SpanOutcome,
-    fold_span_outcomes,
-    span_coin_pass,
     span_rows,
 )
 from repro.core.plan import ExecutionPlan
@@ -121,14 +118,9 @@ from repro.db.shm import (
 from repro.db.table import Table, select_rows
 from repro.db.udf import CostLedger, UdfSpec, UserDefinedFunction, call_on_rows
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.resilience import faults as _faults
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.deadline import (
-    DeadlineExceeded,
-    check_deadline,
-    current_deadline,
-)
+from repro.resilience.deadline import DeadlineExceeded, current_deadline
 from repro.sampling.sampler import SampleOutcome
 
 #: Below this many row ids a bulk-evaluation fan-out is not worth the
@@ -184,48 +176,12 @@ def _span_masks(table: Table, ids: np.ndarray) -> Optional[List[Tuple[int, np.nd
     return masks if len(masks) > 1 else None
 
 
-def _evaluate_all(rows: np.ndarray) -> List[_GroupSegment]:
-    """A span's task list that retrieves and evaluates every row of ``rows``.
-
-    R = E = 1, so :func:`span_coin_pass` draws no coin: run as a span, it is
-    one bulk evaluation of ``rows``, in their order.
-    """
-    return [
-        _GroupSegment(
-            key=None,
-            code=0,
-            retrieve_probability=1.0,
-            conditional_evaluate=1.0,
-            rows=rows,
-            position_offset=0,
-            retrieve_key=0,
-            evaluate_key=0,
-        )
-    ]
-
-
 def _discard_process_pool(max_workers: int) -> None:
     """Drop (and shut down) a broken cached pool so the next use respawns."""
     with _PROC_POOLS_LOCK:
         pool = _PROC_POOLS.pop(max_workers, None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-@dataclass
-class _RemoteSpan:
-    """What a worker process ships back for one span.
-
-    ``outcome.evaluated_charge`` is left at 0 — the *parent* computes the
-    charge (it owns the memo cache that ``free_memoized`` consults) while
-    folding.  ``to_evaluate``/``outcomes`` feed
-    :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations`.
-    """
-
-    span_index: int
-    outcome: _SpanOutcome
-    to_evaluate: np.ndarray
-    outcomes: np.ndarray
 
 
 def spec_evaluate(
@@ -262,42 +218,28 @@ def spec_evaluate(
 
 def _remote_run_span(
     span_index: int,
-    tasks: List[_GroupSegment],
+    row_ids: np.ndarray,
     spec: UdfSpec,
     exports: Tuple[SpanExport, ...],
     fault_plan: Optional[_faults.FaultPlan] = None,
     attempt: int = 0,
-) -> _RemoteSpan:
-    """Worker entry point: coins, local UDF evaluation, local fold.
+) -> np.ndarray:
+    """Worker entry point: evaluate one span's ``row_ids``, fresh.
 
-    ``fault_plan`` re-activates the parent's plan in this process (spawned
-    workers inherit nothing) so the worker-side sites fire here; ``attempt``
-    is part of the ``worker`` site's address, so a first-attempt-only crash
-    rule lets the retried span succeed.
+    Returns one outcome per id.  ``fault_plan`` re-activates the parent's
+    plan in this process (spawned workers inherit nothing) so the
+    worker-side sites fire here; ``attempt`` is part of the ``worker``
+    site's address, so a first-attempt-only crash rule lets the retried span
+    succeed.
     """
     with _faults.fault_scope(fault_plan):
         kind = _faults.maybe_fire(fault_plan, "worker", span_index, attempt)
-        retrieved_per_task, evaluate_per_task, total_retrieved = span_coin_pass(tasks)
-        retrieved, evaluate_mask = span_rows(retrieved_per_task, evaluate_per_task)
-        to_evaluate = select_rows(retrieved, evaluate_mask)
-        outcomes = spec_evaluate(spec, exports, to_evaluate)
-        passed = np.zeros(retrieved.size, dtype=bool)
-        passed[evaluate_mask] = outcomes
-        returned, counts = fold_span_outcomes(
-            tasks, retrieved_per_task, evaluate_per_task, passed
-        )
+        outcomes = spec_evaluate(spec, exports, row_ids)
         if kind == _faults.GARBAGE:
             # Ship a wrong-shaped outcome array: the parent's shape check
             # rejects the whole span before anything is charged or absorbed.
             outcomes = outcomes[:-1] if outcomes.size else np.zeros(1, dtype=bool)
-        return _RemoteSpan(
-            span_index=span_index,
-            outcome=_SpanOutcome(
-                returned=returned, counts=counts, retrieved=total_retrieved
-            ),
-            to_evaluate=to_evaluate,
-            outcomes=outcomes,
-        )
+        return outcomes
 
 
 def _submit_span(pool: ProcessPoolExecutor, *args) -> Future:
@@ -459,60 +401,60 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
     ) -> np.ndarray:
         """Evaluate ``udf`` on ``row_ids``, fanned across worker processes.
 
-        A span job like any other: ``row_ids`` are cut at the span bounds,
-        each span's ids become one evaluate-everything task list, and the
-        spans run through :meth:`_run_remote_spans` — the submit, harvest,
-        retry and give-up of :meth:`execute`.  Workers evaluate fresh; the
-        parent then folds everything through one
-        :meth:`merge_remote_evaluations`, so the memo cache and every UDF
-        counter advance exactly as one serial ``udf.evaluate_rows`` call
-        would (one bulk call).  A span the pool failed twice sends the whole
-        call in-process.  The labelling fan reports pool faults but never
-        vouches for the pool — only a clean :meth:`execute` closes a
-        half-open breaker — so a probe slot taken here is always handed
-        back.
+        A span job like any other: ``row_ids`` are cut at the span bounds
+        and each span's ids go to a worker through :meth:`_run_remote_spans`
+        — the payload, submit, harvest, retry and give-up of
+        :meth:`execute`.  Workers evaluate fresh; the parent then folds
+        everything through one :meth:`merge_remote_evaluations`, so the
+        memo cache and every UDF counter advance exactly as one serial
+        ``udf.evaluate_rows`` call would (one bulk call).  A span the pool
+        failed twice sends the whole call in-process.  The labelling fan
+        reports pool faults but never vouches for the pool — only a clean
+        :meth:`execute` closes a half-open breaker — so a probe slot taken
+        here is always handed back.
         """
         ids = np.asarray(row_ids, dtype=np.intp)
         masks = _span_masks(table, ids)
         prepared = None if masks is None else self._remote_inputs(table, udf)
         if prepared is None:
             return super().evaluate_rows(table, udf, ids)
-        active = [(span_index, _evaluate_all(ids[mask])) for span_index, mask in masks]
+        jobs = {span_index: ids[mask] for span_index, mask in masks}
         try:
-            remote, failed = self._run_remote_spans(active, table, *prepared)
+            remote, failed = self._run_remote_spans(jobs, table, *prepared)
         finally:
             self._cancel_probe()
         if failed:
             return super().evaluate_rows(table, udf, ids)
         outcomes = np.empty(ids.size, dtype=bool)
         for span_index, mask in masks:
-            outcomes[mask] = remote[span_index].outcomes
+            outcomes[mask] = remote[span_index]
         return udf.merge_remote_evaluations(ids, outcomes)
 
     def _harvest_spans(
         self,
         futures: Dict[int, Future],
-        results: Dict[int, _RemoteSpan],
+        jobs: Dict[int, np.ndarray],
+        results: Dict[int, np.ndarray],
         table: Table,
     ) -> Dict[int, str]:
         """Drain span futures into ``results``; classify transient failures.
 
         Returns ``{span_index: reason}`` for spans that failed transiently:
         a broken pool, a segment file that would not map, an injected fault
-        or a wrong-shaped result.  Anything else the worker raised is the
-        call's own error (a UDF's ``OSError`` included) and re-raises, but
-        only after every future has settled — nothing mutates the
-        ledger or memo until folding, so an abort leaves parent state
-        untouched.  Every wait goes through :meth:`_await`: with an active
-        deadline a *hung* worker raises the typed ``DeadlineExceeded``
-        at once instead of wedging the request.
+        or a result whose shape is not its job's.  Anything else the worker
+        raised is the call's own error (a UDF's ``OSError`` included) and
+        re-raises, but only after every future has settled — nothing
+        mutates the ledger or memo until settling, so an abort leaves
+        parent state untouched.  Every wait goes through :meth:`_await`:
+        with an active deadline a *hung* worker raises the typed
+        ``DeadlineExceeded`` at once instead of wedging the request.
         """
         failed: Dict[int, str] = {}
         fatal: List[BaseException] = []
         broken = False
         for span_index, future in futures.items():
             try:
-                span = self._await(
+                outcomes = self._await(
                     future, futures.values(), table, "process-pool harvest"
                 )
             except DeadlineExceeded:
@@ -527,10 +469,10 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 fatal.append(exc)
             else:
-                if span.outcomes.shape != span.to_evaluate.shape:
+                if outcomes.shape != jobs[span_index].shape:
                     failed[span_index] = "garbage"
                 else:
-                    results[span_index] = span
+                    results[span_index] = outcomes
         if broken:
             _discard_process_pool(self.max_workers)
         if fatal:
@@ -539,24 +481,23 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
 
     def _run_remote_spans(
         self,
-        active: ActiveSpans,
+        jobs: Dict[int, np.ndarray],
         table: Table,
         spec: UdfSpec,
         exports: Tuple[SpanExport, ...],
-    ) -> Tuple[Dict[int, _RemoteSpan], Set[int]]:
-        """Fan spans to the pool; retry transient failures exactly once.
+    ) -> Tuple[Dict[int, np.ndarray], Set[int]]:
+        """Fan ``{span index: row ids}`` to the pool; retry transient failures once.
 
         The one fan-out of this executor, for plan spans and bulk
-        evaluation alike.  Returns successful spans by index plus the
-        indices the pool failed twice, which the caller recomputes
+        evaluation alike.  Returns each successful span's outcomes by index
+        plus the indices the pool failed twice, which the caller recomputes
         in-process.  Each faulting round notes one failure on the breaker;
-        a success is the caller's to note.  Retried spans re-flip the same
-        counter-addressed coins, and charges only happen when the caller
-        settles — so a retry can never double-charge.
+        a success is the caller's to note.  Charges only happen when the
+        caller settles, so a retry can never double-charge.
         """
         fault_plan = _faults.active_plan()
-        results: Dict[int, _RemoteSpan] = {}
-        pending = dict(active)
+        results: Dict[int, np.ndarray] = {}
+        pending = dict(jobs)
         failed: Dict[int, str] = {}
         for attempt in range(2):
             if attempt:
@@ -573,11 +514,11 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             pool = shared_process_pool(self.max_workers)
             futures = {
                 span_index: _submit_span(
-                    pool, span_index, tasks, spec, exports, fault_plan, attempt
+                    pool, span_index, row_ids, spec, exports, fault_plan, attempt
                 )
-                for span_index, tasks in pending.items()
+                for span_index, row_ids in pending.items()
             }
-            failed = self._harvest_spans(futures, results, table)
+            failed = self._harvest_spans(futures, jobs, results, table)
             if not failed:
                 break
             self._note_failure(sorted(failed.values())[0])
@@ -629,39 +570,31 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         active: ActiveSpans,
         run: _Execution,
     ) -> List[_SpanOutcome]:
-        """Run the active spans in worker processes; settle them in the parent.
+        """Evaluate the active spans' picked rows in workers; settle in the parent.
 
-        Settles in span-index order (the submit order), replaying serial
-        charging: retrieval then evaluation per span, *before* that span's
-        outcomes are absorbed — so a hard budget raises at exactly the span
-        boundary the serial loop would, with no later span absorbed.  A span
-        the pool failed twice is recomputed in-process *here, at its serial
-        position* (it charges internally), so the charge order — and any
-        budget trip point — stays bitwise-serial whether or not faults
-        occurred.
+        A worker gets a span's picked row ids and returns their outcomes; a
+        span with nothing to evaluate needs no worker.  The parent then
+        settles every span in span-index order, replaying serial charging:
+        retrieval then evaluation per span, *before* that span's outcomes
+        are absorbed — so a hard budget raises at exactly the span boundary
+        the inline path would, with no later span absorbed.  A span the
+        pool failed twice is evaluated in-process *here, at its serial
+        position*, so the charge order — and any budget trip point — is
+        the same whether or not faults occurred.
         """
-        if len(active) <= 1:
+        jobs = {}
+        if len(active) > 1:
+            for span_index, tasks in active:
+                picked = select_rows(*span_rows(tasks))
+                if picked.size:
+                    jobs[span_index] = picked
+        if not jobs:
             self._cancel_probe()
             return self._run_spans(active, run)
-        remote, failed = self._run_remote_spans(active, run.table, spec, exports)
+        remote, failed = self._run_remote_spans(jobs, run.table, spec, exports)
         if not failed:
             self._note_success()
-        outcomes = []
-        for span_index, tasks in active:
-            check_deadline("process-fold")
-            if span_index in failed:
-                outcomes.append(self._run_span(run, span_index, tasks))
-                continue
-            span = remote[span_index]
-            with _trace.span(f"shard:{span_index}") as shard_span:
-                charged_before = run.ledger.evaluated_count
-                if span.outcome.retrieved:
-                    run.ledger.charge_retrieval(span.outcome.retrieved)
-                if span.to_evaluate.size:
-                    run.udf.merge_remote_evaluations(
-                        span.to_evaluate, span.outcomes, run.ledger, self.free_memoized
-                    )
-                span.outcome.evaluated_charge = run.ledger.evaluated_count - charged_before
-                _record_span_work(shard_span, span.outcome)
-            outcomes.append(span.outcome)
-        return outcomes
+        return [
+            self._settle_span(run, span_index, tasks, remote.get(span_index))
+            for span_index, tasks in active
+        ]

@@ -301,10 +301,10 @@ class GroupIndex:
         """Contiguous row-id spans the index naturally decomposes into.
 
         A monolithic index is one span ``(0, total_rows)``; a
-        :class:`MergedGroupIndex` reports its shard boundaries.  The parallel
-        executor partitions work along these spans — thanks to its
-        position-addressable coin streams the partition never changes the
-        result, only where the work runs.
+        :class:`MergedGroupIndex` reports its shard boundaries.  The span
+        executors partition work along these spans — the coins are flipped
+        before the cut, so the partition never changes the result, only
+        where the work runs.
         """
         return (0, self.total_rows())
 

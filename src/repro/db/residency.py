@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.db.column import Column
 from repro.db.errors import (
     ColumnNotFoundError,
     CorruptSegmentError,
@@ -472,8 +473,16 @@ class LazySegmentTable(Table):
         num_rows: int,
         data_generation: int = 0,
         map_breaker: Optional[CircuitBreaker] = None,
+        arrays: Optional[Mapping[str, np.ndarray]] = None,
     ) -> "LazySegmentTable":
-        missing = [c for c in schema.column_names if c not in handles]
+        """A table over ``handles``, plus in-memory ``arrays`` for the rest.
+
+        Every schema column needs a handle or an array: a table opened from
+        disk has only handles, one derived by :meth:`with_column` holds its
+        new column in memory beside its base's handles.
+        """
+        arrays = dict(arrays or {})
+        missing = [c for c in schema.column_names if c not in handles and c not in arrays]
         if missing:
             raise SchemaMismatchError(f"missing segment handles for {missing}")
         for column, handle in handles.items():
@@ -488,7 +497,7 @@ class LazySegmentTable(Table):
         table._pending = {}
         table._num_rows = int(num_rows)
         table._data_generation = int(data_generation)
-        table._arrays = {}
+        table._arrays = arrays
         table._group_indexes = {}
         table._group_index_lock = threading.Lock()
         table._handles = dict(handles)
@@ -600,6 +609,35 @@ class LazySegmentTable(Table):
         with handle.pinned():
             array = self.column_array(column, allow_hidden=allow_hidden)
             return array[ids]  # fancy indexing copies: safe past eviction
+
+    def with_column(
+        self,
+        column: Column,
+        values: Sequence[Any],
+        name: Optional[str] = None,
+    ) -> Table:
+        """A new table with one extra (or replaced) column, still lazy.
+
+        The kept columns stay behind this table's segment handles — mapped
+        on touch and evictable under the residency budget, for both tables
+        — and only the new column is held in memory.  A table no longer
+        lazy derives a plain :class:`~repro.db.table.Table`.
+        """
+        if not self._handles:
+            return super().with_column(column, values, name)
+        handles = {c: h for c, h in self._handles.items() if c != column.name}
+        arrays = {
+            c: a for c, a in self._arrays.items() if c != column.name and c not in handles
+        }
+        arrays[column.name] = self._new_column_array(column, values)
+        return LazySegmentTable.from_segments(
+            name or self.name,
+            Schema([c for c in self.schema.columns if c.name != column.name] + [column]),
+            handles,
+            self._num_rows,
+            map_breaker=self._map_breaker,
+            arrays=arrays,
+        )
 
     def _apply_append(self, delta: Dict[str, np.ndarray]) -> int:
         # Appends mutate; segments are immutable. Materialise first (journal

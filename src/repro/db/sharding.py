@@ -19,9 +19,10 @@ What sharding buys:
   the unsharded index by property tests), factorised shard by shard so no
   whole-column array is needed, with the shard boundaries as its spans.  The
   shards keep no indexes of their own;
-* **parallel execution** — the shard boundaries give
-  :class:`~repro.core.parallel.ParallelBatchExecutor` natural work partitions
-  whose results are bitwise independent of the partition.
+* **span execution** — the shard boundaries give
+  :class:`~repro.core.parallel.ParallelBatchExecutor` natural work partitions;
+  the coins are flipped before the cut, so results are bitwise independent
+  of the partition.
 
 Statistics are whole-table statistics: every consumer addresses global row
 ids, and evidence sampled range by range recombines exactly through
@@ -351,8 +352,10 @@ class ShardedTable(Table):
     ) -> "ShardedTable":
         """A new sharded table with one extra column, split at the same bounds.
 
-        Keeps the shard layout, so virtual-column tables derived from a
-        sharded base stay sharded (and keep their parallel execution path).
+        Keeps the shard layout and the table kind, so virtual-column tables
+        derived from a sharded base stay sharded (and keep their span
+        execution path), and lazily opened shards stay lazy (see
+        :meth:`~repro.db.residency.LazySegmentTable.with_column`).
         """
         if len(values) != self._num_rows:
             raise SchemaMismatchError(
@@ -364,7 +367,7 @@ class ShardedTable(Table):
             shard.with_column(column, values[start:stop])
             for shard, (start, stop) in zip(self._shards, self.shard_spans())
         ]
-        return ShardedTable(
+        return type(self)(
             name=name or self.name,
             schema=new_shards[0].schema,
             shards=new_shards,

@@ -615,17 +615,23 @@ class Table:
         id becomes a brand new categorical column.  The other columns' arrays
         are shared, not copied.
         """
+        existing = [c for c in self.schema.columns if c.name != column.name]
+        arrays = {
+            kept.name: self.column_array(kept.name, allow_hidden=True) for kept in existing
+        }
+        arrays[column.name] = self._new_column_array(column, values)
+        return Table.from_arrays(name or self.name, Schema(existing + [column]), arrays)
+
+    def _new_column_array(self, column: Column, values: Sequence[Any]) -> np.ndarray:
+        """``values`` as ``column``'s read-only array, one per row of this table."""
         if len(values) != self._num_rows:
             raise SchemaMismatchError(
                 f"new column {column.name!r} has {len(values)} values for a "
                 f"table of {self._num_rows} rows"
             )
-        existing = [c for c in self.schema.columns if c.name != column.name]
-        arrays = {
-            kept.name: self.column_array(kept.name, allow_hidden=True) for kept in existing
-        }
-        arrays[column.name] = coerce_cells_to_array(list(values))
-        return Table.from_arrays(name or self.name, Schema(existing + [column]), arrays)
+        array = coerce_cells_to_array(list(values))
+        array.setflags(write=False)
+        return array
 
     def filter(
         self, predicate: Callable[[Dict[str, Any]], bool], include_hidden: bool = False

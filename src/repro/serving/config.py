@@ -22,8 +22,9 @@ from typing import Dict, Mapping, Optional, Union
 #: ``process``
 #:     :class:`~repro.core.procpool.ProcessPoolBatchExecutor` over
 #:     memory-mapped shard files; the only backend that scales python-callable
-#:     UDF evaluation across cores.  Its counter coin stream differs from
-#:     ``serial``'s, so seeds are comparable only within a backend.
+#:     UDF evaluation across cores.  It flips ``serial``'s coins in the
+#:     parent and only evaluates in workers, so a seed gets the same answer
+#:     from either backend.
 #:
 #: The paper-faithful tuple-at-a-time :class:`~repro.core.executor.PlanExecutor`
 #: stays in :mod:`repro.core` as the differential reference; no service runs it.

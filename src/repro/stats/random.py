@@ -148,14 +148,14 @@ def skip_uniforms(generator: np.random.Generator, count: int) -> None:
 # Counter-based (position-addressable) substreams
 # ---------------------------------------------------------------------------
 #
-# The parallel executor needs coins that depend only on *where* a tuple sits
-# (its group and its position inside the group's candidate list), never on
-# which shard or worker happens to draw them.  Sequential generators cannot
-# provide that — consuming a stream couples every draw to all earlier draws —
-# so these helpers implement a stateless SplitMix64 stream: the uniform at
-# position ``p`` of stream ``key`` is a pure function of ``(key, p)``.  Any
-# contiguous slice of a stream can be generated independently, which is what
-# makes sharded execution bitwise identical to unsharded execution.
+# Some coins must depend only on *where* they sit, never on what was drawn
+# before them: the labelled-sample reservoir's admit / evict coins for the
+# rows an append adds, and a fault plan's per-address coins.  Sequential
+# generators cannot provide that — consuming a stream couples every draw to
+# all earlier draws — so these helpers implement a stateless SplitMix64
+# stream: the uniform at position ``p`` of stream ``key`` is a pure function
+# of ``(key, p)``, and any contiguous slice of a stream can be generated
+# independently.
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -175,8 +175,9 @@ def _mix64(state: np.ndarray) -> np.ndarray:
 def stream_key(*parts: int) -> int:
     """Derive a 64-bit stream key from integer parts (order-sensitive).
 
-    Used to give every (seed, group, phase) coin stream its own key; the
-    same parts always produce the same key on every platform.
+    Used to give every coin stream its own key (a reservoir's admit and
+    evict phases, a fault site and address); the same parts always produce
+    the same key on every platform.
     """
     acc = np.uint64(0x6A09E667F3BCC909)
     for part in parts:
@@ -188,9 +189,9 @@ def counter_uniforms(key: int, start: int, count: int) -> np.ndarray:
     """Uniforms in ``[0, 1)`` at positions ``start .. start+count-1`` of a stream.
 
     ``counter_uniforms(k, 0, n)[i] == counter_uniforms(k, i, 1)[0]`` for every
-    ``i`` — slices of one stream agree wherever they overlap, so workers can
-    draw disjoint segments of a group's coin stream concurrently and obtain
-    exactly the coins a single serial pass would have drawn.
+    ``i`` — slices of one stream agree wherever they overlap, so the coins
+    of rows ``start ..`` are the same whether or not the earlier ones were
+    ever drawn.
     """
     if count <= 0:
         return np.empty(0, dtype=np.float64)

@@ -560,7 +560,8 @@ class TestOneFrameBehindEveryBackend:
         assert_no_leaked_resources()
 
     def test_pickled_span_tasks_carry_no_sampled_ids(self, record_pool_submits):
-        """What crosses the process boundary is frame slices, nothing to exclude."""
+        """What crosses the process boundary is a span's picked row ids, nothing
+        to exclude."""
         submitted = record_pool_submits(procpool_module, "shared_process_pool")
         table = _sharded("shipped_tasks")
         index = table.group_index("A")
@@ -571,13 +572,10 @@ class TestOneFrameBehindEveryBackend:
         finally:
             release_exports(table)
         assert len(submitted) == 4  # one payload per span
-        for _entry, _span_index, tasks, *_rest in pickle.loads(pickle.dumps(submitted)):
-            for task in tasks:
-                arrays = {
-                    name for name, value in vars(task).items() if isinstance(value, np.ndarray)
-                }
-                assert arrays == {"rows"}  # no ``already``, no per-request exclusion list
-                assert not sampled & set(task.rows.tolist())
+        for _entry, _span_index, row_ids, *_rest in pickle.loads(pickle.dumps(submitted)):
+            # One id array, no per-request exclusion list beside it.
+            assert isinstance(row_ids, np.ndarray) and row_ids.ndim == 1
+            assert row_ids.size and not sampled & set(row_ids.tolist())
         assert_no_leaked_resources()
 
     def test_frame_dies_with_the_outcome_after_a_process_run(self):

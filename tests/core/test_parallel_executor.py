@@ -1,4 +1,4 @@
-"""Tests for ParallelBatchExecutor: invariance, inline placement, accounting."""
+"""Tests for ParallelBatchExecutor: the serial backend's coins, inline placement, accounting."""
 
 import threading
 from pathlib import Path
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.constraints import QueryConstraints
+from repro.core.executor import BatchExecutor
 import repro.core.procpool as procpool_module
 from repro.core.parallel import ParallelBatchExecutor
 from repro.core.pipeline import IntelSample, OptimalOracle
@@ -65,78 +66,39 @@ def _execute(table, seed=7, sample_outcome=None, free_memoized=False, udf=None):
 
 
 class TestInvariance:
-    def test_identical_across_shard_layouts(self):
-        plain = _table()
-        reference, ref_ledger = _execute(plain)
-        for shards in (1, 2, 3, 7):
-            sharded = ShardedTable.from_table(plain, num_shards=shards)
-            result, ledger = _execute(sharded)
-            assert np.array_equal(
-                np.asarray(reference.returned_row_ids),
-                np.asarray(result.returned_row_ids),
-            ), f"row ids diverged at {shards} shards"
-            assert ledger.evaluated_count == ref_ledger.evaluated_count
-            assert ledger.retrieved_count == ref_ledger.retrieved_count
-
-    def test_group_counts_match_across_layouts(self):
-        plain = _table()
-        sharded = ShardedTable.from_table(plain, num_shards=3)
-        reference, _ = _execute(plain)
-        result, _ = _execute(sharded)
-        for key, counts in reference.group_counts.items():
-            other = result.group_counts[key]
-            assert (
-                counts.retrieved,
-                counts.evaluated,
-                counts.returned,
-                counts.evaluated_correct,
-            ) == (other.retrieved, other.evaluated, other.returned, other.evaluated_correct)
-
-    def test_sampled_rows_are_excluded_and_positives_returned_free(self):
+    def test_every_layout_returns_the_serial_backends_answer(self):
+        """Plain and 1-7 shards, after a sample: BatchExecutor's rows, ledger
+        and per-group counts, and the generator left where BatchExecutor
+        leaves it — the span path draws the serial backend's coins, in its
+        order, and no others."""
         plain = _table()
         index = plain.group_index("A")
-        udf = _udf("sampler_udf")
-        sampler = GroupSampler(random_state=3)
-        allocation = {value: 5 for value in index.values}
-        outcome = sampler.sample(plain, index, udf, allocation, CostLedger())
-        sampled = set(outcome.row_ids.tolist())
+        outcome = GroupSampler(random_state=3).sample(
+            plain, index, _udf("sampler"), {value: 5 for value in index.values}, CostLedger()
+        )
+        serial, ledger = BatchExecutor(random_state=7), CostLedger()
+        expected = serial.execute(
+            plain, index, _udf("serial"), _mixed_plan(index), ledger, sample_outcome=outcome
+        )
+        next_draw = serial.random_state.random()
+        for shards in (None, 1, 2, 3, 7):
+            table = plain if shards is None else ShardedTable.from_table(plain, shards)
+            executor, span_ledger = ParallelBatchExecutor(random_state=7), CostLedger()
+            result = executor.execute(
+                table, table.group_index("A"), _udf(), _mixed_plan(index), span_ledger,
+                sample_outcome=outcome,
+            )
+            assert result.returned_row_ids.tolist() == expected.returned_row_ids.tolist()
+            assert result.group_counts == expected.group_counts, shards
+            assert (span_ledger.retrieved_count, span_ledger.evaluated_count) == (
+                ledger.retrieved_count,
+                ledger.evaluated_count,
+            )
+            assert executor.random_state.random() == next_draw
+        returned = set(expected.returned_row_ids.tolist())
         positives = set(outcome.positives.tolist())
-
-        reference, _ = _execute(plain, sample_outcome=outcome)
-        sharded = ShardedTable.from_table(plain, num_shards=4)
-        result, _ = _execute(sharded, sample_outcome=outcome)
-        assert np.array_equal(
-            np.asarray(reference.returned_row_ids),
-            np.asarray(result.returned_row_ids),
-        )
-        returned = set(int(r) for r in result.returned_row_ids)
-        assert positives <= returned
-        # Sampled negatives can never re-enter through the probabilistic pass.
-        assert not (sampled - positives) & returned
-
-    def test_stream_keys_are_derived_once_per_group(self, monkeypatch):
-        """Two keys per group with work, however many spans the group spans."""
-        import repro.core.parallel as parallel_module
-
-        derived = []
-        real = parallel_module.stream_key
-
-        def counting(*parts):
-            derived.append(parts)
-            return real(*parts)
-
-        monkeypatch.setattr(parallel_module, "stream_key", counting)
-        plain = _table()
-        index = plain.group_index("A")
-        plan = _mixed_plan(index)
-        groups_with_work = sum(
-            plan.decision(key).retrieve_probability > 0 for key in index.values
-        )
-        for shards in (1, 7):
-            derived.clear()
-            _execute(ShardedTable.from_table(plain, num_shards=shards))
-            assert len(derived) == 2 * groups_with_work, shards
-            assert len(set(derived)) == len(derived)  # (root, code, phase), each once
+        assert positives <= returned  # returned free
+        assert not (set(outcome.row_ids.tolist()) - positives) & returned  # never re-drawn
 
     def test_seed_changes_results(self):
         sharded = ShardedTable.from_table(_table(), num_shards=3)

@@ -1,12 +1,14 @@
 """ProcessPoolBatchExecutor: bitwise parity, accounting, fallbacks.
 
-The contract under test is the tentpole invariant: the process-pool path
-produces *exactly* the serial path's results and counters — row ids, ledger
-charges, per-group counts, UDF memo content and every UDF counter — because
-coins are pure functions of (seed, group, position) and the parent replays
-serial charging while folding.  These tests run real spawn workers (a shared
-two-worker pool, reused across tests), so they also exercise the
-export/map lifecycle of the segment files workers read end to end.
+The contract under test: the process-pool path produces *exactly* the
+inline span path's results and counters — row ids, ledger charges,
+per-group counts, UDF memo content and every UDF counter — and the serial
+backend's rows, ledger counts and per-group counts for the same seed,
+because the coins are flipped in the parent from the serial backend's
+stream and the parent replays serial charging while settling.  These tests
+run real spawn workers (a shared two-worker pool, reused across tests), so
+they also exercise the export/map lifecycle of the segment files workers
+read end to end.
 """
 
 from functools import partial
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.constraints import QueryConstraints
+from repro.core.executor import BatchExecutor
 from repro.core.parallel import ParallelBatchExecutor
 from repro.core.pipeline import IntelSample
 from repro.core.plan import ExecutionPlan, GroupDecision
@@ -25,6 +28,7 @@ from repro.db.shm import exported_segment_count, release_exports
 from repro.db.table import Table
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
 from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
+from repro.resilience import CircuitBreaker, FaultPlan, FaultRule, fault_scope
 from repro.sampling.sampler import GroupSampler
 
 WORKERS = 2
@@ -159,6 +163,58 @@ class TestExecuteParity:
         assert np.array_equal(
             np.asarray(label.returned_row_ids), np.asarray(remote.returned_row_ids)
         )
+
+    @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
+    @pytest.mark.parametrize(
+        "path", ["pool", "one_worker", "breaker_refused", "retried_span", "given_up_span"]
+    )
+    def test_every_path_returns_the_serial_backends_answer(
+        self, path, python_udf, record_pool_submits
+    ):
+        """Through the pool, with one worker, refused by the breaker, with a
+        span retried once or given up to the parent: BatchExecutor's rows,
+        ledger counts and per-group counts for the seed, every time."""
+        import repro.core.procpool as procpool_module
+
+        make_udf = _func_udf if python_udf else _label_udf
+        table = _sharded(name=f"paths_{path}")
+        batch, batch_ledger = _execute(table, BatchExecutor, make_udf("paths_serial"))
+        submitted = record_pool_submits(procpool_module, "shared_process_pool")
+        breaker = CircuitBreaker(failure_threshold=1)
+        if path == "breaker_refused":
+            breaker.record_failure("worker_crash")
+        garbage = {"retried_span": {(1, 0)}, "given_up_span": {(1, 0), (1, 1)}}
+        faults = None
+        if path in garbage:
+            rule = FaultRule(kind="garbage", addresses=frozenset(garbage[path]))
+            faults = FaultPlan(seed=0, rules={"worker": rule})
+        degraded = []
+        executor = ProcessPoolBatchExecutor(
+            random_state=7,
+            max_workers=1 if path == "one_worker" else WORKERS,
+            breaker=breaker,
+            on_degraded=degraded.append,
+        )
+        index = table.group_index("A")
+        ledger = CostLedger()
+        try:
+            with fault_scope(faults):
+                result = executor.execute(
+                    table, index, make_udf("paths_pool"), _mixed_plan(index), ledger
+                )
+        finally:
+            release_exports(table)
+        assert result.returned_row_ids.tolist() == batch.returned_row_ids.tolist()
+        assert (ledger.retrieved_count, ledger.evaluated_count) == (
+            batch_ledger.retrieved_count,
+            batch_ledger.evaluated_count,
+        )
+        assert result.group_counts == batch.group_counts
+        spans = table.num_shards
+        submits = {"pool": spans, "retried_span": spans + 1, "given_up_span": spans + 1}
+        assert len(submitted) == submits.get(path, 0)
+        assert degraded == (["breaker_open"] if path == "breaker_refused" else [])
+        assert breaker.snapshot()["retried_spans"] == (1 if path in garbage else 0)
 
     @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
     @pytest.mark.parametrize("signature", TRACE, ids=["q0", "q1", "q2"])

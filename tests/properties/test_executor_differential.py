@@ -13,9 +13,10 @@ Three promises this suite pins down:
   key order, row ids, row order), including its per-row codes;
 * the span path (:class:`~repro.core.parallel.ParallelBatchExecutor` inline,
   :class:`~repro.core.procpool.ProcessPoolBatchExecutor` in worker
-  processes) returns exactly what the counter coin discipline
-  *defines*, as restated tuple by tuple in ``counter_coin_oracle.py`` — so
-  the span path is compared with something other than itself;
+  processes) returns, seed for seed, what :class:`BatchExecutor` and the
+  tuple-at-a-time :class:`PlanExecutor` return — rows, ledgers, per-group
+  counts, UDF counters and memo — over any shard layout, so the span path
+  is compared with something other than itself;
 * the executor kernel's one memo pass per evaluated group (charge,
   evaluate, fold from one read) meets hand-computed row ids, ledgers, UDF
   counters and memo contents at its edges: ids past the memo's end, a UDF
@@ -53,7 +54,6 @@ from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
 from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import ConstantScheme
 
-from counter_coin_oracle import oracle_execute
 from leakcheck import assert_no_leaked_resources
 
 DATASETS = ("lending_club", "census", "marketing")
@@ -256,8 +256,8 @@ class TestNearCertainProbabilities:
         self, retrieve, conditional, assert_same_rows
     ):
         """Coins that all fail or all pass select no row or every row, so the
-        sequential backends, the span path (counter coins) and the plan the
-        probabilities round to all return the same rows and ledgers."""
+        sequential backends, the span path and the plan the probabilities
+        round to all return the same rows and ledgers."""
         rng = np.random.default_rng(29)
         rows = 600
         columns = {
@@ -336,29 +336,43 @@ def _span_table(columns, shards):
     return table if shards == 1 else ShardedTable.from_table(table, num_shards=shards)
 
 
-def _assert_equals_oracle(
+def _assert_equals_reference(
     assert_same_rows, executor, table, make_udf, plan, outcome, prepaid, seed, free_memoized
 ):
-    """``executor`` (seeded with ``seed``) against the tuple-at-a-time oracle."""
+    """``executor`` (seeded with ``seed``) against both sequential backends.
+
+    :class:`BatchExecutor` with the same accounting must agree on
+    everything; :class:`PlanExecutor` (the paper's accounting only) on the
+    rows, the retrievals, the per-group counts and — with that accounting —
+    the evaluations.
+    """
     index = table.group_index("A")
-    udf, oracle_udf = make_udf("span"), make_udf("oracle")
-    for each in (udf, oracle_udf):
-        each.evaluate_rows(table, prepaid)  # so free_memoized has something to skip
-    ledger, oracle_ledger = CostLedger(), CostLedger()
-    result = executor.execute(table, index, udf, plan, ledger, sample_outcome=outcome)
-    expected_rows, expected_counts = oracle_execute(
-        table, index, oracle_udf, plan, oracle_ledger, seed, outcome, free_memoized
-    )
-    assert_same_rows(result.returned_row_ids, np.asarray(expected_rows, dtype=np.intp))
-    assert ledger.retrieved_count == oracle_ledger.retrieved_count
-    assert ledger.evaluated_count == oracle_ledger.evaluated_count
-    assert result.group_counts == expected_counts
-    counters, oracle_counters = udf.counter_snapshot(), oracle_udf.counter_snapshot()
-    for counter in BATCHING_FREE_COUNTERS:  # both started from the same pre-paid state
-        assert counters[counter] == oracle_counters[counter], counter
-    assert [part.tolist() for part in udf.memo_arrays()] == [
-        part.tolist() for part in oracle_udf.memo_arrays()
-    ]
+    runs = []
+    for tag, backend in (
+        ("span", executor),
+        ("batch", BatchExecutor(seed, free_memoized=free_memoized)),
+        ("reference", PlanExecutor(seed)),
+    ):
+        udf = make_udf(tag)
+        udf.evaluate_rows(table, prepaid)  # so free_memoized has something to skip
+        ledger = CostLedger()
+        result = backend.execute(table, index, udf, plan, ledger, sample_outcome=outcome)
+        runs.append((result, ledger, udf))
+    (result, ledger, udf), *references = runs
+    for expected, expected_ledger, expected_udf in references:
+        assert_same_rows(result.returned_row_ids, expected.returned_row_ids)
+        assert ledger.retrieved_count == expected_ledger.retrieved_count
+        assert result.group_counts == expected.group_counts
+        counters, expected_counters = udf.counter_snapshot(), expected_udf.counter_snapshot()
+        for counter in BATCHING_FREE_COUNTERS:  # all started from the same pre-paid state
+            assert counters[counter] == expected_counters[counter], counter
+        assert [part.tolist() for part in udf.memo_arrays()] == [
+            part.tolist() for part in expected_udf.memo_arrays()
+        ]
+    batch_ledger, reference_ledger = runs[1][1], runs[2][1]
+    assert ledger.evaluated_count == batch_ledger.evaluated_count
+    if not free_memoized:
+        assert ledger.evaluated_count == reference_ledger.evaluated_count
 
 
 class TestSequentialStreamAfterFixedOutcomes:
@@ -386,7 +400,7 @@ class TestSequentialStreamAfterFixedOutcomes:
         assert batch_next == reference_next
 
 
-class TestSpanPathAgainstCounterCoinOracle:
+class TestSpanPathAgainstTheReference:
     @pytest.mark.parametrize("free_memoized", [False, True], ids=["paper", "serving"])
     @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
     @pytest.mark.parametrize("shards", [1, 2, 5])
@@ -404,7 +418,7 @@ class TestSpanPathAgainstCounterCoinOracle:
             make_udf = lambda tag: UserDefinedFunction(f"{tag}_py", RevealLabel("f", True))  # noqa: E731
         else:
             make_udf = lambda tag: UserDefinedFunction.from_label_column(f"{tag}_label", "f")  # noqa: E731
-        _assert_equals_oracle(
+        _assert_equals_reference(
             assert_same_rows,
             ParallelBatchExecutor(seed, free_memoized=free_memoized),
             _span_table(columns, shards),
@@ -438,7 +452,7 @@ class TestSpanPathAgainstCounterCoinOracle:
         else:
             make_udf = lambda tag: UserDefinedFunction.from_label_column(f"{tag}_lbl", "f")  # noqa: E731
         try:
-            _assert_equals_oracle(
+            _assert_equals_reference(
                 assert_same_rows,
                 ProcessPoolBatchExecutor(case_seed, max_workers=2, free_memoized=free_memoized),
                 table,
