@@ -199,6 +199,13 @@ plan execution (the per-execution root key and per-group stream keys),
 a group's retrieved rows in one span and their evaluation mask).
 ``repro.stats.random.counter_uniforms`` and ``stream_key`` stay: the
 reservoir top-up and :class:`~repro.resilience.FaultPlan` use them.
+Removed in 1.25, with the deferred frame derivation (a draw makes its own
+frame: ``GroupSampler.sample(..., already_sampled=prior)`` returns the merged
+evidence, ``prior`` itself when it draws nothing, with its candidate frame
+filed on the index): ``repro.sampling.sampler.merge_drawn`` (use what
+``sample`` returns) and ``GroupIndex.derive_later``.  Removed in 1.25,
+because nothing but a test set it: ``UserDefinedFunction(memoize=)`` and the
+``memoize`` attribute (a UDF always memoises its paid-for values).
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -277,7 +284,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "__version__",

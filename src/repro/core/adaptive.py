@@ -23,7 +23,7 @@ from repro.db.engine import QueryResult
 from repro.db.table import Table
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.sampling.adaptive import choose_num_adaptively, default_num_schedule
-from repro.sampling.sampler import GroupSampler, SampleOutcome, merge_drawn
+from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import TwoThirdPowerScheme
 from repro.solvers.linear import InfeasibleProblemError
 from repro.stats.random import RandomState, SeedLike, as_random_state
@@ -118,11 +118,8 @@ class AdaptiveIntelSample:
             """One round: sample up to ``num``, re-solve, keep the plan."""
             nonlocal outcome
             allocation = TwoThirdPowerScheme(num=num).allocate(index.group_sizes())
-            new_outcome = sampler.sample(
+            outcome = sampler.sample(
                 table, index, udf, allocation, ledger, already_sampled=outcome
-            )
-            outcome = (
-                new_outcome if outcome is None else merge_drawn(index, outcome, new_outcome)
             )
             try:
                 solution = solve_with_samples(

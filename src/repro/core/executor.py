@@ -88,8 +88,8 @@ backend uses (the span executors cut its per-group arrays at the span
 bounds), memoises the result on the index (:meth:`GroupIndex.derived
 <repro.db.index.GroupIndex.derived>`) under the *identity* of the outcome.
 The frame lives in :mod:`repro.sampling.sampler`, not here, because the
-stratified sampler reads the same arrays when it tops an outcome up and
-cannot import this module; the names are re-exported below for the
+stratified sampler draws from the same arrays and files the frame of what
+it returns, and cannot import this module; the names are re-exported below for the
 backends and tests that use them.  What a plan hit then does per group is
 flip coins over a ready array; what it returns is one ``np.concatenate`` of
 per-group chunks — the array the caller receives — so no per-row python
@@ -102,23 +102,21 @@ new (extended) index object, and evidence that gained a row is a new
 from nothing.  The extended index inherits its parent's memo lazily — each
 frame with the row count it covers — and the first lookup grows it by the
 appended rows (one concatenation per group the append reached; evidence
-holding an appended row is rebuilt).  Evidence a draw extended derives its
-frame from the one the rows were drawn over
-(:func:`~repro.sampling.sampler.merge_drawn`), dropping only the drawn rows,
-from their groups.  Either way the frame equals a from-scratch build, array
-for array.  The converse holds too: evidence that gained *nothing* stays the
-same object (:meth:`SampleOutcome.merge
-<repro.sampling.sampler.SampleOutcome.merge>` returns a sole non-empty
-operand as is — safe because evidence is immutable), so a refresh that drew
-no row executes over the frame its sampler, or the other signature's
-refresh, already grew.  The memo entry dies with the outcome (a weak
-reference removes it from every index holding it) or with the last index
-holding it; the frame references neither input, no extended index keeps its
-parent alive, and nothing of it is attached to the outcome — so it is never
-written into warm state, which holds the index's values and codes and the
-evidence's arrays only; a restored plan builds its frame on the first hit.
-With the caches off every query brings a fresh outcome and the frame is
-simply built per query by the same function: there is no second code path.
+holding an appended row is rebuilt).  Evidence a draw made or extended
+comes with its frame: :meth:`GroupSampler.sample
+<repro.sampling.sampler.GroupSampler.sample>` files it as it draws, the
+frame the rows were drawn from minus the drawn rows.  Either way the frame
+equals a from-scratch build, array for array.  The converse holds too:
+evidence that gained *nothing* stays the same object (a draw that takes no
+row returns the earlier outcome itself — safe because evidence is
+immutable), so a refresh that drew no row executes over the frame its
+sampler, or the other signature's refresh, already grew.  The memo entry
+dies with the outcome (a weak reference removes it from every index
+holding it) or with the last index holding it; the frame references
+neither input, no extended index keeps its parent alive, and nothing of it
+is attached to the outcome — so it is never written into warm state, which
+holds the index's values and codes and the evidence's arrays only; a
+restored plan builds its frame on the first hit.
 
 Shared coin discipline
 ----------------------

@@ -38,7 +38,7 @@ from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 from repro.resilience.deadline import check_deadline
-from repro.sampling.sampler import GroupSampler, SampleOutcome, merge_drawn
+from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import SamplingScheme, TwoThirdPowerScheme
 from repro.solvers.linear import InfeasibleProblemError
 from repro.stats.random import RandomState, SeedLike, as_random_state
@@ -284,7 +284,7 @@ class IntelSample:
                     for key, requested in allocation.items()
                 }
             sampler = GroupSampler(random_state=self.random_state.child())
-            new_outcome = sampler.sample(
+            outcome: SampleOutcome = sampler.sample(
                 working_table,
                 index,
                 udf,
@@ -292,9 +292,6 @@ class IntelSample:
                 ledger,
                 already_sampled=prior,
                 bulk_evaluator=bulk_evaluator,
-            )
-            outcome: SampleOutcome = (
-                new_outcome if prior is None else merge_drawn(index, prior, new_outcome)
             )
             section.annotate("sampled", outcome.total_sampled)
 

@@ -210,7 +210,7 @@ class GroupIndex:
         self._sizes: List[int] = [int(rows.size) for rows in self._row_id_arrays]
         self._empty: np.ndarray = np.empty(0, dtype=np.intp)
         self._empty.setflags(write=False)
-        self._derived: Dict[int, Tuple[weakref.ref, Any, object]] = {}
+        self._derived: Dict[int, Tuple[weakref.ref, Any, Optional[int]]] = {}
         if count_build:
             GroupIndex.builds_total += 1
 
@@ -313,7 +313,7 @@ class GroupIndex:
         self,
         source: object,
         build: Callable[[], _T],
-        grow: Optional[Callable[[_T, object], _T]] = None,
+        grow: Callable[[_T, int], _T],
     ) -> _T:
         """``build()``, kept for as long as this index and ``source`` both live.
 
@@ -324,14 +324,12 @@ class GroupIndex:
         collected, and neither the memo nor the weak reference keeps
         ``source`` (or this index) alive.
 
-        An entry may hold a *basis* instead of the value: the value for fewer
-        rows, which an extended index inherits from its parent
-        (:meth:`extended_by`; the step is the row count, an ``int``, the
-        basis covers), or the value of other evidence (:meth:`derive_later`;
-        the step is what the caller filed).  The first call then returns
-        ``grow(basis, step)`` — ``build()`` when no ``grow`` is given — and
-        keeps it.  ``build`` and ``grow`` may run more than once under
-        concurrent first calls; the results are interchangeable.
+        An entry may hold a *basis* instead of the value: the value for the
+        fewer rows an extended index's parent held (:meth:`extended_by`),
+        with the row count it covers as its step.  The first call then
+        returns ``grow(basis, step)`` and keeps it.  ``build`` and ``grow`` may
+        run more than once under concurrent first calls; the results are
+        interchangeable.
         """
         key = id(source)
         entry = self._derived.get(key)
@@ -339,25 +337,16 @@ class GroupIndex:
             reference, basis, step = entry
             if step is None:
                 return basis
-            value = build() if grow is None else grow(basis, step)
+            value = grow(basis, step)
             self._derived[key] = (reference, value, None)
             return value
         value = build()
-        self._remember(source, value, None)
+        self.remember(source, value)
         return value
 
-    def derive_later(self, source: object, origin: object, step: object) -> None:
-        """File ``source``'s value as ``origin``'s plus ``step``, unbuilt.
-
-        Does nothing unless ``origin``'s value is current here; otherwise the
-        first :meth:`derived` call for ``source`` hands ``origin``'s value and
-        ``step`` to its ``grow``.
-        """
-        entry = self._derived.get(id(origin))
-        if entry is not None and entry[0]() is origin and entry[2] is None:
-            self._remember(source, entry[1], step)
-
-    def _remember(self, source: object, value: Any, step: object) -> None:
+    def remember(self, source: object, value: Any, step: Optional[int] = None) -> None:
+        """File ``value`` as :meth:`derived`'s for ``source`` — a basis
+        covering ``step`` rows when ``step`` is given."""
         key = id(source)
         owner = weakref.ref(self)
 
@@ -375,8 +364,7 @@ class GroupIndex:
         ``covered`` is the row count ``parent`` indexes when this index holds
         more rows: only its current values are taken, as bases covering that
         many rows.  An entry nobody read since the previous append is left
-        behind with ``parent``, as is a value filed against other evidence
-        (:meth:`derive_later`), so an append keeps alive no more than the
+        behind with ``parent``, so an append keeps alive no more than the
         previous one did.  ``None`` (the same rows over new spans) takes
         every entry as it is.
         """
@@ -384,7 +372,7 @@ class GroupIndex:
             source = reference()
             if source is None or (covered is not None and step is not None):
                 continue
-            self._remember(source, value, step if covered is None else covered)
+            self.remember(source, value, step if covered is None else covered)
 
     # -- incremental maintenance -------------------------------------------------
     def _extended_parts(

@@ -208,11 +208,9 @@ class UserDefinedFunction:
         Callable mapping a full row dict (hidden columns included) to a
         boolean.
     evaluation_cost:
-        Cost charged per *distinct* evaluation (memoised repeats are free when
-        ``memoize`` is true, mirroring the fact that a real system would cache
-        a value it already paid for).
-    memoize:
-        Cache results per row id.
+        Cost charged per *distinct* evaluation (memoised repeats are free,
+        mirroring the fact that a real system would cache a value it already
+        paid for).
     """
 
     def __init__(
@@ -220,14 +218,12 @@ class UserDefinedFunction:
         name: str,
         func: Callable[[Mapping[str, Any]], bool],
         evaluation_cost: float = 3.0,
-        memoize: bool = True,
     ):
         if evaluation_cost < 0:
             raise ValueError(f"evaluation_cost must be non-negative, got {evaluation_cost}")
         self.name = name
         self._func = func
         self.evaluation_cost = evaluation_cost
-        self.memoize = memoize
         self._memo = np.zeros(0, dtype=np.int8)
         self._memo_count = 0  # known slots in ``_memo``: the ``cache_size`` counter
         self.call_count = 0
@@ -301,7 +297,7 @@ class UserDefinedFunction:
 
     def evaluate_row(self, table: Table, row_id: int) -> bool:
         """Evaluate the UDF on one row of ``table`` (charges one call)."""
-        state = self._memo_state(row_id) if self.memoize else _UNKNOWN
+        state = self._memo_state(row_id)
         hit = state != _UNKNOWN
         result = state == _TRUE
         if not hit:
@@ -315,11 +311,10 @@ class UserDefinedFunction:
             else:
                 self.call_count += 1
                 self.cache_misses += 1
-                if self.memoize:
-                    memo = self._memo_with_room(row_id + 1)
-                    self._memo_count += int(memo[row_id] == _UNKNOWN)
-                    memo[row_id] = _TRUE if result else _FALSE
-                    self._memo = memo
+                memo = self._memo_with_room(row_id + 1)
+                self._memo_count += int(memo[row_id] == _UNKNOWN)
+                memo[row_id] = _TRUE if result else _FALSE
+                self._memo = memo
         return result
 
     def evaluate_rows(
@@ -472,7 +467,7 @@ class UserDefinedFunction:
         :func:`~repro.db.table.select_rows`).  Shared by :meth:`evaluate_rows` and
         :meth:`merge_remote_evaluations` so the two paths cannot drift.
         """
-        if self.memoize and self._memo.size:
+        if self._memo.size:
             states = self._memo_states(id_array)
             results = states == _TRUE
             pending_positions: Optional[np.ndarray] = states == _UNKNOWN
@@ -531,8 +526,7 @@ class UserDefinedFunction:
             with self._state_lock:
                 self.call_count += paid
                 self.cache_misses += paid
-                if self.memoize:
-                    self._memo_write(pending_array, fresh)
+                self._memo_write(pending_array, fresh)
 
     def _memo_state(self, row_id: int) -> int:
         """The memo's tri-state for one row id (lock-free)."""
@@ -586,13 +580,13 @@ class UserDefinedFunction:
         value_array = np.asarray(values, dtype=bool)
         if value_array.shape != id_array.shape:
             raise ValueError(f"{value_array.shape} values for {id_array.shape} row ids")
-        if self.memoize and id_array.size:
+        if id_array.size:
             with self._state_lock:
                 self._memo_write(id_array, value_array)
 
     def is_memoized(self, row_id: int) -> bool:
         """Whether the UDF value for ``row_id`` is already cached."""
-        return self._memo_state(row_id) != _UNKNOWN and self.memoize
+        return self._memo_state(row_id) != _UNKNOWN
 
     def counter_snapshot(self) -> Dict[str, int]:
         """Memoisation counters as a plain dict (for result metadata)."""

@@ -15,21 +15,22 @@ computed in one place: :func:`candidate_frame`, memoised on the index under
 the evidence's identity.  From scratch that is :func:`build_candidate_frame`
 (:func:`drop_members` over :meth:`Evidence.by_group`, once per group); after
 an append the extended index grows the frame it inherited by the appended
-rows, and after a draw :func:`merge_drawn` lets the merged evidence derive
-its frame from the one the rows were drawn over, dropping only those rows.
-This module owns the frame because both readers can reach it here — the
-sampler topping up an earlier outcome asks for ``candidate_frame(index,
-prior)`` (and only when some group's requested count is positive: a top-up
-that draws nothing excludes nothing), and ``core.executor``, which imports
-this module, flips its coins over the same arrays.
+rows.  Evidence grows in one place too: :meth:`GroupSampler.sample` returns
+the earlier outcome merged with the fresh draw and files that evidence's
+frame on the index as it draws — the frame the rows were drawn from, minus
+the drawn rows, in the groups they came from.  This module owns the frame
+because both readers can reach it here: the sampler draws from it, and
+``core.executor``, which imports this module, flips its coins over the same
+arrays.
 
 The identity rule that keeps the memo warm: :meth:`SampleOutcome.merge`
-returns its operand *as is* when the other side is empty.  Evidence is
-immutable (read-only arrays in a frozen dataclass), so sharing one object
-between the statistics cache, several plans and a frame filed under it is
-safe — nobody can edit it under anybody else — and a refresh whose evidence
-did not move keeps the outcome it started with, and with it the frame.
-Evidence that did move is a new object; its frame is derived, not found.
+returns its operand *as is* when the other side is empty, and a draw that
+takes no row returns the earlier outcome itself.  Evidence is immutable
+(read-only arrays in a frozen dataclass), so sharing one object between the
+statistics cache, several plans and a frame filed under it is safe — nobody
+can edit it under anybody else — and a refresh whose evidence did not move
+keeps the outcome it started with, and with it the frame.  Evidence that
+did move is a new object, and its frame was filed by the draw that made it.
 """
 
 from __future__ import annotations
@@ -264,39 +265,15 @@ def _grown_frame(
     return CandidateFrame(tuple(candidates), frame.free_positives)
 
 
-def _frame_after_draw(
-    index: GroupIndex,
-    frame: CandidateFrame,
-    fresh: Evidence,
-    merged: Evidence,
-) -> CandidateFrame:
-    """``frame`` of the evidence ``fresh`` was drawn over, for ``merged``.
-
-    ``fresh`` holds rows drawn from ``frame``'s candidates, so only they are
-    dropped, and only from the groups they fall in.  The free positives are
-    re-read from ``merged``: its positives in the index's group order, draw
-    order within a group — what regrouping all of it would give.
-    """
-    sampled, _, bounds = fresh.by_group(index)
-    candidates = list(frame.candidates)
-    for code in np.flatnonzero(np.diff(bounds)).tolist():
-        rows = drop_members(candidates[code], sampled[bounds[code] : bounds[code + 1]])
-        rows.setflags(write=False)
-        candidates[code] = rows
-    positives = merged.row_ids[merged.flags & merged.inside(index)]
-    order, _ = group_order(index.codes_for_rows(positives), index.num_groups)
-    return CandidateFrame(tuple(candidates), as_row_ids(positives[order]))
-
-
 def candidate_frame(
     index: GroupIndex, sample_outcome: Optional[SampleOutcome]
 ) -> CandidateFrame:
     """The frame, computed at most once while ``index`` and the outcome both live.
 
-    It is found in the index's memo, grown from the frame the index
-    inherited over fewer rows, derived from the frame of the evidence the
-    outcome's newest rows were drawn over (:func:`merge_drawn`), or built;
-    the current trace span records which as ``frame``.
+    It is found in the index's memo (where :meth:`GroupSampler.sample` files
+    the frame of the evidence it returns), grown from the frame the index
+    inherited over fewer rows, or built; the current trace span records
+    which as ``frame``.
     """
     how = "memo"
 
@@ -305,36 +282,25 @@ def candidate_frame(
         how = "built"
         return build_candidate_frame(index, sample_outcome)
 
-    def grow(frame: CandidateFrame, step: object) -> CandidateFrame:
+    def grow(frame: CandidateFrame, covered: int) -> CandidateFrame:
         nonlocal how
-        if isinstance(step, Evidence):
-            how = "derived"
-            return _frame_after_draw(index, frame, step, sample_outcome)
-        if sample_outcome.size and int(sample_outcome.row_ids.max()) >= step:
+        if sample_outcome.size and int(sample_outcome.row_ids.max()) >= covered:
             return build()  # evidence the old frame did not exclude
         how = "grown"
-        return _grown_frame(index, frame, step)
+        return _grown_frame(index, frame, covered)
 
     if sample_outcome is None:
         frame = build()
     else:
         frame = index.derived(sample_outcome, build, grow)
-    active = _trace.current_span()
-    if active is not None:
-        active.annotate("frame", how)
+    _annotate_frame(how)
     return frame
 
 
-def merge_drawn(
-    index: GroupIndex, prior: SampleOutcome, fresh: SampleOutcome
-) -> SampleOutcome:
-    """``prior.merge(fresh)`` for ``fresh`` drawn over ``prior``'s frame on
-    ``index``: a merged outcome that is a new object gets its frame derived
-    from ``prior``'s on first use, not built (:func:`candidate_frame`)."""
-    merged = prior.merge(fresh)
-    if merged is not prior:
-        index.derive_later(merged, prior, fresh)
-    return merged
+def _annotate_frame(how: str) -> None:
+    active = _trace.current_span()
+    if active is not None:
+        active.annotate("frame", how)
 
 
 class GroupSampler:
@@ -355,9 +321,16 @@ class GroupSampler:
     ) -> SampleOutcome:
         """Sample according to ``allocation``, charging ``ledger``.
 
-        ``already_sampled`` lets adaptive callers top up an earlier outcome
-        without re-evaluating rows they already paid for; the returned outcome
-        contains only the *new* rows (merge with the old outcome if needed).
+        Returns the evidence after the draw: ``already_sampled.merge(fresh)``
+        — the earlier outcome's rows, then the new ones — or the fresh rows
+        alone when there is no earlier outcome.  Rows already paid for are
+        never drawn again, and when nothing is drawn (an all-zero or
+        unsatisfiable allocation) ``already_sampled`` itself comes back, so
+        whatever is memoised under its identity stays valid.  The returned
+        evidence's candidate frame is filed on ``index`` here, while the
+        drawn positions are at hand: each drawn group's candidates minus the
+        chosen rows, every other group's array unchanged (the current trace
+        span records ``frame: drawn`` when no earlier frame was read).
 
         The per-group draws happen first (one vectorised ``choice`` per
         group, in index order, so the random stream matches the historical
@@ -371,22 +344,30 @@ class GroupSampler:
         identical whether or not the evaluation is fanned.
         """
         check_deadline("sampling")
+        prior = already_sampled
         requested = [int(allocation.get(group_key, 0)) for group_key in index]
-        candidates: Sequence[np.ndarray] = [rows for _, rows in index.items()]
-        if already_sampled is not None and any(count > 0 for count in requested):
-            candidates = candidate_frame(index, already_sampled).candidates
-        chosen_per_group = []
-        for available, count in zip(candidates, requested):
+        if prior is not None and not any(count > 0 for count in requested):
+            return prior
+        if prior is None:
+            nothing = np.empty(0, dtype=np.intp)
+            frame = CandidateFrame(tuple(rows for _, rows in index.items()), nothing)
+        else:
+            frame = candidate_frame(index, prior)
+        candidates = list(frame.candidates)
+        drawn = []
+        for code, (available, count) in enumerate(zip(candidates, requested)):
             count = min(count, int(available.size))
             if count > 0:
                 positions = self.random_state.choice(
                     int(available.size), size=count, replace=False
                 )
-                chosen_per_group.append(available[np.atleast_1d(positions)])
+                drawn.append((code, np.atleast_1d(positions)))
 
-        if not chosen_per_group:
-            return SampleOutcome()
-        all_chosen = np.concatenate(chosen_per_group)
+        if not drawn:
+            return prior if prior is not None else SampleOutcome()
+        all_chosen = np.concatenate(
+            [candidates[code][positions] for code, positions in drawn]
+        )
         # Bulk charge before the bulk evaluation (same totals as the
         # historical per-row loop; a hard budget now stops the whole
         # batch before any UDF work instead of mid-stratum).  The
@@ -396,4 +377,18 @@ class GroupSampler:
         ledger.charge_retrieval(int(all_chosen.size))
         ledger.charge_evaluation(int(all_chosen.size))
         evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-        return SampleOutcome(all_chosen, evaluate(table, all_chosen))
+        fresh = SampleOutcome(all_chosen, evaluate(table, all_chosen))
+        outcome = fresh if prior is None else prior.merge(fresh)
+
+        for code, positions in drawn:
+            rest = np.delete(candidates[code], positions)
+            rest.setflags(write=False)
+            candidates[code] = rest
+        # Both runs are in group order: a stable sort by group interleaves
+        # them, the earlier positives first within a group, as a rebuild would.
+        positives = np.concatenate([frame.free_positives, fresh.positives])
+        order, _ = group_order(index.codes_for_rows(positives), index.num_groups)
+        index.remember(outcome, CandidateFrame(tuple(candidates), as_row_ids(positives[order])))
+        if prior is None:
+            _annotate_frame("drawn")
+        return outcome

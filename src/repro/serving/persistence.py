@@ -199,7 +199,7 @@ def _memo_record(service, segment) -> Dict[str, Any]:
     catalog = service.catalog
     memos = []
     for udf in catalog.udfs:
-        ids, values = udf.memo_arrays() if udf.memoize else ((), ())
+        ids, values = udf.memo_arrays()
         if len(ids):
             memos.append({"udf": udf.name, "ids": segment("ids", narrowed_ids(ids)),
                           "values": segment("memo", values)})
@@ -327,7 +327,7 @@ def _restore_memos(service, warm_dir: str, counts: Dict[str, int]) -> None:
     memos = [(record["udf"], _read(warm_dir, record["ids"]), _read(warm_dir, record["values"]))
              for record in body["memos"]]
     for name, ids, values in memos:
-        if name in catalog.udfs and catalog.udf(name).memoize:
+        if name in catalog.udfs:
             catalog.udf(name).absorb_memo(ids, values)
             counts["restored_udf_memos"] += 1
 

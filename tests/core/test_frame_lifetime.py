@@ -5,8 +5,8 @@ derived from, keyed on the identity of the sample outcome: it must be
 reachable exactly as long as *both* are (or an extension of that index that
 inherited it, and grows it to equal a fresh build), keep neither alive, hang
 off no module-level container and never ride along when an outcome is
-pickled.  A merged outcome derives its frame from the one its rows were
-drawn over, and the current trace span says how each frame was obtained.
+pickled.  A draw files the frame of the evidence it returns, and the
+current trace span says how each frame was obtained.
 Every backend — serial, inline spans, process — takes its candidates from that
 one frame: built once however many warm executions follow, shared across
 backends, and never shipped to a worker as sampled-id arrays.
@@ -36,7 +36,7 @@ from repro.db.table import Table
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
 from repro.obs import CollectingTraceSink
 from repro.sampling import sampler as sampler_module
-from repro.sampling.sampler import SampleOutcome, drop_members, merge_drawn
+from repro.sampling.sampler import GroupSampler, SampleOutcome, drop_members
 from repro.serving import QueryService, ServiceConfig
 
 from leakcheck import assert_no_leaked_resources
@@ -377,8 +377,15 @@ class TestFramesAcrossAppends:
 
 
 class TestFramesAcrossMerges:
-    """Evidence that gained drawn rows derives its frame from the one the
-    rows were drawn over: only they are dropped, from their groups."""
+    """A draw returns the merged evidence with its frame filed: the frame the
+    rows were drawn from, minus the drawn rows, from their groups."""
+
+    @staticmethod
+    def _draw(table, allocation, prior):
+        udf = UserDefinedFunction.from_label_column("lifetimes_udf", "f")
+        return GroupSampler(random_state=3).sample(
+            table, table.group_index("A"), udf, allocation, CostLedger(), already_sampled=prior
+        )
 
     def test_a_merged_outcome_derives_its_frame(self, monkeypatch):
         builds, build = TestFramesAcrossAppends._count_builds(monkeypatch)
@@ -386,56 +393,59 @@ class TestFramesAcrossMerges:
             index = table.group_index("A")
             prior = _outcome()
             candidate_frame(index, prior)
-            fresh = SampleOutcome([7, 2], [True, True])  # a: 7+, c: 2+
-            merged = merge_drawn(index, prior, fresh)
             builds.clear()
+            merged = self._draw(table, {"a": 1, "c": 1}, prior)
+            assert merged.row_ids[:3].tolist() == [0, 5, 4] and merged.size == 5
             frame = candidate_frame(index, merged)
             assert builds == []
             _frames_equal(frame, build(index, merged))
-            assert [rows.tolist() for rows in frame.candidates] == [[3], [1], [6]]
+            assert [rows.size for rows in frame.candidates] == [1, 1, 1]
             assert frame.candidates[1] is candidate_frame(index, prior).candidates[1]
-            assert frame.free_positives.tolist() == [0, 7, 4, 2]  # group order, draw order
             assert candidate_frame(index, merged) is frame
 
     def test_nothing_drawn_keeps_the_outcome_and_its_frame(self):
-        index = _table().group_index("A")
+        table = _table()
+        index = table.group_index("A")
         prior = _outcome()
         frame = candidate_frame(index, prior)
-        assert merge_drawn(index, prior, SampleOutcome()) is prior
+        for allocation in ({}, {"a": 0, "b": -1}, {"z": 3}):
+            assert self._draw(table, allocation, prior) is prior
         assert candidate_frame(index, prior) is frame
+        exhausted = SampleOutcome([1, 4], [False, True])  # all of b
+        assert self._draw(table, {"b": 2}, exhausted) is exhausted
 
-    def test_without_the_prior_frame_the_merged_frame_is_built(self, monkeypatch):
+    def test_without_the_prior_frame_the_draw_builds_it_once(self, monkeypatch):
         builds, _build = TestFramesAcrossAppends._count_builds(monkeypatch)
-        index = _table().group_index("A")
-        merged = merge_drawn(index, _outcome(), SampleOutcome([7], [True]))
-        assert index._derived == {}
-        candidate_frame(index, merged)
-        assert builds == [id(merged)]
-
-    def test_an_append_before_first_use_rebuilds_the_merged_frame(self, monkeypatch):
-        builds, build = TestFramesAcrossAppends._count_builds(monkeypatch)
         table = _table()
-        before = table.group_index("A")
+        index = table.group_index("A")
         prior = _outcome()
-        candidate_frame(before, prior)
-        merged = merge_drawn(before, prior, SampleOutcome([7], [True]))
-        _append(table)
-        after = table.group_index("A")
-        assert list(after._derived) == [id(prior)]  # the filed derivation stays behind
-        builds.clear()
-        _frames_equal(candidate_frame(after, merged), build(after, merged))
-        assert builds == [id(merged)]
+        merged = self._draw(table, {"a": 1}, prior)
+        assert builds == [id(prior)]
+        candidate_frame(index, merged)
+        assert builds == [id(prior)]
+
+    def test_an_append_after_a_draw_grows_the_merged_frame(self, monkeypatch):
+        builds, build = TestFramesAcrossAppends._count_builds(monkeypatch)
+        for table in _appendable_tables():
+            prior = _outcome()
+            candidate_frame(table.group_index("A"), prior)
+            merged = self._draw(table, {"a": 1, "c": 1}, prior)
+            _append(table)
+            after = table.group_index("A")
+            builds.clear()
+            _frames_equal(candidate_frame(after, merged), build(after, merged))
+            assert builds == []
 
 
 class TestHowTheFrameWasObtained:
-    """``candidate_frame`` records on the current span whether the frame was
-    found, grown, derived or built — why a refresh was slow."""
+    """The current span records whether its frame was found, grown, built,
+    or made by the draw — why a refresh was slow."""
 
     @staticmethod
     def _frames(trace):
         return {span.name: span.work["frame"] for span in trace.spans if "frame" in span.work}
 
-    def test_a_refresh_grows_and_derives_and_a_restored_hit_builds(self, tmp_path):
+    def test_a_refresh_grows_and_a_restored_hit_builds(self, tmp_path):
         loaded = load_dataset("lending_club", random_state=42, scale=0.03)
         catalog = Catalog()
         catalog.register_table(loaded.table)
@@ -461,9 +471,9 @@ class TestHowTheFrameWasObtained:
         )
         assert service.submit(query, seed=2).metadata["plan_cache"] == "refresh"
         cold, hit, refresh = sink.traces
-        assert self._frames(cold) == {"execute": "built"}  # drawn over no frame
+        assert self._frames(cold) == {"sampling": "drawn", "execute": "memo"}
         assert self._frames(hit) == {"execute": "memo"}
-        assert self._frames(refresh) == {"sampling": "grown", "execute": "derived"}
+        assert self._frames(refresh) == {"sampling": "grown", "execute": "memo"}
         service.close()
 
         catalog, _reports = CatalogStore(str(tmp_path)).open()

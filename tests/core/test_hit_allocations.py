@@ -14,11 +14,12 @@ The same count guards the refresh path: what a refresh after an append
 builds and keeps is per group (index arrays, model, plan) plus a few evidence
 arrays, not one python object per paid-for row.
 
-A second kind of count guards the update path's table-sized passes: how many
-times one {append, two refreshes, three hits} cycle regroups the evidence and
-excludes it from the groups' rows.  A third guards the executor kernel: under
-serving accounting a warm hit and a churn cycle read the UDF's memo once per
-bulk evaluation, not once to price it and again to evaluate.
+A second kind of count guards the update path's table-sized passes: one
+{append, two refreshes, three hits} cycle builds no frame, and neither
+regroups the evidence nor excludes it from the groups' rows by membership.
+A third guards the executor kernel: under serving accounting a warm hit and
+a churn cycle read the UDF's memo once per bulk evaluation, not once to
+price it and again to evaluate.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ import pytest
 
 from repro.db.udf import UserDefinedFunction
 from repro.sampling import sampler as sampler_module
-from repro.sampling.sampler import Evidence, SampleOutcome
+from repro.sampling.sampler import Evidence, GroupSampler, SampleOutcome
 from repro.serving.signature import plan_signature
 
 #: Far above what a hit allocates (tens), far below one block per row (8k+).
@@ -119,48 +120,19 @@ def test_the_refresh_gate_sees_a_per_row_evidence_container(churned_service, blo
 # -- the update path's exclusion work ------------------------------------------------
 def _exclusion_work(monkeypatch):
     """Count frame builds, ``by_group`` regroupings and ``drop_members`` calls
-    from here on — the passes of the update path that can be table-sized —
-    and the rows each regroups or drops."""
-    work = {
-        "builds": 0,
-        "by_group": 0,
-        "drops_inside_a_build": 0,
-        "drops_outside": 0,
-        "rows_regrouped_outside": 0,
-        "groups_regrouped_outside": 0,
-        "rows_dropped_outside": 0,
-    }
-    build, drop = sampler_module.build_candidate_frame, sampler_module.drop_members
-    regroup = Evidence.by_group
-    building = []
+    from here on — the passes of the update path that can be table-sized."""
+    work = {"build_candidate_frame": 0, "by_group": 0, "drop_members": 0}
 
-    def counted_build(index, outcome):
-        work["builds"] += 1
-        building.append(True)
-        try:
-            return build(index, outcome)
-        finally:
-            building.pop()
+    def counted(name, call):
+        def counting(*args):
+            work[name] += 1
+            return call(*args)
 
-    def counted_drop(rows, members):
-        if building:
-            work["drops_inside_a_build"] += 1
-        else:
-            work["drops_outside"] += 1
-            work["rows_dropped_outside"] += members.size
-        return drop(rows, members)
+        return counting
 
-    def counted_regroup(self, index):
-        work["by_group"] += 1
-        regrouped = regroup(self, index)
-        if not building:
-            work["rows_regrouped_outside"] += self.size
-            work["groups_regrouped_outside"] += int(np.count_nonzero(np.diff(regrouped[2])))
-        return regrouped
-
-    monkeypatch.setattr(sampler_module, "build_candidate_frame", counted_build)
-    monkeypatch.setattr(sampler_module, "drop_members", counted_drop)
-    monkeypatch.setattr(Evidence, "by_group", counted_regroup)
+    for owner, name in ((sampler_module, "build_candidate_frame"), (Evidence, "by_group"),
+                        (sampler_module, "drop_members")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     return work
 
 
@@ -175,47 +147,43 @@ def _churn_cycle(service, append, first, second, seed):
 
 
 def test_a_churn_cycle_excludes_only_the_fresh_rows(churned_service, monkeypatch):
-    """A work count, not a stopwatch: a cycle builds no frame.  The append
-    hands each frame to the extended index, which grows it by the appended
-    rows; the refresh that draws derives its merged evidence's frame from the
-    grown one, regrouping only the rows it drew and dropping them only from
-    the groups they fall in; the other refresh draws nothing and keeps its
-    evidence and frame.  (Before frames were kept across appends: one or two
-    builds a cycle, each regrouping all ~3 500 evidence rows and excluding
-    them from all 8 groups; before the sampler and the executor shared a
-    frame: 4 regroupings and 32 ``drop_members`` a cycle.)"""
+    """A work count, not a stopwatch: a cycle builds, regroups and excludes
+    nothing by membership.  The append hands each frame to the extended
+    index, which grows it by the appended rows; the refresh that draws
+    returns its merged evidence with the frame filed, dropping the drawn rows
+    from its candidates by position; the other refresh draws nothing and
+    keeps its evidence and frame.  So no regrouping and no membership drop
+    is left: the drawn positions are at hand, and nothing else moved."""
     service, queries, append_1000, evidence = churned_service
     work = _exclusion_work(monkeypatch)
     modest, greedy = queries[0], queries[1]  # alpha 0.8 allocates less than 0.9
     for first, second in ((modest, greedy), (greedy, modest)):
+        grown = evidence(greedy)
         work.update(dict.fromkeys(work, 0))
         _churn_cycle(service, append_1000, first, second, seed=300)
-        assert work["builds"] == 0 and work["drops_inside_a_build"] == 0, work
-        assert work["by_group"] == 1, work  # the drawn rows, once
-        assert 0 < work["rows_regrouped_outside"] < 200, work  # not the ~3 500 evidence rows
-        assert work["rows_dropped_outside"] == work["rows_regrouped_outside"], work
-        assert work["drops_outside"] == work["groups_regrouped_outside"] <= 8, work
+        assert set(work.values()) == {0}, work
+        assert evidence(greedy) is not grown  # the greedy refresh drew
     # The greedy refresh drew every row the modest one asks for, so the modest
     # refresh added nothing — and kept the evidence, and with it the frame.
     assert evidence(modest) is evidence(greedy)
 
 
-def test_the_work_gate_sees_a_merge_that_always_allocates(churned_service, monkeypatch):
-    """Mutation check: a merge of nothing that returns a new object loses the
-    frame filed under the old one, and the cycle pays for a second
-    derivation."""
+def test_the_work_gate_sees_a_draw_of_nothing_that_allocates(churned_service, monkeypatch):
+    """Mutation check: a draw of nothing that returns a copy of the earlier
+    evidence has no frame filed under it, and the cycle pays for a build."""
     service, queries, append_1000, evidence = churned_service
+    sample = GroupSampler.sample
 
-    def always_new(cls, outcomes):
-        return cls(
-            np.concatenate([outcome.row_ids for outcome in outcomes]),
-            np.concatenate([outcome.flags for outcome in outcomes]),
-        )
+    def copying(self, *args, **kwargs):
+        outcome = sample(self, *args, **kwargs)
+        if outcome is kwargs["already_sampled"]:
+            return SampleOutcome(outcome.row_ids, outcome.flags)
+        return outcome
 
-    monkeypatch.setattr(SampleOutcome, "merge_shards", classmethod(always_new))
+    monkeypatch.setattr(GroupSampler, "sample", copying)
     work = _exclusion_work(monkeypatch)
     _churn_cycle(service, append_1000, queries[1], queries[0], seed=400)
-    assert work["builds"] == 0 and work["by_group"] == 2, work
+    assert work["build_candidate_frame"] == 1 and work["by_group"] == 1, work
     assert evidence(queries[0]) is not evidence(queries[1])
 
 

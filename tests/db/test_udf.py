@@ -80,27 +80,11 @@ class TestUserDefinedFunction:
         udf.evaluate_row(toy_table, 0)
         assert udf.call_count == 1
 
-    @pytest.mark.parametrize("bulk", [False, True], ids=["row", "masked_bulk"])
-    def test_no_memoization_when_disabled(self, toy_table, bulk):
-        udf = UserDefinedFunction("g", lambda row: row["A"] == 1, memoize=False)
-        if not bulk:
-            udf.evaluate_row(toy_table, 0)
-            udf.evaluate_row(toy_table, 0)
-        else:
-            ledger = CostLedger()
-            for _ in range(2):
-                got = udf.evaluate_rows(
-                    toy_table, [0, 4], np.array([True, False]), ledger, free_memoized=True
-                )
-                assert got.tolist() == [True, False]
-            # Nothing is memoised, so nothing is free: both rounds are charged.
-            assert ledger.evaluated_count == 2
-            assert udf.counter_snapshot() == {
-                "calls": 2, "cache_hits": 0, "cache_misses": 2, "cache_size": 0,
-                "row_calls": 0, "bulk_calls": 2,
-            }
-            assert [part.tolist() for part in udf.memo_arrays()] == [[], []]
-        assert udf.call_count == 2
+    def test_the_memoize_keyword_is_gone(self):
+        """Removed in 1.25: every UDF memoises, so there is no switch to pass."""
+        with pytest.raises(TypeError, match="memoize"):
+            UserDefinedFunction("g", lambda row: row["A"] == 1, memoize=False)
+        assert not hasattr(UserDefinedFunction.from_label_column("f_check", "f"), "memoize")
 
     def test_reset(self, toy_table):
         udf = UserDefinedFunction.from_label_column("f_check", "f")

@@ -13,7 +13,10 @@ That code lives on here as the reference the shared frame is held to: same
 draws from the same stream, same frames array for array, same answers and
 ledgers.  The statements inside the functions are the parent commit's,
 verbatim (``sampling/sampler.py``, ``core/executor.py``); ``by_group`` is a
-function of the evidence instead of a method, and :func:`parent_exclusion`
+function of the evidence instead of a method, the parent's sampler is
+:func:`draw`, which returns the fresh rows only — :func:`sample` merges the
+prior on return, with this module's ``merge_shards``, as the sampler now
+does — and :func:`parent_exclusion`
 — which swaps them in for the duration of a ``with`` block, so that a twin
 ``QueryService`` stepped inside it runs on them — is new.
 """
@@ -71,7 +74,12 @@ def build_candidate_frame(
     )
 
 
-def sample(
+def sample(self, table, index, udf, allocation, ledger, already_sampled=None, bulk_evaluator=None):
+    fresh = draw(self, table, index, udf, allocation, ledger, already_sampled, bulk_evaluator)
+    return fresh if already_sampled is None else merge_shards(SampleOutcome, (already_sampled, fresh))
+
+
+def draw(
     self,
     table: Table,
     index: GroupIndex,

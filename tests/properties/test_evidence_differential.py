@@ -178,13 +178,15 @@ def test_sampler_excludes_the_same_rows_and_draws_the_same(case, seed, data):
 
     udf = UserDefinedFunction.from_label_column("evidence_udf", "f")
     ledger = CostLedger()
-    drawn = GroupSampler(random_state=seed).sample(
+    merged = GroupSampler(random_state=seed).sample(
         table, index, udf, allocation, ledger, already_sampled=paid_new
     )
-    assert drawn.row_ids.tolist() == [int(row) for row in expected]
-    assert drawn.flags.tolist() == [labels[row] for row in expected]
+    assert merged.row_ids[: paid_new.size].tolist() == paid_new.row_ids.tolist()
+    drawn = merged.row_ids[paid_new.size :].tolist()
+    assert drawn == [int(row) for row in expected]
+    assert merged.flags[paid_new.size :].tolist() == [labels[row] for row in expected]
     assert ledger.evaluated_count == ledger.retrieved_count == len(expected)
-    assert not set(drawn.row_ids.tolist()) & set(paid_new.row_ids.tolist())
+    assert not set(drawn) & set(paid_new.row_ids.tolist())
 
 
 # -- the reservoir top-up ------------------------------------------------------------

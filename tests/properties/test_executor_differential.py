@@ -165,8 +165,8 @@ class TestExecutorSeedForSeed:
         """Two groups that are also the two shards (so a span is a group and
         both backends charge group by group): ``x`` = rows 0-3, ``y`` = rows
         4-7, every row retrieved and evaluated (no coins).  Rows 0 and 5 are
-        paid for first; that memo is 6 slots long, so rows 6 and 7 lie past
-        its end."""
+        paid for first (not under ``no_memo``: the memo starts empty); that
+        memo is 6 slots long, so rows 6 and 7 lie past its end."""
         labels = [True, False, True, False, False, True, True, False]
         table = Table.from_columns(
             "kernel_edges",
@@ -188,8 +188,8 @@ class TestExecutorSeedForSeed:
             udf = UserDefinedFunction("edge_py", reveal)
         else:
             udf = UserDefinedFunction.from_label_column("edge_label", "f")
-        udf.memoize = edge != "no_memo"
-        udf.evaluate_rows(table, [0, 5])
+        if edge != "no_memo":  # else the memo is a fresh UDF's: empty
+            udf.evaluate_rows(table, [0, 5])
         del called[:]
         ledger = CostLedger(retrieval_cost=1.0, evaluation_cost=3.0)
         if edge == "budget":
@@ -218,14 +218,14 @@ class TestExecutorSeedForSeed:
                 result = run()
             assert result.returned_row_ids.tolist() == [0, 2, 5, 6]
             assert ledger.retrieved_count == 8
-            # The memo knows rows 0 and 5 unless the UDF does not memoise.
+            # The memo knows rows 0 and 5 unless it started empty.
             free = 2 if free_memoized and edge != "no_memo" else 0
             assert ledger.evaluated_count == 8 - free
             if edge == "oracle_mode":  # counts nothing, memoises nothing
                 expected = {"calls": 2, "cache_hits": 0, "bulk_calls": 1}
             elif edge == "no_memo":
-                memo = {}
-                expected = {"calls": 10, "cache_hits": 0, "bulk_calls": 3}
+                memo = dict(enumerate(labels))
+                expected = {"calls": 8, "cache_hits": 0, "bulk_calls": 2}
             else:
                 memo = dict(enumerate(labels))
                 expected = {"calls": 8, "cache_hits": 2, "bulk_calls": 3}
