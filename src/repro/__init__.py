@@ -138,7 +138,7 @@ inline or in worker processes): the ``"thread"`` executor backend
 (``ServiceConfig(executor="thread")`` raises ``ValueError``; use
 ``"serial"``, or ``"process"`` for multi-core), ``repro.core.shared_pool``
 / ``repro.core.parallel.shared_pool``, and ``ParallelBatchExecutor(max_workers=)``
-(the constructor is ``ParallelBatchExecutor(random_state, free_memoized)``;
+(the constructor is ``ParallelBatchExecutor(random_state)``;
 ``ProcessPoolBatchExecutor(max_workers=)`` and ``ServiceConfig.max_workers``
 size the process pool, and ``default_max_workers`` lives in
 :mod:`repro.core.procpool`).
@@ -206,6 +206,15 @@ filed on the index): ``repro.sampling.sampler.merge_drawn`` (use what
 ``sample`` returns) and ``GroupIndex.derive_later``.  Removed in 1.25,
 because nothing but a test set it: ``UserDefinedFunction(memoize=)`` and the
 ``memoize`` attribute (a UDF always memoises its paid-for values).
+Removed in 1.26, with the accounting passed beside the ledger (a request's
+ledger carries it, :attr:`CostLedger.free_memoized`, and the service sets it
+on hit and refresh ledgers): the ``free_memoized=`` keyword of
+``BatchExecutor``, ``ParallelBatchExecutor``, ``ProcessPoolBatchExecutor``,
+``UserDefinedFunction.evaluate_rows`` and ``.merge_remote_evaluations``
+(pass ``CostLedger(free_memoized=True)``), and the ``ExecutorAware``
+protocol (the service no longer rewires a strategy's ``executor_factory``
+on refresh, so a strategy factory is accepted on every backend and a
+pipeline run executes on the strategy's own factory).
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -213,7 +222,6 @@ from repro.core import (
     AdaptiveIntelSample,
     CostModel,
     ExecutionPlan,
-    ExecutorAware,
     GroupDecision,
     GroupStatistics,
     IntelSample,
@@ -284,7 +292,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "__version__",
@@ -298,7 +306,6 @@ __all__ = [
     "PlanExecutor",
     "ParallelBatchExecutor",
     "ProcessPoolBatchExecutor",
-    "ExecutorAware",
     "IntelSample",
     "AdaptiveIntelSample",
     "OptimalOracle",

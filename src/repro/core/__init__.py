@@ -13,8 +13,9 @@ Public surface:
   inline),
   :class:`ProcessPoolBatchExecutor` (the same spans in worker processes
   over memory-mapped segment files)
-  and :class:`PlanExecutor` (tuple-at-a-time reference); strategies that
-  accept an injected backend implement the :class:`ExecutorAware` protocol,
+  and :class:`PlanExecutor` (tuple-at-a-time reference); every strategy
+  builds its backend through its ``executor_factory`` (``BatchExecutor`` by
+  default), and the request's ledger carries how it is charged,
 * end-to-end strategies — :class:`IntelSample`, :class:`AdaptiveIntelSample`,
   :class:`OptimalOracle`,
 * column selection — :func:`select_correlated_column`,
@@ -40,7 +41,6 @@ from repro.core.estimated import EstimatedSolution, solve_estimated_selectivity
 from repro.core.executor import (
     BatchExecutor,
     ExecutionResult,
-    ExecutorAware,
     ExecutorBackend,
     GroupExecutionCounts,
     PlanExecutor,
@@ -95,7 +95,6 @@ __all__ = [
     "ParallelBatchExecutor",
     "ProcessPoolBatchExecutor",
     "default_max_workers",
-    "ExecutorAware",
     "ExecutorBackend",
     "ExecutionResult",
     "GroupExecutionCounts",

@@ -12,20 +12,20 @@ found with everything sampled so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.constraints import CostModel, QueryConstraints
+from repro.core.constraints import QueryConstraints
 from repro.core.executor import BatchExecutor, ExecutorBackend
 from repro.core.groups import SelectivityModel
+from repro.core.pipeline import _cost_model_from_ledger
 from repro.core.plan import ExecutionPlan
-from repro.core.sampling_program import solve_with_samples
+from repro.core.sampling_program import SamplingProgramSolution, solve_with_samples
 from repro.db.engine import QueryResult
 from repro.db.table import Table
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.sampling.adaptive import choose_num_adaptively, default_num_schedule
 from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import TwoThirdPowerScheme
-from repro.solvers.linear import InfeasibleProblemError
 from repro.stats.random import RandomState, SeedLike, as_random_state
 
 
@@ -70,7 +70,7 @@ class AdaptiveIntelSample:
         Number of consecutive predicted-cost increases tolerated before the
         search stops.
     executor_factory:
-        Optional factory mapping a :class:`RandomState` to an
+        Maps a :class:`RandomState` to an
         :class:`~repro.core.executor.ExecutorBackend`; defaults to the
         vectorised :class:`~repro.core.executor.BatchExecutor` (pass
         ``lambda rng: PlanExecutor(random_state=rng)`` for the
@@ -91,7 +91,7 @@ class AdaptiveIntelSample:
         self.patience = patience
         self.independent = independent
         self.random_state: RandomState = as_random_state(random_state)
-        self.executor_factory = executor_factory
+        self.executor_factory = executor_factory or BatchExecutor
 
     def answer(
         self,
@@ -102,17 +102,14 @@ class AdaptiveIntelSample:
     ) -> QueryResult:
         """Run the adaptive pipeline and return the approximate result."""
         ledger = ledger if ledger is not None else CostLedger()
-        cost_model = CostModel(
-            retrieval_cost=ledger.retrieval_cost,
-            evaluation_cost=ledger.evaluation_cost,
-        )
+        cost_model = _cost_model_from_ledger(ledger)
         index = table.group_index(self.correlated_column)
         schedule = self.num_schedule or default_num_schedule(constraints.alpha)
         sampler = GroupSampler(random_state=self.random_state.child())
 
         outcome: Optional[SampleOutcome] = None
         rounds: List[AdaptiveRound] = []
-        solved: Dict[float, Tuple[ExecutionPlan, SelectivityModel]] = {}
+        solved: Dict[float, SamplingProgramSolution] = {}
 
         def sample_and_solve(num: float) -> float:
             """One round: sample up to ``num``, re-solve, keep the plan."""
@@ -121,49 +118,35 @@ class AdaptiveIntelSample:
             outcome = sampler.sample(
                 table, index, udf, allocation, ledger, already_sampled=outcome
             )
-            try:
-                solution = solve_with_samples(
-                    index,
-                    outcome,
-                    constraints,
-                    cost_model=cost_model,
-                    independent=self.independent,
-                )
-                predicted = solution.expected_total_cost
-                plan = solution.plan
-                model = solution.model
-                used_fallback = solution.used_fallback
-            except InfeasibleProblemError:
-                model = SelectivityModel.from_sample_outcome(index, outcome)
-                plan = ExecutionPlan.evaluate_everything(index.values)
-                predicted = plan.expected_cost(model, cost_model)
-                used_fallback = True
+            solution = solve_with_samples(
+                index,
+                outcome,
+                constraints,
+                cost_model=cost_model,
+                independent=self.independent,
+            )
             rounds.append(
                 AdaptiveRound(
                     num=num,
                     total_sampled=outcome.total_sampled,
-                    predicted_total_cost=predicted,
-                    used_fallback=used_fallback,
+                    predicted_total_cost=solution.expected_total_cost,
+                    used_fallback=solution.used_fallback,
                 )
             )
-            solved[num] = (plan, model)
-            return predicted
+            solved[num] = solution
+            return solution.expected_total_cost
 
         chosen_num = choose_num_adaptively(sample_and_solve, schedule, self.patience).best_num
-        best_plan, best_model = solved[chosen_num]
-        executor_rng = self.random_state.child()
-        if self.executor_factory is not None:
-            executor: ExecutorBackend = self.executor_factory(executor_rng)
-        else:
-            executor = BatchExecutor(random_state=executor_rng)
+        best = solved[chosen_num]
+        executor = self.executor_factory(self.random_state.child())
         result = executor.execute(
-            table, index, udf, best_plan, ledger, sample_outcome=outcome
+            table, index, udf, best.plan, ledger, sample_outcome=outcome
         )
         report = AdaptiveReport(
             rounds=rounds,
             chosen_num=chosen_num,
-            plan=best_plan,
-            model=best_model,
+            plan=best.plan,
+            model=best.model,
         )
         return QueryResult(
             row_ids=result.returned_row_ids,

@@ -148,17 +148,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Hashable,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Dict, FrozenSet, Hashable, List, Optional, Protocol, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -258,23 +248,6 @@ class ExecutorBackend(Protocol):
     ) -> ExecutionResult:  # pragma: no cover - protocol definition
         """Run ``plan`` over every group of ``index``, charging ``ledger``."""
         ...
-
-
-@runtime_checkable
-class ExecutorAware(Protocol):
-    """Strategies that accept an injected plan-execution backend.
-
-    A strategy is ``ExecutorAware`` when it exposes an ``executor_factory``
-    attribute: a callable building its :class:`ExecutorBackend` from the
-    per-query :class:`~repro.stats.random.RandomState` (or ``None`` for the
-    strategy's default).  The serving layer *requires* this protocol before
-    injecting its configured backend — an explicit ``isinstance`` check
-    instead of ``hasattr`` poking, so a strategy spelling the attribute
-    differently fails loudly at service construction rather than silently
-    running serial.
-    """
-
-    executor_factory: Optional[Callable[[RandomState], "ExecutorBackend"]]
 
 
 def fold_group(
@@ -465,18 +438,13 @@ class BatchExecutor:
     :class:`PlanExecutor`: same returned row ids, same ledger counts.  The
     observable differences are performance and charging granularity — the
     ledger is charged in per-group blocks, so a hard budget stops a group
-    before any of its UDF work happens instead of mid-group.
-
-    ``free_memoized=True`` switches the ledger accounting to serving
-    semantics: rows whose UDF value is already memoised are not re-charged,
-    mirroring a production system that never pays twice for the same
-    expensive predicate.  The default (``False``) keeps the paper's
-    accounting, where every execution-phase evaluation is charged.
+    before any of its UDF work happens instead of mid-group.  Which
+    evaluations are charged at all is the ledger's accounting
+    (:class:`~repro.db.udf.CostLedger`).
     """
 
-    def __init__(self, random_state: SeedLike = None, free_memoized: bool = False):
+    def __init__(self, random_state: SeedLike = None):
         self.random_state: RandomState = as_random_state(random_state)
-        self.free_memoized = free_memoized
 
     def execute(
         self,
@@ -527,9 +495,7 @@ class BatchExecutor:
             # hard budget stops the batch before a value lands in the memo
             # cache), then only the picked rows the memo does not know are
             # evaluated.
-            passed = udf.evaluate_rows(
-                table, retrieved, evaluate_mask, ledger, self.free_memoized
-            )
+            passed = udf.evaluate_rows(table, retrieved, evaluate_mask, ledger)
             chunks.append(fold_group(counts, retrieved, evaluate_mask, passed))
 
         if active_span is not None:

@@ -226,14 +226,10 @@ class ParallelBatchExecutor:
         Seed of the coin stream; a seed returns what
         :class:`~repro.core.executor.BatchExecutor` returns for it, whatever
         the shard layout or placement.
-    free_memoized:
-        Serving accounting — do not re-charge evaluations whose value the
-        UDF already memoised (same semantics as ``BatchExecutor``).
     """
 
-    def __init__(self, random_state: SeedLike = None, free_memoized: bool = False):
+    def __init__(self, random_state: SeedLike = None):
         self.random_state: RandomState = as_random_state(random_state)
-        self.free_memoized = free_memoized
 
     def evaluate_rows(
         self, table: Table, udf: UserDefinedFunction, row_ids: Sequence[int]
@@ -335,12 +331,10 @@ class ParallelBatchExecutor:
             if outcomes is not None:
                 passed = np.zeros(rows.size, dtype=bool)
                 passed[evaluate] = run.udf.merge_remote_evaluations(
-                    select_rows(rows, evaluate), outcomes, run.ledger, self.free_memoized
+                    select_rows(rows, evaluate), outcomes, run.ledger
                 )
             elif evaluate.any():
-                passed = run.udf.evaluate_rows(
-                    run.table, rows, evaluate, run.ledger, self.free_memoized
-                )
+                passed = run.udf.evaluate_rows(run.table, rows, evaluate, run.ledger)
             returned, counts = fold_span_outcomes(tasks, passed)
             shard_span.add("retrievals", int(rows.size))
             shard_span.add("udf_evals", run.ledger.evaluated_count - charged_before)

@@ -56,7 +56,7 @@ def _constraints_from_query(query: SelectQuery) -> QueryConstraints:
 
 
 def _probe_bulk_evaluator(
-    executor_factory: Optional[Callable[[RandomState], ExecutorBackend]],
+    executor_factory: Callable[[RandomState], ExecutorBackend],
     udf: UserDefinedFunction,
 ):
     """The executor's ``evaluate_rows`` bound to ``udf``, if it has one.
@@ -70,8 +70,6 @@ def _probe_bulk_evaluator(
     so fanning sampling/labelling evaluations across shards alters wall-clock
     only, never statistics.
     """
-    if executor_factory is None:
-        return None
     evaluate_rows = getattr(executor_factory(as_random_state(0)), "evaluate_rows", None)
     if evaluate_rows is None:
         return None
@@ -79,12 +77,16 @@ def _probe_bulk_evaluator(
 
 
 def _udf_from_query(query: SelectQuery) -> UserDefinedFunction:
+    """The one UDF predicate an approximate query optimises (pipeline and service)."""
     predicates = query.udf_predicates
     if not predicates:
-        raise ValueError("the query has no UDF predicate to optimize")
+        raise ValueError(
+            "approximate query has no UDF predicate to optimize; run it "
+            "exactly (alpha=beta=1) or add a UdfPredicate"
+        )
     if len(predicates) > 1:
         raise ValueError(
-            "IntelSample handles a single UDF predicate; use "
+            "the pipeline handles a single UDF predicate; use "
             "repro.core.extensions.multi_predicate for conjunctions"
         )
     return predicates[0].udf
@@ -129,7 +131,7 @@ class IntelSample:
         Fraction of rows labelled up-front for column selection / virtual
         column training (the paper uses 1%).
     executor_factory:
-        Optional factory mapping a :class:`RandomState` to an
+        Maps a :class:`RandomState` to an
         :class:`~repro.core.executor.ExecutorBackend`; defaults to the
         vectorised :class:`~repro.core.executor.BatchExecutor`.  Pass
         ``lambda rng: PlanExecutor(random_state=rng)`` to run on the
@@ -155,7 +157,7 @@ class IntelSample:
         self.independent = independent
         self.column_sample_fraction = column_sample_fraction
         self.random_state: RandomState = as_random_state(random_state)
-        self.executor_factory = executor_factory
+        self.executor_factory = executor_factory or BatchExecutor
 
     # -- engine strategy protocol ---------------------------------------------------
     def run(self, table: Table, query: SelectQuery, ledger: CostLedger) -> QueryResult:
@@ -295,33 +297,19 @@ class IntelSample:
             )
             section.annotate("sampled", outcome.total_sampled)
 
-        # Step 3 — solve Convex Program 4.1.  Since the PR-2 joint repair,
-        # the solvers raise InfeasibleProblemError only when the margined
-        # program genuinely has no solution (not merely because the greedy
-        # ran out of evaluation headroom), so the exhaustive fallback is the
-        # *only* remaining answer rather than a conservative default.
-        used_fallback = False
+        # Step 3 — solve Convex Program 4.1 (an infeasible program is
+        # answered by evaluating everything, with ``used_fallback`` set).
         check_deadline("pipeline")
         with _span("solve", ledger=ledger) as section:
             _metrics.counter("repro_solver_calls_total", strategy="intel_sample").inc()
-            try:
-                solution = solve_with_samples(
-                    index,
-                    outcome,
-                    constraints,
-                    cost_model=cost_model,
-                    independent=self.independent,
-                )
-                plan = solution.plan
-                model = solution.model
-                expected_cost = solution.expected_total_cost
-                used_fallback = solution.used_fallback
-            except InfeasibleProblemError:
-                plan = ExecutionPlan.evaluate_everything(index.values)
-                model = SelectivityModel.from_sample_outcome(index, outcome)
-                expected_cost = plan.expected_cost(model, cost_model)
-                used_fallback = True
-            if used_fallback:
+            solution = solve_with_samples(
+                index,
+                outcome,
+                constraints,
+                cost_model=cost_model,
+                independent=self.independent,
+            )
+            if solution.used_fallback:
                 section.annotate("used_fallback", True)
 
         # Step 4 — execute.  The span carries no ledger: the executor
@@ -330,23 +318,19 @@ class IntelSample:
         # double-counted across the tree.
         check_deadline("pipeline")
         with _span("execute"):
-            executor_rng = self.random_state.child()
-            if self.executor_factory is not None:
-                executor: ExecutorBackend = self.executor_factory(executor_rng)
-            else:
-                executor = BatchExecutor(random_state=executor_rng)
+            executor = self.executor_factory(self.random_state.child())
             result = executor.execute(
-                working_table, index, udf, plan, ledger, sample_outcome=outcome
+                working_table, index, udf, solution.plan, ledger, sample_outcome=outcome
             )
 
         report = IntelSampleReport(
             correlated_column=column,
             used_virtual_column=used_virtual,
             sample_size=outcome.total_sampled,
-            plan=plan,
-            model=model,
-            expected_cost=expected_cost,
-            used_fallback=used_fallback,
+            plan=solution.plan,
+            model=solution.model,
+            expected_cost=solution.expected_total_cost,
+            used_fallback=solution.used_fallback,
             column_costs=column_costs,
             labeled=labeled,
             sample_outcome=outcome,
@@ -381,7 +365,7 @@ class OptimalOracle:
     ):
         self.correlated_column = correlated_column
         self.random_state: RandomState = as_random_state(random_state)
-        self.executor_factory = executor_factory
+        self.executor_factory = executor_factory or BatchExecutor
 
     def run(self, table: Table, query: SelectQuery, ledger: CostLedger) -> QueryResult:
         """Engine strategy entry point."""
@@ -440,11 +424,7 @@ class OptimalOracle:
 
         check_deadline("pipeline")
         with _span("execute"):
-            executor_rng = self.random_state.child()
-            if self.executor_factory is not None:
-                executor: ExecutorBackend = self.executor_factory(executor_rng)
-            else:
-                executor = BatchExecutor(random_state=executor_rng)
+            executor = self.executor_factory(self.random_state.child())
             result = executor.execute(table, index, udf, plan, ledger)
         return QueryResult(
             row_ids=result.returned_row_ids,

@@ -36,11 +36,11 @@ one harvest and one retry-then-give-up loop
   order, exactly what the inline path would have charged: the span's
   retrievals, then one
   :meth:`~repro.db.udf.UserDefinedFunction.merge_remote_evaluations` — the
-  inline path's one memo read, which charges the evaluations
-  (``free_memoized`` consults the parent's memo) before it absorbs the
-  outcomes into the memo cache with serial-identical counter advances —
-  then the same fold.  A hard budget trips at the same span boundary as
-  inline, and later spans are never absorbed.
+  inline path's one memo read, which charges the evaluations under the
+  ledger's accounting (serving accounting consults the parent's memo)
+  before it absorbs the outcomes into the memo cache with serial-identical
+  counter advances — then the same fold.  A hard budget trips at the same
+  span boundary as inline, and later spans are never absorbed.
 
 Because the coins are the parent's and UDF outcomes are deterministic,
 results and every gated work counter are **bitwise identical** to the
@@ -276,11 +276,10 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         self,
         random_state=None,
         max_workers: Optional[int] = None,
-        free_memoized: bool = False,
         breaker: Optional[CircuitBreaker] = None,
         on_degraded: Optional[Callable[[str], None]] = None,
     ):
-        super().__init__(random_state=random_state, free_memoized=free_memoized)
+        super().__init__(random_state=random_state)
         workers = default_max_workers() if max_workers is None else int(max_workers)
         if workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")

@@ -22,6 +22,7 @@ from repro.core.plan import ExecutionPlan
 from repro.db.index import GroupIndex
 from repro.sampling.sampler import SampleOutcome
 from repro.solvers.convex import ConvexSolver
+from repro.solvers.linear import InfeasibleProblemError
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,40 @@ def solve_with_samples(
     independent: bool = True,
     solver: Optional[ConvexSolver] = None,
 ) -> SamplingProgramSolution:
-    """Build the model from ``outcome`` and solve Convex Program 4.1."""
+    """Build the model from ``outcome`` and solve Convex Program 4.1.
+
+    The solvers raise :class:`~repro.solvers.linear.InfeasibleProblemError`
+    only when the margined program has no solution (not merely when the
+    greedy runs out of evaluation headroom), and then evaluating everything
+    is the only correct plan: that is the answer, with ``used_fallback`` set.
+    """
     model = SelectivityModel.from_sample_outcome(index, outcome)
-    return solve_from_model(
-        model,
-        constraints,
-        cost_model=cost_model,
-        independent=independent,
-        solver=solver,
+    try:
+        return solve_from_model(
+            model,
+            constraints,
+            cost_model=cost_model,
+            independent=independent,
+            solver=solver,
+        )
+    except InfeasibleProblemError:
+        plan = ExecutionPlan.evaluate_everything(index.values)
+        return SamplingProgramSolution(
+            plan=plan,
+            model=model,
+            expected_execution_cost=plan.expected_cost(
+                model, cost_model, include_sampling=False
+            ),
+            sunk_sampling_cost=_sunk_sampling_cost(model, cost_model),
+            independent=independent,
+            used_fallback=True,
+        )
+
+
+def _sunk_sampling_cost(model: SelectivityModel, cost_model: CostModel) -> float:
+    """One retrieval plus one evaluation per sampled tuple."""
+    return sum(group.sampled for group in model) * (
+        cost_model.retrieval_cost + cost_model.evaluation_cost
     )
 
 
@@ -75,14 +102,11 @@ def solve_from_model(
         independent=independent,
         solver=solver,
     )
-    sunk = sum(group.sampled for group in model) * (
-        cost_model.retrieval_cost + cost_model.evaluation_cost
-    )
     return SamplingProgramSolution(
         plan=solution.plan,
         model=model,
         expected_execution_cost=solution.expected_cost,
-        sunk_sampling_cost=sunk,
+        sunk_sampling_cost=_sunk_sampling_cost(model, cost_model),
         independent=solution.independent,
         used_fallback=solution.used_fallback,
     )

@@ -41,6 +41,17 @@ class CostLedger:
         Cost ``o_r`` charged per retrieved tuple.
     evaluation_cost:
         Cost ``o_e`` charged per UDF evaluation.
+    free_memoized:
+        The accounting of the request this ledger belongs to.  ``False``
+        (the default) keeps the paper's: every execution-phase evaluation is
+        charged.  ``True`` is serving accounting: the bulk UDF entry points
+        (:meth:`UserDefinedFunction.evaluate_rows` and
+        :meth:`UserDefinedFunction.merge_remote_evaluations`, which every
+        vectorised executor charges through) do not charge again for rows
+        whose value is already memoised, as a production system never pays
+        twice for the same expensive predicate.  The tuple-at-a-time
+        reference, :class:`~repro.core.executor.PlanExecutor`, always charges
+        the paper's way.
     """
 
     retrieval_cost: float = 1.0
@@ -48,6 +59,7 @@ class CostLedger:
     retrieved_count: int = 0
     evaluated_count: int = 0
     _budget: Optional[float] = None
+    free_memoized: bool = False
 
     def __post_init__(self) -> None:
         if self.retrieval_cost < 0 or self.evaluation_cost < 0:
@@ -323,7 +335,6 @@ class UserDefinedFunction:
         row_ids: Iterable[int],
         mask: Optional[np.ndarray] = None,
         ledger: Optional[CostLedger] = None,
-        free_memoized: bool = False,
     ) -> np.ndarray:
         """Evaluate the UDF on many rows at once, returning a boolean array.
 
@@ -334,9 +345,10 @@ class UserDefinedFunction:
         split into answered and pending rows all come from that read.
 
         ``ledger``, when given, is charged first, before any UDF work: every
-        picked row, or with ``free_memoized`` (serving accounting) only the
-        picked rows the memo does not know — so a hard budget raises before
-        any counter moves or any value is memoised.  Picked rows the memo
+        picked row, or under the ledger's serving accounting (see
+        :class:`CostLedger`) only the picked rows the memo does not know — so
+        a hard budget raises before any counter moves or any value is
+        memoised.  Picked rows the memo
         knows are answered from it (counted as hits); only the rest invoke
         the function, in the order given.  Label-column UDFs take a
         vectorised fast path through :meth:`Table.gather_column`; arbitrary
@@ -355,7 +367,7 @@ class UserDefinedFunction:
                     f"mask shape {mask.shape} does not match row_ids shape {id_array.shape}"
                 )
         results, pending_positions, pending_array = self._bulk_split(
-            id_array, oracle, mask, ledger, free_memoized, evaluating=True
+            id_array, oracle, mask, ledger, evaluating=True
         )
         if pending_array.size:
             if self.vectorised_on(table):
@@ -385,7 +397,6 @@ class UserDefinedFunction:
         row_ids: Iterable[int],
         outcomes: Iterable[bool],
         ledger: Optional[CostLedger] = None,
-        free_memoized: bool = False,
     ) -> np.ndarray:
         """Fold UDF outcomes evaluated in a worker process into this instance.
 
@@ -410,7 +421,7 @@ class UserDefinedFunction:
                 f"row_ids shape {id_array.shape}"
             )
         results, pending_positions, pending_array = self._bulk_split(
-            id_array, oracle, None, ledger, free_memoized
+            id_array, oracle, None, ledger
         )
         if pending_array.size:
             fresh = (
@@ -449,15 +460,14 @@ class UserDefinedFunction:
         oracle: bool,
         mask: Optional[np.ndarray],
         ledger: Optional[CostLedger],
-        free_memoized: bool,
         evaluating: bool = False,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """The one memo read of a bulk call: charge, count, split.
 
         Reads the memo once over ``id_array`` and, from that read, charges
-        ``ledger`` for the rows ``mask`` picks (all of them, or with
-        ``free_memoized`` the unknown ones), fires the ``udf_eval`` fault site
-        when ``evaluating``, counts one bulk call plus the picked rows the
+        ``ledger`` for the rows ``mask`` picks (all of them, or under the
+        ledger's serving accounting the unknown ones), fires the ``udf_eval``
+        fault site when ``evaluating``, counts one bulk call plus the picked rows the
         memo answered, and returns ``(results, pending_positions,
         pending_array)``: ``results`` has memo-answered positions filled in
         (``False`` outside the mask), ``pending_array`` holds the row ids
@@ -487,7 +497,7 @@ class UserDefinedFunction:
                 pending_positions = None
         picked = id_array.size if mask is None else int(np.count_nonzero(mask))
         if ledger is not None:
-            charge = int(pending_array.size) if free_memoized else picked
+            charge = int(pending_array.size) if ledger.free_memoized else picked
             if charge:
                 ledger.charge_evaluation(charge)
         if evaluating:

@@ -54,8 +54,9 @@ class ServiceConfig:
         UDF-cost budget assigned to implicitly created client sessions.
     free_memoized:
         Serving accounting: do not re-charge evaluations whose value the UDF
-        already memoised.  Cold pipeline runs always use the paper's
-        accounting.
+        already memoised.  The service sets it on the ledger of every hit and
+        every refresh (:attr:`~repro.db.udf.CostLedger.free_memoized`); cold
+        pipeline runs keep the paper's accounting.
     max_concurrency:
         Threads executing requests for the asyncio front-end
         (:meth:`QueryService.submit_async`); bounds how many requests run at

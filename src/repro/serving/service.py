@@ -85,9 +85,9 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Un
 
 from repro.core.column_selection import top_up_labeled_sample
 from repro.core.constraints import CostModel, QueryConstraints
-from repro.core.executor import BatchExecutor, ExecutorAware, ExecutorBackend
+from repro.core.executor import BatchExecutor, ExecutorBackend
 from repro.core.extensions.budget import solve_budgeted_recall
-from repro.core.pipeline import IntelSample, _probe_bulk_evaluator
+from repro.core.pipeline import IntelSample, _probe_bulk_evaluator, _udf_from_query
 from repro.core.procpool import (
     ProcessPoolBatchExecutor,
     _discard_process_pool,
@@ -100,7 +100,7 @@ from repro.db.shm import release_exports
 from repro.db.storage import CatalogStore
 from repro.db.storage.store import storage_counters
 from repro.db.table import Table
-from repro.db.udf import CostLedger, UserDefinedFunction
+from repro.db.udf import CostLedger
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.obs.trace import Trace
@@ -225,10 +225,10 @@ class QueryService:
         default builds an :class:`IntelSample` wired to this service's
         executor backend.  The factory must produce identically-configured
         strategies — the configuration is part of every plan signature.
-        With the ``"process"`` backend the strategies must
-        implement :class:`~repro.core.executor.ExecutorAware`, otherwise
-        the backend would be silently dropped on refresh traffic (checked
-        at construction).
+        A pipeline run (cold or refresh) executes on the strategy's own
+        ``executor_factory``; a plan-cache hit executes on this service's
+        backend.  Either way the service sets the accounting on the
+        request's ledger, never on the strategy.
     sessions:
         Session manager for admission control; a default manager with
         ``config.default_budget`` is created when omitted.
@@ -269,16 +269,6 @@ class QueryService:
             if strategy_factory is None
             else strategy_factory(as_random_state(0))
         )
-        if self.executor_backend == "process" and not isinstance(
-            self._strategy_prototype, ExecutorAware
-        ):
-            raise TypeError(
-                f"strategy {type(self._strategy_prototype).__name__} does not "
-                "implement ExecutorAware (no executor_factory attribute), so "
-                f"the {self.executor_backend!r} executor backend would be "
-                "silently dropped on cold and refresh traffic; accept an "
-                "executor_factory or use the 'serial' backend"
-            )
         self._metrics_lock = threading.Lock()
         self._metrics: Dict[str, int] = {
             "queries": 0,
@@ -364,10 +354,7 @@ class QueryService:
         """One request's strategy: the injected factory's, else the default."""
         if self._strategy_factory is not None:
             return self._strategy_factory(random_state)
-        return IntelSample(
-            random_state=random_state,
-            executor_factory=partial(self._executor, free_memoized=False),
-        )
+        return IntelSample(random_state=random_state, executor_factory=self._executor)
 
     def _discover_residency(self):
         """The ResidencyManager behind this catalog's lazy tables, if any.
@@ -406,16 +393,15 @@ class QueryService:
             _DEGRADED.set(reason)
             self._count("degraded")
 
-    def _executor(
-        self, random_state: RandomState, free_memoized: bool
-    ) -> ExecutorBackend:
+    def _executor(self, random_state: RandomState) -> ExecutorBackend:
         """One request's executor for the configured backend.
 
-        ``free_memoized`` is the accounting: the cold pipeline keeps the
-        paper's charging semantics (``False``); serving accounting
-        (``config.free_memoized``) applies on warm paths.  Construction is
-        configuration only — it touches no breaker state, so the pipeline
-        may build a throwaway executor just to bind its ``evaluate_rows``.
+        The accounting is not the executor's: it rides on the request's
+        ledger (:attr:`~repro.db.udf.CostLedger.free_memoized`), which a
+        cold run leaves at the paper's and hits and refreshes set to
+        ``config.free_memoized``.  Construction is configuration only — it
+        touches no breaker state, so the pipeline may build a throwaway
+        executor just to bind its ``evaluate_rows``.
         The ``process`` executor asks the service's breaker itself, where it
         is about to use the pool: refused (repeated pool faults), it runs
         its spans inline — bitwise-identical results, just not multi-core —
@@ -424,11 +410,10 @@ class QueryService:
         the probe's outcome back through the shared breaker.
         """
         if self.executor_backend == "serial":
-            return BatchExecutor(random_state=random_state, free_memoized=free_memoized)
+            return BatchExecutor(random_state=random_state)
         return ProcessPoolBatchExecutor(
             random_state=random_state,
             max_workers=self.max_workers,
-            free_memoized=free_memoized,
             breaker=self.breaker,
             on_degraded=self._note_degraded,
         )
@@ -888,7 +873,7 @@ class QueryService:
             live is not None
             and self.executor_backend != "process"
             and (client_id is None or self.sessions.session(client_id).budget is None)
-            and self._query_udf(query).vectorised_on(live.working_table)
+            and _udf_from_query(query).vectorised_on(live.working_table)
         )
 
     def _join_flight(
@@ -1177,7 +1162,7 @@ class QueryService:
         was cached under their keys, at the table's current generation.
         """
         table = self.catalog.table(query.table)
-        udf = self._query_udf(query)
+        udf = _udf_from_query(query)
         constraints = QueryConstraints(alpha=query.alpha, beta=query.beta, rho=query.rho)
         strategy = self.strategy_factory(as_random_state(seed))
         cached_labeled = None
@@ -1194,15 +1179,10 @@ class QueryService:
             self._count("pipeline_runs")
         else:
             column, label = entry.column, "refresh"
-            executor_factory = None
-            if isinstance(strategy, ExecutorAware):
-                # A refresh is warm-path traffic: serving accounting applies, so
-                # the execution step never re-charges evaluations the UDF already
-                # memoised — the ledger then reads delta-proportional, which the
-                # update benchmark gates.
-                executor_factory = strategy.executor_factory = partial(
-                    self._executor, free_memoized=self.free_memoized
-                )
+            # A refresh is warm-path traffic: serving accounting applies, so
+            # the execution step never re-charges evaluations the UDF already
+            # memoised — the ledger then reads delta-proportional.
+            ledger.free_memoized = self.free_memoized
             if self.stats_cache.enabled:
                 # The delta top-up is the refresh path's own UDF spend (the rest
                 # happens inside the pipeline's spans), so it gets a ledger-diffed
@@ -1230,7 +1210,7 @@ class QueryService:
                                 # counter-based, so the fan never changes the
                                 # sample).
                                 bulk_evaluator=_probe_bulk_evaluator(
-                                    executor_factory, udf
+                                    self._executor, udf
                                 ),
                             )
                     stale_outcome = self.stats_cache.stale_outcome(
@@ -1314,7 +1294,7 @@ class QueryService:
         signature: Tuple,
     ) -> QueryResult:
         """Execute a cached plan: no labelling, no sampling, no solver."""
-        udf = self._query_udf(query)
+        udf = _udf_from_query(query)
         udf_counters_before = udf.counter_snapshot()
         index = self.stats_cache.get_index(entry.working_table, entry.column)
 
@@ -1348,9 +1328,9 @@ class QueryService:
             if session is not None:
                 session.degraded += 1
 
+        ledger.free_memoized = self.free_memoized
         with _span("execute"):
-            executor = self._executor(as_random_state(seed), self.free_memoized)
-            execution = executor.execute(
+            execution = self._executor(as_random_state(seed)).execute(
                 entry.working_table,
                 index,
                 udf,
@@ -1372,21 +1352,6 @@ class QueryService:
                 "udf_cache": udf.counter_delta(udf_counters_before),
             },
         )
-
-    # -- helpers -------------------------------------------------------------------
-    def _query_udf(self, query: SelectQuery) -> UserDefinedFunction:
-        predicates = query.udf_predicates
-        if not predicates:
-            raise ValueError(
-                "approximate query has no UDF predicate to optimize; run it "
-                "exactly (alpha=beta=1) or add a UdfPredicate"
-            )
-        if len(predicates) > 1:
-            raise ValueError(
-                "the serving pipeline handles a single UDF predicate; use "
-                "repro.core.extensions.multi_predicate for conjunctions"
-            )
-        return predicates[0].udf
 
     # -- lifecycle -----------------------------------------------------------------
     def save_warm_state(self) -> Dict[str, int]:

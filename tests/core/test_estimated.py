@@ -8,6 +8,7 @@ from repro.core.bigreedy import solve_bigreedy
 from repro.core.constraints import CostModel, QueryConstraints
 from repro.core.estimated import solve_estimated_selectivity
 from repro.core.groups import GroupStatistics, SelectivityModel
+from repro.core.plan import ExecutionPlan
 from repro.core.sampling_program import solve_from_model, solve_with_samples
 from repro.db.index import GroupIndex
 from repro.db.udf import CostLedger
@@ -161,16 +162,21 @@ class TestUnknownCorrelationsProgram:
 
 
 class TestSamplingProgram:
-    def test_solution_from_samples(self, toy_table, toy_index, toy_udf):
+    @pytest.mark.parametrize("level", [0.5, 0.9], ids=["feasible", "infeasible"])
+    def test_solution_from_samples(self, toy_table, toy_index, toy_udf, level):
         ledger = CostLedger()
         outcome = GroupSampler(random_state=0).sample(
             toy_table, toy_index, toy_udf, {1: 2, 2: 2, 3: 2}, ledger
         )
         solution = solve_with_samples(
-            toy_index, outcome, QueryConstraints(0.5, 0.5, 0.5), CostModel()
+            toy_index, outcome, QueryConstraints(level, level, level), CostModel()
         )
         assert solution.sunk_sampling_cost == pytest.approx(6 * 4.0)
         assert solution.expected_total_cost >= solution.expected_execution_cost
+        if level == 0.9:  # two samples a group cannot meet .9: evaluate everything
+            plan = ExecutionPlan.evaluate_everything(toy_index.values)
+            assert solution.used_fallback and solution.plan.decisions == plan.decisions
+            assert solution.expected_total_cost == plan.expected_cost(solution.model, CostModel())
 
     def test_solve_from_model_equivalent(self, estimated_model, default_constraints):
         direct = solve_from_model(estimated_model, default_constraints)

@@ -250,10 +250,10 @@ def test_the_memo_read_gate_sees_a_second_read(warm_hits_service, monkeypatch):
     service, queries = warm_hits_service
     evaluate = UserDefinedFunction.evaluate_rows
 
-    def priced_twice(self, table, row_ids, mask=None, ledger=None, free_memoized=False):
-        if ledger is not None and free_memoized:
+    def priced_twice(self, table, row_ids, mask=None, ledger=None):
+        if ledger is not None and ledger.free_memoized:
             self._memo_states(np.asarray(row_ids, dtype=np.intp))
-        return evaluate(self, table, row_ids, mask, ledger, free_memoized)
+        return evaluate(self, table, row_ids, mask, ledger)
 
     monkeypatch.setattr(UserDefinedFunction, "evaluate_rows", priced_twice)
     reads, bulk = _reads_and_bulk_calls(

@@ -57,8 +57,8 @@ def _mixed_plan(index):
 def _execute(table, seed=7, sample_outcome=None, free_memoized=False, udf=None):
     index = table.group_index("A")
     plan = _mixed_plan(index)
-    ledger = CostLedger()
-    executor = ParallelBatchExecutor(random_state=seed, free_memoized=free_memoized)
+    ledger = CostLedger(free_memoized=free_memoized)
+    executor = ParallelBatchExecutor(random_state=seed)
     result = executor.execute(
         table, index, udf or _udf(), plan, ledger, sample_outcome=sample_outcome
     )

@@ -83,9 +83,9 @@ def _execute(table, executor_cls, udf, workers=None, seed=7, free_memoized=False
     """Run the mixed plan; ``workers`` sizes a process pool (inline: ``None``)."""
     index = table.group_index("A")
     plan = _mixed_plan(index)
-    ledger = ledger if ledger is not None else CostLedger()
+    ledger = ledger if ledger is not None else CostLedger(free_memoized=free_memoized)
     sizing = {} if workers is None else {"max_workers": workers}
-    executor = executor_cls(random_state=seed, free_memoized=free_memoized, **sizing)
+    executor = executor_cls(random_state=seed, **sizing)
     result = executor.execute(
         table, index, udf, plan, ledger, sample_outcome=sample_outcome
     )

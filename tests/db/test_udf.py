@@ -7,8 +7,8 @@ from repro.db.errors import BudgetExhaustedError, DuplicateObjectError, UdfNotFo
 from repro.db.udf import CostLedger, UdfRegistry, UserDefinedFunction
 
 
-def _ledger_with_budget(budget):
-    ledger = CostLedger(retrieval_cost=1.0, evaluation_cost=3.0)
+def _ledger_with_budget(budget, free_memoized=False):
+    ledger = CostLedger(retrieval_cost=1.0, evaluation_cost=3.0, free_memoized=free_memoized)
     ledger.set_budget(budget)
     return ledger
 
@@ -119,13 +119,12 @@ class TestUserDefinedFunction:
         if masked:
             # Rows 4 and 5 are not picked: not evaluated, not counted, False
             # (row 5 is a positive), and the ledger pays for row 3 only.
-            ledger = CostLedger()
+            ledger = CostLedger(free_memoized=True)
             got = udf.evaluate_rows(
                 toy_table,
                 [1, 4, 2, 5, 3],
                 np.array([True, False, True, False, True]),
                 ledger,
-                free_memoized=True,
             )
             assert got.tolist() == [True, False, True, False, True]
             assert ledger.evaluated_count == 1
@@ -154,9 +153,9 @@ class TestUserDefinedFunction:
         before = udf.counter_snapshot()
         ids = list(toy_table.row_ids)
         mask = np.array([row % 2 == 0 for row in ids]) if masked else None
-        ledger = CostLedger()
+        ledger = CostLedger(free_memoized=True)
         with udf.oracle_mode():
-            outcomes = udf.evaluate_rows(toy_table, ids, mask, ledger, free_memoized=True)
+            outcomes = udf.evaluate_rows(toy_table, ids, mask, ledger)
         assert bool(outcomes[0]) is True
         assert bool(outcomes[1]) is not masked  # row 1 is a positive, picked when unmasked
         # The ledger is the caller's: it is charged (rows the memo does not
@@ -219,7 +218,7 @@ class TestUserDefinedFunction:
             ),
             pytest.param(
                 lambda udf, table: udf.evaluate_rows(
-                    table, [1, -1], np.array([True, True]), CostLedger(), True
+                    table, [1, -1], np.array([True, True]), CostLedger(free_memoized=True)
                 ),
                 IndexError,
                 id="evaluate_rows_masked",
@@ -242,7 +241,7 @@ class TestUserDefinedFunction:
             # trips before any counter moves, any UDF work or memo write.
             pytest.param(
                 lambda udf, table: udf.evaluate_rows(
-                    table, [0, 3, 2], None, _ledger_with_budget(2.0), True
+                    table, [0, 3, 2], None, _ledger_with_budget(2.0, free_memoized=True)
                 ),
                 BudgetExhaustedError,
                 id="budget",
@@ -270,12 +269,12 @@ class TestUserDefinedFunction:
         # it (3 > a budget of 2) before the gather could touch a missing row.
         with pytest.raises(BudgetExhaustedError):
             udf.evaluate_rows(
-                toy_table, [1, beyond, 0], ledger=_ledger_with_budget(2.0), free_memoized=True
+                toy_table, [1, beyond, 0], ledger=_ledger_with_budget(2.0, free_memoized=True)
             )
         # Left out of the mask it is never read, evaluated or charged.
-        ledger = CostLedger()
+        ledger = CostLedger(free_memoized=True)
         got = udf.evaluate_rows(
-            toy_table, [1, beyond, 0], np.array([True, False, True]), ledger, True
+            toy_table, [1, beyond, 0], np.array([True, False, True]), ledger
         )
         assert got.tolist() == [True, False, True]
         assert ledger.evaluated_count == 0

@@ -175,9 +175,9 @@ class TestExecutorSeedForSeed:
         )
         if backend == "inline_spans":
             table = ShardedTable.from_table(table, num_shards=2)
-            executor = ParallelBatchExecutor(3, free_memoized=free_memoized)
+            executor = ParallelBatchExecutor(3)
         else:
-            executor = BatchExecutor(3, free_memoized=free_memoized)
+            executor = BatchExecutor(3)
         called = []
         if edge == "call_order":
 
@@ -191,7 +191,7 @@ class TestExecutorSeedForSeed:
         if edge != "no_memo":  # else the memo is a fresh UDF's: empty
             udf.evaluate_rows(table, [0, 5])
         del called[:]
-        ledger = CostLedger(retrieval_cost=1.0, evaluation_cost=3.0)
+        ledger = CostLedger(retrieval_cost=1.0, evaluation_cost=3.0, free_memoized=free_memoized)
         if edge == "budget":
             # x: 4 retrievals + its evaluations (4, or the 3 unknown) fit in
             # 20; y's 4 retrievals fit too, its evaluations do not.
@@ -350,12 +350,12 @@ def _assert_equals_reference(
     runs = []
     for tag, backend in (
         ("span", executor),
-        ("batch", BatchExecutor(seed, free_memoized=free_memoized)),
+        ("batch", BatchExecutor(seed)),
         ("reference", PlanExecutor(seed)),
     ):
         udf = make_udf(tag)
         udf.evaluate_rows(table, prepaid)  # so free_memoized has something to skip
-        ledger = CostLedger()
+        ledger = CostLedger(free_memoized=free_memoized)
         result = backend.execute(table, index, udf, plan, ledger, sample_outcome=outcome)
         runs.append((result, ledger, udf))
     (result, ledger, udf), *references = runs
@@ -420,7 +420,7 @@ class TestSpanPathAgainstTheReference:
             make_udf = lambda tag: UserDefinedFunction.from_label_column(f"{tag}_label", "f")  # noqa: E731
         _assert_equals_reference(
             assert_same_rows,
-            ParallelBatchExecutor(seed, free_memoized=free_memoized),
+            ParallelBatchExecutor(seed),
             _span_table(columns, shards),
             make_udf,
             ExecutionPlan(decisions),
@@ -454,7 +454,7 @@ class TestSpanPathAgainstTheReference:
         try:
             _assert_equals_reference(
                 assert_same_rows,
-                ProcessPoolBatchExecutor(case_seed, max_workers=2, free_memoized=free_memoized),
+                ProcessPoolBatchExecutor(case_seed, max_workers=2),
                 table,
                 make_udf,
                 ExecutionPlan(decisions),

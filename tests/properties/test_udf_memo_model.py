@@ -154,12 +154,12 @@ def _known(udf, table, ids):
     known = []
     with udf.oracle_mode():
         for position in range(len(ids)):
-            ledger = CostLedger()
+            ledger = CostLedger(free_memoized=True)
             ledger.set_budget(0.0)
             mask = np.zeros(len(ids), dtype=bool)
             mask[position] = True
             try:
-                udf.evaluate_rows(table, ids, mask, ledger, free_memoized=True)
+                udf.evaluate_rows(table, ids, mask, ledger)
             except BudgetExhaustedError:
                 known.append(False)
             else:
@@ -196,14 +196,13 @@ def _run_case(kind, udf_kind, labels, ops):
                     ids, oracle, mask_seed = [i % len(truth) for i in op[1]], op[2], op[3]
                     mask = None if mask_seed is None else _bits(mask_seed, len(ids))
                     free_memoized = bool(mask_seed) and mask_seed % 3 == 0
-                    ledger = CostLedger()
+                    ledger = CostLedger(free_memoized=free_memoized)
                     with udf.oracle_mode() if oracle else nullcontext():
                         got = udf.evaluate_rows(
                             table,
                             ids,
                             None if mask is None else np.asarray(mask, dtype=bool),
                             ledger,
-                            free_memoized,
                         )
                     expected, pending = model.bulk(
                         ids, [truth[i] for i in ids], oracle, mask

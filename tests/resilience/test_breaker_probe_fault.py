@@ -122,8 +122,7 @@ class TestHalfOpenProbeFault:
             _trip_to_half_open(service)
             before = service.breaker.snapshot()
             executors = [
-                service._executor(as_random_state(seed), free_memoized=False)
-                for seed in range(10)
+                service._executor(as_random_state(seed)) for seed in range(10)
             ]
             assert all(isinstance(e, ProcessPoolBatchExecutor) for e in executors)
             assert service.breaker.snapshot() == before

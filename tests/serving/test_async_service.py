@@ -3,8 +3,8 @@
 Covers the api_redesign surface: ``submit_async`` semantics (deterministic
 coalescing with zero extra UDF work, typed ``Overloaded`` shedding that is
 always counted), the ``ServiceConfig``/legacy-kwarg shims, the unified
-``stats()`` snapshot with its legacy aliases, and the ``ExecutorAware``
-constructor validation that replaced the old ``hasattr`` duck-typing.
+``stats()`` snapshot with its legacy aliases, and a custom strategy factory
+served on the process backend.
 """
 
 import asyncio
@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from leakcheck import assert_no_leaked_resources
 
-from repro.core.executor import ExecutorAware
+from repro.core.pipeline import IntelSample
+from repro.core.procpool import ProcessPoolBatchExecutor
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
 from repro.db.predicate import UdfPredicate
@@ -608,30 +609,25 @@ class TestStatsSurface:
         assert stats.registry == {}  # the opt-in registry is off here
 
 
-class TestExecutorAwareValidation:
-    def test_non_aware_strategy_rejected_for_the_process_backend(self):
-        catalog, _ = _setup(name="jtab")
+class TestCustomStrategyOnTheProcessBackend:
+    def test_a_strategy_without_an_executor_factory_hits_on_the_pool(self, monkeypatch):
+        catalog, udf = _setup(name="jtab")
 
-        class Opaque:
+        class Opaque:  # answers as IntelSample does, with no executor_factory
             def __init__(self, random_state):
-                pass
+                self.answer = IntelSample(random_state=random_state).answer
 
-        with pytest.raises(TypeError, match="ExecutorAware"):
-            QueryService(
-                Engine(catalog),
-                strategy_factory=Opaque,
-                config=ServiceConfig(executor="process"),
-            )
-        # Serial backends never inject an executor, so anything goes.
-        QueryService(
-            Engine(catalog),
-            strategy_factory=Opaque,
-            config=ServiceConfig(executor="serial"),
+        executed = []
+        execute = ProcessPoolBatchExecutor.execute
+        monkeypatch.setattr(
+            ProcessPoolBatchExecutor,
+            "execute",
+            lambda self, *args, **kwargs: executed.append(self) or execute(self, *args, **kwargs),
         )
-
-    def test_default_strategy_is_executor_aware(self):
-        catalog, _ = _setup(name="ktab")
-        service = QueryService(
-            Engine(catalog), config=ServiceConfig(executor="process", max_workers=2)
-        )
-        assert isinstance(service._strategy_prototype, ExecutorAware)
+        config = ServiceConfig(executor="process", max_workers=1)
+        with QueryService(Engine(catalog), strategy_factory=Opaque, config=config) as service:
+            query = _query(udf, table="jtab")
+            assert service.submit(query, seed=0).metadata["plan_cache"] == "miss"
+            assert executed == []
+            assert service.submit(query, seed=1).metadata["plan_cache"] == "hit"
+            assert len(executed) == 1

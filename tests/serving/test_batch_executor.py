@@ -158,13 +158,13 @@ class TestFreeMemoized:
     def test_memoized_rows_not_recharged(self, toy_table, toy_udf, toy_index):
         plan = ExecutionPlan.evaluate_everything(toy_index.values)
         # First pass pays for every row and fills the memo cache.
-        first = BatchExecutor(random_state=0, free_memoized=True).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        first = BatchExecutor(random_state=0).execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(free_memoized=True)
         )
         assert first.ledger.evaluated_count == toy_table.num_rows
         # Second pass over the same rows is free under serving accounting.
-        second = BatchExecutor(random_state=1, free_memoized=True).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        second = BatchExecutor(random_state=1).execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(free_memoized=True)
         )
         assert second.ledger.evaluated_count == 0
         assert sorted(second.returned_row_ids) == sorted(first.returned_row_ids)
