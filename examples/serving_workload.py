@@ -66,10 +66,10 @@ at the same seed.  Pick a budget smaller than the printed segment bytes to
 see evictions; ``--scale 20`` grows the table to ~1M rows for an
 out-of-core-sized demonstration.
 
-``--metrics`` switches on the global :mod:`repro.obs` registry and installs
-a trace sink for the replay, then prints the ``stats()`` counter sections,
-the instruments the registry itself owns, per-path latency percentiles and
-the slowest query's span tree —
+``--metrics`` installs a trace sink for the replay, then prints the
+``stats()`` counter sections, the same snapshot as Prometheus text
+(``prometheus_text({"repro_service": stats().flat()})``), per-path latency
+percentiles and the slowest query's span tree —
 works in every mode, including ``--churn`` (refresh spans) and
 ``--shards/--workers`` (per-shard spans).
 """
@@ -95,7 +95,7 @@ from repro import (
     load_dataset,
 )
 from repro.db.storage import CatalogStore
-from repro.obs import CollectingTraceSink, disable_metrics, enable_metrics
+from repro.obs import CollectingTraceSink, prometheus_text
 from repro.stats.metrics import result_quality
 from repro.stats.random import RandomState
 
@@ -358,7 +358,7 @@ def demonstrate_bounded_memory(dataset, table, args, backend) -> None:
 
 
 def print_metrics_report(service, sink) -> None:
-    """Print the stats() sections, registry instruments, latency and slowest trace."""
+    """Print the stats() sections, their Prometheus text, latency and slowest trace."""
     snapshot = service.stats()
     print("\nobservability (--metrics)")
     print("  stats() counters (each read from the object that owns it):")
@@ -370,10 +370,15 @@ def print_metrics_report(service, sink) -> None:
     for section, counts in sections.items():
         shown = ", ".join(f"{key}={value:g}" for key, value in counts.items() if value)
         print(f"    {section:<20s} {shown}")
-    print("  registry-owned instruments (events no object counts):")
-    for kind in ("counters", "gauges"):
-        for name, value in snapshot.registry.get(kind, {}).items():
-            print(f"    {name:<58s} {value:>12,.0f}")
+    samples = [
+        line
+        for line in prometheus_text({"repro_service": snapshot.flat()}).splitlines()
+        if not line.startswith("#")
+    ]
+    print(f"  prometheus text of stats().flat() ({len(samples)} samples, non-zero shown):")
+    for line in samples:
+        if not line.endswith(" 0"):
+            print(f"    {line}")
     print("  per-path latency (ms):")
     for path, stats in sorted(snapshot.latency_ms.items()):
         if not stats["count"]:
@@ -444,8 +449,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--metrics", action="store_true",
-        help="enable the repro.obs registry + per-query tracing and print "
-        "the metrics snapshot and the slowest trace tree after the replay",
+        help="trace every query and print the stats() snapshot, its "
+        "Prometheus text and the slowest trace tree after the replay",
     )
     args = parser.parse_args()
 
@@ -473,7 +478,6 @@ def main() -> None:
     )
     sink = None
     if args.metrics:
-        enable_metrics()
         sink = CollectingTraceSink(capacity=TRACE_LENGTH)
         service.set_trace_sink(sink)
     trace = build_trace(dataset, udf, RandomState(2015))
@@ -547,7 +551,6 @@ def main() -> None:
 
     if args.metrics:
         print_metrics_report(service, sink)
-        disable_metrics()
     if not args.churn:
         # (under churn the bundle's precomputed truth is stale — the audit
         # above already recomputed it live through the engine)

@@ -62,8 +62,9 @@ it; this is the index.
   executor names, ``SERVICE_STATS_SCHEMA`` for :meth:`QueryService.stats`);
   :mod:`repro.serving.session`; :mod:`repro.serving.persistence` (warm
   restart).  Result metadata keys: :func:`repro.db.metadata_schema`.
-* **Observability** — :mod:`repro.obs` (opt-in metrics registry, per-query
-  trace trees and their sinks, Prometheus text).
+* **Observability** — :mod:`repro.obs` (per-query trace trees and their
+  sinks, the latency histogram, Prometheus text rendered from
+  ``QueryService.stats().flat()`` and the other snapshots).
 * **Resilience** — :mod:`repro.resilience` (:mod:`~repro.resilience.deadline`,
   :mod:`~repro.resilience.breaker`, deterministic fault injection in
   :mod:`~repro.resilience.faults`); shutdown is :meth:`QueryService.close`.
@@ -89,7 +90,7 @@ Removed in 1.7 (the pre-1.3 shims): the loose ``QueryService`` keywords
 ``"thread"`` / ``"reference"``; ``repro.serving.config.LEGACY_EXECUTORS`` is
 gone with them), and the stats aliases ``metrics()`` / ``metrics_snapshot()``
 / ``latency_snapshot()`` (read ``stats().serving`` / ``.plan_cache`` /
-``.stats_cache`` / ``.latency_ms`` / ``.registry``).  Removed in 1.8,
+``.stats_cache`` / ``.latency_ms``).  Removed in 1.8,
 because nothing ever set them: ``ServiceConfig.coalesce`` (coalescing is
 always on; ``stats().frontend["coalesce"]`` went with it) and
 ``ServiceConfig.breaker_probes`` (one half-open probe at a time, the
@@ -98,12 +99,10 @@ the mirror writes they served (every counter now has one home, see
 :mod:`repro.obs`): ``LRUCache(name=)``, ``repro.db.residency.residency_counters``
 / ``reset_residency_counters`` (read ``ResidencyManager.snapshot()``, which
 gained ``tables_materialised`` / ``tables_degraded``),
-``repro.obs.metrics.BoundCounterCache``, ``MetricsRegistry.enabled`` /
-``NullRegistry.enabled``, and the registry counters
+``repro.obs.metrics.BoundCounterCache``, the registry's ``enabled`` flags,
+and the registry counters
 ``repro_{serving,cache,udf,storage,residency,index,engine}_*_total`` (read
-``QueryService.stats()`` — or export it with
-``registry.register_collector("repro_service", lambda: service.stats().flat())``
-— and the ``repro_storage`` / ``repro_index`` / ``repro_residency`` collectors).
+``QueryService.stats()``).
 Removed in 1.10, with the per-row containers they were (paid-for evidence is
 one read-only ``(row_ids, flags)`` array pair in draw order,
 :class:`repro.sampling.sampler.Evidence`): ``GroupSample`` and
@@ -215,6 +214,25 @@ on hit and refresh ledgers): the ``free_memoized=`` keyword of
 protocol (the service no longer rewires a strategy's ``executor_factory``
 on refresh, so a strategy factory is accepted on every backend and a
 pipeline run executes on the strategy's own factory).
+Removed in 1.27, with the second counter store (every event is read from
+the object that sees it, and :func:`repro.obs.prometheus_text` renders named
+snapshots: ``prometheus_text({"repro_service": service.stats().flat(),
+"repro_storage": storage_counters()})``): ``repro.obs.metrics``'s
+``MetricsRegistry``, ``NullRegistry`` / ``NULL_REGISTRY``, ``Counter``,
+``Gauge``, ``REGISTRY_OWNED``, ``PROCESS_COLLECTORS``, ``get_registry`` /
+``set_registry`` / ``enable_metrics`` / ``disable_metrics`` and the
+``counter`` / ``gauge`` / ``histogram`` helpers (``Histogram`` stays, as
+``Histogram(buckets)``), ``ServiceStats.registry``, and
+``repro.db.residency.MAP_LATENCY_HISTOGRAM``.  Each registry instrument has
+a home: executor runs are ``stats().serving`` plan hits + misses +
+refreshes plus named-strategy runs; solver calls ``serving["solver_calls"]``; retried spans
+``resilience["retried_spans"]``; table appends ``Table.num_rows`` /
+``data_generation``; breaker transitions ``resilience["state"]`` /
+``["opened_count"]``; map latency ``ResidencyManager.snapshot()["maps"]`` /
+``["map_seconds_total"]``.  A process executor's fallback reason is told to
+its ``on_degraded`` callback, so every in-process fallback of a service
+request (not only ``breaker_open``) shows as ``metadata["degraded"]`` and
+``stats().serving["degraded"]``.
 """
 
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
@@ -261,11 +279,8 @@ from repro.db import (
 from repro.obs import (
     CollectingTraceSink,
     JsonLinesTraceSink,
-    MetricsRegistry,
     SlowQueryLog,
     Trace,
-    disable_metrics,
-    enable_metrics,
     prometheus_text,
 )
 from repro.resilience import (
@@ -292,7 +307,7 @@ from repro.serving import (
     StatisticsCache,
 )
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     "__version__",
@@ -367,9 +382,6 @@ __all__ = [
     "InjectedFault",
     "fault_scope",
     # observability
-    "MetricsRegistry",
-    "enable_metrics",
-    "disable_metrics",
     "prometheus_text",
     "Trace",
     "CollectingTraceSink",

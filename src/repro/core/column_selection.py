@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.ml.bucketer import ScoreBucketer
 from repro.ml.features import FeatureEncoder
 from repro.ml.logistic import LogisticRegression
-from repro.sampling.sampler import Evidence, SampleOutcome, member_mask
+from repro.sampling.sampler import BulkEvaluator, Evidence, SampleOutcome, member_mask
 from repro.solvers.linear import InfeasibleProblemError
 from repro.stats.beta import BetaPosterior
 from repro.stats.random import (
@@ -65,7 +65,7 @@ def draw_labeled_sample(
     fraction: float = 0.01,
     minimum_size: int = 50,
     random_state: SeedLike = None,
-    bulk_evaluator: Optional[Callable[[Table, np.ndarray], np.ndarray]] = None,
+    bulk_evaluator: Optional[BulkEvaluator] = None,
 ) -> LabeledSample:
     """Uniformly sample rows and evaluate the UDF on them (charging costs).
 
@@ -80,12 +80,12 @@ def draw_labeled_sample(
     count = max(minimum_size, int(round(fraction * table.num_rows)))
     count = min(count, table.num_rows)
     chosen = np.atleast_1d(rng.choice(table.num_rows, size=count, replace=False))
-    # Bulk charge + one batched UDF call: identical counter/ledger totals to
-    # the historical per-row loop, minus the per-tuple python overhead.
+    # Bulk charge + one batched UDF call, which charges the evaluations
+    # under the ledger's accounting: identical counter/ledger totals to the
+    # historical per-row loop, minus the per-tuple python overhead.
     ledger.charge_retrieval(int(chosen.size))
-    ledger.charge_evaluation(int(chosen.size))
     evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-    return LabeledSample(chosen, evaluate(table, chosen))
+    return LabeledSample(chosen, evaluate(table, chosen, ledger=ledger))
 
 
 #: Phase tags separating the admission and eviction coin streams of the
@@ -103,7 +103,7 @@ def top_up_labeled_sample(
     fraction: float = 0.01,
     minimum_size: int = 50,
     stream_seed: int = 0,
-    bulk_evaluator: Optional[Callable[[Table, np.ndarray], np.ndarray]] = None,
+    bulk_evaluator: Optional[BulkEvaluator] = None,
 ) -> LabeledSample:
     """Reservoir-style top-up of a labelled sample after rows were appended.
 
@@ -191,15 +191,15 @@ def top_up_labeled_sample(
 
     # Charge and evaluate only the *surviving newly admitted* rows (their
     # labels were never paid for); survivors of the old sample carry their
-    # existing labels over for free.
+    # existing labels over for free.  The evaluation charges under the
+    # ledger's accounting, like the sampler's.
     fresh = members[np.searchsorted(members, previous_rows) :]
     survived = member_mask(members, labeled.row_ids)
     flags = labeled.flags[survived]
     if fresh.size:
         ledger.charge_retrieval(int(fresh.size))
-        ledger.charge_evaluation(int(fresh.size))
         evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-        flags = np.concatenate([flags, evaluate(table, fresh)])
+        flags = np.concatenate([flags, evaluate(table, fresh, ledger=ledger)])
     return LabeledSample(np.concatenate([labeled.row_ids[survived], fresh]), flags)
 
 

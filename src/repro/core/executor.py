@@ -157,7 +157,6 @@ from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.db.index import GroupIndex
 from repro.db.table import Table, as_row_ids, select_rows
 from repro.db.udf import CostLedger, UserDefinedFunction
-from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience.deadline import check_deadline
 from repro.sampling.sampler import SampleOutcome, candidate_frame
@@ -349,7 +348,6 @@ class PlanExecutor:
         probabilistic pass and their positive members join the output
         directly.
         """
-        _metrics.counter("repro_executor_runs_total", backend="serial").inc()
         # Serial executors attribute their ledger advance to the *current*
         # trace span (the pipeline's execute step).  The parallel backend
         # instead attributes work to its per-shard child spans, so each
@@ -456,7 +454,6 @@ class BatchExecutor:
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
         """Run ``plan`` over every group of ``index`` (vectorised)."""
-        _metrics.counter("repro_executor_runs_total", backend="batch").inc()
         # See PlanExecutor.execute: serial backends put their ledger advance
         # on the current trace span.
         active_span = _trace.current_span()

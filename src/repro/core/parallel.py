@@ -58,7 +58,6 @@ from repro.core.plan import ExecutionPlan
 from repro.db.index import GroupIndex
 from repro.db.table import Table, select_rows
 from repro.db.udf import CostLedger, UserDefinedFunction
-from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience.deadline import check_deadline
 from repro.sampling.sampler import SampleOutcome
@@ -232,11 +231,16 @@ class ParallelBatchExecutor:
         self.random_state: RandomState = as_random_state(random_state)
 
     def evaluate_rows(
-        self, table: Table, udf: UserDefinedFunction, row_ids: Sequence[int]
+        self,
+        table: Table,
+        udf: UserDefinedFunction,
+        row_ids: Sequence[int],
+        ledger: Optional[CostLedger] = None,
     ) -> np.ndarray:
-        """Evaluate ``udf`` on ``row_ids`` in one bulk call on this thread."""
+        """Evaluate ``udf`` on ``row_ids`` in one bulk call on this thread,
+        charging ``ledger`` (when given) under its accounting."""
         check_deadline("bulk-evaluate")
-        return udf.evaluate_rows(table, np.asarray(row_ids, dtype=np.intp))
+        return udf.evaluate_rows(table, np.asarray(row_ids, dtype=np.intp), None, ledger)
 
     # -- plan execution --------------------------------------------------------
     def execute(
@@ -271,7 +275,6 @@ class ParallelBatchExecutor:
         :class:`_SpanOutcome` per active span, in span order, with every
         charge already made.
         """
-        _metrics.counter("repro_executor_runs_total", backend=backend).inc()
         frame = candidate_frame(index, sample_outcome)
         span_tasks, group_counts = build_span_tasks(
             index, plan, frame, self.random_state.generator

@@ -35,7 +35,6 @@ from repro.db.engine import QueryResult
 from repro.db.query import SelectQuery
 from repro.db.table import Table
 from repro.db.udf import CostLedger, UserDefinedFunction
-from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 from repro.resilience.deadline import check_deadline
 from repro.sampling.sampler import GroupSampler, SampleOutcome
@@ -73,7 +72,7 @@ def _probe_bulk_evaluator(
     evaluate_rows = getattr(executor_factory(as_random_state(0)), "evaluate_rows", None)
     if evaluate_rows is None:
         return None
-    return lambda table, row_ids: evaluate_rows(table, udf, row_ids)
+    return lambda table, row_ids, ledger=None: evaluate_rows(table, udf, row_ids, ledger)
 
 
 def _udf_from_query(query: SelectQuery) -> UserDefinedFunction:
@@ -301,7 +300,6 @@ class IntelSample:
         # answered by evaluating everything, with ``used_fallback`` set).
         check_deadline("pipeline")
         with _span("solve", ledger=ledger) as section:
-            _metrics.counter("repro_solver_calls_total", strategy="intel_sample").inc()
             solution = solve_with_samples(
                 index,
                 outcome,
@@ -412,9 +410,6 @@ class OptimalOracle:
         # solution and evaluating everything is the only correct plan.
         used_fallback = False
         with _span("solve", ledger=ledger):
-            _metrics.counter(
-                "repro_solver_calls_total", strategy="optimal_oracle"
-            ).inc()
             try:
                 solution = solve_bigreedy(model, constraints, cost_model)
                 plan = solution.plan

@@ -51,8 +51,10 @@ Anything that cannot cross the process boundary degrades gracefully to the
 inherited in-process path (bitwise-identical results, just not multi-core):
 unpicklable UDF callables, object-dtype columns, single-span tables,
 ``max_workers=1``, and a broken pool (a worker killed by the OOM killer)
-all fall back, each counted on
-``repro_executor_fallbacks_total{backend=process, reason=...}``.
+all fall back.  Each one but ``max_workers=1`` and a single active span
+(no pool was ever asked for) tells its reason to ``on_degraded``: the
+service marks the request degraded and counts it in
+``stats().serving["degraded"]``.
 
 Resilience (PR 8).  Transient pool faults are survived at *span*
 granularity: a span whose worker died, returned a wrong-shaped result or
@@ -70,8 +72,8 @@ used — :meth:`~ProcessPoolBatchExecutor.execute` and
 :meth:`~ProcessPoolBatchExecutor.evaluate_rows`, never the constructor — so
 building an executor (the pipeline builds a throwaway one just to bind its
 ``evaluate_rows``) can neither take nor leak a half-open probe slot; a
-refused call runs the inherited in-process path and says so through
-``on_degraded``.  Every wait on a worker goes through one
+refused call runs the inherited in-process path and reports
+``"breaker_open"`` the same way.  Every wait on a worker goes through one
 :meth:`~ProcessPoolBatchExecutor._await`, bounded by the request's
 :class:`~repro.resilience.deadline.Deadline`, so a *hung* worker surfaces
 as a typed ``DeadlineExceeded`` — the pool is discarded and the table's
@@ -117,7 +119,6 @@ from repro.db.shm import (
 )
 from repro.db.table import Table, select_rows
 from repro.db.udf import CostLedger, UdfSpec, UserDefinedFunction, call_on_rows
-from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import DeadlineExceeded, current_deadline
@@ -287,14 +288,13 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         #: The serving layer's circuit breaker, shared across this service's
         #: executors; ``None`` standalone — every note below no-ops then.
         self.breaker = breaker
-        #: Told ``"breaker_open"`` each time the breaker refuses this
-        #: executor the pool (the service marks the request degraded).
+        #: Told the reason each time this executor runs in-process instead
+        #: of on the pool (the service marks the request degraded).
         self.on_degraded = on_degraded
 
     def _fallback(self, reason: str) -> None:
-        _metrics.counter(
-            "repro_executor_fallbacks_total", backend="process", reason=reason
-        ).inc()
+        if self.on_degraded is not None:
+            self.on_degraded(reason)
 
     def _note_failure(self, reason: str) -> None:
         if self.breaker is not None:
@@ -314,8 +314,7 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         """
         if self.breaker is None or self.breaker.allow():
             return True
-        if self.on_degraded is not None:
-            self.on_degraded("breaker_open")
+        self._fallback("breaker_open")
         return False
 
     def _cancel_probe(self) -> None:
@@ -396,7 +395,11 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             raise DeadlineExceeded(deadline.timeout_s, where)
 
     def evaluate_rows(
-        self, table: Table, udf: UserDefinedFunction, row_ids: Sequence[int]
+        self,
+        table: Table,
+        udf: UserDefinedFunction,
+        row_ids: Sequence[int],
+        ledger: Optional[CostLedger] = None,
     ) -> np.ndarray:
         """Evaluate ``udf`` on ``row_ids``, fanned across worker processes.
 
@@ -404,9 +407,10 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         and each span's ids go to a worker through :meth:`_run_remote_spans`
         — the payload, submit, harvest, retry and give-up of
         :meth:`execute`.  Workers evaluate fresh; the parent then folds
-        everything through one :meth:`merge_remote_evaluations`, so the
-        memo cache and every UDF counter advance exactly as one serial
-        ``udf.evaluate_rows`` call would (one bulk call).  A span the pool
+        everything through one :meth:`merge_remote_evaluations`, so
+        ``ledger`` is charged at settle and the memo cache and every UDF
+        counter advance exactly as one serial ``udf.evaluate_rows`` call
+        would (one bulk call).  A span the pool
         failed twice sends the whole call in-process.  The labelling fan
         reports pool faults but never vouches for the pool — only a clean
         :meth:`execute` closes a half-open breaker — so a probe slot taken
@@ -416,18 +420,18 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         masks = _span_masks(table, ids)
         prepared = None if masks is None else self._remote_inputs(table, udf)
         if prepared is None:
-            return super().evaluate_rows(table, udf, ids)
+            return super().evaluate_rows(table, udf, ids, ledger)
         jobs = {span_index: ids[mask] for span_index, mask in masks}
         try:
             remote, failed = self._run_remote_spans(jobs, table, *prepared)
         finally:
             self._cancel_probe()
         if failed:
-            return super().evaluate_rows(table, udf, ids)
+            return super().evaluate_rows(table, udf, ids, ledger)
         outcomes = np.empty(ids.size, dtype=bool)
         for span_index, mask in masks:
             outcomes[mask] = remote[span_index]
-        return udf.merge_remote_evaluations(ids, outcomes)
+        return udf.merge_remote_evaluations(ids, outcomes, ledger)
 
     def _harvest_spans(
         self,
@@ -499,14 +503,8 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         pending = dict(jobs)
         failed: Dict[int, str] = {}
         for attempt in range(2):
-            if attempt:
-                # The one event written twice: the breaker is optional, so
-                # without one the registry instrument is its only home.
-                _metrics.counter(
-                    "repro_executor_retried_spans_total", backend="process"
-                ).inc(len(pending))
-                if self.breaker is not None:
-                    self.breaker.record_retry(len(pending))
+            if attempt and self.breaker is not None:
+                self.breaker.record_retry(len(pending))
             # A retry runs against a (re)spawned pool.  Exported files stay
             # until a give-up: removing them here would strand the fresh
             # workers' maps.

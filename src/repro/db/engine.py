@@ -59,10 +59,10 @@ def metadata_schema() -> Dict[str, str]:
     ``coalesced``       ``True`` on results returned to async followers that
                         shared a leader's in-flight execution via
                         ``QueryService.submit_async`` (absent otherwise).
-    ``degraded``        Why the serving layer executed this request on a
-                        degraded path (e.g. ``"breaker_open"`` — the circuit
-                        breaker kept it off the process pool); absent when
-                        the request ran on its configured backend.
+    ``degraded``        Why the process executor ran this request in-process
+                        (its first fallback reason, e.g. ``"breaker_open"``
+                        or ``"unpicklable_udf"``); absent when the request
+                        ran on its configured backend.
     ==================  =========================================================
 
     Returns the table above as a ``{key: description}`` dict so tests and
@@ -82,7 +82,9 @@ def metadata_schema() -> Dict[str, str]:
         "stats_cache": "which cached statistics the serving layer reused",
         "udf_cache": "per-UDF memo hit/miss deltas for exact scans",
         "coalesced": "True when an async follower shared a leader's result",
-        "degraded": "why the request ran degraded (e.g. 'breaker_open')",
+        "degraded": (
+            "why the request ran in-process (e.g. 'breaker_open', 'unpicklable_udf')"
+        ),
     }
 
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.db.errors import ColumnNotFoundError
 from repro.db.table import Table
-from repro.obs import metrics as _metrics
 
 _T = TypeVar("_T")
 
@@ -479,12 +478,6 @@ class GroupIndex:
             f"GroupIndex(table={getattr(self.table, 'name', None)!r}, column={self.column!r}, "
             f"groups={self.num_groups})"
         )
-
-
-_metrics.PROCESS_COLLECTORS["repro_index"] = lambda: {
-    "builds_total": GroupIndex.builds_total,
-    "extensions_total": GroupIndex.extensions_total,
-}
 
 
 class MergedGroupIndex(GroupIndex):

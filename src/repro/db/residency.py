@@ -33,8 +33,9 @@ each first-touch map (one retry, then a typed
 :class:`~repro.db.errors.SegmentMapError`), ``segment_evict`` fires inside
 eviction (the logical drop still completes, so an injected evict fault can
 never leak a mapping).  Every count lives on the manager
-(:meth:`ResidencyManager.snapshot`); :mod:`repro.obs` holds only the
-map-latency distribution and reads the process-wide totals by pull.
+(:meth:`ResidencyManager.snapshot`): map latency as ``maps`` and
+``map_seconds_total``; the process-wide totals are
+:func:`resident_bytes_total` and :func:`pinned_segments_total`.
 """
 
 from __future__ import annotations
@@ -61,16 +62,11 @@ from repro.db.sharding import ShardedTable
 from repro.db.shm import ColumnBlock
 from repro.db.storage.segments import read_segment
 from repro.db.table import Table
-from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
 from repro.resilience.breaker import CLOSED, CircuitBreaker
 
 #: Pressure levels reported to watermark callbacks, in escalation order.
 PRESSURE_LEVELS = ("ok", "high", "critical")
-
-#: The :mod:`repro.obs` histogram of segment map latencies (seconds): the
-#: manager keeps their sum, the distribution has no other home.
-MAP_LATENCY_HISTOGRAM = "repro_residency_map_latency_seconds"
 
 #: Every live manager, weakly held: the test-suite leak gate sums resident
 #: and pinned state across managers and asserts zero once owners are gone.
@@ -85,12 +81,6 @@ def resident_bytes_total() -> int:
 def pinned_segments_total() -> int:
     """Pinned segments summed over every live manager (leak gate)."""
     return sum(manager.pinned_segments for manager in list(_MANAGERS))
-
-
-_metrics.PROCESS_COLLECTORS["repro_residency"] = lambda: {
-    "resident_bytes": resident_bytes_total(),
-    "pinned_segments": pinned_segments_total(),
-}
 
 
 class ResidencyManager:
@@ -399,7 +389,6 @@ class SegmentHandle:
                 last_error = exc
                 self.manager._record_map_fault()
                 continue
-            _metrics.histogram(MAP_LATENCY_HISTOGRAM).observe(elapsed)
             return self._install(array, elapsed)
         if self.breaker is not None:
             self.breaker.record_failure("segment_map")

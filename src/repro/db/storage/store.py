@@ -29,7 +29,7 @@ typed error (:class:`~repro.db.errors.CorruptSegmentError` /
 :class:`~repro.db.errors.ManifestVersionError`), quarantines the offending
 file, and — when the caller supplies ``rebuild`` — degrades gracefully to
 rebuild-from-source.  Every outcome is counted in the module counters
-(surfaced through ``repro.obs`` and ``QueryService.stats().storage``).
+(:func:`storage_counters`, surfaced through ``QueryService.stats().storage``).
 """
 
 from __future__ import annotations
@@ -67,12 +67,10 @@ from repro.db.storage.segments import (
     write_segment,
 )
 from repro.db.table import Table
-from repro.obs import metrics as _metrics
 
 #: Process-wide storage event counters (always on — they count I/O-path
 #: events, never query work, so they cannot perturb the bitwise parity
-#: gates).  An installed :mod:`repro.obs` registry reads them by pull, as
-#: the ``repro_storage`` collector.
+#: gates).  Read them with :func:`storage_counters`.
 _COUNTERS: Dict[str, int] = {
     "segments_written": 0,
     "segments_retained": 0,
@@ -99,9 +97,6 @@ def storage_counters() -> Dict[str, int]:
     """A snapshot of the process-wide storage counters."""
     with _COUNTERS_LOCK:
         return dict(_COUNTERS)
-
-
-_metrics.PROCESS_COLLECTORS["repro_storage"] = storage_counters
 
 
 def reset_storage_counters() -> None:

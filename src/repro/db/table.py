@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (index imports table)
 from repro.db.column import Column, ColumnType, distinct_values
 from repro.db.errors import ColumnNotFoundError, SchemaMismatchError
 from repro.db.schema import Schema
-from repro.obs import metrics as _metrics
 
 
 #: UTF-32 in this machine's byte order: the code units of a native ``U`` array.
@@ -470,12 +469,6 @@ class Table:
         self._num_rows += delta_rows
         self._extend_indexes(delta)
         self._data_generation += 1
-        _metrics.counter("repro_table_appends_total", table=self.name).inc()
-        _metrics.counter("repro_table_rows_appended_total", table=self.name).inc(delta_rows)
-        _metrics.gauge("repro_table_rows", table=self.name).set(self._num_rows)
-        _metrics.gauge("repro_table_data_generation", table=self.name).set(
-            self._data_generation
-        )
         return delta_rows
 
     def append_rows(self, rows: Sequence[Mapping[str, Any]]) -> int:

@@ -1,26 +1,23 @@
-"""``repro.obs`` — metrics, tracing and exporters for the query stack.
+"""``repro.obs`` — snapshots, tracing and exporters for the query stack.
 
-One rule says which store holds a number: an object's own snapshot is the
-home of what it counts; ``QueryService.stats()`` pulls everything one service
-owns; the registry holds only what no object owns (the names in
-:data:`repro.obs.metrics.REGISTRY_OWNED`), plus collectors that read by pull.
+Two layers, both read from the objects that do the work:
 
-Three layers, all opt-in-cheap:
+* **Snapshots, pulled.**  Every counter has one home: the object that sees
+  the event counts it (``udf.counter_snapshot()``, ``LRUCache.snapshot()``,
+  ``ResidencyManager.snapshot()``, ``CircuitBreaker.snapshot()``,
+  ``storage_counters()``, ...), and ``QueryService.stats()`` pulls
+  everything one service owns into one typed snapshot.  The only
+  instrument kept here is :class:`~repro.obs.metrics.Histogram`, the
+  service's per-path latency distribution.
+* **Traces.**  :mod:`repro.obs.trace` — per-query :class:`Trace`/:class:`Span`
+  trees with wall time and exact work-counter deltas, bound to the handling
+  context via :mod:`contextvars`; active only while a sink is installed.
 
-* :mod:`repro.obs.metrics` — a process-global, lock-striped
-  :class:`MetricsRegistry` of labelled ``Counter``/``Gauge``/``Histogram``
-  instruments.  Disabled by default (every site writes to a shared no-op);
-  :func:`enable_metrics` turns it on and
-  :meth:`MetricsRegistry.snapshot` reads everything at once.
-* :mod:`repro.obs.trace` — per-query :class:`Trace`/:class:`Span` trees
-  with wall time and exact work-counter deltas, bound to the handling
-  context via :mod:`contextvars`.
-* :mod:`repro.obs.export` — Prometheus text, JSON-lines trace sink,
-  :class:`SlowQueryLog` (threshold-triggered trace retention).
-
-The serving layer wires these together:
-``QueryService.stats()`` and ``QueryService.set_trace_sink(...)``
-are the public surface most users need.
+:mod:`repro.obs.export` renders both: :func:`prometheus_text` over named
+snapshots (``{"repro_service": service.stats().flat()}``), a JSON-lines
+trace sink and :class:`SlowQueryLog` (threshold-triggered trace retention).
+``QueryService.stats()`` and ``QueryService.set_trace_sink(...)`` are the
+public surface most users need.
 """
 
 from repro.obs.export import (
@@ -31,22 +28,7 @@ from repro.obs.export import (
     prometheus_text,
     write_prometheus_snapshot,
 )
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    counter,
-    disable_metrics,
-    enable_metrics,
-    gauge,
-    get_registry,
-    histogram,
-    set_registry,
-)
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.obs.trace import (
     Span,
     Trace,
@@ -56,20 +38,8 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
-    "counter",
-    "gauge",
-    "histogram",
-    "get_registry",
-    "set_registry",
-    "enable_metrics",
-    "disable_metrics",
     "Trace",
     "Span",
     "span",

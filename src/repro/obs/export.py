@@ -1,9 +1,9 @@
 """Exporters: Prometheus text, JSON-lines trace sink, slow-query log.
 
-Everything here consumes the plain-dict surfaces of
-:class:`~repro.obs.metrics.MetricsRegistry` and
-:class:`~repro.obs.trace.Trace` — no scraping library, no agent, just text
-you can write to a file, ship as a CI artifact, or point a Prometheus
+Everything here consumes plain-dict surfaces — the snapshots the owning
+objects expose (``QueryService.stats().flat()``, ``storage_counters()``)
+and :class:`~repro.obs.trace.Trace` — no scraping library, no agent, just
+text you can write to a file, ship as a CI artifact, or point a Prometheus
 file-based collector at.
 """
 
@@ -12,17 +12,13 @@ from __future__ import annotations
 import json
 import math
 import threading
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Mapping, Optional, TextIO, Union
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    label_suffix,
-)
 from repro.obs.trace import Trace
+
+#: Named pull sources: ``{prefix: {metric: value}}``, e.g.
+#: ``{"repro_service": service.stats().flat(), "repro_storage": storage_counters()}``.
+Sources = Mapping[str, Mapping[str, Any]]
 
 
 def _sanitize(name: str) -> str:
@@ -38,58 +34,21 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def prometheus_text(registry: Union[MetricsRegistry, NullRegistry]) -> str:
-    """Render every instrument in ``registry`` in Prometheus text format.
+def prometheus_text(sources: Sources) -> str:
+    """Render the numeric values of ``sources`` in Prometheus text format.
 
-    Counters/gauges emit one sample each; histograms emit cumulative
-    ``_bucket`` samples plus ``_sum``/``_count``, matching the classic
-    Prometheus histogram layout.  Collector-sourced metrics are emitted as
-    untyped gauges named ``<collector>_<metric>``.
+    Each ``(prefix, metric)`` with a numeric value becomes one gauge
+    sample named ``<prefix>_<metric>`` (sanitised), in sorted order
+    (a boolean reads 1 or 0); non-numeric values are skipped.
     """
-    if isinstance(registry, NullRegistry):
-        return "# metrics disabled (null registry)\n"
     lines: List[str] = []
-    typed: Dict[str, str] = {}
-
-    def declare(name: str, kind: str) -> None:
-        if typed.get(name) != kind:
-            typed[name] = kind
-            lines.append(f"# TYPE {name} {kind}")
-
-    for instrument in sorted(
-        registry.instruments(), key=lambda entry: (entry.name, entry.labels)
-    ):
-        name = _sanitize(instrument.name)
-        if isinstance(instrument, Counter):
-            declare(name, "counter")
-            lines.append(
-                f"{name}{label_suffix(instrument.labels)} {_format_value(instrument.value)}"
-            )
-        elif isinstance(instrument, Gauge):
-            declare(name, "gauge")
-            lines.append(
-                f"{name}{label_suffix(instrument.labels)} {_format_value(instrument.value)}"
-            )
-        elif isinstance(instrument, Histogram):
-            declare(name, "histogram")
-            snap = instrument.snapshot()
-            cumulative = 0
-            for bound, count in snap["buckets"].items():
-                cumulative += count
-                upper = "+Inf" if bound == "+inf" else bound
-                bucket_labels = instrument.labels + (("le", upper),)
-                lines.append(f"{name}_bucket{label_suffix(bucket_labels)} {cumulative}")
-            lines.append(
-                f"{name}_sum{label_suffix(instrument.labels)} {_format_value(snap['sum'])}"
-            )
-            lines.append(f"{name}_count{label_suffix(instrument.labels)} {snap['count']}")
-    for collector_name, collected in sorted(registry.snapshot()["collected"].items()):
-        for metric, value in sorted(collected.items()):
+    for prefix, values in sorted(sources.items()):
+        for metric, value in sorted(values.items()):
             if not isinstance(value, (int, float)):
                 continue
-            flat = _sanitize(f"{collector_name}_{metric}")
-            declare(flat, "gauge")
-            lines.append(f"{flat} {_format_value(float(value))}")
+            name = _sanitize(f"{prefix}_{metric}")
+            lines.append(f"# TYPE {name} gauge")
+            lines.append(f"{name} {_format_value(float(value))}")
     return "\n".join(lines) + "\n"
 
 
@@ -219,14 +178,12 @@ class SlowQueryLog:
         ) + ("\n" if self._entries else "")
 
 
-def write_prometheus_snapshot(
-    registry: Union[MetricsRegistry, NullRegistry], path: str
-) -> None:
-    """Write :func:`prometheus_text` for ``registry`` to ``path``."""
+def write_prometheus_snapshot(sources: Sources, path: str) -> None:
+    """Write :func:`prometheus_text` for ``sources`` to ``path``."""
     with open(path, "w", encoding="utf-8") as stream:
-        stream.write(prometheus_text(registry))
+        stream.write(prometheus_text(sources))
 
 
 def metrics_json(snapshot: Dict[str, Any]) -> str:
-    """A registry/service snapshot as stable, indented JSON."""
+    """A stats snapshot (``ServiceStats.to_dict()``) as stable, indented JSON."""
     return json.dumps(snapshot, indent=2, sort_keys=True, default=str)

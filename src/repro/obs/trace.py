@@ -26,9 +26,8 @@ Work-counter exactness comes from two disciplines:
   :meth:`Span.add` with the exact per-shard amounts it charges, so the
   leaf spans sum to the query total by construction.
 
-Like the metrics registry, tracing is opt-in-cheap: with no active trace
-:func:`span` returns a shared no-op context manager and touches neither
-locks nor the clock.
+Tracing is opt-in-cheap: with no active trace :func:`span` returns a
+shared no-op context manager and touches neither locks nor the clock.
 """
 
 from __future__ import annotations

@@ -12,10 +12,9 @@ service counting each degraded query.  After ``recovery_time_s`` the breaker
 the pool again: one success closes it, one failure re-opens it.
 
 The clock is injectable so tests drive the open → half-open transition
-deterministically, and every state transition is observable — in
-:meth:`snapshot` (surfaced through ``QueryService.stats().resilience``) and
-on the ``repro_breaker_transitions_total{to=...}`` counter when the
-:mod:`repro.obs` registry is enabled.
+deterministically, and every state transition is observable in
+:meth:`snapshot` (surfaced through ``QueryService.stats().resilience``):
+``state`` and ``opened_count``.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from __future__ import annotations
 import threading
 import time
 from typing import Callable, Dict, Optional
-
-from repro.obs import metrics as _metrics
 
 #: Breaker states.
 CLOSED = "closed"
@@ -83,7 +80,6 @@ class CircuitBreaker:
         if self._state == to:
             return
         self._state = to
-        _metrics.counter("repro_breaker_transitions_total", to=to).inc()
         if to == OPEN:
             self._opened_count += 1
             self._opened_at = self._clock()

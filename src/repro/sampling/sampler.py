@@ -49,6 +49,13 @@ from repro.resilience.deadline import check_deadline
 from repro.stats.random import RandomState, SeedLike, as_random_state
 
 
+#: Stand-in for ``udf.evaluate_rows`` in sampling and labelling, called as
+#: ``evaluate(table, row_ids, ledger=ledger)``: it evaluates every id and
+#: charges ``ledger`` under its accounting (the process executor's worker
+#: fan-out, :func:`repro.core.pipeline._probe_bulk_evaluator`).
+BulkEvaluator = Callable[..., np.ndarray]
+
+
 def member_mask(ordered: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Which of ``ids`` occur in ascending ``ordered`` — one binary search each."""
     if not ordered.size:
@@ -317,7 +324,7 @@ class GroupSampler:
         allocation: Mapping[Hashable, int],
         ledger: CostLedger,
         already_sampled: Optional[SampleOutcome] = None,
-        bulk_evaluator: Optional[Callable[[Table, np.ndarray], np.ndarray]] = None,
+        bulk_evaluator: Optional[BulkEvaluator] = None,
     ) -> SampleOutcome:
         """Sample according to ``allocation``, charging ``ledger``.
 
@@ -334,11 +341,14 @@ class GroupSampler:
 
         The per-group draws happen first (one vectorised ``choice`` per
         group, in index order, so the random stream matches the historical
-        per-group sampler); the chosen rows are then retrieved, charged and
-        evaluated in a single batched UDF call across all groups.
+        per-group sampler); the chosen rows are then charged as retrievals
+        and evaluated in a single batched UDF call across all groups, which
+        charges the evaluations to ``ledger`` under its accounting (serving
+        accounting skips the rows the memo already knows).
 
         ``bulk_evaluator`` optionally replaces ``udf.evaluate_rows`` for that
-        batched call — the process executor passes its worker fan-out here.
+        batched call — the process executor passes its worker fan-out here,
+        which charges when it settles.
         Row *selection* stays on this sampler's sequential stream either way,
         so the drawn sample (and therefore every downstream statistic) is
         identical whether or not the evaluation is fanned.
@@ -369,15 +379,14 @@ class GroupSampler:
             [candidates[code][positions] for code, positions in drawn]
         )
         # Bulk charge before the bulk evaluation (same totals as the
-        # historical per-row loop; a hard budget now stops the whole
-        # batch before any UDF work instead of mid-stratum).  The
+        # historical per-row loop; a hard budget stops the whole batch
+        # before its memo or counters move instead of mid-stratum).  The
         # deadline check sits in the same place for the same reason: an
         # expired request must not pay for the batch it will not use.
         check_deadline("sampling-charge")
         ledger.charge_retrieval(int(all_chosen.size))
-        ledger.charge_evaluation(int(all_chosen.size))
         evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-        fresh = SampleOutcome(all_chosen, evaluate(table, all_chosen))
+        fresh = SampleOutcome(all_chosen, evaluate(table, all_chosen, ledger=ledger))
         outcome = fresh if prior is None else prior.merge(fresh)
 
         for code, positions in drawn:

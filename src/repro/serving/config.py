@@ -4,8 +4,8 @@
 is configured — it replaces the ~10 loose keyword arguments that accreted on
 the constructor across releases (removed in 1.7).  :class:`ServiceStats` is the matching
 read side: one typed snapshot unifying the serving counters, cache
-statistics, session accounting, latency summaries, async front-end state and
-the optional :mod:`repro.obs` registry dump.
+statistics, session accounting, latency summaries, async front-end state,
+breaker, storage and UDF counters — each read from the object that counts it.
 """
 
 from __future__ import annotations
@@ -192,7 +192,6 @@ class ServiceStats:
     sessions: Dict[str, Dict[str, float]]
     latency_ms: Dict[str, Dict[str, Optional[float]]]
     frontend: Dict[str, object]
-    registry: Dict[str, object]
     resilience: Dict[str, object] = field(default_factory=dict)
     storage: Dict[str, object] = field(default_factory=dict)
     udfs: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -206,7 +205,6 @@ class ServiceStats:
             "sessions": dict(self.sessions),
             "latency_ms": dict(self.latency_ms),
             "frontend": dict(self.frontend),
-            "registry": dict(self.registry),
             "resilience": dict(self.resilience),
             "storage": dict(self.storage),
             "udfs": dict(self.udfs),
@@ -215,13 +213,11 @@ class ServiceStats:
     def flat(self) -> Dict[str, Union[int, float]]:
         """Every finite numeric leaf, keyed ``<section>_<path>_<leaf>``.
 
-        The shape a registry collector wants:
-        ``registry.register_collector("repro_service", lambda:
-        service.stats().flat())`` exports one service's counters, cache
-        statistics, latency quantiles, sessions, breaker, storage and UDF
-        counts as ``repro_service_*`` Prometheus lines, for as long as the
-        caller keeps the registry.  ``registry`` is left out — the registry
-        exports its own instruments.
+        The shape :func:`repro.obs.export.prometheus_text` renders:
+        ``prometheus_text({"repro_service": service.stats().flat()})``
+        exports one service's counters, cache statistics, latency
+        quantiles, sessions, breaker, storage and UDF counts as
+        ``repro_service_*`` Prometheus lines.
         """
         leaves: Dict[str, Union[int, float]] = {}
 
@@ -233,8 +229,7 @@ class ServiceStats:
                 leaves[path] = node
 
         for section, payload in self.to_dict().items():
-            if section != "registry":
-                walk(section, payload)
+            walk(section, payload)
         return leaves
 
 
@@ -248,8 +243,12 @@ SERVICE_STATS_SCHEMA: Dict[str, str] = {
         "signature's flight leader), fallbacks, trace_sink_errors, shed "
         "(async admission rejections), coalesced (requests answered from a "
         "coalesced leader's result without executing), deadline_exceeded "
-        "(requests cancelled by their deadline), degraded (requests served "
-        "in-process because the circuit breaker was open), retried_spans "
+        "(requests cancelled by their deadline), degraded (requests the "
+        "process executor ran in-process at least once, for any fallback "
+        "reason: breaker_open, unpicklable_udf, unshareable_column, "
+        "label_column_missing, segment_map, segment_write, worker_hang or a "
+        "span the pool failed twice; metadata['degraded'] names the first), "
+        "retried_spans "
         "(process-pool spans retried after a transient fault), "
         "plan_restored (requests served from a plan-cache entry restored "
         "from durable storage), pressure_shed (async admissions shed under "
@@ -272,13 +271,6 @@ SERVICE_STATS_SCHEMA: Dict[str, str] = {
         "iteration) and tick_requests (the requests in them) - their ratio is "
         "the mean number of submit_async hits sharing one pool task and one "
         "loop wake-up; requests that dispatch alone are in neither"
-    ),
-    "registry": (
-        "what the installed repro.obs registry itself owns — "
-        "MetricsRegistry.instrument_snapshot(): the counters, gauges and "
-        "histograms named in repro.obs.metrics.REGISTRY_OWNED (empty under the "
-        "null registry); collectors are not evaluated here, so a collector may "
-        "call stats()"
     ),
     "resilience": (
         "CircuitBreaker.snapshot(): state (closed/open/half_open), "

@@ -101,8 +101,7 @@ from repro.db.storage import CatalogStore
 from repro.db.storage.store import storage_counters
 from repro.db.table import Table
 from repro.db.udf import CostLedger
-from repro.obs import metrics as _metrics
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
+from repro.obs.metrics import Histogram
 from repro.obs.trace import Trace
 from repro.obs.trace import span as _span
 from repro.resilience.breaker import CircuitBreaker
@@ -200,8 +199,9 @@ def _call_on_loop(loop: asyncio.AbstractEventLoop, callback: Callable, *args) ->
         pass  # the loop closed meanwhile, and every awaiter went with it
 
 
-#: Why the current request was served degraded (``"breaker_open"`` when the
-#: circuit breaker forced in-process execution), or ``None``.  Request-scoped:
+#: Why the current request was served degraded (the process executor's first
+#: fallback reason, e.g. ``"breaker_open"`` or ``"unpicklable_udf"``), or
+#: ``None``.  Request-scoped:
 #: :meth:`QueryService.submit` resets it on entry and folds it into result
 #: metadata and the trace root on exit.
 _DEGRADED: ContextVar[Optional[str]] = ContextVar("repro_degraded", default=None)
@@ -291,9 +291,8 @@ class QueryService:
             "pressure_shed": 0,
             "pressure_cache_clears": 0,
         }
-        # Per-path latency histograms (always on — plain instruments, not
-        # routed through the opt-in registry, so ``stats()`` can
-        # report p50/p95/p99 without anyone calling ``enable_metrics``).
+        # Per-path latency histograms (always on, so ``stats()`` can report
+        # p50/p95/p99).
         self._latency_lock = threading.Lock()
         self._latency: Dict[str, Histogram] = {}
         # Per-query tracing is active only while a sink is installed.
@@ -405,9 +404,10 @@ class QueryService:
         The ``process`` executor asks the service's breaker itself, where it
         is about to use the pool: refused (repeated pool faults), it runs
         its spans inline — bitwise-identical results, just not multi-core —
-        and reports ``"breaker_open"`` to
-        :meth:`_note_degraded`; admitted as a half-open probe, it reports
-        the probe's outcome back through the shared breaker.
+        and reports ``"breaker_open"`` to :meth:`_note_degraded`, as it
+        reports every other reason it falls back in-process; admitted as a
+        half-open probe, it reports the probe's outcome back through the
+        shared breaker.
         """
         if self.executor_backend == "serial":
             return BatchExecutor(random_state=random_state)
@@ -443,11 +443,7 @@ class QueryService:
             with self._latency_lock:
                 found = self._latency.get(path)
                 if found is None:
-                    found = Histogram(
-                        "repro_query_latency_seconds",
-                        buckets=DEFAULT_LATENCY_BUCKETS,
-                        labels=(("path", path),),
-                    )
+                    found = Histogram()
                     self._latency[path] = found
         return found
 
@@ -1442,8 +1438,8 @@ class QueryService:
 
         Bundles the serving counters, both cache snapshots, per-client
         session accounting, per-path latency summaries, the async
-        front-end's admission state, the catalog's UDF counters and the
-        instruments the installed metrics registry owns.  Field contract:
+        front-end's admission state, the breaker, storage and residency
+        counters and the catalog's UDF counters.  Field contract:
         :data:`repro.serving.config.SERVICE_STATS_SCHEMA` (the stats-side
         sibling of :meth:`repro.db.engine.Engine.metadata_schema`).
         """
@@ -1479,7 +1475,6 @@ class QueryService:
                 "ticks": ticks,
                 "tick_requests": tick_requests,
             },
-            registry=_metrics.get_registry().instrument_snapshot(),
             resilience=resilience,
             storage=storage,
             udfs={udf.name: udf.counter_snapshot() for udf in self.catalog.udfs},
@@ -1490,8 +1485,7 @@ class QueryService:
 
         Each path maps to ``{count, mean_ms, p50_ms, p95_ms, p99_ms,
         max_ms}``; quantiles are ``None`` for paths that served nothing.
-        Always available — the latency histograms do not depend on the
-        opt-in metrics registry.
+        Always available.
         """
         with self._latency_lock:
             histograms = dict(self._latency)

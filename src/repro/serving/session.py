@@ -56,9 +56,8 @@ class Overloaded(DatabaseError):
     """A request was shed by the async front-end's admission control.
 
     Raised (never silently dropped) when the per-class pending-request limit
-    is full; counted on the service's ``shed`` metric and on
-    ``repro_serving_shed_total`` when the :mod:`repro.obs` registry is
-    enabled.  Clients should back off and retry.
+    is full; counted on the service's ``shed`` metric
+    (``stats().serving["shed"]``).  Clients should back off and retry.
     """
 
     def __init__(self, query_class: str, pending: int, limit: int):

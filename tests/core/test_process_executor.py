@@ -27,7 +27,6 @@ from repro.db.sharding import ShardedTable
 from repro.db.shm import exported_segment_count, release_exports
 from repro.db.table import Table
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
-from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
 from repro.resilience import CircuitBreaker, FaultPlan, FaultRule, fault_scope
 from repro.sampling.sampler import GroupSampler
 
@@ -213,7 +212,9 @@ class TestExecuteParity:
         spans = table.num_shards
         submits = {"pool": spans, "retried_span": spans + 1, "given_up_span": spans + 1}
         assert len(submitted) == submits.get(path, 0)
-        assert degraded == (["breaker_open"] if path == "breaker_refused" else [])
+        # Every in-process fallback names its reason, not only a refusal.
+        reasons = {"breaker_refused": ["breaker_open"], "given_up_span": ["garbage"]}
+        assert degraded == reasons.get(path, [])
         assert breaker.snapshot()["retried_spans"] == (1 if path in garbage else 0)
 
     @pytest.mark.parametrize("python_udf", [False, True], ids=["label", "python"])
@@ -342,75 +343,70 @@ class TestEvaluateRowsFan:
         udf_serial, udf_remote = _label_udf("pm_a"), _label_udf("pm_b")
         udf_serial.evaluate_rows(table, warm)
         udf_remote.evaluate_rows(table, warm)
-        expected = udf_serial.evaluate_rows(table, ids)
+        serial_ledger, remote_ledger = CostLedger(free_memoized=True), CostLedger(free_memoized=True)
+        expected = udf_serial.evaluate_rows(table, ids, None, serial_ledger)
         executor = ProcessPoolBatchExecutor(random_state=0, max_workers=WORKERS)
-        got = executor.evaluate_rows(table, udf_remote, ids)
+        got = executor.evaluate_rows(table, udf_remote, ids, remote_ledger)
         assert np.array_equal(np.asarray(expected), np.asarray(got))
         snap = udf_remote.counter_snapshot()
         assert snap == udf_serial.counter_snapshot()
         assert snap["cache_hits"] >= warm.size  # memo-answered rows kept cached values
+        # Charged at settle, under the ledger's serving accounting: only the
+        # rows the parent's memo did not know.
+        assert remote_ledger.evaluated_count == serial_ledger.evaluated_count == 1500
 
 
 class TestFallbacks:
-    def _fallback_reasons(self, registry):
-        reasons = []
-        for key in registry.snapshot()["counters"]:
-            if "repro_executor_fallbacks_total" in key and 'backend="process"' in key:
-                reasons.append(str(key))
-        return reasons
+    """Every fallback names its reason to the executor's ``on_degraded``."""
 
     def test_unpicklable_udf_falls_back_with_identical_results(self):
-        registry = enable_metrics(MetricsRegistry())
-        try:
-            table = _sharded(name="lamtab")
-            udf_serial = _label_udf("lam_a")
-            udf_remote = UserDefinedFunction(
-                "lam_b", lambda row: bool(row["f"])  # unpicklable on purpose
-            )
-            serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_serial)
-            remote, remote_ledger = _execute(
-                table, ProcessPoolBatchExecutor, udf_remote, workers=WORKERS
-            )
-            assert np.array_equal(
-                np.asarray(serial.returned_row_ids),
-                np.asarray(remote.returned_row_ids),
-            )
-            assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
-            assert any(
-                "unpicklable_udf" in key for key in self._fallback_reasons(registry)
-            )
-        finally:
-            disable_metrics()
+        reasons = []
+        table = _sharded(name="lamtab")
+        udf_serial = _label_udf("lam_a")
+        udf_remote = UserDefinedFunction(
+            "lam_b", lambda row: bool(row["f"])  # unpicklable on purpose
+        )
+        serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_serial)
+        remote, remote_ledger = _execute(
+            table,
+            partial(ProcessPoolBatchExecutor, on_degraded=reasons.append),
+            udf_remote,
+            workers=WORKERS,
+        )
+        assert np.array_equal(
+            np.asarray(serial.returned_row_ids),
+            np.asarray(remote.returned_row_ids),
+        )
+        assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
+        assert reasons == ["unpicklable_udf"]
 
     def test_object_dtype_column_falls_back(self):
-        registry = enable_metrics(MetricsRegistry())
-        try:
-            rng = np.random.default_rng(5)
-            base = Table.from_columns(
-                "objtab",
-                {
-                    "A": [f"a{int(v)}" for v in rng.integers(0, 4, 300)],
-                    "blob": [object() for _ in range(300)],
-                    "f": [bool(v) for v in rng.random(300) < 0.5],
-                },
-                hidden_columns=["f"],
-            )
-            table = ShardedTable.from_table(base, num_shards=3)
-            udf_serial, udf_remote = _func_udf("obj_a"), _func_udf("obj_b")
-            serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_serial)
-            remote, remote_ledger = _execute(
-                table, ProcessPoolBatchExecutor, udf_remote, workers=WORKERS
-            )
-            assert np.array_equal(
-                np.asarray(serial.returned_row_ids),
-                np.asarray(remote.returned_row_ids),
-            )
-            assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
-            assert any(
-                "unshareable_column" in key for key in self._fallback_reasons(registry)
-            )
-        finally:
-            disable_metrics()
+        reasons = []
+        rng = np.random.default_rng(5)
+        base = Table.from_columns(
+            "objtab",
+            {
+                "A": [f"a{int(v)}" for v in rng.integers(0, 4, 300)],
+                "blob": [object() for _ in range(300)],
+                "f": [bool(v) for v in rng.random(300) < 0.5],
+            },
+            hidden_columns=["f"],
+        )
+        table = ShardedTable.from_table(base, num_shards=3)
+        udf_serial, udf_remote = _func_udf("obj_a"), _func_udf("obj_b")
+        serial, serial_ledger = _execute(table, ParallelBatchExecutor, udf_serial)
+        remote, remote_ledger = _execute(
+            table,
+            partial(ProcessPoolBatchExecutor, on_degraded=reasons.append),
+            udf_remote,
+            workers=WORKERS,
+        )
+        assert np.array_equal(
+            np.asarray(serial.returned_row_ids),
+            np.asarray(remote.returned_row_ids),
+        )
+        assert remote_ledger.evaluated_count == serial_ledger.evaluated_count
+        assert reasons == ["unshareable_column"]
 
     def test_max_workers_one_never_exports(self):
         table = _sharded(name="onetab")

@@ -55,11 +55,16 @@ TABLES = {
 SEEDS = (3, 14, 15)
 
 #: ``(table, column path) -> digest`` over every seed's cold, hit and refresh
-#: answers, on either backend.
+#: answers, on either backend.  The refreshes run under the service's
+#: default serving accounting; ``("skewed", "given")`` was re-pinned when
+#: sampling began charging through the ledger-aware bulk call, which does
+#: not charge a memo-known row again: the refreshes of seeds 14 and 15 each
+#: drew one row the cold run's execution had evaluated, so each charges one
+#: evaluation fewer (54 -> 53, 41 -> 40).  No returned row id moved.
 PINNED = {
     ("graded", "given"): "aaa29b6fb5ec39a7e8b73bd169acfbcf",
     ("graded", "auto"): "3864449bb548a3dc7400f4ca3926468e",
-    ("skewed", "given"): "1b68dfea3c966d82fb70d1d05ff698d3",
+    ("skewed", "given"): "6016aeaa298ea382d6289ea76226064d",
     ("skewed", "auto"): "9b2260da3d1538fd3e7fad3559a98a00",
 }
 

@@ -1,28 +1,25 @@
-"""Every counter has one home: the registry is written only for what it owns.
+"""Every counter has one home, and observing it changes nothing.
 
-The gate is deterministic — it counts instrument *operations*, not
-microseconds.  A :class:`MetricsRegistry` whose instruments log each
-``inc`` / ``set`` / ``observe`` is installed, one script drives every layer
-that used to mirror its counters (serving, caches, UDF, index, storage,
-residency, engine, the process executor's fallback), and then:
+One script drives every layer that counts (serving, caches, UDF, index,
+storage, residency, engine, the process executor's fallback), and then:
 
-* the instrument names in the registry are a subset of
-  :data:`repro.obs.metrics.REGISTRY_OWNED` — no mirror came back;
-* a warm hit performs exactly one instrument operation and a cold miss two;
+* each event the removed metrics registry used to hold is read from the
+  object that sees it — solver calls and executor runs from
+  ``stats().serving``, an append from the table, segment maps from the
+  residency manager, and a process executor's fallback reason from the
+  request's ``metadata["degraded"]`` and ``stats().serving["degraded"]``;
 * with a trace sink installed, a request records one span per stage it runs
   — a cold miss each pipeline stage once, a warm hit only the plan lookup
   and the execution — pinned by name, count and order;
-* the same script under the null registry and without a trace sink leaves
-  every native counter equal to the instrumented, traced run — the registry
-  and the tracer are readers, never participants.
+* the same script without a trace sink leaves every native counter equal to
+  the traced run — the tracer is a reader, never a participant.
 
-What instrumentation costs is counted here as operations and span records,
-never timed: a stopwatch at tens of microseconds per query is noise on a
-shared machine, and ``bench/run.py`` times the serving path itself.
+What instrumentation costs is counted here as span records, never timed: a
+stopwatch at tens of microseconds per query is noise on a shared machine,
+and ``bench/run.py`` times the serving path itself.
 
-The read side is pinned next to it: the process-wide stores reach
-``snapshot()["collected"]`` by pull, and a ``repro_service`` collector puts
-one service's ``stats()`` into the Prometheus text.
+The read side is pinned next to it: ``prometheus_text`` over one service's
+``stats().flat()`` carries the same numbers as ``stats()``.
 """
 
 from __future__ import annotations
@@ -38,79 +35,13 @@ from repro.db.engine import Engine
 from repro.db.index import GroupIndex
 from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
-from repro.db.residency import (
-    ResidencyManager,
-    pinned_segments_total,
-    resident_bytes_total,
-)
+from repro.db.residency import ResidencyManager
 from repro.db.sharding import ShardedTable
 from repro.db.storage import TableStore, reset_storage_counters, storage_counters
 from repro.db.table import Table
 from repro.db.udf import UserDefinedFunction
-from repro.obs import (
-    CollectingTraceSink,
-    disable_metrics,
-    enable_metrics,
-    prometheus_text,
-)
-from repro.obs.metrics import (
-    REGISTRY_OWNED,
-    MetricsRegistry,
-    get_registry,
-    label_suffix,
-)
+from repro.obs import CollectingTraceSink, prometheus_text
 from repro.serving import Overloaded, QueryService, ServiceConfig
-
-BATCH_RUN = 'repro_executor_runs_total{backend="batch"}'
-SOLVER_CALL = 'repro_solver_calls_total{strategy="intel_sample"}'
-
-
-@pytest.fixture(autouse=True)
-def _restore_null_registry():
-    yield
-    disable_metrics()
-
-
-class _Recorder:
-    """A registry instrument that logs every write before applying it."""
-
-    def __init__(self, instrument: Any, operations: List[str]):
-        self._instrument = instrument
-        self._operations = operations
-
-    def _write(self, method: str, amount: Any) -> None:
-        instrument = self._instrument
-        self._operations.append(f"{instrument.name}{label_suffix(instrument.labels)}")
-        getattr(instrument, method)(amount)
-
-    def inc(self, amount=1):
-        self._write("inc", amount)
-
-    def dec(self, amount=1):
-        self._write("dec", amount)
-
-    def set(self, value):
-        self._write("set", value)
-
-    def observe(self, value):
-        self._write("observe", value)
-
-
-class CountingRegistry(MetricsRegistry):
-    """A live registry that also keeps the sequence of instrument writes."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.operations: List[str] = []
-
-    def counter(self, name, **labels):
-        return _Recorder(super().counter(name, **labels), self.operations)
-
-    def gauge(self, name, **labels):
-        return _Recorder(super().gauge(name, **labels), self.operations)
-
-    def histogram(self, name, buckets=None, **labels):
-        return _Recorder(super().histogram(name, buckets, **labels), self.operations)
 
 
 def _columns(rows: int, seed: int) -> Dict[str, List[Any]]:
@@ -139,25 +70,23 @@ def _query(table, udf, alpha=0.8, beta=0.8, rho=0.8, column="grade"):
 
 
 def _drive(directory, traced=False):
-    """One pass over every layer that counts; returns ``(natives, steps, spans)``.
+    """One pass over every layer that counts; returns ``(natives, answers, spans)``.
 
     ``natives`` is every native counter surface the script touched (timings
-    left out); ``steps`` maps a step name to the instrument operations the
-    installed registry saw during it (empty under the null registry), and
+    left out), ``answers`` maps a step name to what it returned, and
     ``spans`` maps it to the span names its requests to the in-memory
     service recorded, in order (empty unless ``traced``).
     """
-    operations = getattr(get_registry(), "operations", [])
     sink = CollectingTraceSink()
-    steps: Dict[str, List[str]] = {}
+    answers: Dict[str, Any] = {}
     spans: Dict[str, List[str]] = {}
 
     def step(name, action):
-        start, traces = len(operations), len(sink.traces)
+        traces = len(sink.traces)
         try:
-            return action()
+            answers[name] = action()
+            return answers[name]
         finally:
-            steps[name] = operations[start:]
             spans[name] = [
                 recorded.name
                 for trace in sink.traces[traces:]
@@ -223,6 +152,7 @@ def _drive(directory, traced=False):
 
     natives = {
         "serving": stats.serving,
+        "table": {"num_rows": table.num_rows, "data_generation": table.data_generation},
         "plan_cache": stats.plan_cache,
         "stats_cache": stats.stats_cache,
         "udfs": stats.udfs,
@@ -237,53 +167,28 @@ def _drive(directory, traced=False):
         "index_builds": GroupIndex.builds_total - index_totals[0],
         "index_extensions": GroupIndex.extensions_total - index_totals[1],
     }
-    return natives, steps, spans
-
-
-def _instrument_names(registry: MetricsRegistry) -> set:
-    snapshot = registry.instrument_snapshot()
-    return {
-        key.split("{", 1)[0]
-        for kind in ("counters", "gauges", "histograms")
-        for key in snapshot[kind]
-    }
+    return natives, answers, spans
 
 
 class TestSingleHome:
-    def test_registry_holds_only_what_nothing_else_owns(self, tmp_path):
-        registry = enable_metrics(CountingRegistry())
-        natives, steps, _ = _drive(tmp_path)
-        names = _instrument_names(registry)
-        assert names <= set(REGISTRY_OWNED), sorted(names - set(REGISTRY_OWNED))
-        # ... and the script did reach the registry-owned sites.
-        assert {
-            "repro_executor_runs_total",
-            "repro_executor_fallbacks_total",
-            "repro_solver_calls_total",
-            "repro_table_appends_total",
-            "repro_table_rows",
-            "repro_residency_map_latency_seconds",
-        } <= names
-        assert natives["serving"]["shed"] == 1
-        assert any("unpicklable_udf" in op for op in steps["fallback"])
-
-    def test_one_instrument_operation_per_hit_two_per_cold_miss(self, tmp_path):
-        enable_metrics(CountingRegistry())
-        _, steps, _ = _drive(tmp_path)
-        assert steps["hit"] == [BATCH_RUN]
-        assert steps["second_hit"] == [BATCH_RUN]
-        assert sorted(steps["cold"]) == sorted([SOLVER_CALL, BATCH_RUN])
-        assert sorted(steps["cold_auto"]) == sorted([SOLVER_CALL, BATCH_RUN])
-        # An exact query and a shed request touch no instrument at all; an
-        # append writes the four per-table instruments, once each.
-        assert steps["exact"] == []
-        assert steps["shed"] == []
-        assert sorted(op.split("{", 1)[0] for op in steps["append"]) == [
-            "repro_table_appends_total",
-            "repro_table_data_generation",
-            "repro_table_rows",
-            "repro_table_rows_appended_total",
-        ]
+    def test_each_event_is_read_from_the_object_that_sees_it(self, tmp_path):
+        natives, answers, _ = _drive(tmp_path)
+        serving = natives["serving"]
+        # Executor runs: every answered plan-cache path ran the executor once.
+        assert serving["queries"] == serving["exact_queries"] + 5 == 6
+        assert serving["plan_hits"] + serving["plan_misses"] + serving["plan_refreshes"] == 5
+        assert serving["solver_calls"] == serving["pipeline_runs"] + serving["plan_refreshes"] == 3
+        assert serving["shed"] == 1
+        assert natives["udfs"] == {"home_udf": natives["udf"]}
+        # An append is the table's: its rows and data generation.
+        assert answers["append"] == 50
+        assert natives["table"] == {"num_rows": 4050, "data_generation": 1}
+        assert natives["residency"]["maps"] > 0
+        # The process executor's fallback reason reaches the request and the
+        # service's counter, with no registry installed.
+        assert answers["fallback"].metadata["degraded"] == "unpicklable_udf"
+        assert natives["process_serving"]["degraded"] == 1
+        assert natives["serving"]["degraded"] == natives["lazy_serving"]["degraded"] == 0
 
     def test_one_span_record_per_stage_a_request_runs(self, tmp_path):
         _, _, spans = _drive(tmp_path, traced=True)
@@ -298,73 +203,35 @@ class TestSingleHome:
         # A shed request never reaches ``submit``: no trace at all.
         assert spans["shed"] == []
 
-    def test_null_registry_leaves_every_native_counter_identical(self, tmp_path):
-        enable_metrics(CountingRegistry())
-        instrumented, _, traced = _drive(tmp_path / "on", traced=True)
-        assert traced["hit"]
-        disable_metrics()
-        plain, steps, spans = _drive(tmp_path / "off")
-        assert all(not operations for operations in steps.values())
+    def test_tracing_leaves_every_native_counter_identical(self, tmp_path):
+        traced, _, recorded = _drive(tmp_path / "on", traced=True)
+        assert recorded["hit"]
+        plain, _, spans = _drive(tmp_path / "off")
         assert all(not names for names in spans.values())
-        assert plain == instrumented
-        assert plain["udfs"] == {"home_udf": plain["udf"]}
+        assert plain == traced
 
 
-class TestPullSide:
-    @pytest.mark.parametrize("install_first", [True, False])
-    def test_process_wide_stores_are_collected(self, tmp_path, install_first):
-        if install_first:
-            registry = enable_metrics()
-        source = Table.from_columns("pulled", _columns(400, 3), hidden_columns=["is_good"])
-        store = TableStore(str(tmp_path / "pulled"))
-        store.save(source)
-        manager = ResidencyManager()
-        lazy, _report = store.open(residency=manager)
-        lazy.group_index("grade")
-        if not install_first:
-            registry = enable_metrics()
-        collected = registry.snapshot()["collected"]
-        assert collected["repro_storage"] == storage_counters()
-        assert collected["repro_storage"]["segments_written"] > 0
-        assert collected["repro_index"] == {
-            "builds_total": GroupIndex.builds_total,
-            "extensions_total": GroupIndex.extensions_total,
-        }
-        assert collected["repro_residency"] == {
-            "resident_bytes": resident_bytes_total(),
-            "pinned_segments": pinned_segments_total(),
-        }
-        assert collected["repro_residency"]["resident_bytes"] >= manager.resident_bytes > 0
-        # A registry nobody installed reads nothing it was not given.
-        assert MetricsRegistry().snapshot()["collected"] == {}
-
-    def test_service_collector_exports_stats_to_prometheus_text(self):
-        table = Table.from_columns("svc", _columns(2000, 8), hidden_columns=["is_good"])
-        udf = UserDefinedFunction.from_label_column("svc_udf", "is_good")
-        service = _service(table, udf)
-        query = _query(table, udf)
-        # Installed, so stats() reads this very registry: a collector that
-        # calls stats() must not make snapshot() recurse.
-        registry = enable_metrics()
-        registry.register_collector("repro_service", lambda: service.stats().flat())
-        for seed in range(3):
-            service.submit(query, seed=seed)
-        samples = {}
-        for line in prometheus_text(registry).splitlines():
-            if not line.startswith("#"):
-                name, value = line.rsplit(" ", 1)
-                samples[name] = float(value)
-        stats = service.stats()
-        assert "collected" not in stats.registry
-        assert samples[BATCH_RUN] == 3
-        assert samples["repro_service_serving_queries"] == stats.serving["queries"] == 3
-        assert samples["repro_service_plan_cache_hits"] == stats.plan_cache["hits"] == 2
-        assert (
-            samples["repro_service_udfs_svc_udf_calls"]
-            == udf.counter_snapshot()["calls"]
-            > 0
-        )
-        assert samples["repro_service_latency_ms_hit_p50_ms"] == pytest.approx(
-            stats.latency_ms["hit"]["p50_ms"]
-        )
-        service.close()
+def test_prometheus_text_of_stats_carries_the_same_numbers():
+    table = Table.from_columns("svc", _columns(2000, 8), hidden_columns=["is_good"])
+    udf = UserDefinedFunction.from_label_column("svc_udf", "is_good")
+    service = _service(table, udf)
+    query = _query(table, udf)
+    for seed in range(3):
+        service.submit(query, seed=seed)
+    stats = service.stats()
+    samples = {}
+    for line in prometheus_text({"repro_service": stats.flat()}).splitlines():
+        if not line.startswith("#"):
+            name, value = line.rsplit(" ", 1)
+            samples[name] = float(value)
+    assert samples["repro_service_serving_queries"] == stats.serving["queries"] == 3
+    assert samples["repro_service_plan_cache_hits"] == stats.plan_cache["hits"] == 2
+    assert (
+        samples["repro_service_udfs_svc_udf_calls"]
+        == udf.counter_snapshot()["calls"]
+        > 0
+    )
+    assert samples["repro_service_latency_ms_hit_p50_ms"] == pytest.approx(
+        stats.latency_ms["hit"]["p50_ms"]
+    )
+    service.close()

@@ -18,7 +18,10 @@ function of the evidence instead of a method, the parent's sampler is
 prior on return, with this module's ``merge_shards``, as the sampler now
 does — and :func:`parent_exclusion`
 — which swaps them in for the duration of a ``with`` block, so that a twin
-``QueryService`` stepped inside it runs on them — is new.
+``QueryService`` stepped inside it runs on them — is new.  One statement
+follows the sampler rather than the parent: :func:`draw` charges its
+evaluations through the bulk call (``ledger=``), as every sampler does since
+serving accounting covers a refresh's draws, so the twins' ledgers agree.
 """
 
 from contextlib import ExitStack, contextmanager
@@ -87,7 +90,7 @@ def draw(
     allocation: Mapping[Hashable, int],
     ledger: CostLedger,
     already_sampled: Optional[SampleOutcome] = None,
-    bulk_evaluator: Optional[Callable[[Table, np.ndarray], np.ndarray]] = None,
+    bulk_evaluator: Optional[Callable[..., np.ndarray]] = None,
 ) -> SampleOutcome:
     check_deadline("sampling")
     paid_ids = bounds = None
@@ -110,9 +113,8 @@ def draw(
     all_chosen = np.concatenate(chosen_per_group)
     check_deadline("sampling-charge")
     ledger.charge_retrieval(int(all_chosen.size))
-    ledger.charge_evaluation(int(all_chosen.size))
     evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-    return SampleOutcome(all_chosen, evaluate(table, all_chosen))
+    return SampleOutcome(all_chosen, evaluate(table, all_chosen, ledger=ledger))
 
 
 @contextmanager

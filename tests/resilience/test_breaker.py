@@ -16,15 +16,8 @@ from repro.db.query import SelectQuery
 from repro.db.sharding import ShardedTable
 from repro.db.table import Table
 from repro.db.udf import UserDefinedFunction
-from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
 from repro.resilience import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serving import QueryService, ServiceConfig
-
-
-@pytest.fixture(autouse=True)
-def _restore_null_registry():
-    yield
-    disable_metrics()
 
 
 def _columns(rows=600, groups=4, seed=13):
@@ -135,22 +128,21 @@ class TestStateMachine:
         assert snap["failure_threshold"] == 2
         assert breaker.retries_total == 3
 
-    def test_transitions_counted_on_the_registry(self):
-        registry = enable_metrics(MetricsRegistry())
+    def test_transitions_read_from_the_snapshot(self):
         now = [0.0]
         breaker = CircuitBreaker(
             failure_threshold=1, recovery_time_s=1.0, clock=lambda: now[0]
         )
+        seen = []
         breaker.record_failure()
+        seen.append(breaker.snapshot())
         now[0] = 1.0
         assert breaker.allow()
+        seen.append(breaker.snapshot())
         breaker.record_success()
-        counters = registry.snapshot()["counters"]
-        for state in (OPEN, HALF_OPEN, CLOSED):
-            assert any(
-                "repro_breaker_transitions_total" in key and f'to="{state}"' in key
-                for key in counters
-            ), f"missing transition to {state}"
+        seen.append(breaker.snapshot())
+        assert [snap["state"] for snap in seen] == [OPEN, HALF_OPEN, CLOSED]
+        assert [snap["opened_count"] for snap in seen] == [1, 1, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):

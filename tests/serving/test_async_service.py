@@ -23,7 +23,6 @@ from repro.db.predicate import UdfPredicate
 from repro.db.query import SelectQuery
 from repro.db.table import Table
 from repro.db.udf import UserDefinedFunction
-from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
 from repro.resilience import DeadlineExceeded, FaultPlan, FaultRule, fault_scope
 from repro.serving import Overloaded, QueryService, ServiceClosed, ServiceConfig
 from repro.serving.config import EXECUTORS, SERVICE_STATS_SCHEMA, ServiceStats
@@ -486,59 +485,55 @@ class TestLoadShedding:
         dropped silently and the ``shed`` counter equals the raises.
         """
         burst_size = 12
-        enable_metrics(MetricsRegistry())
-        try:
-            gate = threading.Event()
-            udf = _gated_udf(gate)
-            catalog, _ = _setup(udf=udf, name="dtab")
-            service = QueryService(
-                Engine(catalog),
-                config=ServiceConfig(
-                    max_concurrency=1, class_limits={"approximate": limit}
-                ),
-            )
-            query = _query(udf, table="dtab")
+        gate = threading.Event()
+        udf = _gated_udf(gate)
+        catalog, _ = _setup(udf=udf, name="dtab")
+        service = QueryService(
+            Engine(catalog),
+            config=ServiceConfig(
+                max_concurrency=1, class_limits={"approximate": limit}
+            ),
+        )
+        query = _query(udf, table="dtab")
 
-            async def scenario():
-                leader = asyncio.create_task(service.submit_async(query, seed=5))
-                try:
-                    while not service._flights:
-                        await asyncio.sleep(0.005)
-                    burst = [
-                        asyncio.create_task(service.submit_async(query, seed=5))
-                        for _ in range(burst_size)
-                    ]
-                    # One yield runs every burst task's admission in creation
-                    # order; gathering before the gate opens would wait
-                    # forever on the admitted followers.
-                    await asyncio.sleep(0)
-                finally:
-                    gate.set()
-                outcomes = await asyncio.gather(*burst, return_exceptions=True)
-                return await leader, outcomes
+        async def scenario():
+            leader = asyncio.create_task(service.submit_async(query, seed=5))
+            try:
+                while not service._flights:
+                    await asyncio.sleep(0.005)
+                burst = [
+                    asyncio.create_task(service.submit_async(query, seed=5))
+                    for _ in range(burst_size)
+                ]
+                # One yield runs every burst task's admission in creation
+                # order; gathering before the gate opens would wait
+                # forever on the admitted followers.
+                await asyncio.sleep(0)
+            finally:
+                gate.set()
+            outcomes = await asyncio.gather(*burst, return_exceptions=True)
+            return await leader, outcomes
 
-            leader_result, outcomes = asyncio.run(scenario())
-            assert leader_result.ledger.evaluated_count > 0
-            shed = [item for item in outcomes if isinstance(item, Overloaded)]
-            answered = [item for item in outcomes if not isinstance(item, BaseException)]
-            assert len(shed) == burst_size - (limit - 1)
-            assert len(answered) == limit - 1
-            assert len(shed) + len(answered) == burst_size  # no silent drop
-            for exc in shed:
-                assert exc.query_class == "approximate"
-                assert exc.limit == limit
-                assert exc.pending >= 1
-            metrics = service.stats().serving
-            # Accounting delta is exactly zero: every raise is counted once.
-            assert metrics["shed"] == len(shed)
-            # Shed requests never reach the service, and the admitted
-            # followers (the leader's seed, anonymous) share its result
-            # without a query of their own: one query, one pipeline run.
-            assert metrics["queries"] == 1
-            assert metrics["coalesced"] == limit - 1
-            assert metrics["pipeline_runs"] == 1
-        finally:
-            disable_metrics()
+        leader_result, outcomes = asyncio.run(scenario())
+        assert leader_result.ledger.evaluated_count > 0
+        shed = [item for item in outcomes if isinstance(item, Overloaded)]
+        answered = [item for item in outcomes if not isinstance(item, BaseException)]
+        assert len(shed) == burst_size - (limit - 1)
+        assert len(answered) == limit - 1
+        assert len(shed) + len(answered) == burst_size  # no silent drop
+        for exc in shed:
+            assert exc.query_class == "approximate"
+            assert exc.limit == limit
+            assert exc.pending >= 1
+        metrics = service.stats().serving
+        # Accounting delta is exactly zero: every raise is counted once.
+        assert metrics["shed"] == len(shed)
+        # Shed requests never reach the service, and the admitted
+        # followers (the leader's seed, anonymous) share its result
+        # without a query of their own: one query, one pipeline run.
+        assert metrics["queries"] == 1
+        assert metrics["coalesced"] == limit - 1
+        assert metrics["pipeline_runs"] == 1
 
     def test_pending_drains_after_completion(self):
         catalog, udf = _setup(name="etab")
@@ -606,7 +601,7 @@ class TestStatsSurface:
         assert stats.plan_cache == service.plan_cache.snapshot()
         assert stats.stats_cache == service.stats_cache.snapshot()
         assert stats.latency_ms["all"]["count"] == 1
-        assert stats.registry == {}  # the opt-in registry is off here
+        assert not hasattr(stats, "registry")  # removed in 1.27
 
 
 class TestCustomStrategyOnTheProcessBackend:

@@ -5,7 +5,9 @@ holds) is a property of how one request is charged, so it is carried by
 that request's :class:`~repro.db.udf.CostLedger` and read by the bulk UDF
 calls that charge it.  No executor takes it, and the service never writes
 it into a strategy: a refresh sets it on its ledger and runs the strategy
-as built, exactly as a cold run does.
+as built, exactly as a cold run does.  Sampling and labelling charge their
+evaluations through the same calls, so a refresh's own draws are charged
+under that rule too.
 """
 
 import numpy as np
@@ -30,9 +32,12 @@ GROUPS = ((0.3, 0.9), (0.25, 0.6), (0.2, 0.3), (0.15, 0.05), (0.1, 1.0))
 #: (seed 11), refresh (seed 12, after 300 appended rows) and hit (seed 13)
 #: requests of :func:`_cycle`.  Recorded by running :func:`_cycle` on the
 #: tree before the accounting moved onto the ledger, on both backends; they
-#: agreed.  A cold run charges the paper's way under either setting.
+#: agreed.  A cold run charges the paper's way under either setting.  The
+#: serving refresh read 133 until sampling and labelling charged through the
+#: ledger-aware bulk call: 3 of the rows its stratified top-up draws were
+#: already in the memo, and serving accounting no longer charges them.
 PINNED = {
-    True: [("miss", 1026, 397), ("refresh", 941, 133), ("hit", 915, 59)],
+    True: [("miss", 1026, 397), ("refresh", 941, 130), ("hit", 915, 59)],
     False: [("miss", 1026, 397), ("refresh", 941, 186), ("hit", 915, 149)],
 }
 
@@ -51,8 +56,7 @@ def _columns(rows, seed):
     return {"A": [f"a{code}" for code in codes.tolist()], "f": labels}
 
 
-def _cycle(config, strategy_factory=None):
-    """Cold, append, refresh, hit; ``(plan_cache, retrieved, evaluated)`` of each."""
+def _setup():
     table = ShardedTable.from_columns("acct", _columns(1500, 5), hidden_columns=["f"], num_shards=2)
     udf = UserDefinedFunction.from_label_column("acct_label", "f")
     catalog = Catalog()
@@ -66,6 +70,12 @@ def _cycle(config, strategy_factory=None):
         rho=0.8,
         correlated_column="A",
     )
+    return table, udf, catalog, query
+
+
+def _cycle(config, strategy_factory=None):
+    """Cold, append, refresh, hit; ``(plan_cache, retrieved, evaluated)`` of each."""
+    table, _udf, catalog, query = _setup()
     served = []
     with QueryService(Engine(catalog), strategy_factory, config=config) as service:
         served.append(service.submit(query, seed=11))
@@ -127,3 +137,30 @@ def test_a_refresh_writes_nothing_into_its_strategy(backend):
 @pytest.mark.parametrize("free_memoized", [True, False], ids=["serving", "paper"])
 def test_cold_refresh_and_hit_charges_are_pinned(free_memoized, backend):
     assert _cycle(ServiceConfig(free_memoized=free_memoized, **backend)) == PINNED[free_memoized]
+
+
+def _planned_evidence(service):
+    (entry,) = [entry for _signature, entry in service.plan_cache._cache.items()]
+    return entry.sample_outcome
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_refresh_pays_only_for_the_rows_the_memo_does_not_know(backend):
+    """The refresh's stratified top-up draws rows the cold run's execution
+    already evaluated; under serving accounting its ledger is charged for
+    exactly the evaluations the UDF performed, the sampler's included."""
+    table, udf, catalog, query = _setup()
+    config = ServiceConfig(free_memoized=True, **backend)
+    with QueryService(Engine(catalog), config=config) as service:
+        service.submit(query, seed=11)
+        before = _planned_evidence(service)
+        table.append_columns(_columns(300, 6))
+        known, _values = udf.memo_arrays()
+        misses = udf.counter_snapshot()["cache_misses"]
+        refreshed = service.submit(query, seed=12)
+        after = _planned_evidence(service)
+    assert refreshed.metadata["plan_cache"] == "refresh"
+    drawn = np.setdiff1d(after.row_ids, before.row_ids)
+    assert np.intersect1d(drawn, known).size > 0
+    paid = udf.counter_snapshot()["cache_misses"] - misses
+    assert refreshed.ledger.evaluated_count == paid

@@ -27,18 +27,12 @@ from repro.db.query import SelectQuery
 from repro.db.sharding import ShardedTable
 from repro.db.table import Table
 from repro.db.udf import UserDefinedFunction
-from repro.obs import CollectingTraceSink, disable_metrics, enable_metrics
+from repro.obs import CollectingTraceSink
 from repro.serving import QueryService, ServiceConfig
 from repro.serving.config import SERVICE_STATS_SCHEMA
 from repro.solvers.linear import InfeasibleProblemError
 
 SHARD_SPAN = re.compile(r"^shard:\d+$")
-
-
-@pytest.fixture(autouse=True)
-def _restore_null_registry():
-    yield
-    disable_metrics()
 
 
 def _columns(rows, seed=8):
@@ -290,7 +284,6 @@ class TestEngineFallbackCounter:
         table, udf, catalog = _setup(rows=300)
         engine = Engine(catalog)
         engine.register_strategy("bad", Infeasible())
-        enable_metrics()
         result = engine.execute(_query(udf), strategy="bad")
         assert engine.fallback_total == 1
         assert result.metadata["fallback_reason"].startswith("infeasible constraints")
@@ -316,12 +309,10 @@ class TestServiceSnapshots:
     def test_metrics_snapshot_bundles_everything(self):
         table, udf, catalog = _setup()
         service = QueryService(Engine(catalog))
-        enable_metrics()
         service.submit(_query(udf), seed=0)
         snap = service.stats()
         assert set(snap.to_dict()) == set(SERVICE_STATS_SCHEMA)
         assert snap.serving["queries"] == 1
-        assert snap.registry["counters"]['repro_executor_runs_total{backend="batch"}'] == 1.0
         assert snap.udfs == {"traced_udf": udf.counter_snapshot()}
         # flat(): every numeric leaf under a schema section, JSON-clean
         flat = snap.flat()
@@ -332,22 +323,20 @@ class TestServiceSnapshots:
             assert counter in SERVICE_STATS_SCHEMA["frontend"]
         sections = tuple(f"{section}_" for section in SERVICE_STATS_SCHEMA)
         for key, value in flat.items():
-            assert key.startswith(sections) and not key.startswith("registry_")
+            assert key.startswith(sections)
             assert isinstance(value, (int, float)) and math.isfinite(value)
         assert json.loads(json.dumps(flat)) == flat
 
-    def test_disabled_registry_keeps_counters_identical(self):
-        """Instrumentation off vs on must not change what queries compute."""
+    def test_tracing_keeps_counters_identical(self):
+        """Tracing off vs on must not change what queries compute."""
 
-        def run(instrumented):
+        def run(traced):
             table, udf, catalog = _setup()
             service = QueryService(Engine(catalog))
-            if instrumented:
-                enable_metrics()
+            if traced:
                 service.set_trace_sink(CollectingTraceSink())
             query = _query(udf)
             results = [service.submit(query, seed=s) for s in range(3)]
-            disable_metrics()
             return (
                 [sorted(r.row_ids) for r in results],
                 [r.ledger.evaluated_count for r in results],
