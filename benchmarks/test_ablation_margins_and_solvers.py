@@ -37,8 +37,8 @@ def margin_ablation(dataset, constraints, runs=10):
         for seed in range(runs):
             udf = dataset.make_udf(f"ablate_{label}_{seed}")
             ledger = CostLedger()
-            result = PlanExecutor(random_state=seed).execute(
-                dataset.table, index, udf, plan, ledger
+            result = PlanExecutor().execute(
+                dataset.table, index, udf, plan, ledger, seed
             )
             quality = result_quality(result.returned_row_ids, truth)
             if quality.satisfies(constraints.alpha, constraints.beta):

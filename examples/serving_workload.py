@@ -478,7 +478,11 @@ def main() -> None:
     )
     sink = None
     if args.metrics:
-        sink = CollectingTraceSink(capacity=TRACE_LENGTH)
+        # Room for every request the run serves — the replay, then the
+        # quality spot check — so the slowest trace (the first cold miss)
+        # is never evicted before the report reads it.
+        served = (args.clients if args.use_async else TRACE_LENGTH) + 1
+        sink = CollectingTraceSink(capacity=served)
         service.set_trace_sink(sink)
     trace = build_trace(dataset, udf, RandomState(2015))
     layout = (

@@ -13,9 +13,11 @@ Public surface:
   inline),
   :class:`ProcessPoolBatchExecutor` (the same spans in worker processes
   over memory-mapped segment files)
-  and :class:`PlanExecutor` (tuple-at-a-time reference); every strategy
-  builds its backend through its ``executor_factory`` (``BatchExecutor`` by
-  default), and the request's ledger carries how it is charged,
+  and :class:`PlanExecutor` (tuple-at-a-time reference).  Each is a
+  placement holding configuration only: ``execute`` takes the coin stream
+  and ``evaluate_rows`` the labelling and sampling draws.  Every strategy
+  runs all its UDF evaluations on its ``executor`` (``BatchExecutor()`` by
+  default), and the request's ledger carries how they are charged,
 * end-to-end strategies — :class:`IntelSample`, :class:`AdaptiveIntelSample`,
   :class:`OptimalOracle`,
 * column selection — :func:`select_correlated_column`,

@@ -12,7 +12,7 @@ found with everything sampled so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.constraints import QueryConstraints
 from repro.core.executor import BatchExecutor, ExecutorBackend
@@ -69,12 +69,11 @@ class AdaptiveIntelSample:
     patience:
         Number of consecutive predicted-cost increases tolerated before the
         search stops.
-    executor_factory:
-        Maps a :class:`RandomState` to an
-        :class:`~repro.core.executor.ExecutorBackend`; defaults to the
-        vectorised :class:`~repro.core.executor.BatchExecutor` (pass
-        ``lambda rng: PlanExecutor(random_state=rng)`` for the
-        tuple-at-a-time reference backend).
+    executor:
+        The :class:`~repro.core.executor.ExecutorBackend` the sampling
+        rounds and the execution run on; defaults to the vectorised
+        :class:`~repro.core.executor.BatchExecutor` (pass ``PlanExecutor()``
+        for the tuple-at-a-time reference backend).
     """
 
     def __init__(
@@ -84,14 +83,14 @@ class AdaptiveIntelSample:
         patience: int = 1,
         independent: bool = True,
         random_state: SeedLike = None,
-        executor_factory: Optional[Callable[[RandomState], ExecutorBackend]] = None,
+        executor: Optional[ExecutorBackend] = None,
     ):
         self.correlated_column = correlated_column
         self.num_schedule = list(num_schedule) if num_schedule is not None else None
         self.patience = patience
         self.independent = independent
         self.random_state: RandomState = as_random_state(random_state)
-        self.executor_factory = executor_factory or BatchExecutor
+        self.executor = executor if executor is not None else BatchExecutor()
 
     def answer(
         self,
@@ -116,7 +115,8 @@ class AdaptiveIntelSample:
             nonlocal outcome
             allocation = TwoThirdPowerScheme(num=num).allocate(index.group_sizes())
             outcome = sampler.sample(
-                table, index, udf, allocation, ledger, already_sampled=outcome
+                table, index, udf, allocation, ledger,
+                already_sampled=outcome, executor=self.executor,
             )
             solution = solve_with_samples(
                 index,
@@ -138,9 +138,8 @@ class AdaptiveIntelSample:
 
         chosen_num = choose_num_adaptively(sample_and_solve, schedule, self.patience).best_num
         best = solved[chosen_num]
-        executor = self.executor_factory(self.random_state.child())
-        result = executor.execute(
-            table, index, udf, best.plan, ledger, sample_outcome=outcome
+        result = self.executor.execute(
+            table, index, udf, best.plan, ledger, self.random_state.child(), sample_outcome=outcome
         )
         report = AdaptiveReport(
             rounds=rounds,

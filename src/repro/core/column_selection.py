@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.bigreedy import solve_bigreedy
 from repro.core.constraints import CostModel, QueryConstraints
+from repro.core.executor import ExecutorBackend
 from repro.core.groups import SelectivityModel
 from repro.db.column import Column, ColumnType
 from repro.db.index import GroupIndex
@@ -31,7 +32,7 @@ from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.ml.bucketer import ScoreBucketer
 from repro.ml.features import FeatureEncoder
 from repro.ml.logistic import LogisticRegression
-from repro.sampling.sampler import BulkEvaluator, Evidence, SampleOutcome, member_mask
+from repro.sampling.sampler import Evidence, SampleOutcome, member_mask, pay_for_rows
 from repro.solvers.linear import InfeasibleProblemError
 from repro.stats.beta import BetaPosterior
 from repro.stats.random import (
@@ -65,14 +66,14 @@ def draw_labeled_sample(
     fraction: float = 0.01,
     minimum_size: int = 50,
     random_state: SeedLike = None,
-    bulk_evaluator: Optional[BulkEvaluator] = None,
+    executor: Optional[ExecutorBackend] = None,
 ) -> LabeledSample:
     """Uniformly sample rows and evaluate the UDF on them (charging costs).
 
-    ``bulk_evaluator`` optionally replaces ``udf.evaluate_rows`` for the
-    batched evaluation (the process executor's worker fan-out); row selection
-    stays on this function's stream, so the drawn sample is identical either
-    way.
+    ``executor`` is the placement the batched evaluation runs on (the
+    process executor fans it across its workers; ``None`` runs it inline);
+    row selection stays on this function's stream, so the drawn sample is
+    identical either way.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -83,9 +84,7 @@ def draw_labeled_sample(
     # Bulk charge + one batched UDF call, which charges the evaluations
     # under the ledger's accounting: identical counter/ledger totals to the
     # historical per-row loop, minus the per-tuple python overhead.
-    ledger.charge_retrieval(int(chosen.size))
-    evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-    return LabeledSample(chosen, evaluate(table, chosen, ledger=ledger))
+    return LabeledSample(chosen, pay_for_rows(executor, table, udf, chosen, ledger))
 
 
 #: Phase tags separating the admission and eviction coin streams of the
@@ -103,7 +102,7 @@ def top_up_labeled_sample(
     fraction: float = 0.01,
     minimum_size: int = 50,
     stream_seed: int = 0,
-    bulk_evaluator: Optional[BulkEvaluator] = None,
+    executor: Optional[ExecutorBackend] = None,
 ) -> LabeledSample:
     """Reservoir-style top-up of a labelled sample after rows were appended.
 
@@ -197,9 +196,7 @@ def top_up_labeled_sample(
     survived = member_mask(members, labeled.row_ids)
     flags = labeled.flags[survived]
     if fresh.size:
-        ledger.charge_retrieval(int(fresh.size))
-        evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-        flags = np.concatenate([flags, evaluate(table, fresh, ledger=ledger)])
+        flags = np.concatenate([flags, pay_for_rows(executor, table, udf, fresh, ledger)])
     return LabeledSample(np.concatenate([labeled.row_ids[survived], fresh]), flags)
 
 

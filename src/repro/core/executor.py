@@ -10,8 +10,17 @@ group and
 3. skips tuples that were already evaluated during sampling — their positive
    members are added to the output for free, exactly as Section 4.2 allows.
 
-One kernel, one coin stream, three placements
----------------------------------------------
+One kernel, placements that hold no coins
+-----------------------------------------
+
+An executor is a *placement*: it decides where UDF evaluations run and
+holds nothing else — no coin stream, no ledger, no request.  The coins are
+an argument of each ``execute`` call, and the same object evaluates the
+labelling and sampling draws through ``evaluate_rows(table, udf, row_ids,
+ledger)``, so every ``o_e`` a request pays for — drawn, sampled or
+executed — runs wherever its one placement says.  The inline backends'
+``evaluate_rows`` is one ``udf.evaluate_rows(table, row_ids, None,
+ledger)`` call.
 
 Every vectorised backend runs the same kernel — candidates from the one
 :func:`~repro.sampling.sampler.candidate_frame`, coins from the one
@@ -29,9 +38,9 @@ evaluation runs:
   calling thread.  :class:`PlanExecutor` is its paper-faithful
   tuple-at-a-time reference — python loops, one ledger charge per tuple,
   one UDF call per evaluated row — kept apart on purpose (it shares only
-  the free positives' order, and excludes sampled rows through a
-  whole-table mask of its own), because the differential tests compare the
-  two.
+  the free positives' order and the inline ``evaluate_rows``, and excludes
+  sampled rows through a whole-table mask of its own), because the
+  differential tests compare the two.
 * :class:`~repro.core.parallel.ParallelBatchExecutor` flips the same coins
   in the same order, cuts each group's retrieved rows and evaluation mask at
   the shard bounds, and evaluates span by span on the calling thread;
@@ -148,7 +157,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, List, Optional, Protocol, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -164,7 +173,7 @@ from repro.sampling.sampler import SampleOutcome, candidate_frame
 # Re-exported: the frame is built in ``sampling.sampler`` (which cannot import
 # this module) and named from here by the span executors and the tests.
 from repro.sampling.sampler import CandidateFrame, build_candidate_frame  # noqa: F401
-from repro.stats.random import RandomState, SeedLike, as_random_state, skip_uniforms
+from repro.stats.random import SeedLike, as_random_state, skip_uniforms
 
 
 @dataclass
@@ -228,12 +237,14 @@ class ExecutionResult:
 
 
 class ExecutorBackend(Protocol):
-    """Protocol shared by plan-execution backends.
+    """A placement: where a request's UDF evaluations run.
 
+    A backend holds configuration only, so one instance serves any number
+    of requests; the coin stream is an argument of :meth:`execute`.
     :class:`BatchExecutor` is the vectorised default;
     :class:`PlanExecutor` is the paper-faithful tuple-at-a-time reference
-    kept for differential testing.  Strategies accept any implementation via
-    their ``executor_factory`` hook, so the same pipeline can run on either.
+    kept for differential testing.  Strategies take any implementation as
+    their ``executor``, and run labelling, sampling and execution on it.
     """
 
     def execute(
@@ -243,9 +254,22 @@ class ExecutorBackend(Protocol):
         udf: UserDefinedFunction,
         plan: ExecutionPlan,
         ledger: CostLedger,
+        random_state: SeedLike,
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:  # pragma: no cover - protocol definition
-        """Run ``plan`` over every group of ``index``, charging ``ledger``."""
+        """Run ``plan`` over every group of ``index`` on the coins of
+        ``random_state``, charging ``ledger``."""
+        ...
+
+    def evaluate_rows(
+        self,
+        table: Table,
+        udf: UserDefinedFunction,
+        row_ids: Sequence[int],
+        ledger: Optional[CostLedger] = None,
+    ) -> np.ndarray:  # pragma: no cover - protocol definition
+        """Evaluate ``udf`` on every one of ``row_ids`` (sampling and
+        labelling), charging ``ledger`` (when given) under its accounting."""
         ...
 
 
@@ -320,7 +344,26 @@ def flip_group_coins(
     return retrieved, None, int(retrieved.size) if threshold > 0.0 else 0
 
 
-class PlanExecutor:
+class _InlinePlacement:
+    """The calling thread as a placement, for the two serial backends.
+
+    Sampling and labelling draws are one ``udf.evaluate_rows(table, row_ids,
+    None, ledger)`` call on this thread — no deadline check, charge or
+    counter of its own beyond the UDF's.
+    """
+
+    def evaluate_rows(
+        self,
+        table: Table,
+        udf: UserDefinedFunction,
+        row_ids: Sequence[int],
+        ledger: Optional[CostLedger] = None,
+    ) -> np.ndarray:
+        """Evaluate ``udf`` on ``row_ids`` in one bulk call on this thread."""
+        return udf.evaluate_rows(table, row_ids, None, ledger)
+
+
+class PlanExecutor(_InlinePlacement):
     """Tuple-at-a-time reference executor (paper-faithful accounting).
 
     Retrieval and evaluation are charged tuple by tuple and every evaluated
@@ -329,9 +372,6 @@ class PlanExecutor:
     everywhere) for speed; this backend exists to keep it honest.
     """
 
-    def __init__(self, random_state: SeedLike = None):
-        self.random_state: RandomState = as_random_state(random_state)
-
     def execute(
         self,
         table: Table,
@@ -339,9 +379,10 @@ class PlanExecutor:
         udf: UserDefinedFunction,
         plan: ExecutionPlan,
         ledger: CostLedger,
+        random_state: SeedLike,
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
-        """Run ``plan`` over every group of ``index``.
+        """Run ``plan`` over every group of ``index`` on ``random_state``'s coins.
 
         ``sample_outcome`` (when provided) identifies tuples whose UDF value
         was already paid for during sampling: they are excluded from the
@@ -353,11 +394,8 @@ class PlanExecutor:
         # instead attributes work to its per-shard child spans, so each
         # charge appears on exactly one span either way.
         active_span = _trace.current_span()
-        ledger_before = (
-            (ledger.retrieved_count, ledger.evaluated_count)
-            if active_span is not None
-            else None
-        )
+        ledger_before = (ledger.retrieved_count, ledger.evaluated_count)
+        rng = as_random_state(random_state)
         outcome = sample_outcome if sample_outcome is not None else SampleOutcome()
         sampled, flags, _ = outcome.by_group(index)
         already_sampled = np.zeros(index.total_rows(), dtype=bool)
@@ -385,7 +423,7 @@ class PlanExecutor:
                     continue
                 if (
                     retrieve_probability >= 1.0
-                    or self.random_state.random() < retrieve_probability
+                    or rng.random() < retrieve_probability
                 ):
                     retrieved.append(row_id)
 
@@ -397,7 +435,7 @@ class PlanExecutor:
                 elif conditional_evaluate >= 1.0:
                     evaluate = True
                 else:
-                    evaluate = self.random_state.random() < conditional_evaluate
+                    evaluate = rng.random() < conditional_evaluate
                 if evaluate:
                     ledger.charge_evaluation()
                     outcome = udf.evaluate_row(table, row_id)
@@ -427,7 +465,7 @@ class PlanExecutor:
         )
 
 
-class BatchExecutor:
+class BatchExecutor(_InlinePlacement):
     """Vectorised executor: one NumPy pass and one bulk UDF call per group.
 
     The default backend for :class:`~repro.core.pipeline.IntelSample`,
@@ -441,9 +479,6 @@ class BatchExecutor:
     (:class:`~repro.db.udf.CostLedger`).
     """
 
-    def __init__(self, random_state: SeedLike = None):
-        self.random_state: RandomState = as_random_state(random_state)
-
     def execute(
         self,
         table: Table,
@@ -451,24 +486,21 @@ class BatchExecutor:
         udf: UserDefinedFunction,
         plan: ExecutionPlan,
         ledger: CostLedger,
+        random_state: SeedLike,
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
         """Run ``plan`` over every group of ``index`` (vectorised)."""
         # See PlanExecutor.execute: serial backends put their ledger advance
         # on the current trace span.
         active_span = _trace.current_span()
-        ledger_before = (
-            (ledger.retrieved_count, ledger.evaluated_count)
-            if active_span is not None
-            else None
-        )
+        ledger_before = (ledger.retrieved_count, ledger.evaluated_count)
         frame = candidate_frame(index, sample_outcome)
         # Per-group returned chunks, concatenated once at the end: no python
         # object is built per returned row.
         chunks: List[np.ndarray] = [frame.free_positives]
         group_counts: Dict[Hashable, GroupExecutionCounts] = {}
 
-        rng = self.random_state.generator
+        rng = as_random_state(random_state).generator
         for key, candidates in zip(index, frame.candidates):
             # Cooperative cancellation before this group's charges (the
             # coin draws below consume no stream positions when skipped

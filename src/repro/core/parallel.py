@@ -11,7 +11,7 @@ spans' picked rows in worker processes: "where the spans are evaluated" is
 the only part it supplies, and those are the two places spans run.
 
 * **Coins** are flipped in the parent, before any span runs, from the
-  executor's own seeded generator by :func:`~repro.core.executor.flip_group_coins`
+  coin stream ``execute`` is given, by :func:`~repro.core.executor.flip_group_coins`
   — the serial backend's coin step, group by group in index order, with its
   thresholds and skips.  :func:`build_span_tasks` then cuts each group's
   retrieved rows and evaluation mask at the span bounds.  So a seed returns
@@ -61,7 +61,7 @@ from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.obs import trace as _trace
 from repro.resilience.deadline import check_deadline
 from repro.sampling.sampler import SampleOutcome
-from repro.stats.random import RandomState, SeedLike, as_random_state
+from repro.stats.random import SeedLike, as_random_state
 
 
 @dataclass
@@ -219,16 +219,10 @@ def merge_span_outcomes(
 class ParallelBatchExecutor:
     """Sharded plan executor, spans inline (see module docstring).
 
-    Parameters
-    ----------
-    random_state:
-        Seed of the coin stream; a seed returns what
-        :class:`~repro.core.executor.BatchExecutor` returns for it, whatever
-        the shard layout or placement.
+    Holds no state: a seed given to :meth:`execute` returns what
+    :class:`~repro.core.executor.BatchExecutor` returns for it, whatever
+    the shard layout or placement.
     """
-
-    def __init__(self, random_state: SeedLike = None):
-        self.random_state: RandomState = as_random_state(random_state)
 
     def evaluate_rows(
         self,
@@ -250,22 +244,23 @@ class ParallelBatchExecutor:
         udf: UserDefinedFunction,
         plan: ExecutionPlan,
         ledger: CostLedger,
+        random_state: SeedLike,
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
         """Run ``plan`` over every group of ``index``, span by span."""
         return self._execute_spans(
-            "parallel", self._run_spans, table, index, udf, plan, ledger, sample_outcome
+            self._run_spans, table, index, udf, plan, ledger, random_state, sample_outcome
         )
 
     def _execute_spans(
         self,
-        backend: str,
         run_spans: SpanRunner,
         table: Table,
         index: GroupIndex,
         udf: UserDefinedFunction,
         plan: ExecutionPlan,
         ledger: CostLedger,
+        random_state: SeedLike,
         sample_outcome: Optional[SampleOutcome],
     ) -> ExecutionResult:
         """The one span skeleton; ``run_spans`` is "where the spans run".
@@ -277,7 +272,7 @@ class ParallelBatchExecutor:
         """
         frame = candidate_frame(index, sample_outcome)
         span_tasks, group_counts = build_span_tasks(
-            index, plan, frame, self.random_state.generator
+            index, plan, frame, as_random_state(random_state).generator
         )
 
         # Span indices (not list positions after filtering) name the shard

@@ -15,7 +15,7 @@ query layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -52,27 +52,6 @@ def _cost_model_from_ledger(ledger: CostLedger) -> CostModel:
 
 def _constraints_from_query(query: SelectQuery) -> QueryConstraints:
     return QueryConstraints(alpha=query.alpha, beta=query.beta, rho=query.rho)
-
-
-def _probe_bulk_evaluator(
-    executor_factory: Callable[[RandomState], ExecutorBackend],
-    udf: UserDefinedFunction,
-):
-    """The executor's ``evaluate_rows`` bound to ``udf``, if it has one.
-
-    Drop-in for ``udf.evaluate_rows`` in sampling and labelling, so a
-    process executor can fan the bulk evaluation across its workers.  A
-    throwaway, fixed-seed instance is built purely to read configuration —
-    the real executor is still created (with its proper child stream) at the
-    execution step, so the pipeline's random-stream consumption is unchanged
-    whether or not the backend is parallel.  UDF outcomes are deterministic,
-    so fanning sampling/labelling evaluations across shards alters wall-clock
-    only, never statistics.
-    """
-    evaluate_rows = getattr(executor_factory(as_random_state(0)), "evaluate_rows", None)
-    if evaluate_rows is None:
-        return None
-    return lambda table, row_ids, ledger=None: evaluate_rows(table, udf, row_ids, ledger)
 
 
 def _udf_from_query(query: SelectQuery) -> UserDefinedFunction:
@@ -129,13 +108,16 @@ class IntelSample:
     column_sample_fraction:
         Fraction of rows labelled up-front for column selection / virtual
         column training (the paper uses 1%).
-    executor_factory:
-        Maps a :class:`RandomState` to an
-        :class:`~repro.core.executor.ExecutorBackend`; defaults to the
-        vectorised :class:`~repro.core.executor.BatchExecutor`.  Pass
-        ``lambda rng: PlanExecutor(random_state=rng)`` to run on the
-        tuple-at-a-time reference backend (seed-for-seed identical results,
-        paper-faithful per-tuple charging).
+    executor:
+        The :class:`~repro.core.executor.ExecutorBackend` every UDF
+        evaluation of a run is placed on — labelling, sampling and
+        execution; defaults to the vectorised
+        :class:`~repro.core.executor.BatchExecutor`.  Pass
+        ``PlanExecutor()`` to run on the tuple-at-a-time reference backend
+        (seed-for-seed identical results, paper-faithful per-tuple
+        charging).  UDF outcomes are deterministic, so where the sampling
+        and labelling evaluations run alters wall-clock only, never
+        statistics.
     """
 
     def __init__(
@@ -147,7 +129,7 @@ class IntelSample:
         independent: bool = True,
         column_sample_fraction: float = 0.01,
         random_state: SeedLike = None,
-        executor_factory: Optional[Callable[[RandomState], ExecutorBackend]] = None,
+        executor: Optional[ExecutorBackend] = None,
     ):
         self.sampling_scheme = sampling_scheme
         self.correlated_column = correlated_column
@@ -156,7 +138,7 @@ class IntelSample:
         self.independent = independent
         self.column_sample_fraction = column_sample_fraction
         self.random_state: RandomState = as_random_state(random_state)
-        self.executor_factory = executor_factory or BatchExecutor
+        self.executor = executor if executor is not None else BatchExecutor()
 
     # -- engine strategy protocol ---------------------------------------------------
     def run(self, table: Table, query: SelectQuery, ledger: CostLedger) -> QueryResult:
@@ -190,7 +172,6 @@ class IntelSample:
         cost_model = _cost_model_from_ledger(ledger)
         column = correlated_column or self.correlated_column
         udf_counters_before = udf.counter_snapshot()
-        bulk_evaluator = _probe_bulk_evaluator(self.executor_factory, udf)
 
         labeled = cached_labeled if cached_labeled is not None else LabeledSample()
         column_costs = None
@@ -210,7 +191,7 @@ class IntelSample:
                         ledger,
                         fraction=self.column_sample_fraction,
                         random_state=self.random_state.child(),
-                        bulk_evaluator=bulk_evaluator,
+                        executor=self.executor,
                     )
                 if self.use_virtual_column:
                     exclude = [
@@ -292,7 +273,7 @@ class IntelSample:
                 allocation,
                 ledger,
                 already_sampled=prior,
-                bulk_evaluator=bulk_evaluator,
+                executor=self.executor,
             )
             section.annotate("sampled", outcome.total_sampled)
 
@@ -316,9 +297,9 @@ class IntelSample:
         # double-counted across the tree.
         check_deadline("pipeline")
         with _span("execute"):
-            executor = self.executor_factory(self.random_state.child())
-            result = executor.execute(
-                working_table, index, udf, solution.plan, ledger, sample_outcome=outcome
+            result = self.executor.execute(
+                working_table, index, udf, solution.plan, ledger, self.random_state.child(),
+                sample_outcome=outcome,
             )
 
         report = IntelSampleReport(
@@ -359,11 +340,11 @@ class OptimalOracle:
         self,
         correlated_column: Optional[str] = None,
         random_state: SeedLike = None,
-        executor_factory: Optional[Callable[[RandomState], ExecutorBackend]] = None,
+        executor: Optional[ExecutorBackend] = None,
     ):
         self.correlated_column = correlated_column
         self.random_state: RandomState = as_random_state(random_state)
-        self.executor_factory = executor_factory or BatchExecutor
+        self.executor = executor if executor is not None else BatchExecutor()
 
     def run(self, table: Table, query: SelectQuery, ledger: CostLedger) -> QueryResult:
         """Engine strategy entry point."""
@@ -396,11 +377,9 @@ class OptimalOracle:
         # paid-for work.  The peek spans the whole table, so it fans across
         # shards on the process backend (oracle mode is depth-counted on the
         # parent's UDF object, which absorbs the workers' outcomes).
-        bulk_evaluator = _probe_bulk_evaluator(self.executor_factory, udf)
-        evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
         with _span("ground-truth-peek"):
             with udf.oracle_mode():
-                outcomes = evaluate(table, table.row_ids)
+                outcomes = self.executor.evaluate_rows(table, udf, table.row_ids)
         positives = np.flatnonzero(outcomes)
         model = SelectivityModel.from_ground_truth(index, positives)
 
@@ -419,8 +398,9 @@ class OptimalOracle:
 
         check_deadline("pipeline")
         with _span("execute"):
-            executor = self.executor_factory(self.random_state.child())
-            result = executor.execute(table, index, udf, plan, ledger)
+            result = self.executor.execute(
+                table, index, udf, plan, ledger, self.random_state.child()
+            )
         return QueryResult(
             row_ids=result.returned_row_ids,
             ledger=ledger,

@@ -69,11 +69,11 @@ reported to the service's :class:`~repro.resilience.breaker.CircuitBreaker`
 (when one is wired in), which eventually degrades the whole service to the
 inline path.  The breaker is asked exactly where the pool is about to be
 used — :meth:`~ProcessPoolBatchExecutor.execute` and
-:meth:`~ProcessPoolBatchExecutor.evaluate_rows`, never the constructor — so
-building an executor (the pipeline builds a throwaway one just to bind its
-``evaluate_rows``) can neither take nor leak a half-open probe slot; a
-refused call runs the inherited in-process path and reports
-``"breaker_open"`` the same way.  Every wait on a worker goes through one
+:meth:`~ProcessPoolBatchExecutor.evaluate_rows`, never the constructor,
+which holds configuration only (``max_workers``, ``breaker``,
+``on_degraded``) — so building an executor can neither take nor leak a
+half-open probe slot; a refused call runs the inherited in-process path
+and reports ``"breaker_open"`` the same way.  Every wait on a worker goes through one
 :meth:`~ProcessPoolBatchExecutor._await`, bounded by the request's
 :class:`~repro.resilience.deadline.Deadline`, so a *hung* worker surfaces
 as a typed ``DeadlineExceeded`` — the pool is discarded and the table's
@@ -123,6 +123,7 @@ from repro.resilience import faults as _faults
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import DeadlineExceeded, current_deadline
 from repro.sampling.sampler import SampleOutcome
+from repro.stats.random import SeedLike
 
 #: Below this many row ids a bulk-evaluation fan-out is not worth the
 #: dispatch overhead; the call degrades to one in-process ``evaluate_rows``.
@@ -275,12 +276,10 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
 
     def __init__(
         self,
-        random_state=None,
         max_workers: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         on_degraded: Optional[Callable[[str], None]] = None,
     ):
-        super().__init__(random_state=random_state)
         workers = default_max_workers() if max_workers is None else int(max_workers)
         if workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
@@ -536,21 +535,24 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         udf: UserDefinedFunction,
         plan: ExecutionPlan,
         ledger: CostLedger,
+        random_state: SeedLike,
         sample_outcome: Optional[SampleOutcome] = None,
     ) -> ExecutionResult:
         """Run ``plan`` with span workers in processes (see module doc)."""
         prepared = self._remote_inputs(table, udf)
         if prepared is None:
-            return super().execute(table, index, udf, plan, ledger, sample_outcome)
+            return super().execute(
+                table, index, udf, plan, ledger, random_state, sample_outcome
+            )
         try:
             return self._execute_spans(
-                "process",
                 partial(self._run_process_spans, *prepared),
                 table,
                 index,
                 udf,
                 plan,
                 ledger,
+                random_state,
                 sample_outcome,
             )
         except BaseException:

@@ -36,7 +36,7 @@ did move is a new object, and its frame was filed by the draw that made it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -49,11 +49,22 @@ from repro.resilience.deadline import check_deadline
 from repro.stats.random import RandomState, SeedLike, as_random_state
 
 
-#: Stand-in for ``udf.evaluate_rows`` in sampling and labelling, called as
-#: ``evaluate(table, row_ids, ledger=ledger)``: it evaluates every id and
-#: charges ``ledger`` under its accounting (the process executor's worker
-#: fan-out, :func:`repro.core.pipeline._probe_bulk_evaluator`).
-BulkEvaluator = Callable[..., np.ndarray]
+def pay_for_rows(
+    executor: Any, table: Table, udf: UserDefinedFunction, ids: np.ndarray, ledger: CostLedger
+) -> np.ndarray:
+    """Retrieve and evaluate every one of ``ids`` on ``executor``'s placement.
+
+    The one way sampling and labelling pay for the rows they draw: one
+    retrieval charge for all of them, then one bulk evaluation, which
+    charges the evaluations under the ledger's accounting.  ``executor`` is
+    any object with ``evaluate_rows(table, udf, row_ids, ledger)``
+    (duck-typed, so this package imports nothing from :mod:`repro.core`),
+    or ``None`` for the inline call itself.
+    """
+    ledger.charge_retrieval(int(ids.size))
+    if executor is None:
+        return udf.evaluate_rows(table, ids, None, ledger)
+    return executor.evaluate_rows(table, udf, ids, ledger)
 
 
 def member_mask(ordered: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -324,7 +335,7 @@ class GroupSampler:
         allocation: Mapping[Hashable, int],
         ledger: CostLedger,
         already_sampled: Optional[SampleOutcome] = None,
-        bulk_evaluator: Optional[BulkEvaluator] = None,
+        executor: Any = None,
     ) -> SampleOutcome:
         """Sample according to ``allocation``, charging ``ledger``.
 
@@ -346,12 +357,15 @@ class GroupSampler:
         charges the evaluations to ``ledger`` under its accounting (serving
         accounting skips the rows the memo already knows).
 
-        ``bulk_evaluator`` optionally replaces ``udf.evaluate_rows`` for that
-        batched call — the process executor passes its worker fan-out here,
-        which charges when it settles.
-        Row *selection* stays on this sampler's sequential stream either way,
-        so the drawn sample (and therefore every downstream statistic) is
-        identical whether or not the evaluation is fanned.
+        ``executor`` is the request's placement (any object with
+        ``evaluate_rows(table, udf, row_ids, ledger)``, such as a
+        :class:`~repro.core.executor.ExecutorBackend`); it runs that batched
+        call — the process executor fans it across its workers and charges
+        when it settles.  Without one the call is
+        ``udf.evaluate_rows(table, ids, None, ledger)``, which is what the
+        inline placements run.  Row *selection* stays on this sampler's
+        sequential stream either way, so the drawn sample (and therefore
+        every downstream statistic) is identical wherever it is evaluated.
         """
         check_deadline("sampling")
         prior = already_sampled
@@ -384,9 +398,7 @@ class GroupSampler:
         # deadline check sits in the same place for the same reason: an
         # expired request must not pay for the batch it will not use.
         check_deadline("sampling-charge")
-        ledger.charge_retrieval(int(all_chosen.size))
-        evaluate = bulk_evaluator if bulk_evaluator is not None else udf.evaluate_rows
-        fresh = SampleOutcome(all_chosen, evaluate(table, all_chosen, ledger=ledger))
+        fresh = SampleOutcome(all_chosen, pay_for_rows(executor, table, udf, all_chosen, ledger))
         outcome = fresh if prior is None else prior.merge(fresh)
 
         for code, positions in drawn:

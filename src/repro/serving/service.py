@@ -87,7 +87,7 @@ from repro.core.column_selection import top_up_labeled_sample
 from repro.core.constraints import CostModel, QueryConstraints
 from repro.core.executor import BatchExecutor, ExecutorBackend
 from repro.core.extensions.budget import solve_budgeted_recall
-from repro.core.pipeline import IntelSample, _probe_bulk_evaluator, _udf_from_query
+from repro.core.pipeline import IntelSample, _udf_from_query
 from repro.core.procpool import (
     ProcessPoolBatchExecutor,
     _discard_process_pool,
@@ -226,7 +226,7 @@ class QueryService:
         executor backend.  The factory must produce identically-configured
         strategies — the configuration is part of every plan signature.
         A pipeline run (cold or refresh) executes on the strategy's own
-        ``executor_factory``; a plan-cache hit executes on this service's
+        ``executor``; a plan-cache hit executes on this service's
         backend.  Either way the service sets the accounting on the
         request's ledger, never on the strategy.
     sessions:
@@ -260,10 +260,11 @@ class QueryService:
         self._strategy_factory = strategy_factory
         # A configured-but-unseeded instance whose settings fingerprint every
         # plan signature this service produces.  It lives as long as the
-        # service, so the default one is not wired to ``_executor``: a
-        # bound method kept here would make every service a reference cycle,
-        # and a closed, dropped service would pin its catalog's tables until
-        # a full collector pass.
+        # service, so the default one is not given a placement from
+        # ``_executor``: a process placement holds a bound method of this
+        # service, which kept here would make every service a reference
+        # cycle, and a closed, dropped service would pin its catalog's tables
+        # until a full collector pass.
         self._strategy_prototype = (
             IntelSample(random_state=as_random_state(0))
             if strategy_factory is None
@@ -353,7 +354,7 @@ class QueryService:
         """One request's strategy: the injected factory's, else the default."""
         if self._strategy_factory is not None:
             return self._strategy_factory(random_state)
-        return IntelSample(random_state=random_state, executor_factory=self._executor)
+        return IntelSample(random_state=random_state, executor=self._executor())
 
     def _discover_residency(self):
         """The ResidencyManager behind this catalog's lazy tables, if any.
@@ -392,15 +393,18 @@ class QueryService:
             _DEGRADED.set(reason)
             self._count("degraded")
 
-    def _executor(self, random_state: RandomState) -> ExecutorBackend:
-        """One request's executor for the configured backend.
+    def _executor(self) -> ExecutorBackend:
+        """One request's placement for the configured backend.
 
-        The accounting is not the executor's: it rides on the request's
-        ledger (:attr:`~repro.db.udf.CostLedger.free_memoized`), which a
-        cold run leaves at the paper's and hits and refreshes set to
-        ``config.free_memoized``.  Construction is configuration only — it
-        touches no breaker state, so the pipeline may build a throwaway
-        executor just to bind its ``evaluate_rows``.
+        Construction is configuration only: the coins are an argument of
+        ``execute``, and the accounting rides on the request's ledger
+        (:attr:`~repro.db.udf.CostLedger.free_memoized`), which a cold run
+        leaves at the paper's and hits and refreshes set to
+        ``config.free_memoized``.  It is built per request rather than
+        kept on the service because a ``process`` placement holds
+        ``on_degraded=self._note_degraded``: kept here, that bound method
+        would make every service a reference cycle (see
+        ``_strategy_prototype``).  Building one touches no breaker state.
         The ``process`` executor asks the service's breaker itself, where it
         is about to use the pool: refused (repeated pool faults), it runs
         its spans inline — bitwise-identical results, just not multi-core —
@@ -410,9 +414,8 @@ class QueryService:
         shared breaker.
         """
         if self.executor_backend == "serial":
-            return BatchExecutor(random_state=random_state)
+            return BatchExecutor()
         return ProcessPoolBatchExecutor(
-            random_state=random_state,
             max_workers=self.max_workers,
             breaker=self.breaker,
             on_degraded=self._note_degraded,
@@ -1201,13 +1204,11 @@ class QueryService:
                                 ),
                                 stream_seed=self._reservoir_seed(query),
                                 # Fan the delta labelling across shards when the
-                                # backend is parallel — same hook the cold
-                                # pipeline's labelling uses (row selection is
+                                # backend is parallel, as the cold pipeline's
+                                # labelling does (row selection is
                                 # counter-based, so the fan never changes the
                                 # sample).
-                                bulk_evaluator=_probe_bulk_evaluator(
-                                    self._executor, udf
-                                ),
+                                executor=self._executor(),
                             )
                     stale_outcome = self.stats_cache.stale_outcome(
                         table, query.predicate, column
@@ -1326,12 +1327,13 @@ class QueryService:
 
         ledger.free_memoized = self.free_memoized
         with _span("execute"):
-            execution = self._executor(as_random_state(seed)).execute(
+            execution = self._executor().execute(
                 entry.working_table,
                 index,
                 udf,
                 plan,
                 ledger,
+                seed,
                 sample_outcome=entry.sample_outcome,
             )
         return QueryResult(

@@ -15,8 +15,8 @@ class TestDeterministicPlans:
     ):
         plan = ExecutionPlan.evaluate_everything(toy_index.values)
         ledger = CostLedger()
-        result = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, ledger
+        result = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, ledger, 0
         )
         assert result.returned_set == toy_truth
         assert ledger.retrieved_count == toy_table.num_rows
@@ -26,8 +26,8 @@ class TestDeterministicPlans:
         self, toy_table, toy_index, toy_udf, assert_same_rows
     ):
         plan = ExecutionPlan.discard_everything(toy_index.values)
-        result = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        result = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 0
         )
         assert_same_rows(result.returned_row_ids, [])
         assert result.total_cost == 0.0
@@ -39,8 +39,8 @@ class TestDeterministicPlans:
             {1: GroupDecision.return_all(), 2: GroupDecision.return_all(), 3: GroupDecision.discard()}
         )
         ledger = CostLedger()
-        result = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, ledger
+        result = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, ledger, 0
         )
         assert len(result.returned_row_ids) == 7  # groups 1 and 2 in full
         assert ledger.evaluated_count == 0
@@ -53,8 +53,8 @@ class TestDeterministicPlans:
             {1: GroupDecision.return_all(), 2: GroupDecision.evaluate_all(), 3: GroupDecision.discard()}
         )
         ledger = CostLedger()
-        result = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, ledger
+        result = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, ledger, 0
         )
         quality = result_quality(result.returned_row_ids, toy_truth)
         assert quality.precision == 1.0  # group 1 all-correct, group 2 filtered
@@ -63,8 +63,8 @@ class TestDeterministicPlans:
 
     def test_group_counts_bookkeeping(self, toy_table, toy_index, toy_udf):
         plan = ExecutionPlan({2: GroupDecision.evaluate_all()})
-        result = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        result = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 0
         )
         counts = result.group_counts[2]
         assert counts.evaluated == 3
@@ -84,7 +84,7 @@ class TestProbabilisticPlans:
             {key: GroupDecision(retrieve=0.5, evaluate=0.0) for key in index.values}
         )
         ledger = CostLedger()
-        result = PlanExecutor(random_state=1).execute(table, index, udf, plan, ledger)
+        result = PlanExecutor().execute(table, index, udf, plan, ledger, 1)
         fraction = ledger.retrieved_count / table.num_rows
         assert 0.4 < fraction < 0.6
         assert ledger.evaluated_count == 0
@@ -99,7 +99,7 @@ class TestProbabilisticPlans:
             {key: GroupDecision(retrieve=1.0, evaluate=0.3) for key in index.values}
         )
         ledger = CostLedger()
-        PlanExecutor(random_state=2).execute(table, index, udf, plan, ledger)
+        PlanExecutor().execute(table, index, udf, plan, ledger, 2)
         fraction = ledger.evaluated_count / table.num_rows
         assert 0.2 < fraction < 0.4
 
@@ -107,11 +107,11 @@ class TestProbabilisticPlans:
         plan = ExecutionPlan(
             {key: GroupDecision(retrieve=0.5, evaluate=0.25) for key in toy_index.values}
         )
-        a = PlanExecutor(random_state=3).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        a = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 3
         )
-        b = PlanExecutor(random_state=3).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        b = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 3
         )
         assert_same_rows(a.returned_row_ids, b.returned_row_ids)
 
@@ -123,8 +123,8 @@ class TestSampledTupleHandling:
         )
         plan = ExecutionPlan.discard_everything(toy_index.values)
         ledger = CostLedger()
-        result = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, ledger, sample_outcome=outcome
+        result = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, ledger, 0, sample_outcome=outcome
         )
         # Every positive found during sampling is in the output even though the
         # plan discards everything, and execution charges nothing extra.
@@ -137,15 +137,15 @@ class TestSampledTupleHandling:
         )
         plan = ExecutionPlan.evaluate_everything(toy_index.values)
         ledger = CostLedger()
-        PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, ledger, sample_outcome=outcome
+        PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, ledger, 0, sample_outcome=outcome
         )
         assert ledger.evaluated_count == toy_table.num_rows - 6
 
     def test_returned_set_is_cached_and_read_only(self, toy_table, toy_index, toy_udf):
         plan = ExecutionPlan.evaluate_everything(toy_index.values)
-        result = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        result = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 0
         )
         first = result.returned_set
         assert first is result.returned_set  # built once, not per access
@@ -156,8 +156,8 @@ class TestSampledTupleHandling:
             toy_table, toy_index, toy_udf, {1: 4, 2: 3, 3: 5}, CostLedger()
         )
         plan = ExecutionPlan.evaluate_everything(toy_index.values)
-        result = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger(), sample_outcome=outcome
+        result = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 0, sample_outcome=outcome
         )
         assert len(result.returned_row_ids) == len(set(result.returned_row_ids))
         assert result.returned_set == toy_truth

@@ -87,8 +87,8 @@ def _outcome():
 def _run(table, index, outcome, seed=3):
     plan = ExecutionPlan({key: GroupDecision(retrieve=1.0, evaluate=0.5) for key in index})
     udf = UserDefinedFunction.from_label_column("lifetimes_udf", "f")
-    return BatchExecutor(random_state=seed).execute(
-        table, index, udf, plan, CostLedger(), sample_outcome=outcome
+    return BatchExecutor().execute(
+        table, index, udf, plan, CostLedger(), seed, sample_outcome=outcome
     )
 
 
@@ -503,8 +503,8 @@ def _sharded_outcome(index):
 
 def _span_backends():
     return {
-        "inline": lambda seed: ParallelBatchExecutor(seed),
-        "process": lambda seed: ProcessPoolBatchExecutor(seed, max_workers=2),
+        "inline": ParallelBatchExecutor(),
+        "process": ProcessPoolBatchExecutor(max_workers=2),
     }
 
 
@@ -524,23 +524,23 @@ class TestOneFrameBehindEveryBackend:
         return builds
 
     @staticmethod
-    def _execute(make, seed, table, index, outcome, python_udf=False):
+    def _execute(executor, seed, table, index, outcome, python_udf=False):
         plan = ExecutionPlan({key: GroupDecision(retrieve=0.8, evaluate=0.4) for key in index})
         if python_udf:
             udf = UserDefinedFunction("frames_py", RevealLabel("f", True))
         else:
             udf = UserDefinedFunction.from_label_column("frames_label", "f")
-        return make(seed).execute(table, index, udf, plan, CostLedger(), sample_outcome=outcome)
+        return executor.execute(table, index, udf, plan, CostLedger(), seed, sample_outcome=outcome)
 
     def test_warm_executions_build_the_frame_once_per_backend(self, monkeypatch):
         builds = self._count_builds(monkeypatch)
-        for name, make in _span_backends().items():
+        for name, executor in _span_backends().items():
             table = _sharded(f"warm_{name}")
             index = table.group_index("A")
             outcome = _sharded_outcome(index)
             try:
                 for seed in range(6):
-                    self._execute(make, seed, table, index, outcome)
+                    self._execute(executor, seed, table, index, outcome)
                 assert builds == [(id(index), id(outcome))], name
                 builds.clear()
             finally:
@@ -556,9 +556,9 @@ class TestOneFrameBehindEveryBackend:
         free = outcome.positives.tolist()  # drawn group by group: already in index order
         try:
             frame = None
-            backends = {"serial": lambda seed: BatchExecutor(seed), **_span_backends()}
-            for name, make in backends.items():
-                result = self._execute(make, 5, table, index, outcome)
+            backends = {"serial": BatchExecutor(), **_span_backends()}
+            for name, executor in backends.items():
+                result = self._execute(executor, 5, table, index, outcome)
                 rows = result.returned_row_ids.tolist()
                 assert rows[: len(free)] == free, name
                 assert not sampled & set(rows[len(free) :]), name  # exclusion applied

@@ -18,6 +18,7 @@ from repro.db.sharding import ShardedTable
 from repro.db.table import Table
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.sampling.sampler import GroupSampler
+from repro.stats.random import RandomState
 
 
 def _table(n=400, groups=5, seed=11):
@@ -58,9 +59,8 @@ def _execute(table, seed=7, sample_outcome=None, free_memoized=False, udf=None):
     index = table.group_index("A")
     plan = _mixed_plan(index)
     ledger = CostLedger(free_memoized=free_memoized)
-    executor = ParallelBatchExecutor(random_state=seed)
-    result = executor.execute(
-        table, index, udf or _udf(), plan, ledger, sample_outcome=sample_outcome
+    result = ParallelBatchExecutor().execute(
+        table, index, udf or _udf(), plan, ledger, seed, sample_outcome=sample_outcome
     )
     return result, ledger
 
@@ -76,17 +76,17 @@ class TestInvariance:
         outcome = GroupSampler(random_state=3).sample(
             plain, index, _udf("sampler"), {value: 5 for value in index.values}, CostLedger()
         )
-        serial, ledger = BatchExecutor(random_state=7), CostLedger()
-        expected = serial.execute(
-            plain, index, _udf("serial"), _mixed_plan(index), ledger, sample_outcome=outcome
+        coins, ledger = RandomState(7), CostLedger()
+        expected = BatchExecutor().execute(
+            plain, index, _udf("serial"), _mixed_plan(index), ledger, coins, sample_outcome=outcome
         )
-        next_draw = serial.random_state.random()
+        next_draw = coins.random()
         for shards in (None, 1, 2, 3, 7):
             table = plain if shards is None else ShardedTable.from_table(plain, shards)
-            executor, span_ledger = ParallelBatchExecutor(random_state=7), CostLedger()
-            result = executor.execute(
+            coins, span_ledger = RandomState(7), CostLedger()
+            result = ParallelBatchExecutor().execute(
                 table, table.group_index("A"), _udf(), _mixed_plan(index), span_ledger,
-                sample_outcome=outcome,
+                coins, sample_outcome=outcome,
             )
             assert result.returned_row_ids.tolist() == expected.returned_row_ids.tolist()
             assert result.group_counts == expected.group_counts, shards
@@ -94,7 +94,7 @@ class TestInvariance:
                 ledger.retrieved_count,
                 ledger.evaluated_count,
             )
-            assert executor.random_state.random() == next_draw
+            assert coins.random() == next_draw
         returned = set(expected.returned_row_ids.tolist())
         positives = set(outcome.positives.tolist())
         assert positives <= returned  # returned free
@@ -121,7 +121,7 @@ class TestPipelineParity:
             ledger = CostLedger()
             strategy = IntelSample(
                 random_state=42,
-                executor_factory=ParallelBatchExecutor,
+                executor=ParallelBatchExecutor(),
             )
             result = strategy.answer(
                 table, udf, constraints, ledger, correlated_column="A"
@@ -143,7 +143,7 @@ class TestPipelineParity:
             ledger = CostLedger()
             oracle = OptimalOracle(
                 random_state=13,
-                executor_factory=ParallelBatchExecutor,
+                executor=ParallelBatchExecutor(),
             )
             result = oracle.answer(
                 table, udf, constraints, ledger, correlated_column="A"
@@ -238,9 +238,8 @@ class TestAccounting:
         plan = _mixed_plan(index)
         ledger = CostLedger()
         ledger.set_budget(1.0)  # cannot afford even one span's retrievals
-        executor = ParallelBatchExecutor(random_state=0)
         with pytest.raises(BudgetExhaustedError):
-            executor.execute(sharded, index, udf, plan, ledger)
+            ParallelBatchExecutor().execute(sharded, index, udf, plan, ledger, 0)
         assert udf.call_count == 0
 
     def test_free_memoized_does_not_recharge_known_rows(self):

@@ -84,9 +84,8 @@ def _execute(table, executor_cls, udf, workers=None, seed=7, free_memoized=False
     plan = _mixed_plan(index)
     ledger = ledger if ledger is not None else CostLedger(free_memoized=free_memoized)
     sizing = {} if workers is None else {"max_workers": workers}
-    executor = executor_cls(random_state=seed, **sizing)
-    result = executor.execute(
-        table, index, udf, plan, ledger, sample_outcome=sample_outcome
+    result = executor_cls(**sizing).execute(
+        table, index, udf, plan, ledger, seed, sample_outcome=sample_outcome
     )
     return result, ledger
 
@@ -120,13 +119,13 @@ TRACE = ((0.9, 0.85), (0.92, 0.8), (0.88, 0.9))
 
 def _cold_query(table, udf, signature, workers=None):
     """Sample, solve and execute one query: inline, or on ``workers`` processes."""
-    executor_factory = (
-        ParallelBatchExecutor if workers is None
-        else partial(ProcessPoolBatchExecutor, max_workers=workers)
+    executor = (
+        ParallelBatchExecutor() if workers is None
+        else ProcessPoolBatchExecutor(max_workers=workers)
     )
     alpha, beta = signature
     ledger = CostLedger()
-    result = IntelSample(random_state=9_000, executor_factory=executor_factory).answer(
+    result = IntelSample(random_state=9_000, executor=executor).answer(
         table, udf, QueryConstraints(alpha=alpha, beta=beta, rho=0.8), ledger,
         correlated_column="A",
     )
@@ -189,7 +188,6 @@ class TestExecuteParity:
             faults = FaultPlan(seed=0, rules={"worker": rule})
         degraded = []
         executor = ProcessPoolBatchExecutor(
-            random_state=7,
             max_workers=1 if path == "one_worker" else WORKERS,
             breaker=breaker,
             on_degraded=degraded.append,
@@ -199,7 +197,7 @@ class TestExecuteParity:
         try:
             with fault_scope(faults):
                 result = executor.execute(
-                    table, index, make_udf("paths_pool"), _mixed_plan(index), ledger
+                    table, index, make_udf("paths_pool"), _mixed_plan(index), ledger, 7
                 )
         finally:
             release_exports(table)
@@ -310,7 +308,7 @@ class TestEvaluateRowsFan:
         ids = np.arange(0, 3000, dtype=np.intp)
         udf_serial, udf_remote = _label_udf("f_a"), _label_udf("f_b")
         expected = udf_serial.evaluate_rows(table, ids)
-        executor = ProcessPoolBatchExecutor(random_state=0, max_workers=WORKERS)
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS)
         got = executor.evaluate_rows(table, udf_remote, ids)
         assert np.array_equal(np.asarray(expected), np.asarray(got))
         # One bulk call, like serial.
@@ -325,7 +323,7 @@ class TestEvaluateRowsFan:
         table = _sharded(n=600, shards=4, name="thrtab")
         ids = np.arange(0, 600, dtype=np.intp)
         submitted = record_pool_submits(procpool_module, "shared_process_pool")
-        executor = ProcessPoolBatchExecutor(random_state=0, max_workers=WORKERS)
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS)
         udf_serial, udf_remote = _label_udf("thr_a"), _label_udf("thr_b")
         expected = udf_serial.evaluate_rows(table, ids)
         executor.evaluate_rows(table, _label_udf("thr_small"), ids)
@@ -345,7 +343,7 @@ class TestEvaluateRowsFan:
         udf_remote.evaluate_rows(table, warm)
         serial_ledger, remote_ledger = CostLedger(free_memoized=True), CostLedger(free_memoized=True)
         expected = udf_serial.evaluate_rows(table, ids, None, serial_ledger)
-        executor = ProcessPoolBatchExecutor(random_state=0, max_workers=WORKERS)
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS)
         got = executor.evaluate_rows(table, udf_remote, ids, remote_ledger)
         assert np.array_equal(np.asarray(expected), np.asarray(got))
         snap = udf_remote.counter_snapshot()

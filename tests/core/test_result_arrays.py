@@ -85,10 +85,10 @@ def _label_udf(name="rudf"):
 
 
 EXECUTORS = {
-    "plan": lambda seed: PlanExecutor(random_state=seed),
-    "batch": lambda seed: BatchExecutor(random_state=seed),
-    "inline": lambda seed: ParallelBatchExecutor(random_state=seed),
-    "process": lambda seed: ProcessPoolBatchExecutor(random_state=seed, max_workers=2),
+    "plan": PlanExecutor(),
+    "batch": BatchExecutor(),
+    "inline": ParallelBatchExecutor(),
+    "process": ProcessPoolBatchExecutor(max_workers=2),
 }
 
 
@@ -150,8 +150,8 @@ class TestExecutors:
         table = ShardedTable.from_table(_table(), num_shards=4)
         try:
             index = table.group_index("A")
-            result = EXECUTORS[backend](7).execute(
-                table, index, _label_udf(), plan_of(index), CostLedger()
+            result = EXECUTORS[backend].execute(
+                table, index, _label_udf(), plan_of(index), CostLedger(), 7
             )
             assert_answer_type(result.returned_row_ids)
             if plan_of is _discard_plan:
@@ -169,11 +169,11 @@ class TestExecutors:
             index = table.group_index("A")
             plan = _mixed_plan(index)
             results = [
-                factory(7).execute(
+                executor.execute(
                     table, index, UserDefinedFunction(f"py{i}", RevealLabel("f", True)),
-                    plan, CostLedger(),
+                    plan, CostLedger(), 7,
                 )
-                for i, factory in enumerate((EXECUTORS["inline"], EXECUTORS["process"]))
+                for i, executor in enumerate((EXECUTORS["inline"], EXECUTORS["process"]))
             ]
             for result in results:
                 assert_answer_type(result.returned_row_ids)
@@ -205,11 +205,11 @@ class TestExecutors:
                 plan = _mixed_plan(index)
                 for seed in range(6):
                     ledgers = CostLedger(), CostLedger()
-                    oracle = PlanExecutor(random_state=seed).execute(
-                        table, index, _label_udf("o"), plan, ledgers[0]
+                    oracle = PlanExecutor().execute(
+                        table, index, _label_udf("o"), plan, ledgers[0], seed
                     )
-                    batch = BatchExecutor(random_state=seed).execute(
-                        table, index, _label_udf("b"), plan, ledgers[1]
+                    batch = BatchExecutor().execute(
+                        table, index, _label_udf("b"), plan, ledgers[1], seed
                     )
                     assert_answer_type(batch.returned_row_ids)
                     assert_answer_type(oracle.returned_row_ids)

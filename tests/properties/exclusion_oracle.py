@@ -16,7 +16,8 @@ verbatim (``sampling/sampler.py``, ``core/executor.py``); ``by_group`` is a
 function of the evidence instead of a method, the parent's sampler is
 :func:`draw`, which returns the fresh rows only — :func:`sample` merges the
 prior on return, with this module's ``merge_shards``, as the sampler now
-does — and :func:`parent_exclusion`
+does, and hands the placement the sampler now takes to :func:`draw` as the
+parent's ``bulk_evaluator`` — and :func:`parent_exclusion`
 — which swaps them in for the duration of a ``with`` block, so that a twin
 ``QueryService`` stepped inside it runs on them — is new.  One statement
 follows the sampler rather than the parent: :func:`draw` charges its
@@ -77,7 +78,10 @@ def build_candidate_frame(
     )
 
 
-def sample(self, table, index, udf, allocation, ledger, already_sampled=None, bulk_evaluator=None):
+def sample(self, table, index, udf, allocation, ledger, already_sampled=None, executor=None):
+    bulk_evaluator = None if executor is None else (
+        lambda table, row_ids, ledger=None: executor.evaluate_rows(table, udf, row_ids, ledger)
+    )
     fresh = draw(self, table, index, udf, allocation, ledger, already_sampled, bulk_evaluator)
     return fresh if already_sampled is None else merge_shards(SampleOutcome, (already_sampled, fresh))
 

@@ -92,8 +92,8 @@ def _open_table(kind, columns, directory):
 def _execute(executor_class, table, index, plan, seed, outcome):
     udf = UserDefinedFunction.from_label_column("frame_udf", "f")
     ledger = CostLedger()
-    result = executor_class(random_state=seed).execute(
-        table, index, udf, plan, ledger, sample_outcome=outcome
+    result = executor_class().execute(
+        table, index, udf, plan, ledger, seed, sample_outcome=outcome
     )
     return (
         result.returned_row_ids,

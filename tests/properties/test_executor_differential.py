@@ -22,6 +22,8 @@ Three promises this suite pins down:
   counters and memo contents at its edges: ids past the memo's end, a UDF
   that does not memoise, ``oracle_mode()``, a python callable's call order
   and a hard budget tripping at a group boundary;
+* an executor is a placement: one instance answers a second request
+  exactly as a fresh instance does, on every backend;
 * probabilities a hair from 0 or 1 (the near-certain values SLSQP leaves,
   whose outcome the vectorised backends fix instead of drawing coins) give
   the sequential, span and reference backends the same rows and ledgers as
@@ -53,6 +55,7 @@ from repro.db.errors import BudgetExhaustedError
 from repro.db.udf import CostLedger, RevealLabel, UserDefinedFunction
 from repro.sampling.sampler import GroupSampler, SampleOutcome
 from repro.sampling.schemes import ConstantScheme
+from repro.stats.random import RandomState
 
 from leakcheck import assert_no_leaked_resources
 
@@ -67,13 +70,13 @@ def _run_both(dataset, plan, seed, outcome=None):
     index = dataset.table.group_index(dataset.correlated_column)
     serial_udf = dataset.make_udf("serial")
     serial_ledger = CostLedger()
-    serial = PlanExecutor(random_state=seed).execute(
-        dataset.table, index, serial_udf, plan, serial_ledger, sample_outcome=outcome
+    serial = PlanExecutor().execute(
+        dataset.table, index, serial_udf, plan, serial_ledger, seed, sample_outcome=outcome
     )
     batch_udf = dataset.make_udf("batch")
     batch_ledger = CostLedger()
-    batch = BatchExecutor(random_state=seed).execute(
-        dataset.table, index, batch_udf, plan, batch_ledger, sample_outcome=outcome
+    batch = BatchExecutor().execute(
+        dataset.table, index, batch_udf, plan, batch_ledger, seed, sample_outcome=outcome
     )
     return serial, serial_ledger, batch, batch_ledger
 
@@ -140,8 +143,8 @@ class TestExecutorSeedForSeed:
         dataset = _dataset(dataset_name)
         constraints = QueryConstraints(alpha=0.8, beta=0.8, rho=0.8)
 
-        def run(factory):
-            return IntelSample(random_state=99, executor_factory=factory).answer(
+        def run(executor):
+            return IntelSample(random_state=99, executor=executor).answer(
                 dataset.table,
                 dataset.make_udf("pipe"),
                 constraints,
@@ -150,7 +153,7 @@ class TestExecutorSeedForSeed:
             )
 
         batch = run(None)  # the default is BatchExecutor
-        serial = run(lambda rng: PlanExecutor(random_state=rng))
+        serial = run(PlanExecutor())
         assert_same_rows(batch.row_ids, serial.row_ids)
         assert batch.ledger.evaluated_count == serial.ledger.evaluated_count
         assert batch.ledger.retrieved_count == serial.ledger.retrieved_count
@@ -175,9 +178,9 @@ class TestExecutorSeedForSeed:
         )
         if backend == "inline_spans":
             table = ShardedTable.from_table(table, num_shards=2)
-            executor = ParallelBatchExecutor(3)
+            executor = ParallelBatchExecutor()
         else:
-            executor = BatchExecutor(3)
+            executor = BatchExecutor()
         called = []
         if edge == "call_order":
 
@@ -197,7 +200,7 @@ class TestExecutorSeedForSeed:
             # 20; y's 4 retrievals fit too, its evaluations do not.
             ledger.set_budget(20.0)
         plan = ExecutionPlan({key: GroupDecision(retrieve=1.0, evaluate=1.0) for key in "xy"})
-        run = lambda: executor.execute(table, table.group_index("A"), udf, plan, ledger)  # noqa: E731
+        run = lambda: executor.execute(table, table.group_index("A"), udf, plan, ledger, 3)  # noqa: E731
 
         memo = {0: True, 5: True}  # what the memo holds afterwards
         if edge == "budget":
@@ -274,17 +277,17 @@ class TestNearCertainProbabilities:
             )
 
         runs = []
-        reference, batch = PlanExecutor(11), BatchExecutor(11)
-        for executor, over, plan in (
-            (reference, table, decisions(retrieve, conditional)),
-            (batch, table, decisions(retrieve, conditional)),
-            (ParallelBatchExecutor(11), sharded, decisions(retrieve, conditional)),
-            (BatchExecutor(11), table, decisions(round(retrieve), round(conditional))),
+        reference, batch = RandomState(11), RandomState(11)
+        for executor, over, plan, coins in (
+            (PlanExecutor(), table, decisions(retrieve, conditional), reference),
+            (BatchExecutor(), table, decisions(retrieve, conditional), batch),
+            (ParallelBatchExecutor(), sharded, decisions(retrieve, conditional), 11),
+            (BatchExecutor(), table, decisions(round(retrieve), round(conditional)), 11),
         ):
             udf = UserDefinedFunction.from_label_column("near", "f")
             ledger = CostLedger()
             result = executor.execute(
-                over, over.group_index("A"), udf, plan, ledger, sample_outcome=outcome
+                over, over.group_index("A"), udf, plan, ledger, coins, sample_outcome=outcome
             )
             runs.append((result, ledger))
         (expected, expected_ledger), *others = runs
@@ -294,7 +297,7 @@ class TestNearCertainProbabilities:
             assert ledger.evaluated_count == expected_ledger.evaluated_count
             assert result.group_counts == expected.group_counts
         # The batch backend drew none of these coins but moved past them all.
-        assert batch.random_state.random() == reference.random_state.random()
+        assert batch.random() == reference.random()
 
 
 #: Counters that do not depend on how evaluations are batched.
@@ -339,7 +342,7 @@ def _span_table(columns, shards):
 def _assert_equals_reference(
     assert_same_rows, executor, table, make_udf, plan, outcome, prepaid, seed, free_memoized
 ):
-    """``executor`` (seeded with ``seed``) against both sequential backends.
+    """``executor`` (on ``seed``'s coins) against both sequential backends.
 
     :class:`BatchExecutor` with the same accounting must agree on
     everything; :class:`PlanExecutor` (the paper's accounting only) on the
@@ -350,13 +353,13 @@ def _assert_equals_reference(
     runs = []
     for tag, backend in (
         ("span", executor),
-        ("batch", BatchExecutor(seed)),
-        ("reference", PlanExecutor(seed)),
+        ("batch", BatchExecutor()),
+        ("reference", PlanExecutor()),
     ):
         udf = make_udf(tag)
         udf.evaluate_rows(table, prepaid)  # so free_memoized has something to skip
         ledger = CostLedger(free_memoized=free_memoized)
-        result = backend.execute(table, index, udf, plan, ledger, sample_outcome=outcome)
+        result = backend.execute(table, index, udf, plan, ledger, seed, sample_outcome=outcome)
         runs.append((result, ledger, udf))
     (result, ledger, udf), *references = runs
     for expected, expected_ledger, expected_udf in references:
@@ -390,11 +393,12 @@ class TestSequentialStreamAfterFixedOutcomes:
         index = table.group_index("A")
         plan = ExecutionPlan(decisions)
         runs = []
-        for executor in (PlanExecutor(seed), BatchExecutor(seed)):
+        for executor in (PlanExecutor(), BatchExecutor()):
             udf = UserDefinedFunction.from_label_column("mixed", "f")
             ledger = CostLedger()
-            result = executor.execute(table, index, udf, plan, ledger, sample_outcome=outcome)
-            runs.append((result, ledger, executor.random_state.random()))
+            coins = RandomState(seed)
+            result = executor.execute(table, index, udf, plan, ledger, coins, sample_outcome=outcome)
+            runs.append((result, ledger, coins.random()))
         (reference, reference_ledger, reference_next), (batch, batch_ledger, batch_next) = runs
         _assert_identical(assert_same_rows, reference, reference_ledger, batch, batch_ledger)
         assert batch_next == reference_next
@@ -420,7 +424,7 @@ class TestSpanPathAgainstTheReference:
             make_udf = lambda tag: UserDefinedFunction.from_label_column(f"{tag}_label", "f")  # noqa: E731
         _assert_equals_reference(
             assert_same_rows,
-            ParallelBatchExecutor(seed),
+            ParallelBatchExecutor(),
             _span_table(columns, shards),
             make_udf,
             ExecutionPlan(decisions),
@@ -454,7 +458,7 @@ class TestSpanPathAgainstTheReference:
         try:
             _assert_equals_reference(
                 assert_same_rows,
-                ProcessPoolBatchExecutor(case_seed, max_workers=2),
+                ProcessPoolBatchExecutor(max_workers=2),
                 table,
                 make_udf,
                 ExecutionPlan(decisions),
@@ -463,6 +467,60 @@ class TestSpanPathAgainstTheReference:
                 case_seed,
                 free_memoized,
             )
+        finally:
+            release_exports(table)
+        assert_no_leaked_resources()
+
+
+class TestPlacementReuse:
+    @pytest.mark.parametrize(
+        "backend", [PlanExecutor, BatchExecutor, ParallelBatchExecutor, ProcessPoolBatchExecutor]
+    )
+    def test_no_constructor_takes_a_coin_stream(self, backend):
+        with pytest.raises(TypeError):
+            backend(random_state=0)
+
+    def test_one_instance_answers_every_request_as_a_fresh_one(self, assert_same_rows):
+        """An executor is a placement: it holds no coins and no request state.
+
+        One instance of each backend serves two (plan, seed) requests in
+        turn, and each answer equals a fresh instance's — rows, ledger,
+        per-group counts and UDF counters.  The process backend runs two
+        workers over a four-shard table, so its spans fan out.
+        """
+        rng = np.random.default_rng(43)
+        rows = 240
+        keys = [SPAN_KEYS[code] for code in rng.integers(0, len(SPAN_KEYS), rows)]
+        table = _span_table({"A": keys, "f": (rng.random(rows) < 0.5).tolist()}, shards=4)
+        index = table.group_index("A")
+        outcome = SampleOutcome(rng.integers(0, rows, 30).tolist(), rng.random(30) < 0.5)
+        requests = (
+            (ExecutionPlan({key: GroupDecision(retrieve=0.7, evaluate=0.35) for key in SPAN_KEYS}), 5, None),
+            (ExecutionPlan({key: GroupDecision(retrieve=1.0, evaluate=0.6) for key in SPAN_KEYS}), 6, outcome),
+        )
+        backends = {
+            "reference": PlanExecutor,
+            "batch": BatchExecutor,
+            "inline": ParallelBatchExecutor,
+            "process": lambda: ProcessPoolBatchExecutor(max_workers=2),
+        }
+
+        def answer(executor, plan, seed, sampled):
+            udf = UserDefinedFunction("reuse_py", RevealLabel("f", True))
+            ledger = CostLedger()
+            result = executor.execute(table, index, udf, plan, ledger, seed, sample_outcome=sampled)
+            return result, ledger, udf.counter_snapshot()
+
+        try:
+            for name, make in backends.items():
+                reused = make()
+                for plan, seed, sampled in requests:
+                    result, ledger, counters = answer(reused, plan, seed, sampled)
+                    fresh, fresh_ledger, fresh_counters = answer(make(), plan, seed, sampled)
+                    assert_same_rows(result.returned_row_ids, fresh.returned_row_ids)
+                    assert ledger == fresh_ledger, name
+                    assert result.group_counts == fresh.group_counts, name
+                    assert counters == fresh_counters, name
         finally:
             release_exports(table)
         assert_no_leaked_resources()

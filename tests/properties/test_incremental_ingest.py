@@ -160,13 +160,13 @@ def test_delta_merged_outcome_and_model_equal_rebuild(data):
         assert got.variance == ref.variance
 
 
-def _run_query(table, tag, executor_factory):
+def _run_query(table, tag, executor):
     udf = UserDefinedFunction.from_label_column(f"inc_{tag}", "f")
     ledger = CostLedger()
     strategy = IntelSample(
         random_state=314,
         correlated_column="A",
-        executor_factory=executor_factory,
+        executor=executor,
     )
     result = strategy.answer(
         table,
@@ -195,7 +195,7 @@ def test_query_results_identical_after_appends_serial_and_parallel(data):
         "inc", {"A": values, "f": labels}, hidden_columns=["f"]
     )
 
-    serial = lambda rng: BatchExecutor(random_state=rng)  # noqa: E731
+    serial = BatchExecutor()
     assert _run_query(appended, "a", serial) == _run_query(fresh, "b", serial)
 
     sharded = ShardedTable.from_columns(
@@ -207,6 +207,6 @@ def test_query_results_identical_after_appends_serial_and_parallel(data):
     fresh_sharded = ShardedTable.from_columns(
         "inc", {"A": values, "f": labels}, hidden_columns=["f"], shard_rows=7
     )
-    assert _run_query(sharded, "c", ParallelBatchExecutor) == _run_query(
-        fresh_sharded, "d", ParallelBatchExecutor
+    assert _run_query(sharded, "c", ParallelBatchExecutor()) == _run_query(
+        fresh_sharded, "d", ParallelBatchExecutor()
     )

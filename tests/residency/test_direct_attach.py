@@ -59,8 +59,7 @@ def _execute(table, executor_cls, udf, workers=None, seed=7):
     plan = _mixed_plan(index)
     ledger = CostLedger()
     sizing = {} if workers is None else {"max_workers": workers}
-    executor = executor_cls(random_state=seed, **sizing)
-    result = executor.execute(table, index, udf, plan, ledger)
+    result = executor_cls(**sizing).execute(table, index, udf, plan, ledger, seed)
     return result, ledger
 
 
@@ -233,8 +232,8 @@ class TestWorkerMapCache:
                 table.append_columns(build_columns(rows=5, seed=step))
             index = table.group_index("A")
             plan = ExecutionPlan.evaluate_everything(index.values)
-            executor = ProcessPoolBatchExecutor(random_state=step, max_workers=WORKERS)
-            executor.execute(table, index, udf, plan, CostLedger())
+            executor = ProcessPoolBatchExecutor(max_workers=WORKERS)
+            executor.execute(table, index, udf, plan, CostLedger(), step)
         assert len(table.shards) == 4  # the tail had room: no seal
         # Every append rewrote the tail's one exported file ("f").
         live = exported_segment_count()

@@ -57,7 +57,7 @@ def _run_query(table, tag, manager=None, evict_every=0):
     strategy = IntelSample(
         random_state=4242,
         correlated_column="A",
-        executor_factory=lambda rng: BatchExecutor(random_state=rng),
+        executor=BatchExecutor(),
     )
     result = strategy.answer(
         table, udf, QueryConstraints(alpha=0.8, beta=0.8, rho=0.8), ledger

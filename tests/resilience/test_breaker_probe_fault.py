@@ -2,12 +2,12 @@
 
 The breaker admits one probe at a time while half-open, so a slot that is
 taken and never reported on wedges the service in degraded mode for good.
-That is what asking the breaker at executor *construction* did: the pipeline
-builds a throwaway executor just to read its ``bulk_evaluator``, the
-throwaway took the only slot, never ran remotely, never reported — and the
-real executor built a moment later was refused, as was every request after
-it.  The executor now asks in ``execute`` / ``evaluate_rows``, right before
-it prepares the remote run, and reports (or cancels) whatever it took.
+Two rules keep every slot accounted for.  Constructing an executor touches
+no breaker state: a placement is configuration only, and one that is built
+but never runs remotely must not hold the only slot while every later
+request is refused.  A probe slot is taken only where the pool is used —
+in ``execute`` / ``evaluate_rows``, right before the remote run is
+prepared — and whatever was taken is reported on or handed back.
 
 Selected by the CI ``chaos`` step via ``-k fault`` (the module name).
 """
@@ -26,7 +26,6 @@ from repro.db.shm import release_exports
 from repro.db.udf import CostLedger, UserDefinedFunction
 from repro.resilience import CLOSED, HALF_OPEN, CircuitBreaker
 from repro.serving import QueryService, ServiceConfig
-from repro.stats.random import as_random_state
 
 WORKERS = 2
 
@@ -121,9 +120,7 @@ class TestHalfOpenProbeFault:
         with service:
             _trip_to_half_open(service)
             before = service.breaker.snapshot()
-            executors = [
-                service._executor(as_random_state(seed)) for seed in range(10)
-            ]
+            executors = [service._executor() for _ in range(10)]
             assert all(isinstance(e, ProcessPoolBatchExecutor) for e in executors)
             assert service.breaker.snapshot() == before
             assert before["state"] == HALF_OPEN and before["probes_in_flight"] == 0
@@ -168,9 +165,7 @@ class TestProbeSurvivesTheUdfsOwnErrorFault:
         breaker.record_failure("test")
         now[0] = 1.0
         assert breaker.state == HALF_OPEN
-        executor = ProcessPoolBatchExecutor(
-            random_state=0, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         try:
             with pytest.raises(ValueError, match="poisoned row"):
                 if entry == "execute":
@@ -178,7 +173,7 @@ class TestProbeSurvivesTheUdfsOwnErrorFault:
                     everything = ExecutionPlan(
                         {key: GroupDecision(retrieve=1.0, evaluate=1.0) for key in index}
                     )
-                    executor.execute(table, index, udf, everything, CostLedger())
+                    executor.execute(table, index, udf, everything, CostLedger(), 0)
                 else:
                     executor.evaluate_rows(table, udf, np.arange(table.num_rows))
         finally:

@@ -139,10 +139,9 @@ class TestCooperativeCancellation:
         )
         ledger = CostLedger()
         expired = Deadline(expires_at=0.0, timeout_s=1.0, clock=lambda: 1.0)
-        executor = BatchExecutor(random_state=3)
         with deadline_scope(expired):
             with pytest.raises(DeadlineExceeded):
-                executor.execute(table, index, udf, plan, ledger)
+                BatchExecutor().execute(table, index, udf, plan, ledger, 3)
         assert ledger.retrieved_count == 0
         assert ledger.evaluated_count == 0
         assert udf.counter_snapshot()["cache_misses"] == 0

@@ -77,17 +77,16 @@ def _mixed_plan(index):
     return ExecutionPlan(decisions=decisions)
 
 
-def _run(table, executor, udf, ledger=None):
+def _run(table, executor, udf, ledger=None, seed=7):
     index = table.group_index("A")
     plan = _mixed_plan(index)
     ledger = ledger if ledger is not None else CostLedger()
-    result = executor.execute(table, index, udf, plan, ledger)
+    result = executor.execute(table, index, udf, plan, ledger, seed)
     return result, ledger
 
 
 def _serial_baseline(table, udf, seed=7):
-    executor = ParallelBatchExecutor(random_state=seed)
-    return _run(table, executor, udf)
+    return _run(table, ParallelBatchExecutor(), udf, seed=seed)
 
 
 def _memo(udf):
@@ -187,9 +186,7 @@ class TestWorkerFaults:
             rules={"worker": FaultRule(kind="crash", addresses=frozenset({(1, 0)}))},
         )
         breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=7, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         with fault_scope(plan):
             remote, remote_ledger = _run(table, executor, udf_remote)
         _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
@@ -232,9 +229,7 @@ class TestWorkerFaults:
         udf_serial, udf_remote = _label_udf("mf_a"), _label_udf("mf_b")
         serial, serial_ledger = _serial_baseline(table, udf_serial)
         breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=7, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         remote, remote_ledger = _run(table, executor, udf_remote)
         _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
         snap = breaker.snapshot()
@@ -250,9 +245,7 @@ class TestWorkerFaults:
             seed=0, rules={"worker": FaultRule(kind="crash", probability=1.0)}
         )
         breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=7, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         with fault_scope(plan):
             remote, remote_ledger = _run(table, executor, udf_remote)
         _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
@@ -271,9 +264,7 @@ class TestWorkerFaults:
             rules={"worker": FaultRule(kind="garbage", addresses=frozenset({(0, 0)}))},
         )
         breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=7, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         with fault_scope(plan):
             remote, remote_ledger = _run(table, executor, udf_remote)
         _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
@@ -291,9 +282,7 @@ class TestWorkerFaults:
             rules={"worker": FaultRule(kind="hang", probability=1.0, sleep_s=5.0)},
         )
         breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=7, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         ledger = CostLedger()
         started = time.perf_counter()
         with fault_scope(plan), deadline_scope(Deadline.after(0.5)):
@@ -327,9 +316,7 @@ class TestBulkEvaluationFanFault:
         ids = np.arange(table.num_rows)
         udf_serial, udf_remote = _label_udf(f"{name}_a"), _label_udf(f"{name}_b")
         expected = udf_serial.evaluate_rows(table, ids)
-        executor = ProcessPoolBatchExecutor(
-            random_state=0, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         if before is not None:
             before(executor, table)
         with fault_scope(plan):
@@ -455,9 +442,7 @@ class TestWorkerRaisedTimeoutFault:
         table = self._poisoned(f"tmo_{name}", n=600 if entry == "execute" else 3000)
         udf = UserDefinedFunction(f"tmo_udf_{name}", UpstreamFails("poison", error))
         breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=0, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         pool_before = procpool.shared_process_pool(WORKERS)
         ledger = CostLedger()
         with deadline_scope(Deadline.after(60.0) if armed else None):
@@ -467,7 +452,7 @@ class TestWorkerRaisedTimeoutFault:
                     everything = ExecutionPlan(
                         {key: GroupDecision(retrieve=1.0, evaluate=1.0) for key in index}
                     )
-                    executor.execute(table, index, udf, everything, ledger)
+                    executor.execute(table, index, udf, everything, ledger, 0)
                 else:
                     executor.evaluate_rows(table, udf, np.arange(table.num_rows))
         assert procpool.shared_process_pool(WORKERS) is pool_before  # not discarded
@@ -492,9 +477,7 @@ class TestSegmentFileFaults:
             rules={"segment_write": FaultRule(kind="error", addresses=frozenset({(0,)}))},
         )
         breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=7, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         with fault_scope(plan):
             remote, remote_ledger = _run(table, executor, udf_remote)
         assert plan.fired() == [("segment_write", (0,), "error")]
@@ -517,9 +500,7 @@ class TestSegmentFileFaults:
             rules={"segment_map": FaultRule(kind="error", addresses=frozenset({(0,)}))},
         )
         breaker = CircuitBreaker(failure_threshold=100)
-        executor = ProcessPoolBatchExecutor(
-            random_state=7, max_workers=WORKERS, breaker=breaker
-        )
+        executor = ProcessPoolBatchExecutor(max_workers=WORKERS, breaker=breaker)
         with fault_scope(plan):
             remote, remote_ledger = _run(table, executor, udf_remote)
         _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)

@@ -605,10 +605,10 @@ class TestStatsSurface:
 
 
 class TestCustomStrategyOnTheProcessBackend:
-    def test_a_strategy_without_an_executor_factory_hits_on_the_pool(self, monkeypatch):
+    def test_a_strategy_without_the_services_placement_hits_on_the_pool(self, monkeypatch):
         catalog, udf = _setup(name="jtab")
 
-        class Opaque:  # answers as IntelSample does, with no executor_factory
+        class Opaque:  # answers as IntelSample does, on its own default placement
             def __init__(self, random_state):
                 self.answer = IntelSample(random_state=random_state).answer
 

@@ -25,12 +25,12 @@ class TestDeterministicPlans:
         plan = ExecutionPlan(
             {key: GroupDecision(retrieve=retrieve, evaluate=evaluate) for key in toy_index.values}
         )
-        serial = PlanExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        serial = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 0
         )
         toy_udf.reset()
-        batch = BatchExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        batch = BatchExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 0
         )
         assert_same_rows(batch.returned_row_ids, serial.returned_row_ids)
         assert batch.ledger.retrieved_count == serial.ledger.retrieved_count
@@ -45,12 +45,12 @@ class TestDeterministicPlans:
                 evaluate=1.0 if cycle == 0 else 0.0,
             )
         plan = ExecutionPlan(decisions)
-        serial = PlanExecutor(random_state=1).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        serial = PlanExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 1
         )
         toy_udf.reset()
-        batch = BatchExecutor(random_state=1).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        batch = BatchExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 1
         )
         assert_same_rows(batch.returned_row_ids, serial.returned_row_ids)
 
@@ -62,8 +62,8 @@ class TestDeterministicPlans:
         allocation = ConstantScheme(2).allocate(toy_index.group_sizes())
         outcome = sampler.sample(toy_table, toy_index, toy_udf, allocation, CostLedger())
         plan = ExecutionPlan.discard_everything(toy_index.values)
-        result = BatchExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger(), sample_outcome=outcome
+        result = BatchExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 0, sample_outcome=outcome
         )
         assert sorted(result.returned_row_ids) == sorted(outcome.positives)
         assert result.ledger.retrieved_count == 0
@@ -79,7 +79,7 @@ class TestSeedDeterminism:
             udf = dataset.make_udf(f"det_{dataset_name}")
             strategy = IntelSample(
                 random_state=77,
-                executor_factory=lambda rng: BatchExecutor(random_state=rng),
+                executor=BatchExecutor(),
             )
             return strategy.answer(
                 dataset.table,
@@ -100,7 +100,7 @@ class TestSeedDeterminism:
         for seed in (1, 2):
             strategy = IntelSample(
                 random_state=seed,
-                executor_factory=lambda rng: BatchExecutor(random_state=rng),
+                executor=BatchExecutor(),
             )
             results.append(
                 strategy.answer(
@@ -124,7 +124,7 @@ class TestStatisticalEquivalence:
         for seed in range(runs):
             strategy = IntelSample(
                 random_state=seed,
-                executor_factory=lambda rng: BatchExecutor(random_state=rng),
+                executor=BatchExecutor(),
             )
             result = strategy.answer(
                 dataset.table,
@@ -143,7 +143,7 @@ class TestStatisticalEquivalence:
         ledger = CostLedger()
         IntelSample(
             random_state=5,
-            executor_factory=lambda rng: BatchExecutor(random_state=rng),
+            executor=BatchExecutor(),
         ).answer(
             dataset.table,
             dataset.make_udf("batch_cheap"),
@@ -158,23 +158,23 @@ class TestFreeMemoized:
     def test_memoized_rows_not_recharged(self, toy_table, toy_udf, toy_index):
         plan = ExecutionPlan.evaluate_everything(toy_index.values)
         # First pass pays for every row and fills the memo cache.
-        first = BatchExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger(free_memoized=True)
+        first = BatchExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(free_memoized=True), 0
         )
         assert first.ledger.evaluated_count == toy_table.num_rows
         # Second pass over the same rows is free under serving accounting.
-        second = BatchExecutor(random_state=1).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger(free_memoized=True)
+        second = BatchExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(free_memoized=True), 1
         )
         assert second.ledger.evaluated_count == 0
         assert sorted(second.returned_row_ids) == sorted(first.returned_row_ids)
 
     def test_paper_accounting_recharges(self, toy_table, toy_udf, toy_index):
         plan = ExecutionPlan.evaluate_everything(toy_index.values)
-        BatchExecutor(random_state=0).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        BatchExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 0
         )
-        repeat = BatchExecutor(random_state=1).execute(
-            toy_table, toy_index, toy_udf, plan, CostLedger()
+        repeat = BatchExecutor().execute(
+            toy_table, toy_index, toy_udf, plan, CostLedger(), 1
         )
         assert repeat.ledger.evaluated_count == toy_table.num_rows

@@ -93,9 +93,9 @@ class TestNoFlagBesideTheLedger:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: BatchExecutor(0, free_memoized=True),
-            lambda: ParallelBatchExecutor(0, free_memoized=True),
-            lambda: ProcessPoolBatchExecutor(0, max_workers=1, free_memoized=True),
+            lambda: BatchExecutor(free_memoized=True),
+            lambda: ParallelBatchExecutor(free_memoized=True),
+            lambda: ProcessPoolBatchExecutor(max_workers=1, free_memoized=True),
         ],
         ids=["batch", "inline_spans", "process"],
     )

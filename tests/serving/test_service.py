@@ -572,12 +572,12 @@ class TestGenerationRefresh:
             hidden_columns=["is_good"],
         )
         udf.reset()
-        reference = PlanExecutor(random_state=3).execute(
+        reference = PlanExecutor().execute(
             twin,
             twin.group_index("grade"),
             udf,
             entry.plan,
-            CostLedger(),
+            CostLedger(), 3,
             sample_outcome=entry.sample_outcome,
         )
         assert_same_rows(hit.row_ids, reference.returned_row_ids)
@@ -640,11 +640,19 @@ class TestGenerationRefresh:
 
 
 class TestLifetime:
-    def test_dropped_service_frees_tables_memos_and_frames_without_the_collector(self):
+    @pytest.mark.parametrize(
+        "config",
+        [ServiceConfig(), ServiceConfig(executor="process", max_workers=1)],
+        ids=["serial", "process"],
+    )
+    def test_dropped_service_frees_tables_memos_and_frames_without_the_collector(self, config):
         """Nothing in a service, its caches, its UDFs or its tables' indexes is
         a reference cycle: dropping them frees the column arrays, the UDF memo
         and the memoised candidate frames at once, not at the next full
-        collector pass (which a long-lived process runs rarely)."""
+        collector pass (which a long-lived process runs rarely).  On the
+        process backend a placement holds the service's ``_note_degraded``,
+        which is why the service builds one per request instead of keeping
+        one."""
         import gc
         import weakref
 
@@ -661,7 +669,7 @@ class TestLifetime:
         catalog = Catalog()
         catalog.register_table(table)
         catalog.register_udf(udf)
-        service = QueryService(Engine(catalog))
+        service = QueryService(Engine(catalog), config=config)
         query = SelectQuery(
             "short_lived", UdfPredicate(udf), alpha=0.8, beta=0.8, rho=0.8,
             correlated_column="grade",
